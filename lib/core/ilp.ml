@@ -1,23 +1,5 @@
 module R = Numeric.Rat
 
-(* The Fix64-first driver: run the solve on the native-int fast kernel
-   and transparently restart it on exact Rat when the fast kernel
-   overflows. Kernels agree bit-for-bit wherever they complete (see
-   Numeric.Kernel), so which kernel answered is unobservable in the
-   result — only in the counters below and the [lp.kernel] span
-   attribute. *)
-let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
-let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
-
-let with_rat_fallback ~fast ~exact =
-  match fast () with
-  | result ->
-    Telemetry.bump fast_solves_counter;
-    result
-  | exception Numeric.Kernel.Overflow ->
-    Telemetry.bump fallbacks_counter;
-    exact ()
-
 type outcome = {
   allocation : Allocation.t option;
   proved_optimal : bool;
@@ -69,8 +51,8 @@ let model_on ?budget_cap instance ~target =
       Lp.Model.Ge R.zero
   done;
   (* Valid tightening bounds: some optimum has ρ_j <= ρ and therefore
-     x_q <= ⌈max_j n^j_q · ρ / r_q⌉ (see DESIGN.md). As *variable*
-     bounds they cost no tableau rows under the bounded engine. *)
+     x_q <= ⌈max_j n^j_q · ρ / r_q⌉ (see DESIGN.md). They are
+     variable bounds, which branching tightens in place. *)
   Array.iter (fun v -> Lp.Model.tighten_upper m v (R.of_int target)) rho_vars;
   for q = 0 to q_count - 1 do
     let nmax = ref 0 in
@@ -141,9 +123,8 @@ let valid_incumbent instance ~target alloc =
     !within
   end
 
-let optimize ?time_limit ?node_limit ?(strategy = Milp.Solver.Best_bound)
-    ?(warm_start = true) ?incumbent ?(cut_rounds = 0) ?budget_cap ?pricebook
-    ?instance ?problem ~target () =
+let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
+    ?budget_cap ?pricebook ?instance ?problem ~target () =
   let instance =
     Instance.for_solve ~who:"Ilp.optimize" ?pricebook ?instance ?problem ()
   in
@@ -214,20 +195,8 @@ let optimize ?time_limit ?node_limit ?(strategy = Milp.Solver.Best_bound)
       time_limit
   in
   let result =
-    with_rat_fallback
-      ~fast:(fun () ->
-        Milp.Solver.Fast.solve ?time_limit ?node_limit ~integral_objective:true
-          ~strategy ?warm_start:warm ~priority ~cut_rounds model ~integer)
-      ~exact:(fun () ->
-        (* Charge the overflowed fast attempt against the same
-           wall-clock budget so a capped solve still honours it. *)
-        let time_limit =
-          Option.map
-            (fun d -> Float.max 0.0 (d -. (Unix.gettimeofday () -. t0)))
-            time_limit
-        in
-        Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true
-          ~strategy ?warm_start:warm ~priority ~cut_rounds model ~integer)
+    Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true
+      ?warm_start:warm ~priority model ~integer
   in
   let allocation = Option.map (decode instance) result.Milp.Solver.solution in
   let best_bound =
@@ -244,12 +213,7 @@ let optimize ?time_limit ?node_limit ?(strategy = Milp.Solver.Best_bound)
 
 let lp_lower_bound problem ~target =
   let m, _ = model_on (Instance.compile problem) ~target in
-  let relaxation =
-    with_rat_fallback
-      ~fast:(fun () -> Lp.Simplex.Fast.solve m)
-      ~exact:(fun () -> Lp.Simplex.solve m)
-  in
-  match relaxation with
+  match Lp.Simplex.solve m with
   | Lp.Simplex.Optimal { objective; _ } -> Numeric.Bigint.to_int_exn (R.ceil objective)
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
     (* The MILP is always feasible (rent enough machines) and bounded

@@ -12,13 +12,11 @@
     [x_q <= ⌈max_j n^j_q · ρ / r_q⌉], and with objective-integrality
     bound strengthening (all costs are integers).
 
-    {b Numeric kernels.} Solves run Fix64-first: the branch-and-bound
-    pivots on the native-int {!Numeric.Fix64} kernel and is restarted
-    transparently on exact {!Numeric.Rat} when the fast kernel raises
-    [Numeric.Kernel.Overflow]. Kernels agree bit-for-bit wherever they
-    complete, so results are identical either way; the
+    {b Numerics.} Every LP relaxation runs through {!Lp.Simplex.solve}:
+    native-int pivots first, an exact {!Numeric.Rat} rerun of that one
+    relaxation on overflow. Both give bit-identical results; the
     [numeric.fast_solves] / [numeric.fallbacks] telemetry counters and
-    the [lp.kernel] span attribute record which kernel answered. *)
+    the [lp.kernel] span attribute record which one answered. *)
 
 type outcome = {
   allocation : Allocation.t option;  (** best integer solution found *)
@@ -66,7 +64,6 @@ val model :
     @param node_limit maximum branch-and-bound nodes (default:
       unlimited); unlike a time limit, a node limit keeps capped runs
       deterministic across machines
-    @param strategy node order (default [Best_bound])
     @param warm_start seed the search with an H32Jump incumbent
       (default [true]; the role Gurobi's primal heuristics play in the
       paper's runs). Disable for ablation measurements.
@@ -77,10 +74,6 @@ val model :
       recipe, falls outside the model's tightening bounds, or costs
       more than [?budget_cap] — the solve then proceeds per
       [warm_start].
-    @param cut_rounds Gomory cut rounds at the root (default 0:
-      disabled — with a dense exact tableau the smaller tree does not
-      repay the denser, slower node relaxations; see the
-      [ilp_ablation] bench).
     @param budget_cap see {!model}; with the cut, [status = Infeasible]
       in the outcome means "unreachable within the cap", and any warm
       point over the cap is dropped rather than handed to the solver.
@@ -89,10 +82,8 @@ val model :
 val optimize :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?strategy:Milp.Solver.strategy ->
   ?warm_start:bool ->
   ?incumbent:Allocation.t ->
-  ?cut_rounds:int ->
   ?budget_cap:int ->
   ?pricebook:Pricebook.t ->
   ?instance:Instance.t ->

@@ -49,11 +49,9 @@ val add_lower_bound : t -> var -> Numeric.Rat.t -> unit
 (** {1 Variable bounds}
 
     Unlike {!add_upper_bound}/{!add_lower_bound}, these do not create
-    rows: they tighten the variable's own domain. The row-based
-    {!Simplex} engine materializes them as rows internally; the
-    {!Bounded} engine handles them natively (which is why the
-    branch-and-bound solver prefers it — branching does not grow the
-    tableau). Bounds only ever tighten; the implicit domain is
+    rows in the model: they tighten the variable's own domain, which is
+    how branch and bound branches. {!Simplex} materializes them as rows
+    internally. Bounds only ever tighten; the implicit domain is
     [\[0, ∞)]. *)
 
 (** [tighten_lower t v lb] raises the lower bound to

@@ -1,19 +1,19 @@
-(* Two-phase primal simplex on a dense tableau, functorized over the
-   numeric kernel (see {!Numeric.Kernel}).
+(* Two-phase primal simplex on a dense tableau, in two exact
+   representations that make the same pivot decisions.
 
-   Layout: [tab] has one row per constraint; each row has [ncols + 1]
-   entries, the last being the right-hand side. [basis.(i)] is the
-   column currently basic in row [i]. The cost row [z] holds reduced
-   costs, with [z.(ncols)] equal to minus the current objective value.
-   Pivoting keeps all invariants by plain Gaussian elimination, and
-   Bland's rule (smallest-index entering and leaving) guarantees
-   termination even on degenerate bases.
+   Layout: the tableau has one row per constraint; each row has
+   [ncols + 1] entries, the last being the right-hand side. [basis.(i)]
+   is the column currently basic in row [i]. Bland's rule
+   (smallest-index entering and leaving) guarantees termination even on
+   degenerate bases.
 
-   Every entering/leaving decision depends only on exact signs and
-   comparisons, and kernels are exact wherever they are defined — so
-   all kernels walk the same pivot sequence and agree bit-for-bit on
-   the result; a range-restricted kernel merely raises
-   [Numeric.Kernel.Overflow] partway instead. *)
+   [solve] runs the fraction-free native-int engine ({!Fraction_free})
+   and reruns that one relaxation on the exact Rat engine ({!Exact})
+   when the native range overflows. Every entering/leaving decision of
+   both engines depends only on exact signs and comparisons, so they
+   walk the same pivot sequence and return bit-identical results: which
+   engine answered shows only in the [numeric.*] counters and the
+   [lp.kernel] span attribute. *)
 
 module R = Numeric.Rat
 
@@ -28,31 +28,17 @@ let pivot_count = ref 0
 let last_pivot_count () = !pivot_count
 
 let pivots_counter = Telemetry.counter Telemetry.lp_pivots
-
-type col_desc =
-  | Structural of int
-  | Slack of int
-  | Artificial
-
-type details = {
-  solution : solution;
-  basis : int array;
-  tableau : R.t array array;
-  cols : col_desc array;
-  oriented_rows : (Linexpr.t * Model.cmp * R.t) array;
-}
-
-module type ENGINE = sig
-  val solve : Model.t -> result
-  val solve_detailed : Model.t -> details option
-end
+let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
+let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
 
 type phase_result = Phase_optimal | Phase_unbounded
 
-(* Variable bounds materialized as ordinary rows (the {!Bounded} engine
-   handles them natively), then every row oriented so its right-hand
-   side is non-negative. Shared by all engines; done in Rat because the
-   oriented rows are part of the {!details} contract. *)
+let fast_kernel = "ff64"
+let exact_kernel = "rat"
+
+(* Variable bounds materialized as ordinary rows, then every row
+   oriented so its right-hand side is non-negative. Shared by both
+   engines. *)
 let orient model =
   let nstruct = Model.num_vars model in
   let bound_rows =
@@ -91,16 +77,16 @@ let count_slack_art oriented =
       | Model.Eq -> (ns, na + 1))
     (0, 0) oriented
 
-module Make (K : Numeric.Kernel.S) = struct
-  (* Built once per instantiation so a disabled-telemetry solve still
-     allocates nothing at the call site. *)
-  let span_attrs = [ ("lp.kernel", K.name) ]
+(* The exact engine: plain Gaussian elimination on Rat. The cost row
+   [z] holds reduced costs, with [z.(ncols)] equal to minus the current
+   objective value. Never overflows; {!solve} falls back to it. *)
+module Exact = struct
+  let span_attrs = [ ("lp.kernel", exact_kernel) ]
 
   type tableau = {
-    tab : K.t array array;  (* m rows of (ncols + 1) entries *)
+    tab : R.t array array;  (* m rows of (ncols + 1) entries *)
     basis : int array;      (* m entries *)
     ncols : int;
-    nstruct : int;          (* structural variables: columns 0 .. nstruct-1 *)
     art_start : int;        (* artificial columns: art_start .. ncols-1 *)
   }
 
@@ -111,18 +97,18 @@ module Make (K : Numeric.Kernel.S) = struct
     Telemetry.bump pivots_counter;
     let row_r = t.tab.(r) in
     let piv = row_r.(c) in
-    if not (K.equal piv K.one) then begin
-      let inv = K.inv piv in
+    if not (R.equal piv R.one) then begin
+      let inv = R.inv piv in
       for j = 0 to t.ncols do
-        if not (K.is_zero row_r.(j)) then row_r.(j) <- K.mul row_r.(j) inv
+        if not (R.is_zero row_r.(j)) then row_r.(j) <- R.mul row_r.(j) inv
       done
     end;
     let eliminate row =
       let f = row.(c) in
-      if not (K.is_zero f) then
+      if not (R.is_zero f) then
         for j = 0 to t.ncols do
-          if not (K.is_zero row_r.(j)) then
-            row.(j) <- K.sub row.(j) (K.mul f row_r.(j))
+          if not (R.is_zero row_r.(j)) then
+            row.(j) <- R.sub row.(j) (R.mul f row_r.(j))
         done
     in
     Array.iteri (fun i row -> if i <> r then eliminate row) t.tab;
@@ -132,14 +118,14 @@ module Make (K : Numeric.Kernel.S) = struct
   (* Initialize the reduced-cost row for the given column costs and the
      current basis. *)
   let init_cost_row t costs =
-    let z = Array.make (t.ncols + 1) K.zero in
+    let z = Array.make (t.ncols + 1) R.zero in
     Array.blit costs 0 z 0 t.ncols;
     Array.iteri
       (fun i row ->
         let cb = costs.(t.basis.(i)) in
-        if not (K.is_zero cb) then
+        if not (R.is_zero cb) then
           for j = 0 to t.ncols do
-            if not (K.is_zero row.(j)) then z.(j) <- K.sub z.(j) (K.mul cb row.(j))
+            if not (R.is_zero row.(j)) then z.(j) <- R.sub z.(j) (R.mul cb row.(j))
           done)
       t.tab;
     z
@@ -153,7 +139,7 @@ module Make (K : Numeric.Kernel.S) = struct
       let entering = ref (-1) in
       (try
          for j = 0 to t.ncols - 1 do
-           if (not (banned j)) && K.sign z.(j) < 0 then begin
+           if (not (banned j)) && R.sign z.(j) < 0 then begin
              entering := j;
              raise Exit
            end
@@ -165,15 +151,15 @@ module Make (K : Numeric.Kernel.S) = struct
         (* Ratio test: min rhs_i / tab_ic over tab_ic > 0; ties by
            smallest basic variable index (Bland). *)
         let best_row = ref (-1) in
-        let best_ratio = ref K.zero in
+        let best_ratio = ref R.zero in
         for i = 0 to m - 1 do
           let a = t.tab.(i).(c) in
-          if K.sign a > 0 then begin
-            let ratio = K.div t.tab.(i).(t.ncols) a in
+          if R.sign a > 0 then begin
+            let ratio = R.div t.tab.(i).(t.ncols) a in
             if
               !best_row < 0
-              || K.compare ratio !best_ratio < 0
-              || (K.equal ratio !best_ratio && t.basis.(i) < t.basis.(!best_row))
+              || R.compare ratio !best_ratio < 0
+              || (R.equal ratio !best_ratio && t.basis.(i) < t.basis.(!best_row))
             then begin
               best_row := i;
               best_ratio := ratio
@@ -189,10 +175,7 @@ module Make (K : Numeric.Kernel.S) = struct
     in
     loop ()
 
-  (* Core solve; optionally captures the final state. Variable bounds
-     from the model are materialized as ordinary rows here — the
-     {!Bounded} engine handles them natively. *)
-  let solve_core ~want_details model =
+  let solve model =
     pivot_count := 0;
     let nstruct = Model.num_vars model in
     let oriented = orient model in
@@ -202,42 +185,38 @@ module Make (K : Numeric.Kernel.S) = struct
     let nslack, nart = count_slack_art oriented in
     let art_start = nstruct + nslack in
     let ncols = art_start + nart in
-    let tab = Array.init m (fun _ -> Array.make (ncols + 1) K.zero) in
+    let tab = Array.init m (fun _ -> Array.make (ncols + 1) R.zero) in
     let basis = Array.make m (-1) in
-    let cols = Array.make ncols Artificial in
-    Array.iteri (fun v _ -> if v < nstruct then cols.(v) <- Structural v) cols;
     let slack_idx = ref nstruct and art_idx = ref art_start in
     List.iteri
       (fun i (expr, cmp, rhs) ->
         let row = tab.(i) in
-        List.iter (fun (v, c) -> row.(v) <- K.of_rat c) (Linexpr.terms expr);
-        row.(ncols) <- K.of_rat rhs;
+        List.iter (fun (v, c) -> row.(v) <- c) (Linexpr.terms expr);
+        row.(ncols) <- rhs;
         (match cmp with
          | Model.Le ->
-           row.(!slack_idx) <- K.one;
-           cols.(!slack_idx) <- Slack i;
+           row.(!slack_idx) <- R.one;
            basis.(i) <- !slack_idx;
            incr slack_idx
          | Model.Ge ->
-           row.(!slack_idx) <- K.minus_one;
-           cols.(!slack_idx) <- Slack i;
+           row.(!slack_idx) <- R.minus_one;
            incr slack_idx;
-           row.(!art_idx) <- K.one;
+           row.(!art_idx) <- R.one;
            basis.(i) <- !art_idx;
            incr art_idx
          | Model.Eq ->
-           row.(!art_idx) <- K.one;
+           row.(!art_idx) <- R.one;
            basis.(i) <- !art_idx;
            incr art_idx))
       oriented;
-    let t = { tab; basis; ncols; nstruct; art_start } in
+    let t = { tab; basis; ncols; art_start } in
     (* Phase 1: minimize the sum of artificial variables. *)
     let feasible =
       if nart = 0 then true
       else begin
-        let costs = Array.make ncols K.zero in
+        let costs = Array.make ncols R.zero in
         for j = art_start to ncols - 1 do
-          costs.(j) <- K.one
+          costs.(j) <- R.one
         done;
         let z = init_cost_row t costs in
         (match run_phase t z ~banned:(fun _ -> false) with
@@ -246,7 +225,7 @@ module Make (K : Numeric.Kernel.S) = struct
               impossible with exact arithmetic. *)
            assert false
          | Phase_optimal -> ());
-        if K.sign (K.neg z.(ncols)) > 0 then false
+        if R.sign (R.neg z.(ncols)) > 0 then false
         else begin
           (* Drive any residual artificial out of the basis with a
              degenerate pivot when the row has a usable column; rows that
@@ -259,7 +238,7 @@ module Make (K : Numeric.Kernel.S) = struct
                 let found = ref (-1) in
                 (try
                    for j = 0 to art_start - 1 do
-                     if not (K.is_zero tab.(i).(j)) then begin
+                     if not (R.is_zero tab.(i).(j)) then begin
                        found := j;
                        raise Exit
                      end
@@ -272,58 +251,38 @@ module Make (K : Numeric.Kernel.S) = struct
         end
       end
     in
-    if not feasible then (Infeasible, None)
+    if not feasible then Infeasible
     else begin
       (* Phase 2: the real objective (negated for maximization). *)
       let sense, obj = Model.objective model in
       let obj_const = Linexpr.const obj in
-      let costs = Array.make ncols K.zero in
+      let costs = Array.make ncols R.zero in
       List.iter
         (fun (v, c) ->
-          costs.(v) <-
-            K.of_rat (match sense with Model.Minimize -> c | Maximize -> R.neg c))
+          costs.(v) <- (match sense with Model.Minimize -> c | Maximize -> R.neg c))
         (Linexpr.terms obj);
       let z = init_cost_row t costs in
       match run_phase t z ~banned:(fun j -> j >= t.art_start) with
-      | Phase_unbounded -> (Unbounded, None)
+      | Phase_unbounded -> Unbounded
       | Phase_optimal ->
         let values = Array.make nstruct R.zero in
         Array.iteri
-          (fun i bv -> if bv < nstruct then values.(bv) <- K.to_rat tab.(i).(ncols))
+          (fun i bv -> if bv < nstruct then values.(bv) <- tab.(i).(ncols))
           basis;
-        let minimized = K.to_rat (K.neg z.(ncols)) in
+        let minimized = R.neg z.(ncols) in
         let objective =
           match sense with
           | Model.Minimize -> R.add minimized obj_const
           | Maximize -> R.add (R.neg minimized) obj_const
         in
-        let solution = { objective; values } in
-        ( Optimal solution,
-          if not want_details then None
-          else
-            Some
-              { solution;
-                basis = Array.copy basis;
-                tableau = Array.map (Array.map K.to_rat) tab;
-                cols;
-                oriented_rows = Array.of_list oriented } )
+        Optimal { objective; values }
     end
-
-  let solve model =
-    Telemetry.Span.with_span ~attrs:span_attrs "lp.simplex" (fun () ->
-        fst (solve_core ~want_details:false model))
-
-  let solve_detailed model =
-    Telemetry.Span.with_span ~attrs:span_attrs "lp.simplex" (fun () ->
-        snd (solve_core ~want_details:true model))
 end
 
-module Exact = Make (Numeric.Kernel.Exact)
+(* The fast engine: fraction-free two-phase simplex on native-int
+   tableaus.
 
-(* The production fast engine: fraction-free two-phase simplex on
-   native-int tableaus.
-
-   Instead of pivoting on a rational kernel, each row is an integer
+   Instead of pivoting on rationals, each row is an integer
    vector with an implicit positive scale — the entry under the row's
    own basic column; the true tableau value is [tab.(i).(j) / scale i].
    Pivoting on (r, c) with [p = tab.(r).(c)] rewrites every row with a
@@ -334,7 +293,7 @@ module Exact = Make (Numeric.Kernel.Exact)
    which is Gaussian elimination with the division deferred into the
    row's scale (now [scale i * p]); row [r] itself is untouched and its
    scale becomes [p]. The inner loop therefore runs no division and no
-   gcd — the two operations that dominate every rational kernel — and
+   gcd — the two operations that dominate rational arithmetic — and
    rows are reduced by their content gcd only when an entry outgrows
    the range invariant |entry| < 2^30, with [Numeric.Kernel.Overflow]
    raised when even that cannot restore it. The invariant keeps every
@@ -344,10 +303,9 @@ module Exact = Make (Numeric.Kernel.Exact)
    Entering and leaving decisions are exact sign tests and exact
    cross-multiplied ratio comparisons — scales are positive and cancel
    within a row — so this engine walks precisely the pivot sequence of
-   the {!Make} instances and agrees bit-for-bit with {!Exact} wherever
-   it completes. *)
+   {!Exact} and agrees with it bit-for-bit wherever it completes. *)
 module Fraction_free = struct
-  let span_attrs = [ ("lp.kernel", "ff64") ]
+  let span_attrs = [ ("lp.kernel", fast_kernel) ]
 
   (* Exclusive bound on tableau entries and scales. *)
   let range = 1 lsl 30
@@ -372,7 +330,6 @@ module Fraction_free = struct
     tab : int array array;  (* m rows of (ncols + 1) entries *)
     basis : int array;
     ncols : int;
-    nstruct : int;
     art_start : int;
   }
 
@@ -550,7 +507,7 @@ module Fraction_free = struct
     in
     loop ()
 
-  let solve_core ~want_details model =
+  let solve model =
     pivot_count := 0;
     let nstruct = Model.num_vars model in
     let oriented = orient model in
@@ -560,8 +517,6 @@ module Fraction_free = struct
     let ncols = art_start + nart in
     let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0) in
     let basis = Array.make m (-1) in
-    let cols = Array.make ncols Artificial in
-    Array.iteri (fun v _ -> if v < nstruct then cols.(v) <- Structural v) cols;
     let slack_idx = ref nstruct and art_idx = ref art_start in
     List.iteri
       (fun i (expr, cmp, rhs) ->
@@ -586,12 +541,10 @@ module Fraction_free = struct
         (match cmp with
          | Model.Le ->
            row.(!slack_idx) <- l;
-           cols.(!slack_idx) <- Slack i;
            basis.(i) <- !slack_idx;
            incr slack_idx
          | Model.Ge ->
            row.(!slack_idx) <- -l;
-           cols.(!slack_idx) <- Slack i;
            incr slack_idx;
            row.(!art_idx) <- l;
            basis.(i) <- !art_idx;
@@ -601,7 +554,7 @@ module Fraction_free = struct
            basis.(i) <- !art_idx;
            incr art_idx))
       oriented;
-    let t = { tab; basis; ncols; nstruct; art_start } in
+    let t = { tab; basis; ncols; art_start } in
     (* Phase 1: minimize the sum of artificial variables (unit cost on
        each artificial column). *)
     let feasible =
@@ -628,7 +581,7 @@ module Fraction_free = struct
         if !residual then false
         else begin
           (* Drive residual artificials out of the basis, as in
-             {!Make}: same column choice, hence the same pivots. *)
+             {!Exact}: same column choice, hence the same pivots. *)
           Array.iteri
             (fun i bv ->
               if bv >= art_start then begin
@@ -648,7 +601,7 @@ module Fraction_free = struct
         end
       end
     in
-    if not feasible then (Infeasible, None)
+    if not feasible then Infeasible
     else begin
       (* Phase 2: the real objective (negated for maximization),
          integerized over the objective's common denominator [cq]. *)
@@ -668,7 +621,7 @@ module Fraction_free = struct
             costs.(v) <- (match sense with Model.Minimize -> e | Maximize -> -e))
         (Linexpr.terms obj);
       match run_phase t ~costs ~cq ~banned:(fun j -> j >= t.art_start) with
-      | Phase_unbounded -> (Unbounded, None)
+      | Phase_unbounded -> Unbounded
       | Phase_optimal ->
         let values = Array.make nstruct R.zero in
         Array.iteri
@@ -693,33 +646,23 @@ module Fraction_free = struct
           | Model.Minimize -> R.add minimized obj_const
           | Maximize -> R.add (R.neg minimized) obj_const
         in
-        let solution = { objective; values } in
-        ( Optimal solution,
-          if not want_details then None
-          else
-            Some
-              { solution;
-                basis = Array.copy basis;
-                tableau =
-                  Array.mapi
-                    (fun i row ->
-                      let s = scale t i in
-                      Array.map (fun v -> R.of_ints v s) row)
-                    tab;
-                cols;
-                oriented_rows = Array.of_list oriented } )
+        Optimal { objective; values }
     end
-
-  let solve model =
-    Telemetry.Span.with_span ~attrs:span_attrs "lp.simplex" (fun () ->
-        fst (solve_core ~want_details:false model))
-
-  let solve_detailed model =
-    Telemetry.Span.with_span ~attrs:span_attrs "lp.simplex" (fun () ->
-        snd (solve_core ~want_details:true model))
 end
 
-module Fast = Fraction_free
+let solve_exact model =
+  Telemetry.Span.with_span ~attrs:Exact.span_attrs "lp.simplex" (fun () ->
+      Exact.solve model)
 
-let solve = Exact.solve
-let solve_detailed = Exact.solve_detailed
+let solve_fast model =
+  Telemetry.Span.with_span ~attrs:Fraction_free.span_attrs "lp.simplex"
+    (fun () -> Fraction_free.solve model)
+
+let solve model =
+  match solve_fast model with
+  | result ->
+    Telemetry.bump fast_solves_counter;
+    result
+  | exception Numeric.Kernel.Overflow ->
+    Telemetry.bump fallbacks_counter;
+    solve_exact model

@@ -1,26 +1,21 @@
 (** Exact two-phase primal simplex.
 
-    Solves a {!Model.t} in exact rational arithmetic using the dense
-    tableau method with Bland's anti-cycling rule, so termination is
-    guaranteed and results carry no floating-point error. This is the
-    relaxation engine under {!module:Milp.Solver}, standing in for the
-    commercial LP solver (Gurobi) used in the paper.
+    Solves a {!Model.t} exactly using the dense tableau method with
+    Bland's anti-cycling rule, so termination is guaranteed and results
+    carry no floating-point error. This is the relaxation engine under
+    {!module:Milp.Solver}, standing in for the commercial LP solver
+    (Gurobi) used in the paper.
 
     Complexity is exponential in the worst case but the models built by
     this project stay small (tens of rows/columns), where exact simplex
     is fast and — unlike floating-point codes — never returns a
     slightly-infeasible or slightly-suboptimal basis.
 
-    The pivoting core is functorized over a {!Numeric.Kernel}: every
-    entering/leaving decision depends only on exact signs and
-    comparisons, so all kernels walk the same pivot sequence and the
-    result is bit-identical across kernels — a range-restricted kernel
-    ({!Numeric.Fix64}) merely raises [Numeric.Kernel.Overflow] partway
-    instead of completing. The production fast path ({!Fast}) is not a
-    kernel instance but a fraction-free engine over native-int rows;
-    it makes the same pivot decisions, so its results are bit-identical
-    too. The top-level {!solve} is the exact-kernel instance and never
-    raises. *)
+    {!solve} runs a fraction-free engine over native-int rows and, when
+    a row outgrows the native range, reruns that one model on exact
+    {!Numeric.Rat}. Both engines make the same pivot decisions (exact
+    signs and exact ratio comparisons), so the result is bit-identical
+    whichever engine answered. *)
 
 (** An optimal point: [objective] includes any constant term of the
     model's objective; [values] has one entry per model variable. *)
@@ -31,66 +26,38 @@ type result =
   | Infeasible  (** no point satisfies the constraints *)
   | Unbounded  (** the objective can be improved without limit *)
 
-(** [solve model] optimizes the model exactly. *)
+(** [solve model] optimizes the model exactly. Never raises
+    [Numeric.Kernel.Overflow]: a model that leaves the native range is
+    solved again on {!Numeric.Rat}. Each call bumps exactly one of the
+    [numeric.fast_solves] / [numeric.fallbacks] counters and records
+    [lp.simplex] spans whose [lp.kernel] attribute is {!fast_kernel}
+    or {!exact_kernel}. *)
 val solve : Model.t -> result
 
-(** Number of pivots performed by the last [solve] call on this domain
+(** The [lp.kernel] span attribute of the native-int engine (["ff64"])
+    and of the exact engine (["rat"]). *)
+val fast_kernel : string
+
+val exact_kernel : string
+
+(** Number of pivots performed by the last solve on this domain
     (statistics for benchmarking; not part of the solver contract). *)
 val last_pivot_count : unit -> int
 
-(** {1 Tableau introspection}
+(** {1 The two engines}
 
-    Cut generators ({!Gomory}) need the optimal basis and tableau, not
-    just the solution point. *)
+    Exposed for differential tests and the numeric bench; production
+    code calls {!solve}. *)
 
-(** What an internal simplex column stands for. *)
-type col_desc =
-  | Structural of int  (** model variable index *)
-  | Slack of int  (** slack/surplus of oriented row [i] *)
-  | Artificial
+(** The fraction-free engine alone. Each tableau row is a native-int
+    vector carrying an implicit positive scale (its entry under its own
+    basic column), so a pivot is two integer multiplies and a subtract
+    per entry — no division, no gcd. Reduced-cost signs are confirmed in
+    exact {!Numeric.Rat} arithmetic.
+    @raise Numeric.Kernel.Overflow when a row outgrows the native range
+      even after gcd reduction, or an input coefficient cannot be
+      integerized within it. *)
+val solve_fast : Model.t -> result
 
-type details = {
-  solution : solution;
-  basis : int array;  (** basic column per tableau row *)
-  tableau : Numeric.Rat.t array array;
-      (** final rows; entry [i].(j) for column [j], last entry = rhs *)
-  cols : col_desc array;
-  oriented_rows : (Linexpr.t * Model.cmp * Numeric.Rat.t) array;
-      (** the model rows after sign orientation (non-negative rhs), in
-          tableau row order: [Slack i] relates to [oriented_rows.(i)] *)
-}
-
-(** [solve_detailed model] is {!solve} plus the final tableau when the
-    model has a finite optimum. *)
-val solve_detailed : Model.t -> details option
-
-(** {1 Kernel-parameterized engines}
-
-    Results (including {!details}) are always delivered in exact
-    {!Numeric.Rat} regardless of the kernel computing them. *)
-
-module type ENGINE = sig
-  (** May raise [Numeric.Kernel.Overflow] when the kernel is
-      range-restricted; {!Exact} never does. *)
-  val solve : Model.t -> result
-
-  val solve_detailed : Model.t -> details option
-end
-
-module Make (K : Numeric.Kernel.S) : ENGINE
-
-(** {!Make} over {!Numeric.Kernel.Exact}; the top-level {!solve}. *)
-module Exact : ENGINE
-
-(** The fraction-free fast path. Each tableau row is a native-int
-    vector carrying an implicit positive scale (its entry under its
-    own basic column), so a pivot is two integer multiplies and a
-    subtract per entry — no division, no gcd, no allocation on the hot
-    loop. Reduced-cost signs are confirmed in exact {!Numeric.Rat}
-    arithmetic, so the engine walks the same Bland pivot sequence as
-    {!Exact} and returns bit-identical results. Raises
-    [Numeric.Kernel.Overflow] when a row outgrows the native range
-    even after gcd reduction (or when an input coefficient cannot be
-    integerized within it) — callers fall back to {!Exact} (see
-    [Rentcost.Ilp]). *)
-module Fast : ENGINE
+(** The exact {!Numeric.Rat} engine alone. Never raises. *)
+val solve_exact : Model.t -> result

@@ -1,22 +1,16 @@
-(* Branch and bound over exact LP relaxations, functorized over the
-   numeric kernel its relaxations pivot on.
+(* Best-bound branch and bound over exact LP relaxations.
 
    Internally everything is a minimization (a maximization problem is
    negated on the way in and back on the way out). A node carries the
    extra variable bounds accumulated along its branch plus the parent
    relaxation objective, which is a valid dual bound used both for node
-   ordering (best-bound strategy) and for pruning before the node's own
-   relaxation is solved.
+   ordering and for pruning before the node's own relaxation is solved.
 
    Node bookkeeping (keys, incumbents, branch bounds) stays in exact
-   Rat — the LP engines deliver Rat results whatever kernel they pivot
-   on, and per-node bookkeeping is a vanishing fraction of the LP work.
-   The kernel choice therefore only decides how relaxations are
-   computed: the Fix64 instance does the tableau arithmetic on native
-   ints and lets [Numeric.Kernel.Overflow] escape to the caller, which
-   restarts the whole solve on the exact instance (see Rentcost.Ilp).
-   Because kernels agree bit-for-bit wherever they complete, both
-   instances explore the same tree and return the same outcome. *)
+   Rat. Relaxations go through [Lp.Simplex.solve], which pivots on
+   native ints and reruns a relaxation on Rat only when that one
+   overflows; the answer is bit-identical either way, so the tree does
+   not depend on which engine answered. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -45,12 +39,6 @@ type outcome = {
   elapsed : float;
 }
 
-type strategy = Best_bound | Depth_first
-
-type branching = Most_fractional | First_fractional
-
-type engine = Bounds | Rows
-
 type bound_dir = Upper | Lower
 
 type node = {
@@ -66,27 +54,6 @@ module Best_queue = Pqueue.Make (struct
   let compare a b =
     match R.compare a.key b.key with 0 -> compare a.seq b.seq | c -> c
 end)
-
-module Dfs_queue = Pqueue.Make (struct
-  type t = node
-
-  (* LIFO: deepest, most recently created first. *)
-  let compare a b =
-    match compare b.depth a.depth with 0 -> compare b.seq a.seq | c -> c
-end)
-
-type queue = Qbest of Best_queue.t | Qdfs of Dfs_queue.t
-
-let queue_push q n =
-  match q with Qbest h -> Best_queue.push h n | Qdfs h -> Dfs_queue.push h n
-
-let queue_pop = function
-  | Qbest h -> Best_queue.pop h
-  | Qdfs h -> Dfs_queue.pop h
-
-let queue_fold f acc = function
-  | Qbest h -> Best_queue.fold f acc h
-  | Qdfs h -> Dfs_queue.fold f acc h
 
 let pp_status fmt s =
   Format.pp_print_string fmt
@@ -104,36 +71,33 @@ let half = R.of_ints 1 2
 let strengthen ~integral bound =
   if integral then R.of_bigint (R.ceil bound) else bound
 
-let choose_in_group branching values group =
+(* Most fractional: the variable whose value is closest to one half,
+   the first such on ties. *)
+let choose_in_group values group =
   let best = ref None in
   List.iter
     (fun v ->
       let x = values.(v) in
       if not (R.is_integer x) then begin
-        match branching with
-        | First_fractional -> if !best = None then best := Some (v, R.zero)
-        | Most_fractional ->
-          (* score = |frac(x) - 1/2|, smaller is better *)
-          let score = R.abs (R.sub (R.frac x) half) in
-          (match !best with
-           | Some (_, s) when R.compare s score <= 0 -> ()
-           | _ -> best := Some (v, score))
+        (* score = |frac(x) - 1/2|, smaller is better *)
+        let score = R.abs (R.sub (R.frac x) half) in
+        match !best with
+        | Some (_, s) when R.compare s score <= 0 -> ()
+        | _ -> best := Some (v, score)
       end)
     group;
   Option.map fst !best
 
 (* Branch within the earliest priority group that still has a
    fractional variable. *)
-let choose_branch_var branching values groups =
+let choose_branch_var values groups =
   List.fold_left
     (fun acc group ->
-      match acc with Some _ -> acc | None -> choose_in_group branching values group)
+      match acc with Some _ -> acc | None -> choose_in_group values group)
     None groups
 
-(* Branch decisions tighten variable domains rather than adding rows:
-   both LP engines honour Model variable bounds (the row engine
-   materializes them, the bounded engine handles them natively), and
-   node tableaux keep the base model's row count. *)
+(* Branch decisions tighten variable domains rather than adding rows to
+   the model; the simplex materializes them as bound rows. *)
 let apply_extras base extra =
   let m = Lp.Model.copy base in
   List.iter
@@ -144,277 +108,201 @@ let apply_extras base extra =
     extra;
   m
 
-module type SEARCH = sig
-  val solve :
-    ?time_limit:float ->
-    ?node_limit:int ->
-    ?integral_objective:bool ->
-    ?strategy:strategy ->
-    ?branching:branching ->
-    ?warm_start:R.t array ->
-    ?priority:Lp.Model.var list list ->
-    ?cut_rounds:int ->
-    ?engine:engine ->
-    Lp.Model.t ->
-    integer:Lp.Model.var list ->
-    outcome
-end
-
-(* The search over a given pair of relaxation engines. {!Make} derives
-   both engines from one kernel; {!Fast} instead pairs the Fix64
-   bounded engine with the fraction-free row engine, the fastest
-   overflow-checked configuration of each. *)
-module Make_over (E : sig
-  val name : string
-  val bounds_solve : Lp.Model.t -> Lp.Simplex.result
-  val rows_solve : Lp.Model.t -> Lp.Simplex.result
-end) =
-struct
-  let span_attrs = [ ("lp.kernel", E.name) ]
-
-  let solve ?time_limit ?node_limit ?(integral_objective = false)
-      ?(strategy = Best_bound) ?(branching = Most_fractional) ?warm_start
-      ?priority ?(cut_rounds = 0) ?(engine = Bounds) model ~integer =
-    let t0 = Unix.gettimeofday () in
-    let lp_solve =
-      match engine with Bounds -> E.bounds_solve | Rows -> E.rows_solve
+let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
+    ?priority model ~integer =
+  let t0 = Unix.gettimeofday () in
+  let sense, obj = Lp.Model.objective model in
+  (* Normalize to minimization. *)
+  let base =
+    match sense with
+    | Lp.Model.Minimize -> model
+    | Maximize ->
+      let m = Lp.Model.copy model in
+      Lp.Model.set_objective m Lp.Model.Minimize (Lp.Linexpr.neg obj);
+      m
+  in
+  let denorm_obj o =
+    match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o
+  in
+  let queue = Best_queue.create () in
+  (* Branching groups: the caller's priority classes, then a catch-all
+     group for remaining integer variables. *)
+  let groups =
+    let listed = match priority with None -> [] | Some gs -> gs in
+    let in_listed = List.concat listed in
+    let rest = List.filter (fun v -> not (List.mem v in_listed)) integer in
+    List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
+  in
+  let incumbent = ref None in
+  (match warm_start with
+   | None -> ()
+   | Some values ->
+     if
+       not
+         (Lp.Model.check_feasible model values
+         && List.for_all (fun v -> R.is_integer values.(v)) integer)
+     then
+       invalid_arg "Milp.Solver.solve: warm start is not a feasible integer point";
+     let o = Lp.Linexpr.eval obj values in
+     let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
+     Telemetry.bump incumbents_counter;
+     Telemetry.Progress.emit
+       ~incumbent:(R.to_float (denorm_obj o))
+       ~source:"milp.warm" ();
+     incumbent := Some (o, Array.copy values));
+  (* Last dual bound handed to the convergence timeline, in the
+     normalized (minimization) sense. Bound events are emitted only
+     on strict improvement, so the timeline stays monotone. *)
+  let last_bound = ref None in
+  let emit_bound k =
+    let improved =
+      match !last_bound with None -> true | Some b -> R.compare k b > 0
     in
-    let sense, obj = Lp.Model.objective model in
-    (* Normalize to minimization. *)
-    let base =
-      match sense with
-      | Lp.Model.Minimize -> model
-      | Maximize ->
-        let m = Lp.Model.copy model in
-        Lp.Model.set_objective m Lp.Model.Minimize (Lp.Linexpr.neg obj);
-        m
+    if improved then begin
+      last_bound := Some k;
+      Telemetry.Progress.emit ~bound:(R.to_float (denorm_obj k))
+        ~source:"milp" ()
+    end
+  in
+  let nodes = ref 0 in
+  let seq = ref 0 in
+  let out_of_budget () =
+    (match time_limit with
+     | Some tl -> Unix.gettimeofday () -. t0 > tl
+     | None -> false)
+    || (match node_limit with Some nl -> !nodes >= nl | None -> false)
+  in
+  let better_than_incumbent bound =
+    match !incumbent with
+    | None -> true
+    | Some (inc_obj, _) -> R.compare bound inc_obj < 0
+  in
+  let root_status = ref None in
+  Best_queue.push queue { key = R.zero; depth = 0; seq = 0; extra = [] };
+  let interrupted = ref false in
+  let rec loop () =
+    if out_of_budget () then interrupted := true
+    else begin
+      match Best_queue.pop queue with
+      | None -> ()
+      | Some node ->
+        let is_root = node.depth = 0 in
+        (* Prune on the inherited parent bound before paying for an LP
+           solve (never prune the root: its key is a placeholder). *)
+        if
+          (not is_root)
+          && not
+               (better_than_incumbent
+                  (strengthen ~integral:integral_objective node.key))
+        then loop ()
+        else begin
+          incr nodes;
+          Telemetry.bump nodes_counter;
+          (* Under best-bound ordering the popped key is the least
+             over all open subtrees, hence a valid global dual
+             bound. Sampled like the node spans to keep timelines
+             sparse on big trees. *)
+          if (not is_root) && node_sampled !nodes then
+            emit_bound (strengthen ~integral:integral_objective node.key);
+          let relax () = Lp.Simplex.solve (apply_extras base node.extra) in
+          let relaxation =
+            if Telemetry.enabled () && node_sampled !nodes then
+              Telemetry.Span.with_span
+                ~attrs:
+                  [ ("node", string_of_int !nodes);
+                    ("depth", string_of_int node.depth) ]
+                "milp.node" relax
+            else relax ()
+          in
+          (match relaxation with
+           | Lp.Simplex.Infeasible ->
+             if is_root then root_status := Some Infeasible
+           | Lp.Simplex.Unbounded ->
+             (* With a bounded root every child is bounded; an unbounded
+                relaxation can only be the root. *)
+             root_status := Some Unbounded;
+             interrupted := true
+           | Lp.Simplex.Optimal { objective = lp_obj; values } ->
+             let bound = strengthen ~integral:integral_objective lp_obj in
+             (* The root relaxation is a global dual bound. *)
+             if is_root then emit_bound bound;
+             if better_than_incumbent bound then begin
+               match choose_branch_var values groups with
+               | None ->
+                 (* Integral relaxation: new incumbent. *)
+                 Telemetry.bump incumbents_counter;
+                 Telemetry.Progress.emit
+                   ~incumbent:(R.to_float (denorm_obj lp_obj))
+                   ~source:"milp" ();
+                 incumbent := Some (lp_obj, values)
+               | Some v ->
+                 let x = values.(v) in
+                 let mk dir b =
+                   incr seq;
+                   { key = lp_obj; depth = node.depth + 1; seq = !seq;
+                     extra = (v, dir, b) :: node.extra }
+                 in
+                 Best_queue.push queue (mk Lower (R.ceil x));
+                 Best_queue.push queue (mk Upper (R.floor x))
+             end);
+          if not !interrupted then loop ()
+        end
+    end
+  in
+  Telemetry.Span.with_span "milp.search" loop;
+  Telemetry.observe solve_nodes_hist (float_of_int !nodes);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  match !root_status with
+  | Some Infeasible ->
+    { status = Infeasible; solution = None; best_bound = None; nodes = !nodes;
+      elapsed }
+  | Some Unbounded ->
+    { status = Unbounded; solution = None; best_bound = None; nodes = !nodes;
+      elapsed }
+  | _ ->
+    let solution =
+      Option.map
+        (fun (o, values) -> { objective = denorm_obj o; values })
+        !incumbent
     in
-    (* Tighten the root relaxation with Gomory cuts (valid globally, so
-       every node inherits them). Only applies to pure-integer models.
-       Cut generation introspects the exact row engine's tableau and is
-       kernel-independent. *)
-    let base =
-      if cut_rounds <= 0 then base
-      else
-        Telemetry.Span.with_span "milp.cuts" (fun () ->
-            fst (Lp.Gomory.strengthen ~rounds:cut_rounds base ~integer))
-    in
-    let denorm_obj o =
-      match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o
-    in
-    let queue =
-      match strategy with
-      | Best_bound -> Qbest (Best_queue.create ())
-      | Depth_first -> Qdfs (Dfs_queue.create ())
-    in
-    (* Branching groups: the caller's priority classes, then a catch-all
-       group for remaining integer variables. *)
-    let groups =
-      let listed = match priority with None -> [] | Some gs -> gs in
-      let in_listed = List.concat listed in
-      let rest = List.filter (fun v -> not (List.mem v in_listed)) integer in
-      List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
-    in
-    let incumbent = ref None in
-    (match warm_start with
-     | None -> ()
-     | Some values ->
-       if
-         not
-           (Lp.Model.check_feasible model values
-           && List.for_all (fun v -> R.is_integer values.(v)) integer)
-       then
-         invalid_arg "Milp.Solver.solve: warm start is not a feasible integer point";
-       let o = Lp.Linexpr.eval obj values in
-       let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
-       Telemetry.bump incumbents_counter;
-       Telemetry.Progress.emit
-         ~incumbent:(R.to_float (denorm_obj o))
-         ~source:"milp.warm" ();
-       incumbent := Some (o, Array.copy values));
-    (* Last dual bound handed to the convergence timeline, in the
-       normalized (minimization) sense. Bound events are emitted only
-       on strict improvement, so the timeline stays monotone. *)
-    let last_bound = ref None in
-    let emit_bound k =
-      let improved =
-        match !last_bound with None -> true | Some b -> R.compare k b > 0
+    if not !interrupted then begin
+      match solution with
+      | Some sol ->
+        (* Close the timeline: the proof pins the dual bound to the
+           incumbent, so both sequences end at the optimum. *)
+        Telemetry.Progress.emit
+          ~incumbent:(R.to_float sol.objective)
+          ~bound:(R.to_float sol.objective)
+          ~source:"milp.proved" ();
+        { status = Optimal; solution = Some sol; best_bound = Some sol.objective;
+          nodes = !nodes; elapsed }
+      | None ->
+        (* Exhausted the tree without an integer point. *)
+        { status = Infeasible; solution = None; best_bound = None;
+          nodes = !nodes; elapsed }
+    end
+    else begin
+      (* Limit hit: the dual bound is the least key still queued,
+         possibly improved by the incumbent. *)
+      let queued_bound =
+        Best_queue.fold
+          (fun acc n ->
+            let k = strengthen ~integral:integral_objective n.key in
+            match acc with
+            | None -> Some k
+            | Some b -> Some (R.min b k))
+          None queue
       in
-      if improved then begin
-        last_bound := Some k;
-        Telemetry.Progress.emit ~bound:(R.to_float (denorm_obj k))
-          ~source:"milp" ()
-      end
-    in
-    let nodes = ref 0 in
-    let seq = ref 0 in
-    let out_of_budget () =
-      (match time_limit with
-       | Some tl -> Unix.gettimeofday () -. t0 > tl
-       | None -> false)
-      || (match node_limit with Some nl -> !nodes >= nl | None -> false)
-    in
-    let better_than_incumbent bound =
-      match !incumbent with
-      | None -> true
-      | Some (inc_obj, _) -> R.compare bound inc_obj < 0
-    in
-    let root_status = ref None in
-    queue_push queue { key = R.zero; depth = 0; seq = 0; extra = [] };
-    let interrupted = ref false in
-    let rec loop () =
-      if out_of_budget () then interrupted := true
-      else begin
-        match queue_pop queue with
-        | None -> ()
-        | Some node ->
-          let is_root = node.depth = 0 in
-          (* Prune on the inherited parent bound before paying for an LP
-             solve (never prune the root: its key is a placeholder). *)
-          if
-            (not is_root)
-            && not
-                 (better_than_incumbent
-                    (strengthen ~integral:integral_objective node.key))
-          then loop ()
-          else begin
-            incr nodes;
-            Telemetry.bump nodes_counter;
-            (* Under best-bound ordering the popped key is the least
-               over all open subtrees, hence a valid global dual
-               bound. Sampled like the node spans to keep timelines
-               sparse on big trees. *)
-            (match queue with
-            | Qbest _ when (not is_root) && node_sampled !nodes ->
-              emit_bound (strengthen ~integral:integral_objective node.key)
-            | _ -> ());
-            let relax () = lp_solve (apply_extras base node.extra) in
-            let relaxation =
-              if Telemetry.enabled () && node_sampled !nodes then
-                Telemetry.Span.with_span
-                  ~attrs:
-                    [ ("node", string_of_int !nodes);
-                      ("depth", string_of_int node.depth) ]
-                  "milp.node" relax
-              else relax ()
-            in
-            (match relaxation with
-             | Lp.Simplex.Infeasible ->
-               if is_root then root_status := Some Infeasible
-             | Lp.Simplex.Unbounded ->
-               (* With a bounded root every child is bounded; an unbounded
-                  relaxation can only be the root. *)
-               root_status := Some Unbounded;
-               interrupted := true
-             | Lp.Simplex.Optimal { objective = lp_obj; values } ->
-               let bound = strengthen ~integral:integral_objective lp_obj in
-               (* The root relaxation is a global dual bound under
-                  either search strategy. *)
-               if is_root then emit_bound bound;
-               if better_than_incumbent bound then begin
-                 match choose_branch_var branching values groups with
-                 | None ->
-                   (* Integral relaxation: new incumbent. *)
-                   Telemetry.bump incumbents_counter;
-                   Telemetry.Progress.emit
-                     ~incumbent:(R.to_float (denorm_obj lp_obj))
-                     ~source:"milp" ();
-                   incumbent := Some (lp_obj, values)
-                 | Some v ->
-                   let x = values.(v) in
-                   let mk dir b =
-                     incr seq;
-                     { key = lp_obj; depth = node.depth + 1; seq = !seq;
-                       extra = (v, dir, b) :: node.extra }
-                   in
-                   (* Push the "down" child last under DFS so it is
-                      explored first (rounding down is the natural move
-                      for covering problems). *)
-                   queue_push queue (mk Lower (R.ceil x));
-                   queue_push queue (mk Upper (R.floor x))
-               end);
-            if not !interrupted then loop ()
-          end
-      end
-    in
-    Telemetry.Span.with_span ~attrs:span_attrs "milp.search" loop;
-    Telemetry.observe solve_nodes_hist (float_of_int !nodes);
-    let elapsed = Unix.gettimeofday () -. t0 in
-    match !root_status with
-    | Some Infeasible ->
-      { status = Infeasible; solution = None; best_bound = None; nodes = !nodes;
-        elapsed }
-    | Some Unbounded ->
-      { status = Unbounded; solution = None; best_bound = None; nodes = !nodes;
-        elapsed }
-    | _ ->
-      let solution =
-        Option.map
-          (fun (o, values) -> { objective = denorm_obj o; values })
-          !incumbent
+      let best_bound =
+        match (queued_bound, !incumbent) with
+        | Some qb, Some (io, _) -> Some (denorm_obj (R.min qb io))
+        | Some qb, None -> Some (denorm_obj qb)
+        | None, Some (io, _) -> Some (denorm_obj io)
+        | None, None -> None
       in
-      if not !interrupted then begin
-        match solution with
-        | Some sol ->
-          (* Close the timeline: the proof pins the dual bound to the
-             incumbent, so both sequences end at the optimum. *)
-          Telemetry.Progress.emit
-            ~incumbent:(R.to_float sol.objective)
-            ~bound:(R.to_float sol.objective)
-            ~source:"milp.proved" ();
-          { status = Optimal; solution = Some sol; best_bound = Some sol.objective;
-            nodes = !nodes; elapsed }
-        | None ->
-          (* Exhausted the tree without an integer point. *)
-          { status = Infeasible; solution = None; best_bound = None;
-            nodes = !nodes; elapsed }
-      end
-      else begin
-        (* Limit hit: the dual bound is the least key still queued,
-           possibly improved by the incumbent. *)
-        let queued_bound =
-          queue_fold
-            (fun acc n ->
-              let k = strengthen ~integral:integral_objective n.key in
-              match acc with
-              | None -> Some k
-              | Some b -> Some (R.min b k))
-            None queue
-        in
-        let best_bound =
-          match (queued_bound, !incumbent) with
-          | Some qb, Some (io, _) -> Some (denorm_obj (R.min qb io))
-          | Some qb, None -> Some (denorm_obj qb)
-          | None, Some (io, _) -> Some (denorm_obj io)
-          | None, None -> None
-        in
-        let status = if solution = None then Unknown else Feasible in
-        { status; solution; best_bound; nodes = !nodes; elapsed }
-      end
-end
-
-module Make (K : Numeric.Kernel.S) = Make_over (struct
-  module Lp_bounded = Lp.Bounded.Make (K)
-  module Lp_simplex = Lp.Simplex.Make (K)
-
-  let name = K.name
-  let bounds_solve = Lp_bounded.solve
-  let rows_solve = Lp_simplex.solve
-end)
-
-module Exact = Make (Numeric.Kernel.Exact)
-
-(* Node relaxations under [Bounds] pivot on the Fix64 kernel; under
-   [Rows] they run the fraction-free integer engine. Both raise
-   [Numeric.Kernel.Overflow] out of [solve] for the caller to restart
-   on {!Exact}. *)
-module Fast = Make_over (struct
-  let name = "fix64"
-  let bounds_solve = Lp.Bounded.Fast.solve
-  let rows_solve = Lp.Simplex.Fast.solve
-end)
-
-let solve = Exact.solve
+      let status = if solution = None then Unknown else Feasible in
+      { status; solution; best_bound; nodes = !nodes; elapsed }
+    end
 
 let gap outcome =
   match (outcome.solution, outcome.best_bound) with

@@ -30,27 +30,9 @@ type outcome = {
   elapsed : float;  (** wall-clock seconds *)
 }
 
-(** Node exploration order. [Best_bound] (default) explores the node
-    with the most promising relaxation first and tends to prove
-    optimality with fewer nodes; [Depth_first] dives to find incumbents
-    quickly and uses less memory. *)
-type strategy = Best_bound | Depth_first
-
-(** Branching variable choice among fractional integer variables.
-    [Most_fractional] (default) picks the variable whose relaxation
-    value is closest to one half; [First_fractional] picks the smallest
-    index (cheaper per node). *)
-type branching = Most_fractional | First_fractional
-
-(** LP relaxation engine. [Bounds] (default) uses the bounded-variable
-    simplex ({!Lp.Bounded}): branch decisions stay out of the tableau,
-    so node LPs keep the base model's size. [Rows] uses the row-based
-    {!Lp.Simplex} (bounds materialized as rows) — the engine the Gomory
-    cut generator introspects. Both return identical optima. *)
-type engine = Bounds | Rows
-
 (** [solve model ~integer] minimizes or maximizes [model] subject to
-    integrality of the variables in [integer].
+    integrality of the variables in [integer], by best-bound branch and
+    bound, branching on the most fractional variable.
 
     @param time_limit wall-clock budget in seconds (default: none).
     @param node_limit maximum nodes to evaluate (default: none).
@@ -58,8 +40,6 @@ type engine = Bounds | Rows
       bounds to the next integer — valid whenever every feasible
       integer point has an integer objective value (e.g. integer costs
       over integer variables, as in the rental-cost MILP).
-    @param strategy node order (default [Best_bound]).
-    @param branching variable choice (default [Most_fractional]).
     @param warm_start a known feasible integer point used as the
       initial incumbent (a heuristic solution); dramatically improves
       pruning. Must be feasible and integral on [integer] —
@@ -67,66 +47,16 @@ type engine = Bounds | Rows
     @param priority when given, branching considers fractional
       variables of the earliest non-empty group first (e.g. structural
       throughput splits before derived machine counts); variables in
-      [integer] but in no group form an implicit last group.
-    @param cut_rounds rounds of Gomory fractional cuts applied to the
-      root relaxation before branching (default 0; only effective on
-      pure-integer models — see {!Lp.Gomory.applicable}).
-    @param engine node relaxation engine (default [Bounds]). *)
+      [integer] but in no group form an implicit last group. *)
 val solve :
   ?time_limit:float ->
   ?node_limit:int ->
   ?integral_objective:bool ->
-  ?strategy:strategy ->
-  ?branching:branching ->
   ?warm_start:Numeric.Rat.t array ->
   ?priority:Lp.Model.var list list ->
-  ?cut_rounds:int ->
-  ?engine:engine ->
   Lp.Model.t ->
   integer:Lp.Model.var list ->
   outcome
-
-(** {1 Kernel-parameterized search}
-
-    The search is functorized over the {!Numeric.Kernel} its LP
-    relaxations pivot on. Kernels agree bit-for-bit wherever they
-    complete, so every instance explores the same tree and returns the
-    same outcome; a range-restricted kernel instead lets
-    [Numeric.Kernel.Overflow] escape from [solve], leaving the caller
-    to restart on {!Exact} (the protocol [Rentcost.Ilp] implements). *)
-
-module type SEARCH = sig
-  (** Same contract as the top-level {!solve}; additionally may raise
-      [Numeric.Kernel.Overflow] when the kernel is range-restricted. *)
-  val solve :
-    ?time_limit:float ->
-    ?node_limit:int ->
-    ?integral_objective:bool ->
-    ?strategy:strategy ->
-    ?branching:branching ->
-    ?warm_start:Numeric.Rat.t array ->
-    ?priority:Lp.Model.var list list ->
-    ?cut_rounds:int ->
-    ?engine:engine ->
-    Lp.Model.t ->
-    integer:Lp.Model.var list ->
-    outcome
-end
-
-module Make (K : Numeric.Kernel.S) : SEARCH
-
-(** {!Make} over {!Numeric.Kernel.Exact}; the top-level {!solve}.
-    Never raises [Overflow]. *)
-module Exact : SEARCH
-
-(** The fast search: node relaxations pivot on native ints, through
-    the {!Numeric.Fix64}-kernel bounded simplex under the [Bounds]
-    engine and [Lp.Simplex.Fast]'s fraction-free engine under [Rows].
-    Same branching decisions as {!Exact} (relaxation results are
-    bit-identical), so the node walk and the answer coincide. Raises
-    [Numeric.Kernel.Overflow] as soon as any relaxation leaves the
-    fast range. *)
-module Fast : SEARCH
 
 (** [gap outcome] is the relative optimality gap
     [(incumbent - bound) / max(1, |incumbent|)] when both are known. *)

@@ -1,71 +1,4 @@
-(* The numeric-kernel abstraction the LP/MILP stack is functorized
-   over. A kernel is an exact rational arithmetic: implementations may
-   restrict the representable range (raising [Overflow] outside it)
-   but never round — whatever value a kernel returns is the
-   mathematically exact result, so two kernels that both complete a
-   computation compute the same rationals, make the same comparisons
-   and therefore drive the simplex through the same pivots. *)
+(* The overflow signal shared by the native-int fast path of the LP
+   engine and its exact-rational fallback. *)
 
 exception Overflow
-
-module type S = sig
-  type t
-
-  val name : string
-  val zero : t
-  val one : t
-  val minus_one : t
-  val of_int : int -> t
-  val of_ints : int -> int -> t
-  val of_rat : Rat.t -> t
-  val to_rat : t -> Rat.t
-  val sign : t -> int
-  val is_zero : t -> bool
-  val is_integer : t -> bool
-  val compare : t -> t -> int
-  val equal : t -> t -> bool
-  val min : t -> t -> t
-  val max : t -> t -> t
-  val neg : t -> t
-  val abs : t -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
-  val inv : t -> t
-  val floor : t -> t
-  val ceil : t -> t
-  val frac : t -> t
-  val to_string : t -> string
-end
-
-module Exact : S with type t = Rat.t = struct
-  type t = Rat.t
-
-  let name = "rat"
-  let zero = Rat.zero
-  let one = Rat.one
-  let minus_one = Rat.minus_one
-  let of_int = Rat.of_int
-  let of_ints = Rat.of_ints
-  let of_rat r = r
-  let to_rat r = r
-  let sign = Rat.sign
-  let is_zero = Rat.is_zero
-  let is_integer = Rat.is_integer
-  let compare = Rat.compare
-  let equal = Rat.equal
-  let min = Rat.min
-  let max = Rat.max
-  let neg = Rat.neg
-  let abs = Rat.abs
-  let add = Rat.add
-  let sub = Rat.sub
-  let mul = Rat.mul
-  let div = Rat.div
-  let inv = Rat.inv
-  let floor r = Rat.of_bigint (Rat.floor r)
-  let ceil r = Rat.of_bigint (Rat.ceil r)
-  let frac = Rat.frac
-  let to_string = Rat.to_string
-end

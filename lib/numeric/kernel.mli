@@ -1,91 +1,11 @@
-(** The numeric kernel the LP/MILP stack is parameterized over.
+(** The overflow signal of the native-int fast path.
 
-    A kernel is an {e exact} rational arithmetic with an optional
-    range restriction. The contract every implementation obeys:
+    The LP engine's fraction-free fast path ([Lp.Simplex.solve_fast])
+    works on native ints and never rounds: it either returns the exact
+    result or raises {!Overflow} when a value leaves its range.
+    [Lp.Simplex.solve] catches it and reruns the relaxation on exact
+    {!Rat} (see DESIGN.md, "Numeric kernels"). *)
 
-    - {b No rounding, ever.} Each operation either returns the
-      mathematically exact rational result or raises {!Overflow}. A
-      kernel is allowed to be partial, never approximate.
-    - {b Canonical values.} Results are kept with positive denominator
-      and coprime numerator/denominator, so [equal] and [compare]
-      agree with mathematical equality and order.
-    - {b Exact round-trip.} [to_rat] is total and lossless;
-      [of_rat r] either represents [r] exactly or raises {!Overflow}.
-
-    Under this contract a solver functorized over a kernel is
-    bit-for-bit deterministic across kernels: on any run that raises
-    no {!Overflow}, every intermediate value, comparison and pivot
-    choice equals the {!Exact} kernel's, so the final result is
-    identical. That is what lets {!Rentcost.Ilp} run the fast
-    {!Fix64} kernel first and transparently restart on {!Exact} only
-    when {!Overflow} fires (see DESIGN.md, "Numeric kernels"). *)
-
-(** Raised by range-restricted kernels when an exact result is not
-    representable. Never raised by {!Exact}. *)
+(** Raised by the native-int fast path when an exact result is not
+    representable in its range. *)
 exception Overflow
-
-module type S = sig
-  type t
-
-  (** Kernel identity, recorded as the [lp.kernel] span attribute
-      (e.g. ["rat"], ["fix64"]). *)
-  val name : string
-
-  (** {1 Constants and conversion} *)
-
-  val zero : t
-  val one : t
-  val minus_one : t
-
-  (** @raise Overflow when the integer is out of range. *)
-  val of_int : int -> t
-
-  (** [of_ints n d] is [n/d] in canonical form.
-      @raise Division_by_zero when [d = 0].
-      @raise Overflow when the reduced value is out of range. *)
-  val of_ints : int -> int -> t
-
-  (** Exact injection from {!Rat}. @raise Overflow when out of range. *)
-  val of_rat : Rat.t -> t
-
-  (** Exact and total: every kernel value is a rational. *)
-  val to_rat : t -> Rat.t
-
-  (** {1 Queries and comparison} *)
-
-  val sign : t -> int
-  val is_zero : t -> bool
-  val is_integer : t -> bool
-  val compare : t -> t -> int
-  val equal : t -> t -> bool
-  val min : t -> t -> t
-  val max : t -> t -> t
-
-  (** {1 Arithmetic}
-
-      Exact; each may raise {!Overflow} on a result out of range.
-      [div] and [inv] raise [Division_by_zero] on a zero divisor. *)
-
-  val neg : t -> t
-  val abs : t -> t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
-  val inv : t -> t
-
-  (** {1 Rounding}
-
-      [floor]/[ceil] return integer-valued kernel elements; [frac] is
-      [t - floor t], in [0, 1). *)
-
-  val floor : t -> t
-  val ceil : t -> t
-  val frac : t -> t
-
-  val to_string : t -> string
-end
-
-(** The unrestricted kernel: plain {!Rat} arithmetic. Total — never
-    raises {!Overflow}. *)
-module Exact : S with type t = Rat.t

@@ -43,9 +43,9 @@ val den : t -> Bigint.t
 
 (** [to_small t] is [Some (n, d)] when [t = n/d] lives in the native
     small representation (|n| < 2{^30}, 0 < d < 2{^30}, coprime), and
-    [None] when the value has promoted to Bigint. This is the exact
-    value range of the {!Fix64} fast kernel, whose [of_rat] uses it to
-    inject values without a Bigint round trip. *)
+    [None] when the value has promoted to Bigint. The LP engine's
+    native-int fast path uses it to read input coefficients without a
+    Bigint round trip. *)
 val to_small : t -> (int * int) option
 
 val to_float : t -> float

@@ -441,7 +441,7 @@ let untrack t ~session =
 
 (* --- the reuse ladder --- *)
 
-let solved ~job ~status ~(alloc : Allocation.t) ~served ~engine ~wall =
+let solved ~job ~status ~(alloc : Allocation.t) ~served ~answered_by ~wall =
   Protocol.Solved
     {
       id = job.id;
@@ -451,7 +451,7 @@ let solved ~job ~status ~(alloc : Allocation.t) ~served ~engine ~wall =
       rho = Array.copy alloc.Allocation.rho;
       machines = Array.copy alloc.Allocation.machines;
       served;
-      engine;
+      engine = answered_by;
       wall_time = wall;
     }
 
@@ -523,7 +523,7 @@ let run_solve_inner t ~now ~fill job =
       | Protocol.Warm, _ -> r <> Protocol.Monotone
       | Protocol.Monotone, _ -> true
     in
-    let finish ?outcome ~status ~(alloc : Allocation.t) ~served ~engine () =
+    let finish ?outcome ~status ~(alloc : Allocation.t) ~served ~answered_by () =
       let wall = Unix.gettimeofday () -. started in
       fill :=
         Some
@@ -533,7 +533,7 @@ let run_solve_inner t ~now ~fill job =
                cost = alloc.Allocation.cost;
                rho = Array.copy alloc.Allocation.rho;
                machines = Array.copy alloc.Allocation.machines;
-               engine;
+               engine = answered_by;
                fingerprint = Fingerprint.short fp;
                objective = Objective.kind_to_string kind;
                scalar;
@@ -559,7 +559,7 @@ let run_solve_inner t ~now ~fill job =
           objective = Objective.kind_to_string kind;
           scalar;
           served = rung;
-          engine;
+          engine = answered_by;
           status = Solver.status_to_string status;
           cost = alloc.Allocation.cost;
           throughput = Array.fold_left ( + ) 0 alloc.Allocation.rho;
@@ -571,7 +571,7 @@ let run_solve_inner t ~now ~fill job =
           nodes = (match effort with None -> 0 | Some e -> e.Solver.nodes);
           convergence = Audit.summarize convergence;
         };
-      solved ~job ~status ~alloc ~served ~engine ~wall
+      solved ~job ~status ~alloc ~served ~answered_by ~wall
     in
     let exact =
       if reuse_at_least Protocol.Exact_only then
@@ -587,7 +587,7 @@ let run_solve_inner t ~now ~fill job =
        let status =
          if entry.Cache.optimal then Solver.Optimal else Solver.Feasible
        in
-       finish ~status ~alloc ~served:Protocol.Exact_hit ~engine:entry.Cache.spec
+       finish ~status ~alloc ~served:Protocol.Exact_hit ~answered_by:entry.Cache.spec
          ()
      | None -> (
        let monotone =
@@ -613,7 +613,7 @@ let run_solve_inner t ~now ~fill job =
          Telemetry.bump c_monotone;
          let alloc = alloc_of_canonical client_inst entry.Cache.canonical_rho in
          finish ~status:Solver.Feasible ~alloc ~served:Protocol.Monotone_hit
-           ~engine:entry.Cache.spec ()
+           ~answered_by:entry.Cache.spec ()
        | None ->
          Telemetry.bump c_misses;
          let warm_start =
@@ -666,7 +666,7 @@ let run_solve_inner t ~now ~fill job =
             in
             finish ~outcome ~status:outcome.Solver.status ~alloc:client_alloc
               ~served
-              ~engine:(Solver.spec_to_string outcome.Solver.telemetry.Solver.engine)
+              ~answered_by:(Solver.spec_to_string outcome.Solver.telemetry.Solver.engine)
               ())))
 
 let run_solve t ~now ~fill job =

@@ -81,15 +81,15 @@ let json ?stats () =
   in
   let histograms = List.map histogram_to_json (Telemetry.histograms ()) in
   let spans = List.map span_to_json (Telemetry.Span.recent ()) in
-  (* Numeric-kernel health at a glance: which kernel answers first and
-     how often the exact fallback had to take over. The counters also
-     appear under "counters"; this section names the kernels so a
+  (* Numeric health at a glance: which LP engine answers first and how
+     many relaxations the exact fallback had to take over. The counters
+     also appear under "counters"; this section names the engines so a
      scrape needs no out-of-band knowledge of the fallback protocol. *)
   let numeric =
     Json.Obj
       [
-        ("fast_kernel", Json.String Numeric.Fix64.name);
-        ("exact_kernel", Json.String Numeric.Kernel.Exact.name);
+        ("fast_kernel", Json.String Lp.Simplex.fast_kernel);
+        ("exact_kernel", Json.String Lp.Simplex.exact_kernel);
         ("fast_solves", Json.Int (Telemetry.value Telemetry.numeric_fast_solves));
         ("fallbacks", Json.Int (Telemetry.value Telemetry.numeric_fallbacks));
       ]

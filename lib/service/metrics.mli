@@ -12,9 +12,9 @@
     request: [{"counters": {...}, "histograms": [...], "spans": [...],
     "numeric": {...}}] plus a ["service"] member when [stats] is
     given. Spans are the ring-buffer contents, oldest first. The
-    ["numeric"] member names the fast and exact kernels of the LP/MILP
-    stack and carries the [numeric.fast_solves] / [numeric.fallbacks]
-    counter values, so a scrape can read the fallback rate without
+    ["numeric"] member names the fast and exact LP engines and carries
+    the [numeric.fast_solves] / [numeric.fallbacks] counter values (one
+    per LP relaxation), so a scrape can read the fallback rate without
     knowing the counter names. *)
 val json : ?stats:(string * Json.t) list -> unit -> Json.t
 

@@ -330,17 +330,16 @@ val escape_help : string -> string
     The names used by this project's instrumented layers, collected
     here so observers do not scatter string literals. *)
 
-(** Simplex pivots, across both the row-based and bounded-variable
-    engines ({!Lp.Simplex}, {!Lp.Bounded}). *)
+(** Simplex pivots, across both engines of {!Lp.Simplex}. *)
 val lp_pivots : string
 
-(** Solves completed on the overflow-checked fast numeric kernel
-    ({!Numeric.Fix64}) by the Fix64-first driver in [Rentcost.Ilp]. *)
+(** LP relaxations {!Lp.Simplex.solve} completed on its native-int
+    fast path. *)
 val numeric_fast_solves : string
 
-(** Solves restarted on the exact {!Numeric.Rat} kernel after the fast
-    kernel raised [Numeric.Kernel.Overflow]. Zero on the default
-    paper-scale workload; a growing value means instances exceed the
+(** LP relaxations {!Lp.Simplex.solve} reran on exact {!Numeric.Rat}
+    after the fast path raised [Numeric.Kernel.Overflow]. Zero on the
+    paper's figure presets; a growing value means instances exceed the
     fast path's range. *)
 val numeric_fallbacks : string
 

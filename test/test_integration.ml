@@ -47,53 +47,6 @@ let test_full_stack_agreement () =
         (Streamsim.Sim.sustains p ilp ~target))
     [ 1; 2; 3; 4; 5 ]
 
-let test_gomory_preserves_optimum () =
-  (* Cuts must never cut off the integer optimum: solving with root
-     cuts yields the same value as without. *)
-  List.iter
-    (fun seed ->
-      let p = small_instance seed in
-      let target = 12 in
-      let plain =
-        Option.get (Rentcost.Ilp.optimize ~problem:p ~target ()).Rentcost.Ilp.allocation
-      in
-      let cuts =
-        Option.get
-          (Rentcost.Ilp.optimize ~cut_rounds:3 ~problem:p ~target ()).Rentcost.Ilp.allocation
-      in
-      Alcotest.(check int) (Printf.sprintf "seed %d" seed) plain.AL.cost cuts.AL.cost)
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
-
-let test_gomory_tightens_root_bound () =
-  (* Root cuts can only raise (never lower) the LP relaxation bound of
-     a minimization, and never past the integer optimum. *)
-  List.iter
-    (fun target ->
-      let model, integer =
-    Rentcost.Ilp.model ~problem:Rentcost.Problem.illustrating ~target ()
-  in
-      let bound m =
-        match Lp.Simplex.solve m with
-        | Lp.Simplex.Optimal { objective; _ } -> objective
-        | _ -> Alcotest.fail "relaxation must be solvable"
-      in
-      let plain = bound model in
-      let cut_model, ncuts = Lp.Gomory.strengthen ~rounds:3 model ~integer in
-      let strengthened = bound cut_model in
-      Alcotest.(check bool)
-        (Printf.sprintf "bound raised at %d (%d cuts)" target ncuts)
-        true
-        (Numeric.Rat.compare strengthened plain >= 0);
-      let opt =
-        (Option.get (Rentcost.Ilp.optimize ~problem:Rentcost.Problem.illustrating ~target ())
-           .Rentcost.Ilp.allocation).AL.cost
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "bound below optimum at %d" target)
-        true
-        (Numeric.Rat.compare strengthened (Numeric.Rat.of_int opt) <= 0))
-    [ 50; 70; 90 ]
-
 let test_dp_vs_ilp_on_disjoint_generated () =
   (* Force disjointness by giving each recipe its own band of types. *)
   let rng = P.create 9 in
@@ -154,8 +107,6 @@ let test_node_limited_ilp_still_good () =
 let suite =
   ( "integration",
     [ Alcotest.test_case "full stack agreement" `Slow test_full_stack_agreement;
-      Alcotest.test_case "gomory preserves optimum" `Slow test_gomory_preserves_optimum;
-      Alcotest.test_case "gomory tightens root bound" `Slow test_gomory_tightens_root_bound;
       Alcotest.test_case "DP vs ILP on generated disjoint" `Slow
         test_dp_vs_ilp_on_disjoint_generated;
       Alcotest.test_case "warm start ablation" `Quick test_warm_start_ablation_equal_cost;

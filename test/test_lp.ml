@@ -207,64 +207,123 @@ let test_constraint_constant_folding () =
   let sol = solve_opt m in
   check_rat "x capped at 2" (ri 2) sol.values.(x)
 
-(* --- Gomory cuts --- *)
+(* --- variable bounds ---
 
-let test_gomory_applicable () =
+   Model variable bounds reach the simplex as bound rows. Each case runs
+   through both engines, which must agree bit-for-bit: the fast engine
+   may not overflow on these small models. *)
+
+let result_equal a b =
+  match (a, b) with
+  | S.Optimal x, S.Optimal y ->
+    R.equal x.objective y.objective && Array.for_all2 R.equal x.values y.values
+  | S.Infeasible, S.Infeasible | S.Unbounded, S.Unbounded -> true
+  | _ -> false
+
+let solve_both m =
+  let exact = S.solve_exact m in
+  Alcotest.(check bool) "fast engine agrees with exact" true
+    (result_equal (S.solve_fast m) exact);
+  exact
+
+let solve_both_opt m =
+  match solve_both m with
+  | S.Optimal sol -> sol
+  | S.Infeasible -> Alcotest.fail "unexpected: infeasible"
+  | S.Unbounded -> Alcotest.fail "unexpected: unbounded"
+
+let expect_infeasible m =
+  match solve_both m with
+  | S.Infeasible -> ()
+  | _ -> Alcotest.fail "expected infeasible"
+
+let test_upper_bound_binds () =
+  (* max x with x <= 7 as a variable bound: the optimum sits at it. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.tighten_upper m x (ri 7);
+  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  let sol = solve_both_opt m in
+  check_rat "x = 7" (ri 7) sol.values.(x);
+  check_rat "objective" (ri 7) sol.objective
+
+let test_lower_bound_shifts () =
+  (* min x + y, x >= 3 (variable bound), x + y >= 5. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.add_constraint m (expr [ (x, 2); (y, 3) ]) M.Ge (ri 7);
+  M.tighten_lower m x (ri 3);
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 5);
   M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
-  Alcotest.(check bool) "pure integer" true (Lp.Gomory.applicable m ~integer:[ x; y ]);
-  Alcotest.(check bool) "not all vars integer" false
-    (Lp.Gomory.applicable m ~integer:[ x ]);
-  let m2 = M.create () in
-  let z = M.add_var m2 ~name:"z" in
-  M.add_constraint m2 (L.of_terms [ (z, r 1 2) ]) M.Ge R.one;
-  M.set_objective m2 M.Minimize (expr [ (z, 1) ]);
-  Alcotest.(check bool) "fractional coefficient" false
-    (Lp.Gomory.applicable m2 ~integer:[ z ])
+  let sol = solve_both_opt m in
+  check_rat "objective 5" (ri 5) sol.objective;
+  Alcotest.(check bool) "x at least 3" true (R.compare sol.values.(x) (ri 3) >= 0)
 
-let test_gomory_closes_simple_gap () =
-  (* min x s.t. 2x >= 3, x integer: LP bound 3/2, integer optimum 2.
-     One cut round must raise the relaxation to exactly 2. *)
+let test_crossing_bounds_infeasible () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 2) ]) M.Ge (ri 3);
+  M.tighten_lower m x (ri 5);
+  M.tighten_upper m x (ri 3);
   M.set_objective m M.Minimize (expr [ (x, 1) ]);
-  let cut_model, ncuts = Lp.Gomory.strengthen ~rounds:1 m ~integer:[ x ] in
-  Alcotest.(check bool) "at least one cut" true (ncuts >= 1);
-  (match S.solve cut_model with
-   | S.Optimal sol -> check_rat "bound closed to 2" (ri 2) sol.objective
-   | _ -> Alcotest.fail "cut model must stay solvable");
-  (* Cuts never exclude integer points: x = 2 stays feasible. *)
-  Alcotest.(check bool) "x=2 feasible" true (M.check_feasible cut_model [| ri 2 |])
+  expect_infeasible m
 
-let test_gomory_inapplicable_unchanged () =
-  let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (L.of_terms [ (x, r 1 2) ]) M.Ge R.one;
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
-  let m', ncuts = Lp.Gomory.strengthen m ~integer:[ x ] in
-  Alcotest.(check int) "no cuts" 0 ncuts;
-  Alcotest.(check int) "same constraint count" (M.num_constraints m)
-    (M.num_constraints m')
-
-let test_solve_detailed_exposes_tableau () =
+let test_fixed_variable () =
+  (* x fixed at 4 by equal bounds; min y with y >= 10 - x. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Le (ri 4);
-  M.add_constraint m (expr [ (x, 1) ]) M.Ge (ri 1);
-  M.set_objective m M.Maximize (expr [ (x, 2); (y, 3) ]);
-  match S.solve_detailed m with
-  | None -> Alcotest.fail "solvable model"
-  | Some d ->
-    Alcotest.(check int) "one basis entry per row" 2 (Array.length d.S.basis);
-    Alcotest.(check int) "oriented rows match" 2 (Array.length d.S.oriented_rows);
-    (* The recorded solution matches a fresh solve. *)
-    (match S.solve m with
-     | S.Optimal sol ->
-       check_rat "objectives agree" sol.objective d.S.solution.objective
-     | _ -> Alcotest.fail "solvable")
+  M.tighten_lower m x (ri 4);
+  M.tighten_upper m x (ri 4);
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 10);
+  M.set_objective m M.Minimize (expr [ (y, 1) ]);
+  let sol = solve_both_opt m in
+  check_rat "x pinned" (ri 4) sol.values.(x);
+  check_rat "y" (ri 6) sol.values.(y)
+
+let test_bounds_with_infeasible_rows () =
+  (* Bounds satisfiable but rows not. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.tighten_upper m x (ri 2);
+  M.add_constraint m (expr [ (x, 1) ]) M.Ge (ri 5);
+  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  expect_infeasible m
+
+let test_unbounded_then_capped () =
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  (match solve_both m with
+   | S.Unbounded -> ()
+   | _ -> Alcotest.fail "expected unbounded");
+  (* The same objective with an upper bound is bounded. *)
+  M.tighten_upper m x (ri 9);
+  check_rat "capped" (ri 9) (solve_both_opt m).objective
+
+let test_eq_rows_with_bounds () =
+  (* Equality rows take phase-1 artificials; a bound decides the split. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.tighten_upper m x (ri 4);
+  M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Eq (ri 6);
+  M.set_objective m M.Minimize (expr [ (y, 1) ]);
+  let sol = solve_both_opt m in
+  check_rat "x at its cap" (ri 4) sol.values.(x);
+  check_rat "y fills the rest" (ri 2) sol.values.(y);
+  (* Equality with negative rhs needs the row negation path. *)
+  let m2 = M.create () in
+  let a = M.add_var m2 ~name:"a" and b = M.add_var m2 ~name:"b" in
+  M.add_constraint m2 (expr [ (a, 1); (b, -1) ]) M.Eq (ri (-3));
+  M.set_objective m2 M.Minimize (expr [ (a, 1); (b, 1) ]);
+  check_rat "a=0, b=3" (ri 3) (solve_both_opt m2).objective
+
+let test_negative_rhs_with_bounds () =
+  (* A reoriented row needs a phase-1 artificial next to a bound row. *)
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+  M.add_constraint m (expr [ (x, 1); (y, -1) ]) M.Le (ri (-2));
+  M.tighten_upper m y (ri 10);
+  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  (* y <= 10 and y >= x + 2 force x <= 8. *)
+  check_rat "objective 8" (ri 8) (solve_both_opt m).objective
 
 (* --- qcheck properties --- *)
 
@@ -321,6 +380,57 @@ let props =
         | S.Optimal a, S.Optimal b -> R.equal a.objective b.objective
         | _ -> false) ]
 
+(* Random models with mixed row senses, signed data and variable bounds,
+   through both engines. *)
+let bounded_gen =
+  QCheck2.Gen.(
+    pair
+      (pair (int_range 1 4) (int_range 0 4))
+      (pair
+         (pair (list_size (return 16) (int_range (-4) 4))
+            (list_size (return 4) (int_range (-8) 8)))
+         (pair
+            (pair (list_size (return 4) (int_range 0 6))
+               (list_size (return 4) (option (int_range 0 9))))
+            (pair (list_size (return 4) (int_range 0 2)) bool))))
+
+let build_bounded
+    ((nvars, nrows), ((coeffs, rhs), ((lowers, uppers), (senses, maximize)))) =
+  let coeffs = Array.of_list coeffs and rhs = Array.of_list rhs in
+  let lowers = Array.of_list lowers and uppers = Array.of_list uppers in
+  let senses = Array.of_list senses in
+  let m = M.create () in
+  let vars = Array.init nvars (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
+  Array.iteri
+    (fun i v ->
+      M.tighten_lower m v (ri lowers.(i mod 4));
+      match uppers.(i mod 4) with
+      | Some u -> M.tighten_upper m v (ri u)
+      | None -> ())
+    vars;
+  for row = 0 to nrows - 1 do
+    let terms =
+      Array.to_list
+        (Array.mapi (fun i v -> (v, ri coeffs.(((row * nvars) + i) mod 16))) vars)
+    in
+    let cmp = match senses.(row mod 4) with 0 -> M.Ge | 1 -> M.Le | _ -> M.Eq in
+    M.add_constraint m (L.of_terms terms) cmp (ri rhs.(row mod 4))
+  done;
+  M.set_objective m
+    (if maximize then M.Maximize else M.Minimize)
+    (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, ri coeffs.(i mod 16))) vars)));
+  m
+
+let bounded_props =
+  [ prop "fast and exact agree on bounded models" bounded_gen (fun input ->
+        let m = build_bounded input in
+        result_equal (S.solve_fast m) (S.solve_exact m));
+    prop "solutions are feasible including bounds" bounded_gen (fun input ->
+        let m = build_bounded input in
+        match S.solve m with
+        | S.Optimal sol -> M.check_feasible m sol.values
+        | S.Infeasible | S.Unbounded -> true) ]
+
 let suite =
   ( "lp",
     [ Alcotest.test_case "linexpr normalization" `Quick test_linexpr_normalization;
@@ -340,10 +450,15 @@ let suite =
       Alcotest.test_case "model validation" `Quick test_model_validation;
       Alcotest.test_case "constraint constant folding" `Quick
         test_constraint_constant_folding;
-      Alcotest.test_case "gomory applicable" `Quick test_gomory_applicable;
-      Alcotest.test_case "gomory closes simple gap" `Quick test_gomory_closes_simple_gap;
-      Alcotest.test_case "gomory inapplicable unchanged" `Quick
-        test_gomory_inapplicable_unchanged;
-      Alcotest.test_case "solve_detailed tableau" `Quick
-        test_solve_detailed_exposes_tableau ]
-    @ props )
+      Alcotest.test_case "upper bound binds" `Quick test_upper_bound_binds;
+      Alcotest.test_case "lower bound shifts" `Quick test_lower_bound_shifts;
+      Alcotest.test_case "crossing bounds infeasible" `Quick
+        test_crossing_bounds_infeasible;
+      Alcotest.test_case "fixed variable" `Quick test_fixed_variable;
+      Alcotest.test_case "bounds with infeasible rows" `Quick
+        test_bounds_with_infeasible_rows;
+      Alcotest.test_case "unbounded then capped" `Quick test_unbounded_then_capped;
+      Alcotest.test_case "equality rows with bounds" `Quick test_eq_rows_with_bounds;
+      Alcotest.test_case "negative rhs with bounds (phase 1)" `Quick
+        test_negative_rhs_with_bounds ]
+    @ props @ bounded_props )

@@ -9,8 +9,6 @@ let () =
       Test_prng.suite;
       Test_lp.suite;
       Test_simplex_oracle.suite;
-      Test_lp_format.suite;
-      Test_bounded.suite;
       Test_milp.suite;
       Test_knapsack.suite;
       Test_model.suite;

@@ -1,6 +1,6 @@
 (* Tests for the branch-and-bound MILP solver: hand-checked integer
    programs, a brute-force enumeration oracle on random small MIPs,
-   limit behaviour, and strategy/branching equivalence. *)
+   and limit behaviour. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -15,10 +15,8 @@ let expr terms = L.of_terms (List.map (fun (v, n) -> (v, ri n)) terms)
 let check_rat msg expected actual =
   Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
 
-let solve ?time_limit ?node_limit ?strategy ?branching ?(integral_objective = false) m
-    ~integer =
-  Solver.solve ?time_limit ?node_limit ?strategy ?branching ~integral_objective m
-    ~integer
+let solve ?time_limit ?node_limit ?(integral_objective = false) m ~integer =
+  Solver.solve ?time_limit ?node_limit ~integral_objective m ~integer
 
 let get_solution outcome =
   match outcome.Solver.solution with
@@ -190,19 +188,6 @@ let test_priority_groups_same_optimum () =
   check_rat "same optimum" (get_solution plain).Solver.objective
     (get_solution prioritized).Solver.objective
 
-let test_cut_rounds_inapplicable_is_noop () =
-  (* A model with a fractional coefficient is not pure-integer: cut
-     generation must be skipped and the answer unchanged. *)
-  let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (L.of_terms [ (x, R.of_ints 3 2) ]) M.Ge (ri 2);
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
-  Alcotest.(check bool) "not applicable" false (Lp.Gomory.applicable m ~integer:[ x ]);
-  let plain = Solver.solve m ~integer:[ x ] in
-  let with_cuts = Solver.solve ~cut_rounds:3 m ~integer:[ x ] in
-  check_rat "same optimum" (get_solution plain).Solver.objective
-    (get_solution with_cuts).Solver.objective
-
 let test_gap () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
@@ -293,33 +278,6 @@ let props =
           R.equal (get_solution outcome).Solver.objective (ri best)
         | Solver.Infeasible, None -> true
         | _ -> false);
-    prop "strategies agree on the optimum" cover_mip_gen (fun input ->
-        let m1, iv1, _, _, _ = build_cover_mip input in
-        let m2, iv2, _, _, _ = build_cover_mip input in
-        let a = solve ~strategy:Solver.Best_bound m1 ~integer:iv1 in
-        let b = solve ~strategy:Solver.Depth_first m2 ~integer:iv2 in
-        match (a.Solver.solution, b.Solver.solution) with
-        | Some sa, Some sb -> R.equal sa.Solver.objective sb.Solver.objective
-        | None, None -> a.Solver.status = b.Solver.status
-        | _ -> false);
-    prop "engines agree on the optimum" cover_mip_gen (fun input ->
-        let m1, iv1, _, _, _ = build_cover_mip input in
-        let m2, iv2, _, _, _ = build_cover_mip input in
-        let a = Solver.solve ~engine:Solver.Bounds m1 ~integer:iv1 in
-        let b = Solver.solve ~engine:Solver.Rows m2 ~integer:iv2 in
-        (match (a.Solver.solution, b.Solver.solution) with
-         | Some sa, Some sb -> R.equal sa.Solver.objective sb.Solver.objective
-         | None, None -> a.Solver.status = b.Solver.status
-         | _ -> false));
-    prop "branching rules agree on the optimum" cover_mip_gen (fun input ->
-        let m1, iv1, _, _, _ = build_cover_mip input in
-        let m2, iv2, _, _, _ = build_cover_mip input in
-        let a = solve ~branching:Solver.Most_fractional m1 ~integer:iv1 in
-        let b = solve ~branching:Solver.First_fractional m2 ~integer:iv2 in
-        match (a.Solver.solution, b.Solver.solution) with
-        | Some sa, Some sb -> R.equal sa.Solver.objective sb.Solver.objective
-        | None, None -> a.Solver.status = b.Solver.status
-        | _ -> false);
     prop "solution values are integral and feasible" cover_mip_gen (fun input ->
         let m, integer, _, _, _ = build_cover_mip input in
         let outcome = solve m ~integer in
@@ -346,7 +304,5 @@ let suite =
       Alcotest.test_case "gap at optimality" `Quick test_gap;
       Alcotest.test_case "warm start" `Quick test_warm_start;
       Alcotest.test_case "warm start rejected" `Quick test_warm_start_rejected;
-      Alcotest.test_case "priority groups" `Quick test_priority_groups_same_optimum;
-      Alcotest.test_case "cuts skip non-pure-integer models" `Quick
-        test_cut_rounds_inapplicable_is_noop ]
+      Alcotest.test_case "priority groups" `Quick test_priority_groups_same_optimum ]
     @ props )

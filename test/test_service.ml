@@ -554,13 +554,14 @@ let test_metrics_reply () =
     (match J.member "numeric" metrics with
      | Some numeric ->
        Alcotest.(check (option string)) "fast kernel named"
-         (Some Numeric.Fix64.name)
+         (Some Lp.Simplex.fast_kernel)
          (J.get_string "fast_kernel" numeric);
        Alcotest.(check (option string)) "exact kernel named"
-         (Some Numeric.Kernel.Exact.name)
+         (Some Lp.Simplex.exact_kernel)
          (J.get_string "exact_kernel" numeric);
-       (* The solve above ran the Fix64-first driver, so the fast-path
-          counter registers and the fallback count is exposed. *)
+       (* The solve above ran its LP relaxations on the fast path, so
+          the fast-path counter registers and the fallback count is
+          exposed. *)
        Alcotest.(check bool) "fast solves counted" true
          (match J.get_int "fast_solves" numeric with
           | Some n -> n >= 1
