@@ -1123,17 +1123,31 @@ let lp_split ~reps ~inner label model =
     ks_fast_us = 1e6 *. best_of_seconds ~reps ~inner fast;
     ks_identical = lp_result_identical (fast ()) (exact ()) }
 
-type fallback_stats = { fb_relaxations : int; fb_fallbacks : int }
+type fallback_stats = {
+  fb_relaxations : int;
+  fb_fallbacks : int;
+  fb_pivots : int;
+  fb_nodes : int;
+  fb_warm_nodes : int;
+}
 
-(* LP relaxations solved under [f], read as counter deltas: each
-   [Lp.Simplex.solve] bumps exactly one of the two counters. *)
+(* Solver effort under [f], read as counter deltas: each LP relaxation
+   bumps exactly one of numeric.fast_solves / numeric.fallbacks. *)
 let count_fallbacks f =
-  let fast0 = Telemetry.value Telemetry.numeric_fast_solves in
-  let fb0 = Telemetry.value Telemetry.numeric_fallbacks in
+  let names =
+    Telemetry.
+      [ numeric_fast_solves; numeric_fallbacks; lp_pivots; milp_nodes;
+        milp_warm_nodes ]
+  in
+  let before = List.map Telemetry.value names in
   f ();
-  let fast = Telemetry.value Telemetry.numeric_fast_solves - fast0 in
-  let fb = Telemetry.value Telemetry.numeric_fallbacks - fb0 in
-  { fb_relaxations = fast + fb; fb_fallbacks = fb }
+  match List.map2 (fun n b -> Telemetry.value n - b) names before with
+  | [ fast; fb; pivots; nodes; warm ] ->
+    { fb_relaxations = fast + fb; fb_fallbacks = fb; fb_pivots = pivots;
+      fb_nodes = nodes; fb_warm_nodes = warm }
+  | _ -> assert false
+
+let ratio a b = float_of_int a /. Float.max (float_of_int b) 1.
 
 let paper_presets = [ "fig3"; "fig6"; "fig7" ]
 let paper_instances_per_preset = 4
@@ -1186,7 +1200,7 @@ let write_numeric_json ~path ~splits ~paper ~stress =
       (json_escape k.ks_label) k.ks_rat_us k.ks_fast_us (ks_speedup k)
       k.ks_identical
   in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/3\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/4\",\n";
   Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
   Printf.fprintf oc "  \"kernels\": {\"fast\": \"%s\", \"exact\": \"%s\"},\n"
     Lp.Simplex.fast_kernel Lp.Simplex.exact_kernel;
@@ -1202,13 +1216,43 @@ let write_numeric_json ~path ~splits ~paper ~stress =
   Printf.fprintf oc
     "  \"fallback\": {\"paper_relaxations\": %d, \"paper_fallbacks\": %d, \
      \"stress_relaxations\": %d, \"stress_fallbacks\": %d, \
-     \"stress_fallback_rate\": %.3f}\n"
+     \"stress_fallback_rate\": %.3f},\n"
     paper.fb_relaxations paper.fb_fallbacks stress.fb_relaxations
     stress.fb_fallbacks
-    (float_of_int stress.fb_fallbacks
-    /. Float.max (float_of_int stress.fb_relaxations) 1.);
+    (ratio stress.fb_fallbacks stress.fb_relaxations);
+  Printf.fprintf oc
+    "  \"warm_start\": {\"paper_nodes\": %d, \"paper_warm_nodes\": %d, \
+     \"paper_warm_share\": %.4f, \"paper_pivots\": %d, \
+     \"paper_pivots_per_relaxation\": %.3f}\n"
+    paper.fb_nodes paper.fb_warm_nodes
+    (ratio paper.fb_warm_nodes paper.fb_nodes)
+    paper.fb_pivots
+    (ratio paper.fb_pivots paper.fb_relaxations);
   Printf.fprintf oc "}\n";
   close_out oc
+
+(* The committed file's seed and paper-workload effort counts
+   (relaxations, pivots, warm nodes), read before this run rewrites
+   it. *)
+let committed_paper_counts path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | text -> (
+    match Svc.Json.of_string text with
+    | Error _ -> None
+    | Ok json -> (
+      let field obj name =
+        Option.bind (Svc.Json.member obj json) (Svc.Json.get_int name)
+      in
+      match
+        ( Svc.Json.get_int "seed" json,
+          field "fallback" "paper_relaxations",
+          field "warm_start" "paper_pivots",
+          field "warm_start" "paper_warm_nodes" )
+      with
+      | Some seed, Some relaxations, Some pivots, Some warm ->
+        Some (seed, relaxations, pivots, warm)
+      | _ -> None))
 
 let emit_numeric_json ~reps =
   let splits =
@@ -1222,9 +1266,11 @@ let emit_numeric_json ~reps =
   let lp = List.nth splits 0 in
   Printf.printf
     "BENCH_numeric.json written (lp.simplex %.1f us rat vs %.1f us fast, \
-     %.1fx; paper workload %d relaxations / %d fallbacks, stress %d / %d)\n"
+     %.1fx; paper workload %d relaxations / %d fallbacks, %d pivots, %d of \
+     %d nodes warm; stress %d / %d)\n"
     lp.ks_rat_us lp.ks_fast_us (ks_speedup lp) paper.fb_relaxations
-    paper.fb_fallbacks stress.fb_relaxations stress.fb_fallbacks;
+    paper.fb_fallbacks paper.fb_pivots paper.fb_warm_nodes paper.fb_nodes
+    stress.fb_relaxations stress.fb_fallbacks;
   (splits, paper, stress)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
@@ -1666,6 +1712,7 @@ let smoke () =
      (while the overflow stress workload must fall back on every
      relaxation — the fallback demonstrably fires, it is not dead
      code). *)
+  let committed = committed_paper_counts "BENCH_numeric.json" in
   let splits, paper, stress = emit_numeric_json ~reps:5 in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
@@ -1692,6 +1739,26 @@ let smoke () =
     (ks_speedup lp7 >= 2.0);
   check "paper workload ran relaxations" (paper.fb_relaxations > 0);
   check "zero fallbacks on the figure-preset workload" (paper.fb_fallbacks = 0);
+  (* Pivots and warm nodes are deterministic for a seed, so they are
+     gated exactly against the committed file. *)
+  (match committed with
+   | Some (seed, relaxations, pivots, warm) when seed = root_seed ->
+     check
+       (Printf.sprintf
+          "paper workload effort matches the committed BENCH_numeric.json \
+           (%d relaxations, %d pivots, %d warm nodes; committed %d, %d, %d)"
+          paper.fb_relaxations paper.fb_pivots paper.fb_warm_nodes relaxations
+          pivots warm)
+       (paper.fb_relaxations = relaxations
+       && paper.fb_pivots = pivots
+       && paper.fb_warm_nodes = warm)
+   | Some (seed, _, _, _) ->
+     Printf.printf
+       "SKIP paper-workload effort gate (committed seed %d, this run %d; \
+        not counted as a pass)\n"
+       seed root_seed
+   | None ->
+     check "committed BENCH_numeric.json carries paper-workload effort" false);
   check "overflow stress workload falls back on every relaxation"
     (stress.fb_relaxations > 0 && stress.fb_fallbacks = stress.fb_relaxations);
   (* Autoscale: on the pinned diurnal trace the elastic controller must

@@ -24,53 +24,52 @@ type result =
   | Infeasible
   | Unbounded
 
-let pivot_count = ref 0
-let last_pivot_count () = !pivot_count
-
 let pivots_counter = Telemetry.counter Telemetry.lp_pivots
 let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
 let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
 
 type phase_result = Phase_optimal | Phase_unbounded
 
+type direction = Upper | Lower
+
 let fast_kernel = "ff64"
 let exact_kernel = "rat"
 
 (* Variable bounds materialized as ordinary rows, then every row
    oriented so its right-hand side is non-negative. Shared by both
-   engines. *)
+   engines. A bound row keeps its [(v, dir, b)] when it was not
+   flipped, so the fast engine can tighten it in place later. *)
 let orient model =
   let nstruct = Model.num_vars model in
   let bound_rows =
     List.concat_map
       (fun v ->
         let lo, up = Model.bounds model v in
-        let lower =
-          if R.sign lo > 0 then
-            [ { Model.expr = Linexpr.var v; cmp = Model.Ge; rhs = lo; cname = "" } ]
-          else []
-        in
+        let lower = if R.sign lo > 0 then [ (Lower, Model.Ge, lo) ] else [] in
         let upper =
-          match up with
-          | Some u ->
-            [ { Model.expr = Linexpr.var v; cmp = Model.Le; rhs = u; cname = "" } ]
-          | None -> []
+          match up with Some u -> [ (Upper, Model.Le, u) ] | None -> []
         in
-        lower @ upper)
+        List.map
+          (fun (dir, cmp, b) ->
+            ( { Model.expr = Linexpr.var v; cmp; rhs = b; cname = "" },
+              Some (v, dir, b) ))
+          (lower @ upper))
       (List.init nstruct Fun.id)
   in
-  let constrs = Model.constraints model @ bound_rows in
+  let constrs =
+    List.map (fun c -> (c, None)) (Model.constraints model) @ bound_rows
+  in
   List.map
-    (fun { Model.expr; cmp; rhs; _ } ->
+    (fun ({ Model.expr; cmp; rhs; _ }, bound) ->
       if R.sign rhs < 0 then
         let cmp = match cmp with Model.Le -> Model.Ge | Ge -> Le | Eq -> Eq in
-        (Linexpr.neg expr, cmp, R.neg rhs)
-      else (expr, cmp, rhs))
+        (Linexpr.neg expr, cmp, R.neg rhs, None)
+      else (expr, cmp, rhs, bound))
     constrs
 
 let count_slack_art oriented =
   List.fold_left
-    (fun (ns, na) (_, cmp, _) ->
+    (fun (ns, na) (_, cmp, _, _) ->
       match cmp with
       | Model.Le -> (ns + 1, na)
       | Model.Ge -> (ns + 1, na + 1)
@@ -93,7 +92,6 @@ module Exact = struct
   (* Eliminate column [c] from every row but [r] after normalizing row
      [r]. *)
   let pivot t z r c =
-    incr pivot_count;
     Telemetry.bump pivots_counter;
     let row_r = t.tab.(r) in
     let piv = row_r.(c) in
@@ -176,7 +174,6 @@ module Exact = struct
     loop ()
 
   let solve model =
-    pivot_count := 0;
     let nstruct = Model.num_vars model in
     let oriented = orient model in
     let m = List.length oriented in
@@ -189,7 +186,7 @@ module Exact = struct
     let basis = Array.make m (-1) in
     let slack_idx = ref nstruct and art_idx = ref art_start in
     List.iteri
-      (fun i (expr, cmp, rhs) ->
+      (fun i (expr, cmp, rhs, _) ->
         let row = tab.(i) in
         List.iter (fun (v, c) -> row.(v) <- c) (Linexpr.terms expr);
         row.(ncols) <- rhs;
@@ -306,6 +303,7 @@ end
    {!Exact} and agrees with it bit-for-bit wherever it completes. *)
 module Fraction_free = struct
   let span_attrs = [ ("lp.kernel", fast_kernel) ]
+  let warm_span_attrs = [ ("lp.kernel", fast_kernel); ("lp.start", "warm") ]
 
   (* Exclusive bound on tableau entries and scales. *)
   let range = 1 lsl 30
@@ -356,100 +354,147 @@ module Fraction_free = struct
     if !mx >= range then overflow ();
     g
 
+  (* [row <- row * p - f * src] over all [len] entries, gcd-reduced
+     when an entry leaves the range. *)
+  let combine row ~p ~f src len =
+    let acc = ref 0 in
+    for j = 0 to len - 1 do
+      let v = (Array.unsafe_get row j * p) - (f * Array.unsafe_get src j) in
+      Array.unsafe_set row j v;
+      acc := !acc lor mag v
+    done;
+    if !acc >= range then ignore (reduce_row row len 0)
+
   (* Eliminate column [c] from every row but [r]. There is no cost row
-     to update: see {!run_phase}. *)
+     to update: see {!priced}. *)
   let pivot t r c =
-    incr pivot_count;
     Telemetry.bump pivots_counter;
     let row_r = t.tab.(r) in
     if row_r.(c) < 0 then
-      (* Only degenerate drive-out pivots can select a negative entry;
-         the row is an equation, so flipping its sign is free and keeps
-         the new scale positive. *)
+      (* Drive-out pivots and dual pivots select a negative entry; the
+         row is an equation, so flipping its sign is free and keeps the
+         new scale positive. *)
       for j = 0 to t.ncols do
         row_r.(j) <- -row_r.(j)
       done;
     let p = row_r.(c) in
-    let n = t.ncols in
-    let eliminate row =
-      let f = row.(c) in
-      if f <> 0 then begin
-        let acc = ref 0 in
-        for j = 0 to n do
-          let v =
-            (Array.unsafe_get row j * p) - (f * Array.unsafe_get row_r j)
-          in
-          Array.unsafe_set row j v;
-          acc := !acc lor mag v
-        done;
-        if !acc >= range then ignore (reduce_row row (n + 1) 0)
-      end
-    in
-    Array.iteri (fun i row -> if i <> r then eliminate row) t.tab;
+    Array.iteri
+      (fun i row ->
+        let f = row.(c) in
+        if i <> r && f <> 0 then combine row ~p ~f row_r (t.ncols + 1))
+      t.tab;
     t.basis.(r) <- c
 
-  (* Minimize integer costs [costs.(j) / cq] with Bland's rule.
+  (* Pricing without a cost row.
 
-     No reduced-cost row is maintained. A fraction-free cost row would
-     need one common scale for every column — the lcm of per-column
-     denominators — and that scale overflows the native range long
-     before any tableau row does (tableau rows share the basis
-     determinant as denominator; reduced costs do not share anything).
-     Entering only needs the SIGN of
+     A fraction-free cost row would need one common scale for every
+     column — the lcm of per-column denominators — and that scale
+     overflows the native range long before any tableau row does
+     (tableau rows share the basis determinant as denominator; reduced
+     costs do not share anything). Pricing instead reads
 
        d_j = (costs_j - sum_i cb_i * tab_ij / s_i) / cq
 
-     over the cost-bearing basic rows [i], so each scan filters
-     columns with a float estimate plus a conservative error bound and
-     confirms the rare ambiguous or candidate-entering columns in
-     exact Rat arithmetic (which cannot overflow). Confirmed signs
-     equal the exact engine's z-row signs, so the entering choice —
-     and hence the whole pivot walk — is identical. *)
-  let run_phase t ~costs ~cq ~banned =
-    let m = Array.length t.tab in
-    let tab = t.tab and basis = t.basis in
-    (* Cost-bearing basic rows, refreshed after every pivot. *)
-    let rows = Array.make (Stdlib.max m 1) 0 in
-    let cbs = Array.make (Stdlib.max m 1) 0 in
-    let scales = Array.make (Stdlib.max m 1) 0 in
-    let fcb = Array.make (Stdlib.max m 1) 0.0 in
+     over the cost-bearing basic rows [i] (refreshed after every
+     pivot), filters columns with a float estimate plus a conservative
+     error bound, and confirms the rare ambiguous or winning columns in
+     exact Rat arithmetic, which cannot overflow. Confirmed values
+     equal the exact engine's z-row, so every decision is exact. *)
+  type priced = {
+    costs : int array;  (* over [cq]; columns past the end cost 0 *)
+    cq : int;
+    rows : int array;
+    cbs : int array;
+    scales : int array;
+    fcb : float array;  (* cb_i / s_i *)
+    est : float array;  (* {!estimate}'s estimate and error bound *)
+    mutable k : int;
+  }
+
+  let priced t ~costs ~cq =
+    let m = Stdlib.max (Array.length t.tab) 1 in
+    { costs; cq; rows = Array.make m 0; cbs = Array.make m 0;
+      scales = Array.make m 0; fcb = Array.make m 0.0; est = Array.make 2 0.0;
+      k = 0 }
+
+  let cost p j = if j < Array.length p.costs then p.costs.(j) else 0
+
+  let refresh p t =
     let k = ref 0 in
-    let refresh () =
-      k := 0;
-      for i = 0 to m - 1 do
-        let cb = costs.(basis.(i)) in
-        if cb <> 0 then begin
-          rows.(!k) <- i;
-          cbs.(!k) <- cb;
-          scales.(!k) <- tab.(i).(basis.(i));
-          fcb.(!k) <- float_of_int cb /. float_of_int tab.(i).(basis.(i));
-          incr k
-        end
-      done
-    in
-    let exact_sign j =
-      let d = ref (R.of_ints costs.(j) cq) in
-      for q = 0 to !k - 1 do
-        let a = tab.(rows.(q)).(j) in
-        (* cb*a and cq*s stay under 2^60 by the range invariant. *)
-        if a <> 0 then d := R.sub !d (R.of_ints (cbs.(q) * a) (cq * scales.(q)))
-      done;
-      R.sign !d
-    in
+    for i = 0 to Array.length t.basis - 1 do
+      let bv = t.basis.(i) in
+      let cb = cost p bv in
+      if cb <> 0 then begin
+        let s = t.tab.(i).(bv) in
+        p.rows.(!k) <- i;
+        p.cbs.(!k) <- cb;
+        p.scales.(!k) <- s;
+        p.fcb.(!k) <- float_of_int cb /. float_of_int s;
+        incr k
+      end
+    done;
+    p.k <- !k
+
+  (* The exact reduced cost d_j. *)
+  let reduced_cost p t j =
+    let d = ref (R.of_ints (cost p j) p.cq) in
+    for q = 0 to p.k - 1 do
+      let a = t.tab.(p.rows.(q)).(j) in
+      (* cb*a and cq*s stay under 2^60 by the range invariant. *)
+      if a <> 0 then
+        d := R.sub !d (R.of_ints (p.cbs.(q) * a) (p.cq * p.scales.(q)))
+    done;
+    !d
+
+  (* The float estimate of [cq * d_j] is [c_j - sum_q fcb_q * a_qj]
+     over the [k] cost-bearing rows, with [asum] the sum of the terms'
+     magnitudes. Each term carries <= 2 roundings and each subtraction
+     one more, so |est - true| <= 3 (k+1) eps (|c_j| + asum) with
+     eps = 2^-52; (k+2) * 4e-15 dominates that with an order of
+     magnitude to spare. *)
+  let error_bound c asum k =
+    (Float.abs c +. asum) *. float_of_int (k + 2) *. 4e-15
+
+  (* The estimate into [p.est.(0)] and its error bound into
+     [p.est.(1)]. *)
+  let estimate p t j =
+    let c = float_of_int (cost p j) in
+    let est = ref c and asum = ref 0.0 in
+    for q = 0 to p.k - 1 do
+      let a = t.tab.(p.rows.(q)).(j) in
+      if a <> 0 then begin
+        let u = p.fcb.(q) *. float_of_int a in
+        est := !est -. u;
+        asum := !asum +. Float.abs u
+      end
+    done;
+    p.est.(0) <- !est;
+    p.est.(1) <- error_bound c !asum p.k
+
+  (* Minimize with Bland's rule; columns [j] with [banned j] never
+     enter, and [p.costs] covers every column. Confirmed signs equal
+     the exact engine's z-row signs, so the entering choice — and hence
+     the whole pivot walk — is identical. *)
+  let run_phase t p ~banned =
+    let m = Array.length t.tab in
+    let tab = t.tab and costs = p.costs and rows = p.rows and fcb = p.fcb in
     let inbasis = Array.make (t.ncols + 1) false in
     let rec loop () =
-      refresh ();
+      refresh p t;
+      let k = p.k in
       for i = 0 to m - 1 do
-        inbasis.(basis.(i)) <- true
+        inbasis.(t.basis.(i)) <- true
       done;
       (* Entering: smallest index with exactly-negative reduced cost.
-         Basic columns have d_j = 0 by construction and are skipped. *)
+         Basic columns have d_j = 0 by construction and are skipped.
+         The scan is the hot loop, so the estimate is inlined. *)
       let entering = ref (-1) in
       (try
          for j = 0 to t.ncols - 1 do
            if (not (banned j)) && not inbasis.(j) then begin
-             let est = ref (float_of_int costs.(j)) and asum = ref 0.0 in
-             for q = 0 to !k - 1 do
+             let c = float_of_int costs.(j) in
+             let est = ref c and asum = ref 0.0 in
+             for q = 0 to k - 1 do
                let a = tab.(rows.(q)).(j) in
                if a <> 0 then begin
                  let u = fcb.(q) *. float_of_int a in
@@ -457,15 +502,8 @@ module Fraction_free = struct
                  asum := !asum +. Float.abs u
                end
              done;
-             (* Each term carries <= 2 roundings and each subtraction
-                one more, so |est - true| <= 3 (k+1) eps (|costs_j| +
-                asum) with eps = 2^-52; (k+2) * 4e-15 dominates that
-                with an order of magnitude to spare. *)
-             let err =
-               (Float.abs (float_of_int costs.(j)) +. !asum)
-               *. float_of_int (!k + 2) *. 4e-15
-             in
-             if !est <= err && exact_sign j < 0 then begin
+             let err = (Float.abs c +. !asum) *. float_of_int (k + 2) *. 4e-15 in
+             if !est <= err && R.sign (reduced_cost p t j) < 0 then begin
                entering := j;
                raise Exit
              end
@@ -473,7 +511,7 @@ module Fraction_free = struct
          done
        with Exit -> ());
       for i = 0 to m - 1 do
-        inbasis.(basis.(i)) <- false
+        inbasis.(t.basis.(i)) <- false
       done;
       if !entering < 0 then Phase_optimal
       else begin
@@ -507,8 +545,141 @@ module Fraction_free = struct
     in
     loop ()
 
-  let solve model =
-    pivot_count := 0;
+  (* Dual simplex from a dual-feasible basis (no column has a negative
+     reduced cost) under the dual Bland rule: the leaving row is the
+     one with a negative right-hand side whose basic column is
+     smallest; the entering column has the least exact d_j / |a_rj|
+     over a_rj < 0, ties to the smallest j. Scales are positive, so a
+     row's true entries share the signs and ratios of its integer
+     ones. Returns false when the leaving row has no negative entry:
+     that row alone proves the LP infeasible. *)
+  let run_dual t p =
+    let m = Array.length t.tab and n = t.ncols in
+    let lo = Array.make (Stdlib.max n 1) 0.0 in
+    let rec loop () =
+      let r = ref (-1) in
+      for i = 0 to m - 1 do
+        if t.tab.(i).(n) < 0 && (!r < 0 || t.basis.(i) < t.basis.(!r)) then
+          r := i
+      done;
+      if !r < 0 then true
+      else begin
+        let row = t.tab.(!r) in
+        refresh p t;
+        (* Float filter: [hi] is the least upper bound on any
+           candidate's ratio, so only columns whose lower bound reaches
+           it can win. Doubling the error bound also covers the
+           rounding of the division. *)
+        let hi = ref infinity in
+        for j = 0 to n - 1 do
+          let a = row.(j) in
+          if a < 0 then begin
+            estimate p t j;
+            let e = p.est.(0) and err = 2.0 *. p.est.(1) in
+            let fa = float_of_int (-a) in
+            lo.(j) <- Float.max 0.0 (e -. err) /. fa;
+            hi := Float.min !hi (Float.max 0.0 (e +. err) /. fa)
+          end
+        done;
+        if !hi = infinity then false
+        else begin
+          let cands = ref [] in
+          for j = n - 1 downto 0 do
+            if row.(j) < 0 && lo.(j) <= !hi then cands := j :: !cands
+          done;
+          let ratio j = R.div (reduced_cost p t j) (R.of_int (-row.(j))) in
+          let c =
+            match !cands with
+            | [ j ] -> j
+            | j0 :: rest ->
+              fst
+                (List.fold_left
+                   (fun (bj, br) j ->
+                     let rj = ratio j in
+                     if R.compare rj br < 0 then (j, rj) else (bj, br))
+                   (j0, ratio j0) rest)
+            | [] -> assert false (* the column attaining [hi] qualifies *)
+          in
+          pivot t !r c;
+          loop ()
+        end
+      end
+    in
+    loop ()
+
+  (* The point of an optimal tableau: basic structurals at their
+     values, and the objective from c_B x_B. *)
+  let optimum t p ~nstruct ~sense ~obj_const =
+    let values = Array.make nstruct R.zero in
+    let minimized = ref R.zero in
+    Array.iteri
+      (fun i bv ->
+        let rhs = t.tab.(i).(t.ncols) and s = scale t i in
+        if bv < nstruct then values.(bv) <- R.of_ints rhs s;
+        let cb = cost p bv in
+        if cb <> 0 then
+          minimized := R.add !minimized (R.of_ints (cb * rhs) (p.cq * s)))
+      t.basis;
+    let objective =
+      match sense with
+      | Model.Minimize -> R.add !minimized obj_const
+      | Maximize -> R.add (R.neg !minimized) obj_const
+    in
+    { objective; values }
+
+  (* Bound rows by [key v dir]: the row's slack column and its bound. *)
+  module Bound_rows = Map.Make (Int)
+
+  let key v dir = (2 * v) + match dir with Upper -> 0 | Lower -> 1
+
+  (* An optimal phase-2 tableau, packed: each row's entries under
+     columns [0, live) and then its right-hand side, as 32-bit ints
+     (entries stay under 2^30), row after row. One flat block, half
+     the size of the int rows and never scanned by the GC. Banned
+     artificial columns are left out, and so are the rows where a
+     redundant artificial stayed basic after phase 1 (they are zero
+     everywhere else). *)
+  type snapshot = {
+    packed : Bytes.t;
+    basis : int array;
+    live : int;
+    nstruct : int;
+    costs : int array;
+    cq : int;
+    sense : Model.sense;
+    obj_const : R.t;
+    bound_rows : (int * R.t) Bound_rows.t;
+  }
+
+  let snapshot (t : tableau) ~live ~nstruct ~costs ~cq ~sense ~obj_const
+      ~bound_rows =
+    let width = live + 1 in
+    let kept =
+      Array.fold_left (fun acc bv -> if bv < live then acc + 1 else acc) 0 t.basis
+    in
+    let packed = Bytes.create (4 * width * kept) in
+    let basis = Array.make kept 0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun i row ->
+        if t.basis.(i) < live then begin
+          let base = 4 * width * !k in
+          for j = 0 to live - 1 do
+            Bytes.set_int32_le packed (base + (4 * j)) (Int32.of_int row.(j))
+          done;
+          Bytes.set_int32_le packed (base + (4 * live))
+            (Int32.of_int row.(t.ncols));
+          basis.(!k) <- t.basis.(i);
+          incr k
+        end)
+      t.tab;
+    { packed; basis; live; nstruct; costs; cq; sense; obj_const; bound_rows }
+
+  (* Heap words: the packed block and the basis, with headers. *)
+  let words s = (Bytes.length s.packed / 8) + Array.length s.basis + 3
+
+  (* [keep] asks for the snapshot of an optimal result. *)
+  let solve ~keep model =
     let nstruct = Model.num_vars model in
     let oriented = orient model in
     let m = List.length oriented in
@@ -518,9 +689,14 @@ module Fraction_free = struct
     let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0) in
     let basis = Array.make m (-1) in
     let slack_idx = ref nstruct and art_idx = ref art_start in
+    let bound_rows = ref Bound_rows.empty in
     List.iteri
-      (fun i (expr, cmp, rhs) ->
+      (fun i (expr, cmp, rhs, bound) ->
         let row = tab.(i) in
+        (match bound with
+         | Some (v, dir, b) when keep ->
+           bound_rows := Bound_rows.add (key v dir) (!slack_idx, b) !bound_rows
+         | _ -> ());
         (* Integerize the row by the lcm [l] of its denominators; [l]
            is also the slack/artificial entry, i.e. the initial scale. *)
         let l =
@@ -564,7 +740,7 @@ module Fraction_free = struct
         for j = art_start to ncols - 1 do
           costs.(j) <- 1
         done;
-        (match run_phase t ~costs ~cq:1 ~banned:(fun _ -> false) with
+        (match run_phase t (priced t ~costs ~cq:1) ~banned:(fun _ -> false) with
          | Phase_unbounded ->
            (* Phase-1 objective is bounded below by zero; unbounded is
               impossible with exact arithmetic. *)
@@ -601,7 +777,7 @@ module Fraction_free = struct
         end
       end
     in
-    if not feasible then Infeasible
+    if not feasible then (Infeasible, None)
     else begin
       (* Phase 2: the real objective (negated for maximization),
          integerized over the objective's common denominator [cq]. *)
@@ -620,49 +796,140 @@ module Fraction_free = struct
             if abs e >= range then overflow ();
             costs.(v) <- (match sense with Model.Minimize -> e | Maximize -> -e))
         (Linexpr.terms obj);
-      match run_phase t ~costs ~cq ~banned:(fun j -> j >= t.art_start) with
-      | Phase_unbounded -> Unbounded
+      let p = priced t ~costs ~cq in
+      match run_phase t p ~banned:(fun j -> j >= t.art_start) with
+      | Phase_unbounded -> (Unbounded, None)
       | Phase_optimal ->
-        let values = Array.make nstruct R.zero in
-        Array.iteri
-          (fun i bv ->
-            if bv < nstruct then
-              values.(bv) <- R.of_ints tab.(i).(ncols) (scale t i))
-          basis;
-        (* Minimized objective c_B x_B, straight from the basic
-           values. *)
-        let minimized = ref R.zero in
-        Array.iteri
-          (fun i bv ->
-            let cb = costs.(bv) in
-            if cb <> 0 then
-              minimized :=
-                R.add !minimized
-                  (R.of_ints (cb * tab.(i).(ncols)) (cq * scale t i)))
-          basis;
-        let minimized = !minimized in
-        let objective =
-          match sense with
-          | Model.Minimize -> R.add minimized obj_const
-          | Maximize -> R.add (R.neg minimized) obj_const
-        in
-        Optimal { objective; values }
+        ( Optimal (optimum t p ~nstruct ~sense ~obj_const),
+          if keep then
+            Some
+              (snapshot t ~live:art_start ~nstruct ~costs ~cq ~sense
+                 ~obj_const ~bound_rows:!bound_rows)
+          else None )
     end
+
+  (* A working copy of the snapshot's tableau with [grow] extra zero
+     columns before the right-hand side and [grow] empty rows at the
+     end. *)
+  let unpack s ~grow =
+    let m = Array.length s.basis and live = s.live in
+    let width = live + 1 and n = live + grow in
+    let tab = Array.make (m + grow) [||] in
+    let basis = Array.make (m + grow) 0 in
+    Array.blit s.basis 0 basis 0 m;
+    for i = 0 to m - 1 do
+      let row = Array.make (n + 1) 0 and base = 4 * width * i in
+      for j = 0 to live - 1 do
+        row.(j) <- Int32.to_int (Bytes.get_int32_le s.packed (base + (4 * j)))
+      done;
+      row.(n) <- Int32.to_int (Bytes.get_int32_le s.packed (base + (4 * live)));
+      tab.(i) <- row
+    done;
+    { tab; basis; ncols = n; art_start = n }
+
+  (* The child LP from the parent's optimal tableau. Changing the
+     bound [b] of a row [a x_v + c s = a b] by [delta] moves its
+     right-hand side along the slack's column, so when [x_v] already
+     has a bound row in this direction and the change is integral,
+     every row just adds [± delta] times its slack entry (+ for Upper,
+     - for Lower, where a/c = -1). Otherwise a new row [q x_v + q s = p]
+     (Upper) or [-q x_v + q s = -p] (Lower), for [bound = p/q], joins
+     with its own slack, basic in that row; when [x_v] is basic in row
+     [i], subtracting that row fraction-free leaves only nonbasic
+     columns. Either way the right-hand side goes negative exactly
+     where the parent point violates the bound. The parent's reduced
+     costs are all non-negative and a new slack's is zero, so the
+     basis is dual feasible and the dual simplex finishes the job. A
+     looser bound than the row's own leaves the LP unchanged. *)
+  let reoptimize s ~var ~dir ~bound =
+    if var < 0 || var >= s.nstruct then invalid_arg "Simplex.reoptimize: var";
+    let tighter b =
+      match dir with Upper -> R.min b bound | Lower -> R.max b bound
+    in
+    let in_place =
+      match Bound_rows.find_opt (key var dir) s.bound_rows with
+      | Some (col, b) -> (
+        let b' = tighter b in
+        match R.to_small (R.sub b' b) with
+        | Some (d, 1) when abs d < range -> Some (col, b', d)
+        | _ -> None)
+      | None -> None
+    in
+    let t, bound_rows =
+      match in_place with
+      | Some (col, b', d) ->
+        let t = unpack s ~grow:0 in
+        let n = t.ncols in
+        let d = match dir with Upper -> d | Lower -> -d in
+        if d <> 0 then
+          Array.iter
+            (fun row ->
+              let v = row.(n) + (d * row.(col)) in
+              row.(n) <- v;
+              if mag v >= range then ignore (reduce_row row (n + 1) 0))
+            t.tab;
+        (t, Bound_rows.add (key var dir) (col, b') s.bound_rows)
+      | None ->
+        let t = unpack s ~grow:1 in
+        let live = s.live and n = t.ncols and m = Array.length t.tab - 1 in
+        let p, q =
+          match R.to_small bound with
+          | Some (p, q) when abs p < range && q < range -> (p, q)
+          | _ -> overflow ()
+        in
+        let sign = match dir with Upper -> 1 | Lower -> -1 in
+        let row = Array.make (n + 1) 0 in
+        row.(var) <- sign * q;
+        row.(live) <- q;
+        row.(n) <- sign * p;
+        for i = 0 to m - 1 do
+          if t.basis.(i) = var then
+            combine row ~p:t.tab.(i).(var) ~f:row.(var) t.tab.(i) (n + 1)
+        done;
+        t.tab.(m) <- row;
+        t.basis.(m) <- live;
+        (t, Bound_rows.add (key var dir) (live, bound) s.bound_rows)
+    in
+    let p = priced t ~costs:s.costs ~cq:s.cq in
+    if not (run_dual t p) then (Infeasible, None)
+    else
+      ( Optimal
+          (optimum t p ~nstruct:s.nstruct ~sense:s.sense ~obj_const:s.obj_const),
+        Some
+          (snapshot t ~live:t.ncols ~nstruct:s.nstruct ~costs:s.costs ~cq:s.cq
+             ~sense:s.sense ~obj_const:s.obj_const ~bound_rows) )
 end
+
+type snapshot = Fraction_free.snapshot
+
+let snapshot_words = Fraction_free.words
 
 let solve_exact model =
   Telemetry.Span.with_span ~attrs:Exact.span_attrs "lp.simplex" (fun () ->
       Exact.solve model)
 
-let solve_fast model =
+let solve_fast_keeping ~keep model =
   Telemetry.Span.with_span ~attrs:Fraction_free.span_attrs "lp.simplex"
-    (fun () -> Fraction_free.solve model)
+    (fun () -> Fraction_free.solve ~keep model)
 
-let solve model =
-  match solve_fast model with
-  | result ->
+let solve_fast model = fst (solve_fast_keeping ~keep:false model)
+
+let solve_keeping ~keep model =
+  match solve_fast_keeping ~keep model with
+  | answer ->
     Telemetry.bump fast_solves_counter;
-    result
+    answer
   | exception Numeric.Kernel.Overflow ->
     Telemetry.bump fallbacks_counter;
-    solve_exact model
+    (solve_exact model, None)
+
+let solve_with_snapshot = solve_keeping ~keep:true
+let solve model = fst (solve_keeping ~keep:false model)
+
+let reoptimize snapshot ~var ~dir ~bound =
+  let answer =
+    Telemetry.Span.with_span ~attrs:Fraction_free.warm_span_attrs "lp.simplex"
+      (fun () -> Fraction_free.reoptimize snapshot ~var ~dir ~bound)
+  in
+  Telemetry.bump fast_solves_counter;
+  answer

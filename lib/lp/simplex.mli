@@ -1,4 +1,5 @@
-(** Exact two-phase primal simplex.
+(** Exact simplex: two-phase primal from scratch, dual from a parent's
+    optimal tableau.
 
     Solves a {!Model.t} exactly using the dense tableau method with
     Bland's anti-cycling rule, so termination is guaranteed and results
@@ -15,7 +16,15 @@
     a row outgrows the native range, reruns that one model on exact
     {!Numeric.Rat}. Both engines make the same pivot decisions (exact
     signs and exact ratio comparisons), so the result is bit-identical
-    whichever engine answered. *)
+    whichever engine answered.
+
+    {!reoptimize} is the branch-and-bound warm start: it takes the
+    fraction-free engine's final tableau ({!snapshot}) and adds one
+    variable bound. The bound tightens the variable's bound row in
+    place when it has one, and is appended as a new row otherwise. A
+    dual simplex under the dual Bland rule then restores optimality. The optimal objective is the one
+    a cold {!solve} of the same LP returns; when the LP has several
+    optimal vertices the point may be a different one of them. *)
 
 (** An optimal point: [objective] includes any constant term of the
     model's objective; [values] has one entry per model variable. *)
@@ -40,9 +49,38 @@ val fast_kernel : string
 
 val exact_kernel : string
 
-(** Number of pivots performed by the last solve on this domain
-    (statistics for benchmarking; not part of the solver contract). *)
-val last_pivot_count : unit -> int
+(** {1 Warm start} *)
+
+(** The fraction-free engine's optimal tableau, basis and integer cost
+    vector. Immutable: any number of {!reoptimize} calls may share
+    one. *)
+type snapshot
+
+(** Which side of a variable a bound limits: [Upper] is [x ≤ b],
+    [Lower] is [x ≥ b]. *)
+type direction = Upper | Lower
+
+(** [solve_with_snapshot model] is {!solve} plus, when the
+    fraction-free engine answered [Optimal], its final tableau. Same
+    counters and spans as {!solve}. *)
+val solve_with_snapshot : Model.t -> result * snapshot option
+
+(** [reoptimize s ~var ~dir ~bound] solves the LP of [s] with the
+    extra bound [x_var ≤ bound] ([Upper]) or [x_var ≥ bound] ([Lower]),
+    from [s]'s basis by dual simplex, on a copy of the tableau. The
+    snapshot is [Some] exactly when the result is [Optimal]. Never
+    [Unbounded]. On success bumps [numeric.fast_solves] and records an
+    [lp.simplex] span with [lp.kernel] {!fast_kernel} and [lp.start]
+    ["warm"].
+    @raise Numeric.Kernel.Overflow when the native range is exceeded;
+      no counter is bumped then, and the caller solves the child cold.
+    @raise Invalid_argument when [var] is not a variable of the model. *)
+val reoptimize :
+  snapshot -> var:Model.var -> dir:direction -> bound:Numeric.Rat.t ->
+  result * snapshot option
+
+(** Heap words a retained snapshot holds, for memory budgets. *)
+val snapshot_words : snapshot -> int
 
 (** {1 The two engines}
 

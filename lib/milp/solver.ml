@@ -7,10 +7,16 @@
    ordering and for pruning before the node's own relaxation is solved.
 
    Node bookkeeping (keys, incumbents, branch bounds) stays in exact
-   Rat. Relaxations go through [Lp.Simplex.solve], which pivots on
-   native ints and reruns a relaxation on Rat only when that one
-   overflows; the answer is bit-identical either way, so the tree does
-   not depend on which engine answered. *)
+   Rat. The root and any node without a parent tableau go through
+   [Lp.Simplex.solve_with_snapshot], which pivots on native ints and
+   reruns a relaxation on Rat only when that one overflows. Every other
+   node is warm: [Lp.Simplex.reoptimize] adds its branching bound to
+   the parent's final fraction-free tableau and runs a few dual pivots.
+   A warm child that overflows is solved cold instead. Both children
+   of a node share its tableau, and the tableaus retained by open
+   nodes are capped at [snapshot_budget] words; children created past
+   the cap carry none and solve cold. Every decision is exact and
+   deterministic, so the tree is a function of the input alone. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -19,6 +25,7 @@ type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
 let nodes_counter = Telemetry.counter Telemetry.milp_nodes
 let incumbents_counter = Telemetry.counter Telemetry.milp_incumbents
+let warm_nodes_counter = Telemetry.counter Telemetry.milp_warm_nodes
 
 let solve_nodes_hist =
   Telemetry.histogram Telemetry.milp_solve_nodes
@@ -39,13 +46,26 @@ type outcome = {
   elapsed : float;
 }
 
-type bound_dir = Upper | Lower
+(* Heap words that the parent tableaus of open nodes may hold at once,
+   per solve: 1M words (8 MiB on 64-bit). The node-capped benchmark
+   solves peak at about a third of it; an uncapped solve of tens of
+   thousands of nodes reaches it and from then on solves the children
+   it cannot keep a tableau for cold, so its memory stays within a few
+   budgets of the cold path's. *)
+let snapshot_budget = 1 lsl 20
+
+(* A parent tableau shared by the open children that still need it. *)
+type shared = { snapshot : Lp.Simplex.snapshot; mutable holders : int }
 
 type node = {
   key : R.t;  (* parent relaxation objective: a valid lower bound *)
   depth : int;
   seq : int;  (* creation order, for deterministic tie-breaking *)
-  extra : (Lp.Model.var * bound_dir * B.t) list;
+  extra : (Lp.Model.var * Lp.Simplex.direction * B.t) list;
+      (* branch bounds, newest first *)
+  mutable parent : shared option;
+      (* dropped once used: the heap's vacated slots may still point
+         at a popped node *)
 }
 
 module Best_queue = Pqueue.Make (struct
@@ -103,7 +123,7 @@ let apply_extras base extra =
   List.iter
     (fun (v, dir, b) ->
       match dir with
-      | Upper -> Lp.Model.tighten_upper m v (R.of_bigint b)
+      | Lp.Simplex.Upper -> Lp.Model.tighten_upper m v (R.of_bigint b)
       | Lower -> Lp.Model.tighten_lower m v (R.of_bigint b))
     extra;
   m
@@ -178,7 +198,43 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     | Some (inc_obj, _) -> R.compare bound inc_obj < 0
   in
   let root_status = ref None in
-  Best_queue.push queue { key = R.zero; depth = 0; seq = 0; extra = [] };
+  (* Words held by the [shared] tableaus of open nodes. *)
+  let retained = ref 0 in
+  let release node =
+    match node.parent with
+    | Some sh ->
+      node.parent <- None;
+      sh.holders <- sh.holders - 1;
+      if sh.holders = 0 then
+        retained := !retained - Lp.Simplex.snapshot_words sh.snapshot
+    | None -> ()
+  in
+  let share = function
+    | Some snapshot
+      when !retained + Lp.Simplex.snapshot_words snapshot <= snapshot_budget ->
+      retained := !retained + Lp.Simplex.snapshot_words snapshot;
+      Some { snapshot; holders = 2 }
+    | _ -> None
+  in
+  (* The node's relaxation and its final tableau: warm from the
+     parent's when there is one, cold otherwise or on overflow. Either
+     way exactly one of numeric.fast_solves / numeric.fallbacks
+     moves. *)
+  let relax node =
+    let cold () = Lp.Simplex.solve_with_snapshot (apply_extras base node.extra) in
+    match (node.parent, node.extra) with
+    | Some sh, (var, dir, b) :: _ -> (
+      match
+        Lp.Simplex.reoptimize sh.snapshot ~var ~dir ~bound:(R.of_bigint b)
+      with
+      | answer ->
+        Telemetry.bump warm_nodes_counter;
+        answer
+      | exception Numeric.Kernel.Overflow -> cold ())
+    | _ -> cold ()
+  in
+  Best_queue.push queue
+    { key = R.zero; depth = 0; seq = 0; extra = []; parent = None };
   let interrupted = ref false in
   let rec loop () =
     if out_of_budget () then interrupted := true
@@ -194,7 +250,10 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
           && not
                (better_than_incumbent
                   (strengthen ~integral:integral_objective node.key))
-        then loop ()
+        then begin
+          release node;
+          loop ()
+        end
         else begin
           incr nodes;
           Telemetry.bump nodes_counter;
@@ -204,16 +263,17 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
              sparse on big trees. *)
           if (not is_root) && node_sampled !nodes then
             emit_bound (strengthen ~integral:integral_objective node.key);
-          let relax () = Lp.Simplex.solve (apply_extras base node.extra) in
-          let relaxation =
+          let relaxation, snapshot =
             if Telemetry.enabled () && node_sampled !nodes then
               Telemetry.Span.with_span
                 ~attrs:
                   [ ("node", string_of_int !nodes);
                     ("depth", string_of_int node.depth) ]
-                "milp.node" relax
-            else relax ()
+                "milp.node"
+                (fun () -> relax node)
+            else relax node
           in
+          release node;
           (match relaxation with
            | Lp.Simplex.Infeasible ->
              if is_root then root_status := Some Infeasible
@@ -237,10 +297,11 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
                  incumbent := Some (lp_obj, values)
                | Some v ->
                  let x = values.(v) in
+                 let parent = share snapshot in
                  let mk dir b =
                    incr seq;
                    { key = lp_obj; depth = node.depth + 1; seq = !seq;
-                     extra = (v, dir, b) :: node.extra }
+                     extra = (v, dir, b) :: node.extra; parent }
                  in
                  Best_queue.push queue (mk Lower (R.ceil x));
                  Best_queue.push queue (mk Upper (R.floor x))

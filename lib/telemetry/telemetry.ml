@@ -732,6 +732,7 @@ let numeric_fast_solves = "numeric.fast_solves"
 let numeric_fallbacks = "numeric.fallbacks"
 let milp_nodes = "milp.nodes"
 let milp_incumbents = "milp.incumbents"
+let milp_warm_nodes = "milp.warm_nodes"
 let heuristic_evals = "heuristics.evaluations"
 let service_requests = "service.requests"
 let service_cache_hits = "service.cache_hits"
@@ -776,6 +777,8 @@ let () =
     [ (lp_pivots, "Simplex pivots across both LP engines.");
       (milp_nodes, "Branch-and-bound nodes evaluated.");
       (milp_incumbents, "Incumbent improvements (warm starts included).");
+      ( milp_warm_nodes,
+        "Branch-and-bound nodes re-solved from the parent's tableau." );
       (heuristic_evals, "Cost-oracle evaluations by the heuristics.");
       (service_requests, "Solve requests admitted (sheds excluded).");
       (service_cache_hits, "Requests answered from the solution cache.");

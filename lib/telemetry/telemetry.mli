@@ -350,6 +350,11 @@ val milp_nodes : string
     {!Milp.Solver}. *)
 val milp_incumbents : string
 
+(** Branch-and-bound nodes {!Milp.Solver} solved warm, by dual simplex
+    from the parent's final tableau; the rest of [milp.nodes] solved
+    cold. *)
+val milp_warm_nodes : string
+
 (** Cost-oracle evaluations by {!Rentcost.Heuristics}. *)
 val heuristic_evals : string
 

@@ -8,6 +8,7 @@ let () =
       Test_numeric.suite;
       Test_prng.suite;
       Test_lp.suite;
+      Test_warm.suite;
       Test_simplex_oracle.suite;
       Test_milp.suite;
       Test_knapsack.suite;

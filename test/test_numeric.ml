@@ -112,10 +112,11 @@ let test_simplex_overflow_on_pivot () =
   M.add_constraint m (L.of_terms [ (x, ri a); (y, ri b) ]) M.Ge R.one;
   M.add_constraint m (L.of_terms [ (x, ri d); (y, R.one) ]) M.Ge R.one;
   M.set_objective m M.Minimize (L.of_terms [ (x, R.one); (y, R.one) ]);
+  let pivots0 = Telemetry.value Telemetry.lp_pivots in
   Alcotest.check_raises "Fast overflows mid-pivot" K.Overflow (fun () ->
       ignore (S.solve_fast m));
   Alcotest.(check int) "overflow came on the first pivot" 1
-    (S.last_pivot_count ());
+    (Telemetry.value Telemetry.lp_pivots - pivots0);
   match check_falls_back m with
   | S.Optimal sol ->
     Alcotest.(check bool) "exact optimum is feasible" true
@@ -160,7 +161,8 @@ let test_driver_fast_path () =
 
 (* Near-max-int costs (far beyond the fast range): the relaxations
    overflow the fast engine, each reruns on Rat, and the answer still
-   matches the exhaustive oracle exactly. *)
+   matches the exhaustive oracle exactly. Then a warm child that
+   overflows: it re-solves cold. *)
 let test_driver_falls_back_on_huge_costs () =
   let huge = max_int / 1024 in
   let chain types = Rentcost.Task_graph.chain ~ntypes:2 ~types in
@@ -179,7 +181,47 @@ let test_driver_falls_back_on_huge_costs () =
     (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost;
   Alcotest.(check bool) "at least one fallback" true (fallbacks >= 1);
   Alcotest.(check int) "one relaxation per node" o.Rentcost.Ilp.nodes
-    (fast + fallbacks)
+    (fast + fallbacks);
+  (* Warm children overflow too. Here the root and every cold
+     relaxation fit the fast range, but a child's dual pivots on top of
+     the root's tableau do not: that child re-solves cold, still on the
+     fast engine, and still counts as exactly one relaxation. *)
+  let m = M.create () in
+  let xs = Array.init 3 (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
+  let row coeffs rhs =
+    M.add_constraint m
+      (L.of_terms (List.mapi (fun i c -> (xs.(i), ri c)) coeffs))
+      M.Ge (ri rhs)
+  in
+  row [ 3808; 3247; 3671 ] 1910;
+  row [ 3820; 2; 1 ] 3159;
+  row [ 3923; 1; 3559 ] 2203;
+  Array.iter (fun x -> M.tighten_upper m x (ri 50)) xs;
+  M.set_objective m M.Minimize
+    (L.of_terms [ (xs.(0), ri 3); (xs.(1), ri 2); (xs.(2), ri 8) ]);
+  Alcotest.(check bool) "root fits the fast range" true
+    (match S.solve_fast m with
+     | _ -> true
+     | exception K.Overflow -> false);
+  let warm0 = Telemetry.value Telemetry.milp_warm_nodes in
+  let o, fast, fallbacks =
+    count_relaxations (fun () ->
+        Milp.Solver.solve m ~integer:(Array.to_list xs))
+  in
+  let warm = Telemetry.value Telemetry.milp_warm_nodes - warm0 in
+  let nodes = o.Milp.Solver.nodes in
+  Alcotest.(check bool) "MIP proved optimal" true
+    (o.Milp.Solver.status = Milp.Solver.Optimal);
+  (match o.Milp.Solver.solution with
+   | Some sol -> check_rat "MIP optimum (x0 = 1)" (ri 3) sol.Milp.Solver.objective
+   | None -> Alcotest.fail "MIP must have a solution");
+  Alcotest.(check int) "MIP: one relaxation per node" nodes (fast + fallbacks);
+  Alcotest.(check int) "MIP: no fallback" 0 fallbacks;
+  Alcotest.(check bool)
+    (Printf.sprintf "a child with a parent tableau solved cold (%d warm of %d)"
+       warm nodes)
+    true
+    (warm < nodes - 1)
 
 (* Regression: the paper's figure presets stay inside the fast range.
    Node-capped solves over four seeded instances of each of the Fig. 3,

@@ -1,0 +1,308 @@
+(* The branch-and-bound warm start. [Lp.Simplex.reoptimize] must agree
+   with a cold [Lp.Simplex.solve] of the same child LP: the same result,
+   the same exact objective, and a point feasible for the child. Then
+   the warm tree of [Milp.Solver], end to end: against the exhaustive
+   oracle, and past the snapshot word budget, where children fall back
+   to cold solves. *)
+
+module R = Numeric.Rat
+module L = Lp.Linexpr
+module M = Lp.Model
+module S = Lp.Simplex
+
+let ri = R.of_int
+let expr terms = L.of_terms (List.map (fun (v, n) -> (v, ri n)) terms)
+
+let check_rat msg expected actual =
+  Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
+
+(* [m] with one more variable bound. *)
+let child m v dir b =
+  let c = M.copy m in
+  (match dir with
+   | S.Upper -> M.tighten_upper c v b
+   | S.Lower -> M.tighten_lower c v b);
+  c
+
+let within_bounds m values =
+  let ok = ref true in
+  Array.iteri
+    (fun v x ->
+      let lo, up = M.bounds m v in
+      if R.compare x lo < 0 then ok := false;
+      match up with Some u when R.compare x u > 0 -> ok := false | _ -> ())
+    values;
+  !ok
+
+(* A warm answer for [m] agrees with a cold solve of [m]. *)
+let agrees m warm =
+  match (warm, S.solve m) with
+  | S.Optimal w, S.Optimal c ->
+    R.equal w.S.objective c.S.objective
+    && M.check_feasible m w.S.values
+    && within_bounds m w.S.values
+  | S.Infeasible, S.Infeasible -> true
+  | _ -> false
+
+let snapshot_of m =
+  match S.solve_with_snapshot m with
+  | S.Optimal sol, Some snap -> (sol, snap)
+  | _ -> Alcotest.fail "parent must solve optimally on the fast engine"
+
+(* Warm-solve the child of [m] from [snap], check it against the cold
+   solve, and return the child model and the warm answer. *)
+let check_child label m snap v dir b =
+  let c = child m v dir b in
+  let warm = S.reoptimize snap ~var:v ~dir ~bound:b in
+  Alcotest.(check bool) (label ^ ": agrees with a cold solve") true
+    (agrees c (fst warm));
+  (c, warm)
+
+let objective_of label = function
+  | S.Optimal sol, Some _ -> sol.S.objective
+  | S.Optimal _, None -> Alcotest.fail (label ^ ": optimal without a snapshot")
+  | _ -> Alcotest.fail (label ^ ": expected an optimum")
+
+(* min -x - y + z  s.t.  2x + y <= 5,  x + 2y - z <= 5.
+   Optimum x = y = 5/3, z = 0 (objective -10/3): x and y are basic and
+   fractional, z is nonbasic with reduced cost 2/3. *)
+let parent_model () =
+  let m = M.create () in
+  let x = M.add_var m ~name:"x" in
+  let y = M.add_var m ~name:"y" in
+  let z = M.add_var m ~name:"z" in
+  M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le (ri 5);
+  M.add_constraint m (expr [ (x, 1); (y, 2); (z, -1) ]) M.Le (ri 5);
+  M.set_objective m M.Minimize (expr [ (x, -1); (y, -1); (z, 1) ]);
+  (m, x, y, z)
+
+let test_parent () =
+  let m, x, _, z = parent_model () in
+  let sol, _ = snapshot_of m in
+  check_rat "parent objective" (R.of_ints (-10) 3) sol.S.objective;
+  check_rat "x fractional" (R.of_ints 5 3) sol.S.values.(x);
+  check_rat "z at zero" R.zero sol.S.values.(z)
+
+let test_upper_on_basic () =
+  let m, x, _, _ = parent_model () in
+  let _, snap = snapshot_of m in
+  let _, warm = check_child "x <= 1" m snap x S.Upper R.one in
+  check_rat "x <= 1 optimum" (ri (-3)) (objective_of "x <= 1" warm)
+
+let test_lower_on_basic () =
+  let m, x, _, _ = parent_model () in
+  let _, snap = snapshot_of m in
+  let _, warm = check_child "x >= 2" m snap x S.Lower (ri 2) in
+  check_rat "x >= 2 optimum" (ri (-3)) (objective_of "x >= 2" warm)
+
+let test_bounds_on_nonbasic () =
+  let m, _, _, z = parent_model () in
+  let _, snap = snapshot_of m in
+  let _, lower = check_child "z >= 1" m snap z S.Lower R.one in
+  check_rat "z >= 1 optimum" (R.of_ints (-8) 3) (objective_of "z >= 1" lower);
+  let _, upper = check_child "z <= 0" m snap z S.Upper R.zero in
+  check_rat "z <= 0 leaves the optimum" (R.of_ints (-10) 3)
+    (objective_of "z <= 0" upper)
+
+let test_infeasible_child () =
+  let m, x, _, _ = parent_model () in
+  let _, snap = snapshot_of m in
+  match check_child "x >= 3" m snap x S.Lower (ri 3) with
+  | _, (S.Infeasible, None) -> ()
+  | _ -> Alcotest.fail "x >= 3 contradicts 2x + y <= 5"
+
+(* The snapshot is never mutated: both children of one parent, in
+   either order, see the parent's tableau. *)
+let test_siblings_share_snapshot () =
+  let m, x, _, _ = parent_model () in
+  let _, snap = snapshot_of m in
+  for _ = 1 to 2 do
+    ignore (check_child "x <= 1" m snap x S.Upper R.one);
+    ignore (check_child "x >= 2" m snap x S.Lower (ri 2))
+  done
+
+(* A chain of bounds, each warm from the last child: bounds on a
+   variable that already has a bound row (a model bound, or one the
+   chain added) move that row's right-hand side in place; a looser
+   bound than the row's own changes nothing; a fractional bound joins
+   as a new row. *)
+let test_bound_chain () =
+  let m, x, y, z = parent_model () in
+  M.tighten_upper m x (ri 2);
+  let steps =
+    [ ("x <= 1 (model bound row)", x, S.Upper, R.one);
+      ("x <= 4 (looser)", x, S.Upper, ri 4);
+      ("z >= 1 (new row)", z, S.Lower, R.one);
+      ("z >= 2 (in place)", z, S.Lower, ri 2);
+      ("y <= 5/2 (fractional)", y, S.Upper, R.of_ints 5 2);
+      ("y <= 1 (in place)", y, S.Upper, R.one);
+      ("x <= 0", x, S.Upper, R.zero) ]
+  in
+  let _, snap = snapshot_of m in
+  ignore
+    (List.fold_left
+       (fun (m, snap) (label, v, dir, b) ->
+         match check_child label m snap v dir b with
+         | c, (S.Optimal _, Some snap) -> (c, snap)
+         | _ -> Alcotest.fail (label ^ ": expected an optimum"))
+       (m, snap) steps)
+
+(* --- qcheck: random bounded models, two levels deep --- *)
+
+let half = R.of_ints 1 2
+
+(* Integer and fractional bounds in both directions around [x]. *)
+let bounds_around x =
+  [ (S.Upper, R.of_bigint (R.floor x)); (S.Lower, R.of_bigint (R.ceil x));
+    (S.Upper, R.sub x half); (S.Lower, R.add x half) ]
+
+let warm_agrees_twice m =
+  match S.solve_with_snapshot m with
+  | S.Optimal sol, Some snap ->
+    let n = M.num_vars m in
+    List.for_all
+      (fun v ->
+        List.for_all
+          (fun (dir, b) ->
+            let c = child m v dir b in
+            match S.reoptimize snap ~var:v ~dir ~bound:b with
+            | exception Numeric.Kernel.Overflow -> true
+            | (S.Optimal csol, Some csnap) as warm ->
+              let w = (v + 1) mod n in
+              agrees c (fst warm)
+              && List.for_all
+                   (fun (dir, b) ->
+                     match S.reoptimize csnap ~var:w ~dir ~bound:b with
+                     | exception Numeric.Kernel.Overflow -> true
+                     | gwarm, _ -> agrees (child c w dir b) gwarm)
+                   (bounds_around csol.S.values.(w))
+            | warm, _ -> agrees c warm)
+          (bounds_around sol.S.values.(v)))
+      (List.init n Fun.id)
+  | _ -> true
+
+let reoptimize_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~name:"reoptimize agrees with cold solves, two bounds deep"
+         Test_lp.bounded_gen (fun input ->
+           warm_agrees_twice (Test_lp.build_bounded input))) ]
+
+(* --- the warm tree --- *)
+
+let warm_nodes () = Telemetry.value Telemetry.milp_warm_nodes
+
+(* Counter deltas of [f ()]: warm nodes, fast solves, fallbacks. *)
+let counting f =
+  let w0 = warm_nodes () in
+  let fast0 = Telemetry.value Telemetry.numeric_fast_solves in
+  let fb0 = Telemetry.value Telemetry.numeric_fallbacks in
+  let x = f () in
+  ( x,
+    warm_nodes () - w0,
+    Telemetry.value Telemetry.numeric_fast_solves - fast0,
+    Telemetry.value Telemetry.numeric_fallbacks - fb0 )
+
+(* Random shared-type instances: 3-4 recipes over 3 types. *)
+let instance_gen =
+  QCheck2.Gen.(
+    pair
+      (pair
+         (list_size (return 3) (pair (int_range 1 20) (int_range 1 20)))
+         (list_size (int_range 3 4)
+            (list_size (int_range 1 4) (int_range 0 2))))
+      (int_range 1 30))
+
+let build_instance ((machines, recipes), target) =
+  let platform = Rentcost.Platform.of_list machines in
+  let recipes =
+    Array.of_list
+      (List.map
+         (fun types ->
+           Rentcost.Task_graph.chain ~ntypes:3 ~types:(Array.of_list types))
+         recipes)
+  in
+  (Rentcost.Problem.create platform recipes, target)
+
+(* Without the heuristic incumbent the tree has something to prune.
+   Every node but the root has a parent tableau and none overflows at
+   this scale, so all of them answer warm. *)
+let tree_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"warm-started ILP matches exhaustive, every child warm"
+         instance_gen (fun input ->
+           let problem, target = build_instance input in
+           let o, warm, fast, fallbacks =
+             counting (fun () ->
+                 Rentcost.Ilp.optimize ~warm_start:false ~problem ~target ())
+           in
+           let nodes = o.Rentcost.Ilp.nodes in
+           let cost a = a.Rentcost.Allocation.cost in
+           o.Rentcost.Ilp.proved_optimal
+           && cost (Option.get o.Rentcost.Ilp.allocation)
+              = cost (Rentcost.Exhaustive.run ~problem ~target ())
+           && warm = nodes - 1
+           && fast + fallbacks = nodes)) ]
+
+(* Three recipes of 40 tasks over 80 types: a packed snapshot is about
+   13k words, so the open nodes' tableaus reach the 1M-word budget
+   after a few hundred nodes and later children solve cold. The
+   optimum must not care, and the exhaustive oracle (three recipes) is
+   cheap. *)
+let wide_problem () =
+  let rng = Numeric.Prng.create 3 in
+  let q = 80 in
+  let draw () = 1 + Numeric.Prng.int rng 20 in
+  let machines =
+    List.init q (fun _ ->
+        let cost = draw () in
+        let throughput = draw () in
+        (cost, throughput))
+  in
+  let recipe () =
+    Rentcost.Task_graph.chain ~ntypes:q
+      ~types:(Array.init 40 (fun _ -> Numeric.Prng.int rng q))
+  in
+  let r0 = recipe () in
+  let r1 = recipe () in
+  let r2 = recipe () in
+  Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
+
+let test_snapshot_budget () =
+  let problem = wide_problem () and target = 10 in
+  let o, warm, fast, fallbacks =
+    counting (fun () ->
+        Rentcost.Ilp.optimize ~warm_start:false ~problem ~target ())
+  in
+  let nodes = o.Rentcost.Ilp.nodes in
+  Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
+  Alcotest.(check int) "cost matches the oracle"
+    (Rentcost.Exhaustive.run ~problem ~target ()).Rentcost.Allocation.cost
+    (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost;
+  Alcotest.(check int) "no fallback" 0 fallbacks;
+  Alcotest.(check int) "one relaxation per node" nodes fast;
+  Alcotest.(check bool)
+    (Printf.sprintf "warm children (%d of %d nodes)" warm nodes)
+    true (warm > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "cold children past the budget (%d)" (nodes - 1 - warm))
+    true
+    (nodes - 1 - warm > 0)
+
+let suite =
+  ( "lp-warm",
+    [ Alcotest.test_case "parent optimum" `Quick test_parent;
+      Alcotest.test_case "upper bound on a basic variable" `Quick
+        test_upper_on_basic;
+      Alcotest.test_case "lower bound on a basic variable" `Quick
+        test_lower_on_basic;
+      Alcotest.test_case "bounds on a nonbasic variable" `Quick
+        test_bounds_on_nonbasic;
+      Alcotest.test_case "infeasible child" `Quick test_infeasible_child;
+      Alcotest.test_case "siblings share one snapshot" `Quick
+        test_siblings_share_snapshot;
+      Alcotest.test_case "chain of bounds" `Quick test_bound_chain;
+      Alcotest.test_case "snapshot budget: warm and cold children" `Quick
+        test_snapshot_budget ]
+    @ reoptimize_props @ tree_props )
