@@ -1129,10 +1129,13 @@ type fallback_stats = {
   fb_pivots : int;
   fb_nodes : int;
   fb_warm_nodes : int;
+  fb_peak_words : int;
 }
 
 (* Solver effort under [f], read as counter deltas: each LP relaxation
-   bumps exactly one of numeric.fast_solves / numeric.fallbacks. *)
+   bumps exactly one of numeric.fast_solves / numeric.fallbacks. [f]
+   returns the most words its solves retained in warm-start
+   tableaus. *)
 let count_fallbacks f =
   let names =
     Telemetry.
@@ -1140,11 +1143,11 @@ let count_fallbacks f =
         milp_warm_nodes ]
   in
   let before = List.map Telemetry.value names in
-  f ();
+  let peak = f () in
   match List.map2 (fun n b -> Telemetry.value n - b) names before with
   | [ fast; fb; pivots; nodes; warm ] ->
     { fb_relaxations = fast + fb; fb_fallbacks = fb; fb_pivots = pivots;
-      fb_nodes = nodes; fb_warm_nodes = warm }
+      fb_nodes = nodes; fb_warm_nodes = warm; fb_peak_words = peak }
   | _ -> assert false
 
 let ratio a b = float_of_int a /. Float.max (float_of_int b) 1.
@@ -1154,10 +1157,15 @@ let paper_instances_per_preset = 4
 let paper_targets = [ 20; 60; 100; 140; 200 ]
 let paper_node_limit = 300
 
+(* The most words one [Ilp.optimize] retained in warm-start tableaus,
+   folded over solves. *)
+let peak_after acc o = Int.max acc o.Rentcost.Ilp.peak_retained_words
+
 (* The paper-scale workload: node-capped solves over seeded instances
    of the Fig. 3, 6 and 7 presets. The acceptance bar is zero
-   fallbacks here. *)
+   fallbacks here. Returns the peak retained words. *)
 let paper_workload () =
+  let peak = ref 0 in
   List.iter
     (fun id ->
       let preset = Option.get (Cloudsim.Experiments.find id) in
@@ -1169,12 +1177,14 @@ let paper_workload () =
         in
         List.iter
           (fun target ->
-            ignore
-              (Rentcost.Ilp.optimize ~node_limit:paper_node_limit ~problem
-                 ~target ()))
+            peak :=
+              peak_after !peak
+                (Rentcost.Ilp.optimize ~node_limit:paper_node_limit ~problem
+                   ~target ()))
           paper_targets
       done)
-    paper_presets
+    paper_presets;
+  !peak
 
 (* Costs near max_int sit far outside the fast range, so every
    relaxation must overflow and rerun on Rat. *)
@@ -1186,10 +1196,10 @@ let overflow_problem =
     [| chain [| 0 |]; chain [| 0; 1 |] |]
 
 let stress_workload () =
-  List.iter
-    (fun target ->
-      ignore (Rentcost.Ilp.optimize ~problem:overflow_problem ~target ()))
-    [ 10; 20; 30 ]
+  List.fold_left
+    (fun peak target ->
+      peak_after peak (Rentcost.Ilp.optimize ~problem:overflow_problem ~target ()))
+    0 [ 10; 20; 30 ]
 
 let write_numeric_json ~path ~splits ~paper ~stress =
   let oc = open_out path in
@@ -1200,7 +1210,7 @@ let write_numeric_json ~path ~splits ~paper ~stress =
       (json_escape k.ks_label) k.ks_rat_us k.ks_fast_us (ks_speedup k)
       k.ks_identical
   in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/4\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/5\",\n";
   Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
   Printf.fprintf oc "  \"kernels\": {\"fast\": \"%s\", \"exact\": \"%s\"},\n"
     Lp.Simplex.fast_kernel Lp.Simplex.exact_kernel;
@@ -1223,17 +1233,19 @@ let write_numeric_json ~path ~splits ~paper ~stress =
   Printf.fprintf oc
     "  \"warm_start\": {\"paper_nodes\": %d, \"paper_warm_nodes\": %d, \
      \"paper_warm_share\": %.4f, \"paper_pivots\": %d, \
-     \"paper_pivots_per_relaxation\": %.3f}\n"
+     \"paper_pivots_per_relaxation\": %.3f, \
+     \"paper_peak_retained_words\": %d, \"snapshot_budget_words\": %d}\n"
     paper.fb_nodes paper.fb_warm_nodes
     (ratio paper.fb_warm_nodes paper.fb_nodes)
     paper.fb_pivots
-    (ratio paper.fb_pivots paper.fb_relaxations);
+    (ratio paper.fb_pivots paper.fb_relaxations)
+    paper.fb_peak_words Milp.Solver.snapshot_budget;
   Printf.fprintf oc "}\n";
   close_out oc
 
 (* The committed file's seed and paper-workload effort counts
-   (relaxations, pivots, warm nodes), read before this run rewrites
-   it. *)
+   (relaxations, pivots, warm nodes, peak retained words), read before
+   this run rewrites it. *)
 let committed_paper_counts path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error _ -> None
@@ -1248,10 +1260,11 @@ let committed_paper_counts path =
         ( Svc.Json.get_int "seed" json,
           field "fallback" "paper_relaxations",
           field "warm_start" "paper_pivots",
-          field "warm_start" "paper_warm_nodes" )
+          field "warm_start" "paper_warm_nodes",
+          field "warm_start" "paper_peak_retained_words" )
       with
-      | Some seed, Some relaxations, Some pivots, Some warm ->
-        Some (seed, relaxations, pivots, warm)
+      | Some seed, Some relaxations, Some pivots, Some warm, Some peak ->
+        Some (seed, relaxations, pivots, warm, peak)
       | _ -> None))
 
 let emit_numeric_json ~reps =
@@ -1267,9 +1280,10 @@ let emit_numeric_json ~reps =
   Printf.printf
     "BENCH_numeric.json written (lp.simplex %.1f us rat vs %.1f us fast, \
      %.1fx; paper workload %d relaxations / %d fallbacks, %d pivots, %d of \
-     %d nodes warm; stress %d / %d)\n"
+     %d nodes warm, peak %d retained words; stress %d / %d)\n"
     lp.ks_rat_us lp.ks_fast_us (ks_speedup lp) paper.fb_relaxations
     paper.fb_fallbacks paper.fb_pivots paper.fb_warm_nodes paper.fb_nodes
+    paper.fb_peak_words
     stress.fb_relaxations stress.fb_fallbacks;
   (splits, paper, stress)
 
@@ -1739,26 +1753,34 @@ let smoke () =
     (ks_speedup lp7 >= 2.0);
   check "paper workload ran relaxations" (paper.fb_relaxations > 0);
   check "zero fallbacks on the figure-preset workload" (paper.fb_fallbacks = 0);
-  (* Pivots and warm nodes are deterministic for a seed, so they are
-     gated exactly against the committed file. *)
+  (* Pivots, warm nodes and the peak retained words are deterministic
+     for a seed, so they are gated exactly against the committed
+     file. *)
   (match committed with
-   | Some (seed, relaxations, pivots, warm) when seed = root_seed ->
+   | Some (seed, relaxations, pivots, warm, peak) when seed = root_seed ->
      check
        (Printf.sprintf
           "paper workload effort matches the committed BENCH_numeric.json \
-           (%d relaxations, %d pivots, %d warm nodes; committed %d, %d, %d)"
-          paper.fb_relaxations paper.fb_pivots paper.fb_warm_nodes relaxations
-          pivots warm)
+           (%d relaxations, %d pivots, %d warm nodes, peak %d retained \
+           words; committed %d, %d, %d, %d)"
+          paper.fb_relaxations paper.fb_pivots paper.fb_warm_nodes
+          paper.fb_peak_words relaxations pivots warm peak)
        (paper.fb_relaxations = relaxations
        && paper.fb_pivots = pivots
-       && paper.fb_warm_nodes = warm)
-   | Some (seed, _, _, _) ->
+       && paper.fb_warm_nodes = warm
+       && paper.fb_peak_words = peak)
+   | Some (seed, _, _, _, _) ->
      Printf.printf
        "SKIP paper-workload effort gate (committed seed %d, this run %d; \
         not counted as a pass)\n"
        seed root_seed
    | None ->
      check "committed BENCH_numeric.json carries paper-workload effort" false);
+  check
+    (Printf.sprintf
+       "paper workload retains under the snapshot budget (peak %d of %d words)"
+       paper.fb_peak_words Milp.Solver.snapshot_budget)
+    (paper.fb_peak_words <= Milp.Solver.snapshot_budget);
   check "overflow stress workload falls back on every relaxation"
     (stress.fb_relaxations > 0 && stress.fb_fallbacks = stress.fb_relaxations);
   (* Autoscale: on the pinned diurnal trace the elastic controller must

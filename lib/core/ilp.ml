@@ -6,6 +6,7 @@ type outcome = {
   status : Milp.Solver.status;
   best_bound : int option;
   nodes : int;
+  peak_retained_words : int;
   elapsed : float;
 }
 
@@ -209,6 +210,7 @@ let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
     status = result.Milp.Solver.status;
     best_bound;
     nodes = result.Milp.Solver.nodes;
+    peak_retained_words = result.Milp.Solver.peak_retained_words;
     elapsed = Unix.gettimeofday () -. t0 }
 
 let lp_lower_bound problem ~target =

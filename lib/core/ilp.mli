@@ -27,6 +27,9 @@ type outcome = {
   best_bound : int option;
       (** proven lower bound on the optimal cost (rounded up) *)
   nodes : int;  (** branch-and-bound nodes *)
+  peak_retained_words : int;
+      (** the branch and bound's peak words of retained warm-start
+          tableaus (see {!Milp.Solver.outcome}) *)
   elapsed : float;  (** seconds *)
 }
 

@@ -632,17 +632,13 @@ module Fraction_free = struct
 
   let key v dir = (2 * v) + match dir with Upper -> 0 | Lower -> 1
 
-  (* An optimal phase-2 tableau, packed: each row's entries under
-     columns [0, live) and then its right-hand side, as 32-bit ints
-     (entries stay under 2^30), row after row. One flat block, half
-     the size of the int rows and never scanned by the GC. Banned
-     artificial columns are left out, and so are the rows where a
-     redundant artificial stayed basic after phase 1 (they are zero
-     everywhere else). *)
+  (* An optimal phase-2 tableau as int rows: each row holds its
+     entries under columns [0, ncols) and then its right-hand side, so
+     a snapshot is a tableau with no artificial columns. A warm
+     result's tableau is one already and becomes its snapshot as it
+     stands; a cold result is compacted once (see {!compact}). *)
   type snapshot = {
-    packed : Bytes.t;
-    basis : int array;
-    live : int;
+    t : tableau;
     nstruct : int;
     costs : int array;
     cq : int;
@@ -651,32 +647,38 @@ module Fraction_free = struct
     bound_rows : (int * R.t) Bound_rows.t;
   }
 
-  let snapshot (t : tableau) ~live ~nstruct ~costs ~cq ~sense ~obj_const
-      ~bound_rows =
-    let width = live + 1 in
-    let kept =
-      Array.fold_left (fun acc bv -> if bv < live then acc + 1 else acc) 0 t.basis
-    in
-    let packed = Bytes.create (4 * width * kept) in
-    let basis = Array.make kept 0 in
-    let k = ref 0 in
-    Array.iteri
-      (fun i row ->
-        if t.basis.(i) < live then begin
-          let base = 4 * width * !k in
-          for j = 0 to live - 1 do
-            Bytes.set_int32_le packed (base + (4 * j)) (Int32.of_int row.(j))
-          done;
-          Bytes.set_int32_le packed (base + (4 * live))
-            (Int32.of_int row.(t.ncols));
-          basis.(!k) <- t.basis.(i);
-          incr k
-        end)
-      t.tab;
-    { packed; basis; live; nstruct; costs; cq; sense; obj_const; bound_rows }
+  (* A cold tableau without its banned artificial columns and without
+     the rows where a redundant artificial stayed basic after phase 1
+     (they are zero everywhere else). *)
+  let compact t =
+    let live = t.art_start in
+    if live = t.ncols then t
+    else begin
+      let kept =
+        Array.fold_left (fun acc bv -> if bv < live then acc + 1 else acc) 0 t.basis
+      in
+      let tab = Array.make kept [||] and basis = Array.make kept 0 in
+      let k = ref 0 in
+      Array.iteri
+        (fun i src ->
+          if t.basis.(i) < live then begin
+            let row = Array.make (live + 1) 0 in
+            Array.blit src 0 row 0 live;
+            row.(live) <- src.(t.ncols);
+            tab.(!k) <- row;
+            basis.(!k) <- t.basis.(i);
+            incr k
+          end)
+        t.tab;
+      { tab; basis; ncols = live; art_start = live }
+    end
 
-  (* Heap words: the packed block and the basis, with headers. *)
-  let words s = (Bytes.length s.packed / 8) + Array.length s.basis + 3
+  (* Heap words of the retained rows and basis, headers included. *)
+  let words s =
+    Array.fold_left
+      (fun acc row -> acc + Array.length row + 1)
+      (Array.length s.t.tab + 1 + Array.length s.t.basis + 1)
+      s.t.tab
 
   (* [keep] asks for the snapshot of an optimal result. *)
   let solve ~keep model =
@@ -803,26 +805,24 @@ module Fraction_free = struct
         ( Optimal (optimum t p ~nstruct ~sense ~obj_const),
           if keep then
             Some
-              (snapshot t ~live:art_start ~nstruct ~costs ~cq ~sense
-                 ~obj_const ~bound_rows:!bound_rows)
+              { t = compact t; nstruct; costs; cq; sense; obj_const;
+                bound_rows = !bound_rows }
           else None )
     end
 
-  (* A working copy of the snapshot's tableau with [grow] extra zero
-     columns before the right-hand side and [grow] empty rows at the
-     end. *)
-  let unpack s ~grow =
-    let m = Array.length s.basis and live = s.live in
-    let width = live + 1 and n = live + grow in
-    let tab = Array.make (m + grow) [||] in
-    let basis = Array.make (m + grow) 0 in
-    Array.blit s.basis 0 basis 0 m;
+  let copy t =
+    { t with tab = Array.map Array.copy t.tab; basis = Array.copy t.basis }
+
+  (* A copy of [t] with one more zero column before the right-hand side
+     and an empty last row. *)
+  let widen t =
+    let m = Array.length t.basis and n = t.ncols + 1 in
+    let tab = Array.make (m + 1) [||] and basis = Array.make (m + 1) 0 in
+    Array.blit t.basis 0 basis 0 m;
     for i = 0 to m - 1 do
-      let row = Array.make (n + 1) 0 and base = 4 * width * i in
-      for j = 0 to live - 1 do
-        row.(j) <- Int32.to_int (Bytes.get_int32_le s.packed (base + (4 * j)))
-      done;
-      row.(n) <- Int32.to_int (Bytes.get_int32_le s.packed (base + (4 * live)));
+      let row = Array.make (n + 1) 0 in
+      Array.blit t.tab.(i) 0 row 0 t.ncols;
+      row.(n) <- t.tab.(i).(t.ncols);
       tab.(i) <- row
     done;
     { tab; basis; ncols = n; art_start = n }
@@ -840,8 +840,11 @@ module Fraction_free = struct
      where the parent point violates the bound. The parent's reduced
      costs are all non-negative and a new slack's is zero, so the
      basis is dual feasible and the dual simplex finishes the job. A
-     looser bound than the row's own leaves the LP unchanged. *)
-  let reoptimize s ~var ~dir ~bound =
+     looser bound than the row's own leaves the LP unchanged. With
+     [own] the caller gives up [s], and a child whose bound moves in
+     place pivots in [s]'s own rows. The result's tableau is never
+     copied: it becomes the child's snapshot. *)
+  let reoptimize ~own s ~var ~dir ~bound =
     if var < 0 || var >= s.nstruct then invalid_arg "Simplex.reoptimize: var";
     let tighter b =
       match dir with Upper -> R.min b bound | Lower -> R.max b bound
@@ -858,7 +861,7 @@ module Fraction_free = struct
     let t, bound_rows =
       match in_place with
       | Some (col, b', d) ->
-        let t = unpack s ~grow:0 in
+        let t = if own then s.t else copy s.t in
         let n = t.ncols in
         let d = match dir with Upper -> d | Lower -> -d in
         if d <> 0 then
@@ -870,8 +873,8 @@ module Fraction_free = struct
             t.tab;
         (t, Bound_rows.add (key var dir) (col, b') s.bound_rows)
       | None ->
-        let t = unpack s ~grow:1 in
-        let live = s.live and n = t.ncols and m = Array.length t.tab - 1 in
+        let t = widen s.t in
+        let live = s.t.ncols and n = t.ncols and m = Array.length t.tab - 1 in
         let p, q =
           match R.to_small bound with
           | Some (p, q) when abs p < range && q < range -> (p, q)
@@ -895,14 +898,13 @@ module Fraction_free = struct
     else
       ( Optimal
           (optimum t p ~nstruct:s.nstruct ~sense:s.sense ~obj_const:s.obj_const),
-        Some
-          (snapshot t ~live:t.ncols ~nstruct:s.nstruct ~costs:s.costs ~cq:s.cq
-             ~sense:s.sense ~obj_const:s.obj_const ~bound_rows) )
+        Some { s with t; bound_rows } )
 end
 
 type snapshot = Fraction_free.snapshot
 
 let snapshot_words = Fraction_free.words
+let snapshot_rows (s : snapshot) = (s.t.tab, s.t.basis)
 
 let solve_exact model =
   Telemetry.Span.with_span ~attrs:Exact.span_attrs "lp.simplex" (fun () ->
@@ -926,10 +928,10 @@ let solve_keeping ~keep model =
 let solve_with_snapshot = solve_keeping ~keep:true
 let solve model = fst (solve_keeping ~keep:false model)
 
-let reoptimize snapshot ~var ~dir ~bound =
+let reoptimize ?(own = false) snapshot ~var ~dir ~bound =
   let answer =
     Telemetry.Span.with_span ~attrs:Fraction_free.warm_span_attrs "lp.simplex"
-      (fun () -> Fraction_free.reoptimize snapshot ~var ~dir ~bound)
+      (fun () -> Fraction_free.reoptimize ~own snapshot ~var ~dir ~bound)
   in
   Telemetry.bump fast_solves_counter;
   answer

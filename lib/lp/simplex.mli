@@ -51,9 +51,10 @@ val exact_kernel : string
 
 (** {1 Warm start} *)
 
-(** The fraction-free engine's optimal tableau, basis and integer cost
-    vector. Immutable: any number of {!reoptimize} calls may share
-    one. *)
+(** The fraction-free engine's optimal tableau as int rows, with its
+    basis and integer cost vector. {!reoptimize} never changes a
+    snapshot unless it is called with [~own:true], so any number of
+    non-owning calls may share one. *)
 type snapshot
 
 (** Which side of a variable a bound limits: [Upper] is [x ≤ b],
@@ -67,20 +68,30 @@ val solve_with_snapshot : Model.t -> result * snapshot option
 
 (** [reoptimize s ~var ~dir ~bound] solves the LP of [s] with the
     extra bound [x_var ≤ bound] ([Upper]) or [x_var ≥ bound] ([Lower]),
-    from [s]'s basis by dual simplex, on a copy of the tableau. The
-    snapshot is [Some] exactly when the result is [Optimal]. Never
-    [Unbounded]. On success bumps [numeric.fast_solves] and records an
-    [lp.simplex] span with [lp.kernel] {!fast_kernel} and [lp.start]
-    ["warm"].
+    from [s]'s basis by dual simplex. The snapshot is [Some] exactly
+    when the result is [Optimal]; it is the child's final tableau
+    itself, not a copy. Never [Unbounded]. On success bumps
+    [numeric.fast_solves] and records an [lp.simplex] span with
+    [lp.kernel] {!fast_kernel} and [lp.start] ["warm"].
+    @param own [true] when the caller will never read [s] again (also
+      not after an exception): a bound that moves an existing bound
+      row in place then pivots in [s]'s own rows instead of a copy of
+      them, and the result may share them. Default [false]: [s] is left
+      as it was.
     @raise Numeric.Kernel.Overflow when the native range is exceeded;
       no counter is bumped then, and the caller solves the child cold.
     @raise Invalid_argument when [var] is not a variable of the model. *)
 val reoptimize :
-  snapshot -> var:Model.var -> dir:direction -> bound:Numeric.Rat.t ->
-  result * snapshot option
+  ?own:bool -> snapshot -> var:Model.var -> dir:direction ->
+  bound:Numeric.Rat.t -> result * snapshot option
 
-(** Heap words a retained snapshot holds, for memory budgets. *)
+(** Heap words a retained snapshot holds, for memory budgets: its rows
+    and basis, block headers included. *)
 val snapshot_words : snapshot -> int
+
+(** The snapshot's int rows and basis, for tests that check
+    {!snapshot_words} against the heap. Not to be mutated. *)
+val snapshot_rows : snapshot -> int array array * int array
 
 (** {1 The two engines}
 

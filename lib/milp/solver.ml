@@ -13,10 +13,12 @@
    node is warm: [Lp.Simplex.reoptimize] adds its branching bound to
    the parent's final fraction-free tableau and runs a few dual pivots.
    A warm child that overflows is solved cold instead. Both children
-   of a node share its tableau, and the tableaus retained by open
-   nodes are capped at [snapshot_budget] words; children created past
-   the cap carry none and solve cold. Every decision is exact and
-   deterministic, so the tree is a function of the input alone. *)
+   of a node share its tableau: the first one popped works on a copy
+   of its rows, and the last one takes the rows themselves. The
+   tableaus retained by open nodes are capped at [snapshot_budget]
+   words; children created past the cap carry none and solve cold.
+   Every decision is exact and deterministic, so the tree is a
+   function of the input alone. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -43,19 +45,31 @@ type outcome = {
   solution : solution option;
   best_bound : R.t option;
   nodes : int;
+  peak_retained_words : int;
   elapsed : float;
 }
 
 (* Heap words that the parent tableaus of open nodes may hold at once,
-   per solve: 1M words (8 MiB on 64-bit). The node-capped benchmark
-   solves peak at about a third of it; an uncapped solve of tens of
-   thousands of nodes reaches it and from then on solves the children
-   it cannot keep a tableau for cold, so its memory stays within a few
-   budgets of the cold path's. *)
-let snapshot_budget = 1 lsl 20
+   per solve: 2M words (16 MiB on 64-bit). The node-capped benchmark
+   solves peak well under it (BENCH_numeric.json records the peak); an
+   uncapped solve of tens of thousands of nodes reaches it and from
+   then on solves the children it cannot keep a tableau for cold, so
+   its memory stays within a few budgets of the cold path's. *)
+let snapshot_budget = 1 lsl 21
 
-(* A parent tableau shared by the open children that still need it. *)
+(* A parent tableau shared by the open children that still need it.
+   The last holder consumes it: its child may pivot in these rows. *)
 type shared = { snapshot : Lp.Simplex.snapshot; mutable holders : int }
+
+(* Whether last holders consume their parent's tableau; off only under
+   {!always_copying}. Domain-local, so a test that turns it off leaves
+   solves on other domains alone. *)
+let consume_key = Domain.DLS.new_key (fun () -> true)
+
+let always_copying f =
+  let saved = Domain.DLS.get consume_key in
+  Domain.DLS.set consume_key false;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set consume_key saved) f
 
 type node = {
   key : R.t;  (* parent relaxation objective: a valid lower bound *)
@@ -198,8 +212,10 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     | Some (inc_obj, _) -> R.compare bound inc_obj < 0
   in
   let root_status = ref None in
-  (* Words held by the [shared] tableaus of open nodes. *)
-  let retained = ref 0 in
+  let consume = Domain.DLS.get consume_key in
+  (* Words held by the [shared] tableaus of open nodes, and their most
+     at any one time. *)
+  let retained = ref 0 and peak = ref 0 in
   let release node =
     match node.parent with
     | Some sh ->
@@ -213,19 +229,22 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     | Some snapshot
       when !retained + Lp.Simplex.snapshot_words snapshot <= snapshot_budget ->
       retained := !retained + Lp.Simplex.snapshot_words snapshot;
+      peak := Int.max !peak !retained;
       Some { snapshot; holders = 2 }
     | _ -> None
   in
   (* The node's relaxation and its final tableau: warm from the
      parent's when there is one, cold otherwise or on overflow. Either
-     way exactly one of numeric.fast_solves / numeric.fallbacks
-     moves. *)
+     way exactly one of numeric.fast_solves / numeric.fallbacks moves.
+     The last holder of the parent's tableau owns it: [release] follows
+     and nothing reads it again. *)
   let relax node =
     let cold () = Lp.Simplex.solve_with_snapshot (apply_extras base node.extra) in
     match (node.parent, node.extra) with
     | Some sh, (var, dir, b) :: _ -> (
+      let own = consume && sh.holders = 1 in
       match
-        Lp.Simplex.reoptimize sh.snapshot ~var ~dir ~bound:(R.of_bigint b)
+        Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound:(R.of_bigint b)
       with
       | answer ->
         Telemetry.bump warm_nodes_counter;
@@ -313,13 +332,13 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
   Telemetry.Span.with_span "milp.search" loop;
   Telemetry.observe solve_nodes_hist (float_of_int !nodes);
   let elapsed = Unix.gettimeofday () -. t0 in
+  let outcome status solution best_bound =
+    { status; solution; best_bound; nodes = !nodes; peak_retained_words = !peak;
+      elapsed }
+  in
   match !root_status with
-  | Some Infeasible ->
-    { status = Infeasible; solution = None; best_bound = None; nodes = !nodes;
-      elapsed }
-  | Some Unbounded ->
-    { status = Unbounded; solution = None; best_bound = None; nodes = !nodes;
-      elapsed }
+  | Some Infeasible -> outcome Infeasible None None
+  | Some Unbounded -> outcome Unbounded None None
   | _ ->
     let solution =
       Option.map
@@ -335,12 +354,10 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
           ~incumbent:(R.to_float sol.objective)
           ~bound:(R.to_float sol.objective)
           ~source:"milp.proved" ();
-        { status = Optimal; solution = Some sol; best_bound = Some sol.objective;
-          nodes = !nodes; elapsed }
+        outcome Optimal (Some sol) (Some sol.objective)
       | None ->
         (* Exhausted the tree without an integer point. *)
-        { status = Infeasible; solution = None; best_bound = None;
-          nodes = !nodes; elapsed }
+        outcome Infeasible None None
     end
     else begin
       (* Limit hit: the dual bound is the least key still queued,
@@ -362,7 +379,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
         | None, None -> None
       in
       let status = if solution = None then Unknown else Feasible in
-      { status; solution; best_bound; nodes = !nodes; elapsed }
+      outcome status solution best_bound
     end
 
 let gap outcome =

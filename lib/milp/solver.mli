@@ -27,6 +27,9 @@ type outcome = {
       (** proven dual bound on the optimum (for minimization, a lower
           bound); equals the incumbent objective when [status = Optimal] *)
   nodes : int;  (** branch-and-bound nodes evaluated *)
+  peak_retained_words : int;
+      (** the most heap words that parent tableaus kept for warm
+          starts held at once; never above {!snapshot_budget} *)
   elapsed : float;  (** wall-clock seconds *)
 }
 
@@ -57,6 +60,19 @@ val solve :
   Lp.Model.t ->
   integer:Lp.Model.var list ->
   outcome
+
+(** Heap words the parent tableaus kept for warm-starting open nodes
+    may hold at once, per solve: 2M (16 MiB on 64-bit). Children
+    created past it carry no tableau and solve their relaxation
+    cold. *)
+val snapshot_budget : int
+
+(** [always_copying f] runs [f] with every warm-started child working
+    on a copy of its parent's tableau, including the last child, which
+    otherwise takes the parent's rows without a copy. For tests that
+    check that consuming tableaus leaves the tree unchanged; it only
+    affects solves on the calling domain. *)
+val always_copying : (unit -> 'a) -> 'a
 
 (** [gap outcome] is the relative optimality gap
     [(incumbent - bound) / max(1, |incumbent|)] when both are known. *)

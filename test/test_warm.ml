@@ -121,6 +121,37 @@ let test_siblings_share_snapshot () =
     ignore (check_child "x >= 2" m snap x S.Lower (ri 2))
   done
 
+(* Only an owning call may change a snapshot. Both bounds here move a
+   model bound row in place, the case where an owning call pivots in
+   the snapshot's own rows. The Upper and Lower children, in both
+   orders, must each agree with a cold solve, which they cannot if an
+   earlier call changed the snapshot; then an owning call agrees too,
+   and its result took the snapshot's rows instead of copying them. *)
+let test_non_owning_leaves_snapshot () =
+  let m, x, _, _ = parent_model () in
+  M.tighten_upper m x (ri 2);
+  M.tighten_lower m x R.one;
+  let _, snap = snapshot_of m in
+  let rows s = fst (S.snapshot_rows s) in
+  let copied label (_, warm) =
+    match warm with
+    | S.Optimal _, Some c ->
+      Alcotest.(check bool) (label ^ ": rows copied") true (rows c != rows snap)
+    | _ -> Alcotest.fail (label ^ ": expected an optimum")
+  in
+  let upper () = copied "x <= 1" (check_child "x <= 1" m snap x S.Upper R.one) in
+  let lower () = copied "x >= 2" (check_child "x >= 2" m snap x S.Lower (ri 2)) in
+  upper ();
+  lower ();
+  lower ();
+  upper ();
+  match S.reoptimize ~own:true snap ~var:x ~dir:S.Upper ~bound:R.one with
+  | (S.Optimal _ as owned), Some c ->
+    Alcotest.(check bool) "owning call agrees with a cold solve" true
+      (agrees (child m x S.Upper R.one) owned);
+    Alcotest.(check bool) "owning call takes the rows" true (rows c == rows snap)
+  | _ -> Alcotest.fail "owning call: expected an optimum"
+
 (* A chain of bounds, each warm from the last child: bounds on a
    variable that already has a bound row (a model bound, or one the
    chain added) move that row's right-hand side in place; a looser
@@ -245,10 +276,68 @@ let tree_props =
            && warm = nodes - 1
            && fast + fallbacks = nodes)) ]
 
-(* Three recipes of 40 tasks over 80 types: a packed snapshot is about
-   13k words, so the open nodes' tableaus reach the 1M-word budget
-   after a few hundred nodes and later children solve cold. The
-   optimum must not care, and the exhaustive oracle (three recipes) is
+(* Consuming the last holder's tableau changes no pivot, so the tree is
+   the one every child gets from a copy: same nodes, same optimum. *)
+let consume_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"consuming snapshots leaves the tree unchanged" instance_gen
+         (fun input ->
+           let problem, target = build_instance input in
+           let solve () =
+             Rentcost.Ilp.optimize ~warm_start:false ~problem ~target ()
+           in
+           let consumed = solve () in
+           let copied = Milp.Solver.always_copying solve in
+           let cost o =
+             Option.map
+               (fun a -> a.Rentcost.Allocation.cost)
+               o.Rentcost.Ilp.allocation
+           in
+           consumed.Rentcost.Ilp.nodes = copied.Rentcost.Ilp.nodes
+           && cost consumed = cost copied)) ]
+
+(* [snapshot_words] is what the budget charges, so it must cover the
+   heap that the rows and basis really hold. Checked on the cold
+   snapshot of a rental-cost MILP root, compacted because its Ge rows
+   had artificials, and on every warm child of it that ends optimal. *)
+let test_snapshot_words_cover_heap () =
+  let covers label s =
+    let tab, basis = S.snapshot_rows s in
+    let heap =
+      Obj.reachable_words (Obj.repr tab) + Obj.reachable_words (Obj.repr basis)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d words charged, %d on the heap" label
+         (S.snapshot_words s) heap)
+      true
+      (S.snapshot_words s >= heap)
+  in
+  let problem, target =
+    build_instance
+      (([ (3, 2); (5, 7); (4, 3) ], [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0; 0 ] ]), 17)
+  in
+  let m, _ = Rentcost.Ilp.model ~problem ~target () in
+  let sol, snap = snapshot_of m in
+  covers "cold" snap;
+  let warm = ref 0 in
+  Array.iteri
+    (fun v x ->
+      List.iter
+        (fun (dir, b) ->
+          match S.reoptimize snap ~var:v ~dir ~bound:b with
+          | S.Optimal _, Some c ->
+            incr warm;
+            covers (Printf.sprintf "warm child %d" !warm) c
+          | _ -> ())
+        (bounds_around x))
+    sol.S.values;
+  Alcotest.(check bool) "some warm child is optimal" true (!warm > 0)
+
+(* Three recipes of 40 tasks over 80 types: the root's snapshot (int
+   rows and basis) is about 41k words, so some fifty open tableaus
+   fill the 2M-word budget and later children solve cold. The optimum
+   must not care, and the exhaustive oracle (three recipes) is
    cheap. *)
 let wide_problem () =
   let rng = Numeric.Prng.create 3 in
@@ -302,7 +391,11 @@ let suite =
       Alcotest.test_case "infeasible child" `Quick test_infeasible_child;
       Alcotest.test_case "siblings share one snapshot" `Quick
         test_siblings_share_snapshot;
+      Alcotest.test_case "non-owning calls leave the snapshot alone" `Quick
+        test_non_owning_leaves_snapshot;
       Alcotest.test_case "chain of bounds" `Quick test_bound_chain;
+      Alcotest.test_case "snapshot words cover the heap" `Quick
+        test_snapshot_words_cover_heap;
       Alcotest.test_case "snapshot budget: warm and cold children" `Quick
         test_snapshot_budget ]
-    @ reoptimize_props @ tree_props )
+    @ reoptimize_props @ tree_props @ consume_props )
