@@ -1,47 +1,36 @@
 (* Benchmark suite (Bechamel): one kernel per paper table/figure, the
    micro-kernels they are built from, and the ablation knobs called out
-   in DESIGN.md.
+   in DESIGN.md. The full-scale experiments live in
+   [bin/experiments.exe]; the daemon's end-to-end latency and
+   throughput live in perfbench ([perfbench/run.py], workload
+   serve-load).
 
-   Experiment kernels use reduced node caps so that a single iteration
-   stays in the milliseconds range — Bechamel needs many iterations for
-   a stable OLS fit. The full-scale experiments live in
-   [bin/experiments.exe]; this executable answers "how fast are the
-   pieces", not "what do the figures look like".
+   Run with: dune exec bench/main.exe [-- --smoke]
 
-   Run with: dune exec bench/main.exe
-   Every run also writes BENCH_solver.json — a machine-readable
-   per-engine record (wall time, evaluations, pivots, nodes, cost) plus
-   the incremental-vs-scratch oracle throughput — and
-   BENCH_service.json — the provisioning service's cold-solve vs
-   cache-hit latency and the cache statistics of a replayed request
-   trace — for tracking across commits without parsing the OLS table.
-   BENCH_observability.json records what the Telemetry instrumentation
-   costs on the heuristic hot path — including the engine-style
-   labelled per-request counter bump — enabled vs kill-switched.
-   BENCH_parallel.json records the portfolio race's 1-domain vs
-   4-domain wall time on the H32Jump workload. BENCH_scenarios.json
-   records the dual (max-throughput) objective checked against an
-   independent scan of the min-cost curve, and single-cloud vs 3-book
-   multi-cloud cost on the fig7 workload. BENCH_numeric.json records
-   the LP fast path's speedup over the exact Rat engine and the
-   per-relaxation exact-fallback count on the paper's figure presets
-   and on an overflow-stress workload. BENCH_autoscale.json records the elastic controller's
-   total rental cost against the static-peak and clairvoyant-oracle
-   policies on a seeded diurnal trace. BENCH_load.json records the
-   serving layer's sustained closed-loop throughput and latency
-   percentiles through a pipe daemon under seeded hit-ratio traffic.
+   Every run writes, through one JSON writer and tagged with the root
+   seed (RENTCOST_BENCH_SEED, default 2016, from which every workload
+   and kernel seed is split):
+   - BENCH_solver.json: per-engine cost, status and effort, and the
+     incremental-vs-scratch oracle throughput;
+   - BENCH_observability.json: the instrumented hot path, enabled vs
+     kill-switched;
+   - BENCH_parallel.json: the portfolio race on 1 vs 4 domains;
+   - BENCH_scenarios.json: the dual objective against a scan of the
+     cost curve, and single- vs multi-cloud cost;
+   - BENCH_numeric.json: the fast LP engine against exact Rat, and the
+     figure-preset workload's relaxations, fallbacks, pivots, warm
+     nodes and peak retained words;
+   - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
-   Randomness discipline: every workload and kernel seed derives from
-   ONE root seed (RENTCOST_BENCH_SEED, default 2016) split in a fixed
-   order below, and every BENCH_*.json records it — so cross-group
-   comparisons (and --smoke) are reproducible run-to-run, and a seed
-   sweep is one env var away.
-
-   `dune exec bench/main.exe -- --smoke` skips the OLS fits: it runs a
-   fast engine-agreement check (every exact engine must report the same
-   optimal cost; the incremental oracle must match scratch repricing),
-   writes the JSON, and exits non-zero on any disagreement — cheap
-   enough for CI. *)
+   --smoke skips the OLS fits and exits non-zero unless: the exact
+   engines agree and the heuristics are feasible; the incremental
+   oracle matches scratch repricing; the kill switch freezes every
+   instrument and enabled instrumentation costs under 5%; the portfolio
+   is domain-count invariant (and, on >= 4 cores, 1.5x faster on 4
+   domains); the dual objective and price books behave; the fast LP
+   engine is bit-identical and fast enough, with the figure-preset
+   effort counts equal to the committed BENCH_numeric.json; and the
+   autoscale policies are ordered oracle <= elastic <= static-peak. *)
 
 open Bechamel
 
@@ -53,30 +42,31 @@ module S = Rentcost.Solver
 module Pf = Rentcost_parallel.Portfolio
 module Pl = Rentcost_parallel.Pool
 
+module J = Rentcost_service.Json
+
 (* --- fixed workloads --- *)
 
-(* One root seed for the whole run. The three sub-seeds are drawn in a
-   fixed order, so each consumer (workload generation, heuristic
-   kernels, the sweep) gets a stable, independent stream — previously
-   each group re-derived its own PRNG from ad-hoc constants, so
-   comparisons across groups were not reproducible from one knob. *)
+(* One root seed for the whole run, split in a fixed order so each
+   consumer gets a stable, independent stream. A new consumer draws
+   last, so no existing stream shifts. *)
 let root_seed =
   match Sys.getenv_opt "RENTCOST_BENCH_SEED" with
-  | Some v -> (match int_of_string_opt v with Some n -> n | None -> 2016)
   | None -> 2016
+  | Some v -> (
+    match int_of_string_opt v with
+    | Some n -> n
+    | None ->
+      Printf.eprintf "bench: RENTCOST_BENCH_SEED=%S is not an integer\n" v;
+      exit 2)
 
-let workload_seed, kernel_seed, sweep_seed, autoscale_seed, load_seed =
+let workload_seed, kernel_seed, sweep_seed, autoscale_seed =
   let r = P.create root_seed in
   let sub () = Int64.to_int (P.bits64 r) land 0x3FFFFFFF in
   let workload = sub () in
   let kernel = sub () in
   let sweep = sub () in
-  (* Drawn after the original three so adding the autoscale group did
-     not shift any pre-existing stream; the load seed follows for the
-     same reason. *)
   let autoscale = sub () in
-  let load = sub () in
-  (workload, kernel, sweep, autoscale, load)
+  (workload, kernel, sweep, autoscale)
 
 let illustrating = Rentcost.Problem.illustrating
 
@@ -590,49 +580,37 @@ let autoscale_group =
                (Lazy.force resolve_controller)
                ~demand:(if !flip then 80 else 20))) ]
 
-(* --- load: the per-request costs the serving path stacks up ---
-
-   Three kernels, one per layer a request crosses under load: the
-   daemon's per-line protocol parse, the admission queue's offer/take
-   round trip, and the full queued path through the engine (submit
-   into the backlog, drain, answer from the warm cache). The
-   end-to-end pipe-daemon throughput number lives in BENCH_load.json
-   below — bechamel measures the per-layer costs that compose it. *)
-
-let load_solve_line =
-  Svc.Json.to_string
-    (Svc.Protocol.request_to_json
-       (service_solve ~reuse:Svc.Protocol.Monotone ~target:70))
-
-let load_admission_queue = lazy (Svc.Admission.create ~capacity:4 ())
-
-let load_group =
-  Test.make_grouped ~name:"load"
-    [ Test.make ~name:"protocol_parse_solve"
-        (Staged.stage (fun () ->
-             match Svc.Json.of_string load_solve_line with
-             | Ok j -> Svc.Protocol.request_of_json j
-             | Error e -> Error e));
-      Test.make ~name:"admission_offer_take"
-        (Staged.stage (fun () ->
-             let q = Lazy.force load_admission_queue in
-             ignore (Svc.Admission.offer q ~now:0.0 1);
-             Svc.Admission.take q ~now:0.0));
-      Test.make ~name:"queued_hit_round_trip"
-        (Staged.stage (fun () ->
-             let e = Lazy.force primed_engine in
-             match
-               Svc.Engine.submit e
-                 (service_solve ~reuse:Svc.Protocol.Monotone ~target:70)
-             with
-             | [] -> Svc.Engine.drain e
-             | rs -> rs)) ]
-
 let all_tests =
   Test.make_grouped ~name:"rentcost"
     [ table3; fig3; fig4; fig5; fig6; fig7; fig8; micro; ablation; solver_group;
       service_group; observability_group; parallel_group; scenarios_group;
-      numeric_group; autoscale_group; load_group ]
+      numeric_group; autoscale_group ]
+
+(* --- the one writer: BENCH_<name>.json, one top-level field a line --- *)
+
+let emit name ~schema fields =
+  let path = Printf.sprintf "BENCH_%s.json" name in
+  let fields =
+    ("schema", J.String schema) :: ("seed", J.Int root_seed) :: fields
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "{\n";
+      List.iteri
+        (fun i (key, value) ->
+          Printf.fprintf oc "%s  %s: %s"
+            (if i = 0 then "" else ",\n")
+            (J.to_string (J.String key)) (J.to_string value))
+        fields;
+      output_string oc "\n}\n");
+  Printf.printf "%s written\n" path
+
+(* [x] rounded to [digits] decimals, so a committed file records no
+   more precision than the measurement has. *)
+let fixed digits x =
+  let scale = 10. ** float_of_int digits in
+  J.Float (Float.round (x *. scale) /. scale)
+
+let quotient a b = a /. Float.max b 1e-9
 
 (* --- BENCH_solver.json: machine-readable per-engine record --- *)
 
@@ -705,136 +683,27 @@ let oracle_throughput ~evals =
   let scratch_rate = float_of_int scratch_evals /. Float.max dt_scratch 1e-9 in
   (inc_rate, scratch_rate)
 
-let json_escape s =
-  (* Row names are ASCII identifiers; quote/backslash escaping is all a
-     well-formed file needs. *)
-  String.concat ""
-    (List.map
-       (function
-         | '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
-
-let write_solver_json ~path ~rows ~inc_rate ~scratch_rate =
-  let oc = open_out path in
-  let row_json r =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"engine\": \"%s\", \"status\": \"%s\", \
-       \"cost\": %d, \"wall_time\": %.6f, \"evaluations\": %d, \
-       \"pivots\": %d, \"nodes\": %d, \"pruned_recipes\": %d}"
-      (json_escape r.row_name)
-      (json_escape (S.spec_to_string r.row_telemetry.S.engine))
-      (json_escape (S.status_to_string r.row_status))
-      r.row_cost r.row_telemetry.S.wall_time r.row_telemetry.S.evaluations
-      r.row_telemetry.S.pivots r.row_telemetry.S.nodes
-      r.row_telemetry.S.pruned_recipes
-  in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-solver/1\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc "  \"engines\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map row_json rows));
-  Printf.fprintf oc
-    "  \"oracle\": {\"incremental_evals_per_sec\": %.1f, \
-     \"scratch_evals_per_sec\": %.1f, \"speedup\": %.2f}\n"
-    inc_rate scratch_rate
-    (inc_rate /. Float.max scratch_rate 1e-9);
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_solver_json ~evals =
+let emit_solver ~evals =
   let rows = engine_rows () in
   let inc_rate, scratch_rate = oracle_throughput ~evals in
-  write_solver_json ~path:"BENCH_solver.json" ~rows ~inc_rate ~scratch_rate;
-  Printf.printf
-    "BENCH_solver.json written (%d engines; oracle %.0f incremental vs %.0f \
-     scratch evals/s, %.1fx)\n"
-    (List.length rows) inc_rate scratch_rate
-    (inc_rate /. Float.max scratch_rate 1e-9);
+  let row_json r =
+    let t = r.row_telemetry in
+    J.Obj
+      [ ("name", J.String r.row_name);
+        ("engine", J.String (S.spec_to_string t.S.engine));
+        ("status", J.String (S.status_to_string r.row_status));
+        ("cost", J.Int r.row_cost); ("wall_time", fixed 6 t.S.wall_time);
+        ("evaluations", J.Int t.S.evaluations); ("pivots", J.Int t.S.pivots);
+        ("nodes", J.Int t.S.nodes); ("pruned_recipes", J.Int t.S.pruned_recipes) ]
+  in
+  emit "solver" ~schema:"rentcost-bench-solver/1"
+    [ ("engines", J.List (List.map row_json rows));
+      ( "oracle",
+        J.Obj
+          [ ("incremental_evals_per_sec", fixed 1 inc_rate);
+            ("scratch_evals_per_sec", fixed 1 scratch_rate);
+            ("speedup", fixed 2 (quotient inc_rate scratch_rate)) ] ) ];
   rows
-
-(* --- BENCH_service.json: cold vs warm-hit latency + a replayed
-   request trace through the provisioning engine --- *)
-
-let service_latency ~iters =
-  let cold_e = service_engine_with_app () in
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore
-      (service_answer cold_e (service_solve ~reuse:Svc.Protocol.No_reuse ~target:70))
-  done;
-  let cold = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-  let hit_e = service_engine_with_app () in
-  ignore
-    (service_answer hit_e (service_solve ~reuse:Svc.Protocol.Monotone ~target:70));
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to iters do
-    ignore
-      (service_answer hit_e (service_solve ~reuse:Svc.Protocol.Monotone ~target:70))
-  done;
-  let warm = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-  (cold, warm)
-
-type service_trace = {
-  tr_requests : int;
-  tr_hits : int;
-  tr_misses : int;
-  tr_monotone : int;
-  tr_warm : int;
-}
-
-(* A representative session: a cold target sweep, the same sweep
-   replayed (exact hits), lower targets (monotone hits), and
-   warm-policy solves between cached targets (warm-started solves).
-   Counters are global and monotone, so the trace reads deltas. *)
-let service_trace () =
-  let snap () =
-    ( Telemetry.value Telemetry.service_requests,
-      Telemetry.value Telemetry.service_cache_hits,
-      Telemetry.value Telemetry.service_cache_misses,
-      Telemetry.value Telemetry.service_monotone_hits,
-      Telemetry.value Telemetry.service_warm_starts )
-  in
-  let r0, h0, m0, o0, w0 = snap () in
-  let e = service_engine_with_app () in
-  let solve ~reuse target =
-    ignore (service_answer e (service_solve ~reuse ~target))
-  in
-  let targets = [ 50; 60; 70; 80; 90; 100 ] in
-  List.iter (solve ~reuse:Svc.Protocol.Monotone) targets;
-  List.iter (solve ~reuse:Svc.Protocol.Monotone) targets;
-  List.iter (solve ~reuse:Svc.Protocol.Monotone) [ 45; 55; 65 ];
-  List.iter (solve ~reuse:Svc.Protocol.Warm) [ 95; 85 ];
-  let r1, h1, m1, o1, w1 = snap () in
-  { tr_requests = r1 - r0; tr_hits = h1 - h0; tr_misses = m1 - m0;
-    tr_monotone = o1 - o0; tr_warm = w1 - w0 }
-
-let write_service_json ~path ~cold ~warm ~trace =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-service/1\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc
-    "  \"latency\": {\"cold_us\": %.3f, \"warm_hit_us\": %.3f, \
-     \"speedup\": %.2f},\n"
-    (cold *. 1e6) (warm *. 1e6)
-    (cold /. Float.max warm 1e-9);
-  Printf.fprintf oc
-    "  \"trace\": {\"requests\": %d, \"cache_hits\": %d, \
-     \"cache_misses\": %d, \"monotone_hits\": %d, \"warm_starts\": %d}\n"
-    trace.tr_requests trace.tr_hits trace.tr_misses trace.tr_monotone
-    trace.tr_warm;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_service_json ~iters =
-  let cold, warm = service_latency ~iters in
-  let trace = service_trace () in
-  write_service_json ~path:"BENCH_service.json" ~cold ~warm ~trace;
-  Printf.printf
-    "BENCH_service.json written (cold %.1f us vs warm hit %.1f us, %.0fx; \
-     trace: %d requests, %d hits, %d warm starts)\n"
-    (cold *. 1e6) (warm *. 1e6)
-    (cold /. Float.max warm 1e-9)
-    trace.tr_requests trace.tr_hits trace.tr_warm;
-  (cold, warm, trace)
 
 (* --- BENCH_observability.json: instrumentation overhead on the
    heuristic hot path --- *)
@@ -879,26 +748,15 @@ let observability_overhead ~reps =
   Telemetry.set_enabled true;
   (!best_on /. float_of_int inner, !best_off /. float_of_int inner)
 
-let write_observability_json ~path ~on ~off =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-observability/2\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc
-    "  \"hot_path\": {\"kernel\": \"h32jump_labelled_rho70\", \
-     \"enabled_us\": %.3f, \"disabled_us\": %.3f, \"overhead_pct\": %.2f}\n"
-    (on *. 1e6) (off *. 1e6)
-    (100.0 *. ((on /. Float.max off 1e-9) -. 1.0));
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_observability_json ~reps =
+let emit_observability ~reps =
   let on, off = observability_overhead ~reps in
-  write_observability_json ~path:"BENCH_observability.json" ~on ~off;
-  Printf.printf
-    "BENCH_observability.json written (hot path %.1f us enabled vs %.1f us \
-     disabled, %+.1f%%)\n"
-    (on *. 1e6) (off *. 1e6)
-    (100.0 *. ((on /. Float.max off 1e-9) -. 1.0));
+  emit "observability" ~schema:"rentcost-bench-observability/2"
+    [ ( "hot_path",
+        J.Obj
+          [ ("kernel", J.String "h32jump_labelled_rho70");
+            ("enabled_us", fixed 3 (on *. 1e6));
+            ("disabled_us", fixed 3 (off *. 1e6));
+            ("overhead_pct", fixed 2 (100. *. (quotient on off -. 1.))) ] ) ];
   (on, off)
 
 (* --- BENCH_parallel.json: the portfolio race, 1 domain vs 4 ---
@@ -935,33 +793,17 @@ let portfolio_wall ~domains ~reps =
   done;
   (!best, !cost)
 
-let write_parallel_json ~path ~cores ~wall1 ~wall4 ~cost1 ~cost4 =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-parallel/1\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc "  \"cores\": %d,\n" cores;
-  Printf.fprintf oc
-    "  \"workload\": \"4x h32jump portfolio, fig7, target 100\",\n";
-  Printf.fprintf oc "  \"wall_seconds_domains1\": %.6f,\n" wall1;
-  Printf.fprintf oc "  \"wall_seconds_domains4\": %.6f,\n" wall4;
-  Printf.fprintf oc "  \"speedup\": %.3f,\n"
-    (wall1 /. Float.max wall4 1e-9);
-  Printf.fprintf oc "  \"cost_domains1\": %d,\n  \"cost_domains4\": %d\n"
-    cost1 cost4;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_parallel_json ~reps =
+let emit_parallel ~reps =
   let cores = Domain.recommended_domain_count () in
   let wall1, cost1 = portfolio_wall ~domains:1 ~reps in
   let wall4, cost4 = portfolio_wall ~domains:4 ~reps in
-  write_parallel_json ~path:"BENCH_parallel.json" ~cores ~wall1 ~wall4 ~cost1
-    ~cost4;
-  Printf.printf
-    "BENCH_parallel.json written (%d core(s): %.1f ms on 1 domain vs %.1f ms \
-     on 4, speedup %.2fx)\n"
-    cores (wall1 *. 1e3) (wall4 *. 1e3)
-    (wall1 /. Float.max wall4 1e-9);
+  emit "parallel" ~schema:"rentcost-bench-parallel/1"
+    [ ("cores", J.Int cores);
+      ("workload", J.String "4x h32jump portfolio, fig7, target 100");
+      ("wall_seconds_domains1", fixed 6 wall1);
+      ("wall_seconds_domains4", fixed 6 wall4);
+      ("speedup", fixed 3 (quotient wall1 wall4));
+      ("cost_domains1", J.Int cost1); ("cost_domains4", J.Int cost4) ];
   (cores, wall1, wall4, cost1, cost4)
 
 (* --- BENCH_scenarios.json: the dual objective checked against an
@@ -1047,36 +889,25 @@ let scenarios_data () =
     sc_recheck_cost = cost_of recheck; sc_cost_single = cost_of single;
     sc_cost_multibook = cost_of multibook; sc_bit_identical = bit_identical }
 
-let write_scenarios_json ~path r =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-scenarios/1\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc
-    "  \"dual\": {\"budget\": %d, \"throughput\": %d, \"exact_dual\": %d, \
-     \"cost\": %d, \"min_cost_at_achieved\": %d},\n"
-    r.sc_budget r.sc_throughput r.sc_exact_dual r.sc_dual_cost
-    r.sc_recheck_cost;
-  Printf.fprintf oc
-    "  \"multicloud\": {\"workload\": \"fig7 h32jump rho100\", \"books\": 3, \
-     \"cost_single\": %d, \"cost_multibook\": %d, \"saving_pct\": %.1f, \
-     \"identical_books_bit_identical\": %b}\n"
-    r.sc_cost_single r.sc_cost_multibook
-    (100.
-    *. (1.
-       -. (float_of_int r.sc_cost_multibook
-          /. Float.max (float_of_int r.sc_cost_single) 1.)))
-    r.sc_bit_identical;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_scenarios_json () =
+let emit_scenarios () =
   let r = scenarios_data () in
-  write_scenarios_json ~path:"BENCH_scenarios.json" r;
-  Printf.printf
-    "BENCH_scenarios.json written (dual: throughput %d at budget %d, exact \
-     %d; multicloud: cost %d vs %d single-cloud)\n"
-    r.sc_throughput r.sc_budget r.sc_exact_dual r.sc_cost_multibook
-    r.sc_cost_single;
+  let saving =
+    1.
+    -. quotient (float_of_int r.sc_cost_multibook) (float_of_int r.sc_cost_single)
+  in
+  emit "scenarios" ~schema:"rentcost-bench-scenarios/1"
+    [ ( "dual",
+        J.Obj
+          [ ("budget", J.Int r.sc_budget); ("throughput", J.Int r.sc_throughput);
+            ("exact_dual", J.Int r.sc_exact_dual); ("cost", J.Int r.sc_dual_cost);
+            ("min_cost_at_achieved", J.Int r.sc_recheck_cost) ] );
+      ( "multicloud",
+        J.Obj
+          [ ("workload", J.String "fig7 h32jump rho100"); ("books", J.Int 3);
+            ("cost_single", J.Int r.sc_cost_single);
+            ("cost_multibook", J.Int r.sc_cost_multibook);
+            ("saving_pct", fixed 1 (100. *. saving));
+            ("identical_books_bit_identical", J.Bool r.sc_bit_identical) ] ) ];
   r
 
 (* --- BENCH_numeric.json: fast-path speedup and fallback count --- *)
@@ -1113,7 +944,7 @@ type kernel_split = {
   ks_identical : bool;
 }
 
-let ks_speedup k = k.ks_rat_us /. Float.max k.ks_fast_us 1e-9
+let ks_speedup k = quotient k.ks_rat_us k.ks_fast_us
 
 let lp_split ~reps ~inner label model =
   let m = Lazy.force model in
@@ -1201,48 +1032,6 @@ let stress_workload () =
       peak_after peak (Rentcost.Ilp.optimize ~problem:overflow_problem ~target ()))
     0 [ 10; 20; 30 ]
 
-let write_numeric_json ~path ~splits ~paper ~stress =
-  let oc = open_out path in
-  let split_json k =
-    Printf.sprintf
-      "    {\"name\": \"%s\", \"rat_us\": %.3f, \"fast_us\": %.3f, \
-       \"speedup\": %.2f, \"identical\": %b}"
-      (json_escape k.ks_label) k.ks_rat_us k.ks_fast_us (ks_speedup k)
-      k.ks_identical
-  in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-numeric/5\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc "  \"kernels\": {\"fast\": \"%s\", \"exact\": \"%s\"},\n"
-    Lp.Simplex.fast_kernel Lp.Simplex.exact_kernel;
-  Printf.fprintf oc "  \"timings\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map split_json splits));
-  Printf.fprintf oc
-    "  \"paper_workload\": {\"presets\": [%s], \"instances_per_preset\": %d, \
-     \"targets\": [%s], \"node_limit\": %d},\n"
-    (String.concat ", " (List.map (Printf.sprintf "\"%s\"") paper_presets))
-    paper_instances_per_preset
-    (String.concat ", " (List.map string_of_int paper_targets))
-    paper_node_limit;
-  Printf.fprintf oc
-    "  \"fallback\": {\"paper_relaxations\": %d, \"paper_fallbacks\": %d, \
-     \"stress_relaxations\": %d, \"stress_fallbacks\": %d, \
-     \"stress_fallback_rate\": %.3f},\n"
-    paper.fb_relaxations paper.fb_fallbacks stress.fb_relaxations
-    stress.fb_fallbacks
-    (ratio stress.fb_fallbacks stress.fb_relaxations);
-  Printf.fprintf oc
-    "  \"warm_start\": {\"paper_nodes\": %d, \"paper_warm_nodes\": %d, \
-     \"paper_warm_share\": %.4f, \"paper_pivots\": %d, \
-     \"paper_pivots_per_relaxation\": %.3f, \
-     \"paper_peak_retained_words\": %d, \"snapshot_budget_words\": %d}\n"
-    paper.fb_nodes paper.fb_warm_nodes
-    (ratio paper.fb_warm_nodes paper.fb_nodes)
-    paper.fb_pivots
-    (ratio paper.fb_pivots paper.fb_relaxations)
-    paper.fb_peak_words Milp.Solver.snapshot_budget;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
 (* The committed file's seed and paper-workload effort counts
    (relaxations, pivots, warm nodes, peak retained words), read before
    this run rewrites it. *)
@@ -1267,7 +1056,7 @@ let committed_paper_counts path =
         Some (seed, relaxations, pivots, warm, peak)
       | _ -> None))
 
-let emit_numeric_json ~reps =
+let emit_numeric ~reps =
   let splits =
     [ lp_split ~reps ~inner:20 "lp_simplex_illustrating_rho70"
         lp_model_illustrating;
@@ -1275,16 +1064,44 @@ let emit_numeric_json ~reps =
   in
   let paper = count_fallbacks paper_workload in
   let stress = count_fallbacks stress_workload in
-  write_numeric_json ~path:"BENCH_numeric.json" ~splits ~paper ~stress;
-  let lp = List.nth splits 0 in
-  Printf.printf
-    "BENCH_numeric.json written (lp.simplex %.1f us rat vs %.1f us fast, \
-     %.1fx; paper workload %d relaxations / %d fallbacks, %d pivots, %d of \
-     %d nodes warm, peak %d retained words; stress %d / %d)\n"
-    lp.ks_rat_us lp.ks_fast_us (ks_speedup lp) paper.fb_relaxations
-    paper.fb_fallbacks paper.fb_pivots paper.fb_warm_nodes paper.fb_nodes
-    paper.fb_peak_words
-    stress.fb_relaxations stress.fb_fallbacks;
+  let split_json k =
+    J.Obj
+      [ ("name", J.String k.ks_label); ("rat_us", fixed 3 k.ks_rat_us);
+        ("fast_us", fixed 3 k.ks_fast_us); ("speedup", fixed 2 (ks_speedup k));
+        ("identical", J.Bool k.ks_identical) ]
+  in
+  let ints l = J.List (List.map (fun i -> J.Int i) l) in
+  emit "numeric" ~schema:"rentcost-bench-numeric/5"
+    [ ( "kernels",
+        J.Obj
+          [ ("fast", J.String Lp.Simplex.fast_kernel);
+            ("exact", J.String Lp.Simplex.exact_kernel) ] );
+      ("timings", J.List (List.map split_json splits));
+      ( "paper_workload",
+        J.Obj
+          [ ("presets", J.List (List.map (fun p -> J.String p) paper_presets));
+            ("instances_per_preset", J.Int paper_instances_per_preset);
+            ("targets", ints paper_targets);
+            ("node_limit", J.Int paper_node_limit) ] );
+      ( "fallback",
+        J.Obj
+          [ ("paper_relaxations", J.Int paper.fb_relaxations);
+            ("paper_fallbacks", J.Int paper.fb_fallbacks);
+            ("stress_relaxations", J.Int stress.fb_relaxations);
+            ("stress_fallbacks", J.Int stress.fb_fallbacks);
+            ( "stress_fallback_rate",
+              fixed 3 (ratio stress.fb_fallbacks stress.fb_relaxations) ) ] );
+      ( "warm_start",
+        J.Obj
+          [ ("paper_nodes", J.Int paper.fb_nodes);
+            ("paper_warm_nodes", J.Int paper.fb_warm_nodes);
+            ( "paper_warm_share",
+              fixed 4 (ratio paper.fb_warm_nodes paper.fb_nodes) );
+            ("paper_pivots", J.Int paper.fb_pivots);
+            ( "paper_pivots_per_relaxation",
+              fixed 3 (ratio paper.fb_pivots paper.fb_relaxations) );
+            ("paper_peak_retained_words", J.Int paper.fb_peak_words);
+            ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget) ] ) ];
   (splits, paper, stress)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
@@ -1293,257 +1110,39 @@ let autoscale_data () =
   As.Policy.compare_policies ~config:autoscale_config illustrating
     (Lazy.force autoscale_trace)
 
-let write_autoscale_json ~path (c : As.Policy.comparison) =
-  let outcome_json (o : As.Policy.outcome) =
-    Printf.sprintf
-      "    {\"policy\": \"%s\", \"total_cost\": %d, \"violations\": %d, \
-       \"replans\": %d}"
-      (json_escape o.As.Policy.policy)
-      o.As.Policy.total_cost o.As.Policy.violations o.As.Policy.replans
-  in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-autoscale/1\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc
-    "  \"trace\": {\"pattern\": \"diurnal\", \"ticks\": 96, \"base\": 20, \
-     \"amplitude\": 60, \"period\": 48, \"noise\": 0.08},\n";
-  Printf.fprintf oc
-    "  \"controller\": {\"ticks_per_hour\": %d, \"deadband\": %.2f, \
-     \"headroom\": %.2f},\n"
-    autoscale_config.As.Controller.ticks_per_hour
-    autoscale_config.As.Controller.deadband
-    autoscale_config.As.Controller.headroom;
-  Printf.fprintf oc "  \"policies\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map outcome_json
-          [ c.As.Policy.elastic; c.As.Policy.static_peak; c.As.Policy.oracle ]));
-  Printf.fprintf oc
-    "  \"savings\": {\"elastic_vs_static_pct\": %.1f, \
-     \"oracle_vs_elastic_pct\": %.1f}\n"
-    (100. *. As.Policy.savings ~of_:c.As.Policy.elastic ~over:c.As.Policy.static_peak)
-    (100. *. As.Policy.savings ~of_:c.As.Policy.oracle ~over:c.As.Policy.elastic);
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_autoscale_json () =
+let emit_autoscale () =
   let c = autoscale_data () in
-  write_autoscale_json ~path:"BENCH_autoscale.json" c;
-  Printf.printf
-    "BENCH_autoscale.json written (elastic %d vs static-peak %d vs oracle %d \
-     on the diurnal trace)\n"
-    c.As.Policy.elastic.As.Policy.total_cost
-    c.As.Policy.static_peak.As.Policy.total_cost
-    c.As.Policy.oracle.As.Policy.total_cost;
+  let outcome_json (o : As.Policy.outcome) =
+    J.Obj
+      [ ("policy", J.String o.As.Policy.policy);
+        ("total_cost", J.Int o.As.Policy.total_cost);
+        ("violations", J.Int o.As.Policy.violations);
+        ("replans", J.Int o.As.Policy.replans) ]
+  in
+  let savings ~of_ ~over = fixed 1 (100. *. As.Policy.savings ~of_ ~over) in
+  emit "autoscale" ~schema:"rentcost-bench-autoscale/1"
+    [ ( "trace",
+        J.Obj
+          [ ("pattern", J.String "diurnal"); ("ticks", J.Int 96);
+            ("base", J.Int 20); ("amplitude", J.Int 60); ("period", J.Int 48);
+            ("noise", J.Float 0.08) ] );
+      ( "controller",
+        J.Obj
+          [ ( "ticks_per_hour",
+              J.Int autoscale_config.As.Controller.ticks_per_hour );
+            ("deadband", fixed 2 autoscale_config.As.Controller.deadband);
+            ("headroom", fixed 2 autoscale_config.As.Controller.headroom) ] );
+      ( "policies",
+        J.List
+          (List.map outcome_json
+             [ c.As.Policy.elastic; c.As.Policy.static_peak; c.As.Policy.oracle ]) );
+      ( "savings",
+        J.Obj
+          [ ( "elastic_vs_static_pct",
+              savings ~of_:c.As.Policy.elastic ~over:c.As.Policy.static_peak );
+            ( "oracle_vs_elastic_pct",
+              savings ~of_:c.As.Policy.oracle ~over:c.As.Policy.elastic ) ] ) ];
   c
-
-(* --- BENCH_load.json: sustained throughput through the pipe daemon ---
-
-   A closed-loop load generator: [clients] domains each keep exactly
-   one request in flight against a daemon served over a pipe pair by
-   [workers] worker domains — so the offered concurrency is [clients],
-   never more, and the measured rate is a sustained number rather
-   than a burst into the queue. Traffic is seeded: each request
-   repeats a hot target with probability [hit_ratio] (warm cache hits
-   after first touch) and otherwise draws a fresh target (a cold
-   solve, possibly upgraded to a monotone hit by a higher entry).
-   Request ids encode (client, sequence) so one reader domain can
-   fan acks back to the right client; percentiles come from the
-   [service.latency_seconds] histogram's before/after bucket deltas,
-   which sees every request the daemon served. *)
-
-let load_stride = 1_000_000
-
-type load_stats = {
-  ld_requests : int;
-  ld_clients : int;
-  ld_workers : int;
-  ld_hit_ratio : float;
-  ld_hit_measured : float;
-  ld_wall : float;
-  ld_rps : float;
-  ld_p50_ms : float;
-  ld_p99_ms : float;
-  ld_cold : int;
-  ld_hits : int;
-  ld_coalesced : int;
-}
-
-let latency_histogram () =
-  match
-    List.find_opt
-      (fun h -> h.Telemetry.h_name = Telemetry.service_latency_seconds)
-      (Telemetry.histograms ())
-  with
-  | Some h -> h
-  | None -> failwith "load bench: service.latency_seconds not registered"
-
-(* Quantile [q] from per-bucket counts by linear interpolation inside
-   the bucket the rank lands in; the first bucket interpolates from 0
-   and the overflow bucket reports the last bound — a floor, not an
-   estimate, so a pathological tail can only look better than it is
-   in a file that also records the raw wall time. *)
-let bucket_quantile ~bounds ~counts q =
-  let total = Array.fold_left ( + ) 0 counts in
-  if total = 0 then 0.
-  else
-    let rank = q *. float_of_int total in
-    let n = Array.length bounds in
-    let rec go i acc =
-      if i >= Array.length counts then bounds.(n - 1)
-      else
-        let acc' = acc + counts.(i) in
-        if float_of_int acc' >= rank && counts.(i) > 0 then
-          if i >= n then bounds.(n - 1)
-          else
-            let lo = if i = 0 then 0. else bounds.(i - 1) in
-            bounds.(i)
-            -. ((bounds.(i) -. lo)
-               *. (float_of_int acc' -. rank)
-               /. float_of_int counts.(i))
-        else go (i + 1) acc'
-    in
-    go 0 0
-
-let run_load ~seed ~requests ~clients ~workers ~hit_ratio =
-  let per_client = max 1 (requests / clients) in
-  let requests = per_client * clients in
-  let req_read, req_write = Unix.pipe () in
-  let resp_read, resp_write = Unix.pipe () in
-  let daemon_ic = Unix.in_channel_of_descr req_read in
-  let daemon_oc = Unix.out_channel_of_descr resp_write in
-  let client_ic = Unix.in_channel_of_descr resp_read in
-  let client_oc = Unix.out_channel_of_descr req_write in
-  let dump = open_out Filename.null in
-  let config =
-    { Svc.Engine.default_config with
-      Svc.Engine.workers;
-      queue_capacity = max 64 (4 * clients) }
-  in
-  let daemon =
-    Domain.spawn (fun () ->
-        Svc.Daemon.serve_channels ~config ~dump ~workers daemon_ic daemon_oc)
-  in
-  let om = Mutex.create () in
-  let send request =
-    Mutex.lock om;
-    output_string client_oc
-      (Svc.Json.to_string (Svc.Protocol.request_to_json request));
-    output_char client_oc '\n';
-    flush client_oc;
-    Mutex.unlock om
-  in
-  (* Register synchronously before any traffic, so every solve
-     resolves its [Ref]. *)
-  send (Svc.Protocol.Register { name = "app"; problem = illustrating });
-  let (_ : string) = input_line client_ic in
-  let acks = Array.init clients (fun _ -> Atomic.make 0) in
-  (* The reader acks exactly [requests] id-bearing responses back to
-     their clients, then exits; Registered and Bye never carry ids
-     and are read by the driver itself. *)
-  let reader =
-    Domain.spawn (fun () ->
-        let remaining = ref requests in
-        while !remaining > 0 do
-          let line = input_line client_ic in
-          (match Svc.Json.of_string line with
-           | Ok (Svc.Json.Obj fields) -> (
-             match List.assoc_opt "id" fields with
-             | Some (Svc.Json.Int id) ->
-               Atomic.incr acks.(id / load_stride);
-               decr remaining
-             | _ -> ())
-           | _ -> ())
-        done)
-  in
-  let hot_targets = [| 60; 70; 80 |] in
-  let lat0 = latency_histogram () in
-  (* [service.cache_hits] already counts monotone hits (they bump both
-     the hit and the monotone counter), so it alone is "answered from
-     the cache". *)
-  let hits0 = Telemetry.value Telemetry.service_cache_hits in
-  let cold0 = Telemetry.value Telemetry.service_cache_misses in
-  let coalesced0 = Telemetry.value Telemetry.service_coalesced in
-  let t0 = Unix.gettimeofday () in
-  let client_domains =
-    List.init clients (fun c ->
-        Domain.spawn (fun () ->
-            let rng = P.create (seed + (7919 * (c + 1))) in
-            let draw bound = Int64.to_int (P.bits64 rng) land 0xFFFF mod bound in
-            for s = 1 to per_client do
-              let target =
-                if float_of_int (draw 10_000) < hit_ratio *. 10_000. then
-                  hot_targets.(draw (Array.length hot_targets))
-                else 10 + draw 400
-              in
-              send
-                (Svc.Protocol.Solve
-                   { id = Some ((c * load_stride) + s); trace_id = None;
-                     tenant = Some (Printf.sprintf "c%d" c);
-                     source = Svc.Protocol.Ref "app";
-                     objective = min_cost target; pricebook = None;
-                     spec = S.Auto; budget = None;
-                     reuse = Svc.Protocol.Monotone });
-              while Atomic.get acks.(c) < s do
-                Domain.cpu_relax ()
-              done
-            done))
-  in
-  List.iter Domain.join client_domains;
-  let wall = Unix.gettimeofday () -. t0 in
-  Domain.join reader;
-  let lat1 = latency_histogram () in
-  let hits = Telemetry.value Telemetry.service_cache_hits - hits0 in
-  let cold = Telemetry.value Telemetry.service_cache_misses - cold0 in
-  let coalesced = Telemetry.value Telemetry.service_coalesced - coalesced0 in
-  send Svc.Protocol.Shutdown;
-  let (_ : string) = input_line client_ic in
-  Domain.join daemon;
-  List.iter close_out [ client_oc; daemon_oc; dump ];
-  List.iter close_in [ client_ic; daemon_ic ];
-  let deltas =
-    Array.init
-      (Array.length lat1.Telemetry.h_counts)
-      (fun i -> lat1.Telemetry.h_counts.(i) - lat0.Telemetry.h_counts.(i))
-  in
-  let quantile q =
-    1e3 *. bucket_quantile ~bounds:lat1.Telemetry.h_bounds ~counts:deltas q
-  in
-  { ld_requests = requests; ld_clients = clients; ld_workers = workers;
-    ld_hit_ratio = hit_ratio;
-    ld_hit_measured = float_of_int hits /. Float.max (float_of_int requests) 1.;
-    ld_wall = wall;
-    ld_rps = float_of_int requests /. Float.max wall 1e-9;
-    ld_p50_ms = quantile 0.5; ld_p99_ms = quantile 0.99; ld_cold = cold;
-    ld_hits = hits; ld_coalesced = coalesced }
-
-let write_load_json ~path r =
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"schema\": \"rentcost-bench-load/1\",\n";
-  Printf.fprintf oc "  \"seed\": %d,\n" root_seed;
-  Printf.fprintf oc
-    "  \"traffic\": {\"requests\": %d, \"clients\": %d, \"workers\": %d, \
-     \"hit_ratio_target\": %.2f, \"hit_ratio_measured\": %.3f},\n"
-    r.ld_requests r.ld_clients r.ld_workers r.ld_hit_ratio r.ld_hit_measured;
-  Printf.fprintf oc
-    "  \"throughput\": {\"wall_seconds\": %.6f, \"req_per_s\": %.1f},\n"
-    r.ld_wall r.ld_rps;
-  Printf.fprintf oc "  \"latency_ms\": {\"p50\": %.4f, \"p99\": %.4f},\n"
-    r.ld_p50_ms r.ld_p99_ms;
-  Printf.fprintf oc
-    "  \"served\": {\"cold\": %d, \"hits\": %d, \"coalesced\": %d}\n" r.ld_cold
-    r.ld_hits r.ld_coalesced;
-  Printf.fprintf oc "}\n";
-  close_out oc
-
-let emit_load_json ~requests ~clients ~workers ~hit_ratio =
-  let r = run_load ~seed:load_seed ~requests ~clients ~workers ~hit_ratio in
-  write_load_json ~path:"BENCH_load.json" r;
-  Printf.printf
-    "BENCH_load.json written (%d requests, %d clients on %d workers: %.0f \
-     req/s, p50 %.3f ms, p99 %.3f ms, hit ratio %.2f measured %.3f)\n"
-    r.ld_requests r.ld_clients r.ld_workers r.ld_rps r.ld_p50_ms r.ld_p99_ms
-    r.ld_hit_ratio r.ld_hit_measured;
-  r
 
 (* --- smoke mode: engine agreement + oracle consistency, no OLS --- *)
 
@@ -1555,7 +1154,7 @@ let smoke () =
       Printf.printf "FAIL %s\n" name
     end
   in
-  let rows = emit_solver_json ~evals:20_000 in
+  let rows = emit_solver ~evals:20_000 in
   let cost_of name =
     (List.find (fun r -> r.row_name = name) rows).row_cost
   in
@@ -1601,13 +1200,6 @@ let smoke () =
     check (Printf.sprintf "oracle matches scratch after undo %d" j)
       (I.Oracle.cost o = scratch ())
   done;
-  (* The provisioning service: a warm hit must beat a cold solve and
-     the replayed trace must actually hit the cache. *)
-  let cold, warm, trace = emit_service_json ~iters:50 in
-  check "service warm hit faster than cold solve" (warm < cold);
-  check "service trace produced cache hits" (trace.tr_hits > 0);
-  check "service trace produced monotone hits" (trace.tr_monotone > 0);
-  check "service trace produced warm starts" (trace.tr_warm > 0);
   (* Observability: the kill switch must freeze every instrument, and
      enabled instrumentation must stay within 5% of the disabled hot
      path (the absolute slack absorbs clock granularity on a ~100 us
@@ -1659,13 +1251,13 @@ let smoke () =
     (Svc.Audit.recorded (Svc.Engine.audit (Lazy.force cold_engine))
     = audit_frozen);
   Telemetry.set_enabled true;
-  let on, off = emit_observability_json ~reps:7 in
+  let on, off = emit_observability ~reps:7 in
   check "labelled instrumentation overhead under 5% on the heuristic hot path"
     (on <= (off *. 1.05) +. 2.5e-4);
   (* The portfolio race: bit-identical across domain counts, never
      worse than its rank-0 sequential run, and — when the machine has
      the cores — actually faster on 4 domains. *)
-  let cores, wall1, wall4, cost1, cost4 = emit_parallel_json ~reps:3 in
+  let cores, wall1, wall4, cost1, cost4 = emit_parallel ~reps:3 in
   check "portfolio 1-domain and 4-domain agree on cost" (cost1 = cost4);
   let alloc o =
     match o.S.allocation with
@@ -1709,7 +1301,7 @@ let smoke () =
      of the scanned exact dual, duality must hold at the achieved
      throughput, three books must never price above single-cloud, and
      identical-price books must be bit-identical to no book. *)
-  let sc = emit_scenarios_json () in
+  let sc = emit_scenarios () in
   check "dual throughput within one step of the scanned exact dual"
     (abs (sc.sc_throughput - sc.sc_exact_dual) <= 1);
   check "dual allocation fits the monetary budget"
@@ -1727,7 +1319,7 @@ let smoke () =
      relaxation — the fallback demonstrably fires, it is not dead
      code). *)
   let committed = committed_paper_counts "BENCH_numeric.json" in
-  let splits, paper, stress = emit_numeric_json ~reps:5 in
+  let splits, paper, stress = emit_numeric ~reps:5 in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
@@ -1787,7 +1379,7 @@ let smoke () =
      land between the static-peak baseline and the clairvoyant oracle,
      and the baselines must behave as advertised (static never
      violates, the oracle re-plans once per hour block). *)
-  let ac = emit_autoscale_json () in
+  let ac = emit_autoscale () in
   let elastic = ac.As.Policy.elastic
   and static = ac.As.Policy.static_peak
   and oracle = ac.As.Policy.oracle in
@@ -1805,99 +1397,6 @@ let smoke () =
   check "oracle re-plans once per hour block"
     (oracle.As.Policy.replans
     = (As.Trace.length (Lazy.force autoscale_trace) + 11) / 12);
-  (* High-throughput serving. First the single-flight invariant, in
-     its deterministic single-threaded form: a 32-duplicate herd
-     queued and then drained costs exactly one cold solve — the other
-     31 ride the leader's flight (batch mates plus the completion
-     sweep) and are answered as coalesced. *)
-  let herd_engine = service_engine_with_app () in
-  let herd_cold0 = Telemetry.value Telemetry.service_cache_misses in
-  let herd_coalesced0 = Telemetry.value Telemetry.service_coalesced in
-  let herd_queued =
-    List.concat_map
-      (fun i ->
-        Svc.Engine.submit herd_engine
-          (Svc.Protocol.Solve
-             { id = Some i; trace_id = None; tenant = None;
-               source = Svc.Protocol.Ref "app"; objective = min_cost 97;
-               pricebook = None; spec = S.Auto; budget = None;
-               reuse = Svc.Protocol.Monotone }))
-      (List.init 32 Fun.id)
-  in
-  let herd_answers = Svc.Engine.drain herd_engine in
-  let count_served s =
-    List.length
-      (List.filter
-         (function
-           | Svc.Protocol.Solved { served; _ } -> served = s | _ -> false)
-         herd_answers)
-  in
-  check "herd: all 32 duplicates admitted" (herd_queued = []);
-  check "herd: every duplicate answered" (List.length herd_answers = 32);
-  check "herd: exactly one cold solve"
-    (count_served Svc.Protocol.Cold = 1
-    && Telemetry.value Telemetry.service_cache_misses - herd_cold0 = 1);
-  check "herd: the other 31 coalesced"
-    (count_served Svc.Protocol.Coalesced = 31
-    && Telemetry.value Telemetry.service_coalesced - herd_coalesced0 = 31);
-  (* Shed conservation on a replayed overload: 24 distinct solves into
-     a capacity-4 drop-oldest queue with no worker draining. Every
-     request must be answered exactly once — evicted ones as
-     [Overloaded] at eviction time, survivors as [Solved] on drain —
-     and no id may vanish or double. *)
-  let shed_engine =
-    Svc.Engine.create
-      ~config:
-        { Svc.Engine.default_config with
-          Svc.Engine.queue_capacity = 4;
-          queue_policy = Svc.Admission.Drop_oldest }
-      ()
-  in
-  ignore (Svc.Engine.register shed_engine ~name:"app" illustrating);
-  let shed_immediate =
-    List.concat_map
-      (fun i ->
-        Svc.Engine.submit shed_engine
-          (Svc.Protocol.Solve
-             { id = Some i; trace_id = None; tenant = None;
-               source = Svc.Protocol.Ref "app";
-               objective = min_cost (10 + i); pricebook = None; spec = S.Auto;
-               budget = None; reuse = Svc.Protocol.Monotone }))
-      (List.init 24 Fun.id)
-  in
-  let shed_drained = Svc.Engine.drain shed_engine in
-  let answer_id = function
-    | Svc.Protocol.Solved { id = Some i; _ }
-    | Svc.Protocol.Overloaded { id = Some i; _ } -> [ i ]
-    | _ -> []
-  in
-  let shed_ids =
-    List.sort compare
-      (List.concat_map answer_id (shed_immediate @ shed_drained))
-  in
-  check "shed conservation: every offered id answered exactly once"
-    (shed_ids = List.init 24 Fun.id);
-  check "shed conservation: 20 evictions carry retry hints"
-    (List.for_all
-       (function
-         | Svc.Protocol.Overloaded { retry_after_ms = Some ms; _ } -> ms >= 1
-         | _ -> false)
-       shed_immediate
-    && List.length shed_immediate = 20);
-  check "shed conservation: the 4 survivors solved"
-    (List.length shed_drained = 4
-    && List.for_all
-         (function Svc.Protocol.Solved _ -> true | _ -> false)
-         shed_drained);
-  (* And the end-to-end generator: a small closed-loop run through a
-     real pipe daemon must sustain actual throughput and produce an
-     internally consistent BENCH_load.json. *)
-  let ld = emit_load_json ~requests:160 ~clients:4 ~workers:2 ~hit_ratio:0.9 in
-  check "load: sustained positive throughput" (ld.ld_rps > 0.);
-  check "load: p99 at least p50" (ld.ld_p99_ms >= ld.ld_p50_ms);
-  check "load: every request served exactly one way"
-    (ld.ld_cold + ld.ld_hits + ld.ld_coalesced = ld.ld_requests);
-  check "load: hot traffic actually hit the cache" (ld.ld_hits > 0);
   if !failures = 0 then print_endline "smoke OK"
   else begin
     Printf.printf "smoke: %d failure(s)\n" !failures;
@@ -1938,12 +1437,10 @@ let () =
     List.iter
       (fun (name, ns, r2) -> Printf.printf "%-50s %s %8.4f\n" name (human ns) r2)
       rows;
-    ignore (emit_solver_json ~evals:200_000);
-    ignore (emit_service_json ~iters:200);
-    ignore (emit_observability_json ~reps:9);
-    ignore (emit_parallel_json ~reps:5);
-    ignore (emit_scenarios_json ());
-    ignore (emit_numeric_json ~reps:9);
-    ignore (emit_autoscale_json ());
-    ignore (emit_load_json ~requests:800 ~clients:4 ~workers:4 ~hit_ratio:0.9)
+    ignore (emit_solver ~evals:200_000);
+    ignore (emit_observability ~reps:9);
+    ignore (emit_parallel ~reps:5);
+    ignore (emit_scenarios ());
+    ignore (emit_numeric ~reps:9);
+    ignore (emit_autoscale ())
   end

@@ -228,7 +228,8 @@ val handle : ?now:float -> t -> Protocol.request -> Protocol.response list
 (** Snapshot for [Stats_reply] and the shutdown dump: uptime, every
     registered {!Telemetry} counter, per-op request counts, cache
     occupancy/evictions, queue depth/policy/shed/in-flight counts,
-    the latency histogram buckets, and the registered /
+    the [service.latency_seconds] histogram (bounds, counts, sum and
+    count, as in the [metrics] reply), and the registered /
     tracked-session counts. *)
 val stats : t -> (string * Json.t) list
 

@@ -9,6 +9,19 @@ type t =
 
 (* --- printing --- *)
 
+(* The shortest of %.15g, %.16g and %.17g that reads back to [f]
+   (%.17g always does), with ".0" appended when the digits alone would
+   parse back as an [Int]. *)
+let float_text f =
+  let rec shortest p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || Float.equal (float_of_string s) f then s else shortest (p + 1)
+  in
+  let s = shortest 15 in
+  if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s then
+    s ^ ".0"
+  else s
+
 let escape_into b s =
   String.iter
     (fun c ->
@@ -30,10 +43,7 @@ let rec print_into b = function
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.1f" f)
-    else Buffer.add_string b (Printf.sprintf "%.17g" f)
+  | Float f -> Buffer.add_string b (float_text f)
   | String s ->
     Buffer.add_char b '"';
     escape_into b s;

@@ -19,7 +19,9 @@ type t =
   | Obj of (string * t) list
 
 (** [to_string v] renders compact single-line JSON (no newlines, so a
-    value is always one protocol line). *)
+    value is always one protocol line). A finite [Float] prints in the
+    fewest significant digits (15 to 17) that {!of_string} reads back
+    to the same float. *)
 val to_string : t -> string
 
 (** [of_string s] parses one JSON value spanning the whole input

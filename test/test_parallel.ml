@@ -506,8 +506,17 @@ let parse_response line =
 (* Run a full daemon session over pipes: [writers] client domains each
    write [per_writer] solve requests concurrently, then the main
    domain appends Stats and Shutdown and serves with [workers]
-   domains. Returns the parsed responses in arrival order. *)
+   domains. Every solve is served exactly one way: a cold solve, a
+   cache hit or a coalesced follower. Returns the parsed responses in
+   arrival order. *)
 let daemon_session ~workers ~writers ~per_writer =
+  let served () =
+    List.fold_left
+      (fun acc name -> acc + Telemetry.value name)
+      0
+      Telemetry.[ service_cache_misses; service_cache_hits; service_coalesced ]
+  in
+  let served_before = served () in
   let req_read, req_write = Unix.pipe () in
   let resp_read, resp_write = Unix.pipe () in
   join_all
@@ -537,6 +546,9 @@ let daemon_session ~workers ~writers ~per_writer =
   in
   let responses = read_lines [] in
   close_in ic;
+  Alcotest.(check int) "cold + hits + coalesced = solves"
+    (writers * per_writer)
+    (served () - served_before);
   responses
 
 let solved_ids responses =

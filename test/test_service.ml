@@ -105,6 +105,18 @@ let test_json_unicode_and_errors () =
   Alcotest.(check bool) "fractional float does not" true
     (J.to_int (J.Float 3.5) = None)
 
+(* Integral floats beyond 1e15 print without a fraction or exponent
+   unless the printer adds one, so the generator mixes them in. *)
+let prop_json_float_roundtrip =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"json float prints back to itself"
+       QCheck2.Gen.(oneof [ float; map Int.to_float int ])
+       (fun f ->
+         QCheck2.assume (Float.is_finite f);
+         match J.of_string (J.to_string (J.Float f)) with
+         | Ok (J.Float g) -> Int64.bits_of_float g = Int64.bits_of_float f
+         | _ -> false))
+
 (* --- Fingerprint --- *)
 
 let test_fingerprint_permutation_invariant () =
@@ -549,7 +561,22 @@ let test_metrics_reply () =
        Alcotest.(check bool) "per-op counts included" true
          (J.member "ops" svc <> None);
        Alcotest.(check bool) "uptime included" true
-         (J.member "uptime" svc <> None)
+         (J.member "uptime" svc <> None);
+       (* Latency is the histogram itself: 1-2.5-5 log-spaced bounds
+          from 10 us to 10 s, one count per bucket plus overflow. *)
+       (match J.member "latency" svc with
+        | Some latency -> (
+          match (J.member "bounds" latency, J.member "counts" latency) with
+          | Some (J.List bounds), Some (J.List counts) ->
+            Alcotest.(check (list (float 0.)))
+              "latency bounds"
+              [ 1e-5; 2.5e-5; 5e-5; 1e-4; 2.5e-4; 5e-4; 1e-3; 2.5e-3; 5e-3;
+                1e-2; 2.5e-2; 5e-2; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0 ]
+              (List.filter_map J.to_float bounds);
+            Alcotest.(check int) "one count per bucket plus overflow"
+              (List.length bounds + 1) (List.length counts)
+          | _ -> Alcotest.fail "latency lacks bounds or counts")
+        | None -> Alcotest.fail "service stats carry no latency")
      | None -> Alcotest.fail "metrics carry no service stats");
     (match J.member "numeric" metrics with
      | Some numeric ->
@@ -649,6 +676,15 @@ let test_audit_journal () =
       hit.Svc.Audit.fingerprint;
     Alcotest.(check string) "cold rung" "cold" cold.Svc.Audit.served;
     Alcotest.(check string) "exact rung" "exact-hit" hit.Svc.Audit.served;
+    (* The hit is cheaper than the solve by construction, which the
+       effort counts show without a clock: the hit ran no engine. *)
+    Alcotest.(check (list int)) "hit did no solver work" [ 0; 0; 0 ]
+      [ hit.Svc.Audit.pivots; hit.Svc.Audit.nodes;
+        hit.Svc.Audit.evaluations ];
+    Alcotest.(check bool) "cold solve did solver work" true
+      (List.for_all (fun n -> n > 0)
+         [ cold.Svc.Audit.pivots; cold.Svc.Audit.nodes;
+           cold.Svc.Audit.evaluations ]);
     Alcotest.(check int) "cost recorded" r1.t_cost cold.Svc.Audit.cost;
     Alcotest.(check bool) "queue wait sane" true
       (cold.Svc.Audit.queue_wait >= 0.0);
@@ -785,6 +821,7 @@ let test_herd_single_thread () =
   Telemetry.Span.clear ();
   let e = engine_with base in
   let before = coalesced_total () in
+  let misses_before = Telemetry.value Telemetry.service_cache_misses in
   for i = 1 to 32 do
     Alcotest.(check bool) "admitted" true
       (E.submit ~now:0.0 e (solve_req ~id:i 110) = [])
@@ -804,6 +841,8 @@ let test_herd_single_thread () =
     rest;
   Alcotest.(check int) "coalesced counter accounts the followers" 31
     (coalesced_total () - before);
+  Alcotest.(check int) "cache-miss counter accounts the one solve" 1
+    (Telemetry.value Telemetry.service_cache_misses - misses_before);
   Alcotest.(check int) "exactly one service.solve span" 1
     (count_solve_spans ());
   Alcotest.(check int) "every reply carries its own trace id" 32
@@ -967,9 +1006,43 @@ let test_drop_oldest_policy () =
    | [ Pr.Overloaded { id = Some 1; retry_after_ms = Some ms; _ } ] ->
      Alcotest.(check bool) "retry hint positive" true (ms > 0)
    | _ -> Alcotest.fail "expected the oldest request evicted");
-  match E.drain ~now:0.0 e with
-  | [ Pr.Solved { id = Some 2; _ }; Pr.Solved { id = Some 3; _ } ] -> ()
-  | _ -> Alcotest.fail "expected the survivors drained in order"
+  (match E.drain ~now:0.0 e with
+   | [ Pr.Solved { id = Some 2; _ }; Pr.Solved { id = Some 3; _ } ] -> ()
+   | _ -> Alcotest.fail "expected the survivors drained in order");
+  (* Conservation on a replayed overload: 24 distinct solves into a
+     capacity-4 queue with no worker draining. The 20 evicted are
+     answered Overloaded with a retry hint as they are evicted, the 4
+     survivors are solved on drain, and no id vanishes or doubles. *)
+  let e =
+    engine_with ~config:(config_with ~capacity:4 Svc.Admission.Drop_oldest)
+      base
+  in
+  let evicted =
+    List.concat_map
+      (fun i -> E.submit ~now:0.0 e (solve_req ~id:i (10 + i)))
+      (List.init 24 Fun.id)
+  in
+  let drained = E.drain ~now:0.0 e in
+  Alcotest.(check int) "20 evictions" 20 (List.length evicted);
+  List.iter
+    (function
+      | Pr.Overloaded { retry_after_ms = Some ms; _ } ->
+        Alcotest.(check bool) "eviction carries a retry hint" true (ms >= 1)
+      | _ -> Alcotest.fail "expected only Overloaded at submit")
+    evicted;
+  Alcotest.(check int) "4 survivors" 4 (List.length drained);
+  List.iter
+    (function
+      | Pr.Solved _ -> ()
+      | _ -> Alcotest.fail "expected every survivor solved")
+    drained;
+  let answer_id = function
+    | Pr.Solved { id = Some i; _ } | Pr.Overloaded { id = Some i; _ } -> [ i ]
+    | _ -> []
+  in
+  Alcotest.(check (list int)) "every offered id answered exactly once"
+    (List.init 24 Fun.id)
+    (List.sort compare (List.concat_map answer_id (evicted @ drained)))
 
 let test_tenant_fair_policy () =
   let e =
@@ -1169,6 +1242,7 @@ let suite =
     [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
       Alcotest.test_case "json unicode and errors" `Quick
         test_json_unicode_and_errors;
+      prop_json_float_roundtrip;
       Alcotest.test_case "fingerprint permutation invariance" `Quick
         test_fingerprint_permutation_invariant;
       Alcotest.test_case "fingerprint distinguishes" `Quick
