@@ -49,10 +49,9 @@
    socket (--socket) or stdin/stdout, with instance fingerprinting,
    an LRU solution cache and warm-start reuse. --time-limit /
    --node-limit / --max-evals set the default per-request budget;
-   --workers N drains the admission queue with N worker domains,
-   each taking up to --batch compatible requests per wakeup, with
-   identical in-flight solves coalesced to one; --queue-policy picks
-   who is shed when the queue is full.
+   --workers N drains the admission queue with N worker domains, one
+   request per wakeup, with identical in-flight solves coalesced to
+   one; --queue-policy picks who is shed when the queue is full.
 
    "stats" scrapes a running daemon: it sends {"op":"metrics"} over
    the socket and prints the reply — raw JSON by default, the
@@ -496,25 +495,28 @@ let cmd_stats socket text_mode =
             `Ok ()
           | None -> `Error (false, "stats: reply carries no text exposition"))))
 
-let cmd_serve socket cache_capacity queue_capacity queue_policy batch budget
-    workers audit =
+let cmd_serve socket cache_capacity queue_capacity queue_policy budget workers
+    audit =
   if cache_capacity <= 0 then `Error (true, "--cache must be positive")
   else if queue_capacity <= 0 then `Error (true, "--queue must be positive")
-  else if batch < 1 then `Error (true, "--batch must be at least 1")
   else if workers < 1 then `Error (true, "--workers must be at least 1")
   else begin
     let config =
       { Rentcost_service.Engine.cache_capacity; queue_capacity; queue_policy;
-        batch; default_budget = budget; workers }
+        default_budget = budget }
     in
     match socket with
     | Some path ->
-      (match Rentcost_service.Daemon.serve_socket ~config ?audit ~path () with
+      (match
+         Rentcost_service.Daemon.serve_socket ~config ~workers ?audit ~path ()
+       with
        | () -> `Ok ()
        | exception Unix.Unix_error (err, fn, _) ->
          `Error (false, Printf.sprintf "serve: %s: %s" fn (Unix.error_message err)))
     | None ->
-      `Ok (Rentcost_service.Daemon.serve_channels ~config ?audit stdin stdout)
+      `Ok
+        (Rentcost_service.Daemon.serve_channels ~config ~workers ?audit stdin
+           stdout)
   end
 
 (* --- cmdliner plumbing --- *)
@@ -665,13 +667,8 @@ let queue_policy_arg =
              tenant-fair evicts the newest request of the tenant holding \
              the most slots (never a tenant's only one).")
 
-let batch_arg =
-  Arg.(value & opt int 8 & info [ "batch" ] ~docv:"K"
-         ~doc:"Max queued solves one serve worker drains per wakeup; 1 \
-               disables batching.")
-
 let main sub path target spec seed step time_limit node_limit max_evals items
-    socket cache_capacity queue_capacity queue_policy batch trace text_mode
+    socket cache_capacity queue_capacity queue_policy trace text_mode
     domains workers objective_kind money pricebook audit_file last auto_opts =
   let budget =
     { Rentcost.Budget.deadline = time_limit; node_cap = node_limit;
@@ -694,8 +691,8 @@ let main sub path target spec seed step time_limit node_limit max_evals items
   match (sub, path, target) with
   | "example", _, _ -> `Ok (cmd_example ())
   | "serve", _, _ ->
-    cmd_serve socket cache_capacity queue_capacity queue_policy batch budget
-      workers audit_file
+    cmd_serve socket cache_capacity queue_capacity queue_policy budget workers
+      audit_file
   | "stats", _, _ -> cmd_stats socket text_mode
   | "audit", _, _ -> cmd_audit socket last
   | "info", Some path, _ -> cmd_info path
@@ -726,7 +723,7 @@ let cmd =
                & info [ "target"; "t" ] ~docv:"N" ~doc:"Target throughput.")
         $ algorithm_arg $ seed_arg $ step_arg $ time_limit_arg $ node_limit_arg
         $ max_evals_arg $ items_arg $ socket_arg $ cache_arg $ queue_arg
-        $ queue_policy_arg $ batch_arg
+        $ queue_policy_arg
         $ trace_arg $ text_arg $ domains_arg $ workers_arg $ objective_arg
         $ money_arg $ pricebook_arg $ audit_file_arg $ last_arg
         $ autoscale_term))

@@ -138,47 +138,3 @@ let remove_matching t ~f =
   let matching, rest = List.partition (fun e -> f e.job) t.q in
   t.q <- rest;
   List.map (fun e -> e.job) matching
-
-type 'a batch = {
-  jobs : 'a list;  (* leader first, then compatible mates, FIFO *)
-  shed : 'a list;  (* expired in queue; each still owes a reply *)
-}
-
-(* Drain the head job plus up to [k - 1] queued jobs compatible with
-   it, preserving FIFO order among both the batch and the entries left
-   behind. Expired entries met during the scan are shed on the spot
-   (they would only be shed later anyway). *)
-let take_batch t ~now ~k ~compatible =
-  if k <= 0 then invalid_arg "Admission.take_batch: k must be positive";
-  let rec find_leader shed =
-    match t.q with
-    | [] -> (None, List.rev shed)
-    | e :: rest ->
-      t.q <- rest;
-      if expired now e then begin
-        t.shed <- t.shed + 1;
-        find_leader (e.job :: shed)
-      end
-      else (Some e.job, List.rev shed)
-  in
-  match find_leader [] with
-  | None, shed -> { jobs = []; shed }
-  | Some leader, shed0 ->
-    let batch = ref [ leader ]
-    and taken = ref 1
-    and shed = ref (List.rev shed0)
-    and kept = ref [] in
-    List.iter
-      (fun e ->
-        if expired now e then begin
-          t.shed <- t.shed + 1;
-          shed := e.job :: !shed
-        end
-        else if !taken < k && compatible leader e.job then begin
-          batch := e.job :: !batch;
-          incr taken
-        end
-        else kept := e :: !kept)
-      t.q;
-    t.q <- List.rev !kept;
-    { jobs = List.rev !batch; shed = List.rev !shed }

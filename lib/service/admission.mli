@@ -11,10 +11,9 @@
     policy is deterministic under test.
 
     The accounting invariant callers rely on: every job ever offered
-    is eventually exactly one of {e served} (returned by
-    {!take}/{!take_batch} as a live job), {e shed} (rejected at the
-    door, returned in an [evicted] list, or returned as [`Shed]), or
-    {e still queued}. Shed never loses an accepted job silently —
+    is eventually exactly one of {e served} (returned by {!take} as a
+    live job), {e shed} (rejected at the door, returned in an
+    [evicted] list, or returned as [`Shed]), or {e still queued}. Shed never loses an accepted job silently —
     eviction hands the job back so the caller can answer it. *)
 
 (** What happens to a full queue when a new request arrives:
@@ -85,20 +84,3 @@ val take : 'a t -> now:float -> [ `Job of 'a | `Shed of 'a | `Empty ]
     responsibility for answering them (the completing single-flight
     leader adopting queued duplicates). *)
 val remove_matching : 'a t -> f:('a -> bool) -> 'a list
-
-type 'a batch = {
-  jobs : 'a list;
-      (** leader first, then up to [k - 1] compatible mates, in queue
-          order; [[]] when the queue held nothing live *)
-  shed : 'a list;
-      (** entries whose deadline expired in queue, met during the
-          scan; each still owes a reply *)
-}
-
-(** [take_batch t ~now ~k ~compatible] dequeues the oldest live job
-    (the leader) plus up to [k - 1] later queued jobs for which
-    [compatible leader job] holds, preserving queue order among both
-    the batch and the entries left behind. Incompatible entries keep
-    their positions. @raise Invalid_argument when [k <= 0]. *)
-val take_batch :
-  'a t -> now:float -> k:int -> compatible:('a -> 'a -> bool) -> 'a batch

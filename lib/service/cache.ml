@@ -23,17 +23,21 @@ type t = {
   table : (key, slot) Hashtbl.t;
   mutable clock : int;
   mutable evicted : int;
+  lock : Mutex.t;  (* every public operation runs under it *)
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
-  { cap = capacity; table = Hashtbl.create capacity; clock = 0; evicted = 0 }
+  { cap = capacity; table = Hashtbl.create capacity; clock = 0; evicted = 0;
+    lock = Mutex.create () }
+
+let locked t f = Mutex.protect t.lock f
 
 let capacity t = t.cap
 
-let length t = Hashtbl.length t.table
+let length t = locked t (fun () -> Hashtbl.length t.table)
 
-let evictions t = t.evicted
+let evictions t = locked t (fun () -> t.evicted)
 
 let tick t =
   t.clock <- t.clock + 1;
@@ -50,63 +54,48 @@ let fold_struct t ~digest ~encoding f init =
       else acc)
     t.table init
 
+(* The best slot of one structure under [pick], recency refreshed. *)
+let lookup t ~digest ~encoding pick =
+  locked t (fun () ->
+      match fold_struct t ~digest ~encoding pick None with
+      | None -> None
+      | Some slot ->
+        touch t slot;
+        Some slot.entry)
+
 let find_exact t ~digest ~encoding ~target ~spec =
-  let pick _key slot best =
-    if slot.entry.target <> target then best
-    else if String.equal slot.entry.spec spec then
-      (* The engine actually asked for — always the best answer. *)
-      Some slot
-    else if slot.entry.optimal then
-      match best with Some b when String.equal b.entry.spec spec -> best | _ -> Some slot
-    else best
-  in
-  match fold_struct t ~digest ~encoding pick None with
-  | None -> None
-  | Some slot ->
-    touch t slot;
-    Some slot.entry
+  lookup t ~digest ~encoding (fun _key slot best ->
+      if slot.entry.target <> target then best
+      else if String.equal slot.entry.spec spec then
+        (* The engine actually asked for — always the best answer. *)
+        Some slot
+      else if slot.entry.optimal then
+        match best with Some b when String.equal b.entry.spec spec -> best | _ -> Some slot
+      else best)
 
 let find_monotone t ~digest ~encoding ~target =
-  let pick _key slot best =
-    if (not slot.entry.optimal) || slot.entry.target < target then best
-    else
-      match best with
-      | Some b when b.entry.target <= slot.entry.target -> best
-      | _ -> Some slot
-  in
-  match fold_struct t ~digest ~encoding pick None with
-  | None -> None
-  | Some slot ->
-    touch t slot;
-    Some slot.entry
+  lookup t ~digest ~encoding (fun _key slot best ->
+      if (not slot.entry.optimal) || slot.entry.target < target then best
+      else
+        match best with
+        | Some b when b.entry.target <= slot.entry.target -> best
+        | _ -> Some slot)
 
 let find_monotone_le t ~digest ~encoding ~target =
-  let pick _key slot best =
-    if (not slot.entry.optimal) || slot.entry.target > target then best
-    else
-      match best with
-      | Some b when b.entry.target >= slot.entry.target -> best
-      | _ -> Some slot
-  in
-  match fold_struct t ~digest ~encoding pick None with
-  | None -> None
-  | Some slot ->
-    touch t slot;
-    Some slot.entry
+  lookup t ~digest ~encoding (fun _key slot best ->
+      if (not slot.entry.optimal) || slot.entry.target > target then best
+      else
+        match best with
+        | Some b when b.entry.target >= slot.entry.target -> best
+        | _ -> Some slot)
 
 let find_nearest t ~digest ~encoding ~target =
-  let pick _key slot best =
-    if slot.entry.target < target then best
-    else
-      match best with
-      | Some b when b.entry.target <= slot.entry.target -> best
-      | _ -> Some slot
-  in
-  match fold_struct t ~digest ~encoding pick None with
-  | None -> None
-  | Some slot ->
-    touch t slot;
-    Some slot.entry
+  lookup t ~digest ~encoding (fun _key slot best ->
+      if slot.entry.target < target then best
+      else
+        match best with
+        | Some b when b.entry.target <= slot.entry.target -> best
+        | _ -> Some slot)
 
 let evict_lru t =
   let victim =
@@ -125,9 +114,11 @@ let evict_lru t =
 
 let insert t ~digest ~encoding entry =
   let key = { digest; ktarget = entry.target; kspec = entry.spec } in
-  let fresh = not (Hashtbl.mem t.table key) in
-  if fresh && Hashtbl.length t.table >= t.cap then evict_lru t;
-  Hashtbl.replace t.table key { encoding; entry; last_used = tick t }
+  locked t (fun () ->
+      let fresh = not (Hashtbl.mem t.table key) in
+      if fresh && Hashtbl.length t.table >= t.cap then evict_lru t;
+      Hashtbl.replace t.table key { encoding; entry; last_used = tick t })
 
 let mem t ~digest ~target ~spec =
-  Hashtbl.mem t.table { digest; ktarget = target; kspec = spec }
+  locked t (fun () ->
+      Hashtbl.mem t.table { digest; ktarget = target; kspec = spec })

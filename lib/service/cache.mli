@@ -32,8 +32,9 @@
 
     Recency is a global access clock stamped on insert and on every
     hit; eviction scans for the stale minimum — [O(capacity)], dwarfed
-    by the solves the cache fronts. Not thread-safe; the daemon is
-    single-threaded by design. *)
+    by the solves the cache fronts. Safe to share across domains:
+    every operation runs under the cache's one mutex, so a lookup or
+    insert is atomic with respect to the others. *)
 
 type entry = {
   target : int;

@@ -18,70 +18,32 @@ let dump_stats dump engine =
   output_char dump '\n';
   flush dump
 
-(* One request line: parse, dispatch, answer. [`Stop] on shutdown. *)
-let serve_line engine oc line =
-  if is_blank line then `Continue
-  else
-    match Json.of_string line with
-    | Error msg ->
-      respond oc (Protocol.Error { id = None; trace_id = None; message = "bad json: " ^ msg });
-      `Continue
-    | Ok j -> (
-      match Protocol.request_of_json j with
-      | Error message ->
-        respond oc (Protocol.Error { id = None; trace_id = None; message });
-        `Continue
-      | Ok request ->
-        List.iter (respond oc) (Engine.handle engine request);
-        (match request with Protocol.Shutdown -> `Stop | _ -> `Continue))
-
-let serve_connection engine ic oc =
-  let rec loop () =
-    match input_line ic with
-    | exception End_of_file -> `Eof
-    | line -> (
-      match serve_line engine oc line with
-      | `Continue -> loop ()
-      | `Stop -> `Stop)
-  in
-  loop ()
-
-(* --- the parallel connection loop ---
-
-   With [workers > 1] the reader domain only parses lines and routes
-   requests: solves are enqueued through [Engine.submit] and answered
-   by whichever worker domain drains them, so responses come back in
-   completion order — clients correlate by id. One mutex around
-   [respond] keeps each JSON line whole. Shutdown (request or EOF)
-   flips the stop flag and wakes the workers, which drain the
-   remaining queue before exiting — a shutdown with a non-empty queue
-   still answers everything, and Bye is the last response. *)
-let serve_connection_parallel engine ~workers ic oc =
+(* One connection: read request lines until shutdown or EOF. Only
+   what happens to a parsed request depends on [workers]. With one
+   worker the reader answers it inline through [Engine.handle], in
+   arrival order. With more, the reader only routes: solves are
+   enqueued through [Engine.submit] and answered by whichever worker
+   domain drains them, so responses come back in completion order —
+   clients correlate by id. One mutex around [respond] keeps each JSON
+   line whole. Shutdown (request or EOF) flips the stop flag and wakes
+   the workers, which drain the remaining queue before exiting — a
+   shutdown with a non-empty queue still answers everything, and Bye
+   is the last response. *)
+let serve_connection engine ~workers ic oc =
   let om = Mutex.create () in
-  let respond_locked r =
-    Mutex.lock om;
-    Fun.protect ~finally:(fun () -> Mutex.unlock om) (fun () -> respond oc r)
-  in
+  let respond r = Mutex.protect om (fun () -> respond oc r) in
   let stop = Atomic.make false in
+  let worker () =
+    while Engine.wait_for_work engine ~stop:(fun () -> Atomic.get stop) do
+      (* A vanished client must not kill the worker — keep draining so
+         shutdown still converges. *)
+      List.iter
+        (fun r -> try respond r with Sys_error _ | Unix.Unix_error _ -> ())
+        (Engine.drain_next engine)
+    done
+  in
   let worker_domains =
-    List.init workers (fun _ ->
-        Domain.spawn (fun () ->
-            let rec loop () =
-              if Engine.wait_for_work engine ~stop:(fun () -> Atomic.get stop)
-              then begin
-                (* One wakeup drains a whole batch (plus any followers
-                   a completing flight adopted); a vanished client
-                   must not kill the worker — keep draining so
-                   shutdown still converges. *)
-                List.iter
-                  (fun r ->
-                    try respond_locked r
-                    with Sys_error _ | Unix.Unix_error _ -> ())
-                  (Engine.drain_next engine);
-                loop ()
-              end
-            in
-            loop ()))
+    if workers = 1 then [] else List.init workers (fun _ -> Domain.spawn worker)
   in
   let joined = ref false in
   let join_workers () =
@@ -92,51 +54,41 @@ let serve_connection_parallel engine ~workers ic oc =
       List.iter Domain.join worker_domains
     end
   in
-  let serve_request request =
-    match request with
-    | Protocol.Shutdown ->
+  let dispatch request =
+    if workers = 1 then List.iter respond (Engine.handle engine request)
+    else begin
       (* Workers finish the backlog first, so Bye really is last. *)
-      join_workers ();
-      List.iter respond_locked (Engine.submit engine request);
-      `Stop
-    | _ ->
+      (match request with Protocol.Shutdown -> join_workers () | _ -> ());
       (* [] = admitted or coalesced onto an open flight; a worker
          answers it. Non-empty = immediate-op replies or the
          [Overloaded] responses sheds and evictions now owe. *)
-      List.iter respond_locked (Engine.submit engine request);
-      `Continue
+      List.iter respond (Engine.submit engine request)
+    end
   in
   let rec loop () =
     match input_line ic with
-    | exception End_of_file ->
-      join_workers ();
-      `Eof
-    | line ->
-      if is_blank line then loop ()
-      else (
-        match Json.of_string line with
-        | Error msg ->
-          respond_locked
-            (Protocol.Error { id = None; trace_id = None; message = "bad json: " ^ msg });
-          loop ()
-        | Ok j -> (
-          match Protocol.request_of_json j with
-          | Error message ->
-            respond_locked (Protocol.Error { id = None; trace_id = None; message });
-            loop ()
-          | Ok request -> (
-            match serve_request request with
-            | `Continue -> loop ()
-            | `Stop -> `Stop)))
+    | exception End_of_file -> `Eof
+    | line when is_blank line -> loop ()
+    | line -> (
+      match
+        Result.bind
+          (Result.map_error (fun msg -> "bad json: " ^ msg) (Json.of_string line))
+          Protocol.request_of_json
+      with
+      | Error message ->
+        respond (Protocol.Error { id = None; trace_id = None; message });
+        loop ()
+      | Ok Protocol.Shutdown ->
+        dispatch Protocol.Shutdown;
+        `Stop
+      | Ok request ->
+        dispatch request;
+        loop ())
   in
   (* Whatever ends the connection — EOF, shutdown, a client that
      vanished mid-line — the workers are joined before we return, so
      the socket accept loop never accumulates orphan domains. *)
-  match loop () with
-  | verdict -> verdict
-  | exception e ->
-    join_workers ();
-    raise e
+  Fun.protect ~finally:join_workers loop
 
 let make_engine ?audit engine config =
   let e = match engine with Some e -> e | None -> Engine.create ?config () in
@@ -145,27 +97,21 @@ let make_engine ?audit engine config =
    | None -> ());
   e
 
-let worker_count engine workers =
-  match workers with
-  | Some w ->
-    if w < 1 then invalid_arg "Daemon: workers < 1";
-    w
-  | None -> (Engine.config engine).Engine.workers
+let check_workers workers =
+  if workers < 1 then invalid_arg "Daemon: workers < 1"
 
-let serve engine ~workers ic oc =
-  if workers <= 1 then serve_connection engine ic oc
-  else serve_connection_parallel engine ~workers ic oc
-
-let serve_channels ?engine ?config ?(dump = stderr) ?workers ?audit ic oc =
+let serve_channels ?engine ?config ?(dump = stderr) ?(workers = 1) ?audit ic
+    oc =
+  check_workers workers;
   let engine = make_engine ?audit engine config in
-  let workers = worker_count engine workers in
-  let (_ : [ `Eof | `Stop ]) = serve engine ~workers ic oc in
+  let (_ : [ `Eof | `Stop ]) = serve_connection engine ~workers ic oc in
   dump_stats dump engine;
   Audit.close (Engine.audit engine)
 
-let serve_socket ?engine ?config ?(dump = stderr) ?workers ?audit ~path () =
+let serve_socket ?engine ?config ?(dump = stderr) ?(workers = 1) ?audit ~path
+    () =
+  check_workers workers;
   let engine = make_engine ?audit engine config in
-  let workers = worker_count engine workers in
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
    | (_ : Sys.signal_behavior) -> ()
    | exception Invalid_argument _ -> ());
@@ -185,7 +131,7 @@ let serve_socket ?engine ?config ?(dump = stderr) ?workers ?audit ~path () =
         let ic = Unix.in_channel_of_descr client
         and oc = Unix.out_channel_of_descr client in
         let verdict =
-          try serve engine ~workers ic oc
+          try serve_connection engine ~workers ic oc
           with Sys_error _ | Unix.Unix_error _ ->
             (* A client that vanished mid-line is its own problem. *)
             `Eof

@@ -1,11 +1,12 @@
 (** The serving loop: line-delimited {!Protocol} JSON over channels or
     a Unix-domain socket.
 
-    With [workers <= 1] (the default) the loop is single-threaded and
-    answers requests in arrival order — the historical daemon,
-    bit-identical behaviour. With [workers > 1] the reader domain
-    parses and routes requests while [workers] worker domains drain
-    the admission queue concurrently: solve responses come back in
+    One reader loop parses every line; only what happens to a parsed
+    request depends on [?workers]. With [workers = 1] (the default)
+    the reader answers each request inline, in arrival order. With
+    [workers > 1] the reader routes requests while [workers] worker
+    domains drain the admission queue concurrently, one job per
+    wakeup: solve responses come back in
     {e completion} order (clients correlate by request id), each JSON
     line is written atomically under an output lock, and
     register/stats/metrics requests are answered immediately by the
@@ -16,9 +17,8 @@
     JSON line to [dump] (default [stderr], keeping the response stream
     clean).
 
-    [?workers] defaults to the engine's [config.workers]; passing it
-    overrides the config (the engine's lock striping is sized at
-    {!Engine.create} time, so prefer setting it in the config).
+    [?workers] is the only place the worker count is set; the engine
+    is the same whatever it is.
 
     @raise Invalid_argument when [workers < 1]. *)
 

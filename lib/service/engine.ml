@@ -15,7 +15,6 @@ let c_warm = Telemetry.counter Telemetry.service_warm_starts
 let c_reuse = Telemetry.counter Telemetry.service_compile_reuse
 let c_shed = Telemetry.counter Telemetry.service_shed
 let c_coalesced = Telemetry.counter Telemetry.service_coalesced
-let c_batches = Telemetry.counter Telemetry.service_batches
 
 (* The labelled view of the request counter: same family name as
    [c_requests], broken out by tenant and reuse rung. Bumps are guarded
@@ -53,9 +52,7 @@ type config = {
   cache_capacity : int;
   queue_capacity : int;
   queue_policy : Admission.policy;
-  batch : int;  (* max queued jobs a worker drains per wakeup *)
   default_budget : Budget.t;
-  workers : int;
 }
 
 let default_config =
@@ -63,9 +60,7 @@ let default_config =
     cache_capacity = 128;
     queue_capacity = 64;
     queue_policy = Admission.Reject_new;
-    batch = 8;
     default_budget = Budget.unlimited;
-    workers = 1;
   }
 
 type job = {
@@ -99,16 +94,21 @@ let queue_wait_hist =
 
 (* --- single-flight coalescing ---
 
-   One open [flight] per distinct solve key: the first worker (or
-   batch leader) to start a key becomes its leader; every identical
-   request that shows up while the flight is open — at the door, in
-   the queue, or on another worker — rides the leader's outcome
+   One open [flight] per distinct solve key: the first worker to start
+   a key becomes its leader; every identical request that shows up
+   while the flight is open — at the door, in the queue, or on another
+   worker — rides the leader's outcome
    instead of solving again. The key is structural equality on the
    solve inputs; all four record components are pure data (no
    closures), so polymorphic equality is exact. *)
 
+(* What a leader's request came to — everything a follower copies.
+   Followers share the leader's objective (that is part of the key),
+   so their audit records take objective and scalar from their own
+   job. *)
 type flight_result =
   | Flight_solved of {
+      served : Protocol.served;  (* the leader's rung *)
       status : Solver.status;
       cost : int;
       rho : int array;
@@ -117,10 +117,8 @@ type flight_result =
       machines : int array;
       engine : string;
       fingerprint : string;
-      objective : string;
-      scalar : int;
     }
-  | Flight_error of string
+  | Flight_error of { fingerprint : string; message : string }
 
 type flight = {
   f_leader : job;
@@ -133,33 +131,27 @@ let same_solve a b =
   a.source = b.source && a.objective = b.objective
   && a.pricebook = b.pricebook && a.spec = b.spec
 
-(* Batch compatibility is looser than flight identity: the objective
-   scalar may differ (a non-identical mate re-runs the reuse ladder
-   inline, straight after the leader warmed the cache). *)
-let compatible_jobs a b =
-  a.source = b.source && a.pricebook = b.pricebook && a.spec = b.spec
-  && Objective.kind a.objective = Objective.kind b.objective
-
-module Striped = Rentcost_parallel.Striped
-
 type t = {
   config : config;
-  solutions : Shared_cache.t;
+  solutions : Cache.t;  (* locks itself *)
   queue : job Admission.t;
   qm : Mutex.t;  (* guards every [queue] access *)
   qc : Condition.t;  (* signalled on admission; workers sleep here *)
   flights : flight list ref;
-      (* open single-flight leaders, at most [workers] entries;
+      (* open single-flight leaders, at most one per worker;
          guarded by [fm] *)
   fm : Mutex.t;
   fc : Condition.t;  (* broadcast when any flight completes *)
-  registry : (string, Instance.t * Fingerprint.t) Hashtbl.t Striped.t;
-      (* striped by name *)
-  instances : (string, Instance.t * Fingerprint.t) Hashtbl.t Striped.t;
-      (* striped by digest; Fingerprint.equal checked on reuse *)
-  trackers : (string, Controller.t) Hashtbl.t Striped.t;
-      (* autoscale sessions, striped by session name; ticks run under
-         the stripe lock, which serializes a session's controller *)
+  registry : (string, Instance.t * Fingerprint.t) Hashtbl.t;
+      (* by name; guarded by [im] *)
+  instances : (string, Instance.t * Fingerprint.t) Hashtbl.t;
+      (* by digest, Fingerprint.equal checked on reuse; guarded by [im] *)
+  im : Mutex.t;
+  trackers : (string, Controller.t) Hashtbl.t;
+      (* autoscale sessions by name; guarded by [sm] *)
+  sm : Mutex.t;
+      (* held across a tick, so ticks are serialized; separate from
+         [im], so a re-solving tick never blocks a solve's lookups *)
   audit : Audit.t;
   trace_seq : int Atomic.t;
       (* with [trace_nonce], makes assigned trace ids unique per engine
@@ -168,21 +160,11 @@ type t = {
   started_at : float;
 }
 
-(* State sharding scales with the worker count but stays bounded:
-   beyond 8 stripes the lock contention left on a cache stripe is
-   noise next to the solves it fronts. workers = 1 gives single-stripe
-   state — the sequential daemon's exact behaviour. *)
-let stripes_for config = max 1 (min config.workers 8)
-
 let create ?(config = default_config) () =
-  if config.workers < 1 then invalid_arg "Engine.create: workers < 1";
-  if config.batch < 1 then invalid_arg "Engine.create: batch < 1";
-  let stripes = stripes_for config in
   let started_at = Unix.gettimeofday () in
   {
     config;
-    solutions =
-      Shared_cache.create ~capacity:config.cache_capacity ~stripes;
+    solutions = Cache.create ~capacity:config.cache_capacity;
     queue =
       Admission.create ~policy:config.queue_policy
         ~capacity:config.queue_capacity ();
@@ -191,9 +173,11 @@ let create ?(config = default_config) () =
     flights = ref [];
     fm = Mutex.create ();
     fc = Condition.create ();
-    registry = Striped.create ~stripes (fun _ -> Hashtbl.create 16);
-    instances = Striped.create ~stripes (fun _ -> Hashtbl.create 16);
-    trackers = Striped.create ~stripes (fun _ -> Hashtbl.create 16);
+    registry = Hashtbl.create 16;
+    instances = Hashtbl.create 16;
+    im = Mutex.create ();
+    trackers = Hashtbl.create 16;
+    sm = Mutex.create ();
     audit = Audit.create ();
     trace_seq = Atomic.make 0;
     trace_nonce = int_of_float (Float.rem (started_at *. 1e3) 16777216.0);
@@ -212,9 +196,7 @@ let fresh_trace_id t =
   Printf.sprintf "req-%06x-%d" t.trace_nonce
     (Atomic.fetch_and_add t.trace_seq 1)
 
-let locked_queue t f =
-  Mutex.lock t.qm;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.qm) (fun () -> f t.queue)
+let locked_queue t f = Mutex.protect t.qm (fun () -> f t.queue)
 
 let queue_length t = locked_queue t Admission.length
 
@@ -273,16 +255,14 @@ let alloc_of_canonical inst canonical_rho =
 let register t ~name problem =
   let inst = Instance.compile problem in
   let fp = Fingerprint.of_instance inst in
-  Striped.with_key t.registry ~key:name (fun tbl ->
-      Hashtbl.replace tbl name (inst, fp));
-  let digest = Fingerprint.digest fp in
-  Striped.with_key t.instances ~key:digest (fun tbl ->
-      Hashtbl.replace tbl digest (inst, fp));
+  Mutex.protect t.im (fun () ->
+      Hashtbl.replace t.registry name (inst, fp);
+      Hashtbl.replace t.instances (Fingerprint.digest fp) (inst, fp));
   fp
 
 (* Compile [problem] under the request's scenario and dedup in the
-   instance table. Lookup and (on miss) insert happen under one stripe
-   lock, so two workers resolving the same problem agree on which
+   instance table. Lookup and (on miss) insert happen under one lock,
+   so two workers resolving the same problem agree on which
    compiled instance is the shared one. The scenario is baked into the
    canonical encoding, so objective kinds and price books land on
    distinct digests and never share a compiled instance. *)
@@ -292,11 +272,11 @@ let shared_compile t problem ~objective ~pricebook =
   let fp = Fingerprint.of_instance inst in
   let digest = Fingerprint.digest fp in
   let shared =
-    Striped.with_key t.instances ~key:digest (fun tbl ->
-        match Hashtbl.find_opt tbl digest with
+    Mutex.protect t.im (fun () ->
+        match Hashtbl.find_opt t.instances digest with
         | Some (inst0, fp0) when Fingerprint.equal fp fp0 -> `Reuse inst0
         | _ ->
-          Hashtbl.replace tbl digest (inst, fp);
+          Hashtbl.replace t.instances digest (inst, fp);
           `Fresh)
   in
   match shared with
@@ -320,10 +300,7 @@ let resolve t source ~objective ~pricebook =
   in
   match source with
   | Protocol.Ref name -> (
-    match
-      Striped.with_key t.registry ~key:name (fun tbl ->
-          Hashtbl.find_opt tbl name)
-    with
+    match Mutex.protect t.im (fun () -> Hashtbl.find_opt t.registry name) with
     | None -> Result.Error (Printf.sprintf "solve: unknown ref %S" name)
     | Some (inst, fp) ->
       if default_scenario then begin
@@ -343,8 +320,7 @@ let resolve t source ~objective ~pricebook =
    cheap deadband check unless the controller actually re-solves, and
    queuing ticks behind solves would let demand observations go stale.
    A session's controller lives in [t.trackers]; running the tick
-   under its stripe lock serializes each session while independent
-   sessions on other stripes proceed concurrently. *)
+   under [sm] serializes the controllers. *)
 
 (* The controller always runs on an instance compiled from the
    submitted problem itself (the registered instance for a [Ref],
@@ -353,10 +329,7 @@ let resolve t source ~objective ~pricebook =
 let resolve_track t source =
   match source with
   | Protocol.Ref name -> (
-    match
-      Striped.with_key t.registry ~key:name (fun tbl ->
-          Hashtbl.find_opt tbl name)
-    with
+    match Mutex.protect t.im (fun () -> Hashtbl.find_opt t.registry name) with
     | None -> Result.Error (Printf.sprintf "track: unknown ref %S" name)
     | Some (inst, fp) ->
       Telemetry.bump c_reuse;
@@ -379,14 +352,13 @@ let track t ~session ~source ~ticks_per_hour ~deadband ~headroom ~spec =
       }
     in
     let controller = Controller.create_on ~config inst in
-    Striped.with_key t.trackers ~key:session (fun tbl ->
-        Hashtbl.replace tbl session controller);
+    Mutex.protect t.sm (fun () -> Hashtbl.replace t.trackers session controller);
     Protocol.Tracking { session; fingerprint = Fingerprint.short fp }
 
 let track_tick t ~id ~session ~demand =
   let result =
-    Striped.with_key t.trackers ~key:session (fun tbl ->
-        match Hashtbl.find_opt tbl session with
+    Mutex.protect t.sm (fun () ->
+        match Hashtbl.find_opt t.trackers session with
         | None -> None
         | Some controller ->
           let plan =
@@ -414,11 +386,11 @@ let track_tick t ~id ~session ~demand =
 
 let untrack t ~session =
   let removed =
-    Striped.with_key t.trackers ~key:session (fun tbl ->
-        match Hashtbl.find_opt tbl session with
+    Mutex.protect t.sm (fun () ->
+        match Hashtbl.find_opt t.trackers session with
         | None -> None
         | Some controller ->
-          Hashtbl.remove tbl session;
+          Hashtbl.remove t.trackers session;
           Some controller)
   in
   match removed with
@@ -440,38 +412,20 @@ let untrack t ~session =
         total_charged = Controller.total_charged c;
       }
 
-(* --- the reuse ladder --- *)
+(* --- answering a request ---
 
-let solved ~job ~status ~(alloc : Allocation.t) ~served ~answered_by ~wall =
-  Protocol.Solved
-    {
-      id = job.id;
-      trace_id = Some job.trace_id;
-      status;
-      cost = alloc.Allocation.cost;
-      rho = Array.copy alloc.Allocation.rho;
-      machines = Array.copy alloc.Allocation.machines;
-      served;
-      engine = answered_by;
-      wall_time = wall;
-    }
-
-(* The ladder rungs each get a span, so a request's trace reads as
-   service.request → service.resolve / rung lookups / service.solve →
-   solver.solve → engine internals. The queue wait (admission to
-   drain) is recorded as a sibling span timed externally, since no
-   code runs while the job sits in the queue. *)
-let run_solve_inner t ~now ~fill job =
-  let started = Unix.gettimeofday () in
-  Telemetry.bump c_requests;
-  Telemetry.observe queue_wait_hist (now -. job.arrived);
-  Telemetry.Span.record ~name:"service.queue_wait" ~start:job.arrived
-    ~duration:(now -. job.arrived) ();
-  (* A failed request still leaves an audit record — trace id, how far
-     it got, and how long it took — so journals account for every
-     completed request, not just the happy path. *)
-  let errored ~fingerprint message =
-    fill := Some (Flight_error message);
+   Every completed solve request — a leader answered from any rung, a
+   leader that failed, a follower — is answered here: one audit record
+   and one reply. Solved answers also observe the latency histogram
+   and bump the labelled [(tenant, rung)] request cell; failures do
+   neither. A follower ([~coalesced:true]) copies its leader's result
+   under its own identity. [outcome] supplies the effort counts and
+   convergence timeline of an engine solve. *)
+let answer t job ~coalesced ~queue_wait ~wall ?outcome result =
+  let record ~fingerprint ~served ~engine ~status ~cost ~throughput =
+    let effort f =
+      match outcome with None -> 0 | Some o -> f o.Solver.telemetry
+    in
     Audit.record t.audit
       {
         Audit.seq = 0;
@@ -482,173 +436,195 @@ let run_solve_inner t ~now ~fill job =
         fingerprint;
         objective = Objective.kind_to_string (Objective.kind job.objective);
         scalar = Objective.scalar job.objective;
-        served = "none";
-        engine = "";
-        status = "error";
-        cost = 0;
-        throughput = 0;
-        queue_wait = now -. job.arrived;
-        wall = Unix.gettimeofday () -. started;
-        evaluations = 0;
-        pivots = 0;
-        nodes = 0;
-        convergence = None;
-      };
+        served;
+        engine;
+        status;
+        cost;
+        throughput;
+        queue_wait;
+        wall;
+        evaluations = effort (fun e -> e.Solver.evaluations);
+        pivots = effort (fun e -> e.Solver.pivots);
+        nodes = effort (fun e -> e.Solver.nodes);
+        convergence =
+          Audit.summarize
+            (match outcome with None -> [] | Some o -> o.Solver.convergence);
+      }
+  in
+  match result with
+  | Flight_error { fingerprint; message } ->
+    record ~fingerprint
+      ~served:(if coalesced then "coalesced" else "none")
+      ~engine:"" ~status:"error" ~cost:0 ~throughput:0;
     Protocol.Error { id = job.id; trace_id = Some job.trace_id; message }
+  | Flight_solved r ->
+    let served = if coalesced then Protocol.Coalesced else r.served in
+    let rung = Protocol.served_to_string served in
+    Telemetry.observe latency_hist wall;
+    if Telemetry.enabled () then
+      Telemetry.bump (Telemetry.counter_with requests_vec [ job.tenant; rung ]);
+    record ~fingerprint:r.fingerprint ~served:rung ~engine:r.engine
+      ~status:(Solver.status_to_string r.status)
+      ~cost:r.cost
+      ~throughput:(Array.fold_left ( + ) 0 r.rho);
+    Protocol.Solved
+      {
+        id = job.id;
+        trace_id = Some job.trace_id;
+        status = r.status;
+        cost = r.cost;
+        rho = Array.copy r.rho;
+        machines = Array.copy r.machines;
+        served;
+        engine = r.engine;
+        wall_time = wall;
+      }
+
+(* Run [f] as the [service.request] span of [job]. The ambient trace
+   id stamps every span the request records — the request span, the
+   rung and solve spans below it, and whatever the engines emit — as
+   a [trace_id] attribute, tying the trace to the response and the
+   audit record. *)
+let traced job ~attrs f =
+  if not (Telemetry.enabled ()) then f ()
+  else
+    Telemetry.Span.with_trace_id job.trace_id (fun () ->
+        Telemetry.Span.with_span ~attrs "service.request" f)
+
+(* --- the reuse ladder ---
+
+   The ladder rungs each get a span, so a request's trace reads as
+   service.request → service.resolve / rung lookups / service.solve →
+   solver.solve → engine internals. [climb] returns the flight result
+   and, when an engine ran, its outcome. A raising solve is a failed
+   flight, not a dead worker: the exception becomes a [Flight_error],
+   so the leader is answered and audited like any other failure and
+   no follower is stranded. *)
+let climb t ~now job =
+  let failed ~fingerprint e =
+    ( Flight_error { fingerprint; message = "solve: " ^ Printexc.to_string e },
+      None )
   in
   match
     Telemetry.Span.with_span "service.resolve" (fun () ->
         resolve t job.source ~objective:job.objective
           ~pricebook:job.pricebook)
   with
-  | Result.Error message -> errored ~fingerprint:"" message
-  | Result.Ok (solve_inst, client_inst, fp) ->
-    let digest = Fingerprint.digest fp
-    and encoding = Fingerprint.encoding fp in
-    (* The cache scalar: the throughput target of a min-cost job, the
-       monetary budget of a max-throughput one. The two never collide —
-       the objective kind is baked into [encoding] (and [digest]). *)
-    let scalar = Objective.scalar job.objective in
-    let kind = Objective.kind job.objective in
-    let spec =
-      match job.spec with
-      | Solver.Auto -> Solver.auto_of_instance solve_inst
-      | s -> s
-    in
-    let spec_s = Solver.spec_to_string spec in
-    let reuse_at_least r =
-      match (job.reuse, r) with
-      | Protocol.No_reuse, _ -> false
-      | _, Protocol.No_reuse -> true
-      | Protocol.Exact_only, _ -> r = Protocol.Exact_only
-      | Protocol.Warm, _ -> r <> Protocol.Monotone
-      | Protocol.Monotone, _ -> true
-    in
-    let finish ?outcome ~status ~(alloc : Allocation.t) ~served ~answered_by () =
-      let wall = Unix.gettimeofday () -. started in
-      fill :=
-        Some
-          (Flight_solved
-             {
-               status;
-               cost = alloc.Allocation.cost;
-               rho = Array.copy alloc.Allocation.rho;
-               machines = Array.copy alloc.Allocation.machines;
-               engine = answered_by;
-               fingerprint = Fingerprint.short fp;
-               objective = Objective.kind_to_string kind;
-               scalar;
-             });
-      Telemetry.observe latency_hist wall;
-      let rung = Protocol.served_to_string served in
-      if Telemetry.enabled () then
-        Telemetry.bump (Telemetry.counter_with requests_vec [ job.tenant; rung ]);
-      let effort, convergence =
-        match outcome with
-        | None -> (None, [])
-        | Some (o : Solver.outcome) ->
-          (Some o.Solver.telemetry, o.Solver.convergence)
+  | exception e -> failed ~fingerprint:"" e
+  | Result.Error message -> (Flight_error { fingerprint = ""; message }, None)
+  | Result.Ok (solve_inst, client_inst, fp) -> (
+    let fingerprint = Fingerprint.short fp in
+    try
+      let digest = Fingerprint.digest fp
+      and encoding = Fingerprint.encoding fp in
+      (* The cache scalar: the throughput target of a min-cost job, the
+         monetary budget of a max-throughput one. The two never collide —
+         the objective kind is baked into [encoding] (and [digest]). *)
+      let scalar = Objective.scalar job.objective in
+      let kind = Objective.kind job.objective in
+      let spec =
+        match job.spec with
+        | Solver.Auto -> Solver.auto_of_instance solve_inst
+        | s -> s
       in
-      Audit.record t.audit
-        {
-          Audit.seq = 0;
-          at = Unix.gettimeofday ();
-          trace_id = job.trace_id;
-          id = job.id;
-          tenant = job.tenant;
-          fingerprint = Fingerprint.short fp;
-          objective = Objective.kind_to_string kind;
-          scalar;
-          served = rung;
-          engine = answered_by;
-          status = Solver.status_to_string status;
-          cost = alloc.Allocation.cost;
-          throughput = Array.fold_left ( + ) 0 alloc.Allocation.rho;
-          queue_wait = now -. job.arrived;
-          wall;
-          evaluations =
-            (match effort with None -> 0 | Some e -> e.Solver.evaluations);
-          pivots = (match effort with None -> 0 | Some e -> e.Solver.pivots);
-          nodes = (match effort with None -> 0 | Some e -> e.Solver.nodes);
-          convergence = Audit.summarize convergence;
-        };
-      solved ~job ~status ~alloc ~served ~answered_by ~wall
-    in
-    let exact =
-      if reuse_at_least Protocol.Exact_only then
-        Telemetry.Span.with_span "service.rung.exact" (fun () ->
-            Shared_cache.find_exact t.solutions ~digest ~encoding
-              ~target:scalar ~spec:spec_s)
-      else None
-    in
-    (match exact with
-     | Some entry ->
-       Telemetry.bump c_hits;
-       let alloc = alloc_of_canonical client_inst entry.Cache.canonical_rho in
-       let status =
-         if entry.Cache.optimal then Solver.Optimal else Solver.Feasible
-       in
-       finish ~status ~alloc ~served:Protocol.Exact_hit ~answered_by:entry.Cache.spec
-         ()
-     | None -> (
-       let monotone =
-         if reuse_at_least Protocol.Monotone then
-           Telemetry.Span.with_span "service.rung.monotone" (fun () ->
-               (* Min-cost: an optimal split for a larger target covers
-                  this one. Max-throughput: an optimal split under a
-                  smaller budget still fits this one — the same rung
-                  read in the scalar's feasibility direction. *)
-               match kind with
-               | `Min_cost ->
-                 Shared_cache.find_monotone t.solutions ~digest ~encoding
-                   ~target:scalar
-               | `Max_throughput ->
-                 Shared_cache.find_monotone_le t.solutions ~digest ~encoding
-                   ~target:scalar)
-         else None
-       in
-       match monotone with
-       | Some entry ->
-         (* A feasible incumbent with zero solve work. *)
-         Telemetry.bump c_hits;
-         Telemetry.bump c_monotone;
-         let alloc = alloc_of_canonical client_inst entry.Cache.canonical_rho in
-         finish ~status:Solver.Feasible ~alloc ~served:Protocol.Monotone_hit
-           ~answered_by:entry.Cache.spec ()
-       | None ->
-         Telemetry.bump c_misses;
-         let warm_start =
-           (* Warm starts are a min-cost notion: a cached split at or
-              above the target seeds the engine. A max-throughput solve
-              re-brackets its own binary search, so it goes cold. *)
-           if kind = `Min_cost && reuse_at_least Protocol.Warm then
-             Telemetry.Span.with_span "service.rung.warm" (fun () ->
-                 match
-                   Shared_cache.find_nearest t.solutions ~digest ~encoding
-                     ~target:scalar
-                 with
-                 | Some entry ->
-                   Some
-                     (alloc_of_canonical solve_inst entry.Cache.canonical_rho)
-                 | None -> None)
-           else None
-         in
-         (* Charge queue wait against the request's deadline. *)
-         let budget = Budget.remaining job.budget ~elapsed:(now -. job.arrived) in
-         let outcome =
-           Telemetry.Span.with_span "service.solve" (fun () ->
-               Solver.run ~budget ?warm_start ~spec ~instance:solve_inst
-                 ~objective:job.objective ())
-         in
-         (match outcome.Solver.allocation with
+      let spec_s = Solver.spec_to_string spec in
+      let reuse_at_least r =
+        match (job.reuse, r) with
+        | Protocol.No_reuse, _ -> false
+        | _, Protocol.No_reuse -> true
+        | Protocol.Exact_only, _ -> r = Protocol.Exact_only
+        | Protocol.Warm, _ -> r <> Protocol.Monotone
+        | Protocol.Monotone, _ -> true
+      in
+      let found ?outcome ~served ~status ~engine (alloc : Allocation.t) =
+        ( Flight_solved
+            {
+              served;
+              status;
+              cost = alloc.Allocation.cost;
+              rho = alloc.Allocation.rho;
+              machines = alloc.Allocation.machines;
+              engine;
+              fingerprint;
+            },
+          outcome )
+      in
+      let exact =
+        if reuse_at_least Protocol.Exact_only then
+          Telemetry.Span.with_span "service.rung.exact" (fun () ->
+              Cache.find_exact t.solutions ~digest ~encoding ~target:scalar
+                ~spec:spec_s)
+        else None
+      in
+      match exact with
+      | Some entry ->
+        Telemetry.bump c_hits;
+        let status =
+          if entry.Cache.optimal then Solver.Optimal else Solver.Feasible
+        in
+        found ~served:Protocol.Exact_hit ~status ~engine:entry.Cache.spec
+          (alloc_of_canonical client_inst entry.Cache.canonical_rho)
+      | None -> (
+        let monotone =
+          if reuse_at_least Protocol.Monotone then
+            Telemetry.Span.with_span "service.rung.monotone" (fun () ->
+                (* Min-cost: an optimal split for a larger target covers
+                   this one. Max-throughput: an optimal split under a
+                   smaller budget still fits this one — the same rung
+                   read in the scalar's feasibility direction. *)
+                match kind with
+                | `Min_cost ->
+                  Cache.find_monotone t.solutions ~digest ~encoding
+                    ~target:scalar
+                | `Max_throughput ->
+                  Cache.find_monotone_le t.solutions ~digest ~encoding
+                    ~target:scalar)
+          else None
+        in
+        match monotone with
+        | Some entry ->
+          (* A feasible incumbent with zero solve work. *)
+          Telemetry.bump c_hits;
+          Telemetry.bump c_monotone;
+          found ~served:Protocol.Monotone_hit ~status:Solver.Feasible
+            ~engine:entry.Cache.spec
+            (alloc_of_canonical client_inst entry.Cache.canonical_rho)
+        | None -> (
+          Telemetry.bump c_misses;
+          let warm_start =
+            (* Warm starts are a min-cost notion: a cached split at or
+               above the target seeds the engine. A max-throughput solve
+               re-brackets its own binary search, so it goes cold. *)
+            if kind = `Min_cost && reuse_at_least Protocol.Warm then
+              Telemetry.Span.with_span "service.rung.warm" (fun () ->
+                  match
+                    Cache.find_nearest t.solutions ~digest ~encoding
+                      ~target:scalar
+                  with
+                  | Some entry ->
+                    Some
+                      (alloc_of_canonical solve_inst entry.Cache.canonical_rho)
+                  | None -> None)
+            else None
+          in
+          (* Charge queue wait against the request's deadline. *)
+          let budget =
+            Budget.remaining job.budget ~elapsed:(now -. job.arrived)
+          in
+          let outcome =
+            Telemetry.Span.with_span "service.solve" (fun () ->
+                Solver.run ~budget ?warm_start ~spec ~instance:solve_inst
+                  ~objective:job.objective ())
+          in
+          match outcome.Solver.allocation with
           | None ->
-            errored ~fingerprint:(Fingerprint.short fp)
-              "solve: no allocation found"
+            ( Flight_error { fingerprint; message = "solve: no allocation found" },
+              None )
           | Some alloc ->
-            if outcome.Solver.telemetry.Solver.warm_started then
-              Telemetry.bump c_warm;
+            let warm = outcome.Solver.telemetry.Solver.warm_started in
+            if warm then Telemetry.bump c_warm;
             let canonical = canonical_rho_of solve_inst alloc in
-            Shared_cache.insert t.solutions ~digest ~encoding
+            Cache.insert t.solutions ~digest ~encoding
               {
                 Cache.target = scalar;
                 spec = spec_s;
@@ -660,34 +636,29 @@ let run_solve_inner t ~now ~fill job =
               if solve_inst == client_inst then alloc
               else alloc_of_canonical client_inst canonical
             in
-            let served =
-              if outcome.Solver.telemetry.Solver.warm_started then
-                Protocol.Warm_started
-              else Protocol.Cold
-            in
-            finish ~outcome ~status:outcome.Solver.status ~alloc:client_alloc
-              ~served
-              ~answered_by:(Solver.spec_to_string outcome.Solver.telemetry.Solver.engine)
-              ())))
+            found ~outcome
+              ~served:(if warm then Protocol.Warm_started else Protocol.Cold)
+              ~status:outcome.Solver.status
+              ~engine:
+                (Solver.spec_to_string
+                   outcome.Solver.telemetry.Solver.engine)
+              client_alloc))
+    with e -> failed ~fingerprint e)
 
-let run_solve t ~now ~fill job =
-  if not (Telemetry.enabled ()) then run_solve_inner t ~now ~fill job
-  else
-    (* The ambient trace id stamps every span the request records —
-       the request span here, the rung and solve spans below it, and
-       whatever the engines emit — as a [trace_id] attribute, tying
-       the trace to the response and the audit record. *)
-    Telemetry.Span.with_trace_id job.trace_id (fun () ->
-        Telemetry.Span.with_span
-          ~attrs:
-            [
-              ( "objective",
-                Objective.kind_to_string (Objective.kind job.objective) );
-              ("target", string_of_int (Objective.scalar job.objective));
-              ("reuse", Protocol.reuse_to_string job.reuse);
-            ]
-          "service.request"
-          (fun () -> run_solve_inner t ~now ~fill job))
+(* A leader's request, end to end: account its queue wait (recorded
+   as a sibling span timed externally, since no code runs while the
+   job sits in the queue), climb the ladder, answer. Returns the
+   result its followers copy and its own reply. *)
+let lead t ~now job =
+  let started = Unix.gettimeofday () in
+  let queue_wait = now -. job.arrived in
+  Telemetry.bump c_requests;
+  Telemetry.observe queue_wait_hist queue_wait;
+  Telemetry.Span.record ~name:"service.queue_wait" ~start:job.arrived
+    ~duration:queue_wait ();
+  let result, outcome = climb t ~now job in
+  let wall = Unix.gettimeofday () -. started in
+  (result, answer t job ~coalesced:false ~queue_wait ~wall ?outcome result)
 
 (* Answer a follower from its leader's outcome: the follower keeps its
    own trace id, request span, audit record and latency observation,
@@ -695,87 +666,14 @@ let run_solve t ~now ~fill job =
    rely on: a follower never observes a different answer than its
    leader — payloads are copied from the flight result verbatim. *)
 let serve_coalesced t ~now job result =
-  let serve () =
-    Telemetry.bump c_requests;
-    Telemetry.bump c_coalesced;
-    (* A door-attached follower may arrive after the leader's drain
-       clock; clamp so injected test clocks never observe negatives. *)
-    let waited = Float.max 0. (now -. job.arrived) in
-    Telemetry.observe queue_wait_hist waited;
-    let wall = waited in
-    match result with
-    | Flight_error message ->
-      Audit.record t.audit
-        {
-          Audit.seq = 0;
-          at = Unix.gettimeofday ();
-          trace_id = job.trace_id;
-          id = job.id;
-          tenant = job.tenant;
-          fingerprint = "";
-          objective = Objective.kind_to_string (Objective.kind job.objective);
-          scalar = Objective.scalar job.objective;
-          served = "coalesced";
-          engine = "";
-          status = "error";
-          cost = 0;
-          throughput = 0;
-          queue_wait = waited;
-          wall;
-          evaluations = 0;
-          pivots = 0;
-          nodes = 0;
-          convergence = None;
-        };
-      Protocol.Error { id = job.id; trace_id = Some job.trace_id; message }
-    | Flight_solved
-        { status; cost; rho; machines; engine; fingerprint; objective; scalar }
-      ->
-      Telemetry.observe latency_hist wall;
-      if Telemetry.enabled () then
-        Telemetry.bump
-          (Telemetry.counter_with requests_vec [ job.tenant; "coalesced" ]);
-      Audit.record t.audit
-        {
-          Audit.seq = 0;
-          at = Unix.gettimeofday ();
-          trace_id = job.trace_id;
-          id = job.id;
-          tenant = job.tenant;
-          fingerprint;
-          objective;
-          scalar;
-          served = "coalesced";
-          engine;
-          status = Solver.status_to_string status;
-          cost;
-          throughput = Array.fold_left ( + ) 0 rho;
-          queue_wait = waited;
-          wall;
-          evaluations = 0;
-          pivots = 0;
-          nodes = 0;
-          convergence = None;
-        };
-      Protocol.Solved
-        {
-          id = job.id;
-          trace_id = Some job.trace_id;
-          status;
-          cost;
-          rho = Array.copy rho;
-          machines = Array.copy machines;
-          served = Protocol.Coalesced;
-          engine;
-          wall_time = wall;
-        }
-  in
-  if not (Telemetry.enabled ()) then serve ()
-  else
-    Telemetry.Span.with_trace_id job.trace_id (fun () ->
-        Telemetry.Span.with_span
-          ~attrs:[ ("served", "coalesced") ]
-          "service.request" serve)
+  traced job ~attrs:[ ("served", "coalesced") ] (fun () ->
+      Telemetry.bump c_requests;
+      Telemetry.bump c_coalesced;
+      (* A door-attached follower may arrive after the leader's drain
+         clock; clamp so injected test clocks never observe negatives. *)
+      let waited = Float.max 0. (now -. job.arrived) in
+      Telemetry.observe queue_wait_hist waited;
+      answer t job ~coalesced:true ~queue_wait:waited ~wall:waited result)
 
 (* Join-or-lead, non-blocking: find an open flight for [job]'s key or
    open one. Callers hold [fm] already ([with_flights]); the dequeue
@@ -796,9 +694,7 @@ let join_or_lead t job =
     t.flights := f :: !(t.flights);
     `Lead f
 
-let with_flights t f =
-  Mutex.lock t.fm;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.fm) f
+let with_flights t f = Mutex.protect t.fm f
 
 (* Block until a joined flight lands. Never called with [qm] held —
    the leader needs [qm] to publish. *)
@@ -821,7 +717,7 @@ let await_flight t f =
    solve, whatever the worker interleaving). The sweep, the result
    publication and the flight removal all happen under [qm] (with
    [fm] nested), mirroring the dequeue path's take-and-join section.
-   The leader's cache insert happened inside [run_solve], strictly
+   The leader's cache insert happened inside [climb], strictly
    before this — so once the flight is gone, late duplicates hit the
    cache instead. *)
 let complete_flight t f result =
@@ -841,41 +737,24 @@ let complete_flight t f result =
       in
       pending @ swept)
 
-(* Run one job in the flight role already picked for it. Returns the
-   responses this call now owes (the job's own answer first, then any
-   adopted followers') and the flight result batch-mates can ride. A
-   crashing solve must strand neither the followers nor the worker
-   domain: the failure is published as [Flight_error] and answered as
-   [Error]. *)
-let run_leader t ~now job role =
-  match role with
-  | `Join f ->
-    let r = await_flight t f in
-    ([ serve_coalesced t ~now job r ], r)
+(* Run one job in the flight role picked for it. Returns every
+   response this now owes: the job's own answer first, then those of
+   the followers its completing flight adopted. *)
+let run t ~now job = function
+  | `Join f -> [ serve_coalesced t ~now job (await_flight t f) ]
   | `Lead f ->
-    let fill = ref None in
-    let response =
-      try run_solve t ~now ~fill job
-      with e ->
-        let message = "solve: " ^ Printexc.to_string e in
-        fill := Some (Flight_error message);
-        Protocol.Error { id = job.id; trace_id = Some job.trace_id; message }
+    let attrs =
+      [
+        ("objective", Objective.kind_to_string (Objective.kind job.objective));
+        ("target", string_of_int (Objective.scalar job.objective));
+        ("reuse", Protocol.reuse_to_string job.reuse);
+      ]
     in
-    let result =
-      match !fill with
-      | Some r -> r
-      | None -> Flight_error "solve: no outcome recorded"
-    in
-    let adopted = complete_flight t f result in
-    (response :: List.map (fun j -> serve_coalesced t ~now j result) adopted,
-     result)
-
-(* The blocking variant for jobs picked up outside the queue-lock
-   section (non-identical batch mates): the join decision is made
-   fresh, and a just-closed flight is not an error — the reuse ladder
-   answers from the cache the leader filled. *)
-let run_job t ~now job =
-  run_leader t ~now job (with_flights t (fun () -> join_or_lead t job))
+    let result, reply = traced job ~attrs (fun () -> lead t ~now job) in
+    reply
+    :: List.map
+         (fun j -> serve_coalesced t ~now j result)
+         (complete_flight t f result)
 
 (* --- stats --- *)
 
@@ -893,9 +772,9 @@ let stats t =
     ( "cache",
       Json.Obj
         [
-          ("size", Json.Int (Shared_cache.length t.solutions));
-          ("capacity", Json.Int (Shared_cache.capacity t.solutions));
-          ("evictions", Json.Int (Shared_cache.evictions t.solutions));
+          ("size", Json.Int (Cache.length t.solutions));
+          ("capacity", Json.Int (Cache.capacity t.solutions));
+          ("evictions", Json.Int (Cache.evictions t.solutions));
         ] );
     ( "queue",
       Json.Obj
@@ -916,13 +795,9 @@ let stats t =
           ("capacity", Json.Int (Audit.capacity t.audit));
         ] );
     ( "registered",
-      Json.Int
-        (Striped.fold t.registry ~init:0 ~f:(fun acc tbl ->
-             acc + Hashtbl.length tbl)) );
+      Json.Int (Mutex.protect t.im (fun () -> Hashtbl.length t.registry)) );
     ( "tracked",
-      Json.Int
-        (Striped.fold t.trackers ~init:0 ~f:(fun acc tbl ->
-             acc + Hashtbl.length tbl)) );
+      Json.Int (Mutex.protect t.sm (fun () -> Hashtbl.length t.trackers)) );
   ]
 
 (* --- request dispatch --- *)
@@ -1011,54 +886,35 @@ let submit ?now t (request : Protocol.request) =
       else evicted @ [ overloaded t job ]
     end
 
-(* Take a batch and pick the leader's flight role in ONE queue-lock
-   section; run the batch outside (solves are the long part — holding
-   qm across them would serialize the workers). The atomic
-   take-and-join is what makes the herd invariant scheduling-proof:
-   a completing flight sweeps under [qm] before it closes, so a
-   duplicate this take just dequeued either was swept (not ours any
-   more) or joins a flight that is still open — never the limbo in
-   between. *)
-let take_batch ~now t =
+(* Take the oldest live job and pick its flight role in ONE
+   queue-lock section, shedding the expired entries met on the way;
+   run the job outside (solves are the long part — holding qm across
+   them would serialize the workers). The atomic take-and-join is what
+   makes the herd invariant scheduling-proof: a completing flight
+   sweeps under [qm] before it closes, so a duplicate this take just
+   dequeued either was swept (not ours any more) or joins a flight
+   that is still open — never the limbo in between. *)
+let take t ~now =
   locked_queue t (fun q ->
-      let b =
-        Admission.take_batch q ~now ~k:(max 1 t.config.batch)
-          ~compatible:compatible_jobs
+      let rec go shed =
+        match Admission.take q ~now with
+        | `Empty -> (List.rev shed, None)
+        | `Shed job -> go (job :: shed)
+        | `Job job ->
+          (List.rev shed, Some (job, with_flights t (fun () -> join_or_lead t job)))
       in
-      let role =
-        match b.Admission.jobs with
-        | [] -> None
-        | leader :: _ ->
-          Some (with_flights t (fun () -> join_or_lead t leader))
-      in
-      (b, role))
+      go [])
 
-(* One worker wakeup: drain the oldest live job plus up to
-   [config.batch - 1] compatible queued mates. The leader runs under
-   single-flight discipline; mates identical to it ride its flight
-   result, the rest re-run the reuse ladder inline — straight after
-   the leader's cache fill, so they land monotone or exact hits
-   without a queue round-trip. Returns every response now owed:
-   dispatch-time sheds, the leader's answer, adopted followers',
-   then the mates'. Empty means the queue held nothing. *)
+(* One worker wakeup: one job. Returns every response now owed:
+   dispatch-time sheds, the job's answer, then any followers its
+   flight adopted. Empty means the queue held nothing. *)
 let drain_next ?now t =
   let now = clock now in
-  let { Admission.jobs; shed }, role = take_batch ~now t in
+  let shed, next = take t ~now in
   let shed_rs = List.map (overloaded t) shed in
-  match (jobs, role) with
-  | [], _ | _, None -> shed_rs
-  | leader :: mates, Some role ->
-    if mates <> [] then Telemetry.bump c_batches;
-    let leader_rs, result = run_leader t ~now leader role in
-    let mate_rs =
-      List.concat_map
-        (fun m ->
-          if m.reuse <> Protocol.No_reuse && same_solve leader m then
-            [ serve_coalesced t ~now m result ]
-          else fst (run_job t ~now m))
-        mates
-    in
-    shed_rs @ leader_rs @ mate_rs
+  match next with
+  | None -> shed_rs
+  | Some (job, role) -> shed_rs @ run t ~now job role
 
 let drain ?now t =
   let now = clock now in

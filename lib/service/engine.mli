@@ -57,8 +57,9 @@
     the observation go stale. Controller re-solves run under the
     engine's [default_budget]; so a daemon started with a deadline
     budget bounds every autoscale re-solve the same way it bounds
-    cold solves. Sessions are striped like the registry: ticks of one
-    session are serialized, distinct sessions proceed concurrently.
+    cold solves. Sessions sit behind their own mutex, held across a
+    tick: ticks are serialized, and a tick that re-solves never blocks
+    a solve's registry or cache lookup.
 
     {2 Accounting}
 
@@ -94,12 +95,13 @@
 
     The engine is safe to share across domains: the admission queue
     sits behind one mutex + condition variable ({!submit} signals,
-    {!wait_for_work} sleeps), and the solution cache, name registry
-    and instance table are lock-striped ({!Shared_cache},
-    [Rentcost_parallel.Striped]) with stripe counts sized by
-    [config.workers]. With [workers = 1] everything degrades to the
-    single-lock sequential engine. Solves themselves run outside all
-    engine locks, so [N] workers really solve [N] jobs at once.
+    {!wait_for_work} sleeps), the solution {!Cache} locks itself, and
+    the name registry and instance table share one mutex, so
+    {!register} updates both in one critical section. Those two locks
+    are held only for a lookup or insert, and solves run outside all
+    engine locks, so [N] workers really solve [N] jobs at once. The engine
+    spawns nothing — {!Daemon} owns the worker domains, and each
+    worker wakeup ({!drain_next}) takes one job.
 
     {2 Single-flight coalescing}
 
@@ -108,8 +110,8 @@
     {e leader} of an open flight; every duplicate arriving while the
     flight is open attaches to it instead of solving: at the door
     ({!submit} parks it on the flight, holding no queue slot), on
-    another worker ({!drain_next} blocks until the leader lands), as a
-    batch mate, or still queued at completion (the leader sweeps
+    another worker ({!drain_next} blocks until the leader lands), or
+    still queued at completion (the leader sweeps
     identical queued jobs and answers them itself). Followers are
     answered [served = "coalesced"], each under its own trace id and
     audit record, and {e never observe a different answer than their
@@ -126,14 +128,7 @@
     requests bump [service.coalesced] and the [(tenant, "coalesced")]
     labelled series.
 
-    {2 Batching and back-pressure}
-
-    A worker wakeup drains up to [config.batch] queued jobs that are
-    {e compatible} with the oldest live one (same source, book and
-    spec; the objective scalar may differ) in one go; mates identical
-    to the batch leader ride its flight, the rest re-run the reuse
-    ladder immediately after the leader's cache fill. Multi-job
-    wakeups bump [service.batches].
+    {2 Back-pressure}
 
     When the queue is full, [config.queue_policy] picks who loses
     (see {!Admission.policy}); entries whose deadline lapsed in queue
@@ -150,26 +145,17 @@ type config = {
   queue_policy : Admission.policy;
       (** who loses when the queue is full (default
           {!Admission.Reject_new}, the historical behaviour) *)
-  batch : int;
-      (** max queued jobs one worker wakeup drains together
-          (default 8); [1] disables batching *)
   default_budget : Rentcost.Budget.t;
       (** budget for solve requests that carry none (default
           {!Rentcost.Budget.unlimited}) *)
-  workers : int;
-      (** worker domains the daemon should drain the queue with
-          (default 1 = the historical sequential daemon). The engine
-          itself spawns nothing — {!Daemon} owns the domains — but the
-          worker count sizes the lock striping of the cache, registry
-          and instance table. *)
 }
 
 val default_config : config
 
 type t
 
-(** @raise Invalid_argument when [config.workers < 1] or
-    [config.batch < 1]. *)
+(** @raise Invalid_argument when [config.cache_capacity <= 0] or
+    [config.queue_capacity <= 0]. *)
 val create : ?config:config -> unit -> t
 
 val config : t -> config
@@ -200,11 +186,10 @@ val submit : ?now:float -> t -> Protocol.request -> Protocol.response list
     responses in arrival order. *)
 val drain : ?now:float -> t -> Protocol.response list
 
-(** [drain_next t] takes and runs {e one batch}: the oldest live
-    queued solve plus up to [config.batch - 1] compatible queued
-    mates, under single-flight discipline (see the module doc).
+(** [drain_next t] takes and runs {e one job}: the oldest live queued
+    solve, under single-flight discipline (see the module doc).
     Returns every response that work now owes — dispatch-time sheds,
-    the batch's answers, and any followers adopted by a completing
+    the job's answer, and any followers adopted by its completing
     flight — and [[]] only when the queue held nothing. The building
     block of the parallel daemon's worker loop. *)
 val drain_next : ?now:float -> t -> Protocol.response list
@@ -234,9 +219,8 @@ val handle : ?now:float -> t -> Protocol.request -> Protocol.response list
 val stats : t -> (string * Json.t) list
 
 (** The engine's solution cache (tests observe occupancy and eviction
-    counts). Striped by fingerprint digest; single-stripe — the plain
-    LRU — when [workers = 1]. *)
-val cache : t -> Shared_cache.t
+    counts). *)
+val cache : t -> Cache.t
 
 (** Queued solve requests not yet drained. *)
 val queue_length : t -> int

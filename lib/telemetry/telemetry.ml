@@ -103,8 +103,6 @@ let record_help name = function
   | None -> ()
   | Some h -> Hashtbl.replace help_registry name h
 
-let set_help name h = locked (fun () -> Hashtbl.replace help_registry name h)
-
 (* --- counters --- *)
 
 type counter = int Atomic.t
@@ -237,26 +235,10 @@ let make_histogram name bounds =
     observations = 0;
     hist_lock = Mutex.create () }
 
-(* Forward-declared so [histogram] can enforce the shared-buckets
-   invariant against a labelled family registered first; filled in by
-   the labelled-histogram section below. *)
-let histogram_vec_bounds : (string -> float array option) ref = ref (fun _ -> None)
-
 let histogram ?help name ~bounds =
   check_bounds bounds;
   locked (fun () ->
       record_help name help;
-      (* Labelled and unlabelled series of one name share buckets (the
-         merged exposition renders them under one # TYPE); reject a
-         mismatch whichever side registers first. *)
-      (match !histogram_vec_bounds name with
-      | Some b when b <> bounds ->
-        invalid_arg
-          (Printf.sprintf
-             "Telemetry.histogram: %S already registered (labelled) with \
-              different bounds"
-             name)
-      | _ -> ());
       match Hashtbl.find_opt histogram_registry name with
       | Some h ->
         if h.bounds <> bounds then
@@ -307,95 +289,6 @@ let histograms () =
          Hashtbl.fold
            (fun _name h acc -> snapshot h :: acc)
            histogram_registry []))
-
-(* --- labelled histogram families --- *)
-
-type histogram_vec = {
-  hv_name : string;
-  hv_labels : string list;
-  hv_bounds : float array;
-  hv_cells : (string list, histogram) Hashtbl.t;
-}
-
-let histogram_vec_registry : (string, histogram_vec) Hashtbl.t =
-  Hashtbl.create 8
-
-(* Called with the registry lock already held (from [histogram]), so
-   it must read the table directly rather than re-lock. *)
-let () =
-  histogram_vec_bounds :=
-    fun name ->
-      Option.map
-        (fun v -> v.hv_bounds)
-        (Hashtbl.find_opt histogram_vec_registry name)
-
-let histogram_vec ?help name ~labels ~bounds =
-  if labels = [] then invalid_arg "Telemetry.histogram_vec: empty label list";
-  check_bounds bounds;
-  locked (fun () ->
-      record_help name help;
-      (* A labelled family sharing a name with a plain histogram must
-         share its buckets, or the merged exposition would be
-         nonsense. *)
-      (match Hashtbl.find_opt histogram_registry name with
-      | Some h when h.bounds <> bounds ->
-        invalid_arg
-          (Printf.sprintf
-             "Telemetry.histogram_vec: %S already registered (unlabelled) \
-              with different bounds"
-             name)
-      | _ -> ());
-      match Hashtbl.find_opt histogram_vec_registry name with
-      | Some v ->
-        if v.hv_labels <> labels then
-          invalid_arg
-            (Printf.sprintf
-               "Telemetry.histogram_vec: %S already registered with \
-                different labels"
-               name);
-        if v.hv_bounds <> bounds then
-          invalid_arg
-            (Printf.sprintf
-               "Telemetry.histogram_vec: %S already registered with \
-                different bounds"
-               name);
-        v
-      | None ->
-        let v =
-          { hv_name = name;
-            hv_labels = labels;
-            hv_bounds = Array.copy bounds;
-            hv_cells = Hashtbl.create 8 }
-        in
-        Hashtbl.add histogram_vec_registry name v;
-        v)
-
-let histogram_with v values =
-  if List.length values <> List.length v.hv_labels then
-    invalid_arg
-      (Printf.sprintf "Telemetry.histogram_with: %S expects %d label values"
-         v.hv_name
-         (List.length v.hv_labels));
-  locked (fun () ->
-      match Hashtbl.find_opt v.hv_cells values with
-      | Some h -> h
-      | None ->
-        let h = make_histogram v.hv_name v.hv_bounds in
-        Hashtbl.add v.hv_cells values h;
-        h)
-
-let histogram_vecs () =
-  List.sort compare
-    (locked (fun () ->
-         Hashtbl.fold
-           (fun name v acc ->
-             let cells =
-               Hashtbl.fold
-                 (fun values h acc -> (values, snapshot h) :: acc)
-                 v.hv_cells []
-             in
-             (name, v.hv_labels, List.sort compare cells) :: acc)
-           histogram_vec_registry []))
 
 (* --- gauges --- *)
 
@@ -472,8 +365,6 @@ module Span = struct
      own request's id. *)
   let trace_context : string option Domain.DLS.key =
     Domain.DLS.new_key (fun () -> None)
-
-  let set_trace_id t = Domain.DLS.set trace_context t
 
   let trace_id () = Domain.DLS.get trace_context
 
@@ -679,50 +570,29 @@ let text_exposition () =
       Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" n);
       Buffer.add_string b (Printf.sprintf "%s %s\n" n (float_text v)))
     (gauges ());
-  (* histograms: merge the plain and labelled registries by name *)
-  let plain_h = histograms () in
-  let vec_h = histogram_vecs () in
-  let family_names =
-    List.sort_uniq compare
-      (List.map (fun s -> s.h_name) plain_h
-      @ List.map (fun (n, _, _) -> n) vec_h)
-  in
-  let render_cell n pairs s =
-    let cumulative = ref 0 in
-    Array.iteri
-      (fun i c ->
-        cumulative := !cumulative + c;
-        let le =
-          if i < Array.length s.h_bounds then float_text s.h_bounds.(i)
-          else "+Inf"
-        in
-        Buffer.add_string b
-          (Printf.sprintf "%s_bucket%s %d\n" n
-             (render_labels (pairs @ [ ("le", le) ]))
-             !cumulative))
-      s.h_counts;
-    Buffer.add_string b
-      (Printf.sprintf "%s_sum%s %s\n" n (render_labels pairs)
-         (float_text s.h_sum));
-    Buffer.add_string b
-      (Printf.sprintf "%s_count%s %d\n" n (render_labels pairs) s.h_count)
-  in
+  (* histograms *)
   List.iter
-    (fun name ->
-      let n = sanitize name in
-      help_line n name;
+    (fun s ->
+      let n = sanitize s.h_name in
+      help_line n s.h_name;
       Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
-      (match List.find_opt (fun s -> s.h_name = name) plain_h with
-      | Some s -> render_cell n [] s
-      | None -> ());
-      List.iter
-        (fun (vec_name, labels, cells) ->
-          if vec_name = name then
-            List.iter
-              (fun (values, s) -> render_cell n (List.combine labels values) s)
-              cells)
-        vec_h)
-    family_names;
+      let cumulative = ref 0 in
+      Array.iteri
+        (fun i c ->
+          cumulative := !cumulative + c;
+          let le =
+            if i < Array.length s.h_bounds then float_text s.h_bounds.(i)
+            else "+Inf"
+          in
+          Buffer.add_string b
+            (Printf.sprintf "%s_bucket%s %d\n" n
+               (render_labels [ ("le", le) ])
+               !cumulative))
+        s.h_counts;
+      Buffer.add_string b
+        (Printf.sprintf "%s_sum %s\n" n (float_text s.h_sum));
+      Buffer.add_string b (Printf.sprintf "%s_count %d\n" n s.h_count))
+    (histograms ());
   Buffer.contents b
 
 (* --- well-known counter names --- *)
@@ -742,7 +612,6 @@ let service_warm_starts = "service.warm_starts"
 let service_compile_reuse = "service.compile_reuse"
 let service_shed = "service.shed"
 let service_coalesced = "service.coalesced"
-let service_batches = "service.batches"
 
 let service_op op = "service.op." ^ op
 let autoscale_ticks = "autoscale.ticks"
@@ -787,9 +656,6 @@ let () =
       ( service_coalesced,
         "Duplicate in-flight solve requests served from another \
          request's outcome (single-flight followers)." );
-      ( service_batches,
-        "Multi-request batches drained by service workers (single-job \
-         wakeups excluded)." );
       (autoscale_ticks, "Demand ticks fed to elastic controllers.");
       ( service_latency_seconds,
         "Request handling latency in the service engine, seconds." );

@@ -57,8 +57,7 @@ type counter
 (** [counter name] finds or creates the counter registered under
     [name]. Calls with equal names return the same counter, which is
     how independent libraries share one counter without depending on
-    each other. [help] records the family's exposition help string
-    (see {!set_help}). *)
+    each other. [help] records the family's exposition help string. *)
 val counter : ?help:string -> string -> counter
 
 (** [bump c] adds 1 to [c] (no-op when recording is disabled). *)
@@ -114,9 +113,8 @@ type histogram
 (** [histogram name ~bounds] finds or creates the histogram registered
     under [name]. [bounds] are strictly increasing bucket upper
     bounds; an implicit overflow bucket catches everything above the
-    last. Re-registering with different bounds — including against a
-    {!histogram_vec} family of the same name, whose series share these
-    buckets — raises [Invalid_argument]. *)
+    last. Re-registering with different bounds raises
+    [Invalid_argument]. *)
 val histogram : ?help:string -> string -> bounds:float array -> histogram
 
 (** [observe h v] adds one observation (no-op when recording is
@@ -139,35 +137,6 @@ val snapshot : histogram -> histogram_snapshot
 (** All registered histograms, snapshotted, sorted by name. *)
 val histograms : unit -> histogram_snapshot list
 
-(** {1 Labelled histogram families}
-
-    The histogram analogue of {!counter_vec}: one name, one shared
-    bucket layout, many cells keyed by label values. *)
-
-type histogram_vec
-
-(** [histogram_vec name ~labels ~bounds] finds or creates the family.
-    Raises [Invalid_argument] on a label-name or bounds mismatch with
-    an earlier registration, including a plain {!histogram} of the
-    same name (labelled and unlabelled series share buckets so the
-    merged exposition stays coherent). *)
-val histogram_vec :
-  ?help:string ->
-  string ->
-  labels:string list ->
-  bounds:float array ->
-  histogram_vec
-
-(** The cell for the given label values — an ordinary {!histogram}
-    afterwards ({!observe} under the cell's own mutex, kill switch
-    honoured). Arity mismatches raise [Invalid_argument]. *)
-val histogram_with : histogram_vec -> string list -> histogram
-
-(** All registered histogram families, sorted by name, cells sorted by
-    label values. *)
-val histogram_vecs :
-  unit -> (string * string list * (string list * histogram_snapshot) list) list
-
 (** {1 Gauges}
 
     Gauges are read-at-scrape callbacks, not recorded state: the
@@ -183,11 +152,6 @@ val gauge : ?help:string -> string -> (unit -> float) -> unit
 
 (** Current value of every registered gauge, sorted by name. *)
 val gauges : unit -> (string * float) list
-
-(** [set_help name help] records the exposition help string for the
-    metric family [name] (also settable at registration time via the
-    [?help] arguments). *)
-val set_help : string -> string -> unit
 
 (** {1 Spans} *)
 
@@ -257,10 +221,6 @@ module Span : sig
   (** [with_trace_id id f] runs [f] with the trace id set, restoring
       the previous value on exit (exceptions included). *)
   val with_trace_id : string -> (unit -> 'a) -> 'a
-
-  (** Imperatively set or clear the current domain's trace id
-      ({!with_trace_id} is usually what you want). *)
-  val set_trace_id : string option -> unit
 
   val trace_id : unit -> string option
 end
@@ -390,13 +350,9 @@ val service_shed : string
 
 (** Duplicate in-flight solve requests served from another request's
     outcome: single-flight followers, whatever path attached them (the
-    in-flight table, a worker's compatible batch, or the completing
-    leader's queue sweep). *)
+    in-flight table, a worker's dequeue, or the completing leader's
+    queue sweep). *)
 val service_coalesced : string
-
-(** Worker wakeups that drained more than one compatible request
-    (batch admission); single-job wakeups are not counted. *)
-val service_batches : string
 
 (** [service_op "solve"] etc. — per-op request counters bumped by the
     service engine for every protocol operation it is handed. *)

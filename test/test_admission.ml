@@ -191,34 +191,6 @@ let prop_conservation =
 
 (* --- unit corners --- *)
 
-let test_take_batch_compatibility () =
-  let q = A.create ~capacity:8 () in
-  List.iter (fun i -> ignore (A.offer q ~now:0.0 i)) [ 1; 2; 3; 4; 5 ];
-  (* leader 1; same-parity mates 3 and 5 join (k = 3); 2 and 4 keep
-     their positions *)
-  let b =
-    A.take_batch q ~now:0.0 ~k:3 ~compatible:(fun a b -> a mod 2 = b mod 2)
-  in
-  Alcotest.(check (list int)) "leader plus compatible mates" [ 1; 3; 5 ]
-    b.A.jobs;
-  Alcotest.(check (list int)) "no shed" [] b.A.shed;
-  let t1 = A.take q ~now:0.0 in
-  let t2 = A.take q ~now:0.0 in
-  let t3 = A.take q ~now:0.0 in
-  Alcotest.(check bool) "incompatible entries keep their order" true
-    ([ t1; t2; t3 ] = [ `Job 2; `Job 4; `Empty ])
-
-let test_take_batch_sheds_expired () =
-  let q = A.create ~capacity:8 () in
-  ignore (A.offer q ~expires_at:0.5 ~now:0.0 1);
-  ignore (A.offer q ~now:0.0 2);
-  ignore (A.offer q ~expires_at:0.5 ~now:0.0 3);
-  ignore (A.offer q ~now:0.0 4);
-  let b = A.take_batch q ~now:10.0 ~k:4 ~compatible:(fun _ _ -> true) in
-  Alcotest.(check (list int)) "live jobs batched" [ 2; 4 ] b.A.jobs;
-  Alcotest.(check (list int)) "expired jobs shed" [ 1; 3 ] b.A.shed;
-  Alcotest.(check int) "sheds counted" 2 (A.shed_count q)
-
 let test_remove_matching () =
   let q = A.create ~capacity:8 () in
   List.iter (fun i -> ignore (A.offer q ~now:0.0 i)) [ 1; 2; 3; 4 ];
@@ -232,12 +204,6 @@ let test_remove_matching () =
   Alcotest.(check bool) "others untouched" true
     ([ t1; t2; t3 ] = [ `Job 1; `Job 3; `Empty ])
 
-let test_batch_k_guard () =
-  let q = A.create ~capacity:2 () in
-  Alcotest.check_raises "k = 0 rejected"
-    (Invalid_argument "Admission.take_batch: k must be positive") (fun () ->
-      ignore (A.take_batch q ~now:0.0 ~k:0 ~compatible:(fun _ _ -> true)))
-
 let suite =
   ( "admission",
     [ prop_reject_new_never_evicts;
@@ -245,10 +211,5 @@ let suite =
       prop_drop_oldest_survivor_order;
       prop_tenant_fair_protects_singletons;
       prop_conservation;
-      Alcotest.test_case "take_batch groups compatible jobs" `Quick
-        test_take_batch_compatibility;
-      Alcotest.test_case "take_batch sheds expired entries" `Quick
-        test_take_batch_sheds_expired;
       Alcotest.test_case "remove_matching leaves the rest" `Quick
-        test_remove_matching;
-      Alcotest.test_case "take_batch guards k" `Quick test_batch_k_guard ] )
+        test_remove_matching ] )

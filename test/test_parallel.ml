@@ -1,9 +1,8 @@
 (* Tests for the multicore layer (Rentcost_parallel + the parallel
-   service): the domain pool's scheduling contract, striped-lock
-   mutual exclusion, the shared LRU cache under concurrent writers,
-   the engine's worker-loop building blocks, the portfolio race's
-   differential and determinism guarantees, and a parallel daemon
-   session under concurrent clients.
+   service): the domain pool's scheduling contract, the LRU cache
+   under concurrent writers, the engine's worker-loop building blocks,
+   the portfolio race's differential and determinism guarantees, and a
+   parallel daemon session under concurrent clients.
 
    RENTCOST_TEST_DOMAINS (default 2) sets the domain/worker counts, so
    CI runs the whole battery both sequentially (=1) and with real
@@ -15,7 +14,6 @@ module S = Rentcost.Solver
 module H = Rentcost.Heuristics
 module AL = Rentcost.Allocation
 module Pl = Rentcost_parallel.Pool
-module St = Rentcost_parallel.Striped
 module Pf = Rentcost_parallel.Portfolio
 module Svc = Rentcost_service
 module E = Svc.Engine
@@ -126,41 +124,14 @@ let test_pool_guards () =
   | _ -> Alcotest.fail "submit after shutdown accepted"
   | exception Invalid_argument _ -> ()
 
-(* --- Striped: mutual exclusion and key placement --- *)
-
 let spawn_each n f = List.init n (fun i -> Domain.spawn (fun () -> f i))
 let join_all = List.iter Domain.join
 
-let test_striped_mutual_exclusion () =
-  (* Read-modify-write on one shared cell from several domains: only
-     mutual exclusion keeps the final count exact. *)
-  let cell = St.create ~stripes:1 (fun _ -> ref 0) in
-  let per_domain = 2_000 in
-  join_all
-    (spawn_each (max 2 test_domains) (fun _ ->
-         for _ = 1 to per_domain do
-           St.with_key cell ~key:"the-key" (fun r -> incr r)
-         done));
-  Alcotest.(check int) "no lost increments"
-    (max 2 test_domains * per_domain)
-    (St.with_key cell ~key:"the-key" (fun r -> !r))
-
-let test_striped_fold_and_placement () =
-  let t = St.create ~stripes:4 (fun _ -> ref 0) in
-  let keys = List.init 32 (fun i -> "key-" ^ string_of_int i) in
-  List.iter (fun k -> St.with_key t ~key:k (fun r -> incr r)) keys;
-  (* Equal keys land on the same shard, so a second pass doubles every
-     shard's count and the fold sees the exact total. *)
-  List.iter (fun k -> St.with_key t ~key:k (fun r -> incr r)) keys;
-  Alcotest.(check int) "fold sums all shards" 64
-    (St.fold t ~init:0 ~f:(fun acc r -> acc + !r));
-  Alcotest.(check int) "stripes as created" 4 (St.stripes t)
-
-(* --- Shared_cache: bounded and correct under concurrent writers --- *)
+(* --- Cache: bounded and correct under concurrent writers --- *)
 
 let test_shared_cache_race () =
   let capacity = 8 in
-  let cache = Svc.Shared_cache.create ~capacity ~stripes:4 in
+  let cache = Svc.Cache.create ~capacity in
   let digest i = Printf.sprintf "digest-%03d" i
   and encoding i = Printf.sprintf "encoding-%03d" i in
   let entry i =
@@ -172,11 +143,11 @@ let test_shared_cache_race () =
          for round = 1 to 20 do
            for i = 0 to 19 do
              if (i + d + round) mod 3 = 0 then
-               Svc.Shared_cache.insert cache ~digest:(digest i)
+               Svc.Cache.insert cache ~digest:(digest i)
                  ~encoding:(encoding i) (entry i)
              else
                match
-                 Svc.Shared_cache.find_exact cache ~digest:(digest i)
+                 Svc.Cache.find_exact cache ~digest:(digest i)
                    ~encoding:(encoding i) ~target:10 ~spec:"h32jump"
                with
                | None -> ()
@@ -188,10 +159,10 @@ let test_shared_cache_race () =
                      e.Svc.Cache.cost
            done
          done));
-  Alcotest.(check bool) "live entries within global capacity" true
-    (Svc.Shared_cache.length cache <= capacity);
+  Alcotest.(check bool) "live entries within capacity" true
+    (Svc.Cache.length cache <= capacity);
   Alcotest.(check int) "capacity reported as created" capacity
-    (Svc.Shared_cache.capacity cache)
+    (Svc.Cache.capacity cache)
 
 (* --- Engine: the worker-loop building blocks --- *)
 
@@ -201,11 +172,9 @@ let solve_req ?id ?(reuse = Pr.Monotone) target =
       objective = Rentcost.Objective.min_cost ~target; pricebook = None;
       spec = S.Auto; budget = None; reuse }
 
-let fresh_engine ?(workers = test_domains) ?(queue_capacity = 64) () =
+let fresh_engine ?(queue_capacity = 64) ?(cache_capacity = 128) () =
   let e =
-    E.create
-      ~config:{ E.default_config with E.workers; queue_capacity }
-      ()
+    E.create ~config:{ E.default_config with E.queue_capacity; cache_capacity } ()
   in
   ignore (E.register e ~name:"app" illustrating);
   e
@@ -530,7 +499,7 @@ let daemon_session ~workers ~writers ~per_writer =
   write_line req_write (request_line Pr.Stats);
   write_line req_write (request_line Pr.Shutdown);
   Unix.close req_write;
-  let engine = fresh_engine ~workers () in
+  let engine = fresh_engine () in
   let dump = open_out Filename.null in
   let oc = Unix.out_channel_of_descr resp_write in
   Svc.Daemon.serve_channels ~engine ~dump ~workers
@@ -656,6 +625,57 @@ let test_shutdown_drains_backlog () =
   | Pr.Bye :: _ -> ()
   | _ -> Alcotest.fail "Bye must come after the drained backlog"
 
+let test_daemon_cache_holds_its_capacity () =
+  (* Four cold solves of one problem fill a 4-slot cache under two
+     workers, and every replay is an exact hit: one fingerprint may use
+     every slot whatever the worker count. The replays are sent only
+     after the first round is answered, so none can ride an open
+     flight. Exact_only keeps the first round cold, so every target is
+     cached. *)
+  let engine = fresh_engine ~cache_capacity:4 () in
+  let req_read, req_write = Unix.pipe () in
+  let resp_read, resp_write = Unix.pipe () in
+  let daemon =
+    Domain.spawn (fun () ->
+        let dump = open_out Filename.null in
+        let oc = Unix.out_channel_of_descr resp_write in
+        Svc.Daemon.serve_channels ~engine ~dump ~workers:2
+          (Unix.in_channel_of_descr req_read)
+          oc;
+        close_out dump;
+        close_out oc)
+  in
+  let ic = Unix.in_channel_of_descr resp_read in
+  let targets = [ 60; 70; 80; 90 ] in
+  let round () =
+    List.iteri
+      (fun id target ->
+        write_line req_write
+          (request_line (solve_req ~id ~reuse:Pr.Exact_only target)))
+      targets;
+    List.sort compare
+      (List.map
+         (fun _ ->
+           match parse_response (input_line ic) with
+           | Pr.Solved { id = Some id; served; _ } ->
+             (id, Pr.served_to_string served)
+           | _ -> Alcotest.fail "expected a solved response")
+         targets)
+  in
+  let first = round () in
+  let replays = round () in
+  write_line req_write (request_line Pr.Shutdown);
+  Unix.close req_write;
+  Domain.join daemon;
+  close_in ic;
+  Alcotest.(check (list (pair int string))) "first round solved cold"
+    (List.mapi (fun id _ -> (id, "cold")) targets)
+    first;
+  Alcotest.(check (list (pair int string))) "every replay an exact hit"
+    (List.mapi (fun id _ -> (id, "exact-hit")) targets)
+    replays;
+  Alcotest.(check int) "no evictions" 0 (Svc.Cache.evictions (E.cache engine))
+
 let suite =
   ( "parallel",
     [ Alcotest.test_case "pool domains:1 is sequential" `Quick
@@ -668,10 +688,6 @@ let suite =
       Alcotest.test_case "pool propagates task exceptions" `Quick
         test_pool_exception_propagation;
       Alcotest.test_case "pool guards its arguments" `Quick test_pool_guards;
-      Alcotest.test_case "striped locks exclude writers" `Quick
-        test_striped_mutual_exclusion;
-      Alcotest.test_case "striped placement and fold" `Quick
-        test_striped_fold_and_placement;
       Alcotest.test_case "shared cache bounded and digest-correct under race"
         `Quick test_shared_cache_race;
       Alcotest.test_case "engine drain_next and wait_for_work" `Quick
@@ -694,4 +710,6 @@ let suite =
       Alcotest.test_case "parallel daemon matches sequential answers" `Quick
         test_parallel_daemon_matches_sequential;
       Alcotest.test_case "shutdown drains the backlog before Bye" `Quick
-        test_shutdown_drains_backlog ] )
+        test_shutdown_drains_backlog;
+      Alcotest.test_case "daemon cache holds its capacity under workers"
+        `Quick test_daemon_cache_holds_its_capacity ] )

@@ -786,7 +786,7 @@ let test_audit_ring_and_file () =
              | Error e -> Alcotest.fail ("audit line: " ^ e))
            !lines))
 
-(* --- serving under concurrency: single-flight, batching, shed policies --- *)
+(* --- serving under concurrency: single-flight, shed policies --- *)
 
 let test_domains =
   match Sys.getenv_opt "RENTCOST_TEST_DOMAINS" with
@@ -814,9 +814,8 @@ let distinct_trace_ids responses =
     (List.sort_uniq compare (List.map response_trace_id responses))
 
 (* 32 identical solves queued, drained by one thread: the first is the
-   cold leader, the 7 batch mates ride its flight, and the completing
-   flight adopts the 24 still queued — 1 cold solve, 31 coalesced,
-   deterministically, whatever the batch size. *)
+   cold leader and its completing flight adopts the 31 still queued —
+   1 cold solve, 31 coalesced, deterministically. *)
 let test_herd_single_thread () =
   Telemetry.Span.clear ();
   let e = engine_with base in
@@ -911,11 +910,7 @@ let run_worker_herd ~engine ~jobs =
 
 let test_herd_across_workers () =
   Telemetry.Span.clear ();
-  let e =
-    engine_with
-      ~config:{ E.default_config with E.workers = test_domains }
-      base
-  in
+  let e = engine_with base in
   for i = 1 to 32 do
     Alcotest.(check bool) "admitted" true
       (E.submit e (solve_req ~id:i 110) = [])
@@ -949,7 +944,9 @@ let test_herd_across_workers () =
   | _ -> assert false
 
 (* A leader that dies — dp-blackbox on a shared-types instance — must
-   answer every follower with its error, not strand them. *)
+   answer every follower with its error, not strand them, and the
+   journal must hold one error record per request, the leader's
+   included, each carrying the problem's fingerprint. *)
 let test_leader_failure_single_thread () =
   let e = engine_with base in
   for i = 1 to 8 do
@@ -965,16 +962,37 @@ let test_leader_failure_single_thread () =
           (String.length message > 0)
       | _ -> Alcotest.fail "expected every herd member to get the error")
     responses;
+  (match E.handle ~now:0.0 e (Pr.Audit { last = None }) with
+   | [ Pr.Audit_reply records ] ->
+     Alcotest.(check (list string)) "one record per trace id"
+       (List.sort compare (List.map response_trace_id responses))
+       (List.sort compare
+          (List.map (fun (r : Svc.Audit.record) -> r.Svc.Audit.trace_id) records));
+     List.iter
+       (fun (r : Svc.Audit.record) ->
+         Alcotest.(check string) "error status" "error" r.Svc.Audit.status;
+         Alcotest.(check bool) "fingerprint recorded" true
+           (String.length r.Svc.Audit.fingerprint > 0))
+       records
+   | _ -> Alcotest.fail "expected an audit reply");
+  (* A raise while resolving — a price book that does not cover the
+     platform — is answered and audited the same way. *)
+  let short_book = Rentcost.Pricebook.of_platform (PF.of_list [ (5, 10) ]) in
+  (match E.handle e (solve_req ~id:98 ~pricebook:short_book 110) with
+   | [ Pr.Error _ ] -> ()
+   | _ -> Alcotest.fail "expected an error response");
+  (match E.handle e (Pr.Audit { last = Some 1 }) with
+   | [ Pr.Audit_reply [ r ] ] ->
+     Alcotest.(check (pair (option int) string)) "resolve failure recorded"
+       (Some 98, "error")
+       (r.Svc.Audit.id, r.Svc.Audit.status)
+   | _ -> Alcotest.fail "expected one audit record");
   (* The flight is gone: the engine serves the next request normally. *)
   let r = solved1 e (solve_req ~id:99 110) in
   check_served "engine recovered after the failed flight" Pr.Cold r.s_served
 
 let test_leader_failure_across_workers () =
-  let e =
-    engine_with
-      ~config:{ E.default_config with E.workers = test_domains }
-      base
-  in
+  let e = engine_with base in
   for i = 1 to 16 do
     Alcotest.(check bool) "admitted" true
       (E.submit e (solve_req ~id:i ~spec:S.Dp_blackbox 110) = [])

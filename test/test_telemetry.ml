@@ -171,38 +171,6 @@ let test_labelled_counters () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let test_labelled_histograms () =
-  let vec =
-    T.histogram_vec "test.vec_hist" ~labels:[ "engine" ] ~bounds:[| 1.0; 2.0 |]
-  in
-  let cell = T.histogram_with vec [ "ilp" ] in
-  List.iter (T.observe cell) [ 0.5; 1.5; 9.0 ];
-  T.observe (T.histogram_with vec [ "ilp" ]) 0.5;
-  (match
-     List.find_opt (fun (n, _, _) -> n = "test.vec_hist") (T.histogram_vecs ())
-   with
-  | None -> Alcotest.fail "family not in the snapshot"
-  | Some (_, labels, cells) ->
-    Alcotest.(check (list string)) "label names kept" [ "engine" ] labels;
-    (match cells with
-    | [ ([ "ilp" ], s) ] ->
-      Alcotest.(check (list int)) "cell buckets" [ 2; 1; 1 ]
-        (Array.to_list s.T.h_counts);
-      Alcotest.(check int) "cell count" 4 s.T.h_count
-    | _ -> Alcotest.fail "expected exactly the ilp cell"));
-  (* Labelled and plain series of one name share buckets, so a bounds
-     mismatch — either way round — is rejected. *)
-  Alcotest.(check bool) "bounds mismatch raises" true
-    (match
-       T.histogram_vec "test.vec_hist" ~labels:[ "engine" ] ~bounds:[| 7.0 |]
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "plain histogram bounds mismatch raises" true
-    (match T.histogram "test.vec_hist" ~bounds:[| 7.0 |] with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
 (* Four domains race find-or-create on the *same* (name, label-vector):
    every increment must land on the one shared cell. *)
 let test_labelled_concurrent () =
@@ -572,8 +540,6 @@ let suite =
         test_disabled_zero_alloc;
       Alcotest.test_case "labelled counter families" `Quick
         test_labelled_counters;
-      Alcotest.test_case "labelled histogram families" `Quick
-        test_labelled_histograms;
       Alcotest.test_case "labelled find-or-create is domain-safe" `Quick
         test_labelled_concurrent;
       Alcotest.test_case "gauges read at scrape" `Quick test_gauges;
