@@ -115,19 +115,19 @@ let solver_nodes ?node_limit spec inst ~target () =
     match node_limit with Some n -> Rentcost.Budget.nodes n
     | None -> Rentcost.Budget.unlimited
   in
-  (S.run ~budget ~spec ~instance:(Lazy.force inst) ~objective:(min_cost target)
-     ())
+  (S.run ~budget ~spec (Lazy.force inst) ~objective:(min_cost target))
     .S.telemetry.S.nodes
 
 let ilp_nodes ?node_limit inst ~target =
   solver_nodes ?node_limit S.Exact_ilp inst ~target
 
 let ilp_ablation_nodes ~warm_start problem ~target () =
-  (Rentcost.Ilp.optimize ~warm_start ~problem ~target ()).Rentcost.Ilp.nodes
+  (Rentcost.Ilp.optimize ~warm_start (I.compile problem) ~target)
+    .Rentcost.Ilp.nodes
 
 let heuristic name ?(params = H.default_params) inst ~target () =
   (S.run ~rng:(P.create kernel_seed) ~params ~spec:(S.Heuristic name)
-     ~instance:(Lazy.force inst) ~objective:(min_cost target) ())
+     (Lazy.force inst) ~objective:(min_cost target))
     .S.telemetry.S.evaluations
 
 (* --- Table III: the illustrating example (§ VII) --- *)
@@ -246,7 +246,7 @@ let micro =
   let sim_alloc =
     lazy
       (Option.get
-         (Rentcost.Ilp.optimize ~problem:illustrating ~target:70 ())
+         (Rentcost.Ilp.optimize (I.compile illustrating) ~target:70)
            .Rentcost.Ilp.allocation)
   in
   Test.make_grouped ~name:"micro"
@@ -257,14 +257,14 @@ let micro =
       Test.make ~name:"simplex_illustrating_lp"
         (Staged.stage (fun () ->
              Lp.Simplex.solve
-               (fst (Rentcost.Ilp.model ~problem:illustrating ~target:70 ()))));
+               (fst (Rentcost.Ilp.model (I.compile illustrating) ~target:70))));
       Test.make ~name:"instance_compile_illustrating"
         (Staged.stage (fun () -> I.compile illustrating));
       Test.make ~name:"knapsack_cover_rho1000"
         (Staged.stage (fun () -> Knapsack.min_cost_cover ~items:cover_items ~demand:1000));
       Test.make ~name:"dp_disjoint_rho100"
         (Staged.stage (fun () ->
-             Rentcost.Dp_disjoint.run ~problem:disjoint_problem ~target:100 ()));
+             Rentcost.Dp_disjoint.run (I.compile disjoint_problem) ~target:100));
       Test.make ~name:"streamsim_500_items"
         (Staged.stage (fun () ->
              Streamsim.Sim.run illustrating (Lazy.force sim_alloc)
@@ -322,8 +322,8 @@ let solver_group =
       Test.make ~name:"budget_fallback_rho70"
         (Staged.stage (fun () ->
              (S.run ~budget:(Rentcost.Budget.nodes 0) ~spec:S.Exact_ilp
-                ~instance:(Lazy.force illustrating_instance)
-                ~objective:(min_cost 70) ())
+                (Lazy.force illustrating_instance)
+                ~objective:(min_cost 70))
                .S.telemetry.S.evaluations)) ]
 
 (* --- the provisioning service: cache-hit vs cold-solve latency --- *)
@@ -415,12 +415,12 @@ let parallel_group =
       Test.make ~name:"portfolio_illustrating_d1"
         (Staged.stage (fun () ->
              (Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:1
-                ~instance:(Lazy.force illustrating_instance) ~target:70 ())
+                (Lazy.force illustrating_instance) ~target:70)
                .S.telemetry.S.evaluations));
       Test.make ~name:"portfolio_illustrating_d4"
         (Staged.stage (fun () ->
              (Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:4
-                ~instance:(Lazy.force illustrating_instance) ~target:70 ())
+                (Lazy.force illustrating_instance) ~target:70)
                .S.telemetry.S.evaluations)) ]
 
 (* --- scenarios: the dual objective and multi-cloud price books --- *)
@@ -476,8 +476,8 @@ let scenarios_group =
   Test.make_grouped ~name:"scenarios"
     [ Test.make ~name:"dual_illustrating_b120"
         (Staged.stage (fun () ->
-             (S.run ~instance:(Lazy.force illustrating_maxthr_instance)
-                ~objective:(Ob.max_throughput ~budget:120) ())
+             (S.run (Lazy.force illustrating_maxthr_instance)
+                ~objective:(Ob.max_throughput ~budget:120))
                .S.throughput));
       Test.make ~name:"multicloud_compile_illustrating"
         (Staged.stage (fun () ->
@@ -502,11 +502,11 @@ let scenarios_group =
    behaviour. *)
 
 let lp_model_illustrating =
-  lazy (fst (Rentcost.Ilp.model ~problem:illustrating ~target:70 ()))
+  lazy (fst (Rentcost.Ilp.model (I.compile illustrating) ~target:70))
 
 (* The fig7 relaxation: 50-100 task recipes, the paper-scale LP. *)
 let lp_model_large =
-  lazy (fst (Rentcost.Ilp.model ~instance:(Lazy.force large_instance) ~target:100 ()))
+  lazy (fst (Rentcost.Ilp.model (Lazy.force large_instance) ~target:100))
 
 let numeric_group =
   Test.make_grouped ~name:"numeric"
@@ -624,7 +624,7 @@ type engine_row = {
 let solve_row name spec inst ~target =
   let o =
     S.run ~rng:(P.create kernel_seed) ~params:params10 ~spec
-      ~instance:(Lazy.force inst) ~objective:(min_cost target) ()
+      (Lazy.force inst) ~objective:(min_cost target)
   in
   let cost =
     match o.S.allocation with
@@ -720,8 +720,7 @@ let observability_overhead ~reps =
   let run () =
     ignore
       ((S.run ~rng:(P.create kernel_seed) ~params:params10
-          ~spec:(S.Heuristic H.H32_jump) ~instance:inst
-          ~objective:(min_cost 70) ())
+          ~spec:(S.Heuristic H.H32_jump) inst ~objective:(min_cost 70))
          .S.telemetry.S.evaluations);
     (* The labelled path, exactly as the service engine bumps it per
        request: cell lookup guarded by the kill switch, so the
@@ -781,8 +780,8 @@ let portfolio_wall ~domains ~reps =
   for _ = 1 to reps do
     let t0 = Unix.gettimeofday () in
     let o =
-      Pf.run ~rng:(P.create kernel_seed) ~params ~strategies ~domains
-        ~instance:inst ~target:100 ()
+      Pf.run ~rng:(P.create kernel_seed) ~params ~strategies ~domains inst
+        ~target:100
     in
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt;
@@ -815,7 +814,7 @@ let emit_parallel ~reps =
    is asserted against. *)
 let exact_dual_scan inst ~budget =
   let cost_at t =
-    match (S.run ~instance:inst ~objective:(min_cost t) ()).S.allocation with
+    match (S.run inst ~objective:(min_cost t)).S.allocation with
     | Some a -> a.Rentcost.Allocation.cost
     | None -> max_int
   in
@@ -837,8 +836,8 @@ let scenarios_data () =
   (* The dual objective on the § VII illustrating instance. *)
   let budget = 120 in
   let dual =
-    S.run ~instance:(Lazy.force illustrating_maxthr_instance)
-      ~objective:(Ob.max_throughput ~budget) ()
+    S.run (Lazy.force illustrating_maxthr_instance)
+      ~objective:(Ob.max_throughput ~budget)
   in
   let cost_of o =
     match o.S.allocation with
@@ -847,16 +846,15 @@ let scenarios_data () =
   in
   let exact = exact_dual_scan (Lazy.force illustrating_instance) ~budget in
   let recheck =
-    S.run ~instance:(Lazy.force illustrating_instance)
-      ~objective:(min_cost dual.S.throughput) ()
+    S.run (Lazy.force illustrating_instance)
+      ~objective:(min_cost dual.S.throughput)
   in
   (* Single-cloud vs 3-book multi-cloud on the fig7 workload. *)
   let problem = problem_of large_instance in
   let platform = Rentcost.Problem.platform problem in
   let h32 inst =
     S.run ~rng:(P.create kernel_seed) ~params:params10
-      ~spec:(S.Heuristic H.H32_jump) ~instance:inst ~objective:(min_cost 100)
-      ()
+      ~spec:(S.Heuristic H.H32_jump) inst ~objective:(min_cost 100)
   in
   let single = h32 (Lazy.force large_instance) in
   let multibook =
@@ -1010,8 +1008,8 @@ let paper_workload () =
           (fun target ->
             peak :=
               peak_after !peak
-                (Rentcost.Ilp.optimize ~node_limit:paper_node_limit ~problem
-                   ~target ()))
+                (Rentcost.Ilp.optimize ~node_limit:paper_node_limit
+                   (I.compile problem) ~target))
           paper_targets
       done)
     paper_presets;
@@ -1029,7 +1027,8 @@ let overflow_problem =
 let stress_workload () =
   List.fold_left
     (fun peak target ->
-      peak_after peak (Rentcost.Ilp.optimize ~problem:overflow_problem ~target ()))
+      peak_after peak
+        (Rentcost.Ilp.optimize (I.compile overflow_problem) ~target))
     0 [ 10; 20; 30 ]
 
 (* The committed file's seed and paper-workload effort counts
@@ -1107,7 +1106,8 @@ let emit_numeric ~reps =
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
 
 let autoscale_data () =
-  As.Policy.compare_policies ~config:autoscale_config illustrating
+  As.Policy.compare_policies ~config:autoscale_config
+    (Lazy.force illustrating_instance)
     (Lazy.force autoscale_trace)
 
 let emit_autoscale () =
@@ -1232,8 +1232,7 @@ let smoke () =
   ignore
     (S.run ~rng:(P.create kernel_seed) ~params:params10
        ~spec:(S.Heuristic H.H32_jump)
-       ~instance:(Lazy.force illustrating_instance) ~objective:(min_cost 70)
-       ());
+       (Lazy.force illustrating_instance) ~objective:(min_cost 70));
   ignore
     (service_answer (Lazy.force cold_engine)
        (service_solve ~reuse:Svc.Protocol.No_reuse ~target:70));
@@ -1266,17 +1265,17 @@ let smoke () =
   in
   let p1 =
     Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:1
-      ~instance:(Lazy.force illustrating_instance) ~target:70 ()
+      (Lazy.force illustrating_instance) ~target:70
   in
   let p4 =
     Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:4
-      ~instance:(Lazy.force illustrating_instance) ~target:70 ()
+      (Lazy.force illustrating_instance) ~target:70
   in
   check "portfolio allocation is domain-count invariant" (alloc p1 = alloc p4);
   let seq =
     S.run ~rng:(P.create kernel_seed) ~params:params10
       ~spec:(S.Heuristic H.H32_jump)
-      ~instance:(Lazy.force illustrating_instance) ~objective:(min_cost 70) ()
+      (Lazy.force illustrating_instance) ~objective:(min_cost 70)
   in
   (match (p4.S.allocation, seq.S.allocation) with
    | Some pa, Some sa ->

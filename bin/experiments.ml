@@ -79,14 +79,15 @@ let cmd_table3 seed =
 
 let cmd_validate targets items =
   let problem = Rentcost.Problem.illustrating in
+  let instance = Rentcost.Instance.compile problem in
   Format.printf "Validating exact allocations by discrete-event execution@.";
   Format.printf "%8s %8s %10s %12s %12s@." "target" "cost" "measured" "max_reorder"
     "mean_latency";
   List.iter
     (fun target ->
       match
-        (Rentcost.Solver.run ~spec:Rentcost.Solver.Auto ~problem
-           ~objective:(Rentcost.Objective.min_cost ~target) ())
+        (Rentcost.Solver.run ~spec:Rentcost.Solver.Auto instance
+           ~objective:(Rentcost.Objective.min_cost ~target))
           .Rentcost.Solver.allocation
       with
       | None -> Format.printf "%8d (no allocation)@." target

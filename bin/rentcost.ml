@@ -138,6 +138,12 @@ let print_telemetry status (t : S.telemetry) =
     Format.printf ", %d dominated recipe(s) pruned" t.S.pruned_recipes;
   Format.printf ")@."
 
+(* Compile [problem] for [objective], under [pricebook] when given. *)
+let compile ?pricebook problem ~objective =
+  Rentcost.Instance.compile
+    ~scenario:(Rentcost.Scenario.make ~objective ?pricebook ())
+    problem
+
 let solve_with problem ~objective ~pricebook ~spec ~seed ~step ~budget ~domains
     =
   let params = { Rentcost.Heuristics.default_params with step } in
@@ -145,13 +151,16 @@ let solve_with problem ~objective ~pricebook ~spec ~seed ~step ~budget ~domains
   match
     match (domains, objective) with
     | None, _ ->
-      S.run ~budget ~rng ~params ~spec ?pricebook ~problem ~objective ()
+      S.run ~budget ~rng ~params ~spec
+        (compile ?pricebook problem ~objective)
+        ~objective
     | Some n, Rentcost.Objective.Min_cost { target } ->
       (* Portfolio mode: race the § VI heuristics on [n] domains. The
          reduction is deterministic, so any [n] gives the same answer
          for a given seed. *)
       Rentcost_parallel.Portfolio.run ~budget ~rng ~params ~domains:n
-        ?pricebook ~problem ~target ()
+        (compile ?pricebook problem ~objective)
+        ~target
     | Some _, Rentcost.Objective.Max_throughput _ ->
       invalid_arg
         "--domains races the min-cost heuristic portfolio; drop it for \
@@ -224,8 +233,9 @@ let cmd_validate path target items budget =
   | Error msg -> `Error (false, msg)
   | Ok problem ->
     (match
-       S.run ~budget ~problem
-         ~objective:(Rentcost.Objective.min_cost ~target) ()
+       S.run ~budget
+         (Rentcost.Instance.compile problem)
+         ~objective:(Rentcost.Objective.min_cost ~target)
      with
      | { S.allocation = None; _ } -> `Error (false, "no solution")
      | { S.allocation = Some a; status; telemetry; _ } ->
@@ -301,7 +311,8 @@ let cmd_track path opts spec seed budget =
         let config =
           { A.Controller.ticks_per_hour; deadband; headroom; spec; budget }
         in
-        match A.Policy.elastic ~config problem trace with
+        let instance = Rentcost.Instance.compile problem in
+        match A.Policy.elastic ~config instance trace with
         | exception Invalid_argument msg -> `Error (false, msg)
         | elastic, plans ->
           Format.printf "trace: %d ticks, peak demand %d, %d ticks/hour@."
@@ -325,10 +336,10 @@ let cmd_track path opts spec seed budget =
                   (if p.A.Controller.violation then " (SLO violation)" else ""))
             plans;
           let static =
-            A.Policy.static_peak ~budget ~spec ~ticks_per_hour problem trace
+            A.Policy.static_peak ~budget ~spec ~ticks_per_hour instance trace
           in
           let oracle =
-            A.Policy.oracle ~budget ~spec ~ticks_per_hour problem trace
+            A.Policy.oracle ~budget ~spec ~ticks_per_hour instance trace
           in
           Format.printf "elastic:     cost %5d, %d replans, %d SLO violations@."
             elastic.A.Policy.total_cost elastic.A.Policy.replans
@@ -417,7 +428,9 @@ let cmd_explain path objective pricebook spec seed step budget =
       let params = { Rentcost.Heuristics.default_params with step } in
       let rng = Numeric.Prng.create seed in
       match
-        S.run ~budget ~rng ~params ~spec ?pricebook ~problem ~objective ()
+        S.run ~budget ~rng ~params ~spec
+          (compile ?pricebook problem ~objective)
+          ~objective
       with
       | exception Invalid_argument msg -> `Error (false, msg)
       | o ->

@@ -12,7 +12,7 @@
      heuristic (what a latency-constrained autoscaler might do);
 
    and reports the churn (machine starts/stops) each elastic policy
-   would impose on the autoscaler. The planner compiles the problem
+   would impose on the autoscaler. The example compiles the problem
    once for the whole day and seeds each hour's solve with the
    previous hour's fleet (Solver warm starts).
 
@@ -21,7 +21,7 @@
 module E = Rentcost.Elastic
 module S = Rentcost.Solver
 
-let problem = Rentcost.Problem.illustrating
+let instance = Rentcost.Instance.compile Rentcost.Problem.illustrating
 
 (* A diurnal curve: low at night, two daytime bumps. *)
 let demand =
@@ -32,11 +32,11 @@ let demand =
       int_of_float (base +. morning +. evening))
 
 let () =
-  let elastic = E.provision ~spec:S.Exact_ilp problem ~demand in
+  let elastic = E.provision_on ~spec:S.Exact_ilp instance ~demand in
   let h1_elastic =
-    E.provision ~spec:(S.Heuristic Rentcost.Heuristics.H1) problem ~demand
+    E.provision_on ~spec:(S.Heuristic Rentcost.Heuristics.H1) instance ~demand
   in
-  let static = E.static_peak ~spec:S.Exact_ilp problem ~demand in
+  let static = E.static_peak ~spec:S.Exact_ilp instance ~demand in
   Format.printf "Peak demand %d -> static fleet costs %d per hour@.@."
     (Array.fold_left max 0 demand)
     (E.peak_cost static);

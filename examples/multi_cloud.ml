@@ -24,12 +24,13 @@ let problem =
 
 let () =
   assert (Rentcost.Problem.is_disjoint problem);
+  let instance = Rentcost.Instance.compile problem in
   Format.printf "Optimal split across two clouds (dynamic program, § V-B):@.";
   Format.printf "%8s %9s %9s %8s %22s@." "target" "cloud A" "cloud B" "cost"
     "machines per type";
   List.iter
     (fun target ->
-      let a = Rentcost.Dp_disjoint.run ~problem ~target () in
+      let a = Rentcost.Dp_disjoint.run instance ~target in
       Format.printf "%8d %9d %9d %8d [%s]@." target a.Rentcost.Allocation.rho.(0)
         a.Rentcost.Allocation.rho.(1) a.Rentcost.Allocation.cost
         (String.concat ";"
@@ -38,8 +39,10 @@ let () =
   (* The DP is provably optimal here; cross-check one point against
      the general MILP. *)
   let target = 100 in
-  let dp = Rentcost.Dp_disjoint.run ~problem ~target () in
-  let ilp = Option.get (Rentcost.Ilp.optimize ~problem ~target ()).Rentcost.Ilp.allocation in
+  let dp = Rentcost.Dp_disjoint.run instance ~target in
+  let ilp =
+    Option.get (Rentcost.Ilp.optimize instance ~target).Rentcost.Ilp.allocation
+  in
   Format.printf "@.Cross-check at target %d: DP cost %d = ILP cost %d@." target
     dp.Rentcost.Allocation.cost ilp.Rentcost.Allocation.cost;
   assert (dp.Rentcost.Allocation.cost = ilp.Rentcost.Allocation.cost)

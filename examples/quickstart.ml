@@ -20,21 +20,26 @@ let () =
          chain [| 0; 1 |] |]
   in
   let target = 70 in
+  let objective = Rentcost.Objective.min_cost ~target in
+  (* Compile once; every solve of this problem reuses the instance. *)
+  let instance = Rentcost.Instance.compile problem in
 
-  (* Exact optimum via the built-in branch-and-bound MILP solver. *)
-  let ilp = Rentcost.Ilp.optimize ~problem ~target () in
-  let best = Option.get ilp.Rentcost.Ilp.allocation in
+  (* Exact optimum: [Auto] routes shared-type recipes to the built-in
+     branch-and-bound MILP solver. *)
+  let exact = Rentcost.Solver.run instance ~objective in
+  let best = Option.get exact.Rentcost.Solver.allocation in
   Format.printf "Cheapest rental sustaining %d results/t.u.:@.%a@.@." target
     Rentcost.Allocation.pp best;
 
   (* A fast heuristic alternative (H32Jump, the paper's best). *)
-  let res =
-    Rentcost.Heuristics.h32_jump
+  let fast =
+    Rentcost.Solver.run
+      ~spec:(Rentcost.Solver.Heuristic Rentcost.Heuristics.H32_jump)
       ~params:{ Rentcost.Heuristics.default_params with step = 10 }
-      ~rng:(Numeric.Prng.create 42) problem ~target
+      ~rng:(Numeric.Prng.create 42) instance ~objective
   in
   Format.printf "H32Jump heuristic: cost %d (optimal is %d)@.@."
-    res.Rentcost.Heuristics.allocation.Rentcost.Allocation.cost
+    (Option.get fast.Rentcost.Solver.allocation).Rentcost.Allocation.cost
     best.Rentcost.Allocation.cost;
 
   (* Trust, but verify: run 2000 stream items through the rented

@@ -36,16 +36,22 @@ let problem =
   in
   Rentcost.Problem.create platform [| chain [| 0; 1; 3 |]; chain [| 0; 2; 3 |]; split |]
 
+let instance = Rentcost.Instance.compile problem
+
+let optimal fps =
+  Option.get (Rentcost.Ilp.optimize instance ~target:fps).Rentcost.Ilp.allocation
+
 let () =
   Format.printf "Frame-rate sweep (costs per hour):@.";
   Format.printf "%8s %12s %12s %12s %10s@." "fps" "best-single" "optimal-mix"
     "saving" "mix (rho)";
   List.iter
     (fun fps ->
-      let h1 = Rentcost.Heuristics.h1_best_graph problem ~target:fps in
+      let h1 =
+        Rentcost.Heuristics.search Rentcost.Heuristics.H1 instance ~target:fps
+      in
       let single = h1.Rentcost.Heuristics.allocation.Rentcost.Allocation.cost in
-      let ilp = Rentcost.Ilp.optimize ~problem ~target:fps () in
-      let best = Option.get ilp.Rentcost.Ilp.allocation in
+      let best = optimal fps in
       let saving =
         100.0 *. float_of_int (single - best.Rentcost.Allocation.cost)
         /. float_of_int (max 1 single)
@@ -59,7 +65,7 @@ let () =
   (* Frames must come out in order: size the reorder buffer when the
      optimal mix routes frames through recipes of different speeds. *)
   let fps = 240 in
-  let best = Option.get (Rentcost.Ilp.optimize ~problem ~target:fps ()).Rentcost.Ilp.allocation in
+  let best = optimal fps in
   let report =
     Streamsim.Sim.run problem best
       { Streamsim.Sim.default_config with

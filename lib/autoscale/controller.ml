@@ -92,8 +92,6 @@ let create_on ?(config = default_config) instance =
     violations = 0;
   }
 
-let create ?config problem = create_on ?config (Instance.compile problem)
-
 let provisioned t =
   match t.alloc with Some a -> Allocation.total_rho a | None -> 0
 
@@ -104,9 +102,7 @@ let resolve t ~demand =
   let started = Telemetry.now () in
   let outcome =
     Solver.run ~budget:t.config.budget ?warm_start:t.alloc ~spec:t.config.spec
-      ~instance:t.instance
-      ~objective:(Objective.min_cost ~target)
-      ()
+      t.instance ~objective:(Objective.min_cost ~target)
   in
   Telemetry.observe h_resolve (Telemetry.now () -. started);
   match outcome.Solver.allocation with

@@ -68,14 +68,10 @@ type plan = {
 
 type t
 
-(** [create problem] compiles the problem (default min-cost scenario)
-    and starts with an empty fleet at tick 0.
-    @raise Invalid_argument on a bad [config] field. *)
-val create : ?config:config -> Rentcost.Problem.t -> t
-
-(** [create_on instance] shares an already-compiled instance (the
-    service engine reuses registered instances this way). The instance
-    must be compiled for the min-cost objective kind.
+(** [create_on instance] starts with an empty fleet at tick 0 over an
+    already-compiled instance (the service engine shares registered
+    instances this way). The instance must be compiled for the
+    min-cost objective kind.
     @raise Invalid_argument on a bad [config] field or a
     max-throughput instance. *)
 val create_on : ?config:config -> Rentcost.Instance.t -> t
@@ -84,7 +80,7 @@ val create_on : ?config:config -> Rentcost.Instance.t -> t
     @raise Invalid_argument on negative demand. *)
 val tick : t -> demand:int -> plan
 
-(** {1 Counters since [create]} *)
+(** {1 Counters since [create_on]} *)
 
 val ticks : t -> int
 val replans : t -> int

@@ -11,7 +11,7 @@ let hours ~ticks_per_hour ~ticks =
   if ticks_per_hour <= 0 then invalid_arg "Policy: ticks_per_hour must be > 0";
   (ticks + ticks_per_hour - 1) / ticks_per_hour
 
-let elastic_on ?config instance trace =
+let elastic ?config instance trace =
   let controller = Controller.create_on ?config instance in
   let plans =
     List.init (Trace.length trace) (fun k ->
@@ -25,18 +25,14 @@ let elastic_on ?config instance trace =
     },
     plans )
 
-let elastic ?config problem trace =
-  elastic_on ?config (Instance.compile problem) trace
-
-let static_peak_on ?budget ?spec ~ticks_per_hour instance trace =
+let static_peak ?budget ?spec ~ticks_per_hour instance trace =
   let hours = hours ~ticks_per_hour ~ticks:(Trace.length trace) in
   if hours = 0 then
     { policy = "static-peak"; total_cost = 0; violations = 0; replans = 0 }
   else begin
     let outcome =
-      Solver.run ?budget ?spec ~instance
+      Solver.run ?budget ?spec instance
         ~objective:(Objective.min_cost ~target:(Trace.peak trace))
-        ()
     in
     let fleet = Option.get outcome.Solver.allocation in
     {
@@ -47,10 +43,7 @@ let static_peak_on ?budget ?spec ~ticks_per_hour instance trace =
     }
   end
 
-let static_peak ?budget ?spec ~ticks_per_hour problem trace =
-  static_peak_on ?budget ?spec ~ticks_per_hour (Instance.compile problem) trace
-
-let oracle_on ?budget ?spec ~ticks_per_hour instance trace =
+let oracle ?budget ?spec ~ticks_per_hour instance trace =
   let blocks = hours ~ticks_per_hour ~ticks:(Trace.length trace) in
   let block_peak b =
     let lo = b * ticks_per_hour in
@@ -70,24 +63,20 @@ let oracle_on ?budget ?spec ~ticks_per_hour instance trace =
     replans = blocks;
   }
 
-let oracle ?budget ?spec ~ticks_per_hour problem trace =
-  oracle_on ?budget ?spec ~ticks_per_hour (Instance.compile problem) trace
-
 type comparison = {
   elastic : outcome;
   static_peak : outcome;
   oracle : outcome;
 }
 
-let compare_policies ?(config = Controller.default_config) problem trace =
-  let instance = Instance.compile problem in
+let compare_policies ?(config = Controller.default_config) instance trace =
   let ticks_per_hour = config.Controller.ticks_per_hour in
   let budget = config.Controller.budget and spec = config.Controller.spec in
-  let elastic, _plans = elastic_on ~config instance trace in
+  let elastic_outcome, _plans = elastic ~config instance trace in
   {
-    elastic;
-    static_peak = static_peak_on ~budget ~spec ~ticks_per_hour instance trace;
-    oracle = oracle_on ~budget ~spec ~ticks_per_hour instance trace;
+    elastic = elastic_outcome;
+    static_peak = static_peak ~budget ~spec ~ticks_per_hour instance trace;
+    oracle = oracle ~budget ~spec ~ticks_per_hour instance trace;
   }
 
 let savings ~of_ ~over =

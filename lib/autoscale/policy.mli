@@ -27,31 +27,31 @@ type outcome = {
   replans : int;  (** solver invocations *)
 }
 
-(** [elastic problem trace] replays [trace] through a fresh
+(** [elastic instance trace] replays [trace] through a fresh
     {!Controller} and also returns the per-tick plans (newest last). *)
 val elastic :
   ?config:Controller.config ->
-  Rentcost.Problem.t ->
+  Rentcost.Instance.t ->
   Trace.t ->
   outcome * Controller.plan list
 
-(** [static_peak ~ticks_per_hour problem trace] bills the peak fleet
+(** [static_peak ~ticks_per_hour instance trace] bills the peak fleet
     for every (possibly partial) hour of the trace. *)
 val static_peak :
   ?budget:Rentcost.Budget.t ->
   ?spec:Rentcost.Solver.spec ->
   ticks_per_hour:int ->
-  Rentcost.Problem.t ->
+  Rentcost.Instance.t ->
   Trace.t ->
   outcome
 
-(** [oracle ~ticks_per_hour problem trace] provisions each hour block
+(** [oracle ~ticks_per_hour instance trace] provisions each hour block
     for its peak demand, warm-starting block to block. *)
 val oracle :
   ?budget:Rentcost.Budget.t ->
   ?spec:Rentcost.Solver.spec ->
   ticks_per_hour:int ->
-  Rentcost.Problem.t ->
+  Rentcost.Instance.t ->
   Trace.t ->
   outcome
 
@@ -61,11 +61,11 @@ type comparison = {
   oracle : outcome;
 }
 
-(** [compare_policies problem trace] runs all three on one compiled
-    instance; [static_peak] and [oracle] use the controller config's
-    [ticks_per_hour], [spec] and [budget]. *)
+(** [compare_policies instance trace] runs all three on the one
+    compiled instance; [static_peak] and [oracle] use the controller
+    config's [ticks_per_hour], [spec] and [budget]. *)
 val compare_policies :
-  ?config:Controller.config -> Rentcost.Problem.t -> Trace.t -> comparison
+  ?config:Controller.config -> Rentcost.Instance.t -> Trace.t -> comparison
 
 (** [savings ~of_ ~over] is the relative saving of [of_] against
     [over], in [[0, 1]] when cheaper; 0 when [over] is free. *)

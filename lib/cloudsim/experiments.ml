@@ -84,8 +84,8 @@ let table3 ?(seed = 42) () =
   let targets = List.init 20 (fun i -> 10 * (i + 1)) in
   let row ~rng ~label spec ~target =
     match
-      (S.run ?rng ~params ~spec ~instance
-         ~objective:(Rentcost.Objective.min_cost ~target) ())
+      (S.run ?rng ~params ~spec instance
+         ~objective:(Rentcost.Objective.min_cost ~target))
         .S.allocation
     with
     | Some a -> (label, a.Rentcost.Allocation.rho, a.Rentcost.Allocation.cost)

@@ -36,8 +36,8 @@ let solve_one ~rng ~params instance ~target alg =
      live in [Solver.run]; the runner only labels rows. *)
   let o =
     S.run ~budget:(algorithm_budget alg) ~rng ~params
-      ~spec:(algorithm_spec alg) ~instance
-      ~objective:(Rentcost.Objective.min_cost ~target) ()
+      ~spec:(algorithm_spec alg) instance
+      ~objective:(Rentcost.Objective.min_cost ~target)
   in
   match o.S.allocation with
   | Some a ->

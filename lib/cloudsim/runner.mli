@@ -3,7 +3,7 @@
     and per-solve telemetry — the OCaml counterpart of the paper's
     Python "cloud renting simulator" (§ VIII-A).
 
-    Every solve goes through {!Rentcost.Solver.solve}, so rows carry
+    Every solve goes through {!Rentcost.Solver.run}, so rows carry
     the engine's own telemetry (wall time, pivots, nodes, oracle
     evaluations) rather than runner-side stopwatch readings, and an
     ILP whose budget expires degrades to its incumbent instead of

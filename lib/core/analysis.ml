@@ -1,21 +1,25 @@
 type solver = Problem.t -> target:int -> Allocation.t
 
 let ilp_solver ?node_limit () problem ~target =
-  match (Ilp.optimize ?node_limit ~problem ~target ()).Ilp.allocation with
+  let instance = Instance.compile problem in
+  match (Ilp.optimize ?node_limit instance ~target).Ilp.allocation with
   | Some a -> a
   | None ->
     (* Warm starts guarantee an incumbent even under a node cap. *)
     assert false
 
-let h1_solver problem ~target =
-  (Heuristics.h1_best_graph problem ~target).Heuristics.allocation
+let h1_on instance ~target =
+  (Heuristics.search Heuristics.H1 instance ~target).Heuristics.allocation
+
+let h1_solver problem ~target = h1_on (Instance.compile problem) ~target
 
 let cost_curve solver problem ~targets =
   List.map (fun target -> (target, solver problem ~target)) targets
 
 let h1_buckets problem ~max_target =
   if max_target < 0 then invalid_arg "Analysis.h1_buckets: negative max_target";
-  let cost t = (h1_solver problem ~target:t).Allocation.cost in
+  let instance = Instance.compile problem in
+  let cost t = (h1_on instance ~target:t).Allocation.cost in
   let rec go lo t prev acc =
     if t > max_target then List.rev ((lo, max_target, prev) :: acc)
     else begin

@@ -10,7 +10,7 @@
 (** A solving policy: maps an instance and target to an allocation. *)
 type solver = Problem.t -> target:int -> Allocation.t
 
-(** Exact MILP solver, optionally node-capped (see {!Ilp.solve}). *)
+(** Exact MILP solver, optionally node-capped (see {!Ilp.optimize}). *)
 val ilp_solver : ?node_limit:int -> unit -> solver
 
 (** The H1 best-single-recipe heuristic as a policy. *)

@@ -1,5 +1,5 @@
 (** Per-solve resource budgets shared by every engine behind
-    {!Solver.solve}.
+    {!Solver.run}.
 
     A budget caps one solve along up to three axes. Engines interpret
     the axes they can observe and ignore the rest:

@@ -1,4 +1,4 @@
-let solve_on instance ~target =
+let run instance ~target =
   if not (Instance.is_blackbox instance) then
     invalid_arg "Dp_blackbox.run: instance is not black-box (one task per \
                  recipe, pairwise distinct types)";
@@ -41,9 +41,3 @@ let solve_on instance ~target =
     let alloc = Allocation.make (Instance.problem instance) ~rho ~machines in
     assert (alloc.Allocation.cost = best);
     alloc
-
-let run ?pricebook ?instance ?problem ~target () =
-  let instance =
-    Instance.for_solve ~who:"Dp_blackbox.run" ?pricebook ?instance ?problem ()
-  in
-  solve_on instance ~target

@@ -6,21 +6,10 @@
     pseudo-polynomial DP of {!Knapsack.min_cost_cover} in
     [O(J·ρ)] time. *)
 
-(** [run ~target ()] returns an optimal allocation — the single entry
-    point for both calling conventions (pass [~instance] or
-    [~problem], never both; [~problem] is compiled, under [?pricebook]
-    when present). The black-box check runs on the dominance-pruned
-    compiled instance, so a problem whose only structure violations
-    come from dominated recipes (e.g. duplicated single-task recipes)
-    is still accepted.
+(** [run instance ~target] returns an optimal allocation. The
+    black-box check runs on the dominance-pruned compiled instance, so
+    a problem whose only structure violations come from dominated
+    recipes (e.g. duplicated single-task recipes) is still accepted.
     @raise Invalid_argument when the pruned instance is not black-box
-      (use {!Instance.is_blackbox} to test), [target < 0], or the
-      [?instance]/[?problem] convention is violated. *)
-val run :
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
-  target:int ->
-  unit ->
-  Allocation.t
-
+      (use {!Instance.is_blackbox} to test) or [target < 0]. *)
+val run : Instance.t -> target:int -> Allocation.t

@@ -1,6 +1,6 @@
 let recipe_cost problem ~j ~target = Costing.single_graph problem ~j ~target
 
-let solve_on instance ~target =
+let run instance ~target =
   if not (Instance.is_disjoint instance) then
     invalid_arg "Dp_disjoint.run: recipes share task types (general case, \
                  use Ilp or Heuristics)";
@@ -46,9 +46,3 @@ let solve_on instance ~target =
   let alloc = Allocation.of_rho (Instance.problem instance) ~rho in
   assert (alloc.Allocation.cost = dp.(j_count - 1).(target));
   alloc
-
-let run ?pricebook ?instance ?problem ~target () =
-  let instance =
-    Instance.for_solve ~who:"Dp_disjoint.run" ?pricebook ?instance ?problem ()
-  in
-  solve_on instance ~target

@@ -17,23 +17,14 @@
     and the worked example, [cost_j] here sums over distinct types
     (see DESIGN.md § 1). *)
 
-(** [run ~target ()] returns an optimal allocation (with the optimal
-    throughput split) — the single entry point for both calling
-    conventions (pass [~instance] or [~problem], never both;
-    [~problem] is compiled, under [?pricebook] when present). The
-    disjointness check and the DP both run on the dominance-pruned
-    compiled instance; the per-recipe cost table is filled with the
-    sparse {!Instance.single_cost} closed form.
+(** [run instance ~target] returns an optimal allocation (with the
+    optimal throughput split). The disjointness check and the DP both
+    run on the dominance-pruned compiled instance; the per-recipe cost
+    table is filled with the sparse {!Instance.single_cost} closed
+    form.
     @raise Invalid_argument when surviving recipes share task types
-      (use {!Instance.is_disjoint} to test), [target < 0], or the
-      [?instance]/[?problem] convention is violated. *)
-val run :
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
-  target:int ->
-  unit ->
-  Allocation.t
+      (use {!Instance.is_disjoint} to test) or [target < 0]. *)
+val run : Instance.t -> target:int -> Allocation.t
 
 (** [recipe_cost problem ~j ~target] is the separable per-recipe cost
     [cost_j(target)] the DP optimizes over (equals

@@ -7,8 +7,8 @@ let check_demand demand =
 
 let solve_one ?budget ?rng ?params ?warm_start ~spec instance ~target =
   match
-    (Solver.run ?budget ?rng ?params ?warm_start ~spec ~instance
-       ~objective:(Objective.min_cost ~target) ())
+    (Solver.run ?budget ?rng ?params ?warm_start ~spec instance
+       ~objective:(Objective.min_cost ~target))
       .Solver.allocation
   with
   | Some a -> a
@@ -20,31 +20,25 @@ let solve_one ?budget ?rng ?params ?warm_start ~spec instance ~target =
 (* One compile serves the whole trace; each period's solve is seeded
    with the previous period's fleet (trimmed/validated inside the
    solver, dropped when demand rose past it). *)
-let provision_on ?budget ?rng ?params ?(spec = Solver.Auto) ?(warm = true)
-    instance ~demand =
+let provision_on ?budget ?rng ?params ?(spec = Solver.Auto) instance ~demand =
   check_demand demand;
   let previous = ref None in
   Array.map
     (fun target ->
-      let warm_start = if warm then !previous else None in
-      let a = solve_one ?budget ?rng ?params ?warm_start ~spec instance ~target in
+      let a =
+        solve_one ?budget ?rng ?params ?warm_start:!previous ~spec instance
+          ~target
+      in
       previous := Some a;
       a)
     demand
 
-let provision ?budget ?rng ?params ?spec ?warm problem ~demand =
-  provision_on ?budget ?rng ?params ?spec ?warm (Instance.compile problem)
-    ~demand
-
-let static_peak ?budget ?rng ?params ?(spec = Solver.Auto) problem ~demand =
+let static_peak ?budget ?rng ?params ?(spec = Solver.Auto) instance ~demand =
   check_demand demand;
   if Array.length demand = 0 then [||]
   else begin
     let peak = Array.fold_left max 0 demand in
-    let fleet =
-      solve_one ?budget ?rng ?params ~spec (Instance.compile problem)
-        ~target:peak
-    in
+    let fleet = solve_one ?budget ?rng ?params ~spec instance ~target:peak in
     Array.map (fun _ -> fleet) demand
   end
 

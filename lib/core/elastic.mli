@@ -7,11 +7,11 @@
     autoscaler would impose.
 
     Planning goes through the unified {!Solver} over one compiled
-    {!Instance.t}: the problem is compiled once for the whole trace
-    (the same amortization PR 2 gave {!Cloudsim.Runner}), and each
-    period's solve is seeded with the previous period's fleet as a
-    {!Solver.solve} warm start — consecutive demands are close, so the
-    previous optimum is usually a near-optimal incumbent.
+    {!Instance.t}: the caller compiles the problem once for the whole
+    trace, and each period's solve is seeded with the previous
+    period's fleet as a {!Solver.run} warm start — consecutive demands
+    are close, so the previous optimum is usually a near-optimal
+    incumbent.
 
     This module bills every period in full and re-solves every period —
     a clairvoyant per-period planner. The online counterpart lives in
@@ -24,51 +24,36 @@
 (** One allocation per billing period. *)
 type plan = Allocation.t array
 
-(** [provision problem ~demand] solves each period's target through
-    {!Solver.solve_on} on a single compiled instance.
+(** [provision_on instance ~demand] solves each period's target
+    through {!Solver.run} on one compiled instance (compiled under the
+    default min-cost scenario), so callers planning many traces — or
+    mixing per-period planning with other solves, as the autoscale
+    layer's clairvoyant oracle does — amortize one compile. Each
+    period after the first is warm-started from the previous period's
+    allocation; exact engines still return optima.
 
     @param spec engine selection (default [Solver.Auto]).
     @param budget per-period solve budget (default unlimited).
     @param rng / [params] forwarded to the solver (stochastic
       heuristics only).
-    @param warm seed each period with the previous period's allocation
-      (default [true]; the first period always solves cold). Exact
-      engines still return optima — warm starts only speed them up —
-      so disabling is only useful for ablation timing.
     @raise Invalid_argument on a negative demand entry. *)
-val provision :
-  ?budget:Budget.t ->
-  ?rng:Numeric.Prng.t ->
-  ?params:Heuristics.params ->
-  ?spec:Solver.spec ->
-  ?warm:bool ->
-  Problem.t ->
-  demand:int array ->
-  plan
-
-(** [provision_on instance ~demand] is {!provision} over an already
-    compiled instance, so callers planning many traces (or mixing
-    per-period planning with other solves — the autoscale layer's
-    clairvoyant oracle does both) amortize one compile. The instance
-    must be compiled under the default min-cost scenario. *)
 val provision_on :
   ?budget:Budget.t ->
   ?rng:Numeric.Prng.t ->
   ?params:Heuristics.params ->
   ?spec:Solver.spec ->
-  ?warm:bool ->
   Instance.t ->
   demand:int array ->
   plan
 
-(** [static_peak problem ~demand] rents once for the peak demand and
+(** [static_peak instance ~demand] rents once for the peak demand and
     keeps that fleet every period (one solve total). *)
 val static_peak :
   ?budget:Budget.t ->
   ?rng:Numeric.Prng.t ->
   ?params:Heuristics.params ->
   ?spec:Solver.spec ->
-  Problem.t ->
+  Instance.t ->
   demand:int array ->
   plan
 

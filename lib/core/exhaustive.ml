@@ -1,4 +1,4 @@
-let solve_on instance ~target =
+let run instance ~target =
   if target < 0 then invalid_arg "Exhaustive.run: negative target";
   let j_count = Instance.num_recipes instance in
   let o = Instance.Oracle.create instance in
@@ -35,12 +35,6 @@ let solve_on instance ~target =
   go 0 target;
   Allocation.of_rho (Instance.problem instance)
     ~rho:(Instance.expand_rho instance !best_rho)
-
-let run ?pricebook ?instance ?problem ~target () =
-  let instance =
-    Instance.for_solve ~who:"Exhaustive.run" ?pricebook ?instance ?problem ()
-  in
-  solve_on instance ~target
 
 let count_compositions ~parts ~total =
   (* C(total + parts - 1, parts - 1) computed multiplicatively. *)

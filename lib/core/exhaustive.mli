@@ -5,23 +5,14 @@
     test suite (validating the ILP, the DPs and heuristic bounds) —
     never in experiments. *)
 
-(** [run ~target ()] enumerates all compositions of [target] into [J]
-    non-negative parts and returns a cheapest allocation — the single
-    entry point for both calling conventions (pass [~instance] or
-    [~problem], never both; [~problem] is compiled, under [?pricebook]
-    when present). Enumeration runs over the dominance-pruned compact
-    recipe space of a compiled {!Instance.t}, pricing each assigned
-    unit incrementally with {!Instance.Oracle.apply} — pruning never
-    changes the optimal cost (see {!Instance}).
-    @raise Invalid_argument when [target < 0] or the
-      [?instance]/[?problem] convention is violated. *)
-val run :
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
-  target:int ->
-  unit ->
-  Allocation.t
+(** [run instance ~target] enumerates all compositions of [target]
+    into [J] non-negative parts and returns a cheapest allocation.
+    Enumeration runs over the dominance-pruned compact recipe space,
+    pricing each assigned unit incrementally with
+    {!Instance.Oracle.apply} — pruning never changes the optimal cost
+    (see {!Instance}).
+    @raise Invalid_argument when [target < 0]. *)
+val run : Instance.t -> target:int -> Allocation.t
 
 (** [count_compositions ~parts ~total] is the number of splits
     enumerated by {!run} (binomial [total+parts-1 choose parts-1]);

@@ -36,8 +36,6 @@ let check_params p =
   if p.iterations < 0 || p.patience < 0 || p.jumps < 0 || p.jump_size < 0 then
     invalid_arg "Heuristics: negative iteration parameter"
 
-let evals_counter = Telemetry.counter Telemetry.heuristic_evals
-
 let run_evals_hist =
   Telemetry.histogram Telemetry.heuristic_run_evals
     ~bounds:[| 10.; 100.; 1_000.; 10_000.; 100_000. |]
@@ -94,7 +92,7 @@ let stopped oracle =
 
 let note_eval oracle =
   oracle.evals <- oracle.evals + 1;
-  Telemetry.bump evals_counter
+  Telemetry.Effort.evaluation ()
 
 (* Price the oracle's current point: one evaluation, O(1) — the
    incremental state was already re-priced by the applies. *)
@@ -388,7 +386,7 @@ let h32_jump_on ~params budget ~rng ~warm_start inst ~target =
    heuristics never touch it). *)
 let default_seed = 0x5EED
 
-let run_on ?(params = default_params) ?(budget = Budget.unlimited) ?rng
+let search ?(params = default_params) ?(budget = Budget.unlimited) ?rng
     ?warm_start name inst ~target =
   check_params params;
   check_target target;
@@ -412,33 +410,3 @@ let run_on ?(params = default_params) ?(budget = Budget.unlimited) ?rng
         let r = go () in
         Telemetry.observe run_evals_hist (float_of_int r.evaluations);
         r)
-
-let search ?params ?budget ?rng ?warm_start ?pricebook ?instance ?problem name
-    ~target =
-  let instance =
-    Instance.for_solve ~who:"Heuristics.search" ?pricebook ?instance ?problem ()
-  in
-  run_on ?params ?budget ?rng ?warm_start name instance ~target
-
-let run ?params ?budget ?rng name problem ~target =
-  search ?params ?budget ?rng ~problem name ~target
-
-(* Per-heuristic entry points, kept for direct experimentation; each
-   compiles the instance itself. *)
-
-let h0_random ?params ?budget ~rng problem ~target =
-  run ?params ?budget ~rng H0 problem ~target
-
-let h1_best_graph ?budget problem ~target = run ?budget H1 problem ~target
-
-let h2_random_walk ?params ?budget ~rng problem ~target =
-  run ?params ?budget ~rng H2 problem ~target
-
-let h31_stochastic_descent ?params ?budget ~rng problem ~target =
-  run ?params ?budget ~rng H31 problem ~target
-
-let h32_steepest ?params ?budget problem ~target =
-  run ?params ?budget H32 problem ~target
-
-let h32_jump ?params ?budget ~rng problem ~target =
-  run ?params ?budget ~rng H32_jump problem ~target

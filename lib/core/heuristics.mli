@@ -30,10 +30,10 @@
     complete, so every budgeted run returns a feasible allocation.
 
     Note: this module is the low-level per-heuristic interface. New
-    code should prefer {!Solver.solve} (with
-    [~spec:(Heuristic name)] or [~spec:Auto]), which adds engine
-    dispatch, uniform budget semantics across exact and heuristic
-    engines, and per-solve telemetry. *)
+    code should prefer {!Solver.run} (with [~spec:(Heuristic name)]
+    or [~spec:Auto]), which adds engine dispatch, uniform budget
+    semantics across exact and heuristic engines, and per-solve
+    telemetry. *)
 
 type name = H0 | H1 | H2 | H31 | H32 | H32_jump
 
@@ -70,67 +70,30 @@ type result = {
           allocation is still the best incumbent found *)
 }
 
-(** [h0_random] draws a uniformly random composition of the target
-    over the recipes (§ VI-a). *)
-val h0_random :
-  ?params:params ->
-  ?budget:Budget.t ->
-  rng:Numeric.Prng.t ->
-  Problem.t ->
-  target:int ->
-  result
+(** [search name instance ~target] runs one heuristic:
 
-(** [h1_best_graph] routes the whole target through the single
-    cheapest recipe (§ VI-b); complexity [O(J·Q)]. Deterministic. *)
-val h1_best_graph : ?budget:Budget.t -> Problem.t -> target:int -> result
+    - [H0] draws a uniformly random composition of the target over the
+      recipes (§ VI-a);
+    - [H1] routes the whole target through the single cheapest recipe
+      (§ VI-b), in [O(J·Q)];
+    - [H2] starts from H1 and repeatedly applies random exchanges,
+      always adopting the move and remembering the best solution seen
+      (§ VI-c);
+    - [H31] is H2 but a move is kept only when it improves the
+      incumbent (§ VI-d);
+    - [H32] repeatedly applies the best exchange over all ordered
+      recipe pairs until none improves — a steepest-gradient descent
+      to a local minimum (§ VI-e);
+    - [H32_jump] escapes H32 local minima by applying a burst of
+      random exchanges and descending again, keeping the best local
+      minimum found (§ VI-e).
 
-(** [h2_random_walk] starts from H1 and repeatedly applies random
-    exchanges, always adopting the move and remembering the best
-    solution seen (§ VI-c). *)
-val h2_random_walk :
-  ?params:params ->
-  ?budget:Budget.t ->
-  rng:Numeric.Prng.t ->
-  Problem.t ->
-  target:int ->
-  result
-
-(** [h31_stochastic_descent] is H2 but a move is kept only when it
-    improves the incumbent (§ VI-d). *)
-val h31_stochastic_descent :
-  ?params:params ->
-  ?budget:Budget.t ->
-  rng:Numeric.Prng.t ->
-  Problem.t ->
-  target:int ->
-  result
-
-(** [h32_steepest] repeatedly applies the best exchange over all
-    ordered recipe pairs until none improves — a steepest-gradient
-    descent to a local minimum (§ VI-e). Deterministic. *)
-val h32_steepest :
-  ?params:params -> ?budget:Budget.t -> Problem.t -> target:int -> result
-
-(** [h32_jump] escapes H32 local minima by applying a burst of random
-    exchanges and descending again, keeping the best local minimum
-    found (§ VI-e). *)
-val h32_jump :
-  ?params:params ->
-  ?budget:Budget.t ->
-  rng:Numeric.Prng.t ->
-  Problem.t ->
-  target:int ->
-  result
-
-(** [search name ~target] dispatches to the heuristic — the single
-    entry point for both calling conventions (pass [~instance] or
-    [~problem], never both; [~problem] is compiled, under [?pricebook]
-    when present). [rng] is only drawn from by the stochastic
-    heuristics (H0, H2, H31, H32Jump) and may be omitted even for
-    them, in which case a fixed-seed PRNG makes the run deterministic;
-    deterministic H1/H32 never touch it. This is the hook
-    {!Solver.run} uses so one compiled instance serves routing, the
-    ILP warm start and any heuristic fallback of a single solve.
+    [rng] is only drawn from by the stochastic heuristics (H0, H2,
+    H31, H32Jump) and may be omitted even for them, in which case a
+    fixed-seed PRNG makes the run deterministic; deterministic H1/H32
+    never touch it. This is the hook {!Solver.run} uses so one
+    compiled instance serves routing, the ILP warm start and any
+    heuristic fallback of a single solve.
 
     Applications should still prefer {!Solver.run}
     [~spec:(Heuristic name)], which wraps this dispatch with budget
@@ -143,18 +106,13 @@ val h32_jump :
       delegating). The search starts from whichever of the warm split
       and the H1 split prices cheaper (one extra evaluation); H0 and
       H1 ignore it. Unseeded runs are bit-identical to the historical
-      trajectories.
-    @raise Invalid_argument when the [?instance]/[?problem] convention
-      is violated. *)
+      trajectories. *)
 val search :
   ?params:params ->
   ?budget:Budget.t ->
   ?rng:Numeric.Prng.t ->
   ?warm_start:int array ->
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
   name ->
+  Instance.t ->
   target:int ->
   result
-

@@ -17,7 +17,7 @@ let ceil_div a b = (a + b - 1) / b
    cheaper at equal throughput (see Instance), so dropping them leaves
    the optimal value of both the MILP and its LP relaxation
    unchanged while shrinking the tableau. *)
-let model_on ?budget_cap instance ~target =
+let model ?budget_cap instance ~target =
   if target < 0 then invalid_arg "Ilp.model: negative target";
   (match budget_cap with
    | Some cap when cap < 0 -> invalid_arg "Ilp.model: negative budget cap"
@@ -79,12 +79,6 @@ let model_on ?budget_cap instance ~target =
    | None -> ());
   (m, Array.to_list rho_vars @ Array.to_list x_vars)
 
-let model ?budget_cap ?pricebook ?instance ?problem ~target () =
-  let instance =
-    Instance.for_solve ~who:"Ilp.model" ?pricebook ?instance ?problem ()
-  in
-  model_on ?budget_cap instance ~target
-
 let decode instance solution =
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
@@ -98,78 +92,55 @@ let decode instance solution =
   let machines = Array.init q_count (fun q -> to_int (j_count + q)) in
   Allocation.make (Instance.problem instance) ~rho ~machines
 
-(* Whether [alloc] is usable as an initial MILP incumbent for this
-   instance and target: feasible, representable in the compact column
-   space (no throughput on pruned recipes) and inside the model's
-   tightening bounds (each ρ_j <= target; minimal machines then stay
-   under the x_q bounds whenever Σρ_j = target). *)
-let valid_incumbent instance ~target alloc =
-  let problem = Instance.problem instance in
-  let rho = alloc.Allocation.rho in
-  Array.length rho = Problem.num_recipes problem
-  && Allocation.feasible problem ~target alloc
-  && List.for_all (fun (j', _) -> rho.(j') = 0) (Instance.dropped instance)
-  && Array.for_all (fun r -> r <= target) rho
-  && begin
-    let minimal = Allocation.of_rho problem ~rho in
-    let within = ref true in
-    for q = 0 to Instance.num_types instance - 1 do
-      let nmax = ref 0 in
-      for j = 0 to Instance.num_recipes instance - 1 do
-        nmax := max !nmax (Instance.count instance j q)
-      done;
-      let ub = ceil_div (!nmax * target) (Instance.type_throughput instance q) in
-      if minimal.Allocation.machines.(q) > ub then within := false
-    done;
-    !within
-  end
-
 let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
-    ?budget_cap ?pricebook ?instance ?problem ~target () =
-  let instance =
-    Instance.for_solve ~who:"Ilp.optimize" ?pricebook ?instance ?problem ()
-  in
+    ?budget_cap instance ~target =
   let t0 = Unix.gettimeofday () in
   let model, integer =
     Telemetry.Span.with_span "ilp.build" (fun () ->
-        model_on ?budget_cap instance ~target)
+        model ?budget_cap instance ~target)
   in
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
-  let point_of alloc =
-    (* Machines re-minimized through the closed form, so the point
-       satisfies the capacity rows with the smallest x_q. *)
-    let a = Allocation.of_rho (Instance.problem instance) ~rho:alloc.Allocation.rho in
-    Array.init (j_count + q_count) (fun i ->
-        if i < j_count then
-          R.of_int a.Allocation.rho.(Instance.original_index instance i)
-        else R.of_int a.Allocation.machines.(i - j_count))
+  (* With a budget row in the model, a warm point whose cost exceeds
+     the cap is infeasible and Milp.Solver.solve rejects it outright —
+     drop it and start cold instead. *)
+  let within_cap cost =
+    match budget_cap with None -> true | Some cap -> cost <= cap
   in
-  (* With a budget row in the model, a warm point whose (re-minimized)
-     cost exceeds the cap is infeasible and Milp.Solver.solve rejects
-     it outright — drop it and start cold instead. *)
-  let within_cap a =
-    match budget_cap with
-    | None -> true
-    | Some cap ->
-      let minimal =
-        Allocation.of_rho (Instance.problem instance) ~rho:a.Allocation.rho
-      in
-      minimal.Allocation.cost <= cap
+  (* The MILP point of a compact split, machines minimized through the
+     closed form so it satisfies the capacity rows with the smallest
+     x_q; [None] when that point is over the cap. *)
+  let point_of rho =
+    let machines =
+      Array.init q_count (fun q ->
+          let load = ref 0 in
+          for j = 0 to j_count - 1 do
+            load := !load + (Instance.count instance j q * rho.(j))
+          done;
+          ceil_div !load (Instance.type_throughput instance q))
+    in
+    let cost = ref 0 in
+    Array.iteri
+      (fun q x -> cost := !cost + (x * Instance.type_cost instance q))
+      machines;
+    if not (within_cap !cost) then None
+    else
+      Some
+        (Array.init (j_count + q_count) (fun i ->
+             R.of_int (if i < j_count then rho.(i) else machines.(i - j_count))))
   in
   (* Seed the branch-and-bound with a known feasible point: its cost is
      an upper cutoff that prunes most of the tree (the role played by
      Gurobi's internal primal heuristics in the paper's runs). A
      caller-supplied incumbent (a cached or previous-period solution)
-     is used directly when valid; otherwise the H32Jump warm-up runs.
-     The warm-up shares this solve's deadline, so a capped run cannot
-     overshoot it warming up; whatever it produces — at worst the H1
-     floor — still seeds the search. *)
+     is used directly when within the cap; otherwise the H32Jump
+     warm-up runs. The warm-up shares this solve's deadline, so a
+     capped run cannot overshoot it warming up; whatever it produces —
+     at worst the H1 floor — still seeds the search. *)
   let warm =
-    match incumbent with
-    | Some a when valid_incumbent instance ~target a && within_cap a ->
-      Some (point_of a)
-    | _ ->
+    match Option.bind incumbent point_of with
+    | Some _ as point -> point
+    | None ->
       if not warm_start then None
       else
         Telemetry.Span.with_span "ilp.warmup" (fun () ->
@@ -178,13 +149,14 @@ let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
               | Some d -> Budget.deadline (Float.max 0.0 d)
               | None -> Budget.unlimited
             in
-            let res =
-              Heuristics.search ~budget ~rng:(Numeric.Prng.create 0x5EED)
-                ~instance Heuristics.H32_jump ~target
+            let a =
+              (Heuristics.search ~budget ~rng:(Numeric.Prng.create 0x5EED)
+                 Heuristics.H32_jump instance ~target)
+                .Heuristics.allocation
             in
-            if within_cap res.Heuristics.allocation then
-              Some (point_of res.Heuristics.allocation)
-            else None)
+            point_of
+              (Array.init j_count (fun j ->
+                   a.Allocation.rho.(Instance.original_index instance j))))
   in
   let priority =
     [ List.init j_count Fun.id; List.init q_count (fun q -> j_count + q) ]
@@ -214,7 +186,7 @@ let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
     elapsed = Unix.gettimeofday () -. t0 }
 
 let lp_lower_bound problem ~target =
-  let m, _ = model_on (Instance.compile problem) ~target in
+  let m, _ = model (Instance.compile problem) ~target in
   match Lp.Simplex.solve m with
   | Lp.Simplex.Optimal { objective; _ } -> Numeric.Bigint.to_int_exn (R.ceil objective)
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->

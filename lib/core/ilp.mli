@@ -33,36 +33,28 @@ type outcome = {
   elapsed : float;  (** seconds *)
 }
 
-(** [model ~target] constructs the MILP and returns it with the list
-    of integer variables — exposed for inspection, testing and
-    benchmarking. Exactly one of [?instance] and [?problem] must be
-    given ([?problem] is compiled, under [?pricebook] when present).
-    The model has one [ρ] column per {e surviving} recipe of the
-    dominance-pruned compiled instance (see {!Instance}): variables
-    [0..J'-1] are the [ρ_j] in compact numbering and [J'..J'+Q-1] are
-    the [x_q]. Dominated columns never price cheaper at equal
-    throughput, so both the MILP optimum and its LP relaxation are
-    unchanged.
+(** [model instance ~target] constructs the MILP and returns it with
+    the list of integer variables — exposed for inspection, testing
+    and benchmarking. The model has one [ρ] column per {e surviving}
+    recipe of the dominance-pruned compiled instance (see {!Instance}):
+    variables [0..J'-1] are the [ρ_j] in compact numbering and
+    [J'..J'+Q-1] are the [x_q]. Dominated columns never price cheaper
+    at equal throughput, so both the MILP optimum and its LP
+    relaxation are unchanged.
 
     [?budget_cap] adds the budget-feasibility cut
     [Σ_q c_q·x_q <= cap]: the model then answers "is throughput
     [target] reachable within [cap]?" — [Infeasible] means no. This is
     the native probe of the max-throughput binary search
     ({!Solver.run}).
-    @raise Invalid_argument when [target < 0], the cap is negative, or
-      the [?instance]/[?problem] convention is violated. *)
+    @raise Invalid_argument when [target < 0] or the cap is negative. *)
 val model :
   ?budget_cap:int ->
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
+  Instance.t ->
   target:int ->
-  unit ->
   Lp.Model.t * Lp.Model.var list
 
-(** [optimize ~target] solves the MILP — the single entry point for
-    both calling conventions (pass [~instance] or [~problem], never
-    both).
+(** [optimize instance ~target] solves the MILP.
     @param time_limit wall-clock seconds (default: unlimited)
     @param node_limit maximum branch-and-bound nodes (default:
       unlimited); unlike a time limit, a node limit keeps capped runs
@@ -70,29 +62,26 @@ val model :
     @param warm_start seed the search with an H32Jump incumbent
       (default [true]; the role Gurobi's primal heuristics play in the
       paper's runs). Disable for ablation measurements.
-    @param incumbent a known feasible allocation (e.g. a cached or
-      previous-period solution) used as the initial incumbent instead
-      of running the H32Jump warm-up. Silently ignored when it is
-      infeasible for this target, routes throughput through a pruned
-      recipe, falls outside the model's tightening bounds, or costs
-      more than [?budget_cap] — the solve then proceeds per
-      [warm_start].
+    @param incumbent a known feasible split (e.g. a cached or
+      previous-period solution) in {e compact} recipe numbering, used
+      with its minimal machine counts as the initial incumbent instead
+      of running the H32Jump warm-up. The caller is responsible for
+      validity: non-negative, summing to at least [target] and each
+      [ρ_j <= target] — {!Solver.run}'s warm start produces exactly
+      such splits. Ignored when it costs more than [?budget_cap]; the
+      solve then proceeds per [warm_start].
     @param budget_cap see {!model}; with the cut, [status = Infeasible]
       in the outcome means "unreachable within the cap", and any warm
       point over the cap is dropped rather than handed to the solver.
-    @raise Invalid_argument when [target < 0], the cap is negative, or
-      the [?instance]/[?problem] convention is violated. *)
+    @raise Invalid_argument when [target < 0] or the cap is negative. *)
 val optimize :
   ?time_limit:float ->
   ?node_limit:int ->
   ?warm_start:bool ->
-  ?incumbent:Allocation.t ->
+  ?incumbent:int array ->
   ?budget_cap:int ->
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
+  Instance.t ->
   target:int ->
-  unit ->
   outcome
 
 (** [lp_lower_bound problem ~target] is the plain LP-relaxation bound

@@ -137,36 +137,6 @@ let source_problem t = t.source_problem
 let objective_kind t = t.objective_kind
 let pricebook t = t.pricebook
 
-(* Resolve the `?instance / ?problem (+ scenario axes)` calling
-   convention every engine entry point shares. *)
-let for_solve ~who ?objective ?pricebook ?instance ?problem () =
-  match (instance, problem) with
-  | Some _, Some _ | None, None ->
-    invalid_arg (who ^ ": pass exactly one of ~instance and ~problem")
-  | Some inst, None ->
-    (match pricebook with
-     | Some _ ->
-       invalid_arg
-         (who
-        ^ ": ~pricebook applies only with ~problem (an instance bakes its \
-           pricebook at compile time)")
-     | None -> ());
-    (match objective with
-     | Some o when Objective.kind o <> inst.objective_kind ->
-       invalid_arg
-         (Printf.sprintf
-            "%s: instance was compiled for %s, not %s (recompile with the \
-             matching scenario)"
-            who
-            (Objective.kind_to_string inst.objective_kind)
-            (Objective.kind_to_string (Objective.kind o)))
-     | _ -> ());
-    inst
-  | None, Some p ->
-    let objective =
-      match objective with Some o -> o | None -> Objective.min_cost ~target:0
-    in
-    compile ~scenario:(Scenario.make ~objective ?pricebook ()) p
 let num_recipes t = Array.length t.original
 let num_types t = Array.length t.costs
 let original_index t j = t.original.(j)

@@ -70,24 +70,6 @@ val objective_kind : t -> Objective.kind
 (** The price book baked in at compile time, if any. *)
 val pricebook : t -> Pricebook.t option
 
-(** [for_solve ~who ?objective ?pricebook ?instance ?problem ()]
-    resolves the shared [?instance]/[?problem] calling convention of
-    the engine entry points: exactly one of the two must be given.
-    [~problem] compiles it under the scenario formed by [?objective]
-    (default min-cost) and [?pricebook]; [~instance] is returned as-is
-    after checking that [?pricebook] is absent (a compiled instance
-    already baked its book) and that [?objective]'s kind matches the
-    instance's.
-    @raise Invalid_argument on any violation, prefixed with [who]. *)
-val for_solve :
-  who:string ->
-  ?objective:Objective.t ->
-  ?pricebook:Pricebook.t ->
-  ?instance:t ->
-  ?problem:Problem.t ->
-  unit ->
-  t
-
 (** Number of surviving recipes [J'] (compact index space; [<= J]). *)
 val num_recipes : t -> int
 

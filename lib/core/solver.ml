@@ -59,12 +59,6 @@ type outcome = {
   convergence : Telemetry.Progress.event list;
 }
 
-(* Collect the convergence timeline emitted by the engines while [f]
-   runs. Skipped entirely when telemetry is off — the emitters are
-   no-ops then, so collecting would only cost the clock reads. *)
-let collected f =
-  if Telemetry.enabled () then Telemetry.Progress.collect f else (f (), [])
-
 let sum_rho = function
   | None -> 0
   | Some a -> Array.fold_left ( + ) 0 a.Allocation.rho
@@ -77,8 +71,6 @@ let auto_of_instance instance =
   if Instance.is_blackbox instance then Dp_blackbox
   else if Instance.is_disjoint instance then Dp_disjoint
   else Exact_ilp
-
-let auto_spec problem = auto_of_instance (Instance.compile problem)
 
 (* A caller-supplied warm start is usable when it is feasible for this
    target and routes nothing through a pruned recipe. It is then
@@ -130,54 +122,75 @@ let heuristic_fallback ~budget ~rng ~params ~warm ~t0 instance ~target =
       let budget =
         Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0)
       in
-      (Heuristics.search ~params ~budget ?rng ?warm_start:warm ~instance
-         Heuristics.H32_jump ~target)
+      (Heuristics.search ~params ~budget ?rng ?warm_start:warm
+         Heuristics.H32_jump instance ~target)
         .Heuristics.allocation)
 
-let run_engine ~budget ~rng ~params ~warm ~t0 engine instance ~target =
+(* The one engine dispatch: run [engine] once at [target], seeded with
+   the normalized warm split. [cap] is the monetary budget of a
+   max-throughput probe, which the ILP answers natively through its
+   budget row. [(Budget_exhausted, None)] means the ILP hit a limit
+   before reaching any integer point. *)
+let dispatch ~budget ~rng ~params ~warm ?cap engine instance ~target =
   match engine with
-  | Auto -> assert false (* resolved by [solve] *)
-  | Dp_blackbox -> (Optimal, Some (Dp_blackbox.run ~instance ~target ()))
-  | Dp_disjoint -> (Optimal, Some (Dp_disjoint.run ~instance ~target ()))
-  | Exhaustive -> (Optimal, Some (Exhaustive.run ~instance ~target ()))
+  | Auto -> assert false (* resolved by [run] *)
+  | Dp_blackbox -> (Optimal, Some (Dp_blackbox.run instance ~target))
+  | Dp_disjoint -> (Optimal, Some (Dp_disjoint.run instance ~target))
+  | Exhaustive -> (Optimal, Some (Exhaustive.run instance ~target))
   | Exact_ilp ->
-    let incumbent =
-      Option.map
-        (fun c ->
-          Allocation.of_rho (Instance.problem instance)
-            ~rho:(Instance.expand_rho instance c))
-        warm
-    in
     let o =
       Ilp.optimize ?time_limit:budget.Budget.deadline
-        ?node_limit:budget.Budget.node_cap ?incumbent ~instance ~target ()
+        ?node_limit:budget.Budget.node_cap ?incumbent:warm ?budget_cap:cap
+        instance ~target
     in
     (match (o.Ilp.status, o.Ilp.allocation) with
      | Milp.Solver.Optimal, (Some _ as a) -> (Optimal, a)
      | Milp.Solver.Feasible, (Some _ as a) -> (Budget_exhausted, a)
      | Milp.Solver.Infeasible, _ -> (Infeasible, None)
      | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None ->
-       (* Budget expired before any integer point (the rental MILP is
-          never unbounded): degrade to a heuristic incumbent. *)
-       ( Budget_exhausted,
-         Some (heuristic_fallback ~budget ~rng ~params ~warm ~t0 instance ~target)
-       ))
+       (* The rental MILP is never unbounded. *)
+       (Budget_exhausted, None))
   | Heuristic name ->
     let r =
-      Heuristics.search ~params ~budget ?rng ?warm_start:warm ~instance name
+      Heuristics.search ~params ~budget ?rng ?warm_start:warm name instance
         ~target
     in
     ( (if r.Heuristics.exhausted then Budget_exhausted else Feasible),
       Some r.Heuristics.allocation )
 
-let min_cost_on ?(budget = Budget.unlimited) ?rng
-    ?(params = Heuristics.default_params) ?warm_start ~spec instance ~target =
-  if target < 0 then invalid_arg "Solver.run: negative target";
+(* Run [f] under the solve's span and collect the convergence timeline
+   the engines emit meanwhile. Skipped entirely when telemetry is off —
+   the emitters are no-ops then, so the span attributes and the
+   collection would only cost allocations and clock reads. *)
+let traced name attrs f =
+  if not (Telemetry.enabled ()) then (f (), [])
+  else
+    Telemetry.Progress.collect (fun () ->
+        Telemetry.Span.with_span ~attrs:(attrs ()) name f)
+
+(* The one effort meter: [f t0] runs the solve started at [t0]; the
+   telemetry counts wall time and the effort spent on this domain
+   meanwhile, so solves on other domains never leak into it. *)
+let metered engine instance f =
   let t0 = Unix.gettimeofday () in
-  let evals0 = Telemetry.value Telemetry.heuristic_evals in
-  let pivots0 = Telemetry.value Telemetry.lp_pivots in
-  let nodes0 = Telemetry.value Telemetry.milp_nodes in
-  let engine = match spec with Auto -> auto_of_instance instance | s -> s in
+  let e0 = Telemetry.Effort.here () in
+  let (status, allocation, warm_started), convergence = f t0 in
+  let wall_time = Unix.gettimeofday () -. t0 in
+  Telemetry.observe wall_hist wall_time;
+  let e = Telemetry.Effort.since e0 in
+  let telemetry =
+    { engine;
+      wall_time;
+      evaluations = e.Telemetry.Effort.evaluations;
+      pivots = e.Telemetry.Effort.pivots;
+      nodes = e.Telemetry.Effort.nodes;
+      pruned_recipes = Instance.num_pruned instance;
+      warm_started }
+  in
+  { status; allocation; throughput = sum_rho allocation; telemetry;
+    convergence }
+
+let min_cost ~budget ~rng ~params ~warm_start engine instance ~target t0 =
   let warm =
     match warm_start with
     | None -> None
@@ -185,33 +198,24 @@ let min_cost_on ?(budget = Budget.unlimited) ?rng
       Telemetry.Span.with_span "solver.warm_start" (fun () ->
           normalize_warm_start instance ~target a)
   in
-  let dispatch () =
-    run_engine ~budget ~rng ~params ~warm ~t0 engine instance ~target
-  in
   let (status, allocation), convergence =
-    collected (fun () ->
-        if not (Telemetry.enabled ()) then dispatch ()
-        else
-          Telemetry.Span.with_span
-            ~attrs:
-              [ ("engine", spec_to_string engine);
-                ("target", string_of_int target);
-                ("warm", if warm <> None then "true" else "false") ]
-            "solver.solve" dispatch)
+    traced "solver.solve"
+      (fun () ->
+        [ ("engine", spec_to_string engine);
+          ("target", string_of_int target);
+          ("warm", if warm <> None then "true" else "false") ])
+      (fun () ->
+        match dispatch ~budget ~rng ~params ~warm engine instance ~target with
+        | Budget_exhausted, None ->
+          (* No integer point before the budget expired: degrade to a
+             heuristic incumbent. *)
+          ( Budget_exhausted,
+            Some
+              (heuristic_fallback ~budget ~rng ~params ~warm ~t0 instance
+                 ~target) )
+        | verdict -> verdict)
   in
-  let wall_time = Unix.gettimeofday () -. t0 in
-  Telemetry.observe wall_hist wall_time;
-  let telemetry =
-    { engine;
-      wall_time;
-      evaluations = Telemetry.value Telemetry.heuristic_evals - evals0;
-      pivots = Telemetry.value Telemetry.lp_pivots - pivots0;
-      nodes = Telemetry.value Telemetry.milp_nodes - nodes0;
-      pruned_recipes = Instance.num_pruned instance;
-      warm_started = warm <> None }
-  in
-  { status; allocation; throughput = sum_rho allocation; telemetry;
-    convergence }
+  ((status, allocation, warm <> None), convergence)
 
 (* The all-zero split: cost 0, so always within any monetary budget —
    the trivially-feasible floor of the max-throughput search. *)
@@ -230,26 +234,15 @@ let zero_allocation instance =
    oracle, and by comparing the incumbent for heuristic engines —
    whose "no" is not a proof, hence status [Feasible] rather than
    [Optimal]. *)
-let max_throughput_on ~budget ~rng ~params ~warm_start ~spec instance ~money =
-  let t0 = Unix.gettimeofday () in
-  let evals0 = Telemetry.value Telemetry.heuristic_evals in
-  let pivots0 = Telemetry.value Telemetry.lp_pivots in
-  let nodes0 = Telemetry.value Telemetry.milp_nodes in
-  let engine = match spec with Auto -> auto_of_instance instance | s -> s in
-  let exact_engine =
-    match engine with
-    | Exact_ilp | Dp_blackbox | Dp_disjoint | Exhaustive -> true
-    | Heuristic _ -> false
-    | Auto -> assert false
-  in
+let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
+    =
   let probe_exhausted = ref false in
   let warm_used = ref false in
-  let remaining () =
-    Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0)
-  in
   (* [Some a]: proof that [target] is reachable within [money].
      [None]: unreachable — a proof for exact engines (modulo
-     [probe_exhausted]), best-effort for heuristics. *)
+     [probe_exhausted]), best-effort for heuristics. A probe that hit
+     its budget without a verdict marks the search exhausted; unlike a
+     min-cost solve it never falls back to a heuristic. *)
   let probe target =
     let warm =
       match warm_start with
@@ -257,49 +250,16 @@ let max_throughput_on ~budget ~rng ~params ~warm_start ~spec instance ~money =
       | Some a -> normalize_warm_start instance ~target a
     in
     if warm <> None then warm_used := true;
-    let b = remaining () in
-    match engine with
-    | Auto -> assert false
-    | Dp_blackbox ->
-      let a = Dp_blackbox.run ~instance ~target () in
-      if a.Allocation.cost <= money then Some a else None
-    | Dp_disjoint ->
-      let a = Dp_disjoint.run ~instance ~target () in
-      if a.Allocation.cost <= money then Some a else None
-    | Exhaustive ->
-      let a = Exhaustive.run ~instance ~target () in
-      if a.Allocation.cost <= money then Some a else None
-    | Exact_ilp ->
-      let incumbent =
-        Option.map
-          (fun c ->
-            Allocation.of_rho (Instance.problem instance)
-              ~rho:(Instance.expand_rho instance c))
-          warm
-      in
-      let o =
-        Ilp.optimize ?time_limit:b.Budget.deadline
-          ?node_limit:b.Budget.node_cap ?incumbent ~budget_cap:money ~instance
-          ~target ()
-      in
-      (match o.Ilp.allocation with
-       | Some a -> Some a (* any incumbent satisfies the budget row *)
-       | None ->
-         (match o.Ilp.status with
-          | Milp.Solver.Infeasible -> ()
-          | _ -> probe_exhausted := true (* limit hit before a verdict *));
-         None)
-    | Heuristic name ->
-      let r =
-        Heuristics.search ~params ~budget:b ?rng ?warm_start:warm ~instance
-          name ~target
-      in
-      let a = r.Heuristics.allocation in
-      if a.Allocation.cost <= money then Some a
-      else begin
-        if r.Heuristics.exhausted then probe_exhausted := true;
-        None
-      end
+    let budget =
+      Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0)
+    in
+    match
+      dispatch ~budget ~rng ~params ~warm ~cap:money engine instance ~target
+    with
+    | _, Some a when a.Allocation.cost <= money -> Some a
+    | status, _ ->
+      if status = Budget_exhausted then probe_exhausted := true;
+      None
   in
   let search () =
     let best = ref (zero_allocation instance) in
@@ -316,50 +276,35 @@ let max_throughput_on ~budget ~rng ~params ~warm_start ~spec instance ~money =
     !best
   in
   let allocation, convergence =
-    collected (fun () ->
-        if not (Telemetry.enabled ()) then search ()
-        else
-          Telemetry.Span.with_span
-            ~attrs:
-              [ ("engine", spec_to_string engine);
-                ("money", string_of_int money) ]
-            "solver.max_throughput" search)
+    traced "solver.max_throughput"
+      (fun () ->
+        [ ("engine", spec_to_string engine); ("money", string_of_int money) ])
+      search
   in
-  let wall_time = Unix.gettimeofday () -. t0 in
-  Telemetry.observe wall_hist wall_time;
   let status =
     if !probe_exhausted then Budget_exhausted
-    else if exact_engine then Optimal
-    else Feasible
+    else match engine with Heuristic _ -> Feasible | _ -> Optimal
   in
-  let telemetry =
-    { engine;
-      wall_time;
-      evaluations = Telemetry.value Telemetry.heuristic_evals - evals0;
-      pivots = Telemetry.value Telemetry.lp_pivots - pivots0;
-      nodes = Telemetry.value Telemetry.milp_nodes - nodes0;
-      pruned_recipes = Instance.num_pruned instance;
-      warm_started = !warm_used }
-  in
-  { status;
-    allocation = Some allocation;
-    throughput = sum_rho (Some allocation);
-    telemetry;
-    convergence }
+  ((status, Some allocation, !warm_used), convergence)
 
-let run ?budget ?rng ?params ?warm_start ?(spec = Auto) ?pricebook ?instance
-    ?problem ~objective () =
-  let inst =
-    Instance.for_solve ~who:"Solver.run" ~objective ?pricebook ?instance
-      ?problem ()
-  in
+let run ?(budget = Budget.unlimited) ?rng ?(params = Heuristics.default_params)
+    ?warm_start ?(spec = Auto) instance ~objective =
+  if Objective.kind objective <> Instance.objective_kind instance then
+    invalid_arg
+      (Printf.sprintf
+         "Solver.run: instance was compiled for %s, not %s (recompile with \
+          the matching scenario)"
+         (Objective.kind_to_string (Instance.objective_kind instance))
+         (Objective.kind_to_string (Objective.kind objective)));
+  let engine = match spec with Auto -> auto_of_instance instance | s -> s in
   match objective with
   | Objective.Min_cost { target } ->
-    min_cost_on ?budget ?rng ?params ?warm_start ~spec inst ~target
+    if target < 0 then invalid_arg "Solver.run: negative target";
+    metered engine instance
+      (min_cost ~budget ~rng ~params ~warm_start engine instance ~target)
   | Objective.Max_throughput { budget = money } ->
-    let budget = Option.value budget ~default:Budget.unlimited in
-    let params = Option.value params ~default:Heuristics.default_params in
-    max_throughput_on ~budget ~rng ~params ~warm_start ~spec inst ~money
+    metered engine instance
+      (max_throughput ~budget ~rng ~params ~warm_start engine instance ~money)
 
 let pp_outcome fmt o =
   Format.fprintf fmt "@[<v>%s via %s in %.3f s" (status_to_string o.status)

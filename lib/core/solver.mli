@@ -19,14 +19,16 @@
     DPs and the exhaustive oracle are not interruptible and ignore
     budgets — they either finish or should not have been chosen.
 
-    Telemetry is measured as deltas of the global {!Telemetry}
-    counters around the solve, so nested or concurrent measurement at
-    outer layers stays correct.
+    Telemetry is measured as deltas of the calling domain's
+    {!Telemetry.Effort} tally around the solve, so nested measurement
+    stays correct and solves running on other domains never leak into
+    it.
 
-    Every solve runs over a compiled {!Instance.t} — built once per
-    {!run} call, or supplied by the caller via [run ~instance] to
-    amortize compilation across repeated solves of the same problem
-    (sweeps, benchmarks). *)
+    Every solve runs over a compiled {!Instance.t}: callers compile
+    once with {!Instance.compile} (under a {!Scenario.t} for a price
+    book or the max-throughput objective) and reuse the instance
+    across repeated solves of the same problem (sweeps, benchmarks,
+    the service's registry). *)
 
 (** Which engine to run. [Auto] routes on the structure flags
     precomputed at instance compile time: black-box instances
@@ -101,22 +103,14 @@ type outcome = {
           strategy only. *)
 }
 
-(** The engine [Auto] picks for this problem (routing only — no
-    solve). Compiles an instance to read the structure flags; use
-    {!auto_of_instance} when one is already at hand. *)
-val auto_spec : Problem.t -> spec
-
 (** [auto_of_instance instance] is the [Auto] routing decision for an
     already-compiled instance (no work beyond reading two flags). *)
 val auto_of_instance : Instance.t -> spec
 
-(** [run ~objective ()] solves one scenario — the single entry point
-    for every engine and both objectives. Pass exactly one of
-    [~instance] and [~problem]: a problem is compiled under the
-    scenario formed by [~objective] and [?pricebook]; an instance must
-    already have been compiled for the matching objective kind (and
-    carries any pricebook from its own compile — combining
-    [?pricebook] with [~instance] is rejected).
+(** [run instance ~objective] solves one scenario — the single entry
+    point for every engine and both objectives. The instance must have
+    been compiled for [objective]'s kind, and carries any price book
+    from its own compile.
 
     Under {!Objective.Min_cost} this is the historical solve: the
     selected engine (or the [Auto] routing) minimizes rental cost at
@@ -134,7 +128,9 @@ val auto_of_instance : Instance.t -> spec
     throughput and the status is [Feasible]. A probe cut short by the
     {!Budget.t} yields [Budget_exhausted]; the allocation is still the
     best feasible one found (at worst the zero allocation, which every
-    monetary budget affords).
+    monetary budget affords). An ILP probe that runs out before any
+    integer point answers "unreachable" — probes never take the
+    min-cost heuristic fallback.
 
     @param budget caps the {e computation} (wall clock / nodes /
       evals; default {!Budget.unlimited}) — not to be confused with
@@ -158,21 +154,18 @@ val auto_of_instance : Instance.t -> spec
       {!telemetry}[.warm_started] records whether the seed was used.
       Under [Max_throughput] it is re-validated per probe (a seed can
       only meet the probes at or below its own throughput).
-    @raise Invalid_argument when the [?instance]/[?problem] convention
-      is violated, the instance's objective kind mismatches, or a DP
-      engine is forced (not via [Auto]) on a problem whose structure
-      it does not support. *)
+    @raise Invalid_argument when the instance's objective kind
+      mismatches, a min-cost target is negative, or a DP engine is
+      forced (not via [Auto]) on a problem whose structure it does not
+      support. *)
 val run :
   ?budget:Budget.t ->
   ?rng:Numeric.Prng.t ->
   ?params:Heuristics.params ->
   ?warm_start:Allocation.t ->
   ?spec:spec ->
-  ?pricebook:Pricebook.t ->
-  ?instance:Instance.t ->
-  ?problem:Problem.t ->
+  Instance.t ->
   objective:Objective.t ->
-  unit ->
   outcome
 
 val pp_outcome : Format.formatter -> outcome -> unit

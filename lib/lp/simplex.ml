@@ -24,7 +24,6 @@ type result =
   | Infeasible
   | Unbounded
 
-let pivots_counter = Telemetry.counter Telemetry.lp_pivots
 let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
 let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
 
@@ -92,7 +91,7 @@ module Exact = struct
   (* Eliminate column [c] from every row but [r] after normalizing row
      [r]. *)
   let pivot t z r c =
-    Telemetry.bump pivots_counter;
+    Telemetry.Effort.pivot ();
     let row_r = t.tab.(r) in
     let piv = row_r.(c) in
     if not (R.equal piv R.one) then begin
@@ -368,7 +367,7 @@ module Fraction_free = struct
   (* Eliminate column [c] from every row but [r]. There is no cost row
      to update: see {!priced}. *)
   let pivot t r c =
-    Telemetry.bump pivots_counter;
+    Telemetry.Effort.pivot ();
     let row_r = t.tab.(r) in
     if row_r.(c) < 0 then
       (* Drive-out pivots and dual pivots select a negative entry; the

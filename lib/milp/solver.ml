@@ -25,7 +25,6 @@ module B = Numeric.Bigint
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
-let nodes_counter = Telemetry.counter Telemetry.milp_nodes
 let incumbents_counter = Telemetry.counter Telemetry.milp_incumbents
 let warm_nodes_counter = Telemetry.counter Telemetry.milp_warm_nodes
 
@@ -275,7 +274,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
         end
         else begin
           incr nodes;
-          Telemetry.bump nodes_counter;
+          Telemetry.Effort.node ();
           (* Under best-bound ordering the popped key is the least
              over all open subtrees, hence a valid global dual
              bound. Sampled like the node spans to keep timelines

@@ -68,10 +68,7 @@ let strategy_rngs ~rng n =
   rngs
 
 let run ?budget ?rng ?params ?warm_start ?(strategies = default_strategies)
-    ?pool ?(domains = 1) ?pricebook ?instance ?problem ~target () =
-  let instance =
-    Instance.for_solve ~who:"Portfolio.run" ?pricebook ?instance ?problem ()
-  in
+    ?pool ?(domains = 1) instance ~target =
   if strategies = [] then invalid_arg "Portfolio.run: no strategies";
   let rng = match rng with Some r -> r | None -> P.create 0x5EED in
   (* 0x5EED matches Heuristics.default_seed, so an rng-less portfolio
@@ -79,9 +76,6 @@ let run ?budget ?rng ?params ?warm_start ?(strategies = default_strategies)
   let n = List.length strategies in
   let rngs = strategy_rngs ~rng n in
   let t0 = Unix.gettimeofday () in
-  let evals0 = Telemetry.value Telemetry.heuristic_evals in
-  let pivots0 = Telemetry.value Telemetry.lp_pivots in
-  let nodes0 = Telemetry.value Telemetry.milp_nodes in
   let race pool =
     Pool.run_collect pool
       (List.mapi
@@ -93,8 +87,8 @@ let run ?budget ?rng ?params ?warm_start ?(strategies = default_strategies)
              "parallel.task"
              (fun () ->
                Solver.run ?budget ~rng:rngs.(rank) ?params ?warm_start
-                 ~spec:(strategy_spec strat) ~instance
-                 ~objective:(Rentcost.Objective.min_cost ~target) ()))
+                 ~spec:(strategy_spec strat) instance
+                 ~objective:(Rentcost.Objective.min_cost ~target)))
          strategies)
   in
   let run () =
@@ -102,7 +96,7 @@ let run ?budget ?rng ?params ?warm_start ?(strategies = default_strategies)
     | Some p -> race p
     | None -> Pool.with_pool ~domains race
   in
-  let completed =
+  let outcomes =
     Telemetry.Span.with_span
       ~attrs:
         [ ("domains",
@@ -114,13 +108,19 @@ let run ?budget ?rng ?params ?warm_start ?(strategies = default_strategies)
   in
   let wall_time = Unix.gettimeofday () -. t0 in
   Telemetry.observe portfolio_hist wall_time;
-  let outcomes = List.map (fun (rank, o) -> (rank, o)) completed in
+  (* Each strategy metered its own domain's effort; the race's effort
+     is their sum. *)
+  let total f =
+    List.fold_left
+      (fun acc (_, (o : Solver.outcome)) -> acc + f o.Solver.telemetry)
+      0 outcomes
+  in
   let telemetry_of engine warm_started =
     { Solver.engine;
       wall_time;
-      evaluations = Telemetry.value Telemetry.heuristic_evals - evals0;
-      pivots = Telemetry.value Telemetry.lp_pivots - pivots0;
-      nodes = Telemetry.value Telemetry.milp_nodes - nodes0;
+      evaluations = total (fun t -> t.Solver.evaluations);
+      pivots = total (fun t -> t.Solver.pivots);
+      nodes = total (fun t -> t.Solver.nodes);
       pruned_recipes = Instance.num_pruned instance;
       warm_started }
   in

@@ -56,17 +56,13 @@ val default_strategies : strategy list
 val reduce :
   (int * Rentcost.Solver.outcome) list -> (int * Rentcost.Solver.outcome) option
 
-(** [run ~target ()] races the strategies on the min-cost objective
-    and returns the merged outcome — the single entry point for both
-    calling conventions (pass [~instance] or [~problem], never both;
-    [~problem] is compiled, under [?pricebook] when present). The
-    merged [status] is [Optimal] when some strategy proved the winning
-    cost optimal, [Budget_exhausted] when every strategy ran out of
-    budget, and [Feasible] otherwise; the [telemetry] is
-    portfolio-level — wall time of the whole race and counter deltas
-    summed across all strategies (the per-strategy deltas inside a
-    concurrent race are not individually meaningful), with [engine]
-    reporting the winning strategy's spec.
+(** [run instance ~target] races the strategies on the min-cost
+    objective and returns the merged outcome. The merged [status] is
+    [Optimal] when some strategy proved the winning cost optimal,
+    [Budget_exhausted] when every strategy ran out of budget, and
+    [Feasible] otherwise; the [telemetry] is portfolio-level — wall
+    time of the whole race and the sum of the strategies' own effort
+    counts, with [engine] reporting the winning strategy's spec.
 
     The racer is min-cost only: a max-throughput scenario is a binary
     search {e over} min-cost solves, which belongs to
@@ -90,9 +86,6 @@ val run :
   ?strategies:strategy list ->
   ?pool:Pool.t ->
   ?domains:int ->
-  ?pricebook:Rentcost.Pricebook.t ->
-  ?instance:Rentcost.Instance.t ->
-  ?problem:Rentcost.Problem.t ->
+  Rentcost.Instance.t ->
   target:int ->
-  unit ->
   Rentcost.Solver.outcome

@@ -613,8 +613,8 @@ let climb t ~now job =
           in
           let outcome =
             Telemetry.Span.with_span "service.solve" (fun () ->
-                Solver.run ~budget ?warm_start ~spec ~instance:solve_inst
-                  ~objective:job.objective ())
+                Solver.run ~budget ?warm_start ~spec solve_inst
+                  ~objective:job.objective)
           in
           match outcome.Solver.allocation with
           | None ->

@@ -624,6 +624,59 @@ let parallel_steals = "parallel.steals"
 
 let parallel_win strategy = "parallel.win." ^ strategy
 
+(* --- solver effort: global counters plus a per-domain tally --- *)
+
+module Effort = struct
+  type t = { evaluations : int; pivots : int; nodes : int }
+
+  (* The tally is only ever touched by its own domain, so plain
+     mutable fields suffice. *)
+  type tally = {
+    mutable t_evaluations : int;
+    mutable t_pivots : int;
+    mutable t_nodes : int;
+  }
+
+  let tally_key =
+    Domain.DLS.new_key (fun () ->
+        { t_evaluations = 0; t_pivots = 0; t_nodes = 0 })
+
+  let evals_counter = counter heuristic_evals
+  let pivots_counter = counter lp_pivots
+  let nodes_counter = counter milp_nodes
+
+  let evaluation () =
+    if !enabled_flag then begin
+      Atomic.incr evals_counter;
+      let t = Domain.DLS.get tally_key in
+      t.t_evaluations <- t.t_evaluations + 1
+    end
+
+  let pivot () =
+    if !enabled_flag then begin
+      Atomic.incr pivots_counter;
+      let t = Domain.DLS.get tally_key in
+      t.t_pivots <- t.t_pivots + 1
+    end
+
+  let node () =
+    if !enabled_flag then begin
+      Atomic.incr nodes_counter;
+      let t = Domain.DLS.get tally_key in
+      t.t_nodes <- t.t_nodes + 1
+    end
+
+  let here () =
+    let t = Domain.DLS.get tally_key in
+    { evaluations = t.t_evaluations; pivots = t.t_pivots; nodes = t.t_nodes }
+
+  let since e0 =
+    let e = here () in
+    { evaluations = e.evaluations - e0.evaluations;
+      pivots = e.pivots - e0.pivots;
+      nodes = e.nodes - e0.nodes }
+end
+
 (* --- well-known histogram names --- *)
 
 let service_latency_seconds = "service.latency_seconds"

@@ -318,6 +318,34 @@ val milp_warm_nodes : string
 (** Cost-oracle evaluations by {!Rentcost.Heuristics}. *)
 val heuristic_evals : string
 
+(** {2 Solver effort}
+
+    The three effort counts a solve reports — [heuristics.evaluations],
+    [lp.pivots] and [milp.nodes]. Each bump goes to the process-wide
+    counter and to a tally private to the bumping domain, so a solve
+    measures its own effort as a delta of its domain's tally, whatever
+    other domains run meanwhile. Like every counter, both are frozen
+    while recording is disabled. *)
+module Effort : sig
+  type t = { evaluations : int; pivots : int; nodes : int }
+
+  (** One cost-oracle evaluation ({!heuristic_evals}). *)
+  val evaluation : unit -> unit
+
+  (** One simplex pivot ({!lp_pivots}). *)
+  val pivot : unit -> unit
+
+  (** One branch-and-bound node ({!milp_nodes}). *)
+  val node : unit -> unit
+
+  (** The calling domain's running tally. *)
+  val here : unit -> t
+
+  (** [since e0] is [here ()] minus [e0]: the calling domain's effort
+      since [e0] was read on it. *)
+  val since : t -> t
+end
+
 (** {2 Serving-layer counters ([Rentcost_service])}
 
     Bumped by the provisioning service engine; the daemon's [stats]
@@ -395,7 +423,7 @@ val service_latency_seconds : string
 (** Queue wait of drained solve jobs, seconds. *)
 val service_queue_wait_seconds : string
 
-(** End-to-end [Rentcost.Solver.solve_on] wall time, seconds. *)
+(** End-to-end [Rentcost.Solver.run] wall time, seconds. *)
 val solver_wall_seconds : string
 
 (** Cost-oracle evaluations per heuristic run (a size histogram). *)

@@ -7,6 +7,7 @@ module H = Rentcost.Heuristics
 module PB = Rentcost.Problem
 
 let p = PB.illustrating
+let inst = Rentcost.Instance.compile p
 
 let test_cost_curve_monotone () =
   let targets = List.init 21 (fun i -> 10 * i) in
@@ -86,8 +87,10 @@ let test_exhaustive_deltas_no_worse () =
   let params_ex = { params with H.exhaustive_deltas = true } in
   List.iter
     (fun target ->
-      let quick = (H.h32_steepest ~params p ~target).H.allocation.AL.cost in
-      let thorough = (H.h32_steepest ~params:params_ex p ~target).H.allocation.AL.cost in
+      let quick = (H.search ~params H.H32 inst ~target).H.allocation.AL.cost in
+      let thorough =
+        (H.search ~params:params_ex H.H32 inst ~target).H.allocation.AL.cost
+      in
       Alcotest.(check bool)
         (Printf.sprintf "exhaustive <= quick at %d" target)
         true (thorough <= quick))
@@ -98,7 +101,7 @@ let test_exhaustive_deltas_finds_distant_optimum () =
      but a 40-unit exchange reaches (40,0,20) = 107; the exhaustive
      variant must find it in one descent, no jumps needed. *)
   let params = { H.default_params with step = 10; exhaustive_deltas = true } in
-  let res = H.h32_steepest ~params p ~target:60 in
+  let res = H.search ~params H.H32 inst ~target:60 in
   Alcotest.(check int) "reaches 107" 107 res.H.allocation.AL.cost
 
 (* --- Elastic provisioning --- *)
@@ -108,8 +111,8 @@ module E = Rentcost.Elastic
 let demand = [| 0; 20; 50; 120; 70; 20 |]
 
 let test_elastic_vs_static () =
-  let elastic = E.provision ~spec:Rentcost.Solver.Exact_ilp p ~demand in
-  let static = E.static_peak ~spec:Rentcost.Solver.Exact_ilp p ~demand in
+  let elastic = E.provision_on ~spec:Rentcost.Solver.Exact_ilp inst ~demand in
+  let static = E.static_peak ~spec:Rentcost.Solver.Exact_ilp inst ~demand in
   Alcotest.(check int) "plan lengths" (Array.length demand) (Array.length elastic);
   (* Every period of the static plan costs the peak-period price. *)
   Alcotest.(check int) "static bill"
@@ -130,7 +133,7 @@ let test_elastic_vs_static () =
     elastic
 
 let test_elastic_accounting () =
-  let plan = E.provision ~spec:(Rentcost.Solver.Heuristic H.H1) p ~demand in
+  let plan = E.provision_on ~spec:(Rentcost.Solver.Heuristic H.H1) inst ~demand in
   (* machine_hours sums the per-period fleets. *)
   let hours = E.machine_hours plan in
   let expected = Array.make (PB.num_types p) 0 in
@@ -141,7 +144,7 @@ let test_elastic_accounting () =
   Alcotest.(check (array int)) "machine hours" expected hours;
   (* churn from the empty fleet is at least the first period's size and
      zero for a constant plan. *)
-  let static = E.static_peak ~spec:(Rentcost.Solver.Heuristic H.H1) p ~demand in
+  let static = E.static_peak ~spec:(Rentcost.Solver.Heuristic H.H1) inst ~demand in
   let fleet_size =
     Array.fold_left ( + ) 0 static.(0).AL.machines
   in
@@ -150,24 +153,30 @@ let test_elastic_accounting () =
 
 let test_elastic_warm_matches_cold () =
   (* Warm-started exact solves stay optimal: per-period costs agree
-     with cold solves over rising, falling and repeated demand. *)
+     with per-period solves run without a warm start, over rising,
+     falling and repeated demand. *)
   let demand = [| 120; 70; 70; 20; 90; 120 |] in
-  let warm = E.provision ~spec:Rentcost.Solver.Exact_ilp ~warm:true p ~demand in
-  let cold = E.provision ~spec:Rentcost.Solver.Exact_ilp ~warm:false p ~demand in
+  let warm = E.provision_on ~spec:Rentcost.Solver.Exact_ilp inst ~demand in
   Array.iteri
     (fun t a ->
+      let cold =
+        Rentcost.Solver.run ~spec:Rentcost.Solver.Exact_ilp inst
+          ~objective:(Rentcost.Objective.min_cost ~target:demand.(t))
+      in
       Alcotest.(check int)
         (Printf.sprintf "period %d cost" t)
-        cold.(t).AL.cost a.AL.cost)
+        (Option.get cold.Rentcost.Solver.allocation).AL.cost a.AL.cost)
     warm
 
 let test_elastic_negative_demand () =
   Alcotest.check_raises "negative demand"
     (Invalid_argument "Elastic: negative demand") (fun () ->
-      ignore (E.provision p ~demand:[| 10; -1 |]))
+      ignore (E.provision_on inst ~demand:[| 10; -1 |]))
 
 let test_elastic_empty_trace () =
-  let plan = E.provision ~spec:(Rentcost.Solver.Heuristic H.H1) p ~demand:[||] in
+  let plan =
+    E.provision_on ~spec:(Rentcost.Solver.Heuristic H.H1) inst ~demand:[||]
+  in
   Alcotest.(check int) "empty bill" 0 (E.total_cost plan);
   Alcotest.(check int) "empty churn" 0 (E.churn plan);
   Alcotest.(check (array int)) "empty hours" [||] (E.machine_hours plan);

@@ -10,7 +10,7 @@ module Ct = Rentcost_autoscale.Controller
 module Po = Rentcost_autoscale.Policy
 module AL = Rentcost.Allocation
 
-let illustrating = Rentcost.Problem.illustrating
+let illustrating = Rentcost.Instance.compile Rentcost.Problem.illustrating
 
 let prop ?(count = 100) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -161,7 +161,7 @@ let check_covers c ~demand (p : Ct.plan) =
   p
 
 let test_controller_decision_rule () =
-  let c = Ct.create ~config:controller_config illustrating in
+  let c = Ct.create_on ~config:controller_config illustrating in
   (* First observation: empty fleet, so the SLO is already violated
      and the controller must rent. *)
   let p0 = check_covers c ~demand:50 (Ct.tick c ~demand:50) in
@@ -200,10 +200,10 @@ let test_controller_validates () =
     (Invalid_argument "Controller: deadband must lie in [0, 1)")
     (fun () ->
       ignore
-        (Ct.create
+        (Ct.create_on
            ~config:{ Ct.default_config with Ct.deadband = 1.5 }
            illustrating));
-  let c = Ct.create illustrating in
+  let c = Ct.create_on illustrating in
   Alcotest.check_raises "negative demand"
     (Invalid_argument "Controller.tick: negative demand") (fun () ->
       ignore (Ct.tick c ~demand:(-1)))

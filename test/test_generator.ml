@@ -122,7 +122,10 @@ let props =
         let rng = P.create seed in
         let small = { gp with G.num_graphs = 4 } in
         let p = G.problem ~rng small cp in
-        let res = Rentcost.Heuristics.h1_best_graph p ~target in
+        let res =
+          Rentcost.Heuristics.search Rentcost.Heuristics.H1
+            (Rentcost.Instance.compile p) ~target
+        in
         Rentcost.Allocation.feasible p ~target res.Rentcost.Heuristics.allocation) ]
 
 let suite =

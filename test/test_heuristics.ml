@@ -9,6 +9,8 @@ module H = Rentcost.Heuristics
 module ILP = Rentcost.Ilp
 module Prng = Numeric.Prng
 
+let illustrating = Rentcost.Instance.compile PB.illustrating
+
 let params10 = { H.default_params with step = 10 }
 
 let cost (res : H.result) = res.H.allocation.AL.cost
@@ -26,7 +28,7 @@ let test_h1_table3 () =
       Alcotest.(check int)
         (Printf.sprintf "H1 at rho=%d" target)
         expected
-        (cost (H.h1_best_graph PB.illustrating ~target)))
+        (cost (H.search H.H1 illustrating ~target)))
     table3_h1
 
 let test_h1_single_recipe () =
@@ -34,7 +36,7 @@ let test_h1_single_recipe () =
     PB.create Rentcost.Platform.table2
       [| Rentcost.Task_graph.chain ~ntypes:4 ~types:[| 0; 1 |] |]
   in
-  let res = H.h1_best_graph p ~target:30 in
+  let res = H.search H.H1 (Rentcost.Instance.compile p) ~target:30 in
   Alcotest.(check (array int)) "all throughput on the only recipe" [| 30 |]
     res.H.allocation.AL.rho
 
@@ -44,7 +46,9 @@ let test_all_heuristics_feasible () =
     (fun name ->
       List.iter
         (fun target ->
-          let res = H.search ~params:params10 ~rng:(rng ()) ~problem:PB.illustrating name ~target in
+          let res =
+            H.search ~params:params10 ~rng:(rng ()) name illustrating ~target
+          in
           Alcotest.(check bool)
             (Printf.sprintf "%s feasible at %d" (H.name_to_string name) target)
             true
@@ -61,7 +65,7 @@ let test_heuristics_never_beat_ilp () =
   List.iter
     (fun target ->
       let opt =
-        match (ILP.optimize ~problem:PB.illustrating ~target ()).ILP.allocation with
+        match (ILP.optimize illustrating ~target).ILP.allocation with
         | Some a -> a.AL.cost
         | None -> Alcotest.fail "ilp failed"
       in
@@ -69,8 +73,8 @@ let test_heuristics_never_beat_ilp () =
         (fun name ->
           let c =
             cost
-              (H.search ~params:params10 ~rng:(rng ()) ~problem:PB.illustrating
-                 name ~target)
+              (H.search ~params:params10 ~rng:(rng ()) name
+                 illustrating ~target)
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s >= ILP at %d" (H.name_to_string name) target)
@@ -84,13 +88,13 @@ let test_improvers_never_worse_than_h1 () =
   let rng () = Prng.create 13 in
   List.iter
     (fun target ->
-      let h1 = cost (H.h1_best_graph PB.illustrating ~target) in
+      let h1 = cost (H.search H.H1 illustrating ~target) in
       List.iter
         (fun name ->
           let c =
             cost
-              (H.search ~params:params10 ~rng:(rng ()) ~problem:PB.illustrating
-                 name ~target)
+              (H.search ~params:params10 ~rng:(rng ()) name
+                 illustrating ~target)
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s <= H1 at %d" (H.name_to_string name) target)
@@ -104,7 +108,9 @@ let test_h32jump_finds_table3_improvements () =
   List.iter
     (fun (target, paper_value) ->
       let rng = Prng.create 42 in
-      let c = cost (H.h32_jump ~params:params10 ~rng PB.illustrating ~target) in
+      let c =
+        cost (H.search ~params:params10 ~rng H.H32_jump illustrating ~target)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "H32Jump at %d: %d <= %d" target c paper_value)
         true (c <= paper_value))
@@ -115,8 +121,8 @@ let test_determinism_by_seed () =
   List.iter
     (fun name ->
       let run () =
-        H.search ~params:params10 ~rng:(Prng.create 99) ~problem:PB.illustrating
-          name ~target:120
+        H.search ~params:params10 ~rng:(Prng.create 99) name
+          illustrating ~target:120
       in
       let a = run () and b = run () in
       Alcotest.(check int)
@@ -128,7 +134,7 @@ let test_determinism_by_seed () =
 let test_h0_uniform_split_properties () =
   let rng = Prng.create 3 in
   for target = 0 to 50 do
-    let res = H.h0_random ~rng PB.illustrating ~target in
+    let res = H.search ~rng H.H0 illustrating ~target in
     Alcotest.(check int) "sums to target" target (AL.total_rho res.H.allocation)
   done
 
@@ -136,43 +142,43 @@ let test_h31_patience_stops () =
   (* With zero patience H31 must return the H1 point untouched. *)
   let params = { params10 with patience = 0 } in
   let rng = Prng.create 5 in
-  let h31 = H.h31_stochastic_descent ~params ~rng PB.illustrating ~target:70 in
-  let h1 = H.h1_best_graph PB.illustrating ~target:70 in
+  let h31 = H.search ~params ~rng H.H31 illustrating ~target:70 in
+  let h1 = H.search H.H1 illustrating ~target:70 in
   Alcotest.(check int) "H31 = H1" (cost h1) (cost h31)
 
 let test_h2_zero_iterations_is_h1 () =
   let params = { params10 with iterations = 0 } in
   let rng = Prng.create 5 in
   Alcotest.(check int) "H2 = H1"
-    (cost (H.h1_best_graph PB.illustrating ~target:90))
-    (cost (H.h2_random_walk ~params ~rng PB.illustrating ~target:90))
+    (cost (H.search H.H1 illustrating ~target:90))
+    (cost (H.search ~params ~rng H.H2 illustrating ~target:90))
 
 let test_evaluation_counts () =
   (* H1 evaluates exactly J splits; the walkers evaluate J + iterations. *)
-  let h1 = H.h1_best_graph PB.illustrating ~target:50 in
+  let h1 = H.search H.H1 illustrating ~target:50 in
   Alcotest.(check int) "H1 evals" 3 h1.H.evaluations;
   let params = { params10 with iterations = 17 } in
-  let h2 = H.h2_random_walk ~params ~rng:(Prng.create 1) PB.illustrating ~target:50 in
+  let h2 = H.search ~params ~rng:(Prng.create 1) H.H2 illustrating ~target:50 in
   Alcotest.(check int) "H2 evals" (3 + 17) h2.H.evaluations
 
 let test_negative_target_rejected () =
   Alcotest.check_raises "negative" (Invalid_argument "Heuristics: negative target")
-    (fun () -> ignore (H.h1_best_graph PB.illustrating ~target:(-1)))
+    (fun () -> ignore (H.search H.H1 illustrating ~target:(-1)))
 
 let test_bad_params_rejected () =
   let rng = Prng.create 1 in
   Alcotest.check_raises "zero step" (Invalid_argument "Heuristics: step must be positive")
     (fun () ->
       ignore
-        (H.h2_random_walk
+        (H.search
            ~params:{ H.default_params with step = 0 }
-           ~rng PB.illustrating ~target:10));
+           ~rng H.H2 illustrating ~target:10));
   Alcotest.check_raises "negative jumps"
     (Invalid_argument "Heuristics: negative iteration parameter") (fun () ->
       ignore
-        (H.h32_jump
+        (H.search
            ~params:{ H.default_params with jumps = -1 }
-           ~rng PB.illustrating ~target:10))
+           ~rng H.H32_jump illustrating ~target:10))
 
 (* qcheck: invariants on random targets and seeds. *)
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:100 ~name gen f)
@@ -186,13 +192,13 @@ let props =
           (fun name ->
             let res =
               H.search ~params:params10 ~rng:(Prng.create seed)
-                ~problem:PB.illustrating name ~target
+                name illustrating ~target
             in
             AL.feasible PB.illustrating ~target res.H.allocation
             && AL.total_rho res.H.allocation = target)
           H.all);
     prop "H32 is a local minimum for single-step moves" gen (fun (target, _) ->
-        let res = H.h32_steepest ~params:params10 PB.illustrating ~target in
+        let res = H.search ~params:params10 H.H32 illustrating ~target in
         let rho = res.H.allocation.AL.rho in
         let base = res.H.allocation.AL.cost in
         let ok = ref true in

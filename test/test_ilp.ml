@@ -9,6 +9,9 @@ module PB = Rentcost.Problem
 module AL = Rentcost.Allocation
 module EX = Rentcost.Exhaustive
 module ILP = Rentcost.Ilp
+module I = Rentcost.Instance
+
+let illustrating = I.compile PB.illustrating
 
 (* The complete ILP column of Table III: target -> (rho1, rho2, rho3, cost). *)
 let table3_ilp =
@@ -23,7 +26,7 @@ let table3_ilp =
 let test_table3_costs () =
   List.iter
     (fun (target, _, cost) ->
-      match (ILP.optimize ~problem:PB.illustrating ~target ()).ILP.allocation with
+      match (ILP.optimize illustrating ~target).ILP.allocation with
       | Some a ->
         Alcotest.(check int) (Printf.sprintf "cost at rho=%d" target) cost a.AL.cost
       | None -> Alcotest.fail "no solution")
@@ -41,13 +44,13 @@ let test_table3_splits_are_optimal () =
     table3_ilp
 
 let test_proved_optimal () =
-  let o = ILP.optimize ~problem:PB.illustrating ~target:70 () in
+  let o = ILP.optimize illustrating ~target:70 in
   Alcotest.(check bool) "proved" true o.ILP.proved_optimal;
   Alcotest.(check (option int)) "bound = incumbent" (Some 124) o.ILP.best_bound;
   Alcotest.(check bool) "some nodes" true (o.ILP.nodes >= 1)
 
 let test_build_structure () =
-  let model, integer = ILP.model ~problem:PB.illustrating ~target:70 () in
+  let model, integer = ILP.model illustrating ~target:70 in
   (* 3 rho vars + 4 x vars *)
   Alcotest.(check int) "vars" 7 (Lp.Model.num_vars model);
   Alcotest.(check int) "integer vars" 7 (List.length integer);
@@ -65,13 +68,13 @@ let test_build_structure () =
   Alcotest.(check string) "x name" "x_0" (Lp.Model.var_name model 3)
 
 let test_zero_target () =
-  match (ILP.optimize ~problem:PB.illustrating ~target:0 ()).ILP.allocation with
+  match (ILP.optimize illustrating ~target:0).ILP.allocation with
   | Some a -> Alcotest.(check int) "free" 0 a.AL.cost
   | None -> Alcotest.fail "no solution"
 
 let test_negative_target () =
   Alcotest.check_raises "negative" (Invalid_argument "Ilp.model: negative target")
-    (fun () -> ignore (ILP.optimize ~problem:PB.illustrating ~target:(-1) ()))
+    (fun () -> ignore (ILP.optimize illustrating ~target:(-1)))
 
 let test_lp_lower_bound () =
   List.iter
@@ -85,7 +88,7 @@ let test_lp_lower_bound () =
 
 let test_time_limit_returns_quickly () =
   (* An exhausted budget must still return, with a valid bound. *)
-  let o = ILP.optimize ~time_limit:(-1.0) ~problem:PB.illustrating ~target:70 () in
+  let o = ILP.optimize ~time_limit:(-1.0) illustrating ~target:70 in
   Alcotest.(check bool) "not proved optimal" true (not o.ILP.proved_optimal);
   Alcotest.(check int) "no nodes" 0 o.ILP.nodes
 
@@ -114,18 +117,19 @@ let props =
   [ prop "ILP matches exhaustive on random shared instances" shared_gen
       (fun input ->
         let p, target = build_shared input in
-        match (ILP.optimize ~problem:p ~target ()).ILP.allocation with
-        | Some a -> a.AL.cost = (EX.run ~problem:p ~target ()).AL.cost
+        let i = I.compile p in
+        match (ILP.optimize i ~target).ILP.allocation with
+        | Some a -> a.AL.cost = (EX.run i ~target).AL.cost
         | None -> false);
     prop "ILP allocation is feasible" shared_gen (fun input ->
         let p, target = build_shared input in
-        match (ILP.optimize ~problem:p ~target ()).ILP.allocation with
+        match (ILP.optimize (I.compile p) ~target).ILP.allocation with
         | Some a -> AL.feasible p ~target a
         | None -> false);
     prop "LP bound sandwiches the optimum" shared_gen (fun input ->
         let p, target = build_shared input in
         let lb = ILP.lp_lower_bound p ~target in
-        match (ILP.optimize ~problem:p ~target ()).ILP.allocation with
+        match (ILP.optimize (I.compile p) ~target).ILP.allocation with
         | Some a -> lb <= a.AL.cost
         | None -> false) ]
 

@@ -115,8 +115,8 @@ let test_pruning_preserves_optimum () =
     (fun target ->
       Alcotest.(check int)
         (Printf.sprintf "optimal cost at rho=%d" target)
-        (Rentcost.Exhaustive.run ~instance:full ~target ()).AL.cost
-        (Rentcost.Exhaustive.run ~instance:pruned ~target ()).AL.cost)
+        (Rentcost.Exhaustive.run full ~target).AL.cost
+        (Rentcost.Exhaustive.run pruned ~target).AL.cost)
     [ 0; 1; 9; 25; 60 ]
 
 let prop_pruning_preserves_optimum =
@@ -127,8 +127,8 @@ let prop_pruning_preserves_optimum =
       let pruned = I.compile p and full = I.compile ~prune:false p in
       List.for_all
         (fun target ->
-          (Rentcost.Exhaustive.run ~instance:full ~target ()).AL.cost
-          = (Rentcost.Exhaustive.run ~instance:pruned ~target ()).AL.cost)
+          (Rentcost.Exhaustive.run full ~target).AL.cost
+          = (Rentcost.Exhaustive.run pruned ~target).AL.cost)
         [ 0; 7; 12 ])
 
 let test_pruning_unlocks_blackbox_routing () =
@@ -147,8 +147,8 @@ let test_pruning_unlocks_blackbox_routing () =
   List.iter
     (fun target ->
       let o =
-        S.run ~spec:S.Auto ~instance:inst
-          ~objective:(Rentcost.Objective.min_cost ~target) ()
+        S.run ~spec:S.Auto inst
+          ~objective:(Rentcost.Objective.min_cost ~target)
       in
       let cost =
         match o.S.allocation with
@@ -157,7 +157,7 @@ let test_pruning_unlocks_blackbox_routing () =
       in
       Alcotest.(check int)
         (Printf.sprintf "dp matches oracle at rho=%d" target)
-        (Rentcost.Exhaustive.run ~instance:(I.compile ~prune:false p) ~target ()).AL.cost
+        (Rentcost.Exhaustive.run (I.compile ~prune:false p) ~target).AL.cost
         cost;
       Alcotest.(check int)
         (Printf.sprintf "telemetry reports pruning at rho=%d" target)
@@ -264,7 +264,7 @@ let test_fluid_lower_bound () =
   List.iter
     (fun target ->
       let lb = I.fluid_lower_bound inst ~target in
-      let opt = (Rentcost.Exhaustive.run ~instance:inst ~target ()).AL.cost in
+      let opt = (Rentcost.Exhaustive.run inst ~target).AL.cost in
       Alcotest.(check bool)
         (Printf.sprintf "positive bound at rho=%d" target)
         true (lb > 0);
@@ -279,7 +279,7 @@ let prop_fluid_lower_bound =
     (fun (seed, target) ->
       let inst = I.compile (problem_of_seed seed) in
       I.fluid_lower_bound inst ~target
-      <= (Rentcost.Exhaustive.run ~instance:inst ~target ()).AL.cost)
+      <= (Rentcost.Exhaustive.run inst ~target).AL.cost)
 
 let suite =
   ( "instance",

@@ -20,17 +20,18 @@ let test_full_stack_agreement () =
   List.iter
     (fun seed ->
       let p = small_instance seed in
+      let inst = Rentcost.Instance.compile p in
       let target = 15 in
-      let opt = (Rentcost.Exhaustive.run ~problem:p ~target ()).AL.cost in
+      let opt = (Rentcost.Exhaustive.run inst ~target).AL.cost in
       (* ILP finds the same optimum. *)
       let ilp =
-        Option.get (Rentcost.Ilp.optimize ~problem:p ~target ()).Rentcost.Ilp.allocation
+        Option.get (Rentcost.Ilp.optimize inst ~target).Rentcost.Ilp.allocation
       in
       Alcotest.(check int) (Printf.sprintf "ILP=brute seed %d" seed) opt ilp.AL.cost;
       (* Heuristics are feasible and no better than the optimum. *)
       List.iter
         (fun name ->
-          let res = H.search ~rng:(P.create 1) ~problem:p name ~target in
+          let res = H.search ~rng:(P.create 1) name inst ~target in
           Alcotest.(check bool)
             (Printf.sprintf "%s feasible" (H.name_to_string name))
             true
@@ -65,10 +66,11 @@ let test_dp_vs_ilp_on_disjoint_generated () =
         [| G.random_dag ~rng ~ntypes:4 ~types:types1;
            G.random_dag ~rng ~ntypes:4 ~types:types2 |]
     in
+    let inst = Rentcost.Instance.compile p in
     let target = 20 in
-    let dp = (Rentcost.Dp_disjoint.run ~problem:p ~target ()).AL.cost in
+    let dp = (Rentcost.Dp_disjoint.run inst ~target).AL.cost in
     let ilp =
-      (Option.get (Rentcost.Ilp.optimize ~problem:p ~target ()).Rentcost.Ilp.allocation)
+      (Option.get (Rentcost.Ilp.optimize inst ~target).Rentcost.Ilp.allocation)
         .AL.cost
     in
     Alcotest.(check int) "DP = ILP" ilp dp
@@ -77,13 +79,11 @@ let test_dp_vs_ilp_on_disjoint_generated () =
 let test_warm_start_ablation_equal_cost () =
   (* With and without the H32Jump warm start, the proved optimum is
      identical (only the node count changes). *)
+  let inst = Rentcost.Instance.compile Rentcost.Problem.illustrating in
   List.iter
     (fun target ->
-      let w = Rentcost.Ilp.optimize ~problem:Rentcost.Problem.illustrating ~target () in
-      let c =
-        Rentcost.Ilp.optimize ~warm_start:false
-          ~problem:Rentcost.Problem.illustrating ~target ()
-      in
+      let w = Rentcost.Ilp.optimize inst ~target in
+      let c = Rentcost.Ilp.optimize ~warm_start:false inst ~target in
       Alcotest.(check int)
         (Printf.sprintf "target %d" target)
         (Option.get c.Rentcost.Ilp.allocation).AL.cost
@@ -94,13 +94,14 @@ let test_node_limited_ilp_still_good () =
   (* A 1-node budget returns the warm incumbent: feasible, and no
      worse than H32Jump run standalone with the same internal seed. *)
   let p = small_instance 2 in
+  let inst = Rentcost.Instance.compile p in
   let target = 25 in
-  let o = Rentcost.Ilp.optimize ~node_limit:1 ~problem:p ~target () in
+  let o = Rentcost.Ilp.optimize ~node_limit:1 inst ~target in
   match o.Rentcost.Ilp.allocation with
   | None -> Alcotest.fail "warm start should provide an incumbent"
   | Some a ->
     Alcotest.(check bool) "feasible" true (AL.feasible p ~target a);
-    let hj = H.h32_jump ~rng:(P.create 0x5EED) p ~target in
+    let hj = H.search ~rng:(P.create 0x5EED) H.H32_jump inst ~target in
     Alcotest.(check bool) "no worse than its own warm start" true
       (a.AL.cost <= hj.H.allocation.AL.cost)
 

@@ -148,13 +148,14 @@ let test_simplex_overflow_on_row_lcm () =
    the exhaustive oracle. *)
 let test_driver_fast_path () =
   let problem = Rentcost.Problem.illustrating in
+  let instance = Rentcost.Instance.compile problem in
   let target = 70 in
   let o, fast, fallbacks =
-    count_relaxations (fun () -> Rentcost.Ilp.optimize ~problem ~target ())
+    count_relaxations (fun () -> Rentcost.Ilp.optimize instance ~target)
   in
   Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
   Alcotest.(check int) "cost matches the oracle"
-    (Rentcost.Exhaustive.run ~problem ~target ()).Rentcost.Allocation.cost
+    (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost
     (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost;
   Alcotest.(check int) "one fast solve per node" o.Rentcost.Ilp.nodes fast;
   Alcotest.(check int) "no fallback" 0 fallbacks
@@ -171,13 +172,14 @@ let test_driver_falls_back_on_huge_costs () =
       (Rentcost.Platform.of_list [ (10, huge); (25, 2 * huge) ])
       [| chain [| 0 |]; chain [| 0; 1 |] |]
   in
+  let instance = Rentcost.Instance.compile problem in
   let target = 20 in
   let o, fast, fallbacks =
-    count_relaxations (fun () -> Rentcost.Ilp.optimize ~problem ~target ())
+    count_relaxations (fun () -> Rentcost.Ilp.optimize instance ~target)
   in
   Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
   Alcotest.(check int) "cost matches the oracle"
-    (Rentcost.Exhaustive.run ~problem ~target ()).Rentcost.Allocation.cost
+    (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost
     (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost;
   Alcotest.(check bool) "at least one fallback" true (fallbacks >= 1);
   Alcotest.(check int) "one relaxation per node" o.Rentcost.Ilp.nodes
@@ -240,7 +242,8 @@ let test_presets_never_fall_back () =
           (fun target ->
             let _, fast, fallbacks =
               count_relaxations (fun () ->
-                  Rentcost.Ilp.optimize ~node_limit:300 ~problem ~target ())
+                  Rentcost.Ilp.optimize ~node_limit:300
+                    (Rentcost.Instance.compile problem) ~target)
             in
             let label = Printf.sprintf "%s #%d at %d" id k target in
             Alcotest.(check int) (label ^ ": no fallback") 0 fallbacks;

@@ -28,6 +28,7 @@ let test_domains =
   | None -> 2
 
 let illustrating = Rentcost.Problem.illustrating
+let illustrating_instance = Rentcost.Instance.compile illustrating
 
 (* Small heuristic budgets: the properties below solve whole
    portfolios per case, and the guarantees are seed-for-seed, not
@@ -311,16 +312,17 @@ let prop_portfolio_dominates =
   prop "portfolio feasible and <= sequential h32jump" qgen
     (fun (seed, target) ->
       let problem = G.problem ~rng:(P.create seed) gen_params gen_cloud in
+      let instance = Rentcost.Instance.compile problem in
       let sequential =
         S.run ~rng:(P.create seed) ~params:small_params
-          ~spec:(S.Heuristic H.H32_jump) ~problem
-          ~objective:(Rentcost.Objective.min_cost ~target) ()
+          ~spec:(S.Heuristic H.H32_jump) instance
+          ~objective:(Rentcost.Objective.min_cost ~target)
       in
       List.for_all
         (fun domains ->
           let o =
-            Pf.run ~rng:(P.create seed) ~params:small_params ~domains
-              ~problem ~target ()
+            Pf.run ~rng:(P.create seed) ~params:small_params ~domains instance
+              ~target
           in
           (match o.S.allocation with
            | Some a -> AL.feasible problem ~target a
@@ -344,10 +346,11 @@ let disjoint_problem =
 let test_portfolio_agrees_with_exact () =
   List.iter
     (fun (label, problem, oracle_spec, target) ->
+      let instance = Rentcost.Instance.compile problem in
       let exact =
         match
-          (S.run ~spec:oracle_spec ~problem
-             ~objective:(Rentcost.Objective.min_cost ~target) ())
+          (S.run ~spec:oracle_spec instance
+             ~objective:(Rentcost.Objective.min_cost ~target))
             .S.allocation
         with
         | Some a -> a.AL.cost
@@ -358,7 +361,7 @@ let test_portfolio_agrees_with_exact () =
           let o =
             Pf.run ~rng:(P.create 11)
               ~strategies:[ Pf.Heuristic H.H32_jump; Pf.Milp ]
-              ~domains ~problem ~target ()
+              ~domains instance ~target
           in
           Alcotest.(check int)
             (Printf.sprintf "%s: portfolio = %s (domains %d)" label
@@ -375,7 +378,7 @@ let test_portfolio_agrees_with_exact () =
 
 let portfolio_on ?pool ~domains seed =
   Pf.run ~rng:(P.create seed) ~params:small_params ?pool ~domains
-    ~problem:illustrating ~target:70 ()
+    illustrating_instance ~target:70
 
 let test_portfolio_determinism_repeats () =
   let reference = alloc_key (portfolio_on ~domains:1 0x5EED) in
@@ -404,6 +407,49 @@ let test_portfolio_shuffled_completion_order () =
                 shuffle_seed domains))
       [ 1; 2; test_domains ]
   done
+
+(* A solve's effort counts are its own: a second domain solving in a
+   loop beside it must not leak into them — neither into a plain solve
+   nor into a portfolio race, whose totals sum its strategies' own. *)
+let test_effort_counts_own_domain () =
+  let effort (o : S.outcome) =
+    S.(o.telemetry.pivots, o.telemetry.nodes, o.telemetry.evaluations)
+  in
+  let solve target =
+    S.run ~spec:S.Exact_ilp illustrating_instance
+      ~objective:(Rentcost.Objective.min_cost ~target)
+  in
+  let race () = portfolio_on ~domains:test_domains 0x5EED in
+  let alone = (effort (solve 130), effort (race ())) in
+  let stop = Atomic.make false and started = Atomic.make false in
+  let neighbour =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (solve 90);
+          Atomic.set started true
+        done)
+  in
+  let beside =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join neighbour)
+      (fun () ->
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        List.init 20 (fun _ ->
+            let s = effort (solve 130) in
+            (s, effort (race ()))))
+  in
+  let counts = Alcotest.(triple int int int) in
+  List.iteri
+    (fun k (s, r) ->
+      Alcotest.check counts (Printf.sprintf "solve %d: pivots, nodes, evals" k)
+        (fst alone) s;
+      Alcotest.check counts (Printf.sprintf "race %d: pivots, nodes, evals" k)
+        (snd alone) r)
+    beside
 
 let test_reduce_order_and_ties () =
   (* Build outcomes from real allocations of the illustrating problem:
@@ -580,7 +626,7 @@ let test_parallel_daemon_matches_sequential () =
       answers
   in
   let optimum target =
-    (Option.get (Rentcost.Ilp.optimize ~problem:illustrating ~target ())
+    (Option.get (Rentcost.Ilp.optimize illustrating_instance ~target)
        .Rentcost.Ilp.allocation)
       .AL.cost
   in
@@ -703,6 +749,8 @@ let suite =
         `Quick test_portfolio_determinism_repeats;
       Alcotest.test_case "portfolio invariant under shuffled completion order"
         `Quick test_portfolio_shuffled_completion_order;
+      Alcotest.test_case "effort counts its own domain only" `Quick
+        test_effort_counts_own_domain;
       Alcotest.test_case "reduce: permutation-invariant, rank tie-break"
         `Quick test_reduce_order_and_ties;
       Alcotest.test_case "parallel daemon under concurrent clients" `Quick

@@ -22,6 +22,13 @@ let illustrating = P.illustrating
 
 let platform = P.platform illustrating
 
+(* Solve the illustrating problem compiled for [objective] (under
+   [pricebook] when given). *)
+let run ?budget ?spec ?pricebook objective =
+  S.run ?budget ?spec
+    (I.compile ~scenario:(Sc.make ~objective ?pricebook ()) illustrating)
+    ~objective
+
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
@@ -163,9 +170,7 @@ let test_identical_books_bit_identical () =
   Alcotest.(check string) "canonical encodings identical"
     (I.canonical_encoding plain)
     (I.canonical_encoding same_prices);
-  let solve inst =
-    S.run ~instance:inst ~objective:(Ob.min_cost ~target:70) ()
-  in
+  let solve inst = S.run inst ~objective:(Ob.min_cost ~target:70) in
   Alcotest.(check bool) "allocations identical" true
     (alloc_sig (solve plain) = alloc_sig (solve same_prices));
   (* the degenerate single-book constructor too *)
@@ -182,13 +187,8 @@ let test_identical_books_bit_identical () =
 let test_multicloud_prices_flow_through () =
   (* Under the spot book every unit price shrinks strictly, so the
      multicloud optimum must undercut the single-cloud one. *)
-  let single =
-    S.run ~problem:illustrating ~objective:(Ob.min_cost ~target:70) ()
-  in
-  let multi =
-    S.run ~problem:illustrating ~pricebook:clouds
-      ~objective:(Ob.min_cost ~target:70) ()
-  in
+  let single = run (Ob.min_cost ~target:70) in
+  let multi = run ~pricebook:clouds (Ob.min_cost ~target:70) in
   Alcotest.(check bool) "multicloud optimum undercuts single-cloud" true
     (cost_of multi < cost_of single)
 
@@ -196,14 +196,9 @@ let test_multicloud_prices_flow_through () =
 
 let test_dual_matches_linear_scan () =
   let budget = 120 in
-  let dual =
-    S.run ~problem:illustrating ~objective:(Ob.max_throughput ~budget) ()
-  in
+  let dual = run (Ob.max_throughput ~budget) in
   (* independent oracle: walk the monotone cost curve *)
-  let cost_at t =
-    cost_of
-      (S.run ~problem:illustrating ~objective:(Ob.min_cost ~target:t) ())
-  in
+  let cost_at t = cost_of (run (Ob.min_cost ~target:t)) in
   let rec scan t = if cost_at (t + 1) <= budget then scan (t + 1) else t in
   let exact = scan 0 in
   Alcotest.(check int) "binary search finds the exact dual optimum" exact
@@ -214,44 +209,67 @@ let test_dual_matches_linear_scan () =
     (dual.S.status = S.Optimal)
 
 let test_dual_zero_budget () =
-  let dual =
-    S.run ~problem:illustrating ~objective:(Ob.max_throughput ~budget:0) ()
-  in
+  let dual = run (Ob.max_throughput ~budget:0) in
   Alcotest.(check int) "zero budget buys zero throughput" 0 dual.S.throughput;
   Alcotest.(check int) "and costs nothing" 0 (cost_of dual)
 
 let test_fluid_bound_brackets () =
   let inst = I.compile illustrating in
   let upper = I.fluid_upper_target inst ~budget:120 in
-  let dual =
-    S.run ~problem:illustrating ~objective:(Ob.max_throughput ~budget:120) ()
-  in
+  let dual = run (Ob.max_throughput ~budget:120) in
   Alcotest.(check bool) "fluid bound is an upper bracket" true
     (upper >= dual.S.throughput);
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Instance.fluid_upper_target: negative budget")
     (fun () -> ignore (I.fluid_upper_target inst ~budget:(-1)))
 
-(* --- calling-convention guard rails --- *)
-
-let test_for_solve_guard_rails () =
-  let inst = I.compile illustrating in
-  let raises f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
+(* Budgeted probes of the dual search, on each engine family. A capped
+   ILP probe that reaches no integer point has no verdict: it marks the
+   search exhausted and answers "unreachable" without handing the probe
+   to the min-cost path's heuristic fallback. *)
+let test_dual_budgeted_probes () =
+  let fallbacks = ref 0 in
+  let dual ?budget spec money =
+    Telemetry.Span.set_sink
+      (Some
+         (fun s ->
+           if s.Telemetry.Span.name = "solver.fallback" then incr fallbacks));
+    Fun.protect
+      ~finally:(fun () -> Telemetry.Span.set_sink None)
+      (fun () -> run ?budget ~spec (Ob.max_throughput ~budget:money))
   in
-  Alcotest.(check bool) "instance and problem together rejected" true
-    (raises (fun () ->
-         S.run ~instance:inst ~problem:illustrating
-           ~objective:(Ob.min_cost ~target:10) ()));
-  Alcotest.(check bool) "neither instance nor problem rejected" true
-    (raises (fun () -> S.run ~objective:(Ob.min_cost ~target:10) ()));
-  Alcotest.(check bool) "pricebook with a compiled instance rejected" true
-    (raises (fun () ->
-         S.run ~instance:inst ~pricebook:clouds
-           ~objective:(Ob.min_cost ~target:10) ()));
-  Alcotest.(check bool) "objective-kind mismatch rejected" true
-    (raises (fun () ->
-         S.run ~instance:inst ~objective:(Ob.max_throughput ~budget:100) ()))
+  let check label o (status, throughput, cost) =
+    Alcotest.(check (triple string int int))
+      label
+      (S.status_to_string status, throughput, cost)
+      (S.status_to_string o.S.status, o.S.throughput, cost_of o)
+  in
+  let ilp = dual ~budget:(Rentcost.Budget.nodes 1) S.Exact_ilp in
+  check "ilp, 1 node, money 120" (ilp 120) (S.Budget_exhausted, 60, 114);
+  check "ilp, 1 node, money 300" (ilp 300) (S.Budget_exhausted, 170, 285);
+  check "ilp, 0 nodes, money 120"
+    (dual ~budget:(Rentcost.Budget.nodes 0) S.Exact_ilp 120)
+    (S.Budget_exhausted, 60, 114);
+  let h32 = dual (S.Heuristic Rentcost.Heuristics.H32) in
+  check "h32, money 120" (h32 120) (S.Feasible, 60, 114);
+  check "h32, money 300" (h32 300) (S.Feasible, 160, 276);
+  check "h32jump, 5 evals, money 300"
+    (dual ~budget:(Rentcost.Budget.evals 5)
+       (S.Heuristic Rentcost.Heuristics.H32_jump) 300)
+    (S.Budget_exhausted, 160, 276);
+  Alcotest.(check int) "no probe ran the heuristic fallback" 0 !fallbacks
+
+(* --- the instance's objective kind guards the solve --- *)
+
+let test_objective_kind_mismatch () =
+  Alcotest.check_raises "min-cost instance, max-throughput solve"
+    (Invalid_argument
+       "Solver.run: instance was compiled for min-cost, not max-throughput \
+        (recompile with the matching scenario)")
+    (fun () ->
+      ignore
+        (S.run (I.compile illustrating)
+           ~objective:(Ob.max_throughput ~budget:100)))
 
 (* --- problem_format and protocol versioning --- *)
 
@@ -418,22 +436,14 @@ let props =
   [ prop "duality: min-cost at the achieved throughput fits the budget" 25
       QCheck2.Gen.(int_range 0 300)
       (fun budget ->
-        let dual =
-          S.run ~problem:illustrating ~objective:(Ob.max_throughput ~budget)
-            ()
-        in
-        let recheck =
-          S.run ~problem:illustrating
-            ~objective:(Ob.min_cost ~target:dual.S.throughput) ()
-        in
+        let dual = run (Ob.max_throughput ~budget) in
+        let recheck = run (Ob.min_cost ~target:dual.S.throughput) in
         cost_of dual <= budget
         && cost_of recheck <= budget
         && (dual.S.status <> S.Optimal
            ||
            (* optimality: one more unit of throughput must not fit *)
-           cost_of
-             (S.run ~problem:illustrating
-                ~objective:(Ob.min_cost ~target:(dual.S.throughput + 1)) ())
+           cost_of (run (Ob.min_cost ~target:(dual.S.throughput + 1)))
            > budget));
     prop "fingerprints: objective and pricebook axes both key the cache" 10
       QCheck2.Gen.(int_range 1 1000)
@@ -474,8 +484,10 @@ let suite =
       Alcotest.test_case "dual zero budget" `Quick test_dual_zero_budget;
       Alcotest.test_case "fluid bound brackets the dual" `Quick
         test_fluid_bound_brackets;
-      Alcotest.test_case "for_solve guard rails" `Quick
-        test_for_solve_guard_rails;
+      Alcotest.test_case "dual budgeted probes" `Quick
+        test_dual_budgeted_probes;
+      Alcotest.test_case "objective-kind mismatch rejected" `Quick
+        test_objective_kind_mismatch;
       Alcotest.test_case "problem_format version" `Quick
         test_problem_format_version;
       Alcotest.test_case "protocol version" `Quick test_protocol_version;

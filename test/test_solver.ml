@@ -23,8 +23,8 @@ let shared_problem = Rentcost.Problem.illustrating
 
 (* Every test here is a min-cost solve; shorthand over {!S.run}. *)
 let solve ?budget ?rng ~spec problem ~target =
-  S.run ?budget ?rng ~spec ~problem
-    ~objective:(Rentcost.Objective.min_cost ~target) ()
+  S.run ?budget ?rng ~spec (Rentcost.Instance.compile problem)
+    ~objective:(Rentcost.Objective.min_cost ~target)
 
 let solve_cost ?budget ~spec problem ~target =
   match (solve ?budget ~spec problem ~target).S.allocation with
@@ -49,13 +49,14 @@ let test_auto_routes_disjoint () =
 let test_auto_routes_shared () =
   check_route shared_problem S.Exact_ilp "shared types -> ILP"
 
-let test_auto_spec_pure () =
+let test_auto_of_instance_pure () =
+  let auto_spec p = S.auto_of_instance (Rentcost.Instance.compile p) in
   Alcotest.(check bool) "blackbox spec" true
-    (S.auto_spec blackbox_problem = S.Dp_blackbox);
+    (auto_spec blackbox_problem = S.Dp_blackbox);
   Alcotest.(check bool) "disjoint spec" true
-    (S.auto_spec disjoint_problem = S.Dp_disjoint);
+    (auto_spec disjoint_problem = S.Dp_disjoint);
   Alcotest.(check bool) "shared spec" true
-    (S.auto_spec shared_problem = S.Exact_ilp)
+    (auto_spec shared_problem = S.Exact_ilp)
 
 (* --- every exact engine agrees with the exhaustive oracle --- *)
 
@@ -293,7 +294,10 @@ let test_convergence_empty_when_disabled () =
       let o = solve ~spec:S.Exact_ilp shared_problem ~target:70 in
       Alcotest.(check bool) "still optimal" true (o.S.status = S.Optimal);
       Alcotest.(check bool) "no timeline when disabled" true
-        (o.S.convergence = []))
+        (o.S.convergence = []);
+      Alcotest.(check (triple int int int)) "effort frozen when disabled"
+        (0, 0, 0)
+        S.(o.telemetry.pivots, o.telemetry.nodes, o.telemetry.evaluations))
 
 (* --- spec parsing --- *)
 
@@ -345,7 +349,8 @@ let suite =
     [ Alcotest.test_case "auto routes blackbox" `Quick test_auto_routes_blackbox;
       Alcotest.test_case "auto routes disjoint" `Quick test_auto_routes_disjoint;
       Alcotest.test_case "auto routes shared" `Quick test_auto_routes_shared;
-      Alcotest.test_case "auto_spec pure" `Quick test_auto_spec_pure;
+      Alcotest.test_case "auto_of_instance pure" `Quick
+        test_auto_of_instance_pure;
       Alcotest.test_case "engines agree with oracle" `Quick test_engines_agree;
       Alcotest.test_case "heuristics bounded by optimum" `Quick
         test_heuristics_bounded_by_optimum;

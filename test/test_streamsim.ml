@@ -11,6 +11,8 @@ module AL = Rentcost.Allocation
 module A = Streamsim.Assign
 module S = Streamsim.Sim
 
+let illustrating = Rentcost.Instance.compile PB.illustrating
+
 (* --- Assign --- *)
 
 let test_assign_proportions () =
@@ -147,7 +149,7 @@ let test_parallel_dag_shorter_than_chain () =
 let test_ilp_allocations_sustain_target () =
   List.iter
     (fun target ->
-      let o = Rentcost.Ilp.optimize ~problem:PB.illustrating ~target () in
+      let o = Rentcost.Ilp.optimize illustrating ~target in
       let alloc = Option.get o.Rentcost.Ilp.allocation in
       Alcotest.(check bool)
         (Printf.sprintf "sustains %d" target)
@@ -163,7 +165,7 @@ let test_heuristic_allocations_sustain_target () =
         (fun name ->
           let res =
             Rentcost.Heuristics.search ~params ~rng:(Numeric.Prng.create 3)
-              ~problem:PB.illustrating name ~target
+              name illustrating ~target
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s sustains %d" (Rentcost.Heuristics.name_to_string name)
@@ -283,7 +285,7 @@ let test_failure_validation () =
              S.failures = Some { S.mtbf = 1.0; repair_time = -1.0; seed = 1 } }))
 
 let test_recipe_counts_match_split () =
-  let o = Rentcost.Ilp.optimize ~problem:PB.illustrating ~target:70 () in
+  let o = Rentcost.Ilp.optimize illustrating ~target:70 in
   let alloc = Option.get o.Rentcost.Ilp.allocation in
   let report = S.run PB.illustrating alloc { S.default_config with S.items = 700 } in
   (* rho = (10, 30, 30) -> 700 items split 100/300/300 *)

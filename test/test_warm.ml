@@ -264,15 +264,16 @@ let tree_props =
          ~name:"warm-started ILP matches exhaustive, every child warm"
          instance_gen (fun input ->
            let problem, target = build_instance input in
+           let instance = Rentcost.Instance.compile problem in
            let o, warm, fast, fallbacks =
              counting (fun () ->
-                 Rentcost.Ilp.optimize ~warm_start:false ~problem ~target ())
+                 Rentcost.Ilp.optimize ~warm_start:false instance ~target)
            in
            let nodes = o.Rentcost.Ilp.nodes in
            let cost a = a.Rentcost.Allocation.cost in
            o.Rentcost.Ilp.proved_optimal
            && cost (Option.get o.Rentcost.Ilp.allocation)
-              = cost (Rentcost.Exhaustive.run ~problem ~target ())
+              = cost (Rentcost.Exhaustive.run instance ~target)
            && warm = nodes - 1
            && fast + fallbacks = nodes)) ]
 
@@ -284,9 +285,8 @@ let consume_props =
          ~name:"consuming snapshots leaves the tree unchanged" instance_gen
          (fun input ->
            let problem, target = build_instance input in
-           let solve () =
-             Rentcost.Ilp.optimize ~warm_start:false ~problem ~target ()
-           in
+           let instance = Rentcost.Instance.compile problem in
+           let solve () = Rentcost.Ilp.optimize ~warm_start:false instance ~target in
            let consumed = solve () in
            let copied = Milp.Solver.always_copying solve in
            let cost o =
@@ -317,7 +317,7 @@ let test_snapshot_words_cover_heap () =
     build_instance
       (([ (3, 2); (5, 7); (4, 3) ], [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0; 0 ] ]), 17)
   in
-  let m, _ = Rentcost.Ilp.model ~problem ~target () in
+  let m, _ = Rentcost.Ilp.model (Rentcost.Instance.compile problem) ~target in
   let sol, snap = snapshot_of m in
   covers "cold" snap;
   let warm = ref 0 in
@@ -359,15 +359,14 @@ let wide_problem () =
   Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
 
 let test_snapshot_budget () =
-  let problem = wide_problem () and target = 10 in
+  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 10 in
   let o, warm, fast, fallbacks =
-    counting (fun () ->
-        Rentcost.Ilp.optimize ~warm_start:false ~problem ~target ())
+    counting (fun () -> Rentcost.Ilp.optimize ~warm_start:false instance ~target)
   in
   let nodes = o.Rentcost.Ilp.nodes in
   Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
   Alcotest.(check int) "cost matches the oracle"
-    (Rentcost.Exhaustive.run ~problem ~target ()).Rentcost.Allocation.cost
+    (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost
     (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost;
   Alcotest.(check int) "no fallback" 0 fallbacks;
   Alcotest.(check int) "one relaxation per node" nodes fast;
