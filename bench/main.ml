@@ -19,7 +19,7 @@
      cost curve, and single- vs multi-cloud cost;
    - BENCH_numeric.json: the fast LP engine against exact Rat, and the
      figure-preset workload's relaxations, fallbacks, pivots, warm
-     nodes and peak retained words;
+     nodes, peak retained words, capped cost sum and proved count;
    - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
    --smoke skips the OLS fits and exits non-zero unless: the exact
@@ -29,7 +29,8 @@
    is domain-count invariant (and, on >= 4 cores, 1.5x faster on 4
    domains); the dual objective and price books behave; the fast LP
    engine is bit-identical and fast enough, with the figure-preset
-   effort counts equal to the committed BENCH_numeric.json; and the
+   effort counts and capped answers equal to the committed
+   BENCH_numeric.json; and the
    autoscale policies are ordered oracle <= elastic <= static-peak. *)
 
 open Bechamel
@@ -104,9 +105,7 @@ let sample_measurements =
        ~params:H.default_params)
 
 (* Experiment kernels go through the unified [Solver] front door over
-   pre-compiled instances, as the drivers do; only the ablation group
-   below reaches into [Ilp.optimize] for the warm-start knob the solver
-   does not expose. *)
+   pre-compiled instances, as the drivers do. *)
 
 let min_cost target = Rentcost.Objective.min_cost ~target
 
@@ -120,10 +119,6 @@ let solver_nodes ?node_limit spec inst ~target () =
 
 let ilp_nodes ?node_limit inst ~target =
   solver_nodes ?node_limit S.Exact_ilp inst ~target
-
-let ilp_ablation_nodes ~warm_start problem ~target () =
-  (Rentcost.Ilp.optimize ~warm_start (I.compile problem) ~target)
-    .Rentcost.Ilp.nodes
 
 let heuristic name ?(params = H.default_params) inst ~target () =
   (S.run ~rng:(P.create kernel_seed) ~params ~spec:(S.Heuristic name)
@@ -274,11 +269,7 @@ let micro =
 
 let ablation =
   Test.make_grouped ~name:"ablation"
-    [ Test.make ~name:"ilp_warm_start"
-        (Staged.stage (ilp_ablation_nodes ~warm_start:true illustrating ~target:130));
-      Test.make ~name:"ilp_cold_start"
-        (Staged.stage (ilp_ablation_nodes ~warm_start:false illustrating ~target:130));
-      Test.make ~name:"h32jump_step1_rho70"
+    [ Test.make ~name:"h32jump_step1_rho70"
         (Staged.stage
            (heuristic H.H32_jump ~params:H.default_params illustrating_instance
               ~target:70));
@@ -959,12 +950,28 @@ type fallback_stats = {
   fb_nodes : int;
   fb_warm_nodes : int;
   fb_peak_words : int;
+  fb_cost_sum : int;
+  fb_proved : int;
 }
 
+(* What a workload's solves answered: the most words one of them
+   retained in warm-start tableaus, the sum of their costs and how
+   many proved optimality. *)
+type answers = { peak : int; cost_sum : int; proved : int }
+
+let no_answers = { peak = 0; cost_sum = 0; proved = 0 }
+
+let answered acc o =
+  { peak = Int.max acc.peak o.Rentcost.Ilp.peak_retained_words;
+    cost_sum =
+      acc.cost_sum
+      + Option.fold ~none:0
+          ~some:(fun a -> a.Rentcost.Allocation.cost)
+          o.Rentcost.Ilp.allocation;
+    proved = (acc.proved + if o.Rentcost.Ilp.proved_optimal then 1 else 0) }
+
 (* Solver effort under [f], read as counter deltas: each LP relaxation
-   bumps exactly one of numeric.fast_solves / numeric.fallbacks. [f]
-   returns the most words its solves retained in warm-start
-   tableaus. *)
+   bumps exactly one of numeric.fast_solves / numeric.fallbacks. *)
 let count_fallbacks f =
   let names =
     Telemetry.
@@ -972,11 +979,12 @@ let count_fallbacks f =
         milp_warm_nodes ]
   in
   let before = List.map Telemetry.value names in
-  let peak = f () in
+  let a = f () in
   match List.map2 (fun n b -> Telemetry.value n - b) names before with
   | [ fast; fb; pivots; nodes; warm ] ->
     { fb_relaxations = fast + fb; fb_fallbacks = fb; fb_pivots = pivots;
-      fb_nodes = nodes; fb_warm_nodes = warm; fb_peak_words = peak }
+      fb_nodes = nodes; fb_warm_nodes = warm; fb_peak_words = a.peak;
+      fb_cost_sum = a.cost_sum; fb_proved = a.proved }
   | _ -> assert false
 
 let ratio a b = float_of_int a /. Float.max (float_of_int b) 1.
@@ -986,15 +994,11 @@ let paper_instances_per_preset = 4
 let paper_targets = [ 20; 60; 100; 140; 200 ]
 let paper_node_limit = 300
 
-(* The most words one [Ilp.optimize] retained in warm-start tableaus,
-   folded over solves. *)
-let peak_after acc o = Int.max acc o.Rentcost.Ilp.peak_retained_words
-
 (* The paper-scale workload: node-capped solves over seeded instances
    of the Fig. 3, 6 and 7 presets. The acceptance bar is zero
-   fallbacks here. Returns the peak retained words. *)
+   fallbacks here. *)
 let paper_workload () =
-  let peak = ref 0 in
+  let acc = ref no_answers in
   List.iter
     (fun id ->
       let preset = Option.get (Cloudsim.Experiments.find id) in
@@ -1006,14 +1010,14 @@ let paper_workload () =
         in
         List.iter
           (fun target ->
-            peak :=
-              peak_after !peak
+            acc :=
+              answered !acc
                 (Rentcost.Ilp.optimize ~node_limit:paper_node_limit
                    (I.compile problem) ~target))
           paper_targets
       done)
     paper_presets;
-  !peak
+  !acc
 
 (* Costs near max_int sit far outside the fast range, so every
    relaxation must overflow and rerun on Rat. *)
@@ -1026,34 +1030,36 @@ let overflow_problem =
 
 let stress_workload () =
   List.fold_left
-    (fun peak target ->
-      peak_after peak
-        (Rentcost.Ilp.optimize (I.compile overflow_problem) ~target))
-    0 [ 10; 20; 30 ]
+    (fun acc target ->
+      answered acc (Rentcost.Ilp.optimize (I.compile overflow_problem) ~target))
+    no_answers [ 10; 20; 30 ]
 
-(* The committed file's seed and paper-workload effort counts
-   (relaxations, pivots, warm nodes, peak retained words), read before
-   this run rewrites it. *)
+(* The figure-preset counts that are deterministic for a seed, gated
+   exactly against the committed file: (block, field, this run's
+   value). *)
+let paper_gated paper =
+  [ ("fallback", "paper_relaxations", paper.fb_relaxations);
+    ("warm_start", "paper_pivots", paper.fb_pivots);
+    ("warm_start", "paper_warm_nodes", paper.fb_warm_nodes);
+    ("warm_start", "paper_peak_retained_words", paper.fb_peak_words);
+    ("warm_start", "paper_capped_cost_sum", paper.fb_cost_sum);
+    ("warm_start", "paper_proved", paper.fb_proved) ]
+
+(* The committed file's seed and a reader of its [block.field] ints,
+   read before this run rewrites it. *)
 let committed_paper_counts path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error _ -> None
   | text -> (
     match Svc.Json.of_string text with
     | Error _ -> None
-    | Ok json -> (
-      let field obj name =
-        Option.bind (Svc.Json.member obj json) (Svc.Json.get_int name)
-      in
-      match
-        ( Svc.Json.get_int "seed" json,
-          field "fallback" "paper_relaxations",
-          field "warm_start" "paper_pivots",
-          field "warm_start" "paper_warm_nodes",
-          field "warm_start" "paper_peak_retained_words" )
-      with
-      | Some seed, Some relaxations, Some pivots, Some warm, Some peak ->
-        Some (seed, relaxations, pivots, warm, peak)
-      | _ -> None))
+    | Ok json ->
+      Option.map
+        (fun seed ->
+          ( seed,
+            fun block name ->
+              Option.bind (Svc.Json.member block json) (Svc.Json.get_int name) ))
+        (Svc.Json.get_int "seed" json))
 
 let emit_numeric ~reps =
   let splits =
@@ -1070,7 +1076,7 @@ let emit_numeric ~reps =
         ("identical", J.Bool k.ks_identical) ]
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  emit "numeric" ~schema:"rentcost-bench-numeric/5"
+  emit "numeric" ~schema:"rentcost-bench-numeric/6"
     [ ( "kernels",
         J.Obj
           [ ("fast", J.String Lp.Simplex.fast_kernel);
@@ -1100,7 +1106,9 @@ let emit_numeric ~reps =
             ( "paper_pivots_per_relaxation",
               fixed 3 (ratio paper.fb_pivots paper.fb_relaxations) );
             ("paper_peak_retained_words", J.Int paper.fb_peak_words);
-            ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget) ] ) ];
+            ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget);
+            ("paper_capped_cost_sum", J.Int paper.fb_cost_sum);
+            ("paper_proved", J.Int paper.fb_proved) ] ) ];
   (splits, paper, stress)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
@@ -1344,23 +1352,29 @@ let smoke () =
     (ks_speedup lp7 >= 2.0);
   check "paper workload ran relaxations" (paper.fb_relaxations > 0);
   check "zero fallbacks on the figure-preset workload" (paper.fb_fallbacks = 0);
-  (* Pivots, warm nodes and the peak retained words are deterministic
-     for a seed, so they are gated exactly against the committed
-     file. *)
+  (* Pivots, warm nodes, the peak retained words and the capped
+     answers (their cost sum and how many proved optimal) are
+     deterministic for a seed, so they are gated exactly against the
+     committed file. *)
   (match committed with
-   | Some (seed, relaxations, pivots, warm, peak) when seed = root_seed ->
-     check
-       (Printf.sprintf
-          "paper workload effort matches the committed BENCH_numeric.json \
-           (%d relaxations, %d pivots, %d warm nodes, peak %d retained \
-           words; committed %d, %d, %d, %d)"
-          paper.fb_relaxations paper.fb_pivots paper.fb_warm_nodes
-          paper.fb_peak_words relaxations pivots warm peak)
-       (paper.fb_relaxations = relaxations
-       && paper.fb_pivots = pivots
-       && paper.fb_warm_nodes = warm
-       && paper.fb_peak_words = peak)
-   | Some (seed, _, _, _, _) ->
+   | Some (seed, field) when seed = root_seed ->
+     List.iter
+       (fun (block, name, value) ->
+         match field block name with
+         | Some c ->
+           check
+             (Printf.sprintf
+                "paper workload %s matches the committed BENCH_numeric.json \
+                 (%d; committed %d)"
+                name value c)
+             (value = c)
+         | None ->
+           check
+             (Printf.sprintf "committed BENCH_numeric.json carries %s.%s" block
+                name)
+             false)
+       (paper_gated paper)
+   | Some (seed, _) ->
      Printf.printf
        "SKIP paper-workload effort gate (committed seed %d, this run %d; \
         not counted as a pass)\n"

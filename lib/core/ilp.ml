@@ -92,8 +92,111 @@ let decode instance solution =
   let machines = Array.init q_count (fun q -> to_int (j_count + q)) in
   Allocation.make (Instance.problem instance) ~rho ~machines
 
-let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
-    ?budget_cap instance ~target =
+(* The MILP point of a compact split [rho] whose per-type loads are
+   [loads], machines minimized through the closed form
+   [x_q = ⌈load_q / r_q⌉] so it satisfies the capacity rows with the
+   smallest x_q; [None] when it costs more than [limit]. Priced in
+   native ints; the [Rat] point is built only when it is kept. *)
+let point_of instance ~rho ~loads ~limit =
+  let j_count = Array.length rho and q_count = Array.length loads in
+  let machines q = ceil_div loads.(q) (Instance.type_throughput instance q) in
+  let cost = ref 0 in
+  for q = 0 to q_count - 1 do
+    cost := !cost + (Instance.type_cost instance q * machines q)
+  done;
+  if !cost > limit then None
+  else
+    Some
+      (Array.init (j_count + q_count) (fun i ->
+           R.of_int (if i < j_count then rho.(i) else machines (i - j_count))))
+
+(* The branch and bound's primal heuristic: round a node's LP split to
+   an integer one on the compiled instance. Each ρ_j is floored from
+   its small numerator and denominator; the missing
+   [target - Σ⌊ρ_j⌋] units (fewer than J') go one at a time to the
+   recipe whose unit costs the fewest extra machines at the loads so
+   far, ties to the largest fractional part not yet rounded up, then
+   to the lowest index. The point is kept only when it is strictly
+   cheaper than the incumbent and within [cap]. A node whose ρ has
+   left the small representation is not rounded. *)
+let rounder ~cap instance ~target =
+  let j_count = Instance.num_recipes instance in
+  let q_count = Instance.num_types instance in
+  let supports = Array.init j_count (Instance.support instance) in
+  let rho = Array.make j_count 0 in
+  let frac = Array.make j_count 0 and den = Array.make j_count 1 in
+  let loads = Array.make q_count 0 in
+  (* Local copies keep the inner loops free of calls. *)
+  let c = Array.init q_count (Instance.type_cost instance) in
+  let r = Array.init q_count (Instance.type_throughput instance) in
+  let machines_for load q = ceil_div load r.(q) in
+  (* Extra machine cost of one more unit on recipe [j]. *)
+  let marginal j =
+    let { Instance.types; counts } = supports.(j) in
+    let d = ref 0 in
+    for i = 0 to Array.length types - 1 do
+      let q = types.(i) in
+      d :=
+        !d
+        + c.(q)
+          * (machines_for (loads.(q) + counts.(i)) q - machines_for loads.(q) q)
+    done;
+    !d
+  in
+  let add j units =
+    rho.(j) <- rho.(j) + units;
+    let { Instance.types; counts } = supports.(j) in
+    for i = 0 to Array.length types - 1 do
+      loads.(types.(i)) <- loads.(types.(i)) + (counts.(i) * units)
+    done
+  in
+  (* frac a / den a > frac b / den b, cross-multiplied: both sides stay
+     below 2^60. *)
+  let larger_frac a b = frac.(a) * den.(b) > frac.(b) * den.(a) in
+  fun ~incumbent values ->
+    Array.fill loads 0 q_count 0;
+    Array.fill rho 0 j_count 0;
+    let small = ref true and missing = ref target in
+    for j = 0 to j_count - 1 do
+      match R.to_small values.(j) with
+      | Some (n, d) ->
+        frac.(j) <- n mod d;
+        den.(j) <- d;
+        add j (n / d);
+        missing := !missing - (n / d)
+      | None -> small := false
+    done;
+    if not !small then None
+    else begin
+      while !missing > 0 do
+        let best = ref 0 and best_cost = ref (marginal 0) in
+        for j = 1 to j_count - 1 do
+          let m = marginal j in
+          if m < !best_cost || (m = !best_cost && larger_frac j !best) then begin
+            best := j;
+            best_cost := m
+          end
+        done;
+        add !best 1;
+        frac.(!best) <- 0;
+        decr missing
+      done;
+      let limit =
+        match incumbent with
+        | None -> cap
+        | Some o ->
+          (* Integer costs make every incumbent objective an integer. *)
+          let o =
+            match R.to_small o with
+            | Some (n, 1) -> n
+            | _ -> Numeric.Bigint.to_int_exn (R.ceil o)
+          in
+          min cap (o - 1)
+      in
+      point_of instance ~rho ~loads ~limit
+    end
+
+let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
   let t0 = Unix.gettimeofday () in
   let model, integer =
     Telemetry.Span.with_span "ilp.build" (fun () ->
@@ -101,75 +204,34 @@ let optimize ?time_limit ?node_limit ?(warm_start = true) ?incumbent
   in
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
-  (* With a budget row in the model, a warm point whose cost exceeds
-     the cap is infeasible and Milp.Solver.solve rejects it outright —
-     drop it and start cold instead. *)
-  let within_cap cost =
-    match budget_cap with None -> true | Some cap -> cost <= cap
-  in
-  (* The MILP point of a compact split, machines minimized through the
-     closed form so it satisfies the capacity rows with the smallest
-     x_q; [None] when that point is over the cap. *)
-  let point_of rho =
-    let machines =
-      Array.init q_count (fun q ->
-          let load = ref 0 in
-          for j = 0 to j_count - 1 do
-            load := !load + (Instance.count instance j q * rho.(j))
-          done;
-          ceil_div !load (Instance.type_throughput instance q))
-    in
-    let cost = ref 0 in
-    Array.iteri
-      (fun q x -> cost := !cost + (x * Instance.type_cost instance q))
-      machines;
-    if not (within_cap !cost) then None
-    else
-      Some
-        (Array.init (j_count + q_count) (fun i ->
-             R.of_int (if i < j_count then rho.(i) else machines.(i - j_count))))
-  in
-  (* Seed the branch-and-bound with a known feasible point: its cost is
-     an upper cutoff that prunes most of the tree (the role played by
-     Gurobi's internal primal heuristics in the paper's runs). A
-     caller-supplied incumbent (a cached or previous-period solution)
-     is used directly when within the cap; otherwise the H32Jump
-     warm-up runs. The warm-up shares this solve's deadline, so a
-     capped run cannot overshoot it warming up; whatever it produces —
-     at worst the H1 floor — still seeds the search. *)
+  (* With a budget row in the model, a point over the cap is
+     infeasible and Milp.Solver.solve would reject it outright. *)
+  let cap = Option.value budget_cap ~default:max_int in
+  (* A caller's split (a cached or previous-period solution) seeds the
+     search, pruning by its cost from the first node; over the cap it
+     is dropped and the search starts cold. *)
   let warm =
-    match Option.bind incumbent point_of with
-    | Some _ as point -> point
-    | None ->
-      if not warm_start then None
-      else
-        Telemetry.Span.with_span "ilp.warmup" (fun () ->
-            let budget =
-              match time_limit with
-              | Some d -> Budget.deadline (Float.max 0.0 d)
-              | None -> Budget.unlimited
-            in
-            let a =
-              (Heuristics.search ~budget ~rng:(Numeric.Prng.create 0x5EED)
-                 Heuristics.H32_jump instance ~target)
-                .Heuristics.allocation
-            in
-            point_of
-              (Array.init j_count (fun j ->
-                   a.Allocation.rho.(Instance.original_index instance j))))
+    Option.bind incumbent (fun rho ->
+        let loads =
+          Array.init q_count (fun q ->
+              let load = ref 0 in
+              for j = 0 to j_count - 1 do
+                load := !load + (Instance.count instance j q * rho.(j))
+              done;
+              !load)
+        in
+        point_of instance ~rho ~loads ~limit:cap)
   in
   let priority =
     [ List.init j_count Fun.id; List.init q_count (fun q -> j_count + q) ]
   in
-  (* Charge warm-up time against the wall-clock budget. *)
-  let time_limit =
-    Option.map
-      (fun d -> Float.max 0.0 (d -. (Unix.gettimeofday () -. t0)))
-      time_limit
-  in
+  (* Every fractional node is rounded to a candidate incumbent: the
+     role Gurobi's primal heuristics play in the paper's runs. *)
   let result =
     Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true
-      ?warm_start:warm ~priority model ~integer
+      ?warm_start:warm
+      ~round:(rounder ~cap instance ~target)
+      ~priority model ~integer
   in
   let allocation = Option.map (decode instance) result.Milp.Solver.solution in
   let best_bound =

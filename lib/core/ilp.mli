@@ -12,6 +12,17 @@
     [x_q <= ⌈max_j n^j_q · ρ / r_q⌉], and with objective-integrality
     bound strengthening (all costs are integers).
 
+    {b Primal heuristic.} Every node whose LP split is fractional and
+    still beats the incumbent is rounded to an integer split: each
+    [ρ_j] is floored, the missing units go to the recipes with the
+    smallest marginal closed-form machine cost (ties to the largest
+    fractional part), and machines are priced by the closed form, all
+    in native ints. The rounded point becomes the incumbent when it is
+    strictly cheaper (and within [?budget_cap]); this is the role
+    Gurobi's primal heuristics play in the paper's runs. A solve that
+    reaches its root therefore has an incumbent whenever the root's
+    rounding fits the cap.
+
     {b Numerics.} Every LP relaxation runs through {!Lp.Simplex.solve}:
     native-int pivots first, an exact {!Numeric.Rat} rerun of that one
     relaxation on overflow. Both give bit-identical results; the
@@ -59,17 +70,13 @@ val model :
     @param node_limit maximum branch-and-bound nodes (default:
       unlimited); unlike a time limit, a node limit keeps capped runs
       deterministic across machines
-    @param warm_start seed the search with an H32Jump incumbent
-      (default [true]; the role Gurobi's primal heuristics play in the
-      paper's runs). Disable for ablation measurements.
     @param incumbent a known feasible split (e.g. a cached or
       previous-period solution) in {e compact} recipe numbering, used
-      with its minimal machine counts as the initial incumbent instead
-      of running the H32Jump warm-up. The caller is responsible for
-      validity: non-negative, summing to at least [target] and each
-      [ρ_j <= target] — {!Solver.run}'s warm start produces exactly
-      such splits. Ignored when it costs more than [?budget_cap]; the
-      solve then proceeds per [warm_start].
+      with its minimal machine counts as the initial incumbent. The
+      caller is responsible for validity: non-negative, summing to at
+      least [target] and each [ρ_j <= target] — {!Solver.run}'s warm
+      start produces exactly such splits. Ignored when it costs more
+      than [?budget_cap].
     @param budget_cap see {!model}; with the cut, [status = Infeasible]
       in the outcome means "unreachable within the cap", and any warm
       point over the cap is dropped rather than handed to the solver.
@@ -77,7 +84,6 @@ val model :
 val optimize :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?warm_start:bool ->
   ?incumbent:int array ->
   ?budget_cap:int ->
   Instance.t ->

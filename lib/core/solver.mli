@@ -34,7 +34,8 @@
     precomputed at instance compile time: black-box instances
     ({!Instance.is_blackbox}) to the § V-A knapsack DP, disjoint-types
     instances ({!Instance.is_disjoint}) to the § V-B DP, and general
-    shared-types instances to the § V-C ILP (H32Jump warm-started).
+    shared-types instances to the § V-C ILP (seeded by rounding its
+    nodes' LP splits, see {!Ilp}).
     The flags describe the dominance-pruned recipe set, so a problem
     whose structure violations all come from dominated recipes still
     routes to the cheaper engine — soundly, since pruning preserves

@@ -17,8 +17,12 @@
    of its rows, and the last one takes the rows themselves. The
    tableaus retained by open nodes are capped at [snapshot_budget]
    words; children created past the cap carry none and solve cold.
-   Every decision is exact and deterministic, so the tree is a
-   function of the input alone. *)
+   At every fractional node that still beats the incumbent, the
+   caller's primal heuristic ([?round]) may offer a cheaper integer
+   point; it is checked exactly before it becomes the incumbent, and
+   the node branches only if its bound still beats it. Every decision
+   is exact and deterministic, so the tree is a function of the input
+   alone. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -142,7 +146,7 @@ let apply_extras base extra =
   m
 
 let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
-    ?priority model ~integer =
+    ?round ?priority model ~integer =
   let t0 = Unix.gettimeofday () in
   let sense, obj = Lp.Model.objective model in
   (* Normalize to minimization. *)
@@ -167,22 +171,42 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
   in
   let incumbent = ref None in
-  (match warm_start with
-   | None -> ()
-   | Some values ->
-     if
-       not
-         (Lp.Model.check_feasible model values
-         && List.for_all (fun v -> R.is_integer values.(v)) integer)
-     then
-       invalid_arg "Milp.Solver.solve: warm start is not a feasible integer point";
-     let o = Lp.Linexpr.eval obj values in
-     let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
-     Telemetry.bump incumbents_counter;
-     Telemetry.Progress.emit
-       ~incumbent:(R.to_float (denorm_obj o))
-       ~source:"milp.warm" ();
-     incumbent := Some (o, Array.copy values));
+  let better_than_incumbent bound =
+    match !incumbent with
+    | None -> true
+    | Some (inc_obj, _) -> R.compare bound inc_obj < 0
+  in
+  (* Install a caller's integer point as the incumbent when it is
+     strictly better; [what] names it in the error, [source] on the
+     timeline. *)
+  let offer ~what ~source values =
+    if
+      not
+        (Lp.Model.check_feasible model values
+        && List.for_all (fun v -> R.is_integer values.(v)) integer)
+    then
+      invalid_arg
+        ("Milp.Solver.solve: " ^ what ^ " is not a feasible integer point");
+    let o = Lp.Linexpr.eval obj values in
+    let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
+    if better_than_incumbent o then begin
+      Telemetry.bump incumbents_counter;
+      Telemetry.Progress.emit ~incumbent:(R.to_float (denorm_obj o)) ~source ();
+      incumbent := Some (o, Array.copy values)
+    end
+  in
+  Option.iter (offer ~what:"warm start" ~source:"milp.warm") warm_start;
+  (* The primal heuristic at a fractional node: its point, if any,
+     must beat the incumbent to replace it. *)
+  let try_round values =
+    match round with
+    | None -> ()
+    | Some f -> (
+      let inc = Option.map (fun (o, _) -> denorm_obj o) !incumbent in
+      match f ~incumbent:inc values with
+      | Some point -> offer ~what:"rounded point" ~source:"milp.round" point
+      | None -> ())
+  in
   (* Last dual bound handed to the convergence timeline, in the
      normalized (minimization) sense. Bound events are emitted only
      on strict improvement, so the timeline stays monotone. *)
@@ -204,11 +228,6 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
      | Some tl -> Unix.gettimeofday () -. t0 > tl
      | None -> false)
     || (match node_limit with Some nl -> !nodes >= nl | None -> false)
-  in
-  let better_than_incumbent bound =
-    match !incumbent with
-    | None -> true
-    | Some (inc_obj, _) -> R.compare bound inc_obj < 0
   in
   let root_status = ref None in
   let consume = Domain.DLS.get consume_key in
@@ -254,8 +273,11 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
   Best_queue.push queue
     { key = R.zero; depth = 0; seq = 0; extra = []; parent = None };
   let interrupted = ref false in
+  (* A tree that closes exactly at a limit is proved, not
+     interrupted: the budget is only checked while work is left. *)
   let rec loop () =
-    if out_of_budget () then interrupted := true
+    if Best_queue.is_empty queue then ()
+    else if out_of_budget () then interrupted := true
     else begin
       match Best_queue.pop queue with
       | None -> ()
@@ -314,15 +336,19 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
                    ~source:"milp" ();
                  incumbent := Some (lp_obj, values)
                | Some v ->
-                 let x = values.(v) in
-                 let parent = share snapshot in
-                 let mk dir b =
-                   incr seq;
-                   { key = lp_obj; depth = node.depth + 1; seq = !seq;
-                     extra = (v, dir, b) :: node.extra; parent }
-                 in
-                 Best_queue.push queue (mk Lower (R.ceil x));
-                 Best_queue.push queue (mk Upper (R.floor x))
+                 try_round values;
+                 (* A rounded point may have closed this node's gap. *)
+                 if better_than_incumbent bound then begin
+                   let x = values.(v) in
+                   let parent = share snapshot in
+                   let mk dir b =
+                     incr seq;
+                     { key = lp_obj; depth = node.depth + 1; seq = !seq;
+                       extra = (v, dir, b) :: node.extra; parent }
+                   in
+                   Best_queue.push queue (mk Lower (R.ceil x));
+                   Best_queue.push queue (mk Upper (R.floor x))
+                 end
              end);
           if not !interrupted then loop ()
         end

@@ -47,6 +47,17 @@ type outcome = {
       initial incumbent (a heuristic solution); dramatically improves
       pruning. Must be feasible and integral on [integer] —
       @raise Invalid_argument otherwise.
+    @param round a primal heuristic, called at every node whose LP
+      optimum is fractional and still beats the incumbent, with the
+      incumbent's objective (in the model's own sense; [None] before
+      the first incumbent) and the node's LP values (read-only). It
+      returns an integer point meant to be strictly better than the
+      incumbent. The solver checks it like a [warm_start], raising
+      [Invalid_argument] when it is infeasible or not integral on
+      [integer], installs it only when it is strictly better, and
+      emits a [milp.round] progress event when it does. The node
+      branches only if its bound still beats the incumbent after
+      that.
     @param priority when given, branching considers fractional
       variables of the earliest non-empty group first (e.g. structural
       throughput splits before derived machine counts); variables in
@@ -56,6 +67,10 @@ val solve :
   ?node_limit:int ->
   ?integral_objective:bool ->
   ?warm_start:Numeric.Rat.t array ->
+  ?round:
+    (incumbent:Numeric.Rat.t option ->
+    Numeric.Rat.t array ->
+    Numeric.Rat.t array option) ->
   ?priority:Lp.Model.var list list ->
   Lp.Model.t ->
   integer:Lp.Model.var list ->

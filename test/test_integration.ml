@@ -77,33 +77,42 @@ let test_dp_vs_ilp_on_disjoint_generated () =
   done
 
 let test_warm_start_ablation_equal_cost () =
-  (* With and without the H32Jump warm start, the proved optimum is
-     identical (only the node count changes). *)
+  (* With and without a caller's incumbent (H32Jump's split, as the
+     cache's warm rung would hand over), the proved optimum is
+     identical; only the node count changes. *)
   let inst = Rentcost.Instance.compile Rentcost.Problem.illustrating in
   List.iter
     (fun target ->
-      let w = Rentcost.Ilp.optimize inst ~target in
-      let c = Rentcost.Ilp.optimize ~warm_start:false inst ~target in
-      Alcotest.(check int)
-        (Printf.sprintf "target %d" target)
+      let seed = (H.search ~rng:(P.create 0x5EED) H.H32_jump inst ~target).H.allocation in
+      let incumbent =
+        Array.init (Rentcost.Instance.num_recipes inst) (fun j ->
+            seed.AL.rho.(Rentcost.Instance.original_index inst j))
+      in
+      let w = Rentcost.Ilp.optimize ~incumbent inst ~target in
+      let c = Rentcost.Ilp.optimize inst ~target in
+      let label = Printf.sprintf "target %d" target in
+      Alcotest.(check bool) (label ^ ": both proved") true
+        (w.Rentcost.Ilp.proved_optimal && c.Rentcost.Ilp.proved_optimal);
+      Alcotest.(check int) label
         (Option.get c.Rentcost.Ilp.allocation).AL.cost
         (Option.get w.Rentcost.Ilp.allocation).AL.cost)
     [ 40; 70; 110; 160 ]
 
 let test_node_limited_ilp_still_good () =
-  (* A 1-node budget returns the warm incumbent: feasible, and no
-     worse than H32Jump run standalone with the same internal seed. *)
+  (* A 1-node budget returns the root's rounding. Here it meets the
+     root's LP bound, so the single node proves it optimal. *)
   let p = small_instance 2 in
   let inst = Rentcost.Instance.compile p in
   let target = 25 in
   let o = Rentcost.Ilp.optimize ~node_limit:1 inst ~target in
   match o.Rentcost.Ilp.allocation with
-  | None -> Alcotest.fail "warm start should provide an incumbent"
+  | None -> Alcotest.fail "the root's rounding should be an incumbent"
   | Some a ->
     Alcotest.(check bool) "feasible" true (AL.feasible p ~target a);
-    let hj = H.search ~rng:(P.create 0x5EED) H.H32_jump inst ~target in
-    Alcotest.(check bool) "no worse than its own warm start" true
-      (a.AL.cost <= hj.H.allocation.AL.cost)
+    Alcotest.(check int) "one node" 1 o.Rentcost.Ilp.nodes;
+    Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
+    Alcotest.(check int) "the exhaustive optimum"
+      (Rentcost.Exhaustive.run inst ~target).AL.cost a.AL.cost
 
 let suite =
   ( "integration",

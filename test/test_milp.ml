@@ -173,6 +173,62 @@ let test_warm_start_rejected () =
     (fun () ->
       ignore (Solver.solve ~warm_start:[| R.of_ints 5 2 |] m ~integer:[ x ]))
 
+(* The primal-heuristic hook: its point is checked like a warm start,
+   installed only when strictly better, and can close a node's gap on
+   its own. min x + y over 2x + 2y >= 5: the LP bound 5/2 strengthens
+   to 3, which the rounding (3, 0) meets. *)
+let test_round_hook () =
+  let build () =
+    let m = M.create () in
+    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+    M.add_constraint m (expr [ (x, 2); (y, 2) ]) M.Ge (ri 5);
+    M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
+    (m, [ x; y ])
+  in
+  let rounded point ~incumbent:_ _ = Some point in
+  let m, integer = build () in
+  Alcotest.check_raises "infeasible rounded point"
+    (Invalid_argument
+       "Milp.Solver.solve: rounded point is not a feasible integer point")
+    (fun () -> ignore (Solver.solve ~round:(rounded [| ri 1; ri 1 |]) m ~integer));
+  Alcotest.check_raises "fractional rounded point"
+    (Invalid_argument
+       "Milp.Solver.solve: rounded point is not a feasible integer point")
+    (fun () ->
+      ignore
+        (Solver.solve ~round:(rounded [| R.of_ints 5 2; ri 0 |]) m ~integer));
+  (* A point no cheaper than the incumbent never replaces it, and the
+     hook sees the incumbent's objective. *)
+  let seen = ref [] in
+  let no_cheaper ~incumbent _ =
+    seen := incumbent :: !seen;
+    Some [| ri 3; ri 0 |]
+  in
+  let capped =
+    Solver.solve ~node_limit:1 ~warm_start:[| ri 0; ri 3 |] ~round:no_cheaper m
+      ~integer
+  in
+  Alcotest.(check (list string)) "incumbent kept" [ "0"; "3" ]
+    (Array.to_list
+       (Array.map R.to_string (get_solution capped).Solver.values));
+  Alcotest.(check (list (option string))) "hook saw the incumbent"
+    [ Some "3" ]
+    (List.map (Option.map R.to_string) !seen);
+  (* A root that rounds to its own bound proves optimal at one node;
+     without the hook the same solve branches. *)
+  let proved =
+    Solver.solve ~integral_objective:true ~round:(rounded [| ri 3; ri 0 |]) m
+      ~integer
+  in
+  Alcotest.(check bool) "optimal" true (proved.Solver.status = Solver.Optimal);
+  Alcotest.(check int) "one node" 1 proved.Solver.nodes;
+  check_rat "optimum" (ri 3) (get_solution proved).Solver.objective;
+  let m2, integer2 = build () in
+  let plain = Solver.solve ~integral_objective:true m2 ~integer:integer2 in
+  check_rat "same optimum without the hook" (ri 3)
+    (get_solution plain).Solver.objective;
+  Alcotest.(check bool) "the hook saved nodes" true (plain.Solver.nodes > 1)
+
 let test_priority_groups_same_optimum () =
   let build () =
     let m = M.create () in
@@ -304,5 +360,6 @@ let suite =
       Alcotest.test_case "gap at optimality" `Quick test_gap;
       Alcotest.test_case "warm start" `Quick test_warm_start;
       Alcotest.test_case "warm start rejected" `Quick test_warm_start_rejected;
+      Alcotest.test_case "round hook" `Quick test_round_hook;
       Alcotest.test_case "priority groups" `Quick test_priority_groups_same_optimum ]
     @ props )

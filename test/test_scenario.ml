@@ -226,7 +226,10 @@ let test_fluid_bound_brackets () =
 (* Budgeted probes of the dual search, on each engine family. A capped
    ILP probe that reaches no integer point has no verdict: it marks the
    search exhausted and answers "unreachable" without handing the probe
-   to the min-cost path's heuristic fallback. *)
+   to the min-cost path's heuristic fallback. At one node a probe's
+   only incumbent is its root's rounding, kept when it fits the money;
+   at zero nodes no probe has one, so the search keeps the all-zero
+   floor. *)
 let test_dual_budgeted_probes () =
   let fallbacks = ref 0 in
   let dual ?budget spec money =
@@ -245,11 +248,11 @@ let test_dual_budgeted_probes () =
       (S.status_to_string o.S.status, o.S.throughput, cost_of o)
   in
   let ilp = dual ~budget:(Rentcost.Budget.nodes 1) S.Exact_ilp in
-  check "ilp, 1 node, money 120" (ilp 120) (S.Budget_exhausted, 60, 114);
-  check "ilp, 1 node, money 300" (ilp 300) (S.Budget_exhausted, 170, 285);
+  check "ilp, 1 node, money 120" (ilp 120) (S.Budget_exhausted, 60, 116);
+  check "ilp, 1 node, money 300" (ilp 300) (S.Budget_exhausted, 160, 282);
   check "ilp, 0 nodes, money 120"
     (dual ~budget:(Rentcost.Budget.nodes 0) S.Exact_ilp 120)
-    (S.Budget_exhausted, 60, 114);
+    (S.Budget_exhausted, 0, 0);
   let h32 = dual (S.Heuristic Rentcost.Heuristics.H32) in
   check "h32, money 120" (h32 120) (S.Feasible, 60, 114);
   check "h32, money 300" (h32 300) (S.Feasible, 160, 276);

@@ -255,8 +255,7 @@ let build_instance ((machines, recipes), target) =
   in
   (Rentcost.Problem.create platform recipes, target)
 
-(* Without the heuristic incumbent the tree has something to prune.
-   Every node but the root has a parent tableau and none overflows at
+(* Every node but the root has a parent tableau and none overflows at
    this scale, so all of them answer warm. *)
 let tree_props =
   [ QCheck_alcotest.to_alcotest
@@ -267,7 +266,7 @@ let tree_props =
            let instance = Rentcost.Instance.compile problem in
            let o, warm, fast, fallbacks =
              counting (fun () ->
-                 Rentcost.Ilp.optimize ~warm_start:false instance ~target)
+                 Rentcost.Ilp.optimize instance ~target)
            in
            let nodes = o.Rentcost.Ilp.nodes in
            let cost a = a.Rentcost.Allocation.cost in
@@ -286,7 +285,7 @@ let consume_props =
          (fun input ->
            let problem, target = build_instance input in
            let instance = Rentcost.Instance.compile problem in
-           let solve () = Rentcost.Ilp.optimize ~warm_start:false instance ~target in
+           let solve () = Rentcost.Ilp.optimize instance ~target in
            let consumed = solve () in
            let copied = Milp.Solver.always_copying solve in
            let cost o =
@@ -296,6 +295,49 @@ let consume_props =
            in
            consumed.Rentcost.Ilp.nodes = copied.Rentcost.Ilp.nodes
            && cost consumed = cost copied)) ]
+
+(* The branch and bound's rounding, seen through a 1-node solve: the
+   root's rounded point (or its integral LP point) is feasible in the
+   submitted problem, costs at least the fluid lower bound, and under
+   a budget cap at the optimum it fits the cap. Solved to the end
+   (uncapped, [tree_props] checks it against the oracle), the solve
+   capped at the optimum finds it, while one unit less of budget is
+   infeasible. *)
+let rounding_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"root rounding is feasible, above the fluid bound, within the cap"
+         instance_gen (fun input ->
+           let problem, target = build_instance input in
+           let instance = Rentcost.Instance.compile problem in
+           let optimum =
+             (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost
+           in
+           let fluid = Rentcost.Instance.fluid_lower_bound instance ~target in
+           let sound ?budget_cap () =
+             match
+               (Rentcost.Ilp.optimize ~node_limit:1 ?budget_cap instance ~target)
+                 .Rentcost.Ilp.allocation
+             with
+             | None -> budget_cap <> None
+             | Some a ->
+               Rentcost.Allocation.feasible problem ~target a
+               && a.Rentcost.Allocation.cost >= fluid
+               && a.Rentcost.Allocation.cost >= optimum
+               && Option.fold ~none:true
+                    ~some:(fun cap -> a.Rentcost.Allocation.cost <= cap)
+                    budget_cap
+           in
+           let capped cap = Rentcost.Ilp.optimize ~budget_cap:cap instance ~target in
+           sound ()
+           && sound ~budget_cap:optimum ()
+           && Option.map
+                (fun a -> a.Rentcost.Allocation.cost)
+                (capped optimum).Rentcost.Ilp.allocation
+              = Some optimum
+           && (optimum = 0
+              || (capped (optimum - 1)).Rentcost.Ilp.status
+                 = Milp.Solver.Infeasible))) ]
 
 (* [snapshot_words] is what the budget charges, so it must cover the
    heap that the rows and basis really hold. Checked on the cold
@@ -338,9 +380,11 @@ let test_snapshot_words_cover_heap () =
    rows and basis) is about 41k words, so some fifty open tableaus
    fill the 2M-word budget and later children solve cold. The optimum
    must not care, and the exhaustive oracle (three recipes) is
-   cheap. *)
+   cheap. Seed and target are chosen so that the tree stays wide with
+   the branch and bound's rounded incumbents pruning it: 701 nodes,
+   94 of them cold. *)
 let wide_problem () =
-  let rng = Numeric.Prng.create 3 in
+  let rng = Numeric.Prng.create 10 in
   let q = 80 in
   let draw () = 1 + Numeric.Prng.int rng 20 in
   let machines =
@@ -359,9 +403,9 @@ let wide_problem () =
   Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
 
 let test_snapshot_budget () =
-  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 10 in
+  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 11 in
   let o, warm, fast, fallbacks =
-    counting (fun () -> Rentcost.Ilp.optimize ~warm_start:false instance ~target)
+    counting (fun () -> Rentcost.Ilp.optimize instance ~target)
   in
   let nodes = o.Rentcost.Ilp.nodes in
   Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
@@ -397,4 +441,4 @@ let suite =
         test_snapshot_words_cover_heap;
       Alcotest.test_case "snapshot budget: warm and cold children" `Quick
         test_snapshot_budget ]
-    @ reoptimize_props @ tree_props @ consume_props )
+    @ reoptimize_props @ tree_props @ consume_props @ rounding_props )
