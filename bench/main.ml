@@ -17,9 +17,10 @@
    - BENCH_parallel.json: the portfolio race on 1 vs 4 domains;
    - BENCH_scenarios.json: the dual objective against a scan of the
      cost curve, and single- vs multi-cloud cost;
-   - BENCH_numeric.json: the fast LP engine against exact Rat, and the
+   - BENCH_numeric.json: the fast LP engine against exact Rat, the
      figure-preset workload's relaxations, fallbacks, pivots, warm
-     nodes, peak retained words, capped cost sum and proved count;
+     nodes, peak retained words, capped cost sum and proved count, and
+     the words one decode of an inline problem allocates ("wire");
    - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
    --smoke skips the OLS fits and exits non-zero unless: the exact
@@ -29,8 +30,8 @@
    is domain-count invariant (and, on >= 4 cores, 1.5x faster on 4
    domains); the dual objective and price books behave; the fast LP
    engine is bit-identical and fast enough, with the figure-preset
-   effort counts and capped answers equal to the committed
-   BENCH_numeric.json; and the
+   effort counts, capped answers and wire decode words equal to the
+   committed BENCH_numeric.json; and the
    autoscale policies are ordered oracle <= elastic <= static-peak. *)
 
 open Bechamel
@@ -1061,6 +1062,102 @@ let committed_paper_counts path =
               Option.bind (Svc.Json.member block json) (Svc.Json.get_int name) ))
         (Svc.Json.get_int "seed" json))
 
+(* --- BENCH_numeric.json "wire": what decoding an inline problem
+   allocates ---
+
+   Words allocated (minor heap, plus the blocks too large for it that
+   go straight to the major heap) by one decode of: a solve line
+   carrying a fig3 ("small") and a fig6 ("medium") problem inline, as
+   perfbench's paper-sweep sends them; the problem texts alone; and
+   the price book of the CI service smoke. The problems come from a
+   pinned seed, so the counts do not follow RENTCOST_BENCH_SEED and
+   are gated exactly. *)
+
+let wire_seed = 2016
+
+let ci_pricebook =
+  {|pricebook version 1
+book us-east
+  region us-east-1
+  price 0 10
+  price 1 18
+  price 2 25
+  price 3 33
+book eu-west
+  region eu-west-2
+  price 0 14
+  price 1 24
+  price 2 32
+  price 3 40
+  tier reserved 80
+book ap-spot
+  region ap-south-1
+  price 0 10
+  price 1 18
+  price 2 25
+  price 3 33
+  tier spot 60
+|}
+
+(* Words allocated by one call of [f], after a first call has warmed
+   it up. Promoted words are counted in the minor heap already, so
+   they are taken out of the major-heap growth. *)
+let allocated_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* The same decodes before the single-pass scanners, measured with
+   this code on the per-byte JSON string decoder and the line-splitting
+   problem and price-book parsers (OCaml 5.1.1, no flambda). *)
+let wire_before =
+  [ ("json_small_words", 12482); ("problem_small_words", 33507);
+    ("json_medium_words", 32206); ("problem_medium_words", 91658);
+    ("pricebook_words", 1258) ]
+
+let wire_counts () =
+  let rng = P.create wire_seed in
+  let generate id =
+    let preset = Option.get (Cloudsim.Experiments.find id) in
+    G.problem ~rng preset.Cloudsim.Experiments.graphs
+      preset.Cloudsim.Experiments.cloud
+  in
+  let small = generate "fig3" in
+  let medium = generate "fig6" in
+  let solve_line name problem =
+    J.to_string
+      (Svc.Protocol.request_to_json
+         (Svc.Protocol.Solve
+            { id = Some 1; trace_id = Some name; tenant = None;
+              source = Svc.Protocol.Inline problem; objective = min_cost 100;
+              pricebook = None; spec = S.Auto; budget = None;
+              reuse = Svc.Protocol.No_reuse }))
+  in
+  let decode name problem =
+    let line = solve_line name problem
+    and text = Rentcost.Problem_format.to_string problem in
+    [ ("json_" ^ name ^ "_words", allocated_words (fun () -> J.of_string line));
+      ( "problem_" ^ name ^ "_words",
+        allocated_words (fun () -> Rentcost.Problem_format.of_string text) ) ]
+  in
+  decode "small" small @ decode "medium" medium
+  @ [ ( "pricebook_words",
+        allocated_words (fun () -> Rentcost.Pricebook.of_string ci_pricebook) ) ]
+
+let wire_json counts =
+  J.Obj
+    (("seed", J.Int wire_seed)
+    :: List.concat_map
+         (fun (name, words) ->
+           [ (name, J.Int words);
+             (name ^ "_before", J.Int (List.assoc name wire_before)) ])
+         counts)
+
 let emit_numeric ~reps =
   let splits =
     [ lp_split ~reps ~inner:20 "lp_simplex_illustrating_rho70"
@@ -1069,6 +1166,7 @@ let emit_numeric ~reps =
   in
   let paper = count_fallbacks paper_workload in
   let stress = count_fallbacks stress_workload in
+  let wire = wire_counts () in
   let split_json k =
     J.Obj
       [ ("name", J.String k.ks_label); ("rat_us", fixed 3 k.ks_rat_us);
@@ -1076,7 +1174,7 @@ let emit_numeric ~reps =
         ("identical", J.Bool k.ks_identical) ]
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  emit "numeric" ~schema:"rentcost-bench-numeric/6"
+  emit "numeric" ~schema:"rentcost-bench-numeric/7"
     [ ( "kernels",
         J.Obj
           [ ("fast", J.String Lp.Simplex.fast_kernel);
@@ -1108,8 +1206,9 @@ let emit_numeric ~reps =
             ("paper_peak_retained_words", J.Int paper.fb_peak_words);
             ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget);
             ("paper_capped_cost_sum", J.Int paper.fb_cost_sum);
-            ("paper_proved", J.Int paper.fb_proved) ] ) ];
-  (splits, paper, stress)
+            ("paper_proved", J.Int paper.fb_proved) ] );
+      ("wire", wire_json wire) ];
+  (splits, paper, stress, wire)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
 
@@ -1326,7 +1425,7 @@ let smoke () =
      relaxation — the fallback demonstrably fires, it is not dead
      code). *)
   let committed = committed_paper_counts "BENCH_numeric.json" in
-  let splits, paper, stress = emit_numeric ~reps:5 in
+  let splits, paper, stress, wire = emit_numeric ~reps:5 in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
@@ -1381,6 +1480,30 @@ let smoke () =
        seed root_seed
    | None ->
      check "committed BENCH_numeric.json carries paper-workload effort" false);
+  (* Decode allocation: the counts are gated exactly against the
+     committed file (their seed is pinned, whatever the root seed), and
+     each must stay within its share of what the decoders they replaced
+     allocated. *)
+  List.iter
+    (fun (name, words) ->
+      (match committed with
+       | Some (_, field) ->
+         check
+           (Printf.sprintf
+              "wire %s matches the committed BENCH_numeric.json (%d; \
+               committed %s)"
+              name words
+              (Option.fold ~none:"none" ~some:string_of_int
+                 (field "wire" name)))
+           (field "wire" name = Some words)
+       | None -> check "committed BENCH_numeric.json carries wire counts" false);
+      let before = List.assoc name wire_before in
+      let num, den = if String.starts_with ~prefix:"json" name then (1, 3) else (2, 5) in
+      check
+        (Printf.sprintf "wire %s at most %d/%d of before (%d of %d)" name num
+           den words before)
+        (words * den <= before * num))
+    wire;
   check
     (Printf.sprintf
        "paper workload retains under the snapshot budget (peak %d of %d words)"

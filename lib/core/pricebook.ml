@@ -151,16 +151,9 @@ type partial_book = {
 }
 
 let of_string text =
-  let fail line msg =
-    failwith (Printf.sprintf "Pricebook: line %d: %s" line msg)
-  in
+  let w = Words.create ~what:"Pricebook" ~fold_case:false text in
   let books = ref [] in
   let current = ref None in
-  let parse_int line s =
-    match int_of_string_opt s with
-    | Some n -> n
-    | None -> fail line (Printf.sprintf "expected an integer, got %S" s)
-  in
   let close () =
     match !current with
     | None -> ()
@@ -187,55 +180,49 @@ let of_string text =
         :: !books;
       current := None
   in
-  List.iteri
-    (fun idx raw ->
-      let line = idx + 1 in
-      let no_comment =
-        match String.index_opt raw '#' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
-      in
-      let words =
-        String.split_on_char ' '
-          (String.map (fun c -> if c = '\t' then ' ' else c) no_comment)
-        |> List.filter (fun w -> w <> "")
-      in
-      match words with
-      | [] -> ()
-      | [ k; "version"; v ] when String.lowercase_ascii k = "pricebook" ->
-        let v = parse_int line v in
-        if v <> 1 then
-          fail line
-            (Printf.sprintf "unsupported pricebook version %d (supported: 1)" v)
-      | k :: name when String.lowercase_ascii k = "book" ->
-        (match name with
-         | [ name ] ->
-           close ();
-           current :=
-             Some
-               { pb_name = name; pb_region = None; pb_prices = []; pb_tiers = [] }
-         | _ -> fail line "'book' takes exactly one name")
-      | [ k; r ] when String.lowercase_ascii k = "region" -> (
-        match !current with
-        | None -> fail line "'region' outside a book block"
-        | Some pb -> pb.pb_region <- Some r)
-      | [ k; q; p ] when String.lowercase_ascii k = "price" -> (
-        match !current with
-        | None -> fail line "'price' outside a book block"
-        | Some pb ->
-          let q = parse_int line q and p = parse_int line p in
-          if q < 0 then fail line "negative type index";
-          if List.mem_assoc q pb.pb_prices then
-            fail line (Printf.sprintf "duplicate price for type %d" q);
-          pb.pb_prices <- (q, p) :: pb.pb_prices)
-      | [ k; name; pct ] when String.lowercase_ascii k = "tier" -> (
-        match !current with
-        | None -> fail line "'tier' outside a book block"
-        | Some pb ->
-          pb.pb_tiers <-
-            { tier_name = name; percent = parse_int line pct } :: pb.pb_tiers)
-      | w :: _ -> fail line (Printf.sprintf "unknown directive %S" w))
-    (String.split_on_char '\n' text);
+  let open_book what =
+    match !current with
+    | Some pb -> pb
+    | None -> Words.fail w (Printf.sprintf "'%s' outside a book block" what)
+  in
+  (* Keywords ignore case; names keep theirs, and the [version] of the
+     header line is matched exactly. *)
+  while Words.next_line w do
+    let n = Words.count w in
+    if n = 0 then ()
+    else if n = 3 && Words.is_keyword w 0 "pricebook" && Words.is w 1 "version"
+    then begin
+      let v = Words.int w 2 in
+      if v <> 1 then
+        Words.fail w
+          (Printf.sprintf "unsupported pricebook version %d (supported: 1)" v)
+    end
+    else if Words.is_keyword w 0 "book" then begin
+      if n <> 2 then Words.fail w "'book' takes exactly one name";
+      close ();
+      current :=
+        Some
+          { pb_name = Words.word w 1; pb_region = None; pb_prices = [];
+            pb_tiers = [] }
+    end
+    else if n = 2 && Words.is_keyword w 0 "region" then
+      (open_book "region").pb_region <- Some (Words.word w 1)
+    else if n = 3 && Words.is_keyword w 0 "price" then begin
+      let pb = open_book "price" in
+      let q = Words.int w 1 in
+      let p = Words.int w 2 in
+      if q < 0 then Words.fail w "negative type index";
+      if List.mem_assoc q pb.pb_prices then
+        Words.fail w (Printf.sprintf "duplicate price for type %d" q);
+      pb.pb_prices <- (q, p) :: pb.pb_prices
+    end
+    else if n = 3 && Words.is_keyword w 0 "tier" then begin
+      let pb = open_book "tier" in
+      pb.pb_tiers <-
+        { tier_name = Words.word w 1; percent = Words.int w 2 } :: pb.pb_tiers
+    end
+    else Words.fail w (Printf.sprintf "unknown directive %S" (Words.word w 0))
+  done;
   close ();
   if !books = [] then failwith "Pricebook: no books declared";
   create (List.rev !books)

@@ -14,10 +14,12 @@
       …
     v}
 
-    Whitespace is free-form; keywords are case-insensitive. Every
-    validation of {!Platform.create}, {!Task_graph.create} and
-    {!Problem.create} applies (positive costs/throughputs, acyclic
-    precedence, type ranges). A file without a [version] line is
+    Whitespace is free-form; keywords are case-insensitive. A [type]
+    line must name a type in [0..Q-1], and all [Q] types must be
+    declared; a [type] line before [types] is checked when [types]
+    arrives. Every validation of {!Platform.create},
+    {!Task_graph.create} and {!Problem.create} applies (positive
+    costs/throughputs, acyclic precedence, type ranges). A file without a [version] line is
     version 1; unknown versions are rejected with a line-numbered
     [Failure] naming the supported versions, so future fields stay
     forward-compatible. *)

@@ -70,20 +70,28 @@ let serve_connection engine ~workers ic oc =
     | exception End_of_file -> `Eof
     | line when is_blank line -> loop ()
     | line -> (
-      match
-        Result.bind
-          (Result.map_error (fun msg -> "bad json: " ^ msg) (Json.of_string line))
-          Protocol.request_of_json
-      with
-      | Error message ->
-        respond (Protocol.Error { id = None; trace_id = None; message });
+      match Json.of_string line with
+      | Error msg ->
+        respond
+          (Protocol.Error
+             { id = None; trace_id = None; message = "bad json: " ^ msg });
         loop ()
-      | Ok Protocol.Shutdown ->
-        dispatch Protocol.Shutdown;
-        `Stop
-      | Ok request ->
-        dispatch request;
-        loop ())
+      | Ok json -> (
+        match Protocol.request_of_json json with
+        | Error message ->
+          (* Replies may come back out of order, so a request that
+             fails to decode still carries its id and trace id. *)
+          respond
+            (Protocol.Error
+               { id = Json.get_int "id" json;
+                 trace_id = Json.get_string "trace_id" json; message });
+          loop ()
+        | Ok Protocol.Shutdown ->
+          dispatch Protocol.Shutdown;
+          `Stop
+        | Ok request ->
+          dispatch request;
+          loop ()))
   in
   (* Whatever ends the connection — EOF, shutdown, a client that
      vanished mid-line — the workers are joined before we return, so

@@ -149,46 +149,78 @@ let hex4 c =
   done;
   !v
 
+(* The offset of the first '"' or '\\' at or after [i], or [n]. *)
+let rec run_end s i n =
+  if i = n then n
+  else
+    match String.unsafe_get s i with
+    | '"' | '\\' -> i
+    | _ -> run_end s (i + 1) n
+
+(* A first guess at the decoded length: the distance to the string's
+   closing quote, skipping escaped bytes. No escape lengthens its
+   text, so the buffer never grows when the guess holds. *)
+let rec raw_length s i n start =
+  if i >= n then n - start
+  else
+    match String.unsafe_get s i with
+    | '"' -> i - start
+    | '\\' -> raw_length s (i + 2) n start
+    | _ -> raw_length s (i + 1) n start
+
+let add_escape c b =
+  advance c;
+  (* NUL stands for the end of input: both are a bad escape. *)
+  let ch = if c.pos < String.length c.s then c.s.[c.pos] else '\000' in
+  match ch with
+  | '"' | '\\' | '/' -> Buffer.add_char b ch; advance c
+  | 'n' -> Buffer.add_char b '\n'; advance c
+  | 'r' -> Buffer.add_char b '\r'; advance c
+  | 't' -> Buffer.add_char b '\t'; advance c
+  | 'b' -> Buffer.add_char b '\b'; advance c
+  | 'f' -> Buffer.add_char b '\012'; advance c
+  | 'u' ->
+    advance c;
+    let u = hex4 c in
+    (* Surrogate pairs: a high surrogate must be followed by
+       [\uDC00-\uDFFF]; combine into one scalar. *)
+    if u >= 0xD800 && u <= 0xDBFF then begin
+      expect c '\\';
+      expect c 'u';
+      let lo = hex4 c in
+      if lo < 0xDC00 || lo > 0xDFFF then fail c "bad surrogate pair";
+      add_utf8 b (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
+    end
+    else add_utf8 b u
+  | _ -> fail c "bad escape"
+
+(* Runs between escapes are copied whole: a string without escapes is
+   one [String.sub], and one with escapes one [Buffer.add_substring]
+   per run. *)
 let parse_string c =
   expect c '"';
-  let b = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' ->
-      advance c;
-      (match peek c with
-       | Some '"' -> Buffer.add_char b '"'; advance c
-       | Some '\\' -> Buffer.add_char b '\\'; advance c
-       | Some '/' -> Buffer.add_char b '/'; advance c
-       | Some 'n' -> Buffer.add_char b '\n'; advance c
-       | Some 'r' -> Buffer.add_char b '\r'; advance c
-       | Some 't' -> Buffer.add_char b '\t'; advance c
-       | Some 'b' -> Buffer.add_char b '\b'; advance c
-       | Some 'f' -> Buffer.add_char b '\012'; advance c
-       | Some 'u' ->
-         advance c;
-         let u = hex4 c in
-         (* Surrogate pairs: a high surrogate must be followed by
-            [\uDC00-\uDFFF]; combine into one scalar. *)
-         if u >= 0xD800 && u <= 0xDBFF then begin
-           expect c '\\';
-           expect c 'u';
-           let lo = hex4 c in
-           if lo < 0xDC00 || lo > 0xDFFF then fail c "bad surrogate pair";
-           add_utf8 b (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
-         end
-         else add_utf8 b u
-       | _ -> fail c "bad escape");
-      loop ()
-    | Some ch ->
-      Buffer.add_char b ch;
-      advance c;
-      loop ()
-  in
-  loop ();
-  Buffer.contents b
+  let s = c.s and n = String.length c.s in
+  let stop = run_end s c.pos n in
+  if stop < n && String.unsafe_get s stop = '"' then begin
+    let v = String.sub s c.pos (stop - c.pos) in
+    c.pos <- stop + 1;
+    v
+  end
+  else begin
+    let b = Buffer.create (raw_length s c.pos n c.pos) in
+    let rec loop stop =
+      Buffer.add_substring b s c.pos (stop - c.pos);
+      c.pos <- stop;
+      if stop = n then fail c "unterminated string"
+      else if String.unsafe_get s stop = '"' then advance c
+      else begin
+        add_escape c b;
+        loop (run_end s c.pos n)
+      end
+    in
+    loop stop;
+    Buffer.contents b
+  end
 
 let parse_number c =
   let start = c.pos in
@@ -217,10 +249,14 @@ let parse_number c =
       | Some f -> Float f
       | None -> fail c "bad number")
 
-let rec parse_value c =
+let max_depth = 64
+
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c "unexpected end of input"
+  | Some ('{' | '[') when depth >= max_depth ->
+    fail c (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '{' ->
     advance c;
     skip_ws c;
@@ -234,7 +270,7 @@ let rec parse_value c =
         let key = parse_string c in
         skip_ws c;
         expect c ':';
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -256,7 +292,7 @@ let rec parse_value c =
     end
     else begin
       let rec items acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -278,7 +314,7 @@ let rec parse_value c =
 
 let of_string s =
   let c = { s; pos = 0 } in
-  match parse_value c with
+  match parse_value c 0 with
   | v ->
     skip_ws c;
     if c.pos = String.length s then Ok v

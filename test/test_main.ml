@@ -25,6 +25,7 @@ let () =
       Test_integration.suite;
       Test_analysis.suite;
       Test_format.suite;
+      Test_decode.suite;
       Test_service.suite;
       Test_admission.suite;
       Test_autoscale.suite;

@@ -722,6 +722,49 @@ let test_daemon_cache_holds_its_capacity () =
     replays;
   Alcotest.(check int) "no evictions" 0 (Svc.Cache.evictions (E.cache engine))
 
+let test_decode_error_echoes_id () =
+  (* Under two workers, replies arrive in completion order, so a
+     request that fails to decode must say which one it was. *)
+  let req_read, req_write = Unix.pipe () in
+  let resp_read, resp_write = Unix.pipe () in
+  write_line req_write
+    {|{"op":"solve","id":1,"trace_id":"bad-1","problem":"types x","target":60}|};
+  write_line req_write (request_line (solve_req ~id:2 60));
+  write_line req_write (request_line Pr.Shutdown);
+  Unix.close req_write;
+  let dump = open_out Filename.null in
+  let oc = Unix.out_channel_of_descr resp_write in
+  Svc.Daemon.serve_channels ~engine:(fresh_engine ()) ~dump ~workers:2
+    (Unix.in_channel_of_descr req_read)
+    oc;
+  close_out dump;
+  close_out oc;
+  let ic = Unix.in_channel_of_descr resp_read in
+  let rec read_all acc =
+    match input_line ic with
+    | line -> read_all (parse_response line :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let responses = read_all [] in
+  close_in ic;
+  (match
+     List.filter_map
+       (function
+         | Pr.Error { id; trace_id; message } -> Some (id, trace_id, message)
+         | _ -> None)
+       responses
+   with
+   | [ (id, trace_id, message) ] ->
+     Alcotest.(check (option int)) "error carries the bad request's id"
+       (Some 1) id;
+     Alcotest.(check (option string)) "and its trace id" (Some "bad-1")
+       trace_id;
+     Alcotest.(check bool) "names the problem" true
+       (String.starts_with ~prefix:"solve: Problem_format: line 1" message)
+   | _ -> Alcotest.fail "expected exactly one error response");
+  Alcotest.(check (list int)) "the good request solved" [ 2 ]
+    (solved_ids responses)
+
 let suite =
   ( "parallel",
     [ Alcotest.test_case "pool domains:1 is sequential" `Quick
@@ -760,4 +803,6 @@ let suite =
       Alcotest.test_case "shutdown drains the backlog before Bye" `Quick
         test_shutdown_drains_backlog;
       Alcotest.test_case "daemon cache holds its capacity under workers"
-        `Quick test_daemon_cache_holds_its_capacity ] )
+        `Quick test_daemon_cache_holds_its_capacity;
+      Alcotest.test_case "decode errors echo id and trace id" `Quick
+        test_decode_error_echoes_id ] )
