@@ -14,7 +14,6 @@
      incremental-vs-scratch oracle throughput;
    - BENCH_observability.json: the instrumented hot path, enabled vs
      kill-switched;
-   - BENCH_parallel.json: the portfolio race on 1 vs 4 domains;
    - BENCH_scenarios.json: the dual objective against a scan of the
      cost curve, and single- vs multi-cloud cost;
    - BENCH_numeric.json: the fast LP engine against exact Rat, the
@@ -26,13 +25,12 @@
    --smoke skips the OLS fits and exits non-zero unless: the exact
    engines agree and the heuristics are feasible; the incremental
    oracle matches scratch repricing; the kill switch freezes every
-   instrument and enabled instrumentation costs under 5%; the portfolio
-   is domain-count invariant (and, on >= 4 cores, 1.5x faster on 4
-   domains); the dual objective and price books behave; the fast LP
-   engine is bit-identical and fast enough, with the figure-preset
-   effort counts, capped answers and wire decode words equal to the
-   committed BENCH_numeric.json; and the
-   autoscale policies are ordered oracle <= elastic <= static-peak. *)
+   instrument and enabled instrumentation costs under 5%; the dual
+   objective and price books behave; the fast LP engine is
+   bit-identical and fast enough, with the figure-preset effort
+   counts, capped answers and wire decode words equal to the committed
+   BENCH_numeric.json; and the autoscale policies are ordered
+   oracle <= elastic <= static-peak. *)
 
 open Bechamel
 
@@ -41,8 +39,6 @@ module H = Rentcost.Heuristics
 module I = Rentcost.Instance
 module P = Numeric.Prng
 module S = Rentcost.Solver
-module Pf = Rentcost_parallel.Portfolio
-module Pl = Rentcost_parallel.Pool
 
 module J = Rentcost_service.Json
 
@@ -396,25 +392,6 @@ let observability_group =
       Test.make ~name:"text_exposition"
         (Staged.stage (fun () -> String.length (Telemetry.text_exposition ()))) ]
 
-(* --- parallel: the domain pool and the portfolio race --- *)
-
-let parallel_group =
-  Test.make_grouped ~name:"parallel"
-    [ Test.make ~name:"pool_roundtrip_d2"
-        (Staged.stage (fun () ->
-             Pl.with_pool ~domains:2 (fun pool ->
-                 Pl.run_list pool (List.init 8 (fun i () -> i * i)))));
-      Test.make ~name:"portfolio_illustrating_d1"
-        (Staged.stage (fun () ->
-             (Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:1
-                (Lazy.force illustrating_instance) ~target:70)
-               .S.telemetry.S.evaluations));
-      Test.make ~name:"portfolio_illustrating_d4"
-        (Staged.stage (fun () ->
-             (Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:4
-                (Lazy.force illustrating_instance) ~target:70)
-               .S.telemetry.S.evaluations)) ]
-
 (* --- scenarios: the dual objective and multi-cloud price books --- *)
 
 module Ob = Rentcost.Objective
@@ -575,7 +552,7 @@ let autoscale_group =
 let all_tests =
   Test.make_grouped ~name:"rentcost"
     [ table3; fig3; fig4; fig5; fig6; fig7; fig8; micro; ablation; solver_group;
-      service_group; observability_group; parallel_group; scenarios_group;
+      service_group; observability_group; scenarios_group;
       numeric_group; autoscale_group ]
 
 (* --- the one writer: BENCH_<name>.json, one top-level field a line --- *)
@@ -749,53 +726,6 @@ let emit_observability ~reps =
             ("disabled_us", fixed 3 (off *. 1e6));
             ("overhead_pct", fixed 2 (100. *. (quotient on off -. 1.))) ] ) ];
   (on, off)
-
-(* --- BENCH_parallel.json: the portfolio race, 1 domain vs 4 ---
-
-   The workload is four independently seeded H32Jump restarts on the
-   fig7 instance — near-equal-length tasks, so on >= 4 cores the
-   4-domain race should approach 4x and must clear 1.5x (asserted in
-   --smoke, gated on the core count: the JSON records [cores] so a
-   1-core box still emits an honest file). Best-of-reps wall time on
-   both sides kills scheduler noise. *)
-
-let portfolio_wall ~domains ~reps =
-  let strategies = List.init 4 (fun _ -> Pf.Heuristic H.H32_jump) in
-  (* Enough perturbation rounds that each strategy runs for tens of
-     milliseconds — domain spawn (~hundreds of microseconds) must be
-     noise next to the work, or the speedup number measures the
-     runtime, not the race. *)
-  let params = { H.default_params with H.jumps = 4_000 } in
-  let inst = Lazy.force large_instance in
-  let best = ref infinity in
-  let cost = ref (-1) in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    let o =
-      Pf.run ~rng:(P.create kernel_seed) ~params ~strategies ~domains inst
-        ~target:100
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    cost :=
-      (match o.S.allocation with
-       | Some a -> a.Rentcost.Allocation.cost
-       | None -> -1)
-  done;
-  (!best, !cost)
-
-let emit_parallel ~reps =
-  let cores = Domain.recommended_domain_count () in
-  let wall1, cost1 = portfolio_wall ~domains:1 ~reps in
-  let wall4, cost4 = portfolio_wall ~domains:4 ~reps in
-  emit "parallel" ~schema:"rentcost-bench-parallel/1"
-    [ ("cores", J.Int cores);
-      ("workload", J.String "4x h32jump portfolio, fig7, target 100");
-      ("wall_seconds_domains1", fixed 6 wall1);
-      ("wall_seconds_domains4", fixed 6 wall4);
-      ("speedup", fixed 3 (quotient wall1 wall4));
-      ("cost_domains1", J.Int cost1); ("cost_domains4", J.Int cost4) ];
-  (cores, wall1, wall4, cost1, cost4)
 
 (* --- BENCH_scenarios.json: the dual objective checked against an
    independent scan of the cost curve, and single-cloud vs 3-book
@@ -1360,49 +1290,6 @@ let smoke () =
   let on, off = emit_observability ~reps:7 in
   check "labelled instrumentation overhead under 5% on the heuristic hot path"
     (on <= (off *. 1.05) +. 2.5e-4);
-  (* The portfolio race: bit-identical across domain counts, never
-     worse than its rank-0 sequential run, and — when the machine has
-     the cores — actually faster on 4 domains. *)
-  let cores, wall1, wall4, cost1, cost4 = emit_parallel ~reps:3 in
-  check "portfolio 1-domain and 4-domain agree on cost" (cost1 = cost4);
-  let alloc o =
-    match o.S.allocation with
-    | Some a -> Some (a.Rentcost.Allocation.rho, a.Rentcost.Allocation.cost)
-    | None -> None
-  in
-  let p1 =
-    Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:1
-      (Lazy.force illustrating_instance) ~target:70
-  in
-  let p4 =
-    Pf.run ~rng:(P.create kernel_seed) ~params:params10 ~domains:4
-      (Lazy.force illustrating_instance) ~target:70
-  in
-  check "portfolio allocation is domain-count invariant" (alloc p1 = alloc p4);
-  let seq =
-    S.run ~rng:(P.create kernel_seed) ~params:params10
-      ~spec:(S.Heuristic H.H32_jump)
-      (Lazy.force illustrating_instance) ~objective:(min_cost 70)
-  in
-  (match (p4.S.allocation, seq.S.allocation) with
-   | Some pa, Some sa ->
-     check "portfolio dominates sequential h32jump on the same seed"
-       (pa.Rentcost.Allocation.cost <= sa.Rentcost.Allocation.cost)
-   | _ -> check "portfolio and sequential h32jump both found allocations" false);
-  (* The speedup gate names the core count it ran on, and below 4
-     cores it is SKIPPED — never silently passed — so a 1-core runner
-     cannot launder an honest 0.6x into a green gate. *)
-  if cores >= 4 then
-    check
-      (Printf.sprintf
-         "4-domain portfolio at least 1.5x faster than 1-domain (cores=%d)"
-         cores)
-      (wall1 /. Float.max wall4 1e-9 >= 1.5)
-  else
-    Printf.printf
-      "SKIP 4-domain speedup assertion (cores=%d, needs >= 4; not counted as \
-       a pass)\n"
-      cores;
   (* Scenario axes: the binary-search dual must land within one step
      of the scanned exact dual, duality must hold at the achieved
      throughput, three books must never price above single-cloud, and
@@ -1575,7 +1462,6 @@ let () =
       rows;
     ignore (emit_solver ~evals:200_000);
     ignore (emit_observability ~reps:9);
-    ignore (emit_parallel ~reps:5);
     ignore (emit_scenarios ());
     ignore (emit_numeric ~reps:9);
     ignore (emit_autoscale ())

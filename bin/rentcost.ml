@@ -6,7 +6,6 @@
      dune exec bin/rentcost.exe -- info app.rentcost
      dune exec bin/rentcost.exe -- solve app.rentcost --target 70
      dune exec bin/rentcost.exe -- solve app.rentcost --target 70 -a h32jump
-     dune exec bin/rentcost.exe -- solve app.rentcost --target 70 --domains 4
      dune exec bin/rentcost.exe -- solve app.rentcost --target 70 --time-limit 5
      dune exec bin/rentcost.exe -- solve app.rentcost \
        --objective max-throughput --budget 120
@@ -31,9 +30,6 @@
    default algorithm "auto" routes on problem structure (§ V-A/V-B
    DPs, § V-C ILP) and degrades to the best heuristic incumbent when
    a --time-limit / --node-limit / --max-evals budget expires.
-   --domains N instead races the § VI heuristic portfolio
-   (Rentcost_parallel.Portfolio) across N domains — same seed, same
-   answer for any N; -a is ignored in portfolio mode.
 
    --objective picks the scenario: "min-cost" (the default; --target
    required) minimizes rental cost at a throughput target;
@@ -144,28 +140,13 @@ let compile ?pricebook problem ~objective =
     ~scenario:(Rentcost.Scenario.make ~objective ?pricebook ())
     problem
 
-let solve_with problem ~objective ~pricebook ~spec ~seed ~step ~budget ~domains
-    =
+let solve_with problem ~objective ~pricebook ~spec ~seed ~step ~budget =
   let params = { Rentcost.Heuristics.default_params with step } in
   let rng = Numeric.Prng.create seed in
   match
-    match (domains, objective) with
-    | None, _ ->
-      S.run ~budget ~rng ~params ~spec
-        (compile ?pricebook problem ~objective)
-        ~objective
-    | Some n, Rentcost.Objective.Min_cost { target } ->
-      (* Portfolio mode: race the § VI heuristics on [n] domains. The
-         reduction is deterministic, so any [n] gives the same answer
-         for a given seed. *)
-      Rentcost_parallel.Portfolio.run ~budget ~rng ~params ~domains:n
-        (compile ?pricebook problem ~objective)
-        ~target
-    | Some _, Rentcost.Objective.Max_throughput _ ->
-      invalid_arg
-        "--domains races the min-cost heuristic portfolio; drop it for \
-         --objective max-throughput (the dual binary search runs its own \
-         engine per probe)"
+    S.run ~budget ~rng ~params ~spec
+      (compile ?pricebook problem ~objective)
+      ~objective
   with
   | exception Invalid_argument msg -> Error msg
   | o ->
@@ -174,7 +155,7 @@ let solve_with problem ~objective ~pricebook ~spec ~seed ~step ~budget ~domains
      | Some a -> Ok (a, o.S.throughput)
      | None -> Error "no allocation meets the target")
 
-let cmd_solve path objective pricebook spec seed step budget domains =
+let cmd_solve path objective pricebook spec seed step budget =
   match load path with
   | Error msg -> `Error (false, msg)
   | Ok problem -> (
@@ -183,7 +164,6 @@ let cmd_solve path objective pricebook spec seed step budget domains =
     | Ok pricebook -> (
       match
         solve_with problem ~objective ~pricebook ~spec ~seed ~step ~budget
-          ~domains
       with
       | Ok (a, achieved) ->
         (* The feasibility check below prices the allocation against
@@ -637,11 +617,6 @@ let last_arg =
   Arg.(value & opt (some int) None & info [ "last" ] ~docv:"N"
          ~doc:"Only the last N audit records (audit).")
 
-let domains_arg =
-  Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N"
-         ~doc:"Solve by racing the heuristic portfolio on N domains \
-               (deterministic for a fixed --seed, any N).")
-
 let objective_arg =
   Arg.(value
       & opt (enum [ ("min-cost", `Min_cost); ("max-throughput", `Max_throughput) ])
@@ -682,7 +657,7 @@ let queue_policy_arg =
 
 let main sub path target spec seed step time_limit node_limit max_evals items
     socket cache_capacity queue_capacity queue_policy trace text_mode
-    domains workers objective_kind money pricebook audit_file last auto_opts =
+    workers objective_kind money pricebook audit_file last auto_opts =
   let budget =
     { Rentcost.Budget.deadline = time_limit; node_cap = node_limit;
       eval_cap = max_evals }
@@ -711,7 +686,7 @@ let main sub path target spec seed step time_limit node_limit max_evals items
   | "info", Some path, _ -> cmd_info path
   | "solve", Some path, _ ->
     with_objective (fun objective ->
-        cmd_solve path objective pricebook spec seed step budget domains)
+        cmd_solve path objective pricebook spec seed step budget)
   | "explain", Some path, _ ->
     with_objective (fun objective ->
         cmd_explain path objective pricebook spec seed step budget)
@@ -737,7 +712,7 @@ let cmd =
         $ algorithm_arg $ seed_arg $ step_arg $ time_limit_arg $ node_limit_arg
         $ max_evals_arg $ items_arg $ socket_arg $ cache_arg $ queue_arg
         $ queue_policy_arg
-        $ trace_arg $ text_arg $ domains_arg $ workers_arg $ objective_arg
+        $ trace_arg $ text_arg $ workers_arg $ objective_arg
         $ money_arg $ pricebook_arg $ audit_file_arg $ last_arg
         $ autoscale_term))
 

@@ -18,8 +18,6 @@ let evals n =
   if n < 0 then invalid_arg "Budget.evals: negative";
   { unlimited with eval_cap = Some n }
 
-let is_unlimited t = t = unlimited
-
 let remaining t ~elapsed =
   { t with deadline = Option.map (fun d -> Float.max 0.0 (d -. elapsed)) t.deadline }
 

@@ -38,9 +38,6 @@ val nodes : int -> t
     @raise Invalid_argument when [n] is negative. *)
 val evals : int -> t
 
-(** [is_unlimited t] is true when no axis is capped. *)
-val is_unlimited : t -> bool
-
 (** [remaining t ~elapsed] is [t] with the deadline reduced by the
     [elapsed] seconds already spent (clamped at zero) — the budget left
     for a follow-up stage of the same solve. *)

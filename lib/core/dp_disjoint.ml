@@ -1,5 +1,3 @@
-let recipe_cost problem ~j ~target = Costing.single_graph problem ~j ~target
-
 let run instance ~target =
   if not (Instance.is_disjoint instance) then
     invalid_arg "Dp_disjoint.run: recipes share task types (general case, \

@@ -25,8 +25,3 @@
     @raise Invalid_argument when surviving recipes share task types
       (use {!Instance.is_disjoint} to test) or [target < 0]. *)
 val run : Instance.t -> target:int -> Allocation.t
-
-(** [recipe_cost problem ~j ~target] is the separable per-recipe cost
-    [cost_j(target)] the DP optimizes over (equals
-    {!Costing.single_graph} on disjoint instances). *)
-val recipe_cost : Problem.t -> j:int -> target:int -> int

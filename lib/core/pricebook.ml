@@ -158,18 +158,27 @@ let of_string text =
     match !current with
     | None -> ()
     | Some pb ->
+      (* Type indices are distinct and non-negative, so the book has
+         no gap exactly when the largest index + 1 is the number of
+         price lines; check that before sizing the array by it. *)
       let n =
         List.fold_left (fun acc (q, _) -> max acc (q + 1)) 0 pb.pb_prices
       in
-      let prices = Array.make (max n 1) 0 in
+      let lines = List.length pb.pb_prices in
+      if n = 0 || n <> lines then begin
+        let seen = Array.make (lines + 1) false in
+        List.iter (fun (q, _) -> if q <= lines then seen.(q) <- true)
+          pb.pb_prices;
+        let k = ref 0 in
+        while seen.(!k) do
+          incr k
+        done;
+        failwith
+          (Printf.sprintf "Pricebook: book %S: missing price for type %d"
+             pb.pb_name !k)
+      end;
+      let prices = Array.make n 0 in
       List.iter (fun (q, p) -> prices.(q) <- p) pb.pb_prices;
-      Array.iteri
-        (fun q p ->
-          if p = 0 then
-            failwith
-              (Printf.sprintf "Pricebook: book %S: missing price for type %d"
-                 pb.pb_name q))
-        prices;
       books :=
         {
           book_name = pb.pb_name;

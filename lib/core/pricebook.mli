@@ -98,7 +98,11 @@ val apply : t -> Platform.t -> Platform.t
     versions, so future fields stay forward-compatible. *)
 
 (** @raise Failure with a line-numbered message on malformed input or
-    an unsupported version. *)
+    an unsupported version, and with ["missing price for type K"] for
+    the smallest type [K] a book leaves unpriced.
+    @raise Invalid_argument with {!create}'s message when a price or
+    tier percent is not positive, or books price different numbers of
+    types. *)
 val of_string : string -> t
 
 (** [of_string (to_string t)] reconstructs an equivalent pricebook. *)

@@ -98,10 +98,9 @@ type outcome = {
       (** the convergence timeline collected while the engines ran —
           incumbent improvements and (for the MILP) dual-bound
           advances, in emission order; empty when telemetry is
-          disabled. See {!Telemetry.Progress}. Events emitted on
-          portfolio worker domains are collected per-worker and
-          surfaced by [Rentcost_parallel.Portfolio] for the winning
-          strategy only. *)
+          disabled. See {!Telemetry.Progress}. The collector is
+          domain-local, so a solve on a daemon worker domain reports
+          its own events only. *)
 }
 
 (** [auto_of_instance instance] is the [Auto] routing decision for an

@@ -53,7 +53,6 @@ let add_constraint t ?(name = "") expr cmp rhs =
   t.nconstrs <- t.nconstrs + 1
 
 let add_upper_bound t v ub = add_constraint t (Linexpr.var v) Le ub
-let add_lower_bound t v lb = add_constraint t (Linexpr.var v) Ge lb
 
 let check_var t v name =
   if v < 0 || v >= t.nvars then invalid_arg (name ^ ": unknown variable")

@@ -6,7 +6,7 @@
     branch-and-bound MILP solver ({!module:Milp.Solver}).
 
     All variables implicitly satisfy [x >= 0]; other bounds are added
-    as ordinary rows with {!add_upper_bound} / {!add_lower_bound}. *)
+    as ordinary rows with {!add_upper_bound}. *)
 
 type t
 
@@ -43,15 +43,11 @@ val add_constraint : t -> ?name:string -> Linexpr.t -> cmp -> Numeric.Rat.t -> u
 (** [add_upper_bound t v ub] adds the row [x_v <= ub]. *)
 val add_upper_bound : t -> var -> Numeric.Rat.t -> unit
 
-(** [add_lower_bound t v lb] adds the row [x_v >= lb]. *)
-val add_lower_bound : t -> var -> Numeric.Rat.t -> unit
-
 (** {1 Variable bounds}
 
-    Unlike {!add_upper_bound}/{!add_lower_bound}, these do not create
-    rows in the model: they tighten the variable's own domain, which is
-    how branch and bound branches. {!Simplex} materializes them as rows
-    internally. Bounds only ever tighten; the implicit domain is
+    Unlike {!add_upper_bound}, these do not create rows in the model:
+    they tighten the variable's own domain, which is how branch and
+    bound branches. {!Simplex} materializes them as rows internally. Bounds only ever tighten; the implicit domain is
     [\[0, ∞)]. *)
 
 (** [tighten_lower t v lb] raises the lower bound to

@@ -404,9 +404,6 @@ let of_string s =
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-let hash t =
-  Array.fold_left (fun acc limb -> (acc * 31) + limb) t.sign t.mag
-
 let ( + ) = add
 let ( - ) = sub
 let ( * ) = mul

@@ -110,7 +110,6 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-(** {1 Printing and hashing} *)
+(** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit
-val hash : t -> int

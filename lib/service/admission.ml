@@ -8,13 +8,6 @@ let policy_to_string = function
   | Drop_oldest -> "drop-oldest"
   | Tenant_fair -> "tenant-fair"
 
-let policy_of_string s =
-  match String.lowercase_ascii s with
-  | "reject-new" -> Some Reject_new
-  | "drop-oldest" -> Some Drop_oldest
-  | "tenant-fair" -> Some Tenant_fair
-  | _ -> None
-
 type 'a entry = {
   job : 'a;
   expires_at : float option;

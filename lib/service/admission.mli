@@ -31,10 +31,6 @@ type policy =
 
 val policy_to_string : policy -> string
 
-(** Parses the [policy_to_string] spellings ("reject-new",
-    "drop-oldest", "tenant-fair"). *)
-val policy_of_string : string -> policy option
-
 type 'a t
 
 (** [create ~capacity ()] — [?policy] defaults to [Reject_new], the

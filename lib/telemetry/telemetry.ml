@@ -468,8 +468,8 @@ module Progress = struct
   (* Stack of active collectors of the current domain: (start time,
      reversed accumulator). Nested collects each see every event
      emitted inside their window, stamped with their own elapsed
-     origin. Domain-local, like the span context: a portfolio worker
-     domain does not feed the driver's collector. *)
+     origin. Domain-local, like the span context: one daemon worker's
+     solve does not feed another's collector. *)
   let collectors : (float * event list ref) list Domain.DLS.key =
     Domain.DLS.new_key (fun () -> [])
 
@@ -619,11 +619,6 @@ let autoscale_replans = "autoscale.replans"
 let autoscale_holds = "autoscale.holds"
 let autoscale_violations = "autoscale.violations"
 
-let parallel_tasks = "parallel.tasks"
-let parallel_steals = "parallel.steals"
-
-let parallel_win strategy = "parallel.win." ^ strategy
-
 (* --- solver effort: global counters plus a per-domain tally --- *)
 
 module Effort = struct
@@ -684,8 +679,6 @@ let service_queue_wait_seconds = "service.queue_wait_seconds"
 let solver_wall_seconds = "solver.wall_seconds"
 let heuristic_run_evals = "heuristics.run_evals"
 let milp_solve_nodes = "milp.solve_nodes"
-let parallel_queue_depth = "parallel.queue_depth"
-let parallel_portfolio_seconds = "parallel.portfolio_seconds"
 let autoscale_resolve_seconds = "autoscale.resolve_seconds"
 
 (* --- default help strings for the well-known families --- *)

@@ -401,20 +401,6 @@ val autoscale_holds : string
     controller could react (SLO violations). *)
 val autoscale_violations : string
 
-(** {2 Parallel-execution counters ([Rentcost_parallel])} *)
-
-(** Tasks submitted to a {!Rentcost_parallel.Pool}. *)
-val parallel_tasks : string
-
-(** Tasks a pool lane executed from {e another} lane's queue (work
-    stealing). *)
-val parallel_steals : string
-
-(** [parallel_win "h32_jump"] etc. — portfolio races won per strategy
-    (the strategy whose incumbent the deterministic reduction
-    selected). *)
-val parallel_win : string -> string
-
 (** {1 Well-known histogram names} *)
 
 (** Request handling latency in the service engine, seconds. *)
@@ -431,13 +417,6 @@ val heuristic_run_evals : string
 
 (** Branch-and-bound nodes per MILP solve (a size histogram). *)
 val milp_solve_nodes : string
-
-(** Pool queue depth sampled at each task submission (a size
-    histogram). *)
-val parallel_queue_depth : string
-
-(** End-to-end portfolio race wall time, seconds. *)
-val parallel_portfolio_seconds : string
 
 (** Wall time of each elastic-controller re-solve, seconds. *)
 val autoscale_resolve_seconds : string

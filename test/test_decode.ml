@@ -3,7 +3,8 @@
    decoder must accept the same language, return the same values and
    fail with the same messages as the reference decoders in
    [Reference_decoders]. The two validation rules the problem scanner
-   adds, and the JSON nesting bound, are pinned separately. *)
+   adds, the JSON nesting bound and the price book's gap and zero-price
+   checks are pinned separately. *)
 
 module PF = Rentcost.Problem_format
 module Pb = Rentcost.Pricebook
@@ -276,6 +277,30 @@ let prop_pricebook_text =
         QCheck2.Test.fail_reportf "scanner %s@.reference %s" mine theirs;
       true)
 
+let pricebook_fails ~exn text =
+  match Pb.of_string text with
+  | _ -> Alcotest.failf "expected a failure for %S" text
+  | exception e ->
+    Alcotest.(check string) "the error" (Printexc.to_string exn)
+      (Printexc.to_string e)
+
+let test_huge_price_type_fails_before_allocating () =
+  let text = "pricebook version 1\nbook big\nprice 1000000000 5\n" in
+  let before = Gc.allocated_bytes () in
+  pricebook_fails text
+    ~exn:(Failure "Pricebook: book \"big\": missing price for type 0");
+  let grew = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated under 1 MB (%.0f bytes)" grew)
+    true (grew < 1e6);
+  (* The smallest gap is named, whatever lies above it. *)
+  pricebook_fails "book b\nprice 0 3\nprice 2 4\nprice 1000000000 5\n"
+    ~exn:(Failure "Pricebook: book \"b\": missing price for type 1")
+
+let test_zero_price_is_non_positive () =
+  pricebook_fails "book b\nprice 0 0\n"
+    ~exn:(Invalid_argument "Pricebook.create: book \"b\" has a non-positive price")
+
 let suite =
   ( "decode",
     [ prop_problem_text;
@@ -286,4 +311,8 @@ let suite =
       prop_json_strings;
       prop_json_roundtrip;
       Alcotest.test_case "json nesting bound" `Quick test_nesting_bound;
-      prop_pricebook_text ] )
+      prop_pricebook_text;
+      Alcotest.test_case "price-book type beyond its lines fails before allocating"
+        `Quick test_huge_price_type_fails_before_allocating;
+      Alcotest.test_case "a zero price is non-positive, not missing" `Quick
+        test_zero_price_is_non_positive ] )

@@ -1,25 +1,20 @@
-(* Tests for the multicore layer (Rentcost_parallel + the parallel
-   service): the domain pool's scheduling contract, the LRU cache
-   under concurrent writers, the engine's worker-loop building blocks,
-   the portfolio race's differential and determinism guarantees, and a
-   parallel daemon session under concurrent clients.
+(* Tests for the multicore service: the LRU cache under concurrent
+   writers, the engine's worker-loop building blocks, per-domain
+   effort counts, and a parallel daemon session under concurrent
+   clients.
 
    RENTCOST_TEST_DOMAINS (default 2) sets the domain/worker counts, so
    CI runs the whole battery both sequentially (=1) and with real
    parallelism (=4) — the assertions are identical in both modes;
    that is the point. *)
 
-module P = Numeric.Prng
 module S = Rentcost.Solver
 module H = Rentcost.Heuristics
 module AL = Rentcost.Allocation
-module Pl = Rentcost_parallel.Pool
-module Pf = Rentcost_parallel.Portfolio
 module Svc = Rentcost_service
 module E = Svc.Engine
 module Pr = Svc.Protocol
 module J = Svc.Json
-module G = Cloudsim.Generator
 
 let test_domains =
   match Sys.getenv_opt "RENTCOST_TEST_DOMAINS" with
@@ -29,101 +24,6 @@ let test_domains =
 
 let illustrating = Rentcost.Problem.illustrating
 let illustrating_instance = Rentcost.Instance.compile illustrating
-
-(* Small heuristic budgets: the properties below solve whole
-   portfolios per case, and the guarantees are seed-for-seed, not
-   effort-dependent. *)
-let small_params = { H.default_params with H.iterations = 60; H.jumps = 8 }
-
-let cost_of outcome =
-  match outcome.S.allocation with
-  | Some a -> a.AL.cost
-  | None -> Alcotest.fail "expected an allocation"
-
-let alloc_key outcome =
-  match outcome.S.allocation with
-  | Some a -> Some (Array.to_list a.AL.rho, Array.to_list a.AL.machines, a.AL.cost)
-  | None -> None
-
-(* --- Pool: scheduling contract --- *)
-
-let test_pool_sequential_order () =
-  (* domains:1 spawns nothing: every task runs on the caller, in
-     submission order — the degeneration the portfolio's determinism
-     argument leans on. *)
-  let ran = ref [] in
-  let results =
-    Pl.with_pool ~domains:1 (fun pool ->
-        Pl.run_list pool
-          (List.init 8 (fun i () ->
-               ran := i :: !ran;
-               i * i)))
-  in
-  Alcotest.(check (list int)) "results in submission order"
-    (List.init 8 (fun i -> i * i))
-    results;
-  Alcotest.(check (list int)) "executed in submission order"
-    (List.init 8 Fun.id) (List.rev !ran)
-
-let test_pool_run_list_order () =
-  let results =
-    Pl.with_pool ~domains:test_domains (fun pool ->
-        Pl.run_list pool (List.init 32 (fun i () -> 3 * i)))
-  in
-  Alcotest.(check (list int)) "submission-order results under N domains"
-    (List.init 32 (fun i -> 3 * i))
-    results
-
-let test_pool_no_lost_tasks () =
-  let hits = Atomic.make 0 in
-  Pl.with_pool ~domains:test_domains (fun pool ->
-      ignore
-        (Pl.run_list pool
-           (List.init 200 (fun _ () -> Atomic.incr hits))));
-  Alcotest.(check int) "every submitted task ran exactly once" 200
-    (Atomic.get hits)
-
-let test_pool_run_collect_complete () =
-  let pairs =
-    Pl.with_pool ~domains:test_domains (fun pool ->
-        Pl.run_collect pool (List.init 50 (fun i () -> i + 100)))
-  in
-  let indices = List.sort compare (List.map fst pairs) in
-  Alcotest.(check (list int)) "every index appears exactly once"
-    (List.init 50 Fun.id) indices;
-  List.iter
-    (fun (i, r) ->
-      Alcotest.(check int) "result travels with its index" (i + 100) r)
-    pairs
-
-let test_pool_exception_propagation () =
-  (match
-     Pl.with_pool ~domains:test_domains (fun pool ->
-         Pl.run_list pool
-           (List.init 6 (fun i () -> if i = 3 then failwith "boom" else i)))
-   with
-   | _ -> Alcotest.fail "expected the task's exception"
-   | exception Failure msg -> Alcotest.(check string) "task exn" "boom" msg);
-  (* Await re-raises too, and the pool survives a failed task. *)
-  Pl.with_pool ~domains:test_domains (fun pool ->
-      let bad = Pl.async pool (fun () -> raise Exit) in
-      let good = Pl.async pool (fun () -> 41 + 1) in
-      (match Pl.await pool bad with
-       | _ -> Alcotest.fail "expected Exit"
-       | exception Exit -> ());
-      Alcotest.(check int) "later task unaffected" 42 (Pl.await pool good))
-
-let test_pool_guards () =
-  (match Pl.create ~domains:0 () with
-   | _ -> Alcotest.fail "domains:0 accepted"
-   | exception Invalid_argument _ -> ());
-  let pool = Pl.create ~domains:1 () in
-  Pl.shutdown pool;
-  Pl.shutdown pool;
-  (* idempotent *)
-  match Pl.async pool (fun () -> ()) with
-  | _ -> Alcotest.fail "submit after shutdown accepted"
-  | exception Invalid_argument _ -> ()
 
 let spawn_each n f = List.init n (fun i -> Domain.spawn (fun () -> f i))
 let join_all = List.iter Domain.join
@@ -291,141 +191,27 @@ let test_engine_parallel_workers_drain () =
     (List.init jobs (fun i -> i + 1))
     ids
 
-(* --- Portfolio: differential properties --- *)
-
-let gen_params =
-  { G.num_graphs = 3; min_tasks = 2; max_tasks = 4; mutation_pct = 0.3 }
-
-let gen_cloud =
-  { G.num_types = 3; min_cost = 5; max_cost = 30; min_throughput = 5;
-    max_throughput = 20 }
-
-let prop name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:20 ~name gen f)
-
-let qgen = QCheck2.Gen.(pair (int_range 0 10_000) (int_range 10 120))
-
-(* For any instance, seed and domain count: the portfolio is feasible
-   and never worse than the plain sequential H32Jump run on the same
-   seed — rank 0 of the race IS that run. *)
-let prop_portfolio_dominates =
-  prop "portfolio feasible and <= sequential h32jump" qgen
-    (fun (seed, target) ->
-      let problem = G.problem ~rng:(P.create seed) gen_params gen_cloud in
-      let instance = Rentcost.Instance.compile problem in
-      let sequential =
-        S.run ~rng:(P.create seed) ~params:small_params
-          ~spec:(S.Heuristic H.H32_jump) instance
-          ~objective:(Rentcost.Objective.min_cost ~target)
-      in
-      List.for_all
-        (fun domains ->
-          let o =
-            Pf.run ~rng:(P.create seed) ~params:small_params ~domains instance
-              ~target
-          in
-          (match o.S.allocation with
-           | Some a -> AL.feasible problem ~target a
-           | None -> false)
-          && cost_of o <= cost_of sequential)
-        [ 1; 2; 4 ])
-
-(* On structured instances a Milp-backed portfolio must agree with the
-   independent exact engines. *)
-let platform4 =
-  Rentcost.Platform.of_list [ (10, 10); (18, 20); (25, 30); (33, 40) ]
-
-let chain types = Rentcost.Task_graph.chain ~ntypes:4 ~types
-
-let blackbox_problem =
-  Rentcost.Problem.create platform4 (Array.init 4 (fun q -> chain [| q |]))
-
-let disjoint_problem =
-  Rentcost.Problem.create platform4 [| chain [| 0; 1 |]; chain [| 2; 3 |] |]
-
-let test_portfolio_agrees_with_exact () =
-  List.iter
-    (fun (label, problem, oracle_spec, target) ->
-      let instance = Rentcost.Instance.compile problem in
-      let exact =
-        match
-          (S.run ~spec:oracle_spec instance
-             ~objective:(Rentcost.Objective.min_cost ~target))
-            .S.allocation
-        with
-        | Some a -> a.AL.cost
-        | None -> Alcotest.fail (label ^ ": oracle found no allocation")
-      in
-      List.iter
-        (fun domains ->
-          let o =
-            Pf.run ~rng:(P.create 11)
-              ~strategies:[ Pf.Heuristic H.H32_jump; Pf.Milp ]
-              ~domains instance ~target
-          in
-          Alcotest.(check int)
-            (Printf.sprintf "%s: portfolio = %s (domains %d)" label
-               (S.spec_to_string oracle_spec) domains)
-            exact (cost_of o);
-          Alcotest.(check bool) (label ^ " proved optimal") true
-            (o.S.status = S.Optimal))
-        [ 1; test_domains ])
-    [ ("illustrating", illustrating, S.Exhaustive, 70);
-      ("blackbox", blackbox_problem, S.Exhaustive, 60);
-      ("disjoint", disjoint_problem, S.Dp_disjoint, 60) ]
-
-(* --- Portfolio: determinism --- *)
-
-let portfolio_on ?pool ~domains seed =
-  Pf.run ~rng:(P.create seed) ~params:small_params ?pool ~domains
-    illustrating_instance ~target:70
-
-let test_portfolio_determinism_repeats () =
-  let reference = alloc_key (portfolio_on ~domains:1 0x5EED) in
-  Alcotest.(check bool) "reference run found an allocation" true
-    (reference <> None);
-  for rep = 1 to 10 do
-    List.iter
-      (fun domains ->
-        if alloc_key (portfolio_on ~domains 0x5EED) <> reference then
-          Alcotest.failf "repeat %d with %d domain(s) diverged" rep domains)
-      [ 1; 2; 4 ]
-  done
-
-let test_portfolio_shuffled_completion_order () =
-  (* The executor's test hook shuffles run_collect's completion order;
-     the reduction must not care. Ten shuffles, three domain counts,
-     one answer. *)
-  let reference = alloc_key (portfolio_on ~domains:1 0x5EED) in
-  for shuffle_seed = 1 to 10 do
-    List.iter
-      (fun domains ->
-        Pl.with_pool ~shuffle:(P.create shuffle_seed) ~domains (fun pool ->
-            if alloc_key (portfolio_on ~pool ~domains 0x5EED) <> reference
-            then
-              Alcotest.failf "shuffle %d with %d domain(s) diverged"
-                shuffle_seed domains))
-      [ 1; 2; test_domains ]
-  done
-
 (* A solve's effort counts are its own: a second domain solving in a
-   loop beside it must not leak into them — neither into a plain solve
-   nor into a portfolio race, whose totals sum its strategies' own. *)
+   loop beside it must not leak into them. The neighbour runs both
+   the exact ILP and H32Jump, so a leak of pivots, nodes or
+   evaluations would all show. *)
 let test_effort_counts_own_domain () =
   let effort (o : S.outcome) =
     S.(o.telemetry.pivots, o.telemetry.nodes, o.telemetry.evaluations)
   in
-  let solve target =
-    S.run ~spec:S.Exact_ilp illustrating_instance
+  let solve spec target =
+    S.run ~spec illustrating_instance
       ~objective:(Rentcost.Objective.min_cost ~target)
   in
-  let race () = portfolio_on ~domains:test_domains 0x5EED in
-  let alone = (effort (solve 130), effort (race ())) in
+  let ilp () = effort (solve S.Exact_ilp 130)
+  and heuristic () = effort (solve (S.Heuristic H.H32_jump) 130) in
+  let alone = (ilp (), heuristic ()) in
   let stop = Atomic.make false and started = Atomic.make false in
   let neighbour =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          ignore (solve 90);
+          ignore (solve S.Exact_ilp 90);
+          ignore (solve (S.Heuristic H.H32_jump) 90);
           Atomic.set started true
         done)
   in
@@ -439,65 +225,19 @@ let test_effort_counts_own_domain () =
           Domain.cpu_relax ()
         done;
         List.init 20 (fun _ ->
-            let s = effort (solve 130) in
-            (s, effort (race ()))))
+            let i = ilp () in
+            (i, heuristic ())))
   in
   let counts = Alcotest.(triple int int int) in
   List.iteri
-    (fun k (s, r) ->
-      Alcotest.check counts (Printf.sprintf "solve %d: pivots, nodes, evals" k)
-        (fst alone) s;
-      Alcotest.check counts (Printf.sprintf "race %d: pivots, nodes, evals" k)
-        (snd alone) r)
+    (fun k (i, h) ->
+      Alcotest.check counts
+        (Printf.sprintf "ilp solve %d: pivots, nodes, evals" k)
+        (fst alone) i;
+      Alcotest.check counts
+        (Printf.sprintf "h32jump solve %d: pivots, nodes, evals" k)
+        (snd alone) h)
     beside
-
-let test_reduce_order_and_ties () =
-  (* Build outcomes from real allocations of the illustrating problem:
-     of_rho gives full control of the split, and cost follows. *)
-  let mk rho =
-    let a = AL.of_rho illustrating ~rho in
-    { S.status = S.Feasible; allocation = Some a;
-      throughput = Array.fold_left ( + ) 0 a.AL.rho;
-      telemetry =
-        { S.engine = S.Heuristic H.H32_jump; wall_time = 0.0;
-          evaluations = 0; pivots = 0; nodes = 0; pruned_recipes = 0;
-          warm_started = false };
-      convergence = [] }
-  in
-  let cheap = mk [| 70; 0; 0 |]
-  and dear = mk [| 0; 70; 0 |] in
-  let c_cheap = cost_of cheap and c_dear = cost_of dear in
-  Alcotest.(check bool) "test splits priced differently" true
-    (c_cheap <> c_dear);
-  let lo, hi = if c_cheap < c_dear then (cheap, dear) else (dear, cheap) in
-  (* Best cost wins under every permutation. *)
-  List.iter
-    (fun perm ->
-      match Pf.reduce perm with
-      | Some (rank, o) ->
-        Alcotest.(check int) "winner is the cheaper outcome" (cost_of lo)
-          (cost_of o);
-        Alcotest.(check int) "winner keeps its rank" 2 rank
-      | None -> Alcotest.fail "reduce dropped everything")
-    [ [ (1, hi); (2, lo) ]; [ (2, lo); (1, hi) ] ];
-  (* Equal costs: the lower rank wins, wherever it sits in the list. *)
-  List.iter
-    (fun perm ->
-      match Pf.reduce perm with
-      | Some (rank, _) ->
-        Alcotest.(check int) "tie broken by lowest rank" 0 rank
-      | None -> Alcotest.fail "reduce dropped everything")
-    [ [ (0, lo); (3, lo) ]; [ (3, lo); (0, lo) ] ];
-  (* Outcomes without an allocation are skipped, not winners. *)
-  let infeasible =
-    { S.status = S.Infeasible; allocation = None; throughput = 0;
-      telemetry = lo.S.telemetry; convergence = [] }
-  in
-  (match Pf.reduce [ (0, infeasible); (1, hi) ] with
-   | Some (1, _) -> ()
-   | _ -> Alcotest.fail "allocation-less outcome must be skipped");
-  Alcotest.(check bool) "all-infeasible reduces to None" true
-    (Pf.reduce [ (0, infeasible) ] = None)
 
 (* --- the parallel daemon under concurrent clients --- *)
 
@@ -767,17 +507,7 @@ let test_decode_error_echoes_id () =
 
 let suite =
   ( "parallel",
-    [ Alcotest.test_case "pool domains:1 is sequential" `Quick
-        test_pool_sequential_order;
-      Alcotest.test_case "pool run_list keeps submission order" `Quick
-        test_pool_run_list_order;
-      Alcotest.test_case "pool loses no tasks" `Quick test_pool_no_lost_tasks;
-      Alcotest.test_case "pool run_collect is complete" `Quick
-        test_pool_run_collect_complete;
-      Alcotest.test_case "pool propagates task exceptions" `Quick
-        test_pool_exception_propagation;
-      Alcotest.test_case "pool guards its arguments" `Quick test_pool_guards;
-      Alcotest.test_case "shared cache bounded and digest-correct under race"
+    [ Alcotest.test_case "shared cache bounded and digest-correct under race"
         `Quick test_shared_cache_race;
       Alcotest.test_case "engine drain_next and wait_for_work" `Quick
         test_engine_drain_next_and_wait;
@@ -785,17 +515,8 @@ let suite =
         test_engine_submit_race;
       Alcotest.test_case "engine parallel workers drain the queue" `Quick
         test_engine_parallel_workers_drain;
-      prop_portfolio_dominates;
-      Alcotest.test_case "portfolio agrees with exact engines" `Quick
-        test_portfolio_agrees_with_exact;
-      Alcotest.test_case "portfolio deterministic across repeats and domains"
-        `Quick test_portfolio_determinism_repeats;
-      Alcotest.test_case "portfolio invariant under shuffled completion order"
-        `Quick test_portfolio_shuffled_completion_order;
       Alcotest.test_case "effort counts its own domain only" `Quick
         test_effort_counts_own_domain;
-      Alcotest.test_case "reduce: permutation-invariant, rank tie-break"
-        `Quick test_reduce_order_and_ties;
       Alcotest.test_case "parallel daemon under concurrent clients" `Quick
         test_parallel_daemon_stress;
       Alcotest.test_case "parallel daemon matches sequential answers" `Quick
