@@ -15,7 +15,8 @@
    - BENCH_observability.json: the instrumented hot path, enabled vs
      kill-switched;
    - BENCH_scenarios.json: the dual objective against a scan of the
-     cost curve, and single- vs multi-cloud cost;
+     cost curve, a max-throughput sweep over seeded fig3 instances,
+     and single- vs multi-cloud cost;
    - BENCH_numeric.json: the fast LP engine against exact Rat, the
      figure-preset workload's relaxations, fallbacks, pivots, warm
      nodes, peak retained words, capped cost sum and proved count, and
@@ -26,7 +27,9 @@
    engines agree and the heuristics are feasible; the incremental
    oracle matches scratch repricing; the kill switch freezes every
    instrument and enabled instrumentation costs under 5%; the dual
-   objective and price books behave; the fast LP engine is
+   objective and price books behave, with the dual sweep's
+   throughputs, nodes and pivots equal to the committed
+   BENCH_scenarios.json and zero fallbacks; the fast LP engine is
    bit-identical and fast enough, with the figure-preset effort
    counts, capped answers and wire decode words equal to the committed
    BENCH_numeric.json; and the autoscale policies are ordered
@@ -743,12 +746,75 @@ let exact_dual_scan inst ~budget =
   let rec go t = if cost_at (t + 1) <= budget then go (t + 1) else t in
   go 0
 
+(* The dual sweep: max throughput on the first two seeded fig3
+   instances, at the money that each target's ILP min cost takes, so
+   every answer reaches its target. Nodes, pivots and fallbacks are
+   summed over the max-throughput solves alone. *)
+let dual_sweep_targets = [ 20; 60; 100; 140 ]
+
+type dual_sweep = {
+  ds_money : int list;
+  ds_throughputs : int list;
+  ds_nodes : int;
+  ds_pivots : int;
+  ds_fallbacks : int;
+  ds_seconds : float;
+}
+
+let dual_sweep () =
+  let preset = Option.get (Cloudsim.Experiments.find "fig3") in
+  let rng = P.create root_seed in
+  let generate () =
+    G.problem ~rng preset.Cloudsim.Experiments.graphs
+      preset.Cloudsim.Experiments.cloud
+  in
+  let first = generate () in
+  let second = generate () in
+  let solves =
+    List.concat_map
+      (fun problem ->
+        let inst = I.compile problem in
+        List.map
+          (fun target ->
+            let money =
+              match
+                (S.run ~spec:S.Exact_ilp inst ~objective:(min_cost target))
+                  .S.allocation
+              with
+              | Some a -> a.Rentcost.Allocation.cost
+              | None -> assert false (* an unlimited ILP always answers *)
+            in
+            (problem, money))
+          dual_sweep_targets)
+      [ first; second ]
+  in
+  let fallbacks0 = Telemetry.value Telemetry.numeric_fallbacks in
+  let outcomes =
+    List.map
+      (fun (problem, money) ->
+        let objective = Ob.max_throughput ~budget:money in
+        S.run ~spec:S.Exact_ilp
+          (I.compile ~scenario:(Sc.make ~objective ()) problem)
+          ~objective)
+      solves
+  in
+  let sum f = List.fold_left (fun acc o -> acc + f o.S.telemetry) 0 outcomes in
+  { ds_money = List.map snd solves;
+    ds_throughputs = List.map (fun o -> o.S.throughput) outcomes;
+    ds_nodes = sum (fun t -> t.S.nodes);
+    ds_pivots = sum (fun t -> t.S.pivots);
+    ds_fallbacks = Telemetry.value Telemetry.numeric_fallbacks - fallbacks0;
+    ds_seconds =
+      List.fold_left (fun acc o -> acc +. o.S.telemetry.S.wall_time) 0. outcomes
+  }
+
 type scenarios_row = {
   sc_budget : int;
   sc_throughput : int;
   sc_exact_dual : int;
   sc_dual_cost : int;
   sc_recheck_cost : int;
+  sc_sweep : dual_sweep;
   sc_cost_single : int;
   sc_cost_multibook : int;
   sc_bit_identical : bool;
@@ -806,7 +872,8 @@ let scenarios_data () =
   in
   { sc_budget = budget; sc_throughput = dual.S.throughput;
     sc_exact_dual = exact; sc_dual_cost = cost_of dual;
-    sc_recheck_cost = cost_of recheck; sc_cost_single = cost_of single;
+    sc_recheck_cost = cost_of recheck; sc_sweep = dual_sweep ();
+    sc_cost_single = cost_of single;
     sc_cost_multibook = cost_of multibook; sc_bit_identical = bit_identical }
 
 let emit_scenarios () =
@@ -815,12 +882,21 @@ let emit_scenarios () =
     1.
     -. quotient (float_of_int r.sc_cost_multibook) (float_of_int r.sc_cost_single)
   in
-  emit "scenarios" ~schema:"rentcost-bench-scenarios/1"
+  let ints l = J.List (List.map (fun i -> J.Int i) l) in
+  let sw = r.sc_sweep in
+  emit "scenarios" ~schema:"rentcost-bench-scenarios/2"
     [ ( "dual",
         J.Obj
           [ ("budget", J.Int r.sc_budget); ("throughput", J.Int r.sc_throughput);
             ("exact_dual", J.Int r.sc_exact_dual); ("cost", J.Int r.sc_dual_cost);
             ("min_cost_at_achieved", J.Int r.sc_recheck_cost) ] );
+      ( "dual_sweep",
+        J.Obj
+          [ ("workload", J.String "fig3 x2, ilp max-throughput");
+            ("targets", ints dual_sweep_targets); ("money", ints sw.ds_money);
+            ("throughputs", ints sw.ds_throughputs); ("nodes", J.Int sw.ds_nodes);
+            ("pivots", J.Int sw.ds_pivots); ("fallbacks", J.Int sw.ds_fallbacks);
+            ("seconds", fixed 2 sw.ds_seconds) ] );
       ( "multicloud",
         J.Obj
           [ ("workload", J.String "fig7 h32jump rho100"); ("books", J.Int 3);
@@ -976,21 +1052,23 @@ let paper_gated paper =
     ("warm_start", "paper_capped_cost_sum", paper.fb_cost_sum);
     ("warm_start", "paper_proved", paper.fb_proved) ]
 
-(* The committed file's seed and a reader of its [block.field] ints,
-   read before this run rewrites it. *)
-let committed_paper_counts path =
+(* The committed file's seed and its JSON, read before this run
+   rewrites it. *)
+let committed path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error _ -> None
-  | text -> (
-    match Svc.Json.of_string text with
-    | Error _ -> None
-    | Ok json ->
-      Option.map
-        (fun seed ->
-          ( seed,
-            fun block name ->
-              Option.bind (Svc.Json.member block json) (Svc.Json.get_int name) ))
-        (Svc.Json.get_int "seed" json))
+  | text ->
+    Option.bind (Result.to_option (Svc.Json.of_string text)) (fun json ->
+        Option.map (fun seed -> (seed, json)) (Svc.Json.get_int "seed" json))
+
+(* The committed file's seed and a reader of its [block.field] ints. *)
+let committed_paper_counts path =
+  Option.map
+    (fun (seed, json) ->
+      ( seed,
+        fun block name ->
+          Option.bind (Svc.Json.member block json) (Svc.Json.get_int name) ))
+    (committed path)
 
 (* --- BENCH_numeric.json "wire": what decoding an inline problem
    allocates ---
@@ -1290,17 +1368,58 @@ let smoke () =
   let on, off = emit_observability ~reps:7 in
   check "labelled instrumentation overhead under 5% on the heuristic hot path"
     (on <= (off *. 1.05) +. 2.5e-4);
-  (* Scenario axes: the binary-search dual must land within one step
-     of the scanned exact dual, duality must hold at the achieved
-     throughput, three books must never price above single-cloud, and
-     identical-price books must be bit-identical to no book. *)
+  (* Scenario axes: the binary-search dual must equal the scanned
+     exact dual, duality must hold at the achieved throughput, the
+     dual sweep must reach every target with zero fallbacks and the
+     committed throughputs, nodes and pivots, three books must never
+     price above single-cloud, and identical-price books must be
+     bit-identical to no book. *)
+  let committed_scenarios = committed "BENCH_scenarios.json" in
   let sc = emit_scenarios () in
-  check "dual throughput within one step of the scanned exact dual"
-    (abs (sc.sc_throughput - sc.sc_exact_dual) <= 1);
+  check "dual throughput equals the scanned exact dual"
+    (sc.sc_throughput = sc.sc_exact_dual);
   check "dual allocation fits the monetary budget"
     (sc.sc_dual_cost <= sc.sc_budget);
   check "min-cost at the achieved dual throughput fits the budget"
     (sc.sc_recheck_cost <= sc.sc_budget);
+  let sw = sc.sc_sweep in
+  let targets = dual_sweep_targets @ dual_sweep_targets in
+  check "dual sweep reaches every target at its min cost"
+    (List.for_all2 ( <= ) targets sw.ds_throughputs);
+  check "zero fallbacks on the dual sweep" (sw.ds_fallbacks = 0);
+  (match committed_scenarios with
+   | Some (seed, json) when seed = root_seed ->
+     let block = Svc.Json.member "dual_sweep" json in
+     let int name = Option.bind block (Svc.Json.get_int name) in
+     let throughputs =
+       match Option.bind block (Svc.Json.member "throughputs") with
+       | Some (J.List l) -> Some (List.filter_map Svc.Json.to_int l)
+       | _ -> None
+     in
+     let show l = String.concat "," (List.map string_of_int l) in
+     check
+       (Printf.sprintf
+          "dual sweep throughputs match the committed BENCH_scenarios.json \
+           (%s; committed %s)"
+          (show sw.ds_throughputs)
+          (Option.fold ~none:"none" ~some:show throughputs))
+       (throughputs = Some sw.ds_throughputs);
+     List.iter
+       (fun (name, value) ->
+         check
+           (Printf.sprintf
+              "dual sweep %s matches the committed BENCH_scenarios.json (%d; \
+               committed %s)"
+              name value
+              (Option.fold ~none:"none" ~some:string_of_int (int name)))
+           (int name = Some value))
+       [ ("nodes", sw.ds_nodes); ("pivots", sw.ds_pivots) ]
+   | Some (seed, _) ->
+     Printf.printf
+       "SKIP dual-sweep effort gate (committed seed %d, this run %d; not \
+        counted as a pass)\n"
+       seed root_seed
+   | None -> check "committed BENCH_scenarios.json carries the dual sweep" false);
   check "3-book multicloud no more expensive than single-cloud"
     (sc.sc_cost_multibook <= sc.sc_cost_single);
   check "identical-price books solve bit-identically to single-cloud"

@@ -17,11 +17,8 @@ let ceil_div a b = (a + b - 1) / b
    cheaper at equal throughput (see Instance), so dropping them leaves
    the optimal value of both the MILP and its LP relaxation
    unchanged while shrinking the tableau. *)
-let model ?budget_cap instance ~target =
+let model instance ~target =
   if target < 0 then invalid_arg "Ilp.model: negative target";
-  (match budget_cap with
-   | Some cap when cap < 0 -> invalid_arg "Ilp.model: negative budget cap"
-   | _ -> ());
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
   let m = Lp.Model.create () in
@@ -69,14 +66,6 @@ let model ?budget_cap instance ~target =
          (Array.mapi (fun q v -> (v, R.of_int (Instance.type_cost instance q))) x_vars))
   in
   Lp.Model.set_objective m Lp.Model.Minimize objective;
-  (* Budget-feasibility cut: Σ c_q·x_q <= cap. Turns the model into
-     the feasibility probe of the max-throughput binary search —
-     Infeasible here means exactly "target is unreachable within the
-     budget". *)
-  (match budget_cap with
-   | Some cap ->
-     Lp.Model.add_constraint m ~name:"budget" objective Lp.Model.Le (R.of_int cap)
-   | None -> ());
   (m, Array.to_list rho_vars @ Array.to_list x_vars)
 
 let decode instance solution =
@@ -117,9 +106,10 @@ let point_of instance ~rho ~loads ~limit =
    recipe whose unit costs the fewest extra machines at the loads so
    far, ties to the largest fractional part not yet rounded up, then
    to the lowest index. The point is kept only when it is strictly
-   cheaper than the incumbent and within [cap]. A node whose ρ has
-   left the small representation is not rounded. *)
-let rounder ~cap instance ~target =
+   cheaper than the incumbent, which before the first point is the
+   solve's cutoff. A node whose ρ has left the small representation
+   is not rounded. *)
+let rounder instance ~target =
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
   let supports = Array.init j_count (Instance.support instance) in
@@ -183,33 +173,38 @@ let rounder ~cap instance ~target =
       done;
       let limit =
         match incumbent with
-        | None -> cap
-        | Some o ->
-          (* Integer costs make every incumbent objective an integer. *)
-          let o =
-            match R.to_small o with
-            | Some (n, 1) -> n
-            | _ -> Numeric.Bigint.to_int_exn (R.ceil o)
-          in
-          min cap (o - 1)
+        | None -> max_int
+        | Some o -> (
+          (* Integer costs make every incumbent objective an integer; a
+             cutoff past max_int limits nothing. *)
+          match R.to_small o with
+          | Some (n, 1) -> n - 1
+          | _ ->
+            Option.fold ~none:max_int ~some:pred
+              (Numeric.Bigint.to_int (R.ceil o)))
       in
       point_of instance ~rho ~loads ~limit
     end
 
 let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
   let t0 = Unix.gettimeofday () in
+  (* The money prunes the search as a cutoff: a cost of cap + 1 or
+     more is cut off, counted in Rat so that max_int does not wrap. *)
+  let cutoff =
+    Option.map
+      (fun cap ->
+        if cap < 0 then invalid_arg "Ilp.optimize: negative budget cap";
+        R.add (R.of_int cap) R.one)
+      budget_cap
+  in
   let model, integer =
-    Telemetry.Span.with_span "ilp.build" (fun () ->
-        model ?budget_cap instance ~target)
+    Telemetry.Span.with_span "ilp.build" (fun () -> model instance ~target)
   in
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
-  (* With a budget row in the model, a point over the cap is
-     infeasible and Milp.Solver.solve would reject it outright. *)
-  let cap = Option.value budget_cap ~default:max_int in
   (* A caller's split (a cached or previous-period solution) seeds the
-     search, pruning by its cost from the first node; over the cap it
-     is dropped and the search starts cold. *)
+     search, pruning by its cost from the first node; past the cutoff
+     the solver ignores it and the search starts cold. *)
   let warm =
     Option.bind incumbent (fun rho ->
         let loads =
@@ -220,7 +215,7 @@ let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
               done;
               !load)
         in
-        point_of instance ~rho ~loads ~limit:cap)
+        point_of instance ~rho ~loads ~limit:max_int)
   in
   let priority =
     [ List.init j_count Fun.id; List.init q_count (fun q -> j_count + q) ]
@@ -228,10 +223,9 @@ let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
   (* Every fractional node is rounded to a candidate incumbent: the
      role Gurobi's primal heuristics play in the paper's runs. *)
   let result =
-    Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true
-      ?warm_start:warm
-      ~round:(rounder ~cap instance ~target)
-      ~priority model ~integer
+    Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true ?cutoff
+      ?warm_start:warm ~round:(rounder instance ~target) ~priority model
+      ~integer
   in
   let allocation = Option.map (decode instance) result.Milp.Solver.solution in
   let best_bound =

@@ -51,16 +51,10 @@ type outcome = {
     variables [0..J'-1] are the [ρ_j] in compact numbering and
     [J'..J'+Q-1] are the [x_q]. Dominated columns never price cheaper
     at equal throughput, so both the MILP optimum and its LP
-    relaxation are unchanged.
-
-    [?budget_cap] adds the budget-feasibility cut
-    [Σ_q c_q·x_q <= cap]: the model then answers "is throughput
-    [target] reachable within [cap]?" — [Infeasible] means no. This is
-    the native probe of the max-throughput binary search
-    ({!Solver.run}).
-    @raise Invalid_argument when [target < 0] or the cap is negative. *)
+    relaxation are unchanged. There is one model for both objectives:
+    a monetary budget is a cutoff of {!optimize}, not a row.
+    @raise Invalid_argument when [target < 0]. *)
 val model :
-  ?budget_cap:int ->
   Instance.t ->
   target:int ->
   Lp.Model.t * Lp.Model.var list
@@ -77,9 +71,11 @@ val model :
       least [target] and each [ρ_j <= target] — {!Solver.run}'s warm
       start produces exactly such splits. Ignored when it costs more
       than [?budget_cap].
-    @param budget_cap see {!model}; with the cut, [status = Infeasible]
-      in the outcome means "unreachable within the cap", and any warm
-      point over the cap is dropped rather than handed to the solver.
+    @param budget_cap the money of a max-throughput probe, handed to
+      the branch and bound as the cutoff [cap + 1]
+      ({!Milp.Solver.solve}[ ?cutoff]): the model, kernel and warm
+      tableaus stay those of a min-cost solve, and [status =
+      Infeasible] means "unreachable within [cap]".
     @raise Invalid_argument when [target < 0] or the cap is negative. *)
 val optimize :
   ?time_limit:float ->

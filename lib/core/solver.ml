@@ -113,48 +113,44 @@ let normalize_warm_start instance ~target alloc =
     Some compact
   end
 
-(* When the ILP exhausts its budget with no incumbent at all, degrade
-   to the best heuristic reachable in whatever budget remains. H32Jump
-   under an already-expired budget collapses to the H1 floor, which
-   always completes, so this stage cannot come back empty. *)
-let heuristic_fallback ~budget ~rng ~params ~warm ~t0 instance ~target =
-  Telemetry.Span.with_span "solver.fallback" (fun () ->
-      let budget =
-        Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0)
-      in
-      (Heuristics.search ~params ~budget ?rng ?warm_start:warm
-         Heuristics.H32_jump instance ~target)
-        .Heuristics.allocation)
-
-(* The one engine dispatch: run [engine] once at [target], seeded with
-   the normalized warm split. [cap] is the monetary budget of a
-   max-throughput probe, which the ILP answers natively through its
-   budget row. [(Budget_exhausted, None)] means the ILP hit a limit
-   before reaching any integer point. *)
-let dispatch ~budget ~rng ~params ~warm ?cap engine instance ~target =
+(* The one engine dispatch: run [engine] once at [target], within what
+   is left of [budget] for the solve started at [t0], seeded with the
+   normalized warm split. [cap] is the money of a max-throughput
+   probe, which the ILP prunes by; [(Infeasible, None)] means the
+   target is unreachable within it. *)
+let dispatch ~budget ~rng ~params ~warm ~t0 ?cap engine instance ~target =
+  let left () = Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0) in
+  let search name =
+    Heuristics.search ~params ~budget:(left ()) ?rng ?warm_start:warm name
+      instance ~target
+  in
   match engine with
   | Auto -> assert false (* resolved by [run] *)
   | Dp_blackbox -> (Optimal, Some (Dp_blackbox.run instance ~target))
   | Dp_disjoint -> (Optimal, Some (Dp_disjoint.run instance ~target))
   | Exhaustive -> (Optimal, Some (Exhaustive.run instance ~target))
-  | Exact_ilp ->
+  | Exact_ilp -> (
+    let { Budget.deadline; node_cap; _ } = left () in
     let o =
-      Ilp.optimize ?time_limit:budget.Budget.deadline
-        ?node_limit:budget.Budget.node_cap ?incumbent:warm ?budget_cap:cap
-        instance ~target
+      Ilp.optimize ?time_limit:deadline ?node_limit:node_cap ?incumbent:warm
+        ?budget_cap:cap instance ~target
     in
-    (match (o.Ilp.status, o.Ilp.allocation) with
-     | Milp.Solver.Optimal, (Some _ as a) -> (Optimal, a)
-     | Milp.Solver.Feasible, (Some _ as a) -> (Budget_exhausted, a)
-     | Milp.Solver.Infeasible, _ -> (Infeasible, None)
-     | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None ->
-       (* The rental MILP is never unbounded. *)
-       (Budget_exhausted, None))
+    match (o.Ilp.status, o.Ilp.allocation) with
+    | Milp.Solver.Optimal, (Some _ as a) -> (Optimal, a)
+    | Milp.Solver.Feasible, (Some _ as a) -> (Budget_exhausted, a)
+    | Milp.Solver.Infeasible, _ -> (Infeasible, None)
+    | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None ->
+      (* A limit before any integer point (the rental MILP is never
+         unbounded): degrade to the best heuristic reachable in what
+         remains. H32Jump under an expired budget collapses to the H1
+         floor, which always completes, so this cannot come back
+         empty. *)
+      ( Budget_exhausted,
+        Some
+          (Telemetry.Span.with_span "solver.fallback" (fun () ->
+               (search Heuristics.H32_jump).Heuristics.allocation)) ))
   | Heuristic name ->
-    let r =
-      Heuristics.search ~params ~budget ?rng ?warm_start:warm name instance
-        ~target
-    in
+    let r = search name in
     ( (if r.Heuristics.exhausted then Budget_exhausted else Feasible),
       Some r.Heuristics.allocation )
 
@@ -204,16 +200,7 @@ let min_cost ~budget ~rng ~params ~warm_start engine instance ~target t0 =
         [ ("engine", spec_to_string engine);
           ("target", string_of_int target);
           ("warm", if warm <> None then "true" else "false") ])
-      (fun () ->
-        match dispatch ~budget ~rng ~params ~warm engine instance ~target with
-        | Budget_exhausted, None ->
-          (* No integer point before the budget expired: degrade to a
-             heuristic incumbent. *)
-          ( Budget_exhausted,
-            Some
-              (heuristic_fallback ~budget ~rng ~params ~warm ~t0 instance
-                 ~target) )
-        | verdict -> verdict)
+      (fun () -> dispatch ~budget ~rng ~params ~warm ~t0 engine instance ~target)
   in
   ((status, allocation, warm <> None), convergence)
 
@@ -227,13 +214,13 @@ let zero_allocation instance =
    nondecreasing in t, so the optimum is the largest t with
    c(t) <= money — found by binary search bracketed above by the fluid
    relaxation ([Instance.fluid_upper_target], a valid bound because
-   the fluid cost lower-bounds the integer cost). Each probe asks "is
-   throughput t reachable within money?": natively for the ILP (a
-   budget-feasibility row, where Infeasible *proves* unreachability),
-   by comparing the exact optimum against the cap for the DPs and the
-   oracle, and by comparing the incumbent for heuristic engines —
-   whose "no" is not a proof, hence status [Feasible] rather than
-   [Optimal]. *)
+   the fluid cost lower-bounds the integer cost). Each probe is the
+   min-cost dispatch at t with the money as its cap, asking "is
+   throughput t reachable within money?": the ILP prunes by the cap,
+   so its Infeasible *proves* unreachability; the DPs and the oracle
+   compare their exact optimum against the cap; heuristic engines
+   compare their incumbent — whose "no" is not a proof, hence status
+   [Feasible] rather than [Optimal]. *)
 let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
     =
   let probe_exhausted = ref false in
@@ -241,8 +228,7 @@ let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
   (* [Some a]: proof that [target] is reachable within [money].
      [None]: unreachable — a proof for exact engines (modulo
      [probe_exhausted]), best-effort for heuristics. A probe that hit
-     its budget without a verdict marks the search exhausted; unlike a
-     min-cost solve it never falls back to a heuristic. *)
+     its budget without a verdict marks the search exhausted. *)
   let probe target =
     let warm =
       match warm_start with
@@ -250,11 +236,9 @@ let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
       | Some a -> normalize_warm_start instance ~target a
     in
     if warm <> None then warm_used := true;
-    let budget =
-      Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0)
-    in
     match
-      dispatch ~budget ~rng ~params ~warm ~cap:money engine instance ~target
+      dispatch ~budget ~rng ~params ~warm ~t0 ~cap:money engine instance
+        ~target
     with
     | _, Some a when a.Allocation.cost <= money -> Some a
     | status, _ ->
@@ -266,7 +250,9 @@ let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
     let lo = ref 0 in
     let hi = ref (Instance.fluid_upper_target instance ~budget:money) in
     while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
+      (* The upper midpoint, without forming lo + hi, which wraps once
+         the fluid bracket passes max_int / 2. *)
+      let mid = !lo + 1 + ((!hi - !lo - 1) / 2) in
       match probe mid with
       | Some a ->
         best := a;

@@ -119,18 +119,19 @@ val auto_of_instance : Instance.t -> spec
     Under {!Objective.Max_throughput} the solver binary-searches the
     largest throughput [t] whose min-cost fits the monetary budget,
     bracketed above by the fluid relaxation
-    ({!Instance.fluid_upper_target}). Probes run on the selected
-    min-cost engine; the ILP answers natively through a
-    budget-feasibility row (see {!Ilp.optimize}[ ?budget_cap]), so its
-    Infeasible verdicts {e prove} unreachability and the search result
-    is exact — [status = Optimal]. Heuristic probes can only prove
-    reachability, so their result is a lower bound on the optimal
-    throughput and the status is [Feasible]. A probe cut short by the
-    {!Budget.t} yields [Budget_exhausted]; the allocation is still the
-    best feasible one found (at worst the zero allocation, which every
-    monetary budget affords). An ILP probe that runs out before any
-    integer point answers "unreachable" — probes never take the
-    min-cost heuristic fallback.
+    ({!Instance.fluid_upper_target}). Each probe is a min-cost solve
+    at [t] on the selected engine, with the money as its cap. The ILP
+    solves the same model as under [Min_cost] and prunes by the money
+    as a cutoff (see {!Ilp.optimize}[ ?budget_cap]), so its Infeasible
+    verdicts {e prove} unreachability and the search result is exact —
+    [status = Optimal]. Heuristic probes can only prove reachability,
+    so their result is a lower bound on the optimal throughput and the
+    status is [Feasible]. A probe cut short by the {!Budget.t} yields
+    [Budget_exhausted]; the allocation is still the best feasible one
+    found (at worst the zero allocation, which every monetary budget
+    affords). Like a min-cost solve, an ILP probe that runs out before
+    any integer point takes the heuristic fallback, and its point
+    answers "reachable" when it fits the money.
 
     @param budget caps the {e computation} (wall clock / nodes /
       evals; default {!Budget.unlimited}) — not to be confused with

@@ -20,9 +20,11 @@
    At every fractional node that still beats the incumbent, the
    caller's primal heuristic ([?round]) may offer a cheaper integer
    point; it is checked exactly before it becomes the incumbent, and
-   the node branches only if its bound still beats it. Every decision
-   is exact and deterministic, so the tree is a function of the input
-   alone. *)
+   the node branches only if its bound still beats it. A caller's
+   [?cutoff] prunes like an incumbent with no point behind it, so a
+   search under a cutoff runs the same model and the same tableaus as
+   one without. Every decision is exact and deterministic, so the tree
+   is a function of the input alone. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
@@ -145,8 +147,8 @@ let apply_extras base extra =
     extra;
   m
 
-let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
-    ?round ?priority model ~integer =
+let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
+    ?warm_start ?round ?priority model ~integer =
   let t0 = Unix.gettimeofday () in
   let sense, obj = Lp.Model.objective model in
   (* Normalize to minimization. *)
@@ -158,6 +160,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
       Lp.Model.set_objective m Lp.Model.Minimize (Lp.Linexpr.neg obj);
       m
   in
+  (* Its own inverse, so it also normalizes. *)
   let denorm_obj o =
     match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o
   in
@@ -171,10 +174,14 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
   in
   let incumbent = ref None in
+  (* What a bound must beat: the incumbent's objective, else the
+     cutoff, which every incumbent beats. *)
+  let cutoff = Option.map denorm_obj cutoff in
+  let to_beat () =
+    match !incumbent with Some (inc_obj, _) -> Some inc_obj | None -> cutoff
+  in
   let better_than_incumbent bound =
-    match !incumbent with
-    | None -> true
-    | Some (inc_obj, _) -> R.compare bound inc_obj < 0
+    match to_beat () with None -> true | Some b -> R.compare bound b < 0
   in
   (* Install a caller's integer point as the incumbent when it is
      strictly better; [what] names it in the error, [source] on the
@@ -187,8 +194,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     then
       invalid_arg
         ("Milp.Solver.solve: " ^ what ^ " is not a feasible integer point");
-    let o = Lp.Linexpr.eval obj values in
-    let o = match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o in
+    let o = denorm_obj (Lp.Linexpr.eval obj values) in
     if better_than_incumbent o then begin
       Telemetry.bump incumbents_counter;
       Telemetry.Progress.emit ~incumbent:(R.to_float (denorm_obj o)) ~source ();
@@ -202,8 +208,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
     match round with
     | None -> ()
     | Some f -> (
-      let inc = Option.map (fun (o, _) -> denorm_obj o) !incumbent in
-      match f ~incumbent:inc values with
+      match f ~incumbent:(Option.map denorm_obj (to_beat ())) values with
       | Some point -> offer ~what:"rounded point" ~source:"milp.round" point
       | None -> ())
   in
@@ -381,7 +386,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?warm_start
           ~source:"milp.proved" ();
         outcome Optimal (Some sol) (Some sol.objective)
       | None ->
-        (* Exhausted the tree without an integer point. *)
+        (* Exhausted the tree without an integer point that beats the
+           cutoff. *)
         outcome Infeasible None None
     end
     else begin

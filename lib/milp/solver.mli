@@ -14,7 +14,9 @@
 type status =
   | Optimal  (** incumbent proven optimal *)
   | Feasible  (** limit hit with an incumbent; gap may be positive *)
-  | Infeasible  (** no integer point satisfies the constraints *)
+  | Infeasible
+      (** no integer point satisfies the constraints (and beats the
+          cutoff, when there is one) *)
   | Unbounded  (** the LP relaxation is unbounded *)
   | Unknown  (** limit hit before any incumbent was found *)
 
@@ -43,14 +45,19 @@ type outcome = {
       bounds to the next integer — valid whenever every feasible
       integer point has an integer objective value (e.g. integer costs
       over integer variables, as in the rental-cost MILP).
+    @param cutoff an objective, in the model's own sense, that acts
+      as an incumbent with no point behind it: the search prunes by
+      it, quietly declines points that do not beat it, and hands it to
+      [round] until a point does (default: none).
     @param warm_start a known feasible integer point used as the
       initial incumbent (a heuristic solution); dramatically improves
       pruning. Must be feasible and integral on [integer] —
       @raise Invalid_argument otherwise.
     @param round a primal heuristic, called at every node whose LP
       optimum is fractional and still beats the incumbent, with the
-      incumbent's objective (in the model's own sense; [None] before
-      the first incumbent) and the node's LP values (read-only). It
+      incumbent's objective (in the model's own sense; the cutoff or
+      [None] before the first incumbent) and the node's LP values
+      (read-only). It
       returns an integer point meant to be strictly better than the
       incumbent. The solver checks it like a [warm_start], raising
       [Invalid_argument] when it is infeasible or not integral on
@@ -66,6 +73,7 @@ val solve :
   ?time_limit:float ->
   ?node_limit:int ->
   ?integral_objective:bool ->
+  ?cutoff:Numeric.Rat.t ->
   ?warm_start:Numeric.Rat.t array ->
   ?round:
     (incumbent:Numeric.Rat.t option ->

@@ -229,6 +229,72 @@ let test_round_hook () =
     (get_solution plain).Solver.objective;
   Alcotest.(check bool) "the hook saved nodes" true (plain.Solver.nodes > 1)
 
+(* A cutoff is an incumbent with no point behind it. On min 5x + 4y
+   over 3x + 2y >= 7 (optimum 13): above the optimum it changes
+   nothing, at or below it nothing beats it and the tree closes
+   Infeasible. A warm start past it is ignored rather than raised,
+   and the round hook sees it as the incumbent. A maximization takes
+   its cutoff in its own sense. *)
+let test_cutoff () =
+  let build () =
+    let m = M.create () in
+    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+    M.add_constraint m (expr [ (x, 3); (y, 2) ]) M.Ge (ri 7);
+    M.set_objective m M.Minimize (expr [ (x, 5); (y, 4) ]);
+    (m, [ x; y ])
+  in
+  let m, integer = build () in
+  let cut ?node_limit ?warm_start ?round c =
+    Solver.solve ?node_limit ?warm_start ?round ~integral_objective:true
+      ~cutoff:(ri c) m ~integer
+  in
+  let above = cut 14 in
+  Alcotest.(check bool) "above the optimum: optimal" true
+    (above.Solver.status = Solver.Optimal);
+  check_rat "above the optimum: same optimum" (ri 13)
+    (get_solution above).Solver.objective;
+  List.iter
+    (fun c ->
+      let o = cut c in
+      Alcotest.(check bool)
+        (Printf.sprintf "cutoff %d: infeasible" c)
+        true
+        (o.Solver.status = Solver.Infeasible && o.Solver.solution = None))
+    [ 13; 12; 0 ];
+  (* (3, 0) costs 15: past a cutoff of 14 it is ignored, not raised. *)
+  let warm = [| ri 3; ri 0 |] in
+  check_rat "over-cutoff warm start ignored" (ri 13)
+    (get_solution (cut ~warm_start:warm 14)).Solver.objective;
+  let idle = cut ~node_limit:0 ~warm_start:warm 14 in
+  Alcotest.(check bool) "no incumbent from an over-cutoff warm start" true
+    (idle.Solver.status = Solver.Unknown && idle.Solver.solution = None);
+  Alcotest.check_raises "an infeasible warm start still raises"
+    (Invalid_argument
+       "Milp.Solver.solve: warm start is not a feasible integer point")
+    (fun () -> ignore (cut ~warm_start:[| ri 0; ri 0 |] 14));
+  let seen = ref [] in
+  let watch ~incumbent _ =
+    seen := incumbent :: !seen;
+    None
+  in
+  ignore (cut ~node_limit:1 ~round:watch 14);
+  Alcotest.(check (list (option string))) "the hook sees the cutoff"
+    [ Some "14" ]
+    (List.map (Option.map R.to_string) !seen);
+  (* max x + y over 2x + y <= 5, x + 3y <= 6: optimum 3. *)
+  let maximize c =
+    let m = M.create () in
+    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
+    M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le (ri 5);
+    M.add_constraint m (expr [ (x, 1); (y, 3) ]) M.Le (ri 6);
+    M.set_objective m M.Maximize (expr [ (x, 1); (y, 1) ]);
+    Solver.solve ~cutoff:(ri c) m ~integer:[ x; y ]
+  in
+  check_rat "maximize, cutoff below the optimum" (ri 3)
+    (get_solution (maximize 2)).Solver.objective;
+  Alcotest.(check bool) "maximize, cutoff at the optimum: infeasible" true
+    ((maximize 3).Solver.status = Solver.Infeasible)
+
 let test_priority_groups_same_optimum () =
   let build () =
     let m = M.create () in
@@ -361,5 +427,6 @@ let suite =
       Alcotest.test_case "warm start" `Quick test_warm_start;
       Alcotest.test_case "warm start rejected" `Quick test_warm_start_rejected;
       Alcotest.test_case "round hook" `Quick test_round_hook;
+      Alcotest.test_case "cutoff" `Quick test_cutoff;
       Alcotest.test_case "priority groups" `Quick test_priority_groups_same_optimum ]
     @ props )

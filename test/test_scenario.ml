@@ -223,44 +223,74 @@ let test_fluid_bound_brackets () =
     (Invalid_argument "Instance.fluid_upper_target: negative budget")
     (fun () -> ignore (I.fluid_upper_target inst ~budget:(-1)))
 
+(* A budget past max_int / 2 puts the fluid bracket there too; the
+   binary search's midpoint must not wrap into a negative target. *)
+let test_dual_max_int_budget () =
+  let dual = run (Ob.max_throughput ~budget:max_int) in
+  let a =
+    match dual.S.allocation with
+    | Some a -> a
+    | None -> Alcotest.fail "expected an allocation"
+  in
+  (* Priced again in Bigint, so a cost that wrapped cannot pass. *)
+  let module B = Numeric.Bigint in
+  let exact_cost =
+    Array.fold_left B.add B.zero
+      (Array.mapi
+         (fun q x -> B.mul (B.of_int x) (B.of_int (PF.cost platform q)))
+         a.AL.machines)
+  in
+  Alcotest.(check string) "cost priced without wrapping"
+    (B.to_string exact_cost) (string_of_int a.AL.cost);
+  Alcotest.(check bool) "allocation within the budget" true
+    (B.compare exact_cost (B.of_int max_int) <= 0);
+  Alcotest.(check bool) "allocation feasible at its throughput" true
+    (AL.feasible illustrating ~target:dual.S.throughput a);
+  Alcotest.(check bool) "the search buys throughput" true
+    (dual.S.throughput > 0)
+
 (* Budgeted probes of the dual search, on each engine family. A capped
-   ILP probe that reaches no integer point has no verdict: it marks the
-   search exhausted and answers "unreachable" without handing the probe
-   to the min-cost path's heuristic fallback. At one node a probe's
-   only incumbent is its root's rounding, kept when it fits the money;
-   at zero nodes no probe has one, so the search keeps the all-zero
-   floor. *)
+   ILP probe is a capped min-cost solve with the money as its cutoff:
+   its incumbent is the root's rounding when that fits the money, and
+   a probe that reaches no integer point takes the min-cost path's
+   heuristic fallback, whose point answers "reachable" when it fits
+   the money. At zero nodes every probe runs the fallback, so the
+   search still buys throughput. Each check also pins how many probes
+   ran the fallback. *)
 let test_dual_budgeted_probes () =
-  let fallbacks = ref 0 in
   let dual ?budget spec money =
+    let fallbacks = ref 0 in
     Telemetry.Span.set_sink
       (Some
          (fun s ->
            if s.Telemetry.Span.name = "solver.fallback" then incr fallbacks));
     Fun.protect
       ~finally:(fun () -> Telemetry.Span.set_sink None)
-      (fun () -> run ?budget ~spec (Ob.max_throughput ~budget:money))
+      (fun () ->
+        let o = run ?budget ~spec (Ob.max_throughput ~budget:money) in
+        (o, !fallbacks))
   in
-  let check label o (status, throughput, cost) =
+  let check label (o, fallbacks) (status, throughput, cost, expected_fallbacks)
+      =
     Alcotest.(check (triple string int int))
       label
       (S.status_to_string status, throughput, cost)
-      (S.status_to_string o.S.status, o.S.throughput, cost_of o)
+      (S.status_to_string o.S.status, o.S.throughput, cost_of o);
+    Alcotest.(check int) (label ^ ": fallbacks") expected_fallbacks fallbacks
   in
   let ilp = dual ~budget:(Rentcost.Budget.nodes 1) S.Exact_ilp in
-  check "ilp, 1 node, money 120" (ilp 120) (S.Budget_exhausted, 60, 116);
-  check "ilp, 1 node, money 300" (ilp 300) (S.Budget_exhausted, 160, 282);
+  check "ilp, 1 node, money 120" (ilp 120) (S.Budget_exhausted, 60, 116, 2);
+  check "ilp, 1 node, money 300" (ilp 300) (S.Budget_exhausted, 170, 285, 5);
   check "ilp, 0 nodes, money 120"
     (dual ~budget:(Rentcost.Budget.nodes 0) S.Exact_ilp 120)
-    (S.Budget_exhausted, 0, 0);
+    (S.Budget_exhausted, 60, 114, 6);
   let h32 = dual (S.Heuristic Rentcost.Heuristics.H32) in
-  check "h32, money 120" (h32 120) (S.Feasible, 60, 114);
-  check "h32, money 300" (h32 300) (S.Feasible, 160, 276);
+  check "h32, money 120" (h32 120) (S.Feasible, 60, 114, 0);
+  check "h32, money 300" (h32 300) (S.Feasible, 160, 276, 0);
   check "h32jump, 5 evals, money 300"
     (dual ~budget:(Rentcost.Budget.evals 5)
        (S.Heuristic Rentcost.Heuristics.H32_jump) 300)
-    (S.Budget_exhausted, 160, 276);
-  Alcotest.(check int) "no probe ran the heuristic fallback" 0 !fallbacks
+    (S.Budget_exhausted, 160, 276, 0)
 
 (* --- the instance's objective kind guards the solve --- *)
 
@@ -435,10 +465,39 @@ let test_engine_pricebook_solves () =
 let prop name count gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
+(* A small shared-types problem: three types, and two to four recipes
+   that all run a task on type 0 before one to three tasks on types 1
+   and 2. *)
+let shared_types_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (return 3) (pair (int_range 1 20) (int_range 1 20)))
+      (list_size (int_range 2 4) (list_size (int_range 1 3) (int_range 1 2))))
+
+let shared_types_problem (machines, recipes) =
+  P.create (PF.of_list machines)
+    (Array.of_list
+       (List.map
+          (fun types ->
+            Rentcost.Task_graph.chain ~ntypes:3
+              ~types:(Array.of_list (0 :: types)))
+          recipes))
+
 let props =
   [ prop "duality: min-cost at the achieved throughput fits the budget" 25
-      QCheck2.Gen.(int_range 0 300)
-      (fun budget ->
+      QCheck2.Gen.(pair (opt shared_types_gen) (int_range 0 300))
+      (fun (generated, budget) ->
+        (* The illustrating problem, or a generated one on the ILP. *)
+        let problem, spec =
+          match generated with
+          | None -> (illustrating, None)
+          | Some g -> (shared_types_problem g, Some S.Exact_ilp)
+        in
+        let run objective =
+          S.run ?spec
+            (I.compile ~scenario:(Sc.make ~objective ()) problem)
+            ~objective
+        in
         let dual = run (Ob.max_throughput ~budget) in
         let recheck = run (Ob.min_cost ~target:dual.S.throughput) in
         cost_of dual <= budget
@@ -487,6 +546,8 @@ let suite =
       Alcotest.test_case "dual zero budget" `Quick test_dual_zero_budget;
       Alcotest.test_case "fluid bound brackets the dual" `Quick
         test_fluid_bound_brackets;
+      Alcotest.test_case "dual max_int budget" `Quick
+        test_dual_max_int_budget;
       Alcotest.test_case "dual budgeted probes" `Quick
         test_dual_budgeted_probes;
       Alcotest.test_case "objective-kind mismatch rejected" `Quick
