@@ -1,15 +1,13 @@
-(* Benchmark suite (Bechamel): one kernel per paper table/figure, the
-   micro-kernels they are built from, and the ablation knobs called out
-   in DESIGN.md. The full-scale experiments live in
+(* The bench: writes the committed BENCH_*.json files and gates them.
+   The paper's tables and figures themselves are reproduced by
    [bin/experiments.exe]; the daemon's end-to-end latency and
-   throughput live in perfbench ([perfbench/run.py], workload
-   serve-load).
+   throughput live in perfbench ([perfbench/run.py]).
 
-   Run with: dune exec bench/main.exe [-- --smoke]
+   Run with: dune exec bench/main.exe
 
-   Every run writes, through one JSON writer and tagged with the root
-   seed (RENTCOST_BENCH_SEED, default 2016, from which every workload
-   and kernel seed is split):
+   It takes no arguments. Every run writes, through one JSON writer
+   and tagged with the root seed (RENTCOST_BENCH_SEED, default 2016,
+   from which every workload seed is split):
    - BENCH_solver.json: per-engine cost, status and effort, and the
      incremental-vs-scratch oracle throughput;
    - BENCH_observability.json: the instrumented hot path, enabled vs
@@ -23,19 +21,17 @@
      the words one decode of an inline problem allocates ("wire");
    - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
-   --smoke skips the OLS fits and exits non-zero unless: the exact
-   engines agree and the heuristics are feasible; the incremental
-   oracle matches scratch repricing; the kill switch freezes every
-   instrument and enabled instrumentation costs under 5%; the dual
-   objective and price books behave, with the dual sweep's
-   throughputs, nodes and pivots equal to the committed
-   BENCH_scenarios.json and zero fallbacks; the fast LP engine is
-   bit-identical and fast enough, with the figure-preset effort
-   counts, capped answers and wire decode words equal to the committed
-   BENCH_numeric.json; and the autoscale policies are ordered
-   oracle <= elastic <= static-peak. *)
-
-open Bechamel
+   It then prints "smoke OK" if: the exact engines agree and the
+   heuristics are feasible; the incremental oracle matches scratch
+   repricing; the kill switch freezes every instrument and enabled
+   instrumentation costs under 5%; the dual objective and price books
+   behave, with the dual sweep's throughputs, nodes and pivots equal
+   to the committed BENCH_scenarios.json and zero fallbacks; the fast
+   LP engine is bit-identical and fast enough, with the figure-preset
+   effort counts, capped answers and wire decode words equal to the
+   committed BENCH_numeric.json; and the autoscale policies are
+   ordered oracle <= elastic <= static-peak. Otherwise it prints a
+   FAIL line per failed check and exits 1. *)
 
 module G = Cloudsim.Generator
 module H = Rentcost.Heuristics
@@ -60,229 +56,37 @@ let root_seed =
       Printf.eprintf "bench: RENTCOST_BENCH_SEED=%S is not an integer\n" v;
       exit 2)
 
-let workload_seed, kernel_seed, sweep_seed, autoscale_seed =
+let workload_seed, kernel_seed, autoscale_seed =
   let r = P.create root_seed in
   let sub () = Int64.to_int (P.bits64 r) land 0x3FFFFFFF in
   let workload = sub () in
   let kernel = sub () in
-  let sweep = sub () in
+  (* A retired consumer's draw, kept so the autoscale stream does not
+     shift. *)
+  let _sweep = sub () in
   let autoscale = sub () in
-  (workload, kernel, sweep, autoscale)
+  (workload, kernel, autoscale)
 
 let illustrating = Rentcost.Problem.illustrating
 
 let params10 = { H.default_params with step = 10 }
 
-(* The generated workloads are expensive to build; everything below is
-   lazy so that --smoke (and any future kernel filter) pays only for
-   what it touches. The compiled instance carries its problem
-   ([Instance.problem]), so one lazy cell serves both views. *)
+(* The instances are built once, on first use. The compiled instance
+   carries its problem ([Instance.problem]), so one lazy cell serves
+   both views. *)
 
-let instance_of_preset id =
+let large_instance =
   lazy
-    (let preset = Option.get (Cloudsim.Experiments.find id) in
+    (let preset = Option.get (Cloudsim.Experiments.find "fig7") in
      I.compile
        (G.problem ~rng:(P.create workload_seed) preset.Cloudsim.Experiments.graphs
           preset.Cloudsim.Experiments.cloud))
 
-let small_instance = instance_of_preset "fig3"
-let medium_instance = instance_of_preset "fig6"
-let large_instance = instance_of_preset "fig7"
-let stress_instance = instance_of_preset "fig8"
 let illustrating_instance = lazy (I.compile illustrating)
-
-let problem_of inst = I.problem (Lazy.force inst)
-
-(* A precomputed measurement list exercising the figure aggregations. *)
-let sample_measurements =
-  lazy
-    (Cloudsim.Runner.sweep ~seed:sweep_seed ~configs:4
-       { G.num_graphs = 3; min_tasks = 2; max_tasks = 3; mutation_pct = 0.5 }
-       { G.num_types = 3; min_cost = 1; max_cost = 20; min_throughput = 5;
-         max_throughput = 20 }
-       ~targets:[ 10; 20; 30 ]
-       ~algorithms:(Cloudsim.Runner.paper_algorithms ())
-       ~params:H.default_params)
-
-(* Experiment kernels go through the unified [Solver] front door over
-   pre-compiled instances, as the drivers do. *)
 
 let min_cost target = Rentcost.Objective.min_cost ~target
 
-let solver_nodes ?node_limit spec inst ~target () =
-  let budget =
-    match node_limit with Some n -> Rentcost.Budget.nodes n
-    | None -> Rentcost.Budget.unlimited
-  in
-  (S.run ~budget ~spec (Lazy.force inst) ~objective:(min_cost target))
-    .S.telemetry.S.nodes
-
-let ilp_nodes ?node_limit inst ~target =
-  solver_nodes ?node_limit S.Exact_ilp inst ~target
-
-let heuristic name ?(params = H.default_params) inst ~target () =
-  (S.run ~rng:(P.create kernel_seed) ~params ~spec:(S.Heuristic name)
-     (Lazy.force inst) ~objective:(min_cost target))
-    .S.telemetry.S.evaluations
-
-(* --- Table III: the illustrating example (§ VII) --- *)
-
-let table3 =
-  Test.make_grouped ~name:"table3"
-    [ Test.make ~name:"ilp_rho70"
-        (Staged.stage (ilp_nodes illustrating_instance ~target:70));
-      Test.make ~name:"h1_rho70"
-        (Staged.stage
-           (heuristic H.H1 ~params:params10 illustrating_instance ~target:70));
-      Test.make ~name:"h32jump_rho70"
-        (Staged.stage
-           (heuristic H.H32_jump ~params:params10 illustrating_instance ~target:70)) ]
-
-(* --- Figures 3/4/5: small recipes --- *)
-
-let fig3 =
-  Test.make_grouped ~name:"fig3"
-    [ Test.make ~name:"ilp_capped_rho100"
-        (Staged.stage (ilp_nodes ~node_limit:50 small_instance ~target:100));
-      Test.make ~name:"lp_relaxation_rho100"
-        (Staged.stage (fun () ->
-             Rentcost.Ilp.lp_lower_bound (problem_of small_instance) ~target:100)) ]
-
-(* Figure 4 is the times-found-best aggregation; Figure 5 is the
-   per-algorithm timing — benchmarked as each heuristic's kernel. *)
-let fig4 =
-  Test.make_grouped ~name:"fig4"
-    [ Test.make ~name:"best_counts_aggregation"
-        (Staged.stage (fun () ->
-             Cloudsim.Stats.best_counts (Lazy.force sample_measurements)));
-      Test.make ~name:"normalized_cost_aggregation"
-        (Staged.stage (fun () ->
-             Cloudsim.Stats.normalized_cost (Lazy.force sample_measurements))) ]
-
-let fig5 =
-  Test.make_grouped ~name:"fig5"
-    [ Test.make ~name:"h1_small_rho100"
-        (Staged.stage (heuristic H.H1 small_instance ~target:100));
-      Test.make ~name:"h2_small_rho100"
-        (Staged.stage (heuristic H.H2 small_instance ~target:100));
-      Test.make ~name:"h31_small_rho100"
-        (Staged.stage (heuristic H.H31 small_instance ~target:100));
-      Test.make ~name:"h32_small_rho100"
-        (Staged.stage (heuristic H.H32 small_instance ~target:100));
-      Test.make ~name:"h32jump_small_rho100"
-        (Staged.stage (heuristic H.H32_jump small_instance ~target:100)) ]
-
-(* --- Figure 6: medium recipes --- *)
-
-let fig6 =
-  Test.make_grouped ~name:"fig6"
-    [ Test.make ~name:"ilp_capped_rho100"
-        (Staged.stage (ilp_nodes ~node_limit:50 medium_instance ~target:100));
-      Test.make ~name:"h32jump_medium_rho100"
-        (Staged.stage (heuristic H.H32_jump medium_instance ~target:100)) ]
-
-(* --- Figure 7: large recipes (50-100 tasks) --- *)
-
-(* A long-lived oracle at the point the scratch kernel prices, so the
-   two kernels below measure the same question — "price a neighbour of
-   rho = (5,…,5)" — the way the heuristics now ask it (one delta) vs
-   the way they used to (full [Allocation.of_rho]). *)
-let large_oracle =
-  lazy
-    (let inst = Lazy.force large_instance in
-     let o = I.Oracle.create inst in
-     I.Oracle.reset o ~rho:(Array.make (I.num_recipes inst) 5);
-     o)
-
-let fig7 =
-  Test.make_grouped ~name:"fig7"
-    [ Test.make ~name:"h1_large_rho100"
-        (Staged.stage (heuristic H.H1 large_instance ~target:100));
-      Test.make ~name:"h32jump_large_rho100"
-        (Staged.stage (heuristic H.H32_jump large_instance ~target:100));
-      Test.make ~name:"cost_scratch_large"
-        (Staged.stage (fun () ->
-             let problem = problem_of large_instance in
-             let rho = Array.make (Rentcost.Problem.num_recipes problem) 5 in
-             (Rentcost.Allocation.of_rho problem ~rho).Rentcost.Allocation.cost));
-      Test.make ~name:"cost_oracle_delta_large"
-        (Staged.stage (fun () ->
-             let o = Lazy.force large_oracle in
-             I.Oracle.apply o ~j:0 ~drho:1;
-             let c = I.Oracle.cost o in
-             I.Oracle.undo o;
-             c)) ]
-
-(* --- Figure 8: the ILP at its limits (Q = 50, 100-200 tasks) --- *)
-
-let fig8 =
-  Test.make_grouped ~name:"fig8"
-    [ Test.make ~name:"lp_relaxation_stress"
-        (Staged.stage (fun () ->
-             Rentcost.Ilp.lp_lower_bound (problem_of stress_instance) ~target:100));
-      Test.make ~name:"ilp_25nodes_stress"
-        (Staged.stage (ilp_nodes ~node_limit:25 stress_instance ~target:100)) ]
-
-(* --- micro-benchmarks of the substrates --- *)
-
-let micro =
-  let big_a = Numeric.Bigint.of_string "123456789123456789123456789123456789" in
-  let big_b = Numeric.Bigint.of_string "987654321987654321" in
-  let rat_a = Numeric.Rat.of_ints 355 113 and rat_b = Numeric.Rat.of_ints 22 7 in
-  let cover_items =
-    Array.init 8 (fun i -> { Knapsack.cost = 3 + (7 * i); yield = 5 + (11 * i) })
-  in
-  let disjoint_problem =
-    Rentcost.Problem.create
-      (Rentcost.Platform.of_list [ (10, 10); (18, 20); (25, 30); (33, 40) ])
-      [| Rentcost.Task_graph.chain ~ntypes:4 ~types:[| 0; 1 |];
-         Rentcost.Task_graph.chain ~ntypes:4 ~types:[| 2; 3 |] |]
-  in
-  let sim_alloc =
-    lazy
-      (Option.get
-         (Rentcost.Ilp.optimize (I.compile illustrating) ~target:70)
-           .Rentcost.Ilp.allocation)
-  in
-  Test.make_grouped ~name:"micro"
-    [ Test.make ~name:"bigint_divmod"
-        (Staged.stage (fun () -> Numeric.Bigint.divmod big_a big_b));
-      Test.make ~name:"rat_add_small"
-        (Staged.stage (fun () -> Numeric.Rat.add rat_a rat_b));
-      Test.make ~name:"simplex_illustrating_lp"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve
-               (fst (Rentcost.Ilp.model (I.compile illustrating) ~target:70))));
-      Test.make ~name:"instance_compile_illustrating"
-        (Staged.stage (fun () -> I.compile illustrating));
-      Test.make ~name:"knapsack_cover_rho1000"
-        (Staged.stage (fun () -> Knapsack.min_cost_cover ~items:cover_items ~demand:1000));
-      Test.make ~name:"dp_disjoint_rho100"
-        (Staged.stage (fun () ->
-             Rentcost.Dp_disjoint.run (I.compile disjoint_problem) ~target:100));
-      Test.make ~name:"streamsim_500_items"
-        (Staged.stage (fun () ->
-             Streamsim.Sim.run illustrating (Lazy.force sim_alloc)
-               { Streamsim.Sim.default_config with Streamsim.Sim.items = 500 })) ]
-
-(* --- ablations (DESIGN.md: design-choice benches) --- *)
-
-let ablation =
-  Test.make_grouped ~name:"ablation"
-    [ Test.make ~name:"h32jump_step1_rho70"
-        (Staged.stage
-           (heuristic H.H32_jump ~params:H.default_params illustrating_instance
-              ~target:70));
-      Test.make ~name:"h32jump_step10_rho70"
-        (Staged.stage
-           (heuristic H.H32_jump ~params:params10 illustrating_instance ~target:70));
-      Test.make ~name:"h32_exhaustive_deltas_rho70"
-        (Staged.stage
-           (heuristic H.H32
-              ~params:{ params10 with H.exhaustive_deltas = true }
-              illustrating_instance ~target:70)) ]
-
-(* --- the unified Solver front door: Auto routing per § V class --- *)
+(* --- the structured instances that Auto routes to the § V DPs --- *)
 
 let platform4 =
   Rentcost.Platform.of_list [ (10, 10); (18, 20); (25, 30); (33, 40) ]
@@ -301,99 +105,29 @@ let disjoint_instance =
           [| Rentcost.Task_graph.chain ~ntypes:4 ~types:[| 0; 1 |];
              Rentcost.Task_graph.chain ~ntypes:4 ~types:[| 2; 3 |] |]))
 
-let solver_group =
-  Test.make_grouped ~name:"solver"
-    [ Test.make ~name:"auto_blackbox_rho100"
-        (Staged.stage (solver_nodes S.Auto blackbox_instance ~target:100));
-      Test.make ~name:"auto_disjoint_rho100"
-        (Staged.stage (solver_nodes S.Auto disjoint_instance ~target:100));
-      Test.make ~name:"auto_shared_capped_rho70"
-        (Staged.stage
-           (solver_nodes ~node_limit:25 S.Auto illustrating_instance ~target:70));
-      Test.make ~name:"budget_fallback_rho70"
-        (Staged.stage (fun () ->
-             (S.run ~budget:(Rentcost.Budget.nodes 0) ~spec:S.Exact_ilp
-                (Lazy.force illustrating_instance)
-                ~objective:(min_cost 70))
-               .S.telemetry.S.evaluations)) ]
-
-(* --- the provisioning service: cache-hit vs cold-solve latency --- *)
+(* --- the provisioning service, for the kill-switch gate --- *)
 
 module Svc = Rentcost_service
 
-let service_solve ~reuse ~target =
-  Svc.Protocol.Solve
-    { id = None; trace_id = None; tenant = None; source = Svc.Protocol.Ref "app";
-      objective = Rentcost.Objective.min_cost ~target; pricebook = None;
-      spec = S.Auto; budget = None; reuse }
-
-let service_engine_with_app () =
-  let e = Svc.Engine.create () in
-  ignore (Svc.Engine.register e ~name:"app" illustrating);
-  e
-
-let service_answer engine req =
-  match Svc.Engine.handle engine req with
-  | [ Svc.Protocol.Solved { cost; _ } ] -> cost
-  | _ -> failwith "service bench: unexpected response"
-
-(* One engine per kernel: the hit kernel replays a primed entry, the
-   cold kernel opts out of reuse so every call runs the ILP. *)
-let primed_engine =
+(* An engine with the illustrating problem registered as "app", and a
+   solve on it that opts out of reuse, so every call runs the ILP. *)
+let cold_engine =
   lazy
-    (let e = service_engine_with_app () in
-     ignore
-       (service_answer e (service_solve ~reuse:Svc.Protocol.Monotone ~target:70));
+    (let e = Svc.Engine.create () in
+     ignore (Svc.Engine.register e ~name:"app" illustrating);
      e)
 
-let cold_engine = lazy (service_engine_with_app ())
-
-let service_group =
-  Test.make_grouped ~name:"service"
-    [ Test.make ~name:"cache_hit_rho70"
-        (Staged.stage (fun () ->
-             service_answer (Lazy.force primed_engine)
-               (service_solve ~reuse:Svc.Protocol.Monotone ~target:70)));
-      Test.make ~name:"cold_solve_rho70"
-        (Staged.stage (fun () ->
-             service_answer (Lazy.force cold_engine)
-               (service_solve ~reuse:Svc.Protocol.No_reuse ~target:70)));
-      Test.make ~name:"fingerprint_illustrating"
-        (Staged.stage (fun () -> Svc.Fingerprint.of_problem illustrating)) ]
-
-(* --- observability: what the instrumentation itself costs --- *)
-
-let bench_hist =
-  lazy (Telemetry.histogram "bench.observe_seconds" ~bounds:[| 0.001; 0.01; 0.1; 1.0 |])
-
-let observability_group =
-  let c = Telemetry.counter "bench.bump" in
-  let vec = Telemetry.counter_vec "bench.bump_vec" ~labels:[ "tenant"; "rung" ] in
-  Test.make_grouped ~name:"observability"
-    [ Test.make ~name:"counter_bump" (Staged.stage (fun () -> Telemetry.bump c));
-      (* Find-or-create cell lookup + bump: the per-request cost of a
-         labelled series, registry mutex included. *)
-      Test.make ~name:"counter_vec_bump"
-        (Staged.stage (fun () ->
-             Telemetry.bump (Telemetry.counter_with vec [ "default"; "cold" ])));
-      Test.make ~name:"histogram_observe"
-        (Staged.stage (fun () -> Telemetry.observe (Lazy.force bench_hist) 0.05));
-      Test.make ~name:"span_enabled"
-        (Staged.stage (fun () ->
-             Telemetry.Span.with_span "bench.span" (fun () -> 42)));
-      (* The kill-switch path, toggle included (the toggle is two ref
-         writes; the point is that the span body is a tail call). *)
-      Test.make ~name:"span_disabled"
-        (Staged.stage (fun () ->
-             Telemetry.set_enabled false;
-             let r = Telemetry.Span.with_span "bench.span" (fun () -> 42) in
-             Telemetry.set_enabled true;
-             r));
-      Test.make ~name:"h32jump_instrumented_rho70"
-        (Staged.stage
-           (heuristic H.H32_jump ~params:params10 illustrating_instance ~target:70));
-      Test.make ~name:"text_exposition"
-        (Staged.stage (fun () -> String.length (Telemetry.text_exposition ()))) ]
+let cold_solve () =
+  match
+    Svc.Engine.handle (Lazy.force cold_engine)
+      (Svc.Protocol.Solve
+         { id = None; trace_id = None; tenant = None;
+           source = Svc.Protocol.Ref "app"; objective = min_cost 70;
+           pricebook = None; spec = S.Auto; budget = None;
+           reuse = Svc.Protocol.No_reuse })
+  with
+  | [ Svc.Protocol.Solved _ ] -> ()
+  | _ -> failwith "bench: unexpected service response"
 
 (* --- scenarios: the dual objective and multi-cloud price books --- *)
 
@@ -435,43 +169,12 @@ let identical_books platform =
 let illustrating_maxthr_instance =
   lazy (I.compile ~scenario:(Sc.max_throughput ~budget:120 ()) illustrating)
 
-let illustrating_multicloud_instance =
-  lazy
-    (I.compile
-       ~scenario:
-         (Sc.min_cost
-            ~pricebook:(multicloud_books (Rentcost.Problem.platform illustrating))
-            ~target:70 ())
-       illustrating)
-
-let scenarios_group =
-  Test.make_grouped ~name:"scenarios"
-    [ Test.make ~name:"dual_illustrating_b120"
-        (Staged.stage (fun () ->
-             (S.run (Lazy.force illustrating_maxthr_instance)
-                ~objective:(Ob.max_throughput ~budget:120))
-               .S.throughput));
-      Test.make ~name:"multicloud_compile_illustrating"
-        (Staged.stage (fun () ->
-             I.compile
-               ~scenario:
-                 (Sc.min_cost
-                    ~pricebook:
-                      (multicloud_books (Rentcost.Problem.platform illustrating))
-                    ~target:70 ())
-               illustrating));
-      Test.make ~name:"multicloud_ilp_rho70"
-        (Staged.stage
-           (solver_nodes S.Exact_ilp illustrating_multicloud_instance
-              ~target:70)) ]
-
 (* --- numeric: the LP fast path vs the exact Rat engine ---
 
    Both sides solve the SAME prebuilt model (the solvers never mutate
    it), so the split isolates arithmetic from model construction.
-   Results are bit-identical — asserted in --smoke and in the
-   differential test suite, so these pairs measure speed, not
-   behaviour. *)
+   Results are bit-identical — gated below and in the differential
+   test suite, so these pairs measure speed, not behaviour. *)
 
 let lp_model_illustrating =
   lazy (fst (Rentcost.Ilp.model (I.compile illustrating) ~target:70))
@@ -480,22 +183,7 @@ let lp_model_illustrating =
 let lp_model_large =
   lazy (fst (Rentcost.Ilp.model (Lazy.force large_instance) ~target:100))
 
-let numeric_group =
-  Test.make_grouped ~name:"numeric"
-    [ Test.make ~name:"lp_simplex_rat_rho70"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve_exact (Lazy.force lp_model_illustrating)));
-      Test.make ~name:"lp_simplex_ff64_rho70"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve_fast (Lazy.force lp_model_illustrating)));
-      Test.make ~name:"lp_simplex_rat_fig7_rho100"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve_exact (Lazy.force lp_model_large)));
-      Test.make ~name:"lp_simplex_ff64_fig7_rho100"
-        (Staged.stage (fun () ->
-             Lp.Simplex.solve_fast (Lazy.force lp_model_large))) ]
-
-(* --- autoscale: traces, controller ticks, policy comparison --- *)
+(* --- autoscale: the policy comparison --- *)
 
 module As = Rentcost_autoscale
 
@@ -504,7 +192,7 @@ module As = Rentcost_autoscale
    headroom (15%) covers the noise band (8%) so wiggles inside an hour
    do not force mid-hour re-rents. Under this config the policy
    ordering oracle <= elastic <= static-peak is robust across seeds —
-   asserted in --smoke below. *)
+   gated below. *)
 let autoscale_trace =
   lazy
     (As.Trace.diurnal ~ticks:96 ~base:20 ~amplitude:60 ~period:48 ~noise:0.08
@@ -515,48 +203,6 @@ let autoscale_config =
     ticks_per_hour = 12;
     deadband = 0.25;
     headroom = 0.15 }
-
-(* Controllers are stateful; each kernel drives one long-lived
-   controller to its steady state (lazily, so --smoke pays nothing):
-   the hold kernel repeats a demand inside the deadband, the resolve
-   kernel alternates across it so every tick re-solves. *)
-let hold_controller =
-  lazy
-    (let c =
-       As.Controller.create_on ~config:autoscale_config
-         (Lazy.force illustrating_instance)
-     in
-     ignore (As.Controller.tick c ~demand:50);
-     c)
-
-let resolve_controller =
-  lazy
-    (As.Controller.create_on ~config:autoscale_config
-       (Lazy.force illustrating_instance))
-
-let autoscale_group =
-  Test.make_grouped ~name:"autoscale"
-    [ Test.make ~name:"trace_diurnal_96"
-        (Staged.stage (fun () ->
-             As.Trace.total_demand
-               (As.Trace.diurnal ~ticks:96 ~base:20 ~amplitude:60 ~period:48
-                  ~noise:0.08 ~seed:autoscale_seed ())));
-      Test.make ~name:"controller_hold_tick"
-        (Staged.stage (fun () ->
-             As.Controller.tick (Lazy.force hold_controller) ~demand:50));
-      Test.make ~name:"controller_resolve_tick"
-        (let flip = ref false in
-         Staged.stage (fun () ->
-             flip := not !flip;
-             As.Controller.tick
-               (Lazy.force resolve_controller)
-               ~demand:(if !flip then 80 else 20))) ]
-
-let all_tests =
-  Test.make_grouped ~name:"rentcost"
-    [ table3; fig3; fig4; fig5; fig6; fig7; fig8; micro; ablation; solver_group;
-      service_group; observability_group; scenarios_group;
-      numeric_group; autoscale_group ]
 
 (* --- the one writer: BENCH_<name>.json, one top-level field a line --- *)
 
@@ -655,9 +301,9 @@ let oracle_throughput ~evals =
   let scratch_rate = float_of_int scratch_evals /. Float.max dt_scratch 1e-9 in
   (inc_rate, scratch_rate)
 
-let emit_solver ~evals =
+let emit_solver () =
   let rows = engine_rows () in
-  let inc_rate, scratch_rate = oracle_throughput ~evals in
+  let inc_rate, scratch_rate = oracle_throughput ~evals:20_000 in
   let row_json r =
     let t = r.row_telemetry in
     J.Obj
@@ -719,8 +365,8 @@ let observability_overhead ~reps =
   Telemetry.set_enabled true;
   (!best_on /. float_of_int inner, !best_off /. float_of_int inner)
 
-let emit_observability ~reps =
-  let on, off = observability_overhead ~reps in
+let emit_observability () =
+  let on, off = observability_overhead ~reps:7 in
   emit "observability" ~schema:"rentcost-bench-observability/2"
     [ ( "hot_path",
         J.Obj
@@ -838,7 +484,7 @@ let scenarios_data () =
       ~objective:(min_cost dual.S.throughput)
   in
   (* Single-cloud vs 3-book multi-cloud on the fig7 workload. *)
-  let problem = problem_of large_instance in
+  let problem = I.problem (Lazy.force large_instance) in
   let platform = Rentcost.Problem.platform problem in
   let h32 inst =
     S.run ~rng:(P.create kernel_seed) ~params:params10
@@ -1166,7 +812,8 @@ let wire_json counts =
              (name ^ "_before", J.Int (List.assoc name wire_before)) ])
          counts)
 
-let emit_numeric ~reps =
+let emit_numeric () =
+  let reps = 5 in
   let splits =
     [ lp_split ~reps ~inner:20 "lp_simplex_illustrating_rho70"
         lp_model_illustrating;
@@ -1259,7 +906,7 @@ let emit_autoscale () =
               savings ~of_:c.As.Policy.oracle ~over:c.As.Policy.elastic ) ] ) ];
   c
 
-(* --- smoke mode: engine agreement + oracle consistency, no OLS --- *)
+(* --- the run: write every BENCH file and gate what it measured --- *)
 
 let smoke () =
   let failures = ref 0 in
@@ -1269,7 +916,7 @@ let smoke () =
       Printf.printf "FAIL %s\n" name
     end
   in
-  let rows = emit_solver ~evals:20_000 in
+  let rows = emit_solver () in
   let cost_of name =
     (List.find (fun r -> r.row_name = name) rows).row_cost
   in
@@ -1348,9 +995,7 @@ let smoke () =
     (S.run ~rng:(P.create kernel_seed) ~params:params10
        ~spec:(S.Heuristic H.H32_jump)
        (Lazy.force illustrating_instance) ~objective:(min_cost 70));
-  ignore
-    (service_answer (Lazy.force cold_engine)
-       (service_solve ~reuse:Svc.Protocol.No_reuse ~target:70));
+  cold_solve ();
   check "disabled mode freezes counters"
     (Telemetry.value Telemetry.heuristic_evals = evals_frozen);
   check "disabled mode freezes solver histograms"
@@ -1365,7 +1010,7 @@ let smoke () =
     (Svc.Audit.recorded (Svc.Engine.audit (Lazy.force cold_engine))
     = audit_frozen);
   Telemetry.set_enabled true;
-  let on, off = emit_observability ~reps:7 in
+  let on, off = emit_observability () in
   check "labelled instrumentation overhead under 5% on the heuristic hot path"
     (on <= (off *. 1.05) +. 2.5e-4);
   (* Scenario axes: the binary-search dual must equal the scanned
@@ -1431,7 +1076,7 @@ let smoke () =
      relaxation — the fallback demonstrably fires, it is not dead
      code). *)
   let committed = committed_paper_counts "BENCH_numeric.json" in
-  let splits, paper, stress, wire = emit_numeric ~reps:5 in
+  let splits, paper, stress, wire = emit_numeric () in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
@@ -1545,43 +1190,4 @@ let smoke () =
     exit 1
   end
 
-(* --- driver: run everything, print an aligned time/run table --- *)
-
-let () =
-  if Array.exists (( = ) "--smoke") Sys.argv then smoke ()
-  else begin
-    let ols =
-      Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-    in
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg [ instance ] all_tests in
-    let results = Analyze.all ols instance raw in
-    let rows =
-      Hashtbl.fold
-        (fun name ols acc ->
-          let ns =
-            match Analyze.OLS.estimates ols with Some (e :: _) -> e | _ -> nan
-          in
-          let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
-          (name, ns, r2) :: acc)
-        results []
-    in
-    let rows = List.sort (fun (a, _, _) (b, _, _) -> compare a b) rows in
-    let human ns =
-      if ns >= 1e9 then Printf.sprintf "%8.3f s " (ns /. 1e9)
-      else if ns >= 1e6 then Printf.sprintf "%8.3f ms" (ns /. 1e6)
-      else if ns >= 1e3 then Printf.sprintf "%8.3f us" (ns /. 1e3)
-      else Printf.sprintf "%8.1f ns" ns
-    in
-    Printf.printf "%-50s %12s %8s\n" "benchmark" "time/run" "r^2";
-    Printf.printf "%s\n" (String.make 72 '-');
-    List.iter
-      (fun (name, ns, r2) -> Printf.printf "%-50s %s %8.4f\n" name (human ns) r2)
-      rows;
-    ignore (emit_solver ~evals:200_000);
-    ignore (emit_observability ~reps:9);
-    ignore (emit_scenarios ());
-    ignore (emit_numeric ~reps:9);
-    ignore (emit_autoscale ())
-  end
+let () = smoke ()

@@ -16,7 +16,7 @@
 
     On well-behaved traces (the seeded diurnal of the bench) the
     ordering [oracle <= elastic <= static_peak] holds and is asserted
-    in [bench --smoke]; adversarial traces can break the upper half
+    in [bench/main.exe]; adversarial traces can break the upper half
     (e.g. a flash crowd straddling a boundary forces the elastic
     policy into mid-hour rentals the static fleet never pays). *)
 

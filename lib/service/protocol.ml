@@ -145,13 +145,31 @@ let load_problem path =
   | exception Invalid_argument msg ->
     Result.Error (Printf.sprintf "register: %s: %s" path msg)
 
+(* One request field, typed. An absent key is [Ok None]; a key present
+   with another JSON type ([null] included) is an error that names the
+   field. A mistyped field is never read as absent, so a client's cap,
+   deadline or policy is never silently replaced by its default. *)
+let optional ~what (coerce, expected) key j =
+  match Json.member key j with
+  | None -> Ok None
+  | Some v -> (
+    match coerce v with
+    | Some x -> Ok (Some x)
+    | None ->
+      Result.Error (Printf.sprintf "%s: bad %S: expected %s" what key expected))
+
+let integer = (Json.to_int, "an integer")
+let number = (Json.to_float, "a number")
+let text = (Json.to_str, "a string")
+
 let decode_register j =
-  let* name =
-    Option.to_result ~none:"register: missing \"name\""
-      (Json.get_string "name" j)
-  in
+  let field kind key = optional ~what:"register" kind key j in
+  let* name = field text "name" in
+  let* name = Option.to_result ~none:"register: missing \"name\"" name in
+  let* problem_text = field text "problem" in
+  let* path = field text "path" in
   let* problem =
-    match (Json.get_string "problem" j, Json.get_string "path" j) with
+    match (problem_text, path) with
     | Some text, None -> parse_problem ~what:"register" text
     | None, Some path -> load_problem path
     | Some _, Some _ -> Result.Error "register: give \"problem\" or \"path\", not both"
@@ -160,9 +178,10 @@ let decode_register j =
   Ok (Register { name; problem })
 
 let decode_budget j =
-  let deadline = Json.get_float "deadline" j in
-  let node_cap = Json.get_int "nodes" j in
-  let eval_cap = Json.get_int "evals" j in
+  let field kind key = optional ~what:"solve" kind key j in
+  let* deadline = field number "deadline" in
+  let* node_cap = field integer "nodes" in
+  let* eval_cap = field integer "evals" in
   let* () =
     match deadline with
     | Some d when d < 0.0 -> Result.Error "solve: negative \"deadline\""
@@ -194,8 +213,10 @@ let load_pricebook path =
     Result.Error (Printf.sprintf "solve: %s: %s" path msg)
 
 let decode_objective j =
+  let field kind key = optional ~what:"solve" kind key j in
+  let* kind = field text "objective" in
   let* kind =
-    match Json.get_string "objective" j with
+    match kind with
     | None -> Ok `Min_cost
     | Some s ->
       Option.to_result
@@ -204,19 +225,20 @@ let decode_objective j =
   in
   match kind with
   | `Min_cost ->
+    let* target = field integer "target" in
     let* target =
-      Option.to_result ~none:"solve: missing integer \"target\""
-        (Json.get_int "target" j)
+      Option.to_result ~none:"solve: missing integer \"target\"" target
     in
     let* () =
       if target < 0 then Result.Error "solve: negative \"target\"" else Ok ()
     in
     Ok (Objective.min_cost ~target)
   | `Max_throughput ->
+    let* budget = field integer "budget" in
     let* budget =
       Option.to_result
         ~none:"solve: objective \"max-throughput\" needs integer \"budget\""
-        (Json.get_int "budget" j)
+        budget
     in
     let* () =
       if budget < 0 then Result.Error "solve: negative \"budget\"" else Ok ()
@@ -224,7 +246,9 @@ let decode_objective j =
     Ok (Objective.max_throughput ~budget)
 
 let decode_pricebook j =
-  match (Json.get_string "pricebook" j, Json.get_string "pricebook_path" j) with
+  let* book = optional ~what:"solve" text "pricebook" j in
+  let* path = optional ~what:"solve" text "pricebook_path" j in
+  match (book, path) with
   | None, None -> Ok None
   | Some text, None ->
     let* pb = parse_pricebook ~what:"solve" text in
@@ -235,31 +259,41 @@ let decode_pricebook j =
   | Some _, Some _ ->
     Result.Error "solve: give \"pricebook\" or \"pricebook_path\", not both"
 
+(* The problem a solve or track names: a registered "ref" or an inline
+   "problem", exactly one of them. *)
+let decode_source ~what j =
+  let* name = optional ~what text "ref" j in
+  let* problem = optional ~what text "problem" j in
+  match (name, problem) with
+  | Some name, None -> Ok (Ref name)
+  | None, Some text ->
+    let* p = parse_problem ~what text in
+    Ok (Inline p)
+  | Some _, Some _ ->
+    Result.Error (Printf.sprintf "%s: give \"ref\" or \"problem\", not both" what)
+  | None, None -> Result.Error (Printf.sprintf "%s: missing \"ref\" or \"problem\"" what)
+
+let decode_spec ~what j =
+  let* spec = optional ~what text "spec" j in
+  match spec with
+  | None -> Ok Solver.Auto
+  | Some s ->
+    Option.to_result
+      ~none:(Printf.sprintf "%s: unknown spec %S" what s)
+      (Solver.spec_of_string s)
+
 let decode_solve j =
-  let id = Json.get_int "id" j in
-  let trace_id = Json.get_string "trace_id" j in
-  let tenant = Json.get_string "tenant" j in
-  let* source =
-    match (Json.get_string "ref" j, Json.get_string "problem" j) with
-    | Some name, None -> Ok (Ref name)
-    | None, Some text ->
-      let* p = parse_problem ~what:"solve" text in
-      Ok (Inline p)
-    | Some _, Some _ -> Result.Error "solve: give \"ref\" or \"problem\", not both"
-    | None, None -> Result.Error "solve: missing \"ref\" or \"problem\""
-  in
+  let field kind key = optional ~what:"solve" kind key j in
+  let* id = field integer "id" in
+  let* trace_id = field text "trace_id" in
+  let* tenant = field text "tenant" in
+  let* source = decode_source ~what:"solve" j in
   let* objective = decode_objective j in
   let* pricebook = decode_pricebook j in
-  let* spec =
-    match Json.get_string "spec" j with
-    | None -> Ok Solver.Auto
-    | Some s ->
-      Option.to_result
-        ~none:(Printf.sprintf "solve: unknown spec %S" s)
-        (Solver.spec_of_string s)
-  in
+  let* spec = decode_spec ~what:"solve" j in
+  let* reuse = field text "reuse" in
   let* reuse =
-    match Json.get_string "reuse" j with
+    match reuse with
     | None -> Ok Monotone
     | Some s ->
       Option.to_result
@@ -270,65 +304,59 @@ let decode_solve j =
   Ok (Solve { id; trace_id; tenant; source; objective; pricebook; spec; budget; reuse })
 
 let decode_audit j =
-  match Json.member "last" j with
-  | None -> Ok (Audit { last = None })
-  | Some v -> (
-    match Json.to_int v with
-    | Some n when n >= 0 -> Ok (Audit { last = Some n })
-    | Some _ -> Result.Error "audit: negative \"last\""
-    | None -> Result.Error "audit: bad \"last\": expected an integer")
+  let* last = optional ~what:"audit" integer "last" j in
+  match last with
+  | Some n when n < 0 -> Result.Error "audit: negative \"last\""
+  | last -> Ok (Audit { last })
 
-let decode_session j = Option.value ~default:"default" (Json.get_string "session" j)
+let decode_session ~what j =
+  let* session = optional ~what text "session" j in
+  Ok (Option.value ~default:"default" session)
 
 let decode_track j =
-  let session = decode_session j in
-  let* source =
-    match (Json.get_string "ref" j, Json.get_string "problem" j) with
-    | Some name, None -> Ok (Ref name)
-    | None, Some text ->
-      let* p = parse_problem ~what:"track" text in
-      Ok (Inline p)
-    | Some _, Some _ -> Result.Error "track: give \"ref\" or \"problem\", not both"
-    | None, None -> Result.Error "track: missing \"ref\" or \"problem\""
-  in
+  let field kind key = optional ~what:"track" kind key j in
+  let* session = decode_session ~what:"track" j in
+  let* source = decode_source ~what:"track" j in
+  let* ticks_per_hour = field integer "ticks_per_hour" in
   let* ticks_per_hour =
-    match Json.get_int "ticks_per_hour" j with
+    match ticks_per_hour with
     | None -> Ok Controller.default_config.Controller.ticks_per_hour
     | Some n when n > 0 -> Ok n
     | Some _ -> Result.Error "track: \"ticks_per_hour\" must be > 0"
   in
+  let* deadband = field number "deadband" in
   let* deadband =
-    match Json.get_float "deadband" j with
+    match deadband with
     | None -> Ok Controller.default_config.Controller.deadband
     | Some d when Float.is_finite d && d >= 0. && d < 1. -> Ok d
     | Some _ -> Result.Error "track: \"deadband\" must lie in [0, 1)"
   in
+  let* headroom = field number "headroom" in
   let* headroom =
-    match Json.get_float "headroom" j with
+    match headroom with
     | None -> Ok Controller.default_config.Controller.headroom
     | Some h when Float.is_finite h && h >= 0. -> Ok h
     | Some _ -> Result.Error "track: \"headroom\" must be >= 0"
   in
-  let* spec =
-    match Json.get_string "spec" j with
-    | None -> Ok Solver.Auto
-    | Some s ->
-      Option.to_result
-        ~none:(Printf.sprintf "track: unknown spec %S" s)
-        (Solver.spec_of_string s)
-  in
+  let* spec = decode_spec ~what:"track" j in
   Ok (Track { session; source; ticks_per_hour; deadband; headroom; spec })
 
 let decode_tick j =
-  let id = Json.get_int "id" j in
-  let session = decode_session j in
+  let field kind key = optional ~what:"tick" kind key j in
+  let* id = field integer "id" in
+  let* session = decode_session ~what:"tick" j in
+  let* demand = field integer "demand" in
   let* demand =
-    match Json.get_int "demand" j with
+    match demand with
     | Some d when d >= 0 -> Ok d
     | Some _ -> Result.Error "tick: negative \"demand\""
     | None -> Result.Error "tick: missing integer \"demand\""
   in
   Ok (Tick { id; session; demand })
+
+let decode_untrack j =
+  let* session = decode_session ~what:"untrack" j in
+  Ok (Untrack { session })
 
 let request_of_json j =
   (* Every request is versioned; an absent "version" means 1. Unknown
@@ -351,7 +379,7 @@ let request_of_json j =
   | Some "solve" -> decode_solve j
   | Some "track" -> decode_track j
   | Some "tick" -> decode_tick j
-  | Some "untrack" -> Ok (Untrack { session = decode_session j })
+  | Some "untrack" -> decode_untrack j
   | Some "stats" -> Ok Stats
   | Some "metrics" -> Ok Metrics
   | Some "audit" -> decode_audit j

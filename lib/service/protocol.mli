@@ -208,7 +208,10 @@ type response =
 (** [request_of_json j] decodes a request, first rejecting any
     ["version"] other than 1 (absent means 1). ["path"] registers and
     ["pricebook_path"] books are read from disk here; file and parse
-    errors come back as [Error _] results, never exceptions. *)
+    errors come back as [Error _] results, never exceptions. An absent
+    optional field takes its default; a field present with the wrong
+    JSON type is an error naming it, e.g.
+    [solve: bad "nodes": expected an integer]. *)
 val request_of_json : Json.t -> (request, string) result
 
 (** [request_to_json r] encodes a request (client side). An inline

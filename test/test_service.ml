@@ -345,6 +345,126 @@ let test_track_protocol_roundtrip () =
   | Ok _ -> Alcotest.fail "track defaults mangled"
   | Error e -> Alcotest.fail ("track with defaults rejected: " ^ e)
 
+(* --- request fields: mistyped is an error, absent is the default --- *)
+
+let solve_fields = [ ("op", J.String "solve"); ("ref", J.String "app"); ("target", J.Int 70) ]
+let track_fields = [ ("op", J.String "track"); ("ref", J.String "app") ]
+let tick_fields = [ ("op", J.String "tick"); ("demand", J.Int 5) ]
+
+(* Each optional request field: the request it rides on (valid without
+   it), a value of the wrong JSON type, and what the request decodes to
+   without it. *)
+let optional_field_cases =
+  let d = Rentcost_autoscale.Controller.default_config in
+  let solve_budget_none = function
+    | Pr.Solve { budget = None; _ } -> true
+    | _ -> false
+  in
+  [ (solve_fields, "id", J.String "1",
+     function Pr.Solve { id = None; _ } -> true | _ -> false);
+    (solve_fields, "trace_id", J.Int 1,
+     function Pr.Solve { trace_id = None; _ } -> true | _ -> false);
+    (solve_fields, "tenant", J.Int 1,
+     function Pr.Solve { tenant = None; _ } -> true | _ -> false);
+    (solve_fields, "objective", J.Int 1,
+     function
+     | Pr.Solve { objective; _ } ->
+       objective = Rentcost.Objective.min_cost ~target:70
+     | _ -> false);
+    (solve_fields, "pricebook", J.Int 1,
+     function Pr.Solve { pricebook = None; _ } -> true | _ -> false);
+    (solve_fields, "pricebook_path", J.Int 1,
+     function Pr.Solve { pricebook = None; _ } -> true | _ -> false);
+    (solve_fields, "spec", J.Int 3,
+     function Pr.Solve { spec = S.Auto; _ } -> true | _ -> false);
+    (solve_fields, "reuse", J.Int 7,
+     function Pr.Solve { reuse = Pr.Monotone; _ } -> true | _ -> false);
+    (solve_fields, "deadline", J.String "0", solve_budget_none);
+    (solve_fields, "nodes", J.String "0", solve_budget_none);
+    (solve_fields, "nodes", J.Float 2.5, solve_budget_none);
+    (solve_fields, "nodes", J.Null, solve_budget_none);
+    (solve_fields, "evals", J.String "0", solve_budget_none);
+    ( [ ("op", J.String "register"); ("name", J.String "app");
+        ("problem", J.String (Rentcost.Problem_format.to_string base)) ],
+      "path", J.Int 1,
+      function Pr.Register { name = "app"; _ } -> true | _ -> false );
+    (track_fields, "session", J.Int 1,
+     function Pr.Track { session = "default"; _ } -> true | _ -> false);
+    (track_fields, "ticks_per_hour", J.String "4",
+     function
+     | Pr.Track { ticks_per_hour; _ } ->
+       ticks_per_hour = d.Rentcost_autoscale.Controller.ticks_per_hour
+     | _ -> false);
+    (track_fields, "deadband", J.String "0.1",
+     function
+     | Pr.Track { deadband; _ } ->
+       deadband = d.Rentcost_autoscale.Controller.deadband
+     | _ -> false);
+    (track_fields, "headroom", J.Bool true,
+     function
+     | Pr.Track { headroom; _ } ->
+       headroom = d.Rentcost_autoscale.Controller.headroom
+     | _ -> false);
+    (track_fields, "spec", J.Int 1,
+     function Pr.Track { spec = S.Auto; _ } -> true | _ -> false);
+    (tick_fields, "id", J.String "1",
+     function Pr.Tick { id = None; _ } -> true | _ -> false);
+    (tick_fields, "session", J.Int 1,
+     function Pr.Tick { session = "default"; _ } -> true | _ -> false);
+    ( [ ("op", J.String "untrack") ], "session", J.Int 1,
+      function Pr.Untrack { session = "default" } -> true | _ -> false );
+    ( [ ("op", J.String "audit") ], "last", J.String "5",
+      function Pr.Audit { last = None } -> true | _ -> false ) ]
+
+(* Required fields: mistyped names the field too, and absent stays an
+   error. *)
+let required_field_cases =
+  [ (solve_fields, "target", J.String "70");
+    ( [ ("op", J.String "solve"); ("ref", J.String "app");
+        ("objective", J.String "max-throughput"); ("budget", J.Int 150) ],
+      "budget", J.String "150" );
+    (solve_fields, "ref", J.Int 1);
+    ( [ ("op", J.String "register"); ("name", J.String "app");
+        ("problem", J.String (Rentcost.Problem_format.to_string base)) ],
+      "name", J.Int 1 );
+    (tick_fields, "demand", J.String "5") ]
+
+let test_request_field_types () =
+  let op_of fields =
+    match List.assoc "op" fields with J.String op -> op | _ -> assert false
+  in
+  let mistyped fields key bad =
+    let line = List.remove_assoc key fields @ [ (key, bad) ] in
+    let what = Printf.sprintf "%s %S = %s" (op_of fields) key (J.to_string bad) in
+    match Pr.request_of_json (J.Obj line) with
+    | Ok _ -> Alcotest.failf "%s: mistyped field decoded" what
+    | Error message ->
+      let prefix = Printf.sprintf "%s: bad %S: expected " (op_of fields) key in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: error names the field (%s)" what message)
+        true
+        (String.starts_with ~prefix message)
+  in
+  List.iter
+    (fun (fields, key, bad, default) ->
+      mistyped fields key bad;
+      let without = List.remove_assoc key fields in
+      match Pr.request_of_json (J.Obj without) with
+      | Ok r ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s without %S keeps its default" (op_of fields) key)
+          true (default r)
+      | Error e ->
+        Alcotest.failf "%s without %S rejected: %s" (op_of fields) key e)
+    optional_field_cases;
+  List.iter
+    (fun (fields, key, bad) ->
+      mistyped fields key bad;
+      match Pr.request_of_json (J.Obj (List.remove_assoc key fields)) with
+      | Ok _ -> Alcotest.failf "%s without %S decoded" (op_of fields) key
+      | Error _ -> ())
+    required_field_cases
+
 let test_track_response_roundtrip () =
   let roundtrip r =
     match Pr.response_of_json (Pr.response_to_json r) with
@@ -1153,7 +1273,13 @@ let strict_fuzz_cases =
     {|{"op":"solve","id":1}|};  (* no source *)
     {|{"op":"solve","id":1,"ref":"app"}|};  (* min-cost without target *)
     {|{"op":"solve","id":1,"ref":"app","target":"many"}|};
-        (* wrong-typed target reads as missing: strict *)
+        (* wrong-typed fields: each names the field *)
+    {|{"op":"solve","id":"seven","ref":"app","target":110}|};
+    {|{"op":"solve","id":1,"ref":"app","target":70,"nodes":"0"}|};
+    {|{"op":"solve","id":1,"ref":"app","target":70,"evals":"0"}|};
+    {|{"op":"solve","id":1,"ref":"app","target":70,"deadline":"0"}|};
+    {|{"op":"solve","id":1,"ref":"app","target":70,"reuse":7}|};
+    {|{"op":"solve","id":1,"ref":"app","target":70,"spec":3}|};
     {|{"op":"solve","id":1,"ref":"app","target":-3}|};
     {|{"op":"solve","id":1,"ref":"app","target":50,"reuse":"psychic"}|};
     {|{"op":"solve","id":1,"ref":"app","target":50,"spec":"gpu"}|};
@@ -1202,14 +1328,12 @@ let test_protocol_fuzz_strict () =
      | _ -> Alcotest.fail "daemon desynced: sentinel solve or Bye misplaced")
    | _ -> Alcotest.fail "register reply missing")
 
-(* Pinned lenient behaviors: the codec drops wrong-typed optional
-   fields rather than rejecting the request, and duplicate keys read
-   as their first occurrence. *)
+(* Pinned lenient behaviors: duplicate keys read as their first
+   occurrence and unknown fields are ignored. (A wrong-typed field is
+   an error; see the strict cases.) *)
 let test_protocol_fuzz_lenient () =
   let lines =
     [ J.to_string (Pr.request_to_json (Pr.Register { name = "app"; problem = base }));
-      (* wrong-typed id: dropped, request still served (no id echoed) *)
-      {|{"op":"solve","id":"seven","ref":"app","target":110}|};
       (* duplicate keys: first occurrence wins *)
       {|{"op":"solve","id":5,"id":6,"ref":"app","target":110}|};
       (* unknown extra fields are ignored *)
@@ -1221,7 +1345,6 @@ let test_protocol_fuzz_lenient () =
     (List.length lines) (List.length out);
   match List.map decode_response_line out with
   | [ Pr.Registered _;
-      Pr.Solved { id = None; _ };
       Pr.Solved { id = Some 5; _ };
       Pr.Solved { id = Some 7; _ };
       Pr.Bye ] -> ()
@@ -1288,6 +1411,8 @@ let suite =
         test_deadline_slack_degrades;
       Alcotest.test_case "track protocol roundtrip" `Quick
         test_track_protocol_roundtrip;
+      Alcotest.test_case "request fields: mistyped is an error, absent the default"
+        `Quick test_request_field_types;
       Alcotest.test_case "track response roundtrip" `Quick
         test_track_response_roundtrip;
       Alcotest.test_case "track session end to end" `Quick
