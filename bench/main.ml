@@ -16,22 +16,23 @@
      cost curve, a max-throughput sweep over seeded fig3 instances,
      and single- vs multi-cloud cost;
    - BENCH_numeric.json: the fast LP engine against exact Rat, the
-     figure-preset workload's relaxations, fallbacks, pivots, warm
-     nodes, peak retained words, capped cost sum and proved count, and
-     the words one decode of an inline problem allocates ("wire");
+     figure-preset and fig8 workloads' relaxations, fallbacks, pivots,
+     warm nodes, peak retained words, capped cost sum and proved count,
+     and the words one decode of an inline problem allocates ("wire");
    - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
    It then prints "smoke OK" if: the exact engines agree and the
    heuristics are feasible; the incremental oracle matches scratch
    repricing; the kill switch freezes every instrument and enabled
    instrumentation costs under 5%; the dual objective and price books
-   behave, with the dual sweep's throughputs, nodes and pivots equal
-   to the committed BENCH_scenarios.json and zero fallbacks; the fast
-   LP engine is bit-identical and fast enough, with the figure-preset
-   effort counts, capped answers and wire decode words equal to the
-   committed BENCH_numeric.json; and the autoscale policies are
-   ordered oracle <= elastic <= static-peak. Otherwise it prints a
-   FAIL line per failed check and exits 1. *)
+   behave, with the dual answer costing the min cost at its
+   throughput, and the dual sweep's throughputs, nodes and pivots
+   equal to the committed BENCH_scenarios.json and zero fallbacks; the
+   fast LP engine is bit-identical and fast enough, with the
+   figure-preset and fig8 effort counts, capped answers and wire
+   decode words equal to the committed BENCH_numeric.json; and the
+   autoscale policies are ordered oracle <= elastic <= static-peak.
+   Otherwise it prints a FAIL line per failed check and exits 1. *)
 
 module G = Cloudsim.Generator
 module H = Rentcost.Heuristics
@@ -647,10 +648,9 @@ let paper_instances_per_preset = 4
 let paper_targets = [ 20; 60; 100; 140; 200 ]
 let paper_node_limit = 300
 
-(* The paper-scale workload: node-capped solves over seeded instances
-   of the Fig. 3, 6 and 7 presets. The acceptance bar is zero
-   fallbacks here. *)
-let paper_workload () =
+(* Node-capped solves over seeded instances of [presets], each preset
+   drawing its instances from a stream of the root seed. *)
+let capped_workload presets () =
   let acc = ref no_answers in
   List.iter
     (fun id ->
@@ -669,8 +669,17 @@ let paper_workload () =
                    (I.compile problem) ~target))
           paper_targets
       done)
-    paper_presets;
+    presets;
   !acc
+
+(* The paper-scale workload over the Fig. 3, 6 and 7 presets. The
+   acceptance bar is zero fallbacks here. *)
+let paper_workload = capped_workload paper_presets
+
+(* The same solves on the Fig. 8 preset (J = 10, Q = 50, 100-200 tasks
+   per recipe), where trees are widest and the snapshot budget can
+   bind. *)
+let fig8_workload = capped_workload [ "fig8" ]
 
 (* Costs near max_int sit far outside the fast range, so every
    relaxation must overflow and rerun on Rat. *)
@@ -687,16 +696,23 @@ let stress_workload () =
       answered acc (Rentcost.Ilp.optimize (I.compile overflow_problem) ~target))
     no_answers [ 10; 20; 30 ]
 
-(* The figure-preset counts that are deterministic for a seed, gated
+(* The capped-workload counts that are deterministic for a seed, gated
    exactly against the committed file: (block, field, this run's
    value). *)
-let paper_gated paper =
+let numeric_gated paper fig8 =
   [ ("fallback", "paper_relaxations", paper.fb_relaxations);
     ("warm_start", "paper_pivots", paper.fb_pivots);
     ("warm_start", "paper_warm_nodes", paper.fb_warm_nodes);
     ("warm_start", "paper_peak_retained_words", paper.fb_peak_words);
     ("warm_start", "paper_capped_cost_sum", paper.fb_cost_sum);
-    ("warm_start", "paper_proved", paper.fb_proved) ]
+    ("warm_start", "paper_proved", paper.fb_proved);
+    ("fig8", "nodes", fig8.fb_nodes);
+    ("fig8", "warm_nodes", fig8.fb_warm_nodes);
+    ("fig8", "pivots", fig8.fb_pivots);
+    ("fig8", "fallbacks", fig8.fb_fallbacks);
+    ("fig8", "peak_retained_words", fig8.fb_peak_words);
+    ("fig8", "capped_cost_sum", fig8.fb_cost_sum);
+    ("fig8", "proved", fig8.fb_proved) ]
 
 (* The committed file's seed and its JSON, read before this run
    rewrites it. *)
@@ -820,6 +836,7 @@ let emit_numeric () =
       lp_split ~reps ~inner:2 "lp_simplex_fig7_rho100" lp_model_large ]
   in
   let paper = count_fallbacks paper_workload in
+  let fig8 = count_fallbacks fig8_workload in
   let stress = count_fallbacks stress_workload in
   let wire = wire_counts () in
   let split_json k =
@@ -829,7 +846,7 @@ let emit_numeric () =
         ("identical", J.Bool k.ks_identical) ]
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  emit "numeric" ~schema:"rentcost-bench-numeric/7"
+  emit "numeric" ~schema:"rentcost-bench-numeric/8"
     [ ( "kernels",
         J.Obj
           [ ("fast", J.String Lp.Simplex.fast_kernel);
@@ -862,8 +879,21 @@ let emit_numeric () =
             ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget);
             ("paper_capped_cost_sum", J.Int paper.fb_cost_sum);
             ("paper_proved", J.Int paper.fb_proved) ] );
+      ( "fig8",
+        J.Obj
+          [ ("instances", J.Int paper_instances_per_preset);
+            ("targets", ints paper_targets);
+            ("node_limit", J.Int paper_node_limit);
+            ("nodes", J.Int fig8.fb_nodes);
+            ("warm_nodes", J.Int fig8.fb_warm_nodes);
+            ("warm_share", fixed 4 (ratio fig8.fb_warm_nodes fig8.fb_nodes));
+            ("pivots", J.Int fig8.fb_pivots);
+            ("fallbacks", J.Int fig8.fb_fallbacks);
+            ("peak_retained_words", J.Int fig8.fb_peak_words);
+            ("capped_cost_sum", J.Int fig8.fb_cost_sum);
+            ("proved", J.Int fig8.fb_proved) ] );
       ("wire", wire_json wire) ];
-  (splits, paper, stress, wire)
+  (splits, paper, fig8, stress, wire)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
 
@@ -1027,6 +1057,11 @@ let smoke () =
     (sc.sc_dual_cost <= sc.sc_budget);
   check "min-cost at the achieved dual throughput fits the budget"
     (sc.sc_recheck_cost <= sc.sc_budget);
+  check
+    (Printf.sprintf
+       "dual cost equals the min cost at its throughput (%d vs %d)"
+       sc.sc_dual_cost sc.sc_recheck_cost)
+    (sc.sc_dual_cost = sc.sc_recheck_cost);
   let sw = sc.sc_sweep in
   let targets = dual_sweep_targets @ dual_sweep_targets in
   check "dual sweep reaches every target at its min cost"
@@ -1076,7 +1111,7 @@ let smoke () =
      relaxation — the fallback demonstrably fires, it is not dead
      code). *)
   let committed = committed_paper_counts "BENCH_numeric.json" in
-  let splits, paper, stress, wire = emit_numeric () in
+  let splits, paper, fig8, stress, wire = emit_numeric () in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
@@ -1103,9 +1138,9 @@ let smoke () =
   check "paper workload ran relaxations" (paper.fb_relaxations > 0);
   check "zero fallbacks on the figure-preset workload" (paper.fb_fallbacks = 0);
   (* Pivots, warm nodes, the peak retained words and the capped
-     answers (their cost sum and how many proved optimal) are
-     deterministic for a seed, so they are gated exactly against the
-     committed file. *)
+     answers (their cost sum and how many proved optimal) of the
+     figure-preset and fig8 workloads are deterministic for a seed, so
+     they are gated exactly against the committed file. *)
   (match committed with
    | Some (seed, field) when seed = root_seed ->
      List.iter
@@ -1114,23 +1149,23 @@ let smoke () =
          | Some c ->
            check
              (Printf.sprintf
-                "paper workload %s matches the committed BENCH_numeric.json \
-                 (%d; committed %d)"
-                name value c)
+                "%s.%s matches the committed BENCH_numeric.json (%d; \
+                 committed %d)"
+                block name value c)
              (value = c)
          | None ->
            check
              (Printf.sprintf "committed BENCH_numeric.json carries %s.%s" block
                 name)
              false)
-       (paper_gated paper)
+       (numeric_gated paper fig8)
    | Some (seed, _) ->
      Printf.printf
-       "SKIP paper-workload effort gate (committed seed %d, this run %d; \
+       "SKIP capped-workload effort gate (committed seed %d, this run %d; \
         not counted as a pass)\n"
        seed root_seed
    | None ->
-     check "committed BENCH_numeric.json carries paper-workload effort" false);
+     check "committed BENCH_numeric.json carries capped-workload effort" false);
   (* Decode allocation: the counts are gated exactly against the
      committed file (their seed is pinned, whatever the root seed), and
      each must stay within its share of what the decoders they replaced

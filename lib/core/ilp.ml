@@ -48,18 +48,6 @@ let model instance ~target =
       (Lp.Linexpr.of_terms terms)
       Lp.Model.Ge R.zero
   done;
-  (* Valid tightening bounds: some optimum has ρ_j <= ρ and therefore
-     x_q <= ⌈max_j n^j_q · ρ / r_q⌉ (see DESIGN.md). They are
-     variable bounds, which branching tightens in place. *)
-  Array.iter (fun v -> Lp.Model.tighten_upper m v (R.of_int target)) rho_vars;
-  for q = 0 to q_count - 1 do
-    let nmax = ref 0 in
-    for j = 0 to j_count - 1 do
-      nmax := max !nmax (Instance.count instance j q)
-    done;
-    let ub = ceil_div (!nmax * target) (Instance.type_throughput instance q) in
-    Lp.Model.tighten_upper m x_vars.(q) (R.of_int ub)
-  done;
   let objective =
     Lp.Linexpr.of_terms
       (Array.to_list

@@ -7,10 +7,11 @@
 
     The solver is the exact branch-and-bound of {!Milp.Solver} (our
     stand-in for the paper's Gurobi); [time_limit] reproduces the
-    100-second cap of the paper's Figure 8 experiment. The MILP is
-    tightened with the valid bounds [ρ_j <= ρ] and
-    [x_q <= ⌈max_j n^j_q · ρ / r_q⌉], and with objective-integrality
-    bound strengthening (all costs are integers).
+    100-second cap of the paper's Figure 8 experiment. The model is
+    the paper's as it stands: [J + Q] variables, [1 + Q] rows and no
+    variable bound, so the root relaxation's tableau has [1 + Q] rows
+    and a branch adds a row only along its own path. The search is
+    strengthened by objective integrality (all costs are integers).
 
     {b Primal heuristic.} Every node whose LP split is fractional and
     still beats the incumbent is rounded to an integer split: each
@@ -51,8 +52,10 @@ type outcome = {
     variables [0..J'-1] are the [ρ_j] in compact numbering and
     [J'..J'+Q-1] are the [x_q]. Dominated columns never price cheaper
     at equal throughput, so both the MILP optimum and its LP
-    relaxation are unchanged. There is one model for both objectives:
-    a monetary budget is a cutoff of {!optimize}, not a row.
+    relaxation are unchanged. Its rows are the throughput row and one
+    capacity row per type, and no variable has an upper bound. There
+    is one model for both objectives: a monetary budget is a cutoff of
+    {!optimize}, not a row.
     @raise Invalid_argument when [target < 0]. *)
 val model :
   Instance.t ->
@@ -67,10 +70,9 @@ val model :
     @param incumbent a known feasible split (e.g. a cached or
       previous-period solution) in {e compact} recipe numbering, used
       with its minimal machine counts as the initial incumbent. The
-      caller is responsible for validity: non-negative, summing to at
-      least [target] and each [ρ_j <= target] — {!Solver.run}'s warm
-      start produces exactly such splits. Ignored when it costs more
-      than [?budget_cap].
+      caller is responsible for validity: non-negative and summing to
+      at least [target] — {!Solver.run}'s warm start produces exactly
+      such splits. Ignored when it costs more than [?budget_cap].
     @param budget_cap the money of a max-throughput probe, handed to
       the branch and bound as the cutoff [cap + 1]
       ({!Milp.Solver.solve}[ ?cutoff]): the model, kernel and warm

@@ -77,9 +77,8 @@ let auto_of_instance instance =
    mapped to the compact index space and trimmed to Σρ = target
    exactly — surplus throughput is shed from the highest fluid
    unit-cost recipes first. Trimming keeps the split feasible (loads
-   only drop) and puts it inside the search space every engine
-   explores (the heuristics exchange throughput at constant Σρ, and
-   the MILP bounds each ρ_j by the target). *)
+   only drop) and puts it inside the search space of the heuristics,
+   which exchange throughput at constant Σρ. *)
 let normalize_warm_start instance ~target alloc =
   let problem = Instance.problem instance in
   let rho = alloc.Allocation.rho in

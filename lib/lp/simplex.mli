@@ -10,7 +10,11 @@
     Complexity is exponential in the worst case but the models built by
     this project stay small (tens of rows/columns), where exact simplex
     is fast and — unlike floating-point codes — never returns a
-    slightly-infeasible or slightly-suboptimal basis.
+    slightly-infeasible or slightly-suboptimal basis. The tableau has
+    one row per constraint plus one per variable bound: there is no
+    bounded-variable engine, so a model bound costs a row like any
+    constraint. [Rentcost.Ilp.model] sets none, and its root tableau
+    has the paper's [1 + Q] rows.
 
     {!solve} runs a fraction-free engine over native-int rows and, when
     a row outgrows the native range, reruns that one model on exact
@@ -21,7 +25,8 @@
     {!reoptimize} is the branch-and-bound warm start: it takes the
     fraction-free engine's final tableau ({!snapshot}) and adds one
     variable bound. The bound tightens the variable's bound row in
-    place when it has one, and is appended as a new row otherwise. A
+    place when it has one (a model bound, or a row an earlier
+    [reoptimize] appended), and is appended as a new row otherwise. A
     dual simplex under the dual Bland rule then restores optimality. The optimal objective is the one
     a cold {!solve} of the same LP returns; when the LP has several
     optimal vertices the point may be a different one of them. *)

@@ -54,18 +54,38 @@ let test_build_structure () =
   (* 3 rho vars + 4 x vars *)
   Alcotest.(check int) "vars" 7 (Lp.Model.num_vars model);
   Alcotest.(check int) "integer vars" 7 (List.length integer);
-  (* 1 throughput + 4 capacity; the tightening bounds are variable
-     bounds, not rows *)
+  (* 1 throughput + 4 capacity rows, and no variable bound *)
   Alcotest.(check int) "constraints" 5 (Lp.Model.num_constraints model);
-  Alcotest.(check bool) "variable bounds set" true (Lp.Model.has_var_bounds model);
-  (* rho upper bounds equal the target *)
+  Alcotest.(check bool) "no variable bounds" false (Lp.Model.has_var_bounds model);
   (match Lp.Model.bounds model 0 with
-   | lo, Some up ->
-     Alcotest.(check string) "rho lower" "0" (Numeric.Rat.to_string lo);
-     Alcotest.(check string) "rho upper" "70" (Numeric.Rat.to_string up)
-   | _ -> Alcotest.fail "rho should have an upper bound");
+   | lo, None -> Alcotest.(check string) "rho lower" "0" (Numeric.Rat.to_string lo)
+   | _ -> Alcotest.fail "rho should have no upper bound");
   Alcotest.(check string) "rho name" "rho_0" (Lp.Model.var_name model 0);
   Alcotest.(check string) "x name" "x_0" (Lp.Model.var_name model 3)
+
+(* A recipe that runs type 0 three times, at a target where
+   [3 * target] wraps: the model forms no product of a count and the
+   target, and its relaxation (solved exactly past the native range)
+   scales linearly with the target. The other recipe runs only type 1,
+   so neither dominates the other and both keep their columns. *)
+let test_huge_target_model () =
+  let p =
+    PB.create (PF.of_list [ (1, 5); (100, 7) ])
+      [| TG.chain ~ntypes:2 ~types:[| 0; 0; 0 |];
+         TG.chain ~ntypes:2 ~types:[| 1 |] |]
+  in
+  let i = I.compile p in
+  Alcotest.(check int) "both recipes survive" 2 (I.num_recipes i);
+  let lp target =
+    match Lp.Simplex.solve (fst (ILP.model i ~target)) with
+    | Lp.Simplex.Optimal { objective; _ } -> objective
+    | _ -> Alcotest.fail "relaxation should be optimal"
+  in
+  let target = max_int / 2 in
+  Alcotest.(check bool) "3 * target wraps" true (3 * target < 0);
+  Alcotest.(check string) "LP scales with the target"
+    (Numeric.Rat.to_string (Numeric.Rat.mul (Numeric.Rat.of_int target) (lp 1)))
+    (Numeric.Rat.to_string (lp target))
 
 let test_zero_target () =
   match (ILP.optimize illustrating ~target:0).ILP.allocation with
@@ -140,6 +160,8 @@ let suite =
         test_table3_splits_are_optimal;
       Alcotest.test_case "optimality is proved" `Quick test_proved_optimal;
       Alcotest.test_case "model structure" `Quick test_build_structure;
+      Alcotest.test_case "model at a target past max_int / 3" `Quick
+        test_huge_target_model;
       Alcotest.test_case "zero target" `Quick test_zero_target;
       Alcotest.test_case "negative target" `Quick test_negative_target;
       Alcotest.test_case "LP lower bound" `Quick test_lp_lower_bound;

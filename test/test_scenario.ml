@@ -503,10 +503,11 @@ let props =
         cost_of dual <= budget
         && cost_of recheck <= budget
         && (dual.S.status <> S.Optimal
-           ||
-           (* optimality: one more unit of throughput must not fit *)
-           cost_of (run (Ob.min_cost ~target:(dual.S.throughput + 1)))
-           > budget));
+           (* an optimal reply costs the min cost at its throughput,
+              and one more unit of throughput must not fit *)
+           || cost_of dual = cost_of recheck
+              && cost_of (run (Ob.min_cost ~target:(dual.S.throughput + 1)))
+                 > budget));
     prop "fingerprints: objective and pricebook axes both key the cache" 10
       QCheck2.Gen.(int_range 1 1000)
       (fun scalar ->

@@ -376,16 +376,16 @@ let test_snapshot_words_cover_heap () =
     sol.S.values;
   Alcotest.(check bool) "some warm child is optimal" true (!warm > 0)
 
-(* Three recipes of 40 tasks over 80 types: the root's snapshot (int
-   rows and basis) is about 41k words, so some fifty open tableaus
+(* Three recipes of 40 tasks over 100 types: the root's snapshot (int
+   rows and basis) is about 21k words, so some hundred open tableaus
    fill the 2M-word budget and later children solve cold. The optimum
    must not care, and the exhaustive oracle (three recipes) is
    cheap. Seed and target are chosen so that the tree stays wide with
-   the branch and bound's rounded incumbents pruning it: 701 nodes,
-   94 of them cold. *)
+   the branch and bound's rounded incumbents pruning it: 1191 nodes,
+   32 of them cold. *)
 let wide_problem () =
-  let rng = Numeric.Prng.create 10 in
-  let q = 80 in
+  let rng = Numeric.Prng.create 15 in
+  let q = 100 in
   let draw () = 1 + Numeric.Prng.int rng 20 in
   let machines =
     List.init q (fun _ ->
@@ -403,7 +403,7 @@ let wide_problem () =
   Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
 
 let test_snapshot_budget () =
-  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 11 in
+  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 13 in
   let o, warm, fast, fallbacks =
     counting (fun () -> Rentcost.Ilp.optimize instance ~target)
   in
