@@ -604,6 +604,7 @@ type fallback_stats = {
   fb_nodes : int;
   fb_warm_nodes : int;
   fb_peak_words : int;
+  fb_minor_words : int;
   fb_cost_sum : int;
   fb_proved : int;
 }
@@ -624,8 +625,9 @@ let answered acc o =
           o.Rentcost.Ilp.allocation;
     proved = (acc.proved + if o.Rentcost.Ilp.proved_optimal then 1 else 0) }
 
-(* Solver effort under [f], read as counter deltas: each LP relaxation
-   bumps exactly one of numeric.fast_solves / numeric.fallbacks. *)
+(* Solver effort under [f], read as counter deltas (each LP relaxation
+   bumps exactly one of numeric.fast_solves / numeric.fallbacks), and
+   the minor-heap words it allocated. *)
 let count_fallbacks f =
   let names =
     Telemetry.
@@ -633,13 +635,23 @@ let count_fallbacks f =
         milp_warm_nodes ]
   in
   let before = List.map Telemetry.value names in
+  let minor0 = Gc.minor_words () in
   let a = f () in
+  let minor = int_of_float (Gc.minor_words () -. minor0) in
   match List.map2 (fun n b -> Telemetry.value n - b) names before with
   | [ fast; fb; pivots; nodes; warm ] ->
     { fb_relaxations = fast + fb; fb_fallbacks = fb; fb_pivots = pivots;
       fb_nodes = nodes; fb_warm_nodes = warm; fb_peak_words = a.peak;
-      fb_cost_sum = a.cost_sum; fb_proved = a.proved }
+      fb_minor_words = minor; fb_cost_sum = a.cost_sum; fb_proved = a.proved }
   | _ -> assert false
+
+let words_per_node s = s.fb_minor_words / Int.max s.fb_nodes 1
+
+(* Minor words per node of the capped workloads while a branch bound
+   still cost a tableau row (appended, or moved in place), measured
+   with this bench (OCaml 5.1.1, no flambda). *)
+let paper_words_per_node_before = 1858
+let fig8_words_per_node_before = 21085
 
 let ratio a b = float_of_int a /. Float.max (float_of_int b) 1.
 
@@ -704,6 +716,7 @@ let numeric_gated paper fig8 =
     ("warm_start", "paper_pivots", paper.fb_pivots);
     ("warm_start", "paper_warm_nodes", paper.fb_warm_nodes);
     ("warm_start", "paper_peak_retained_words", paper.fb_peak_words);
+    ("warm_start", "paper_minor_words_per_node", words_per_node paper);
     ("warm_start", "paper_capped_cost_sum", paper.fb_cost_sum);
     ("warm_start", "paper_proved", paper.fb_proved);
     ("fig8", "nodes", fig8.fb_nodes);
@@ -711,6 +724,7 @@ let numeric_gated paper fig8 =
     ("fig8", "pivots", fig8.fb_pivots);
     ("fig8", "fallbacks", fig8.fb_fallbacks);
     ("fig8", "peak_retained_words", fig8.fb_peak_words);
+    ("fig8", "minor_words_per_node", words_per_node fig8);
     ("fig8", "capped_cost_sum", fig8.fb_cost_sum);
     ("fig8", "proved", fig8.fb_proved) ]
 
@@ -846,7 +860,7 @@ let emit_numeric () =
         ("identical", J.Bool k.ks_identical) ]
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  emit "numeric" ~schema:"rentcost-bench-numeric/8"
+  emit "numeric" ~schema:"rentcost-bench-numeric/9"
     [ ( "kernels",
         J.Obj
           [ ("fast", J.String Lp.Simplex.fast_kernel);
@@ -876,6 +890,9 @@ let emit_numeric () =
             ( "paper_pivots_per_relaxation",
               fixed 3 (ratio paper.fb_pivots paper.fb_relaxations) );
             ("paper_peak_retained_words", J.Int paper.fb_peak_words);
+            ("paper_minor_words_per_node", J.Int (words_per_node paper));
+            ( "paper_minor_words_per_node_before",
+              J.Int paper_words_per_node_before );
             ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget);
             ("paper_capped_cost_sum", J.Int paper.fb_cost_sum);
             ("paper_proved", J.Int paper.fb_proved) ] );
@@ -890,6 +907,8 @@ let emit_numeric () =
             ("pivots", J.Int fig8.fb_pivots);
             ("fallbacks", J.Int fig8.fb_fallbacks);
             ("peak_retained_words", J.Int fig8.fb_peak_words);
+            ("minor_words_per_node", J.Int (words_per_node fig8));
+            ("minor_words_per_node_before", J.Int fig8_words_per_node_before);
             ("capped_cost_sum", J.Int fig8.fb_cost_sum);
             ("proved", J.Int fig8.fb_proved) ] );
       ("wire", wire_json wire) ];
@@ -1190,6 +1209,18 @@ let smoke () =
            den words before)
         (words * den <= before * num))
     wire;
+  (* Warm-path allocation: gated exactly above, and each workload must
+     stay within 4/5 of what it allocated per node while branch bounds
+     were rows. *)
+  List.iter
+    (fun (name, words, before) ->
+      check
+        (Printf.sprintf "%s at most 4/5 of before (%d of %d words per node)"
+           name words before)
+        (words * 5 <= before * 4))
+    [ ( "warm_start.paper_minor_words_per_node", words_per_node paper,
+        paper_words_per_node_before );
+      ("fig8.minor_words_per_node", words_per_node fig8, fig8_words_per_node_before) ];
   check
     (Printf.sprintf
        "paper workload retains under the snapshot budget (peak %d of %d words)"

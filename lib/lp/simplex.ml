@@ -16,6 +16,7 @@
    [lp.kernel] span attribute. *)
 
 module R = Numeric.Rat
+module B = Numeric.Bigint
 
 type solution = { objective : R.t; values : R.t array }
 
@@ -36,39 +37,31 @@ let exact_kernel = "rat"
 
 (* Variable bounds materialized as ordinary rows, then every row
    oriented so its right-hand side is non-negative. Shared by both
-   engines. A bound row keeps its [(v, dir, b)] when it was not
-   flipped, so the fast engine can tighten it in place later. *)
+   engines. *)
 let orient model =
   let nstruct = Model.num_vars model in
   let bound_rows =
     List.concat_map
       (fun v ->
         let lo, up = Model.bounds model v in
-        let lower = if R.sign lo > 0 then [ (Lower, Model.Ge, lo) ] else [] in
-        let upper =
-          match up with Some u -> [ (Upper, Model.Le, u) ] | None -> []
-        in
+        let lower = if R.sign lo > 0 then [ (Model.Ge, lo) ] else [] in
+        let upper = match up with Some u -> [ (Model.Le, u) ] | None -> [] in
         List.map
-          (fun (dir, cmp, b) ->
-            ( { Model.expr = Linexpr.var v; cmp; rhs = b; cname = "" },
-              Some (v, dir, b) ))
+          (fun (cmp, b) -> { Model.expr = Linexpr.var v; cmp; rhs = b; cname = "" })
           (lower @ upper))
       (List.init nstruct Fun.id)
   in
-  let constrs =
-    List.map (fun c -> (c, None)) (Model.constraints model) @ bound_rows
-  in
   List.map
-    (fun ({ Model.expr; cmp; rhs; _ }, bound) ->
+    (fun { Model.expr; cmp; rhs; _ } ->
       if R.sign rhs < 0 then
         let cmp = match cmp with Model.Le -> Model.Ge | Ge -> Le | Eq -> Eq in
-        (Linexpr.neg expr, cmp, R.neg rhs, None)
-      else (expr, cmp, rhs, bound))
-    constrs
+        (Linexpr.neg expr, cmp, R.neg rhs)
+      else (expr, cmp, rhs))
+    (Model.constraints model @ bound_rows)
 
 let count_slack_art oriented =
   List.fold_left
-    (fun (ns, na) (_, cmp, _, _) ->
+    (fun (ns, na) (_, cmp, _) ->
       match cmp with
       | Model.Le -> (ns + 1, na)
       | Model.Ge -> (ns + 1, na + 1)
@@ -185,7 +178,7 @@ module Exact = struct
     let basis = Array.make m (-1) in
     let slack_idx = ref nstruct and art_idx = ref art_start in
     List.iteri
-      (fun i (expr, cmp, rhs, _) ->
+      (fun i (expr, cmp, rhs) ->
         let row = tab.(i) in
         List.iter (fun (v, c) -> row.(v) <- c) (Linexpr.terms expr);
         row.(ncols) <- rhs;
@@ -370,9 +363,9 @@ module Fraction_free = struct
     Telemetry.Effort.pivot ();
     let row_r = t.tab.(r) in
     if row_r.(c) < 0 then
-      (* Drive-out pivots and dual pivots select a negative entry; the
-         row is an equation, so flipping its sign is free and keeps the
-         new scale positive. *)
+      (* Drive-out pivots and dual pivots may select a negative entry;
+         the row is an equation, so flipping its sign is free and keeps
+         the new scale positive. *)
       for j = 0 to t.ncols do
         row_r.(j) <- -row_r.(j)
       done;
@@ -544,26 +537,91 @@ module Fraction_free = struct
     in
     loop ()
 
-  (* Dual simplex from a dual-feasible basis (no column has a negative
-     reduced cost) under the dual Bland rule: the leaving row is the
-     one with a negative right-hand side whose basic column is
-     smallest; the entering column has the least exact d_j / |a_rj|
-     over a_rj < 0, ties to the smallest j. Scales are positive, so a
-     row's true entries share the signs and ratios of its integer
-     ones. Returns false when the leaving row has no negative entry:
-     that row alone proves the LP infeasible. *)
-  let run_dual t p =
+  (* A structural column's bounds [lo <= x <= up], each a small
+     fraction [n/d] ([up_d = 0]: no upper bound), and, while the column
+     is nonbasic, whether it sits at [up] rather than at [lo]. Records
+     never change, so a child copies only the array that holds them. *)
+  type col = { lo_n : int; lo_d : int; up_n : int; up_d : int; at_up : bool }
+
+  (* Every column's bounds before a branch: [0 <= x], at [0]. Model
+     bounds are rows (see {!orient}), and slack columns stay free. *)
+  let free = { lo_n = 0; lo_d = 1; up_n = 0; up_d = 0; at_up = false }
+
+  let col cols j = if j < Array.length cols then cols.(j) else free
+
+  (* A column's upper ([up]) or lower bound as [n/d], and the one a
+     nonbasic column sits at. *)
+  let bound c ~up = if up then (c.up_n, c.up_d) else (c.lo_n, c.lo_d)
+  let at c = bound c ~up:c.at_up
+
+  (* Whether a column's value can move: [lo < up]. *)
+  let movable c = c.up_d = 0 || c.lo_n * c.up_d < c.up_n * c.lo_d
+
+  (* [row <- q * row], then [a * p] added to the right-hand side (the
+     last entry): the row's basic variable moves by [a * (p/q)] over
+     the row's scale. Reduced by the content gcd when an entry leaves
+     the range. Every factor is under 2^30, so no product overflows. *)
+  let shift_rhs row ~a ~p ~q =
+    let len = Array.length row in
+    let acc = ref 0 in
+    if q <> 1 then
+      for j = 0 to len - 2 do
+        let v = row.(j) * q in
+        row.(j) <- v;
+        acc := !acc lor mag v
+      done;
+    let v = (row.(len - 1) * q) + (a * p) in
+    row.(len - 1) <- v;
+    if !acc lor mag v >= range then ignore (reduce_row row len 0)
+
+  (* Bounded dual simplex from a dual-feasible basis: every nonbasic
+     column at its lower bound has d_j >= 0 and every one at its upper
+     bound d_j <= 0. Right-hand sides hold the basic variables' current
+     values times their rows' scales, with each nonbasic column at its
+     bound. Dual Bland rule: the leaving row is the one whose basic
+     column is smallest among those outside their bounds, and it
+     leaves at the bound it violates. The entering column has the
+     least exact |d_j| / |a_rj| over the columns that move the leaving
+     variable the right way (at lower with a_rj of one sign, at upper
+     with the other; fixed columns never move), ties to the smallest
+     j. Scales are positive, so a row's true entries share the signs
+     and ratios of its integer ones. Returns false when no column
+     qualifies: that row alone proves the LP infeasible. *)
+  let run_dual t p cols =
     let m = Array.length t.tab and n = t.ncols in
     let lo = Array.make (Stdlib.max n 1) 0.0 in
     let rec loop () =
-      let r = ref (-1) in
+      let r = ref (-1) and up = ref false in
       for i = 0 to m - 1 do
-        if t.tab.(i).(n) < 0 && (!r < 0 || t.basis.(i) < t.basis.(!r)) then
-          r := i
+        let bv = t.basis.(i) in
+        if !r < 0 || bv < t.basis.(!r) then begin
+          let c = col cols bv and row = t.tab.(i) in
+          let v = row.(n) and s = row.(bv) in
+          if v * c.lo_d < c.lo_n * s then begin
+            r := i;
+            up := false
+          end
+          else if c.up_d <> 0 && v * c.up_d > c.up_n * s then begin
+            r := i;
+            up := true
+          end
+        end
       done;
       if !r < 0 then true
       else begin
-        let row = t.tab.(!r) in
+        let row = t.tab.(!r) and leaving = t.basis.(!r) in
+        (* A column may enter when it can move: at lower on an entry
+           of sign [want], at upper on the other sign. [sense j] is 1
+           (at lower) or -1 (at upper) for such a column, else 0. *)
+        let want = if !up then 1 else -1 in
+        let sense j =
+          let a = row.(j) in
+          if a = 0 || j = leaving then 0
+          else
+            let c = col cols j in
+            let s = if c.at_up then -1 else 1 in
+            if compare a 0 = s * want && movable c then s else 0
+        in
         refresh p t;
         (* Float filter: [hi] is the least upper bound on any
            candidate's ratio, so only columns whose lower bound reaches
@@ -571,22 +629,25 @@ module Fraction_free = struct
            rounding of the division. *)
         let hi = ref infinity in
         for j = 0 to n - 1 do
-          let a = row.(j) in
-          if a < 0 then begin
+          let sg = sense j in
+          if sg <> 0 then begin
             estimate p t j;
-            let e = p.est.(0) and err = 2.0 *. p.est.(1) in
-            let fa = float_of_int (-a) in
+            let e = float_of_int sg *. p.est.(0) and err = 2.0 *. p.est.(1) in
+            let fa = float_of_int (abs row.(j)) in
             lo.(j) <- Float.max 0.0 (e -. err) /. fa;
             hi := Float.min !hi (Float.max 0.0 (e +. err) /. fa)
           end
+          else lo.(j) <- infinity
         done;
         if !hi = infinity then false
         else begin
           let cands = ref [] in
           for j = n - 1 downto 0 do
-            if row.(j) < 0 && lo.(j) <= !hi then cands := j :: !cands
+            if lo.(j) <= !hi then cands := j :: !cands
           done;
-          let ratio j = R.div (reduced_cost p t j) (R.of_int (-row.(j))) in
+          let ratio j =
+            R.div (R.abs (reduced_cost p t j)) (R.of_int (abs row.(j)))
+          in
           let c =
             match !cands with
             | [ j ] -> j
@@ -599,43 +660,87 @@ module Fraction_free = struct
                    (j0, ratio j0) rest)
             | [] -> assert false (* the column attaining [hi] qualifies *)
           in
+          (* The leaving variable's right-hand side becomes its excess
+             over the bound it leaves at, which the pivot hands to every
+             other row; the entering column then adds its own bound
+             value to its new row. *)
+          let lc = col cols leaving in
+          let ln, ld = bound lc ~up:!up in
+          if ln <> 0 then shift_rhs row ~a:(-row.(leaving)) ~p:ln ~q:ld;
+          let en, ed = at (col cols c) in
           pivot t !r c;
+          if en <> 0 then shift_rhs row ~a:row.(c) ~p:en ~q:ed;
+          if leaving < Array.length cols && lc.at_up <> !up then
+            cols.(leaving) <- { lc with at_up = !up };
           loop ()
         end
       end
     in
     loop ()
 
+  (* An exact sum of native fractions [a/b] (b > 0). Partial sums add
+     as {!R.t} in [small] while they stay small ([den] is zero then);
+     past that the sum is [num / den], kept over a common multiple of
+     the denominators so far, so no step takes a gcd of two Bigints
+     and one canonicalization ends it. *)
+  type sum = { mutable small : R.t; mutable num : B.t; mutable den : B.t }
+
+  let add_fraction acc a b =
+    if B.is_zero acc.den then begin
+      let s = R.add acc.small (R.of_ints a b) in
+      if R.to_small s <> None then acc.small <- s
+      else begin
+        acc.num <- R.num s;
+        acc.den <- R.den s
+      end
+    end
+    else begin
+      let g = gcd_int (B.to_int_exn (B.rem acc.den (B.of_int b))) b in
+      let f = b / g in
+      (* the new denominator over [b] *)
+      let over_b = if g = 1 then acc.den else B.div acc.den (B.of_int g) in
+      if f <> 1 then begin
+        acc.num <- B.mul acc.num (B.of_int f);
+        acc.den <- B.mul acc.den (B.of_int f)
+      end;
+      acc.num <- B.add acc.num (B.mul (B.of_int a) over_b)
+    end
+
+  let total acc = if B.is_zero acc.den then acc.small else R.make acc.num acc.den
+
   (* The point of an optimal tableau: basic structurals at their
-     values, and the objective from c_B x_B. *)
-  let optimum t p ~nstruct ~sense ~obj_const =
+     values, nonbasic ones at their bounds, and the objective c x. *)
+  let optimum t p cols ~nstruct ~sense ~obj_const =
     let values = Array.make nstruct R.zero in
-    let minimized = ref R.zero in
+    let acc = { small = R.zero; num = B.zero; den = B.zero } in
     Array.iteri
       (fun i bv ->
         let rhs = t.tab.(i).(t.ncols) and s = scale t i in
         if bv < nstruct then values.(bv) <- R.of_ints rhs s;
         let cb = cost p bv in
-        if cb <> 0 then
-          minimized := R.add !minimized (R.of_ints (cb * rhs) (p.cq * s)))
+        if cb <> 0 then add_fraction acc (cb * rhs) (p.cq * s))
       t.basis;
+    for j = 0 to Stdlib.min nstruct (Array.length cols) - 1 do
+      let n, d = at cols.(j) in
+      if n <> 0 && not (Array.mem j t.basis) then begin
+        values.(j) <- R.of_ints n d;
+        add_fraction acc (cost p j * n) (p.cq * d)
+      end
+    done;
+    let minimized = total acc in
     let objective =
       match sense with
-      | Model.Minimize -> R.add !minimized obj_const
-      | Maximize -> R.add (R.neg !minimized) obj_const
+      | Model.Minimize -> R.add minimized obj_const
+      | Maximize -> R.add (R.neg minimized) obj_const
     in
     { objective; values }
-
-  (* Bound rows by [key v dir]: the row's slack column and its bound. *)
-  module Bound_rows = Map.Make (Int)
-
-  let key v dir = (2 * v) + match dir with Upper -> 0 | Lower -> 1
 
   (* An optimal phase-2 tableau as int rows: each row holds its
      entries under columns [0, ncols) and then its right-hand side, so
      a snapshot is a tableau with no artificial columns. A warm
      result's tableau is one already and becomes its snapshot as it
-     stands; a cold result is compacted once (see {!compact}). *)
+     stands; a cold result is compacted once (see {!compact}). [cols]
+     holds the structural columns' branch bounds. *)
   type snapshot = {
     t : tableau;
     nstruct : int;
@@ -643,7 +748,7 @@ module Fraction_free = struct
     cq : int;
     sense : Model.sense;
     obj_const : R.t;
-    bound_rows : (int * R.t) Bound_rows.t;
+    cols : col array;
   }
 
   (* A cold tableau without its banned artificial columns and without
@@ -672,12 +777,19 @@ module Fraction_free = struct
       { tab; basis; ncols = live; art_start = live }
     end
 
-  (* Heap words of the retained rows and basis, headers included. *)
+  (* Heap words of the retained rows, basis and column bounds,
+     headers included; the shared {!free} record is not charged. *)
   let words s =
+    let rows =
+      Array.fold_left
+        (fun acc row -> acc + Array.length row + 1)
+        (Array.length s.t.tab + 1 + Array.length s.t.basis + 1)
+        s.t.tab
+    in
     Array.fold_left
-      (fun acc row -> acc + Array.length row + 1)
-      (Array.length s.t.tab + 1 + Array.length s.t.basis + 1)
-      s.t.tab
+      (fun acc c -> if c == free then acc else acc + 6)
+      (rows + Array.length s.cols + 1)
+      s.cols
 
   (* [keep] asks for the snapshot of an optimal result. *)
   let solve ~keep model =
@@ -690,14 +802,9 @@ module Fraction_free = struct
     let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0) in
     let basis = Array.make m (-1) in
     let slack_idx = ref nstruct and art_idx = ref art_start in
-    let bound_rows = ref Bound_rows.empty in
     List.iteri
-      (fun i (expr, cmp, rhs, bound) ->
+      (fun i (expr, cmp, rhs) ->
         let row = tab.(i) in
-        (match bound with
-         | Some (v, dir, b) when keep ->
-           bound_rows := Bound_rows.add (key v dir) (!slack_idx, b) !bound_rows
-         | _ -> ());
         (* Integerize the row by the lcm [l] of its denominators; [l]
            is also the slack/artificial entry, i.e. the initial scale. *)
         let l =
@@ -801,103 +908,68 @@ module Fraction_free = struct
       match run_phase t p ~banned:(fun j -> j >= t.art_start) with
       | Phase_unbounded -> (Unbounded, None)
       | Phase_optimal ->
-        ( Optimal (optimum t p ~nstruct ~sense ~obj_const),
+        ( Optimal (optimum t p [||] ~nstruct ~sense ~obj_const),
           if keep then
             Some
               { t = compact t; nstruct; costs; cq; sense; obj_const;
-                bound_rows = !bound_rows }
+                cols = Array.make nstruct free }
           else None )
     end
 
   let copy t =
     { t with tab = Array.map Array.copy t.tab; basis = Array.copy t.basis }
 
-  (* A copy of [t] with one more zero column before the right-hand side
-     and an empty last row. *)
-  let widen t =
-    let m = Array.length t.basis and n = t.ncols + 1 in
-    let tab = Array.make (m + 1) [||] and basis = Array.make (m + 1) 0 in
-    Array.blit t.basis 0 basis 0 m;
-    for i = 0 to m - 1 do
-      let row = Array.make (n + 1) 0 in
-      Array.blit t.tab.(i) 0 row 0 t.ncols;
-      row.(n) <- t.tab.(i).(t.ncols);
-      tab.(i) <- row
-    done;
-    { tab; basis; ncols = n; art_start = n }
-
-  (* The child LP from the parent's optimal tableau. Changing the
-     bound [b] of a row [a x_v + c s = a b] by [delta] moves its
-     right-hand side along the slack's column, so when [x_v] already
-     has a bound row in this direction and the change is integral,
-     every row just adds [± delta] times its slack entry (+ for Upper,
-     - for Lower, where a/c = -1). Otherwise a new row [q x_v + q s = p]
-     (Upper) or [-q x_v + q s = -p] (Lower), for [bound = p/q], joins
-     with its own slack, basic in that row; when [x_v] is basic in row
-     [i], subtracting that row fraction-free leaves only nonbasic
-     columns. Either way the right-hand side goes negative exactly
-     where the parent point violates the bound. The parent's reduced
-     costs are all non-negative and a new slack's is zero, so the
-     basis is dual feasible and the dual simplex finishes the job. A
-     looser bound than the row's own leaves the LP unchanged. With
-     [own] the caller gives up [s], and a child whose bound moves in
-     place pivots in [s]'s own rows. The result's tableau is never
-     copied: it becomes the child's snapshot. *)
+  (* The child LP from the parent's optimal tableau: [bound = p/q]
+     tightens [var]'s column bounds, and the tableau keeps its rows
+     and columns. A nonbasic [var] that the bound moves is folded into
+     every right-hand side once, each row it touches first multiplied
+     by [q]; a basic one simply gets the bound, which its value may
+     now violate. Reduced costs do not change, so the basis stays dual
+     feasible and the bounded dual simplex finishes the job. A looser
+     bound than the column's own leaves the LP unchanged, and one that
+     crosses the other bound leaves it empty. With [own] the caller
+     gives up [s] and the child pivots in [s]'s own rows; otherwise in
+     a copy. The result's tableau is never copied: it becomes the
+     child's snapshot. *)
   let reoptimize ~own s ~var ~dir ~bound =
     if var < 0 || var >= s.nstruct then invalid_arg "Simplex.reoptimize: var";
-    let tighter b =
-      match dir with Upper -> R.min b bound | Lower -> R.max b bound
+    let bn, bd =
+      match R.to_small bound with Some nd -> nd | None -> overflow ()
     in
-    let in_place =
-      match Bound_rows.find_opt (key var dir) s.bound_rows with
-      | Some (col, b) -> (
-        let b' = tighter b in
-        match R.to_small (R.sub b' b) with
-        | Some (d, 1) when abs d < range -> Some (col, b', d)
-        | _ -> None)
-      | None -> None
+    let c = s.cols.(var) in
+    let c' =
+      match dir with
+      | Upper when c.up_d = 0 || bn * c.up_d < c.up_n * bd ->
+        { c with up_n = bn; up_d = bd }
+      | Lower when bn * c.lo_d > c.lo_n * bd -> { c with lo_n = bn; lo_d = bd }
+      | _ -> c
     in
-    let t, bound_rows =
-      match in_place with
-      | Some (col, b', d) ->
-        let t = if own then s.t else copy s.t in
-        let n = t.ncols in
-        let d = match dir with Upper -> d | Lower -> -d in
-        if d <> 0 then
-          Array.iter
-            (fun row ->
-              let v = row.(n) + (d * row.(col)) in
-              row.(n) <- v;
-              if mag v >= range then ignore (reduce_row row (n + 1) 0))
-            t.tab;
-        (t, Bound_rows.add (key var dir) (col, b') s.bound_rows)
-      | None ->
-        let t = widen s.t in
-        let live = s.t.ncols and n = t.ncols and m = Array.length t.tab - 1 in
-        let p, q =
-          match R.to_small bound with
-          | Some (p, q) when abs p < range && q < range -> (p, q)
-          | _ -> overflow ()
-        in
-        let sign = match dir with Upper -> 1 | Lower -> -1 in
-        let row = Array.make (n + 1) 0 in
-        row.(var) <- sign * q;
-        row.(live) <- q;
-        row.(n) <- sign * p;
-        for i = 0 to m - 1 do
-          if t.basis.(i) = var then
-            combine row ~p:t.tab.(i).(var) ~f:row.(var) t.tab.(i) (n + 1)
-        done;
-        t.tab.(m) <- row;
-        t.basis.(m) <- live;
-        (t, Bound_rows.add (key var dir) (live, bound) s.bound_rows)
-    in
-    let p = priced t ~costs:s.costs ~cq:s.cq in
-    if not (run_dual t p) then (Infeasible, None)
-    else
-      ( Optimal
-          (optimum t p ~nstruct:s.nstruct ~sense:s.sense ~obj_const:s.obj_const),
-        Some { s with t; bound_rows } )
+    if c'.up_d <> 0 && c'.lo_n * c'.up_d > c'.up_n * c'.lo_d then
+      (Infeasible, None)
+    else begin
+      let t = if own then s.t else copy s.t in
+      let cols = if own then s.cols else Array.copy s.cols in
+      cols.(var) <- c';
+      if not (Array.mem var t.basis) then begin
+        let on, od = at c and nn, nd = at c' in
+        if on * nd <> nn * od then
+          match R.to_small (R.sub (R.of_ints nn nd) (R.of_ints on od)) with
+          | None -> overflow ()
+          | Some (p, q) ->
+            Array.iter
+              (fun row ->
+                let a = row.(var) in
+                if a <> 0 then shift_rhs row ~a:(-a) ~p ~q)
+              t.tab
+      end;
+      let p = priced t ~costs:s.costs ~cq:s.cq in
+      if not (run_dual t p cols) then (Infeasible, None)
+      else
+        ( Optimal
+            (optimum t p cols ~nstruct:s.nstruct ~sense:s.sense
+               ~obj_const:s.obj_const),
+          Some { s with t; cols } )
+    end
 end
 
 type snapshot = Fraction_free.snapshot

@@ -10,11 +10,11 @@
     Complexity is exponential in the worst case but the models built by
     this project stay small (tens of rows/columns), where exact simplex
     is fast and — unlike floating-point codes — never returns a
-    slightly-infeasible or slightly-suboptimal basis. The tableau has
-    one row per constraint plus one per variable bound: there is no
-    bounded-variable engine, so a model bound costs a row like any
-    constraint. [Rentcost.Ilp.model] sets none, and its root tableau
-    has the paper's [1 + Q] rows.
+    slightly-infeasible or slightly-suboptimal basis. A cold tableau
+    has one row per constraint plus one per model variable bound: the
+    primal engines have no bounded variables, so a model bound costs a
+    row like any constraint. [Rentcost.Ilp.model] sets none, and its
+    root tableau has the paper's [1 + Q] rows.
 
     {!solve} runs a fraction-free engine over native-int rows and, when
     a row outgrows the native range, reruns that one model on exact
@@ -24,12 +24,12 @@
 
     {!reoptimize} is the branch-and-bound warm start: it takes the
     fraction-free engine's final tableau ({!snapshot}) and adds one
-    variable bound. The bound tightens the variable's bound row in
-    place when it has one (a model bound, or a row an earlier
-    [reoptimize] appended), and is appended as a new row otherwise. A
-    dual simplex under the dual Bland rule then restores optimality. The optimal objective is the one
-    a cold {!solve} of the same LP returns; when the LP has several
-    optimal vertices the point may be a different one of them. *)
+    variable bound. A branch bound is a bound on the variable's
+    column, not a row: a child's tableau has exactly its parent's rows
+    and columns. A bounded dual simplex under the dual Bland rule then
+    restores optimality. The optimal objective is the one a cold
+    {!solve} of the same LP returns; when the LP has several optimal
+    vertices the point may be a different one of them. *)
 
 (** An optimal point: [objective] includes any constant term of the
     model's objective; [values] has one entry per model variable. *)
@@ -57,9 +57,9 @@ val exact_kernel : string
 (** {1 Warm start} *)
 
 (** The fraction-free engine's optimal tableau as int rows, with its
-    basis and integer cost vector. {!reoptimize} never changes a
-    snapshot unless it is called with [~own:true], so any number of
-    non-owning calls may share one. *)
+    basis, integer cost vector and the branch bounds on its columns.
+    {!reoptimize} never changes a snapshot unless it is called with
+    [~own:true], so any number of non-owning calls may share one. *)
 type snapshot
 
 (** Which side of a variable a bound limits: [Upper] is [x ≤ b],
@@ -73,25 +73,28 @@ val solve_with_snapshot : Model.t -> result * snapshot option
 
 (** [reoptimize s ~var ~dir ~bound] solves the LP of [s] with the
     extra bound [x_var ≤ bound] ([Upper]) or [x_var ≥ bound] ([Lower]),
-    from [s]'s basis by dual simplex. The snapshot is [Some] exactly
-    when the result is [Optimal]; it is the child's final tableau
-    itself, not a copy. Never [Unbounded]. On success bumps
-    [numeric.fast_solves] and records an [lp.simplex] span with
-    [lp.kernel] {!fast_kernel} and [lp.start] ["warm"].
+    from [s]'s basis by bounded dual simplex. The bound tightens
+    [var]'s column bounds (a looser one than the column's own changes
+    nothing) and adds no row or column: the child's tableau has [s]'s
+    shape. The snapshot is [Some] exactly when the result is
+    [Optimal]; it is the child's final tableau itself, not a copy.
+    Never [Unbounded]. On success bumps [numeric.fast_solves] and
+    records an [lp.simplex] span with [lp.kernel] {!fast_kernel} and
+    [lp.start] ["warm"].
     @param own [true] when the caller will never read [s] again (also
-      not after an exception): a bound that moves an existing bound
-      row in place then pivots in [s]'s own rows instead of a copy of
-      them, and the result may share them. Default [false]: [s] is left
-      as it was.
-    @raise Numeric.Kernel.Overflow when the native range is exceeded;
-      no counter is bumped then, and the caller solves the child cold.
+      not after an exception): the child then pivots in [s]'s own rows
+      instead of a copy of them, and the result shares them. Default
+      [false]: [s] is left as it was.
+    @raise Numeric.Kernel.Overflow when the native range is exceeded
+      (the bound's numerator or denominator included); no counter is
+      bumped then, and the caller solves the child cold.
     @raise Invalid_argument when [var] is not a variable of the model. *)
 val reoptimize :
   ?own:bool -> snapshot -> var:Model.var -> dir:direction ->
   bound:Numeric.Rat.t -> result * snapshot option
 
-(** Heap words a retained snapshot holds, for memory budgets: its rows
-    and basis, block headers included. *)
+(** Heap words a retained snapshot holds, for memory budgets: its
+    rows, basis and column bounds, block headers included. *)
 val snapshot_words : snapshot -> int
 
 (** The snapshot's int rows and basis, for tests that check

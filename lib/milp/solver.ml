@@ -10,8 +10,9 @@
    Rat. The root and any node without a parent tableau go through
    [Lp.Simplex.solve_with_snapshot], which pivots on native ints and
    reruns a relaxation on Rat only when that one overflows. Every other
-   node is warm: [Lp.Simplex.reoptimize] adds its branching bound to
-   the parent's final fraction-free tableau and runs a few dual pivots.
+   node is warm: [Lp.Simplex.reoptimize] sets its branching bound on a
+   column of the parent's final fraction-free tableau, which keeps its
+   rows, and runs a few bounded dual pivots.
    A warm child that overflows is solved cold instead. Both children
    of a node share its tableau: the first one popped works on a copy
    of its rows, and the last one takes the rows themselves. The
@@ -78,6 +79,7 @@ let always_copying f =
 
 type node = {
   key : R.t;  (* parent relaxation objective: a valid lower bound *)
+  skey : R.t;  (* [key] strengthened, computed once for both children *)
   depth : int;
   seq : int;  (* creation order, for deterministic tie-breaking *)
   extra : (Lp.Model.var * Lp.Simplex.direction * B.t) list;
@@ -90,8 +92,13 @@ type node = {
 module Best_queue = Pqueue.Make (struct
   type t = node
 
+  (* [strengthen] is monotone, so this is the order of [key] then
+     [seq]; under [integral_objective] the integer [skey] decides most
+     compares cheaply. *)
   let compare a b =
-    match R.compare a.key b.key with 0 -> compare a.seq b.seq | c -> c
+    match R.compare a.skey b.skey with
+    | 0 -> ( match R.compare a.key b.key with 0 -> compare a.seq b.seq | c -> c)
+    | c -> c
 end)
 
 let pp_status fmt s =
@@ -136,7 +143,9 @@ let choose_branch_var values groups =
     None groups
 
 (* Branch decisions tighten variable domains rather than adding rows to
-   the model; the simplex materializes them as bound rows. *)
+   the model. A warm child keeps them as column bounds; this model is
+   for a cold child (past the snapshot budget, or after an overflow),
+   whose solve materializes each of them as a row. *)
 let apply_extras base extra =
   let m = Lp.Model.copy base in
   List.iter
@@ -276,7 +285,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
     | _ -> cold ()
   in
   Best_queue.push queue
-    { key = R.zero; depth = 0; seq = 0; extra = []; parent = None };
+    { key = R.zero; skey = R.zero; depth = 0; seq = 0; extra = [];
+      parent = None };
   let interrupted = ref false in
   (* A tree that closes exactly at a limit is proved, not
      interrupted: the budget is only checked while work is left. *)
@@ -290,12 +300,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
         let is_root = node.depth = 0 in
         (* Prune on the inherited parent bound before paying for an LP
            solve (never prune the root: its key is a placeholder). *)
-        if
-          (not is_root)
-          && not
-               (better_than_incumbent
-                  (strengthen ~integral:integral_objective node.key))
-        then begin
+        if (not is_root) && not (better_than_incumbent node.skey) then begin
           release node;
           loop ()
         end
@@ -307,7 +312,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
              bound. Sampled like the node spans to keep timelines
              sparse on big trees. *)
           if (not is_root) && node_sampled !nodes then
-            emit_bound (strengthen ~integral:integral_objective node.key);
+            emit_bound node.skey;
           let relaxation, snapshot =
             if Telemetry.enabled () && node_sampled !nodes then
               Telemetry.Span.with_span
@@ -348,8 +353,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
                    let parent = share snapshot in
                    let mk dir b =
                      incr seq;
-                     { key = lp_obj; depth = node.depth + 1; seq = !seq;
-                       extra = (v, dir, b) :: node.extra; parent }
+                     { key = lp_obj; skey = bound; depth = node.depth + 1;
+                       seq = !seq; extra = (v, dir, b) :: node.extra; parent }
                    in
                    Best_queue.push queue (mk Lower (R.ceil x));
                    Best_queue.push queue (mk Upper (R.floor x))
@@ -396,10 +401,9 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
       let queued_bound =
         Best_queue.fold
           (fun acc n ->
-            let k = strengthen ~integral:integral_objective n.key in
             match acc with
-            | None -> Some k
-            | Some b -> Some (R.min b k))
+            | None -> Some n.skey
+            | Some b -> Some (R.min b n.skey))
           None queue
       in
       let best_bound =

@@ -49,13 +49,21 @@ let snapshot_of m =
   | S.Optimal sol, Some snap -> (sol, snap)
   | _ -> Alcotest.fail "parent must solve optimally on the fast engine"
 
+let row_count s = Array.length (fst (S.snapshot_rows s))
+
 (* Warm-solve the child of [m] from [snap], check it against the cold
-   solve, and return the child model and the warm answer. *)
+   solve and that an optimal child kept its parent's rows, and return
+   the child model and the warm answer. *)
 let check_child label m snap v dir b =
   let c = child m v dir b in
   let warm = S.reoptimize snap ~var:v ~dir ~bound:b in
   Alcotest.(check bool) (label ^ ": agrees with a cold solve") true
     (agrees c (fst warm));
+  (match warm with
+   | _, Some csnap ->
+     Alcotest.(check int) (label ^ ": the parent's row count") (row_count snap)
+       (row_count csnap)
+   | _, None -> ());
   (c, warm)
 
 let objective_of label = function
@@ -121,12 +129,12 @@ let test_siblings_share_snapshot () =
     ignore (check_child "x >= 2" m snap x S.Lower (ri 2))
   done
 
-(* Only an owning call may change a snapshot. Both bounds here move a
-   model bound row in place, the case where an owning call pivots in
-   the snapshot's own rows. The Upper and Lower children, in both
-   orders, must each agree with a cold solve, which they cannot if an
-   earlier call changed the snapshot; then an owning call agrees too,
-   and its result took the snapshot's rows instead of copying them. *)
+(* Only an owning call may change a snapshot. [x] also has model
+   bounds, which are rows of the snapshot, and the branch bounds
+   tighten its column. The Upper and Lower children, in both orders,
+   must each agree with a cold solve, which they cannot if an earlier
+   call changed the snapshot; then an owning call agrees too, and its
+   result took the snapshot's rows instead of copying them. *)
 let test_non_owning_leaves_snapshot () =
   let m, x, _, _ = parent_model () in
   M.tighten_upper m x (ri 2);
@@ -152,31 +160,40 @@ let test_non_owning_leaves_snapshot () =
     Alcotest.(check bool) "owning call takes the rows" true (rows c == rows snap)
   | _ -> Alcotest.fail "owning call: expected an optimum"
 
-(* A chain of bounds, each warm from the last child: bounds on a
-   variable that already has a bound row (a model bound, or one the
-   chain added) move that row's right-hand side in place; a looser
-   bound than the row's own changes nothing; a fractional bound joins
-   as a new row. *)
+(* A chain of bounds, each warm from the last child, each checked
+   against a cold solve and keeping the root's rows. [x] also has a
+   model bound row, which stays a row; the branch bounds are column
+   bounds. A bound on a basic variable lets the dual simplex move it
+   out at that bound; a bound on a nonbasic one moves it at once,
+   also from its upper bound; a looser bound than the column's own
+   changes nothing. Whether each bounded variable was basic is
+   checked against the parent's basis, and its value in the parent
+   point: a nonbasic variable sits at one of its bounds. *)
 let test_bound_chain () =
   let m, x, y, z = parent_model () in
   M.tighten_upper m x (ri 2);
   let steps =
-    [ ("x <= 1 (model bound row)", x, S.Upper, R.one);
-      ("x <= 4 (looser)", x, S.Upper, ri 4);
-      ("z >= 1 (new row)", z, S.Lower, R.one);
-      ("z >= 2 (in place)", z, S.Lower, ri 2);
-      ("y <= 5/2 (fractional)", y, S.Upper, R.of_ints 5 2);
-      ("y <= 1 (in place)", y, S.Upper, R.one);
-      ("x <= 0", x, S.Upper, R.zero) ]
+    [ ("x <= 1 (basic, leaves at its upper bound)", x, S.Upper, R.one, true,
+       R.of_ints 5 3);
+      ("x <= 4 (looser than the column's own)", x, S.Upper, ri 4, false, R.one);
+      ("z >= 1 (nonbasic at lower, moves)", z, S.Lower, R.one, false, R.zero);
+      ("z >= 2 (nonbasic at lower, moves again)", z, S.Lower, ri 2, false, R.one);
+      ("y <= 5/2 (basic, fractional)", y, S.Upper, R.of_ints 5 2, true, ri 3);
+      ("y <= 1 (nonbasic at a fractional upper bound, moves)", y, S.Upper,
+       R.one, false, R.of_ints 5 2);
+      ("x <= 0 (nonbasic at upper, moves)", x, S.Upper, R.zero, false, R.one) ]
   in
-  let _, snap = snapshot_of m in
+  let sol, snap = snapshot_of m in
   ignore
     (List.fold_left
-       (fun (m, snap) (label, v, dir, b) ->
+       (fun (m, (sol : S.solution), snap) (label, v, dir, b, basic, value) ->
+         Alcotest.(check bool) (label ^ ": basic in the parent") basic
+           (Array.mem v (snd (S.snapshot_rows snap)));
+         check_rat (label ^ ": value in the parent") value sol.S.values.(v);
          match check_child label m snap v dir b with
-         | c, (S.Optimal _, Some snap) -> (c, snap)
+         | c, (S.Optimal sol, Some snap) -> (c, sol, snap)
          | _ -> Alcotest.fail (label ^ ": expected an optimum"))
-       (m, snap) steps)
+       (m, sol, snap) steps)
 
 (* --- qcheck: random bounded models, two levels deep --- *)
 
@@ -212,12 +229,60 @@ let warm_agrees_twice m =
       (List.init n Fun.id)
   | _ -> true
 
+(* A chain of 3-6 bounds, each warm from the last child. A step names
+   the last step's variable again (offset 0) or another one, and its
+   bound relative to that variable's value [x] in the parent: kinds
+   0-5 are [<= floor x], [>= ceil x], [<= x - 1/2], [>= x + 1/3],
+   [<= floor x - 1] and [>= x]. So chains mix both directions,
+   integral and fractional bounds, looser ones, and variables that are
+   basic or nonbasic at either bound (an Upper bound that a basic
+   variable leaves at, named again). Every child must agree with a
+   cold solve of its model and keep the root's row count. *)
+let chain_gen =
+  QCheck2.Gen.(
+    pair Test_lp.bounded_gen
+      (list_size (int_range 3 6) (pair (int_range 0 3) (int_range 0 5))))
+
+let chain_bound kind x =
+  let fl = R.of_bigint (R.floor x) and cl = R.of_bigint (R.ceil x) in
+  match kind with
+  | 0 -> (S.Upper, fl)
+  | 1 -> (S.Lower, cl)
+  | 2 -> (S.Upper, R.sub x half)
+  | 3 -> (S.Lower, R.add x (R.of_ints 1 3))
+  | 4 -> (S.Upper, R.sub fl R.one)
+  | _ -> (S.Lower, x)
+
+let warm_chain_agrees (input, steps) =
+  let m = Test_lp.build_bounded input in
+  match S.solve_with_snapshot m with
+  | S.Optimal sol, Some snap ->
+    let n = M.num_vars m and rows = row_count snap in
+    let rec go m snap (sol : S.solution) last = function
+      | [] -> true
+      | (offset, kind) :: rest -> (
+        let v = if offset = 0 then last else (last + offset) mod n in
+        let dir, b = chain_bound kind sol.S.values.(v) in
+        let c = child m v dir b in
+        match S.reoptimize snap ~var:v ~dir ~bound:b with
+        | exception Numeric.Kernel.Overflow -> true
+        | (S.Optimal csol, Some csnap) as warm ->
+          agrees c (fst warm) && row_count csnap = rows && go c csnap csol v rest
+        | warm, _ -> agrees c warm)
+    in
+    go m snap sol 0 steps
+  | _ -> true
+
 let reoptimize_props =
   [ QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~count:200
          ~name:"reoptimize agrees with cold solves, two bounds deep"
          Test_lp.bounded_gen (fun input ->
-           warm_agrees_twice (Test_lp.build_bounded input))) ]
+           warm_agrees_twice (Test_lp.build_bounded input)));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:300
+         ~name:"warm chains of 3-6 bounds agree with cold solves" chain_gen
+         warm_chain_agrees) ]
 
 (* --- the warm tree --- *)
 
@@ -376,15 +441,15 @@ let test_snapshot_words_cover_heap () =
     sol.S.values;
   Alcotest.(check bool) "some warm child is optimal" true (!warm > 0)
 
-(* Three recipes of 40 tasks over 100 types: the root's snapshot (int
-   rows and basis) is about 21k words, so some hundred open tableaus
-   fill the 2M-word budget and later children solve cold. The optimum
-   must not care, and the exhaustive oracle (three recipes) is
-   cheap. Seed and target are chosen so that the tree stays wide with
-   the branch and bound's rounded incumbents pruning it: 1191 nodes,
-   32 of them cold. *)
+(* Three recipes of 40 tasks over 100 types: every snapshot (int rows,
+   basis and column bounds) is about 21k words, so some hundred open
+   tableaus fill the 2M-word budget and later children solve cold.
+   The optimum must not care, and the exhaustive oracle (three
+   recipes) is cheap. Seed and target are chosen so that the tree
+   stays wide with the branch and bound's rounded incumbents pruning
+   it: 1829 nodes, 170 of them cold. *)
 let wide_problem () =
-  let rng = Numeric.Prng.create 15 in
+  let rng = Numeric.Prng.create 16 in
   let q = 100 in
   let draw () = 1 + Numeric.Prng.int rng 20 in
   let machines =
@@ -403,7 +468,7 @@ let wide_problem () =
   Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
 
 let test_snapshot_budget () =
-  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 13 in
+  let instance = Rentcost.Instance.compile (wide_problem ()) and target = 17 in
   let o, warm, fast, fallbacks =
     counting (fun () -> Rentcost.Ilp.optimize instance ~target)
   in
