@@ -89,14 +89,15 @@ let point_of instance ~rho ~loads ~limit =
 
 (* The branch and bound's primal heuristic: round a node's LP split to
    an integer one on the compiled instance. Each ρ_j is floored from
-   its small numerator and denominator; the missing
+   its native numerator and denominator (the LP row's own pair, or a
+   small exact value); the missing
    [target - Σ⌊ρ_j⌋] units (fewer than J') go one at a time to the
    recipe whose unit costs the fewest extra machines at the loads so
    far, ties to the largest fractional part not yet rounded up, then
    to the lowest index. The point is kept only when it is strictly
    cheaper than the incumbent, which before the first point is the
-   solve's cutoff. A node whose ρ has left the small representation
-   is not rounded. *)
+   solve's cutoff. A node whose exact ρ has left the small
+   representation is not rounded. *)
 let rounder instance ~target =
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
@@ -131,19 +132,27 @@ let rounder instance ~target =
   (* frac a / den a > frac b / den b, cross-multiplied: both sides stay
      below 2^60. *)
   let larger_frac a b = frac.(a) * den.(b) > frac.(b) * den.(a) in
-  fun ~incumbent values ->
+  let take j n d =
+    frac.(j) <- n mod d;
+    den.(j) <- d;
+    add j (n / d)
+  in
+  fun ~incumbent point ->
     Array.fill loads 0 q_count 0;
     Array.fill rho 0 j_count 0;
-    let small = ref true and missing = ref target in
-    for j = 0 to j_count - 1 do
-      match R.to_small values.(j) with
-      | Some (n, d) ->
-        frac.(j) <- n mod d;
-        den.(j) <- d;
-        add j (n / d);
-        missing := !missing - (n / d)
-      | None -> small := false
-    done;
+    let small = ref true in
+    (match point with
+     | Lp.Simplex.Pairs p ->
+       for j = 0 to j_count - 1 do
+         take j p.(2 * j) p.((2 * j) + 1)
+       done
+     | Rats values ->
+       for j = 0 to j_count - 1 do
+         match R.to_small values.(j) with
+         | Some (n, d) -> take j n d
+         | None -> small := false
+       done);
+    let missing = ref (target - Array.fold_left ( + ) 0 rho) in
     if not !small then None
     else begin
       while !missing > 0 do

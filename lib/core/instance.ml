@@ -178,7 +178,14 @@ let fluid_upper_target t ~budget =
        so the true max-throughput optimum is <= this bracket. u > 0
        because platform costs are strictly positive. *)
     let best = Array.fold_left R.min t.unit_costs.(0) t.unit_costs in
-    Numeric.Bigint.to_int_exn (R.floor (R.div (R.of_int budget) best))
+    match Numeric.Bigint.to_int (R.floor (R.div (R.of_int budget) best)) with
+    | Some hi -> hi
+    | None ->
+      invalid_arg
+        (Printf.sprintf
+           "budget %d affords a throughput past max_int, which no allocation \
+            can carry"
+           budget)
   end
 
 let expand_rho t rho =

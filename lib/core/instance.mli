@@ -127,7 +127,9 @@ val fluid_lower_bound : t -> target:int -> int
     the same LP relaxation as {!fluid_lower_bound}. The initial upper
     bracket of the max-throughput binary search ({!Solver.run}). [0]
     when the instance has no recipes.
-    @raise Invalid_argument when [budget < 0]. *)
+    @raise Invalid_argument when [budget < 0], or when the bound passes
+      [max_int] (the message names the budget): no int allocation can
+      carry that throughput. *)
 val fluid_upper_target : t -> budget:int -> int
 
 (** [expand_rho t rho] maps a compact split (length [J']) to the

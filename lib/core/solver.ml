@@ -220,8 +220,8 @@ let zero_allocation instance =
    compare their exact optimum against the cap; heuristic engines
    compare their incumbent — whose "no" is not a proof, hence status
    [Feasible] rather than [Optimal]. *)
-let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
-    =
+let max_throughput ~budget ~rng ~params ~warm_start ~hi engine instance
+    ~money t0 =
   let probe_exhausted = ref false in
   let warm_used = ref false in
   (* [Some a]: proof that [target] is reachable within [money].
@@ -247,7 +247,7 @@ let max_throughput ~budget ~rng ~params ~warm_start engine instance ~money t0
   let search () =
     let best = ref (zero_allocation instance) in
     let lo = ref 0 in
-    let hi = ref (Instance.fluid_upper_target instance ~budget:money) in
+    let hi = ref hi in
     while !lo < !hi do
       (* The upper midpoint, without forming lo + hi, which wraps once
          the fluid bracket passes max_int / 2. *)
@@ -288,8 +288,12 @@ let run ?(budget = Budget.unlimited) ?rng ?(params = Heuristics.default_params)
     metered engine instance
       (min_cost ~budget ~rng ~params ~warm_start engine instance ~target)
   | Objective.Max_throughput { budget = money } ->
+    (* The bracket first: a budget that affords a throughput past
+       max_int is rejected before any engine runs. *)
+    let hi = Instance.fluid_upper_target instance ~budget:money in
     metered engine instance
-      (max_throughput ~budget ~rng ~params ~warm_start engine instance ~money)
+      (max_throughput ~budget ~rng ~params ~warm_start ~hi engine instance
+         ~money)
 
 let pp_outcome fmt o =
   Format.fprintf fmt "@[<v>%s via %s in %.3f s" (status_to_string o.status)

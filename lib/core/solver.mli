@@ -156,7 +156,9 @@ val auto_of_instance : Instance.t -> spec
       Under [Max_throughput] it is re-validated per probe (a seed can
       only meet the probes at or below its own throughput).
     @raise Invalid_argument when the instance's objective kind
-      mismatches, a min-cost target is negative, or a DP engine is
+      mismatches, a min-cost target is negative, a max-throughput
+      budget affords a throughput past [max_int] (the message names the
+      budget; see {!Instance.fluid_upper_target}), or a DP engine is
       forced (not via [Auto]) on a problem whose structure it does not
       support. *)
 val run :

@@ -13,20 +13,170 @@
    both engines depends only on exact signs and comparisons, so they
    walk the same pivot sequence and return bit-identical results: which
    engine answered shows only in the [numeric.*] counters and the
-   [lp.kernel] span attribute. *)
+   [lp.kernel] span attribute.
+
+   The branch and bound reads a fraction-free answer without
+   canonicalizing it ({!relaxation}): the point as each row's own
+   [(rhs, scale)] pair, and the objective as a float interval around
+   a sum of native fractions that is made exact only on demand. *)
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
 
+let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
+let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
+let exact_objectives_counter = Telemetry.counter Telemetry.lp_exact_objectives
+
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* An exact sum of native fractions [a/b] (b > 0). Partial sums add
+   as {!R.t} in [small] while they stay small ([den] is zero then);
+   past that the sum is [num / den], kept over a common multiple of
+   the denominators so far, so no step takes a gcd of two Bigints
+   and one canonicalization ends it. *)
+type sum = { mutable small : R.t; mutable num : B.t; mutable den : B.t }
+
+let add_fraction acc a b =
+  if B.is_zero acc.den then begin
+    let s = R.add acc.small (R.of_ints a b) in
+    if R.to_small s <> None then acc.small <- s
+    else begin
+      acc.num <- R.num s;
+      acc.den <- R.den s
+    end
+  end
+  else begin
+    let g = gcd_int (B.to_int_exn (B.rem acc.den (B.of_int b))) b in
+    let f = b / g in
+    (* the new denominator over [b] *)
+    let over_b = if g = 1 then acc.den else B.div acc.den (B.of_int g) in
+    if f <> 1 then begin
+      acc.num <- B.mul acc.num (B.of_int f);
+      acc.den <- B.mul acc.den (B.of_int f)
+    end;
+    acc.num <- B.add acc.num (B.mul (B.of_int a) over_b)
+  end
+
+let total acc = if B.is_zero acc.den then acc.small else R.make acc.num acc.den
+
+(* A relaxation's optimal objective: the sum of the native fractions
+   [terms.(2k) / terms.(2k+1)] (denominators > 0), with
+   [lo <= sum <= hi]; [exact] caches the sum once computed. An
+   objective from the exact engine has no terms, its value in [exact]
+   from the start and the interval (-inf, inf), so every decision on
+   it reads the exact value.
+
+   Why [lo] and [hi] hold the sum. Let u = 2^-53, k the number of
+   terms, t_i = a_i / b_i and T = sum |t_i|. [float_of_int] rounds
+   each of a_i and b_i by at most a factor (1 + u) and the division
+   adds one more rounding, so the float term is t_i (1 + e_i) with
+   |e_i| <= 3.0001 u. Summing k terms left to right adds at most
+   (k - 1) u (1 + O(ku)) of the magnitudes summed (Higham, Accuracy
+   and Stability, 4.2), and [asum] underestimates T by no more than
+   the same relative amounts. So |est - sum| <= (k + 2.0001) u T
+   <= (k + 2.01) u asum. [err] is (k + 3) 2u asum, about twice that,
+   and the other half covers the roundings of [err] itself and of
+   [est -. err] and [est +. err], each at most u (|est| + err)
+   <= u (1.01 asum + err). Terms are at least 2^-62 in magnitude, so
+   nothing is subnormal, and asum <= k 2^62 is finite. *)
+type objective = {
+  lo : float;
+  hi : float;
+  terms : int array;
+  mutable exact : R.t option;
+}
+
+let interval_of terms =
+  let k = Array.length terms / 2 in
+  let est = ref 0.0 and asum = ref 0.0 in
+  for i = 0 to k - 1 do
+    let t = float_of_int terms.(2 * i) /. float_of_int terms.((2 * i) + 1) in
+    est := !est +. t;
+    asum := !asum +. Float.abs t
+  done;
+  let err = !asum *. float_of_int (k + 3) *. epsilon_float in
+  (!est -. err, !est +. err)
+
+let of_terms terms =
+  let lo, hi = interval_of terms in
+  { lo; hi; terms; exact = None }
+
+let objective_of_terms l =
+  let terms = Array.make (2 * List.length l) 0 in
+  List.iteri
+    (fun k (a, b) ->
+      if b <= 0 then invalid_arg "Simplex.objective_of_terms: denominator";
+      terms.(2 * k) <- a;
+      terms.((2 * k) + 1) <- b)
+    l;
+  of_terms terms
+
+let exact_objective_of v =
+  { lo = neg_infinity; hi = infinity; terms = [||]; exact = Some v }
+
+let objective_interval o = (o.lo, o.hi)
+
+let exact_objective o =
+  match o.exact with
+  | Some v -> v
+  | None ->
+    Telemetry.bump exact_objectives_counter;
+    let acc = { small = R.zero; num = B.zero; den = B.zero } in
+    for k = 0 to (Array.length o.terms / 2) - 1 do
+      add_fraction acc o.terms.(2 * k) o.terms.((2 * k) + 1)
+    done;
+    let v = total acc in
+    o.exact <- Some v;
+    v
+
+(* Disjoint intervals decide; one objective is equal to itself (the
+   children of one node share their parent's); otherwise exactly. *)
+let compare_objectives a b =
+  if a == b then 0
+  else if a.hi < b.lo then -1
+  else if b.hi < a.lo then 1
+  else R.compare (exact_objective a) (exact_objective b)
+
+(* lo <= x <= hi gives ceil lo <= ceil x <= ceil hi: equal ends
+   settle it. They are integral floats, exact as ints below 2^62. *)
+let ceil_objective o =
+  let c = Float.ceil o.lo in
+  if c = Float.ceil o.hi && Float.abs c < 0x1p62 then R.of_int (int_of_float c)
+  else R.of_bigint (R.ceil (exact_objective o))
+
+(* Point [v] is [pairs.(2v) / pairs.(2v+1)]: each row's own right-hand
+   side and scale, unreduced, both under 2^30 by the fast engine's
+   range invariant; or exact values from the Rat engine. *)
+type point = Pairs of int array | Rats of R.t array
+
+let values = function
+  | Pairs p ->
+    Array.init (Array.length p / 2) (fun v -> R.of_ints p.(2 * v) p.((2 * v) + 1))
+  | Rats values -> Array.copy values
+
+type relaxation = { objective : objective; point : point }
+
+(* Declared after {!relaxation}, so that an untyped [x.objective] is a
+   solution's. *)
 type solution = { objective : R.t; values : R.t array }
 
-type result =
-  | Optimal of solution
+type 'a outcome =
+  | Optimal of 'a
   | Infeasible
   | Unbounded
 
-let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
-let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
+type result = solution outcome
+
+let solution_of (r : relaxation) =
+  { objective = exact_objective r.objective; values = values r.point }
+
+let relaxation_of (sol : solution) =
+  { objective = exact_objective_of sol.objective; point = Rats sol.values }
+
+let map_outcome f = function
+  | Optimal x -> Optimal (f x)
+  | Infeasible -> Infeasible
+  | Unbounded -> Unbounded
 
 type phase_result = Phase_optimal | Phase_unbounded
 
@@ -301,8 +451,6 @@ module Fraction_free = struct
   let range = 1 lsl 30
 
   let overflow () = raise Numeric.Kernel.Overflow
-
-  let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
 
   (* Branch-free magnitude for threshold tests: |v| for v >= 0,
      |v| - 1 for v < 0 — exact enough to compare against [range]. *)
@@ -678,76 +826,72 @@ module Fraction_free = struct
     in
     loop ()
 
-  (* An exact sum of native fractions [a/b] (b > 0). Partial sums add
-     as {!R.t} in [small] while they stay small ([den] is zero then);
-     past that the sum is [num / den], kept over a common multiple of
-     the denominators so far, so no step takes a gcd of two Bigints
-     and one canonicalization ends it. *)
-  type sum = { mutable small : R.t; mutable num : B.t; mutable den : B.t }
-
-  let add_fraction acc a b =
-    if B.is_zero acc.den then begin
-      let s = R.add acc.small (R.of_ints a b) in
-      if R.to_small s <> None then acc.small <- s
-      else begin
-        acc.num <- R.num s;
-        acc.den <- R.den s
-      end
-    end
-    else begin
-      let g = gcd_int (B.to_int_exn (B.rem acc.den (B.of_int b))) b in
-      let f = b / g in
-      (* the new denominator over [b] *)
-      let over_b = if g = 1 then acc.den else B.div acc.den (B.of_int g) in
-      if f <> 1 then begin
-        acc.num <- B.mul acc.num (B.of_int f);
-        acc.den <- B.mul acc.den (B.of_int f)
-      end;
-      acc.num <- B.add acc.num (B.mul (B.of_int a) over_b)
-    end
-
-  let total acc = if B.is_zero acc.den then acc.small else R.make acc.num acc.den
-
-  (* The point of an optimal tableau: basic structurals at their
-     values, nonbasic ones at their bounds, and the objective c x. *)
-  let optimum t p cols ~nstruct ~sense ~obj_const =
-    let values = Array.make nstruct R.zero in
-    let acc = { small = R.zero; num = B.zero; den = B.zero } in
+  (* The relaxation of an optimal tableau: basic structurals at their
+     rows' [(rhs, scale)], nonbasic ones at their bounds, and the
+     objective [c x] as its terms [cb * rhs / (cq * s)] and
+     [c_j * n / (cq * d)] (all under 2^60 by the range invariant),
+     negated when [negate], plus the small constant [cn / cd]. No
+     gcd and no Rat. *)
+  let optimum t p cols ~nstruct ~negate ~const:(cn, cd) =
+    let pairs = Array.make (2 * nstruct) 0 in
+    let nterms = ref (if cn <> 0 then 1 else 0) in
     Array.iteri
       (fun i bv ->
-        let rhs = t.tab.(i).(t.ncols) and s = scale t i in
-        if bv < nstruct then values.(bv) <- R.of_ints rhs s;
-        let cb = cost p bv in
-        if cb <> 0 then add_fraction acc (cb * rhs) (p.cq * s))
+        let rhs = t.tab.(i).(t.ncols) in
+        if bv < nstruct then begin
+          pairs.(2 * bv) <- rhs;
+          pairs.((2 * bv) + 1) <- scale t i
+        end;
+        if cost p bv <> 0 && rhs <> 0 then incr nterms)
       t.basis;
-    for j = 0 to Stdlib.min nstruct (Array.length cols) - 1 do
-      let n, d = at cols.(j) in
-      if n <> 0 && not (Array.mem j t.basis) then begin
-        values.(j) <- R.of_ints n d;
-        add_fraction acc (cost p j * n) (p.cq * d)
+    (* A zero denominator marks a nonbasic structural until the second
+       pass below writes its bound. *)
+    let bound_of j = if j < Array.length cols then at cols.(j) else (0, 1) in
+    for j = 0 to nstruct - 1 do
+      if pairs.((2 * j) + 1) = 0 && cost p j <> 0 && fst (bound_of j) <> 0 then
+        incr nterms
+    done;
+    let terms = Array.make (2 * !nterms) 0 and k = ref 0 in
+    let add a b =
+      terms.(2 * !k) <- (if negate then -a else a);
+      terms.((2 * !k) + 1) <- b;
+      incr k
+    in
+    Array.iteri
+      (fun i bv ->
+        let rhs = t.tab.(i).(t.ncols) and cb = cost p bv in
+        if cb <> 0 && rhs <> 0 then add (cb * rhs) (p.cq * scale t i))
+      t.basis;
+    for j = 0 to nstruct - 1 do
+      if pairs.((2 * j) + 1) = 0 then begin
+        let n, d = bound_of j in
+        pairs.(2 * j) <- n;
+        pairs.((2 * j) + 1) <- d;
+        let cj = cost p j in
+        if cj <> 0 && n <> 0 then add (cj * n) (p.cq * d)
       end
     done;
-    let minimized = total acc in
-    let objective =
-      match sense with
-      | Model.Minimize -> R.add minimized obj_const
-      | Maximize -> R.add (R.neg minimized) obj_const
-    in
-    { objective; values }
+    if cn <> 0 then begin
+      terms.(2 * !k) <- cn;
+      terms.((2 * !k) + 1) <- cd
+    end;
+    { objective = of_terms terms; point = Pairs pairs }
 
   (* An optimal phase-2 tableau as int rows: each row holds its
      entries under columns [0, ncols) and then its right-hand side, so
      a snapshot is a tableau with no artificial columns. A warm
      result's tableau is one already and becomes its snapshot as it
      stands; a cold result is compacted once (see {!compact}). [cols]
-     holds the structural columns' branch bounds. *)
+     holds the structural columns' branch bounds; the objective is
+     [costs / cq], negated when [negate], plus [const] (see
+     {!optimum}). *)
   type snapshot = {
     t : tableau;
     nstruct : int;
     costs : int array;
     cq : int;
-    sense : Model.sense;
-    obj_const : R.t;
+    negate : bool;
+    const : int * int;
     cols : col array;
   }
 
@@ -890,7 +1034,12 @@ module Fraction_free = struct
       (* Phase 2: the real objective (negated for maximization),
          integerized over the objective's common denominator [cq]. *)
       let sense, obj = Model.objective model in
-      let obj_const = Linexpr.const obj in
+      let negate = sense = Model.Maximize in
+      let const =
+        match R.to_small (Linexpr.const obj) with
+        | Some nd -> nd
+        | None -> overflow ()
+      in
       let costs = Array.make ncols 0 in
       let cq =
         List.fold_left (fun acc (_, c) -> lcm_den acc c) 1 (Linexpr.terms obj)
@@ -902,16 +1051,16 @@ module Fraction_free = struct
           | Some (nu, de) ->
             let e = nu * (cq / de) in
             if abs e >= range then overflow ();
-            costs.(v) <- (match sense with Model.Minimize -> e | Maximize -> -e))
+            costs.(v) <- (if negate then -e else e))
         (Linexpr.terms obj);
       let p = priced t ~costs ~cq in
       match run_phase t p ~banned:(fun j -> j >= t.art_start) with
       | Phase_unbounded -> (Unbounded, None)
       | Phase_optimal ->
-        ( Optimal (optimum t p [||] ~nstruct ~sense ~obj_const),
+        ( Optimal (optimum t p [||] ~nstruct ~negate ~const),
           if keep then
             Some
-              { t = compact t; nstruct; costs; cq; sense; obj_const;
+              { t = compact t; nstruct; costs; cq; negate; const;
                 cols = Array.make nstruct free }
           else None )
     end
@@ -966,8 +1115,8 @@ module Fraction_free = struct
       if not (run_dual t p cols) then (Infeasible, None)
       else
         ( Optimal
-            (optimum t p cols ~nstruct:s.nstruct ~sense:s.sense
-               ~obj_const:s.obj_const),
+            (optimum t p cols ~nstruct:s.nstruct ~negate:s.negate
+               ~const:s.const),
           Some { s with t; cols } )
     end
 end
@@ -985,7 +1134,8 @@ let solve_fast_keeping ~keep model =
   Telemetry.Span.with_span ~attrs:Fraction_free.span_attrs "lp.simplex"
     (fun () -> Fraction_free.solve ~keep model)
 
-let solve_fast model = fst (solve_fast_keeping ~keep:false model)
+let solve_fast model =
+  map_outcome solution_of (fst (solve_fast_keeping ~keep:false model))
 
 let solve_keeping ~keep model =
   match solve_fast_keeping ~keep model with
@@ -994,10 +1144,10 @@ let solve_keeping ~keep model =
     answer
   | exception Numeric.Kernel.Overflow ->
     Telemetry.bump fallbacks_counter;
-    (solve_exact model, None)
+    (map_outcome relaxation_of (solve_exact model), None)
 
 let solve_with_snapshot = solve_keeping ~keep:true
-let solve model = fst (solve_keeping ~keep:false model)
+let solve model = map_outcome solution_of (fst (solve_keeping ~keep:false model))
 
 let reoptimize ?(own = false) snapshot ~var ~dir ~bound =
   let answer =

@@ -17,10 +17,11 @@
     root tableau has the paper's [1 + Q] rows.
 
     {!solve} runs a fraction-free engine over native-int rows and, when
-    a row outgrows the native range, reruns that one model on exact
-    {!Numeric.Rat}. Both engines make the same pivot decisions (exact
-    signs and exact ratio comparisons), so the result is bit-identical
-    whichever engine answered.
+    a row outgrows the native range (or an objective coefficient or
+    constant cannot be integerized within it), reruns that one model
+    on exact {!Numeric.Rat}. Both engines make the same pivot
+    decisions (exact signs and exact ratio comparisons), so the result
+    is bit-identical whichever engine answered.
 
     {!reoptimize} is the branch-and-bound warm start: it takes the
     fraction-free engine's final tableau ({!snapshot}) and adds one
@@ -31,21 +32,84 @@
     {!solve} of the same LP returns; when the LP has several optimal
     vertices the point may be a different one of them. *)
 
+(** {1 Relaxations}
+
+    What {!solve_with_snapshot} and {!reoptimize} return for the branch
+    and bound: the fraction-free engine's answer read without a gcd or
+    a {!Numeric.Rat}, which are built only when someone asks. *)
+
+(** A relaxation's optimal objective. A native-int answer reports it
+    as the sum of at most [rows + variables + 1] native fractions (each
+    row's [cb·rhs / (cq·scale)], each nonbasic variable's cost at its
+    bound, the model's constant) together with a float interval that
+    provably holds that sum; the exact value is summed only on demand
+    and then kept. An answer of the exact engine carries its exact
+    value and the interval [(-∞, ∞)]. *)
+type objective
+
+(** [objective_interval o] is [(lo, hi)] with [lo ≤ o ≤ hi]. Its width
+    is a few units in the last place of the terms' magnitudes. *)
+val objective_interval : objective -> float * float
+
+(** [exact_objective o] is [o] exactly. The first call on a native-int
+    objective sums its terms (a Bigint sum when they leave the small
+    range) and bumps [lp.exact_objectives]; later calls return the
+    kept value. *)
+val exact_objective : objective -> Numeric.Rat.t
+
+(** [compare_objectives a b] is [Numeric.Rat.compare] of their exact
+    values. Disjoint intervals decide without them, and an objective
+    is equal to itself; only overlapping intervals of two objectives
+    make both exact. *)
+val compare_objectives : objective -> objective -> int
+
+(** [ceil_objective o] is [⌈o⌉] exactly. When both ends of the interval
+    have the same ceiling that is the answer, and [o] is not made
+    exact. *)
+val ceil_objective : objective -> Numeric.Rat.t
+
+(** [objective_of_terms [(a1, b1); …]] is the objective [Σ ai / bi],
+    with its interval, as the engine builds it; for tests and for a
+    placeholder key.
+    @raise Invalid_argument when some [bi ≤ 0]. *)
+val objective_of_terms : (int * int) list -> objective
+
+(** A relaxation's optimal point, one value per model variable. A
+    native-int answer gives variable [v] as [pairs.(2v) / pairs.(2v+1)]:
+    its row's own right-hand side and scale (or a nonbasic variable's
+    bound), unreduced, the denominator positive and both under [2^30]
+    in magnitude. An answer of the exact engine gives canonical
+    values. *)
+type point = Pairs of int array | Rats of Numeric.Rat.t array
+
+(** [values point] is every variable's value as a canonical rational,
+    in a fresh array. *)
+val values : point -> Numeric.Rat.t array
+
+type relaxation = { objective : objective; point : point }
+
 (** An optimal point: [objective] includes any constant term of the
     model's objective; [values] has one entry per model variable. *)
 type solution = { objective : Numeric.Rat.t; values : Numeric.Rat.t array }
 
-type result =
-  | Optimal of solution
+type 'a outcome =
+  | Optimal of 'a
   | Infeasible  (** no point satisfies the constraints *)
   | Unbounded  (** the objective can be improved without limit *)
+
+type result = solution outcome
+
+(** [solution_of r] is [r] with its objective made exact and its values
+    canonical: what {!solve} returns for the same model. *)
+val solution_of : relaxation -> solution
 
 (** [solve model] optimizes the model exactly. Never raises
     [Numeric.Kernel.Overflow]: a model that leaves the native range is
     solved again on {!Numeric.Rat}. Each call bumps exactly one of the
     [numeric.fast_solves] / [numeric.fallbacks] counters and records
     [lp.simplex] spans whose [lp.kernel] attribute is {!fast_kernel}
-    or {!exact_kernel}. *)
+    or {!exact_kernel}; a native-int answer's objective is made exact
+    ({!solution_of}), which bumps [lp.exact_objectives]. *)
 val solve : Model.t -> result
 
 (** The [lp.kernel] span attribute of the native-int engine (["ff64"])
@@ -66,10 +130,12 @@ type snapshot
     [Lower] is [x ≥ b]. *)
 type direction = Upper | Lower
 
-(** [solve_with_snapshot model] is {!solve} plus, when the
-    fraction-free engine answered [Optimal], its final tableau. Same
-    counters and spans as {!solve}. *)
-val solve_with_snapshot : Model.t -> result * snapshot option
+(** [solve_with_snapshot model] is {!solve} as a {!relaxation} plus,
+    when the fraction-free engine answered [Optimal], its final
+    tableau. Same counters and spans as {!solve}; the point is [Rats]
+    exactly when the exact engine answered, which bumps
+    [numeric.fallbacks]. *)
+val solve_with_snapshot : Model.t -> relaxation outcome * snapshot option
 
 (** [reoptimize s ~var ~dir ~bound] solves the LP of [s] with the
     extra bound [x_var ≤ bound] ([Upper]) or [x_var ≥ bound] ([Lower]),
@@ -91,7 +157,7 @@ val solve_with_snapshot : Model.t -> result * snapshot option
     @raise Invalid_argument when [var] is not a variable of the model. *)
 val reoptimize :
   ?own:bool -> snapshot -> var:Model.var -> dir:direction ->
-  bound:Numeric.Rat.t -> result * snapshot option
+  bound:Numeric.Rat.t -> relaxation outcome * snapshot option
 
 (** Heap words a retained snapshot holds, for memory budgets: its
     rows, basis and column bounds, block headers included. *)

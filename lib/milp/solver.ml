@@ -6,8 +6,18 @@
    relaxation objective, which is a valid dual bound used both for node
    ordering and for pruning before the node's own relaxation is solved.
 
-   Node bookkeeping (keys, incumbents, branch bounds) stays in exact
-   Rat. The root and any node without a parent tableau go through
+   Every decision is exact, but a node does not pay for exact values
+   it does not need. A relaxation reports its objective as a float
+   interval around native terms ([Lp.Simplex.objective]) and its
+   point as each row's own native pair. Node keys compare by their
+   intervals and go exact only when two overlap (siblings share one
+   key, which is equal to itself); [strengthen] takes the ceiling of
+   both interval ends and goes exact only when they differ; an
+   integral node makes its objective exact before it becomes the
+   incumbent. Branching reads the native pairs (a point of the Rat
+   engine, after an overflow, branches in Rat). Incumbents, the
+   strengthened keys and branch bounds are Rat values.
+   The root and any node without a parent tableau go through
    [Lp.Simplex.solve_with_snapshot], which pivots on native ints and
    reruns a relaxation on Rat only when that one overflows. Every other
    node is warm: [Lp.Simplex.reoptimize] sets its branching bound on a
@@ -28,7 +38,6 @@
    is a function of the input alone. *)
 
 module R = Numeric.Rat
-module B = Numeric.Bigint
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
@@ -78,11 +87,13 @@ let always_copying f =
   Fun.protect ~finally:(fun () -> Domain.DLS.set consume_key saved) f
 
 type node = {
-  key : R.t;  (* parent relaxation objective: a valid lower bound *)
+  key : Lp.Simplex.objective;
+      (* parent relaxation objective: a valid lower bound; both
+         children share it *)
   skey : R.t;  (* [key] strengthened, computed once for both children *)
   depth : int;
   seq : int;  (* creation order, for deterministic tie-breaking *)
-  extra : (Lp.Model.var * Lp.Simplex.direction * B.t) list;
+  extra : (Lp.Model.var * Lp.Simplex.direction * R.t) list;
       (* branch bounds, newest first *)
   mutable parent : shared option;
       (* dropped once used: the heap's vacated slots may still point
@@ -94,10 +105,13 @@ module Best_queue = Pqueue.Make (struct
 
   (* [strengthen] is monotone, so this is the order of [key] then
      [seq]; under [integral_objective] the integer [skey] decides most
-     compares cheaply. *)
+     compares cheaply, and keys compare by their intervals. *)
   let compare a b =
     match R.compare a.skey b.skey with
-    | 0 -> ( match R.compare a.key b.key with 0 -> compare a.seq b.seq | c -> c)
+    | 0 -> (
+      match Lp.Simplex.compare_objectives a.key b.key with
+      | 0 -> compare a.seq b.seq
+      | c -> c)
     | c -> c
 end)
 
@@ -110,37 +124,72 @@ let pp_status fmt s =
      | Unbounded -> "unbounded"
      | Unknown -> "unknown")
 
-let half = R.of_ints 1 2
-
 (* Strengthen a dual bound to the next integer when the objective is
    known to be integral on feasible integer points. *)
 let strengthen ~integral bound =
-  if integral then R.of_bigint (R.ceil bound) else bound
+  if integral then Lp.Simplex.ceil_objective bound
+  else Lp.Simplex.exact_objective bound
+
+(* Floor division, for a positive divisor. *)
+let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
 
 (* Most fractional: the variable whose value is closest to one half,
-   the first such on ties. *)
-let choose_in_group values group =
-  let best = ref None in
-  List.iter
-    (fun v ->
-      let x = values.(v) in
-      if not (R.is_integer x) then begin
-        (* score = |frac(x) - 1/2|, smaller is better *)
-        let score = R.abs (R.sub (R.frac x) half) in
-        match !best with
-        | Some (_, s) when R.compare s score <= 0 -> ()
-        | _ -> best := Some (v, score)
-      end)
-    group;
-  Option.map fst !best
+   the first such on ties. For [x = n/d] with fractional part [f/d],
+   that distance is [|2f - d| / 2d], so two of them compare as
+   [|2f - d|·d'] against [|2f' - d'|·d]: both under 2^60 because
+   [0 <= f < d < 2^30]. A [Rats] point (the exact engine's answer)
+   compares the same distances in Rat. *)
+let choose_in_group point group =
+  match point with
+  | Lp.Simplex.Pairs p ->
+    let best = ref (-1) and best_dist = ref 0 and best_den = ref 1 in
+    List.iter
+      (fun v ->
+        let n = p.(2 * v) and d = p.((2 * v) + 1) in
+        let f = n - (d * fdiv n d) in
+        if f <> 0 then begin
+          let dist = abs ((2 * f) - d) in
+          if !best < 0 || dist * !best_den < !best_dist * d then begin
+            best := v;
+            best_dist := dist;
+            best_den := d
+          end
+        end)
+      group;
+    if !best < 0 then None else Some !best
+  | Rats values ->
+    let best = ref None in
+    List.iter
+      (fun v ->
+        let x = values.(v) in
+        if not (R.is_integer x) then begin
+          let f = R.frac x in
+          let dist = R.abs (R.sub (R.add f f) R.one) in
+          match !best with
+          | Some (_, s) when R.compare s dist <= 0 -> ()
+          | _ -> best := Some (v, dist)
+        end)
+      group;
+    Option.map fst !best
 
 (* Branch within the earliest priority group that still has a
    fractional variable. *)
-let choose_branch_var values groups =
+let branch_var point groups =
   List.fold_left
     (fun acc group ->
-      match acc with Some _ -> acc | None -> choose_in_group values group)
+      match acc with Some _ -> acc | None -> choose_in_group point group)
     None groups
+
+(* The branch bounds [x_v >= ceil x] and [x_v <= floor x] of a
+   fractional [x_v]. *)
+let branch_bounds point v =
+  match point with
+  | Lp.Simplex.Pairs p ->
+    let fl = fdiv p.(2 * v) p.((2 * v) + 1) in
+    (R.of_int (fl + 1), R.of_int fl)
+  | Rats values ->
+    let x = values.(v) in
+    (R.of_bigint (R.ceil x), R.of_bigint (R.floor x))
 
 (* Branch decisions tighten variable domains rather than adding rows to
    the model. A warm child keeps them as column bounds; this model is
@@ -151,8 +200,8 @@ let apply_extras base extra =
   List.iter
     (fun (v, dir, b) ->
       match dir with
-      | Lp.Simplex.Upper -> Lp.Model.tighten_upper m v (R.of_bigint b)
-      | Lower -> Lp.Model.tighten_lower m v (R.of_bigint b))
+      | Lp.Simplex.Upper -> Lp.Model.tighten_upper m v b
+      | Lower -> Lp.Model.tighten_lower m v b)
     extra;
   m
 
@@ -213,11 +262,11 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
   Option.iter (offer ~what:"warm start" ~source:"milp.warm") warm_start;
   (* The primal heuristic at a fractional node: its point, if any,
      must beat the incumbent to replace it. *)
-  let try_round values =
+  let try_round point =
     match round with
     | None -> ()
     | Some f -> (
-      match f ~incumbent:(Option.map denorm_obj (to_beat ())) values with
+      match f ~incumbent:(Option.map denorm_obj (to_beat ())) point with
       | Some point -> offer ~what:"rounded point" ~source:"milp.round" point
       | None -> ())
   in
@@ -276,7 +325,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
     | Some sh, (var, dir, b) :: _ -> (
       let own = consume && sh.holders = 1 in
       match
-        Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound:(R.of_bigint b)
+        Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound:b
       with
       | answer ->
         Telemetry.bump warm_nodes_counter;
@@ -285,8 +334,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
     | _ -> cold ()
   in
   Best_queue.push queue
-    { key = R.zero; skey = R.zero; depth = 0; seq = 0; extra = [];
-      parent = None };
+    { key = Lp.Simplex.objective_of_terms []; skey = R.zero; depth = 0;
+      seq = 0; extra = []; parent = None };
   let interrupted = ref false in
   (* A tree that closes exactly at a limit is proved, not
      interrupted: the budget is only checked while work is left. *)
@@ -332,32 +381,33 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
                 relaxation can only be the root. *)
              root_status := Some Unbounded;
              interrupted := true
-           | Lp.Simplex.Optimal { objective = lp_obj; values } ->
+           | Lp.Simplex.Optimal { objective = lp_obj; point } ->
              let bound = strengthen ~integral:integral_objective lp_obj in
              (* The root relaxation is a global dual bound. *)
              if is_root then emit_bound bound;
              if better_than_incumbent bound then begin
-               match choose_branch_var values groups with
+               match branch_var point groups with
                | None ->
-                 (* Integral relaxation: new incumbent. *)
+                 (* Integral relaxation: new incumbent, made exact. *)
+                 let o = Lp.Simplex.exact_objective lp_obj in
                  Telemetry.bump incumbents_counter;
                  Telemetry.Progress.emit
-                   ~incumbent:(R.to_float (denorm_obj lp_obj))
+                   ~incumbent:(R.to_float (denorm_obj o))
                    ~source:"milp" ();
-                 incumbent := Some (lp_obj, values)
+                 incumbent := Some (o, Lp.Simplex.values point)
                | Some v ->
-                 try_round values;
+                 try_round point;
                  (* A rounded point may have closed this node's gap. *)
                  if better_than_incumbent bound then begin
-                   let x = values.(v) in
+                   let up, down = branch_bounds point v in
                    let parent = share snapshot in
                    let mk dir b =
                      incr seq;
                      { key = lp_obj; skey = bound; depth = node.depth + 1;
                        seq = !seq; extra = (v, dir, b) :: node.extra; parent }
                    in
-                   Best_queue.push queue (mk Lower (R.ceil x));
-                   Best_queue.push queue (mk Upper (R.floor x))
+                   Best_queue.push queue (mk Lower up);
+                   Best_queue.push queue (mk Upper down)
                  end
              end);
           if not !interrupted then loop ()

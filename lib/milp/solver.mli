@@ -6,6 +6,15 @@
     exact rationals — the solver never declares optimality spuriously
     or misses it because of floating-point tolerances.
 
+    A node reads its relaxation as {!Lp.Simplex.relaxation}: a float
+    interval that provably holds the objective, and the point as
+    native pairs. Node order, pruning and the integer strengthening
+    decide on the interval when it settles the question and make the
+    objective exact otherwise ({!Lp.Simplex.compare_objectives},
+    {!Lp.Simplex.ceil_objective}), as does every new incumbent, so the
+    tree is the one exact arithmetic throughout would build. The
+    [lp.exact_objectives] counter counts the objectives made exact.
+
     This module is the replacement for the Gurobi solver used in the
     paper's experiments; in particular it exposes the same wall-clock
     [time_limit] semantics that the paper's Figure 8 relies on
@@ -56,10 +65,10 @@ type outcome = {
     @param round a primal heuristic, called at every node whose LP
       optimum is fractional and still beats the incumbent, with the
       incumbent's objective (in the model's own sense; the cutoff or
-      [None] before the first incumbent) and the node's LP values
-      (read-only). It
-      returns an integer point meant to be strictly better than the
-      incumbent. The solver checks it like a [warm_start], raising
+      [None] before the first incumbent) and the node's LP point
+      (read-only; [Pairs] from the native-int engine, [Rats] after an
+      overflow). It returns an integer point meant to be strictly
+      better than the incumbent. The solver checks it like a [warm_start], raising
       [Invalid_argument] when it is infeasible or not integral on
       [integer], installs it only when it is strictly better, and
       emits a [milp.round] progress event when it does. The node
@@ -77,7 +86,7 @@ val solve :
   ?warm_start:Numeric.Rat.t array ->
   ?round:
     (incumbent:Numeric.Rat.t option ->
-    Numeric.Rat.t array ->
+    Lp.Simplex.point ->
     Numeric.Rat.t array option) ->
   ?priority:Lp.Model.var list list ->
   Lp.Model.t ->
@@ -96,6 +105,13 @@ val snapshot_budget : int
     check that consuming tableaus leaves the tree unchanged; it only
     affects solves on the calling domain. *)
 val always_copying : (unit -> 'a) -> 'a
+
+(** [branch_var point groups] is the variable a node with LP point
+    [point] branches on: within the earliest group that has a
+    fractional variable, the one whose fractional part is closest to
+    one half, the first such on ties; [None] when every variable of
+    every group is integral. Exposed for tests. *)
+val branch_var : Lp.Simplex.point -> Lp.Model.var list list -> Lp.Model.var option
 
 (** [gap outcome] is the relative optimality gap
     [(incumbent - bound) / max(1, |incumbent|)] when both are known. *)

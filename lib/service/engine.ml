@@ -499,11 +499,17 @@ let traced job ~attrs f =
    and, when an engine ran, its outcome. A raising solve is a failed
    flight, not a dead worker: the exception becomes a [Flight_error],
    so the leader is answered and audited like any other failure and
-   no follower is stranded. *)
+   no follower is stranded. An [Invalid_argument] is the request's
+   own fault (a budget past what an int allocation can carry, say),
+   and its message is the error as it stands. *)
 let climb t ~now job =
   let failed ~fingerprint e =
-    ( Flight_error { fingerprint; message = "solve: " ^ Printexc.to_string e },
-      None )
+    let message =
+      match e with
+      | Invalid_argument msg -> "solve: " ^ msg
+      | e -> "solve: " ^ Printexc.to_string e
+    in
+    (Flight_error { fingerprint; message }, None)
   in
   match
     Telemetry.Span.with_span "service.resolve" (fun () ->

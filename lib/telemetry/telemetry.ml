@@ -598,6 +598,7 @@ let text_exposition () =
 (* --- well-known counter names --- *)
 
 let lp_pivots = "lp.pivots"
+let lp_exact_objectives = "lp.exact_objectives"
 let numeric_fast_solves = "numeric.fast_solves"
 let numeric_fallbacks = "numeric.fallbacks"
 let milp_nodes = "milp.nodes"
@@ -690,6 +691,8 @@ let () =
           if not (Hashtbl.mem help_registry name) then
             Hashtbl.replace help_registry name help))
     [ (lp_pivots, "Simplex pivots across both LP engines.");
+      ( lp_exact_objectives,
+        "Relaxation objectives made exact from their native terms." );
       (milp_nodes, "Branch-and-bound nodes evaluated.");
       (milp_incumbents, "Incumbent improvements (warm starts included).");
       ( milp_warm_nodes,

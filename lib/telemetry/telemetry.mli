@@ -293,6 +293,12 @@ val escape_help : string -> string
 (** Simplex pivots, across both engines of {!Lp.Simplex}. *)
 val lp_pivots : string
 
+(** Relaxation objectives of the native-int engine of {!Lp.Simplex}
+    made exact from their terms: a fraction-free relaxation reports
+    its objective as a float interval, and the exact value is computed
+    only when a caller needs it (see {!Lp.Simplex.exact_objective}). *)
+val lp_exact_objectives : string
+
 (** LP relaxations {!Lp.Simplex.solve} completed on its native-int
     fast path. *)
 val numeric_fast_solves : string

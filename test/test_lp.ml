@@ -213,7 +213,7 @@ let test_constraint_constant_folding () =
    through both engines, which must agree bit-for-bit: the fast engine
    may not overflow on these small models. *)
 
-let result_equal a b =
+let result_equal (a : S.result) (b : S.result) =
   match (a, b) with
   | S.Optimal x, S.Optimal y ->
     R.equal x.objective y.objective && Array.for_all2 R.equal x.values y.values

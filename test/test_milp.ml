@@ -198,10 +198,12 @@ let test_round_hook () =
       ignore
         (Solver.solve ~round:(rounded [| R.of_ints 5 2; ri 0 |]) m ~integer));
   (* A point no cheaper than the incumbent never replaces it, and the
-     hook sees the incumbent's objective. *)
-  let seen = ref [] in
-  let no_cheaper ~incumbent _ =
+     hook sees the incumbent's objective and the node's LP point, the
+     root's (5/2, 0), as the native pairs of the fast engine. *)
+  let seen = ref [] and points = ref [] in
+  let no_cheaper ~incumbent point =
     seen := incumbent :: !seen;
+    points := point :: !points;
     Some [| ri 3; ri 0 |]
   in
   let capped =
@@ -214,6 +216,11 @@ let test_round_hook () =
   Alcotest.(check (list (option string))) "hook saw the incumbent"
     [ Some "3" ]
     (List.map (Option.map R.to_string) !seen);
+  (match !points with
+   | [ (Lp.Simplex.Pairs _ as point) ] ->
+     Alcotest.(check (list string)) "hook saw the root's LP point" [ "5/2"; "0" ]
+       (Array.to_list (Array.map R.to_string (Lp.Simplex.values point)))
+   | _ -> Alcotest.fail "hook: expected one native-int point");
   (* A root that rounds to its own bound proves optimal at one node;
      without the hook the same solve branches. *)
   let proved =
@@ -390,8 +397,64 @@ let build_cover_mip ((nv, nc), (coeffs, (costs, rhs))) =
     (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, ri costs.(i))) vars)));
   (m, Array.to_list vars, costs, rows, rhs)
 
+(* Most-fractional branching as it was decided in Rat before nodes kept
+   their values as native pairs: the reference for
+   [Milp.Solver.branch_var]. *)
+let reference_branch_var values groups =
+  let half = R.of_ints 1 2 in
+  let choose_in_group group =
+    let best = ref None in
+    List.iter
+      (fun v ->
+        let x = values.(v) in
+        if not (R.is_integer x) then begin
+          let score = R.abs (R.sub (R.frac x) half) in
+          match !best with
+          | Some (_, s) when R.compare s score <= 0 -> ()
+          | _ -> best := Some (v, score)
+        end)
+      group;
+    Option.map fst !best
+  in
+  List.fold_left
+    (fun acc group -> match acc with Some _ -> acc | None -> choose_in_group group)
+    None groups
+
+(* Points as unreduced native pairs: small denominators make ties and
+   integral values common, a few large ones reach the 2^30 range, and
+   numerators take both signs. Variables are dealt into 1-3 groups. *)
+let branch_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 1 8)
+         (pair
+            (oneof [ int_range (-40) 40; int_range (-(1 lsl 29)) ((1 lsl 30) - 1) ])
+            (oneof [ int_range 1 8; int_range 1 ((1 lsl 30) - 1) ])))
+      (list_size (int_range 1 8) (int_range 0 2)))
+
+let branch_groups n deal =
+  let deal = Array.of_list deal in
+  List.init 3 (fun g ->
+      List.filter (fun v -> deal.(v mod Array.length deal) = g) (List.init n Fun.id))
+
 let props =
-  [ prop "matches brute force on random covering MIPs" cover_mip_gen (fun input ->
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500
+         ~name:"int-pair branching picks the Rat rule's variable" branch_gen
+         (fun (pairs, deal) ->
+           let n = List.length pairs in
+           let flat = Array.make (2 * n) 0 in
+           List.iteri
+             (fun v (num, den) ->
+               flat.(2 * v) <- num;
+               flat.((2 * v) + 1) <- den)
+             pairs;
+           let values = Array.of_list (List.map (fun (a, b) -> R.of_ints a b) pairs) in
+           let groups = branch_groups n deal in
+           let expected = reference_branch_var values groups in
+           Solver.branch_var (Lp.Simplex.Pairs flat) groups = expected
+           && Solver.branch_var (Lp.Simplex.Rats values) groups = expected));
+    prop "matches brute force on random covering MIPs" cover_mip_gen (fun input ->
         let m, integer, costs, rows, rhs = build_cover_mip input in
         let outcome = solve m ~integer in
         let brute = brute_force_cover ~costs ~rows ~rhs ~ub:12 in

@@ -443,6 +443,37 @@ let test_engine_ladder_never_crosses_objectives () =
   served_is "min-cost replay still exact-hits" Pr.Exact_hit
     (solved1 e (solve_req ~objective:(Ob.min_cost ~target:70) ()))
 
+(* One type at cost 1 per 100 units of throughput: a budget near
+   max_int affords a fluid throughput past max_int, which no int
+   allocation carries. Both surfaces reject it up front with an error
+   that names the budget: [Solver.run], which the CLI calls and whose
+   [Invalid_argument] it prints, and the daemon's engine, whose reply
+   is that message and not a [Failure(...)]. *)
+let test_budget_past_max_int_rejected () =
+  let cheap =
+    P.create (PF.of_list [ (1, 100) ])
+      [| Rentcost.Task_graph.chain ~ntypes:1 ~types:[| 0 |] |]
+  in
+  let budget = max_int in
+  let objective = Ob.max_throughput ~budget in
+  let named what msg =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s names the budget (%s)" what msg)
+      true
+      (contains ~sub:(string_of_int budget) msg
+      && not (contains ~sub:"Failure(" msg))
+  in
+  (match
+     S.run (I.compile ~scenario:(Sc.make ~objective ()) cheap) ~objective
+   with
+   | exception Invalid_argument msg -> named "Solver.run" msg
+   | _ -> Alcotest.fail "Solver.run answered a budget past max_int");
+  let e = E.create () in
+  ignore (E.register e ~name:"app" cheap);
+  match E.handle e (solve_req ~objective ()) with
+  | [ Pr.Error { message; _ } ] -> named "the daemon's reply" message
+  | _ -> Alcotest.fail "the daemon answered a budget past max_int"
+
 let test_engine_pricebook_solves () =
   let e = E.create () in
   ignore (E.register e ~name:"app" illustrating);
@@ -563,5 +594,7 @@ let suite =
       Alcotest.test_case "engine ladder never crosses objectives" `Quick
         test_engine_ladder_never_crosses_objectives;
       Alcotest.test_case "engine pricebook solves" `Quick
-        test_engine_pricebook_solves ]
+        test_engine_pricebook_solves;
+      Alcotest.test_case "budget past max_int rejected" `Quick
+        test_budget_past_max_int_rejected ]
     @ props )

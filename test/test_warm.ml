@@ -34,11 +34,29 @@ let within_bounds m values =
     values;
   !ok
 
-(* A warm answer for [m] agrees with a cold solve of [m]. *)
+(* A finite float as the exact rational it is. *)
+let rat_of_float f =
+  let m, e = Float.frexp f in
+  let n = R.of_int (int_of_float (Float.ldexp m 53)) in
+  let p = R.of_bigint (Numeric.Bigint.pow Numeric.Bigint.two (abs (e - 53))) in
+  if e >= 53 then R.mul n p else R.div n p
+
+(* The relaxation's float interval holds its exact objective (an
+   infinite end holds anything). *)
+let interval_holds (r : S.relaxation) =
+  let lo, hi = S.objective_interval r.S.objective in
+  let x = S.exact_objective r.S.objective in
+  (lo = neg_infinity || R.compare (rat_of_float lo) x <= 0)
+  && (hi = infinity || R.compare x (rat_of_float hi) <= 0)
+
+(* A warm answer for [m] agrees with a cold solve of [m], and its
+   objective interval holds its exact objective. *)
 let agrees m warm =
   match (warm, S.solve m) with
-  | S.Optimal w, S.Optimal c ->
-    R.equal w.S.objective c.S.objective
+  | S.Optimal r, S.Optimal c ->
+    let w = S.solution_of r in
+    interval_holds r
+    && R.equal w.S.objective c.S.objective
     && M.check_feasible m w.S.values
     && within_bounds m w.S.values
   | S.Infeasible, S.Infeasible -> true
@@ -46,7 +64,7 @@ let agrees m warm =
 
 let snapshot_of m =
   match S.solve_with_snapshot m with
-  | S.Optimal sol, Some snap -> (sol, snap)
+  | S.Optimal r, Some snap -> (S.solution_of r, snap)
   | _ -> Alcotest.fail "parent must solve optimally on the fast engine"
 
 let row_count s = Array.length (fst (S.snapshot_rows s))
@@ -67,7 +85,7 @@ let check_child label m snap v dir b =
   (c, warm)
 
 let objective_of label = function
-  | S.Optimal sol, Some _ -> sol.S.objective
+  | S.Optimal (r : S.relaxation), Some _ -> S.exact_objective r.S.objective
   | S.Optimal _, None -> Alcotest.fail (label ^ ": optimal without a snapshot")
   | _ -> Alcotest.fail (label ^ ": expected an optimum")
 
@@ -191,7 +209,7 @@ let test_bound_chain () =
            (Array.mem v (snd (S.snapshot_rows snap)));
          check_rat (label ^ ": value in the parent") value sol.S.values.(v);
          match check_child label m snap v dir b with
-         | c, (S.Optimal sol, Some snap) -> (c, sol, snap)
+         | c, (S.Optimal r, Some snap) -> (c, S.solution_of r, snap)
          | _ -> Alcotest.fail (label ^ ": expected an optimum"))
        (m, sol, snap) steps)
 
@@ -206,7 +224,8 @@ let bounds_around x =
 
 let warm_agrees_twice m =
   match S.solve_with_snapshot m with
-  | S.Optimal sol, Some snap ->
+  | S.Optimal r, Some snap ->
+    let sol = S.solution_of r in
     let n = M.num_vars m in
     List.for_all
       (fun v ->
@@ -215,7 +234,8 @@ let warm_agrees_twice m =
             let c = child m v dir b in
             match S.reoptimize snap ~var:v ~dir ~bound:b with
             | exception Numeric.Kernel.Overflow -> true
-            | (S.Optimal csol, Some csnap) as warm ->
+            | (S.Optimal cr, Some csnap) as warm ->
+              let csol = S.solution_of cr in
               let w = (v + 1) mod n in
               agrees c (fst warm)
               && List.for_all
@@ -256,7 +276,8 @@ let chain_bound kind x =
 let warm_chain_agrees (input, steps) =
   let m = Test_lp.build_bounded input in
   match S.solve_with_snapshot m with
-  | S.Optimal sol, Some snap ->
+  | S.Optimal r, Some snap ->
+    let sol = S.solution_of r in
     let n = M.num_vars m and rows = row_count snap in
     let rec go m snap (sol : S.solution) last = function
       | [] -> true
@@ -266,8 +287,9 @@ let warm_chain_agrees (input, steps) =
         let c = child m v dir b in
         match S.reoptimize snap ~var:v ~dir ~bound:b with
         | exception Numeric.Kernel.Overflow -> true
-        | (S.Optimal csol, Some csnap) as warm ->
-          agrees c (fst warm) && row_count csnap = rows && go c csnap csol v rest
+        | (S.Optimal cr, Some csnap) as warm ->
+          agrees c (fst warm) && row_count csnap = rows
+          && go c csnap (S.solution_of cr) v rest
         | warm, _ -> agrees c warm)
     in
     go m snap sol 0 steps
@@ -283,6 +305,82 @@ let reoptimize_props =
       (QCheck2.Test.make ~count:300
          ~name:"warm chains of 3-6 bounds agree with cold solves" chain_gen
          warm_chain_agrees) ]
+
+(* --- objective intervals: node keys without the exact value --- *)
+
+(* Term lists [(a, b)], [0 < b <= 2^60], as the engine makes them and
+   worse: small terms; numerators near 2^60 over a small denominator or
+   over another near 2^60; small numerators over one near 2^60;
+   integral terms [k b / b]; and a term followed by its negation, so
+   sums cancel. *)
+let term_gen =
+  QCheck2.Gen.(
+    let near60 = map (fun k -> (1 lsl 60) - k) (int_range 0 1000) in
+    let signed g = map2 (fun neg a -> if neg then -a else a) bool g in
+    let term =
+      oneof
+        [ pair (int_range (-1000) 1000) (int_range 1 1000);
+          pair (signed near60) (oneofl [ 1; 3; 7 ]);
+          pair (signed near60) near60;
+          pair (signed (int_range 1 1000)) near60;
+          map2 (fun k b -> (k * b, b)) (int_range (-50) 50) (int_range 1 (1 lsl 29)) ]
+    in
+    list_size (int_range 0 6)
+      (oneof
+         [ map (fun t -> [ t ]) term;
+           map (fun (a, b) -> [ (a, b); (-a, b) ]) term ])
+    |> map List.concat)
+
+(* Pairs of term lists: unrelated, or the second an exact tie of the
+   first: its terms reversed, each split into two halves over twice its
+   denominator. *)
+let tie terms =
+  List.rev (List.concat_map (fun (a, b) -> [ (a, 2 * b); (a, 2 * b) ]) terms)
+
+let terms_pair_gen =
+  QCheck2.Gen.(
+    term_gen >>= fun t1 ->
+    oneof [ map (fun t2 -> (t1, t2)) term_gen; return (t1, tie t1) ])
+
+let exact_sum terms =
+  List.fold_left (fun acc (a, b) -> R.add acc (R.of_ints a b)) R.zero terms
+
+let intervals_agree (t1, t2) =
+  let o1 = S.objective_of_terms t1 and o2 = S.objective_of_terms t2 in
+  let x1 = exact_sum t1 and x2 = exact_sum t2 in
+  let holds o x =
+    let lo, hi = S.objective_interval o in
+    R.compare (rat_of_float lo) x <= 0 && R.compare x (rat_of_float hi) <= 0
+  in
+  holds o1 x1 && holds o2 x2
+  && Int.compare (S.compare_objectives o1 o2) 0 = Int.compare (R.compare x1 x2) 0
+  && S.compare_objectives o1 o1 = 0
+  && R.equal (S.ceil_objective o1) (R.of_bigint (R.ceil x1))
+  && R.equal (S.ceil_objective o2) (R.of_bigint (R.ceil x2))
+  && R.equal (S.exact_objective o1) x1
+  && R.equal (S.exact_objective o2) x2
+
+(* Separated intervals decide without the exact sums: comparing 1/3
+   with 2/3, and ceiling 5/2, count no exact objective. *)
+let test_intervals_decide_alone () =
+  let third = S.objective_of_terms [ (1, 3) ]
+  and two_thirds = S.objective_of_terms [ (2, 3) ]
+  and five_halves = S.objective_of_terms [ (5, 2) ] in
+  let before = Telemetry.value Telemetry.lp_exact_objectives in
+  Alcotest.(check int) "1/3 < 2/3" (-1) (S.compare_objectives third two_thirds);
+  check_rat "ceil 5/2" (ri 3) (S.ceil_objective five_halves);
+  Alcotest.(check int) "no exact objective" before
+    (Telemetry.value Telemetry.lp_exact_objectives);
+  Alcotest.(check int) "an exact tie goes exact" 0
+    (S.compare_objectives third (S.objective_of_terms [ (2, 6) ]));
+  Alcotest.(check int) "both made exact" (before + 2)
+    (Telemetry.value Telemetry.lp_exact_objectives)
+
+let interval_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:1000
+         ~name:"interval compare and ceiling agree with exact Rat"
+         terms_pair_gen intervals_agree) ]
 
 (* --- the warm tree --- *)
 
@@ -505,5 +603,7 @@ let suite =
       Alcotest.test_case "snapshot words cover the heap" `Quick
         test_snapshot_words_cover_heap;
       Alcotest.test_case "snapshot budget: warm and cold children" `Quick
-        test_snapshot_budget ]
-    @ reoptimize_props @ tree_props @ consume_props @ rounding_props )
+        test_snapshot_budget;
+      Alcotest.test_case "separated intervals decide alone" `Quick
+        test_intervals_decide_alone ]
+    @ interval_props @ reoptimize_props @ tree_props @ consume_props @ rounding_props )
