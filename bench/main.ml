@@ -13,8 +13,8 @@
    - BENCH_observability.json: the instrumented hot path, enabled vs
      kill-switched;
    - BENCH_scenarios.json: the dual objective against a scan of the
-     cost curve, a max-throughput sweep over seeded fig3 instances,
-     and single- vs multi-cloud cost;
+     cost curve, max-throughput sweeps over seeded fig3 and fig6
+     instances, and single- vs multi-cloud cost;
    - BENCH_numeric.json: the fast LP engine against exact Rat, the
      figure-preset and fig8 workloads' relaxations, fallbacks, pivots,
      warm nodes, peak retained words, capped cost sum and proved count,
@@ -26,8 +26,10 @@
    repricing; the kill switch freezes every instrument and enabled
    instrumentation costs under 5%; the dual objective and price books
    behave, with the dual answer costing the min cost at its
-   throughput, and the dual sweep's throughputs, nodes and pivots
-   equal to the committed BENCH_scenarios.json and zero fallbacks; the
+   throughput, and each dual sweep's money, throughputs, costs, nodes,
+   pivots and exact objectives equal to the committed
+   BENCH_scenarios.json, its nodes within a fixed bound and zero
+   fallbacks; the
    fast LP engine is bit-identical and fast enough, with the
    figure-preset and fig8 effort counts, capped answers and wire
    decode words equal to the committed BENCH_numeric.json; and the
@@ -47,9 +49,11 @@ module J = Rentcost_service.Json
 (* One root seed for the whole run, split in a fixed order so each
    consumer gets a stable, independent stream. A new consumer draws
    last, so no existing stream shifts. *)
+let default_seed = 2016
+
 let root_seed =
   match Sys.getenv_opt "RENTCOST_BENCH_SEED" with
-  | None -> 2016
+  | None -> default_seed
   | Some v -> (
     match int_of_string_opt v with
     | Some n -> n
@@ -393,16 +397,23 @@ let exact_dual_scan inst ~budget =
   let rec go t = if cost_at (t + 1) <= budget then go (t + 1) else t in
   go 0
 
-(* The dual sweep: max throughput on the first two seeded fig3
-   instances, at the money that each target's ILP min cost takes, so
+(* A dual sweep: max throughput on the first two seeded instances of
+   a preset, at the money that each target's ILP min cost takes, so
    every answer reaches its target. Nodes, pivots, fallbacks and
    exact objectives (relaxation objectives that a node had to make
    exact) are summed over the max-throughput solves alone. *)
 let dual_sweep_targets = [ 20; 60; 100; 140 ]
 
+(* The fig6 sweep's throughputs at the default seed, and the most
+   nodes each sweep may take. *)
+let fig6_sweep_throughputs = [ 21; 61; 100; 140; 21; 60; 100; 140 ]
+let fig3_sweep_max_nodes = 1_000
+let fig6_sweep_max_nodes = 30_000
+
 type dual_sweep = {
   ds_money : int list;
   ds_throughputs : int list;
+  ds_costs : int list;
   ds_nodes : int;
   ds_pivots : int;
   ds_fallbacks : int;
@@ -410,8 +421,8 @@ type dual_sweep = {
   ds_seconds : float;
 }
 
-let dual_sweep () =
-  let preset = Option.get (Cloudsim.Experiments.find "fig3") in
+let dual_sweep preset_id =
+  let preset = Option.get (Cloudsim.Experiments.find preset_id) in
   let rng = P.create root_seed in
   let generate () =
     G.problem ~rng preset.Cloudsim.Experiments.graphs
@@ -451,6 +462,13 @@ let dual_sweep () =
   let sum f = List.fold_left (fun acc o -> acc + f o.S.telemetry) 0 outcomes in
   { ds_money = List.map snd solves;
     ds_throughputs = List.map (fun o -> o.S.throughput) outcomes;
+    ds_costs =
+      List.map
+        (fun o ->
+          Option.fold ~none:(-1)
+            ~some:(fun a -> a.Rentcost.Allocation.cost)
+            o.S.allocation)
+        outcomes;
     ds_nodes = sum (fun t -> t.S.nodes);
     ds_pivots = sum (fun t -> t.S.pivots);
     ds_fallbacks = Telemetry.value Telemetry.numeric_fallbacks - fallbacks0;
@@ -467,6 +485,7 @@ type scenarios_row = {
   sc_dual_cost : int;
   sc_recheck_cost : int;
   sc_sweep : dual_sweep;
+  sc_sweep_fig6 : dual_sweep;
   sc_cost_single : int;
   sc_cost_multibook : int;
   sc_bit_identical : bool;
@@ -524,7 +543,8 @@ let scenarios_data () =
   in
   { sc_budget = budget; sc_throughput = dual.S.throughput;
     sc_exact_dual = exact; sc_dual_cost = cost_of dual;
-    sc_recheck_cost = cost_of recheck; sc_sweep = dual_sweep ();
+    sc_recheck_cost = cost_of recheck; sc_sweep = dual_sweep "fig3";
+    sc_sweep_fig6 = dual_sweep "fig6";
     sc_cost_single = cost_of single;
     sc_cost_multibook = cost_of multibook; sc_bit_identical = bit_identical }
 
@@ -535,21 +555,25 @@ let emit_scenarios () =
     -. quotient (float_of_int r.sc_cost_multibook) (float_of_int r.sc_cost_single)
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  let sw = r.sc_sweep in
-  emit "scenarios" ~schema:"rentcost-bench-scenarios/3"
+  let sweep workload sw =
+    J.Obj
+      [ ("workload", J.String workload);
+        ("targets", ints dual_sweep_targets); ("money", ints sw.ds_money);
+        ("throughputs", ints sw.ds_throughputs); ("costs", ints sw.ds_costs);
+        ("nodes", J.Int sw.ds_nodes); ("pivots", J.Int sw.ds_pivots);
+        ("fallbacks", J.Int sw.ds_fallbacks);
+        ("exact_objectives", J.Int sw.ds_exact_objectives);
+        ("seconds", fixed 2 sw.ds_seconds) ]
+  in
+  emit "scenarios" ~schema:"rentcost-bench-scenarios/4"
     [ ( "dual",
         J.Obj
           [ ("budget", J.Int r.sc_budget); ("throughput", J.Int r.sc_throughput);
             ("exact_dual", J.Int r.sc_exact_dual); ("cost", J.Int r.sc_dual_cost);
             ("min_cost_at_achieved", J.Int r.sc_recheck_cost) ] );
-      ( "dual_sweep",
-        J.Obj
-          [ ("workload", J.String "fig3 x2, ilp max-throughput");
-            ("targets", ints dual_sweep_targets); ("money", ints sw.ds_money);
-            ("throughputs", ints sw.ds_throughputs); ("nodes", J.Int sw.ds_nodes);
-            ("pivots", J.Int sw.ds_pivots); ("fallbacks", J.Int sw.ds_fallbacks);
-            ("exact_objectives", J.Int sw.ds_exact_objectives);
-            ("seconds", fixed 2 sw.ds_seconds) ] );
+      ("dual_sweep", sweep "fig3 x2, ilp max-throughput" r.sc_sweep);
+      ( "dual_sweep_fig6",
+        sweep "fig6 x2, ilp max-throughput" r.sc_sweep_fig6 );
       ( "multicloud",
         J.Obj
           [ ("workload", J.String "fig7 h32jump rho100"); ("books", J.Int 3);
@@ -655,19 +679,27 @@ let count_fallbacks f =
 
 let words_per_node s = s.fb_minor_words / Int.max s.fb_nodes 1
 
-(* Minor words per node of the capped workloads while every node built
-   its relaxation's exact objective and a canonical Rat per value
-   (branch bounds already column bounds), measured with this bench
-   (OCaml 5.1.1, no flambda). *)
-let paper_words_per_node_before = 1249
-let fig8_words_per_node_before = 8125
-
 let ratio a b = float_of_int a /. Float.max (float_of_int b) 1.
 
 let paper_presets = [ "fig3"; "fig6"; "fig7" ]
 let paper_instances_per_preset = 4
 let paper_targets = [ 20; 60; 100; 140; 200 ]
 let paper_node_limit = 300
+
+let paper_solves =
+  List.length paper_presets * paper_instances_per_preset
+  * List.length paper_targets
+
+let words_per_solve s = s.fb_minor_words / paper_solves
+
+(* Minor words of the capped workloads, measured with this bench
+   (OCaml 5.1.1, no flambda): fig8 per node while every node built its
+   relaxation's exact objective and a canonical Rat per value; the
+   figure presets per solve while the branch and bound took the splits
+   before the machine counts. A figure-preset solve's root and model
+   build cost the same whatever its tree, so it is gated per solve. *)
+let paper_words_per_solve_before = 123_670
+let fig8_words_per_node_before = 8125
 
 (* Node-capped solves over seeded instances of [presets], each preset
    drawing its instances from a stream of the root seed. *)
@@ -727,6 +759,7 @@ let numeric_gated paper fig8 =
     ("warm_start", "paper_exact_objectives", paper.fb_exact_objectives);
     ("warm_start", "paper_peak_retained_words", paper.fb_peak_words);
     ("warm_start", "paper_minor_words_per_node", words_per_node paper);
+    ("warm_start", "paper_minor_words_per_solve", words_per_solve paper);
     ("warm_start", "paper_capped_cost_sum", paper.fb_cost_sum);
     ("warm_start", "paper_proved", paper.fb_proved);
     ("fig8", "nodes", fig8.fb_nodes);
@@ -871,7 +904,7 @@ let emit_numeric () =
         ("identical", J.Bool k.ks_identical) ]
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  emit "numeric" ~schema:"rentcost-bench-numeric/10"
+  emit "numeric" ~schema:"rentcost-bench-numeric/11"
     [ ( "kernels",
         J.Obj
           [ ("fast", J.String Lp.Simplex.fast_kernel);
@@ -903,8 +936,9 @@ let emit_numeric () =
               fixed 3 (ratio paper.fb_pivots paper.fb_relaxations) );
             ("paper_peak_retained_words", J.Int paper.fb_peak_words);
             ("paper_minor_words_per_node", J.Int (words_per_node paper));
-            ( "paper_minor_words_per_node_before",
-              J.Int paper_words_per_node_before );
+            ("paper_minor_words_per_solve", J.Int (words_per_solve paper));
+            ( "paper_minor_words_per_solve_before",
+              J.Int paper_words_per_solve_before );
             ("snapshot_budget_words", J.Int Milp.Solver.snapshot_budget);
             ("paper_capped_cost_sum", J.Int paper.fb_cost_sum);
             ("paper_proved", J.Int paper.fb_proved) ] );
@@ -1094,45 +1128,68 @@ let smoke () =
        "dual cost equals the min cost at its throughput (%d vs %d)"
        sc.sc_dual_cost sc.sc_recheck_cost)
     (sc.sc_dual_cost = sc.sc_recheck_cost);
-  let sw = sc.sc_sweep in
   let targets = dual_sweep_targets @ dual_sweep_targets in
-  check "dual sweep reaches every target at its min cost"
-    (List.for_all2 ( <= ) targets sw.ds_throughputs);
-  check "zero fallbacks on the dual sweep" (sw.ds_fallbacks = 0);
-  (match committed_scenarios with
-   | Some (seed, json) when seed = root_seed ->
-     let block = Svc.Json.member "dual_sweep" json in
-     let int name = Option.bind block (Svc.Json.get_int name) in
-     let throughputs =
-       match Option.bind block (Svc.Json.member "throughputs") with
-       | Some (J.List l) -> Some (List.filter_map Svc.Json.to_int l)
-       | _ -> None
-     in
-     let show l = String.concat "," (List.map string_of_int l) in
-     check
-       (Printf.sprintf
-          "dual sweep throughputs match the committed BENCH_scenarios.json \
-           (%s; committed %s)"
-          (show sw.ds_throughputs)
-          (Option.fold ~none:"none" ~some:show throughputs))
-       (throughputs = Some sw.ds_throughputs);
-     List.iter
-       (fun (name, value) ->
-         check
-           (Printf.sprintf
-              "dual sweep %s matches the committed BENCH_scenarios.json (%d; \
-               committed %s)"
-              name value
-              (Option.fold ~none:"none" ~some:string_of_int (int name)))
-           (int name = Some value))
-       [ ("nodes", sw.ds_nodes); ("pivots", sw.ds_pivots);
-         ("exact_objectives", sw.ds_exact_objectives) ]
-   | Some (seed, _) ->
-     Printf.printf
-       "SKIP dual-sweep effort gate (committed seed %d, this run %d; not \
-        counted as a pass)\n"
-       seed root_seed
-   | None -> check "committed BENCH_scenarios.json carries the dual sweep" false);
+  let show l = String.concat "," (List.map string_of_int l) in
+  (* A sweep's lists and counts are deterministic for a seed, so they
+     are gated exactly against the committed block. *)
+  let gate_sweep name sw ~max_nodes =
+    check
+      (Printf.sprintf "%s reaches every target at its min cost" name)
+      (List.for_all2 ( <= ) targets sw.ds_throughputs);
+    check (Printf.sprintf "zero fallbacks on the %s" name) (sw.ds_fallbacks = 0);
+    check
+      (Printf.sprintf "%s within %d nodes (%d)" name max_nodes sw.ds_nodes)
+      (sw.ds_nodes <= max_nodes);
+    match committed_scenarios with
+    | Some (seed, json) when seed = root_seed ->
+      let block = Svc.Json.member name json in
+      let ints field =
+        match Option.bind block (Svc.Json.member field) with
+        | Some (J.List l) -> Some (List.filter_map Svc.Json.to_int l)
+        | _ -> None
+      in
+      List.iter
+        (fun (field, value) ->
+          check
+            (Printf.sprintf
+               "%s %s match the committed BENCH_scenarios.json (%s; \
+                committed %s)"
+               name field (show value)
+               (Option.fold ~none:"none" ~some:show (ints field)))
+            (ints field = Some value))
+        [ ("money", sw.ds_money); ("throughputs", sw.ds_throughputs);
+          ("costs", sw.ds_costs) ];
+      let int field = Option.bind block (Svc.Json.get_int field) in
+      List.iter
+        (fun (field, value) ->
+          check
+            (Printf.sprintf
+               "%s %s matches the committed BENCH_scenarios.json (%d; \
+                committed %s)"
+               name field value
+               (Option.fold ~none:"none" ~some:string_of_int (int field)))
+            (int field = Some value))
+        [ ("nodes", sw.ds_nodes); ("pivots", sw.ds_pivots);
+          ("fallbacks", sw.ds_fallbacks);
+          ("exact_objectives", sw.ds_exact_objectives) ]
+    | Some (seed, _) ->
+      Printf.printf
+        "SKIP %s effort gate (committed seed %d, this run %d; not counted \
+         as a pass)\n"
+        name seed root_seed
+    | None ->
+      check
+        (Printf.sprintf "committed BENCH_scenarios.json carries the %s" name)
+        false
+  in
+  gate_sweep "dual_sweep" sc.sc_sweep ~max_nodes:fig3_sweep_max_nodes;
+  gate_sweep "dual_sweep_fig6" sc.sc_sweep_fig6 ~max_nodes:fig6_sweep_max_nodes;
+  if root_seed = default_seed then
+    check
+      (Printf.sprintf "dual_sweep_fig6 throughputs are %s (%s)"
+         (show fig6_sweep_throughputs)
+         (show sc.sc_sweep_fig6.ds_throughputs))
+      (sc.sc_sweep_fig6.ds_throughputs = fig6_sweep_throughputs);
   check "3-book multicloud no more expensive than single-cloud"
     (sc.sc_cost_multibook <= sc.sc_cost_single);
   check "identical-price books solve bit-identically to single-cloud"
@@ -1224,15 +1281,14 @@ let smoke () =
         (words * den <= before * num))
     wire;
   (* Warm-path allocation: gated exactly above, and each workload must
-     stay within its share of what it allocated per node while every
-     node made its objective exact: fig8 at most 2/3, the figure
-     presets strictly below. *)
+     stay within its share of its [_before]: fig8 at most 2/3 per node,
+     the figure presets at most 1/2 per solve. *)
   check
     (Printf.sprintf
-       "warm_start.paper_minor_words_per_node below before (%d of %d words \
-        per node)"
-       (words_per_node paper) paper_words_per_node_before)
-    (words_per_node paper < paper_words_per_node_before);
+       "warm_start.paper_minor_words_per_solve at most 1/2 of before (%d of \
+        %d words per solve)"
+       (words_per_solve paper) paper_words_per_solve_before)
+    (words_per_solve paper * 2 <= paper_words_per_solve_before);
   check
     (Printf.sprintf
        "fig8.minor_words_per_node at most 2/3 of before (%d of %d words per \

@@ -214,8 +214,19 @@ let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
         in
         point_of instance ~rho ~loads ~limit:max_int)
   in
+  (* Branch where the objective moves: one group per machine count,
+     most expensive type first (a stable sort keeps equal costs in type
+     order), then the splits. A fractional x_q moves the bound by about
+     c_q times its fraction; once every x_q is integral the relaxation
+     already prices a whole fleet, and rounding usually settles ρ. *)
   let priority =
-    [ List.init j_count Fun.id; List.init q_count (fun q -> j_count + q) ]
+    let cost = Instance.type_cost instance in
+    let by_cost =
+      List.stable_sort
+        (fun a b -> compare (cost b) (cost a))
+        (List.init q_count Fun.id)
+    in
+    List.map (fun q -> [ j_count + q ]) by_cost @ [ List.init j_count Fun.id ]
   in
   (* Every fractional node is rounded to a candidate incumbent: the
      role Gurobi's primal heuristics play in the paper's runs. *)

@@ -9,9 +9,13 @@
     stand-in for the paper's Gurobi); [time_limit] reproduces the
     100-second cap of the paper's Figure 8 experiment. The model is
     the paper's as it stands: [J + Q] variables, [1 + Q] rows and no
-    variable bound, so the root relaxation's tableau has [1 + Q] rows
-    and a branch adds a row only along its own path. The search is
-    strengthened by objective integrality (all costs are integers).
+    variable bound, so the root relaxation's tableau has [1 + Q] rows,
+    and a branch bound is a column bound of the warm dual simplex, so
+    a warm child keeps its parent's rows. The search is
+    strengthened by objective integrality (all costs are integers),
+    and it branches on the machine counts [x_q] first, most expensive
+    type first, then on the splits [ρ_j]: the objective depends on
+    the [x_q] alone.
 
     {b Primal heuristic.} Every node whose LP split is fractional and
     still beats the incumbent is rounded to an integer split: each

@@ -506,7 +506,10 @@ module Fraction_free = struct
     if !acc >= range then ignore (reduce_row row len 0)
 
   (* Eliminate column [c] from every row but [r]. There is no cost row
-     to update: see {!priced}. *)
+     to update: see {!priced}. Each row is combined as
+     [row * (p/g) - (f/g) * row_r] with [g = gcd p |f|]: a positive
+     row scale, so every true value and every decision is unchanged,
+     and the entries grow (and need {!reduce_row}) less often. *)
   let pivot t r c =
     Telemetry.Effort.pivot ();
     let row_r = t.tab.(r) in
@@ -521,7 +524,10 @@ module Fraction_free = struct
     Array.iteri
       (fun i row ->
         let f = row.(c) in
-        if i <> r && f <> 0 then combine row ~p ~f row_r (t.ncols + 1))
+        if i <> r && f <> 0 then begin
+          let g = gcd_int p (abs f) in
+          combine row ~p:(p / g) ~f:(f / g) row_r (t.ncols + 1)
+        end)
       t.tab;
     t.basis.(r) <- c
 

@@ -543,9 +543,7 @@ let test_snapshot_words_cover_heap () =
    basis and column bounds) is about 21k words, so some hundred open
    tableaus fill the 2M-word budget and later children solve cold.
    The optimum must not care, and the exhaustive oracle (three
-   recipes) is cheap. Seed and target are chosen so that the tree
-   stays wide with the branch and bound's rounded incumbents pruning
-   it: 1829 nodes, 170 of them cold. *)
+   recipes) is cheap. *)
 let wide_problem () =
   let rng = Numeric.Prng.create 16 in
   let q = 100 in
@@ -565,16 +563,26 @@ let wide_problem () =
   let r2 = recipe () in
   Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
 
+(* The budget is a property of the branch and bound, not of the ILP's
+   branching order, so the tree is driven directly: the ILP's model
+   with the splits branched first and no rounding keeps it wide enough
+   to fill the budget. *)
 let test_snapshot_budget () =
   let instance = Rentcost.Instance.compile (wide_problem ()) and target = 17 in
+  let m, integer = Rentcost.Ilp.model instance ~target in
+  let j_count = Rentcost.Instance.num_recipes instance in
+  let rho, x = List.partition (fun v -> v < j_count) integer in
   let o, warm, fast, fallbacks =
-    counting (fun () -> Rentcost.Ilp.optimize instance ~target)
+    counting (fun () ->
+        Milp.Solver.solve ~integral_objective:true ~priority:[ rho; x ] m
+          ~integer)
   in
-  let nodes = o.Rentcost.Ilp.nodes in
-  Alcotest.(check bool) "proved optimal" true o.Rentcost.Ilp.proved_optimal;
-  Alcotest.(check int) "cost matches the oracle"
-    (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost
-    (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost;
+  let nodes = o.Milp.Solver.nodes in
+  Alcotest.(check bool) "proved optimal" true
+    (o.Milp.Solver.status = Milp.Solver.Optimal);
+  check_rat "cost matches the oracle"
+    (ri (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost)
+    (Option.get o.Milp.Solver.solution).Milp.Solver.objective;
   Alcotest.(check int) "no fallback" 0 fallbacks;
   Alcotest.(check int) "one relaxation per node" nodes fast;
   Alcotest.(check bool)
@@ -583,7 +591,20 @@ let test_snapshot_budget () =
   Alcotest.(check bool)
     (Printf.sprintf "cold children past the budget (%d)" (nodes - 1 - warm))
     true
-    (nodes - 1 - warm > 0)
+    (nodes - 1 - warm > 0);
+  (* The budget binds: the peak came within one snapshot of it. *)
+  let one =
+    match S.solve_with_snapshot m with
+    | _, Some snap -> S.snapshot_words snap
+    | _, None -> Alcotest.fail "the root keeps no snapshot"
+  in
+  let peak = o.Milp.Solver.peak_retained_words in
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d words within one snapshot (%d) of the budget %d"
+       peak one Milp.Solver.snapshot_budget)
+    true
+    (peak <= Milp.Solver.snapshot_budget
+    && Milp.Solver.snapshot_budget - peak < one)
 
 let suite =
   ( "lp-warm",
