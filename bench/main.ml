@@ -797,9 +797,11 @@ let committed_paper_counts path =
    go straight to the major heap) by one decode of: a solve line
    carrying a fig3 ("small") and a fig6 ("medium") problem inline, as
    perfbench's paper-sweep sends them; the problem texts alone; and
-   the price book of the CI service smoke. The problems come from a
-   pinned seed, so the counts do not follow RENTCOST_BENCH_SEED and
-   are gated exactly. *)
+   the price book of the CI service smoke. [repeat_inline_words] is
+   what [Engine.handle] allocates to serve the fig6 problem inline
+   once the engine has seen its text. The problems come from a pinned
+   seed, so the counts do not follow RENTCOST_BENCH_SEED and are gated
+   exactly. *)
 
 let wire_seed = 2016
 
@@ -842,11 +844,19 @@ let allocated_words f =
 
 (* The same decodes before the single-pass scanners, measured with
    this code on the per-byte JSON string decoder and the line-splitting
-   problem and price-book parsers (OCaml 5.1.1, no flambda). *)
+   problem and price-book parsers (OCaml 5.1.1, no flambda);
+   [repeat_inline_words] with this code on the engine that compiled
+   and fingerprinted every inline problem again (same compiler). *)
 let wire_before =
   [ ("json_small_words", 12482); ("problem_small_words", 33507);
     ("json_medium_words", 32206); ("problem_medium_words", 91658);
-    ("pricebook_words", 1258) ]
+    ("pricebook_words", 1258); ("repeat_inline_words", 10625) ]
+
+(* The share of its [_before] each wire count may use. *)
+let wire_share name =
+  if String.starts_with ~prefix:"json" name then (1, 3)
+  else if String.starts_with ~prefix:"repeat" name then (1, 4)
+  else (2, 5)
 
 let wire_counts () =
   let rng = P.create wire_seed in
@@ -857,25 +867,33 @@ let wire_counts () =
   in
   let small = generate "fig3" in
   let medium = generate "fig6" in
-  let solve_line name problem =
-    J.to_string
-      (Svc.Protocol.request_to_json
-         (Svc.Protocol.Solve
-            { id = Some 1; trace_id = Some name; tenant = None;
-              source = Svc.Protocol.Inline problem; objective = min_cost 100;
-              pricebook = None; spec = S.Auto; budget = None;
-              reuse = Svc.Protocol.No_reuse }))
+  let inline_solve ?(spec = S.Auto) name problem =
+    Svc.Protocol.Solve
+      { id = Some 1; trace_id = Some name; tenant = None;
+        source = Svc.Protocol.Inline (Rentcost.Problem_format.to_string problem);
+        objective = min_cost 100; pricebook = None; spec; budget = None;
+        reuse = Svc.Protocol.No_reuse }
   in
   let decode name problem =
-    let line = solve_line name problem
+    let line = J.to_string (Svc.Protocol.request_to_json (inline_solve name problem))
     and text = Rentcost.Problem_format.to_string problem in
     [ ("json_" ^ name ^ "_words", allocated_words (fun () -> J.of_string line));
       ( "problem_" ^ name ^ "_words",
         allocated_words (fun () -> Rentcost.Problem_format.of_string text) ) ]
   in
+  (* A fig6 text the engine has seen (the warm-up call is its first
+     sight), solved by h1 with reuse off, as paper-sweep sends it. *)
+  let repeat_inline =
+    let engine = Svc.Engine.create () in
+    let request =
+      inline_solve ~spec:(S.Heuristic Rentcost.Heuristics.H1) "repeat" medium
+    in
+    allocated_words (fun () -> Svc.Engine.handle engine request)
+  in
   decode "small" small @ decode "medium" medium
   @ [ ( "pricebook_words",
-        allocated_words (fun () -> Rentcost.Pricebook.of_string ci_pricebook) ) ]
+        allocated_words (fun () -> Rentcost.Pricebook.of_string ci_pricebook) );
+      ("repeat_inline_words", repeat_inline) ]
 
 let wire_json counts =
   J.Obj
@@ -1274,7 +1292,7 @@ let smoke () =
            (field "wire" name = Some words)
        | None -> check "committed BENCH_numeric.json carries wire counts" false);
       let before = List.assoc name wire_before in
-      let num, den = if String.starts_with ~prefix:"json" name then (1, 3) else (2, 5) in
+      let num, den = wire_share name in
       check
         (Printf.sprintf "wire %s at most %d/%d of before (%d of %d)" name num
            den words before)

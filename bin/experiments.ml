@@ -32,10 +32,7 @@ let run_preset preset ~configs ~seed ~time_limit ~csv ~quiet =
     | _ -> Cloudsim.Stats.normalized_cost ms
   in
   Cloudsim.Report.print_series Format.std_formatter
-    ~title:
-      (Printf.sprintf "%s: %s (%d configs, seed %d)"
-         preset.Cloudsim.Experiments.id preset.Cloudsim.Experiments.description
-         configs seed)
+    ~title:(Cloudsim.Experiments.title ?time_limit ~configs ~seed preset)
     series;
   (* The companion statistics the paper discusses alongside each plot. *)
   (match preset.Cloudsim.Experiments.id with

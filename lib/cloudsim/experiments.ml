@@ -59,17 +59,27 @@ let all =
       graphs = large_graphs; cloud = large_cloud; targets = sweep_targets;
       default_configs = 100; ilp_time_limit = None; ilp_node_limit = Some 20_000 };
     { id = "fig8";
-      description = "ILP at its limits: computation time with a 100 s cap (Figure 8)";
+      description = "ILP at its limits: computation time (Figure 8)";
       graphs = stress_graphs; cloud = stress_cloud; targets = sweep_targets;
       default_configs = 10; ilp_time_limit = Some 100.0; ilp_node_limit = None } ]
 
 let find id = List.find_opt (fun p -> p.id = id) all
 
+let effective_time_limit ?time_limit preset =
+  match time_limit with Some _ -> time_limit | None -> preset.ilp_time_limit
+
+let title ?time_limit ~configs ~seed preset =
+  let cap =
+    match effective_time_limit ?time_limit preset with
+    | None -> ""
+    | Some s -> Printf.sprintf ", ILP capped at %g s" s
+  in
+  Printf.sprintf "%s: %s%s (%d configs, seed %d)" preset.id preset.description
+    cap configs seed
+
 let run ?configs ?(seed = 2016) ?time_limit ?progress preset =
   let configs = Option.value configs ~default:preset.default_configs in
-  let time_limit =
-    match time_limit with Some _ as t -> t | None -> preset.ilp_time_limit
-  in
+  let time_limit = effective_time_limit ?time_limit preset in
   let algorithms =
     Runner.paper_algorithms ?time_limit ?node_limit:preset.ilp_node_limit ()
   in

@@ -35,6 +35,12 @@ val find : string -> preset option
 (** Targets of the paper's sweeps: 20, 30, …, 200. *)
 val sweep_targets : int list
 
+(** [title ?time_limit ~configs ~seed preset] is the header a preset's
+    table is printed under: id, description, the ILP's wall-clock cap
+    when one applies ([time_limit], else the preset's own), the number
+    of configurations and the seed. *)
+val title : ?time_limit:float -> configs:int -> seed:int -> preset -> string
+
 (** [run ?configs ?seed ?progress preset] executes a preset and
     returns the raw measurements ([configs] defaults to the preset's
     paper value — lower it for quick runs). *)

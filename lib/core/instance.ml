@@ -30,14 +30,15 @@ let ceil_div a b = (a + b - 1) / b
 (* [j] dominates [j'] when its counts are pointwise <= and the two
    rows differ — or are equal with [j] the lower index, so exactly one
    of an equal pair is dropped. The relation is a strict partial
-   order, hence every dropped recipe has a surviving dominator. *)
-let dominates rows j j' =
-  let cj = rows.(j) and cj' = rows.(j') in
-  let le = ref true and strict = ref false in
-  Array.iteri
-    (fun q n -> if n > cj'.(q) then le := false else if n < cj'.(q) then strict := true)
-    cj;
-  !le && (!strict || j < j')
+   order, hence every dropped recipe has a surviving dominator. The
+   scan stops at the first type where [j] needs more. *)
+let rec covers cj cj' q ~strict ~tie =
+  if q = Array.length cj then strict || tie
+  else
+    let n = cj.(q) and n' = cj'.(q) in
+    n <= n' && covers cj cj' (q + 1) ~strict:(strict || n < n') ~tie
+
+let dominates rows j j' = covers rows.(j) rows.(j') 0 ~strict:false ~tie:(j < j')
 
 let compile_impl ?(prune = true) ~source_problem ~objective_kind ~pricebook
     problem =

@@ -12,113 +12,81 @@ type key = {
   kspec : string;
 }
 
-type slot = {
-  encoding : string;
-  entry : entry;
-  mutable last_used : int;
-}
+module Table = Lru.Make (struct
+  type t = key
+
+  let equal = ( = )
+  let hash = Hashtbl.hash
+end)
 
 type t = {
-  cap : int;
-  table : (key, slot) Hashtbl.t;
-  mutable clock : int;
-  mutable evicted : int;
+  table : (string * entry) Table.t;  (* encoding, entry *)
   lock : Mutex.t;  (* every public operation runs under it *)
 }
 
-let create ~capacity =
-  if capacity <= 0 then invalid_arg "Cache.create: capacity must be positive";
-  { cap = capacity; table = Hashtbl.create capacity; clock = 0; evicted = 0;
-    lock = Mutex.create () }
+let create ~capacity = { table = Table.create ~capacity; lock = Mutex.create () }
 
 let locked t f = Mutex.protect t.lock f
 
-let capacity t = t.cap
+let capacity t = Table.capacity t.table
 
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = locked t (fun () -> Table.length t.table)
 
-let evictions t = locked t (fun () -> t.evicted)
+let evictions t = locked t (fun () -> Table.evictions t.table)
 
-let tick t =
-  t.clock <- t.clock + 1;
-  t.clock
+let key_of ~digest entry = { digest; ktarget = entry.target; kspec = entry.spec }
 
-let touch t slot = slot.last_used <- tick t
-
-(* Fold over the slots of one structure, collision-checked. *)
-let fold_struct t ~digest ~encoding f init =
-  Hashtbl.fold
-    (fun key slot acc ->
-      if String.equal key.digest digest && String.equal slot.encoding encoding
-      then f key slot acc
-      else acc)
-    t.table init
-
-(* The best slot of one structure under [pick], recency refreshed. *)
+(* The best entry of one structure under [pick], collision-checked,
+   recency refreshed. *)
 let lookup t ~digest ~encoding pick =
   locked t (fun () ->
-      match fold_struct t ~digest ~encoding pick None with
-      | None -> None
-      | Some slot ->
-        touch t slot;
-        Some slot.entry)
+      let best =
+        Table.fold
+          (fun key (enc, entry) best ->
+            if String.equal key.digest digest && String.equal enc encoding then
+              pick entry best
+            else best)
+          t.table None
+      in
+      Option.iter (fun e -> ignore (Table.find t.table (key_of ~digest e))) best;
+      best)
 
 let find_exact t ~digest ~encoding ~target ~spec =
-  lookup t ~digest ~encoding (fun _key slot best ->
-      if slot.entry.target <> target then best
-      else if String.equal slot.entry.spec spec then
+  lookup t ~digest ~encoding (fun e best ->
+      if e.target <> target then best
+      else if String.equal e.spec spec then
         (* The engine actually asked for — always the best answer. *)
-        Some slot
-      else if slot.entry.optimal then
-        match best with Some b when String.equal b.entry.spec spec -> best | _ -> Some slot
+        Some e
+      else if e.optimal then
+        match best with Some b when String.equal b.spec spec -> best | _ -> Some e
       else best)
 
 let find_monotone t ~digest ~encoding ~target =
-  lookup t ~digest ~encoding (fun _key slot best ->
-      if (not slot.entry.optimal) || slot.entry.target < target then best
+  lookup t ~digest ~encoding (fun e best ->
+      if (not e.optimal) || e.target < target then best
       else
         match best with
-        | Some b when b.entry.target <= slot.entry.target -> best
-        | _ -> Some slot)
+        | Some b when b.target <= e.target -> best
+        | _ -> Some e)
 
 let find_monotone_le t ~digest ~encoding ~target =
-  lookup t ~digest ~encoding (fun _key slot best ->
-      if (not slot.entry.optimal) || slot.entry.target > target then best
+  lookup t ~digest ~encoding (fun e best ->
+      if (not e.optimal) || e.target > target then best
       else
         match best with
-        | Some b when b.entry.target >= slot.entry.target -> best
-        | _ -> Some slot)
+        | Some b when b.target >= e.target -> best
+        | _ -> Some e)
 
 let find_nearest t ~digest ~encoding ~target =
-  lookup t ~digest ~encoding (fun _key slot best ->
-      if slot.entry.target < target then best
+  lookup t ~digest ~encoding (fun e best ->
+      if e.target < target then best
       else
         match best with
-        | Some b when b.entry.target <= slot.entry.target -> best
-        | _ -> Some slot)
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key slot best ->
-        match best with
-        | Some (_, stamp) when stamp <= slot.last_used -> best
-        | _ -> Some (key, slot.last_used))
-      t.table None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, _) ->
-    Hashtbl.remove t.table key;
-    t.evicted <- t.evicted + 1
+        | Some b when b.target <= e.target -> best
+        | _ -> Some e)
 
 let insert t ~digest ~encoding entry =
-  let key = { digest; ktarget = entry.target; kspec = entry.spec } in
-  locked t (fun () ->
-      let fresh = not (Hashtbl.mem t.table key) in
-      if fresh && Hashtbl.length t.table >= t.cap then evict_lru t;
-      Hashtbl.replace t.table key { encoding; entry; last_used = tick t })
+  locked t (fun () -> Table.replace t.table (key_of ~digest entry) (encoding, entry))
 
 let mem t ~digest ~target ~spec =
-  locked t (fun () ->
-      Hashtbl.mem t.table { digest; ktarget = target; kspec = spec })
+  locked t (fun () -> Table.mem t.table { digest; ktarget = target; kspec = spec })

@@ -131,6 +131,20 @@ let same_solve a b =
   a.source = b.source && a.objective = b.objective
   && a.pricebook = b.pricebook && a.spec = b.spec
 
+(* The compiled-instance tables are keyed by text or digest, compared
+   with [String.equal]. *)
+module Lru = Lru.Make (String)
+
+(* A source resolved for a solve: the instance engines run on, the
+   instance in the submitted numbering, and their fingerprint (see
+   [resolve]). *)
+type resolved = Instance.t * Instance.t * Fingerprint.t
+
+(* An inline text's entry. A text first seen under another scenario
+   keeps only its parse; it is compiled under the default scenario the
+   first time a default-scenario request (or a track) needs it. *)
+type text_entry = Parsed of Rentcost.Problem.t | Compiled of resolved
+
 type t = {
   config : config;
   solutions : Cache.t;  (* locks itself *)
@@ -144,8 +158,12 @@ type t = {
   fc : Condition.t;  (* broadcast when any flight completes *)
   registry : (string, Instance.t * Fingerprint.t) Hashtbl.t;
       (* by name; guarded by [im] *)
-  instances : (string, Instance.t * Fingerprint.t) Hashtbl.t;
-      (* by digest, Fingerprint.equal checked on reuse; guarded by [im] *)
+  texts : text_entry Lru.t;
+      (* inline problems by their exact text, at most
+         [cache_capacity]; guarded by [im] *)
+  instances : (Instance.t * Fingerprint.t) Lru.t;
+      (* by digest, Fingerprint.equal checked on reuse, at most
+         [cache_capacity]; guarded by [im] *)
   im : Mutex.t;
   trackers : (string, Controller.t) Hashtbl.t;
       (* autoscale sessions by name; guarded by [sm] *)
@@ -174,7 +192,8 @@ let create ?(config = default_config) () =
     fm = Mutex.create ();
     fc = Condition.create ();
     registry = Hashtbl.create 16;
-    instances = Hashtbl.create 16;
+    texts = Lru.create ~capacity:config.cache_capacity;
+    instances = Lru.create ~capacity:config.cache_capacity;
     im = Mutex.create ();
     trackers = Hashtbl.create 16;
     sm = Mutex.create ();
@@ -257,26 +276,26 @@ let register t ~name problem =
   let fp = Fingerprint.of_instance inst in
   Mutex.protect t.im (fun () ->
       Hashtbl.replace t.registry name (inst, fp);
-      Hashtbl.replace t.instances (Fingerprint.digest fp) (inst, fp));
+      Lru.replace t.instances (Fingerprint.digest fp) (inst, fp));
   fp
 
-(* Compile [problem] under the request's scenario and dedup in the
-   instance table. Lookup and (on miss) insert happen under one lock,
-   so two workers resolving the same problem agree on which
-   compiled instance is the shared one. The scenario is baked into the
-   canonical encoding, so objective kinds and price books land on
-   distinct digests and never share a compiled instance. *)
-let shared_compile t problem ~objective ~pricebook =
-  let scenario = Scenario.make ~objective ?pricebook () in
-  let inst = Instance.compile ~scenario problem in
+(* Compile [problem] (under [scenario], default min-cost without a
+   price book) and dedup in the instance table. Lookup and (on miss)
+   insert happen under one lock, so two workers resolving the same
+   problem agree on which compiled instance is the shared one. The
+   scenario is baked into the canonical encoding, so objective kinds
+   and price books land on distinct digests and never share a
+   compiled instance. *)
+let shared_compile t ?scenario problem =
+  let inst = Instance.compile ?scenario problem in
   let fp = Fingerprint.of_instance inst in
   let digest = Fingerprint.digest fp in
   let shared =
     Mutex.protect t.im (fun () ->
-        match Hashtbl.find_opt t.instances digest with
+        match Lru.find t.instances digest with
         | Some (inst0, fp0) when Fingerprint.equal fp fp0 -> `Reuse inst0
         | _ ->
-          Hashtbl.replace t.instances digest (inst, fp);
+          Lru.replace t.instances digest (inst, fp);
           `Fresh)
   in
   match shared with
@@ -285,34 +304,72 @@ let shared_compile t problem ~objective ~pricebook =
     (inst0, inst, fp)
   | `Fresh -> (inst, inst, fp)
 
+let registered t ~what name =
+  match Mutex.protect t.im (fun () -> Hashtbl.find_opt t.registry name) with
+  | None -> Result.Error (Printf.sprintf "%s: unknown ref %S" what name)
+  | Some entry -> Result.Ok entry
+
+(* Inline text is an anonymous registration keyed by the exact text.
+   Its first sight parses it and files the parse; every later sight
+   skips the parse. A parse failure is not memoized and is reported
+   as ["<what>: <message>"]. *)
+let text_entry t ~what text =
+  match Mutex.protect t.im (fun () -> Lru.find t.texts text) with
+  | Some entry -> Result.Ok entry
+  | None ->
+    Result.map
+      (fun problem ->
+        Mutex.protect t.im (fun () -> Lru.replace t.texts text (Parsed problem));
+        Parsed problem)
+      (Protocol.parse_problem ~what text)
+
+(* What [source] names under the default scenario, and whether it was
+   compiled before this request. A [Ref] is its registered instance;
+   inline text is compiled and fingerprinted (deduped by digest) the
+   first time it is needed here, and filed for every later sight. *)
+let lookup t ~what source =
+  match source with
+  | Protocol.Ref name ->
+    Result.map (fun (inst, fp) -> ((inst, inst, fp), true)) (registered t ~what name)
+  | Protocol.Inline text -> (
+    match text_entry t ~what text with
+    | Result.Error _ as e -> e
+    | Result.Ok (Compiled resolved) -> Result.Ok (resolved, true)
+    | Result.Ok (Parsed problem) ->
+      let resolved = shared_compile t problem in
+      Mutex.protect t.im (fun () -> Lru.replace t.texts text (Compiled resolved));
+      Result.Ok (resolved, false))
+
+(* The problem [source] names, as submitted, without compiling it. *)
+let source_problem t ~what source =
+  match source with
+  | Protocol.Ref name ->
+    Result.map (fun (inst, _) -> Instance.source_problem inst) (registered t ~what name)
+  | Protocol.Inline text ->
+    Result.map
+      (function
+        | Compiled (_, client_inst, _) -> Instance.source_problem client_inst
+        | Parsed problem -> problem)
+      (text_entry t ~what text)
+
 (* Resolve a solve source to [(solve_inst, client_inst, fp)]:
    [solve_inst] is the (possibly shared) instance engines run on,
    [client_inst] carries the submitted problem's numbering for the
    response. They differ only for an inline problem that
-   fingerprint-matched an already-compiled one. A [Ref] under the
-   default scenario (min-cost, no price book) is the registered
-   instance verbatim; any other scenario recompiles the registered
-   problem under it (deduped, so the recompile happens once per
-   scenario, not per request). *)
+   fingerprint-matched an already-compiled one. Under the default
+   scenario (min-cost, no price book) a source seen before resolves
+   to what [lookup] kept, verbatim; any other scenario compiles the
+   submitted problem under it alone, deduped by digest. *)
 let resolve t source ~objective ~pricebook =
-  let default_scenario =
-    Objective.kind objective = `Min_cost && Option.is_none pricebook
-  in
-  match source with
-  | Protocol.Ref name -> (
-    match Mutex.protect t.im (fun () -> Hashtbl.find_opt t.registry name) with
-    | None -> Result.Error (Printf.sprintf "solve: unknown ref %S" name)
-    | Some (inst, fp) ->
-      if default_scenario then begin
-        Telemetry.bump c_reuse;
-        Result.Ok (inst, inst, fp)
-      end
-      else
-        Result.Ok
-          (shared_compile t (Instance.source_problem inst) ~objective
-             ~pricebook))
-  | Protocol.Inline problem ->
-    Result.Ok (shared_compile t problem ~objective ~pricebook)
+  if Objective.kind objective = `Min_cost && Option.is_none pricebook then
+    match lookup t ~what:"solve" source with
+    | Result.Error _ as e -> e
+    | Result.Ok (resolved, seen) ->
+      if seen then Telemetry.bump c_reuse;
+      Result.Ok resolved
+  else
+    let scenario = Scenario.make ~objective ?pricebook () in
+    Result.map (shared_compile t ~scenario) (source_problem t ~what:"solve" source)
 
 (* --- autoscale sessions ---
 
@@ -322,21 +379,16 @@ let resolve t source ~objective ~pricebook =
    A session's controller lives in [t.trackers]; running the tick
    under [sm] serializes the controllers. *)
 
-(* The controller always runs on an instance compiled from the
-   submitted problem itself (the registered instance for a [Ref],
-   never a fingerprint-equal stand-in), so plan arrays are in the
-   submitted problem's own numbering. *)
+(* The controller always runs on the instance in the submitted
+   problem's own numbering (the registered instance for a [Ref], never
+   a fingerprint-equal stand-in), so plan arrays are in that
+   numbering. *)
 let resolve_track t source =
-  match source with
-  | Protocol.Ref name -> (
-    match Mutex.protect t.im (fun () -> Hashtbl.find_opt t.registry name) with
-    | None -> Result.Error (Printf.sprintf "track: unknown ref %S" name)
-    | Some (inst, fp) ->
-      Telemetry.bump c_reuse;
-      Result.Ok (inst, fp))
-  | Protocol.Inline problem ->
-    let inst = Instance.compile problem in
-    Result.Ok (inst, Fingerprint.of_instance inst)
+  Result.map
+    (fun ((_, client_inst, fp), seen) ->
+      if seen then Telemetry.bump c_reuse;
+      (client_inst, fp))
+    (lookup t ~what:"track" source)
 
 let track t ~session ~source ~ticks_per_hour ~deadband ~headroom ~spec =
   match resolve_track t source with
@@ -802,6 +854,8 @@ let stats t =
         ] );
     ( "registered",
       Json.Int (Mutex.protect t.im (fun () -> Hashtbl.length t.registry)) );
+    ("instances", Json.Int (Mutex.protect t.im (fun () -> Lru.length t.instances)));
+    ("inline_texts", Json.Int (Mutex.protect t.im (fun () -> Lru.length t.texts)));
     ( "tracked",
       Json.Int (Mutex.protect t.sm (fun () -> Hashtbl.length t.trackers)) );
   ]

@@ -2,8 +2,8 @@
     with admission control.
 
     One engine owns the long-lived state a solve daemon amortizes
-    across requests — a name registry and a compiled-instance table
-    (compile once, solve many), the LRU solution {!Cache}, the
+    across requests — a name registry and the compiled-instance
+    tables (compile once, solve many), the LRU solution {!Cache}, the
     {!Admission} queue, and latency/telemetry accounting. It speaks
     {!Protocol} values directly, so the in-process embedding and the
     line-delimited daemon share every code path.
@@ -44,7 +44,22 @@
     versa. A [Ref] solve under the default scenario (min-cost, no
     book) reuses the registered instance verbatim; any other scenario
     recompiles the registered problem under it, deduped in the
-    instance table so the compile happens once per scenario.
+    instance table so each scenario keeps one compiled instance.
+
+    {2 Compiled instances}
+
+    An inline problem is an anonymous registration keyed by its exact
+    text (compared with [String.equal]): the first request carrying a
+    text parses it, and the first default-scenario request (or track)
+    compiles and fingerprints it; every later one resolves from the
+    table exactly as a [Ref] does. Any other scenario compiles the
+    kept parse under that scenario only. A text that fails
+    to parse is answered [Error "solve: Problem_format: ..."] under
+    the request's id and trace id, and is not kept. Compiled
+    instances are deduped by fingerprint digest. The text table and
+    the digest table each hold at most [config.cache_capacity]
+    entries, least recently used out first; named registrations are
+    kept until replaced.
 
     {2 Autoscale sessions}
 
@@ -65,7 +80,8 @@
 
     Every outcome bumps the [service.*] counters in {!Telemetry}
     (requests, cache_hits / cache_misses, monotone_hits, warm_starts,
-    compile_reuse, shed, per-op request counts) and observes the
+    compile_reuse — a registered or already-seen inline problem, or a
+    compile deduped by digest — shed, per-op request counts) and observes the
     [service.latency_seconds] and [service.queue_wait_seconds]
     histograms; each drained request runs under a [service.request]
     span whose children trace the ladder rungs and the engine solve.
@@ -140,7 +156,9 @@
     arrival's own outcome. *)
 
 type config = {
-  cache_capacity : int;  (** LRU entries (default 128) *)
+  cache_capacity : int;
+      (** LRU entries (default 128), of the solution cache and of
+          each compiled-instance table *)
   queue_capacity : int;  (** admission backlog bound (default 64) *)
   queue_policy : Admission.policy;
       (** who loses when the queue is full (default
@@ -166,8 +184,8 @@ val config : t -> config
 val audit : t -> Audit.t
 
 (** [register t ~name problem] compiles [problem], stores it under
-    [name] (replacing any previous binding) and in the instance table,
-    and returns its fingerprint. *)
+    [name] (replacing any previous binding) and in the digest-keyed
+    instance table, and returns its fingerprint. *)
 val register : t -> name:string -> Rentcost.Problem.t -> Fingerprint.t
 
 (** [submit t request] runs [Register]/[Track]/[Tick]/[Untrack]/
@@ -214,8 +232,9 @@ val handle : ?now:float -> t -> Protocol.request -> Protocol.response list
     registered {!Telemetry} counter, per-op request counts, cache
     occupancy/evictions, queue depth/policy/shed/in-flight counts,
     the [service.latency_seconds] histogram (bounds, counts, sum and
-    count, as in the [metrics] reply), and the registered /
-    tracked-session counts. *)
+    count, as in the [metrics] reply), the registered-name count, the
+    live compiled instances ([instances], the digest-keyed table) and
+    inline texts ([inline_texts]), and the tracked-session count. *)
 val stats : t -> (string * Json.t) list
 
 (** The engine's solution cache (tests observe occupancy and eviction

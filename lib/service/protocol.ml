@@ -27,7 +27,7 @@ let reuse_of_string s =
 
 type source =
   | Ref of string
-  | Inline of Rentcost.Problem.t
+  | Inline of string
 
 type request =
   | Register of { name : string; problem : Rentcost.Problem.t }
@@ -260,15 +260,14 @@ let decode_pricebook j =
     Result.Error "solve: give \"pricebook\" or \"pricebook_path\", not both"
 
 (* The problem a solve or track names: a registered "ref" or an inline
-   "problem", exactly one of them. *)
+   "problem", exactly one of them. Inline text is kept as sent; the
+   engine parses it the first time it sees it. *)
 let decode_source ~what j =
   let* name = optional ~what text "ref" j in
   let* problem = optional ~what text "problem" j in
   match (name, problem) with
   | Some name, None -> Ok (Ref name)
-  | None, Some text ->
-    let* p = parse_problem ~what text in
-    Ok (Inline p)
+  | None, Some text -> Ok (Inline text)
   | Some _, Some _ ->
     Result.Error (Printf.sprintf "%s: give \"ref\" or \"problem\", not both" what)
   | None, None -> Result.Error (Printf.sprintf "%s: missing \"ref\" or \"problem\"" what)
@@ -390,6 +389,11 @@ let request_of_json j =
 
 let opt_field key enc = function None -> [] | Some v -> [ (key, enc v) ]
 
+(* An inline problem goes back out as the very text it arrived as. *)
+let source_field = function
+  | Ref name -> ("ref", Json.String name)
+  | Inline text -> ("problem", Json.String text)
+
 let request_to_json = function
   | Register { name; problem } ->
     Json.Obj
@@ -400,11 +404,6 @@ let request_to_json = function
       ]
   | Solve { id; trace_id; tenant; source; objective; pricebook; spec; budget; reuse }
     ->
-    let source_field =
-      match source with
-      | Ref name -> ("ref", Json.String name)
-      | Inline p -> ("problem", Json.String (Problem_format.to_string p))
-    in
     (* Min-cost keeps the historical shape (a bare "target"), so v1
        clients and transcripts stay byte-compatible. *)
     let objective_fields =
@@ -432,7 +431,7 @@ let request_to_json = function
       @ opt_field "id" (fun i -> Json.Int i) id
       @ opt_field "trace_id" (fun s -> Json.String s) trace_id
       @ opt_field "tenant" (fun s -> Json.String s) tenant
-      @ (source_field :: objective_fields)
+      @ (source_field source :: objective_fields)
       @ pricebook_field
       @ [
           ("spec", Json.String (Solver.spec_to_string spec));
@@ -440,16 +439,11 @@ let request_to_json = function
         ]
       @ budget_fields)
   | Track { session; source; ticks_per_hour; deadband; headroom; spec } ->
-    let source_field =
-      match source with
-      | Ref name -> ("ref", Json.String name)
-      | Inline p -> ("problem", Json.String (Problem_format.to_string p))
-    in
     Json.Obj
       [
         ("op", Json.String "track");
         ("session", Json.String session);
-        source_field;
+        source_field source;
         ("ticks_per_hour", Json.Int ticks_per_hour);
         ("deadband", Json.Float deadband);
         ("headroom", Json.Float headroom);

@@ -95,11 +95,16 @@ val reuse_to_string : reuse -> string
 
 val reuse_of_string : string -> reuse option
 
-(** What a solve runs on: a name registered earlier, or a problem
-    shipped inline. *)
+(** What a solve or track runs on: a name registered earlier, or a
+    problem shipped inline as its {!Rentcost.Problem_format} text.
+    Inline text is carried as sent and is not parsed at decode: the
+    engine looks it up by the exact text and parses and compiles it
+    only the first time it sees it, so a malformed problem is reported
+    when the request is served (with the request's [id] and
+    [trace_id]), not when it is decoded. *)
 type source =
   | Ref of string
-  | Inline of Rentcost.Problem.t
+  | Inline of string
 
 type request =
   | Register of { name : string; problem : Rentcost.Problem.t }
@@ -207,16 +212,25 @@ type response =
 
 (** [request_of_json j] decodes a request, first rejecting any
     ["version"] other than 1 (absent means 1). ["path"] registers and
-    ["pricebook_path"] books are read from disk here; file and parse
-    errors come back as [Error _] results, never exceptions. An absent
+    ["pricebook_path"] books are read from disk here, and register
+    problems and price books are parsed here; file and parse errors
+    come back as [Error _] results, never exceptions. The inline
+    ["problem"] of a solve or track is not parsed here (see
+    {!source}): its errors come from the engine, as
+    [solve: Problem_format: line N: ...]. An absent
     optional field takes its default; a field present with the wrong
     JSON type is an error naming it, e.g.
     [solve: bad "nodes": expected an integer]. *)
 val request_of_json : Json.t -> (request, string) result
 
 (** [request_to_json r] encodes a request (client side). An inline
-    problem is shipped as its {!Rentcost.Problem_format} text. *)
+    problem goes out as its text, verbatim; a registered problem as
+    its {!Rentcost.Problem_format} text. *)
 val request_to_json : request -> Json.t
+
+(** [parse_problem ~what text] parses problem text, turning a parse
+    failure into ["<what>: <message>"]. *)
+val parse_problem : what:string -> string -> (Rentcost.Problem.t, string) result
 
 val response_to_json : response -> Json.t
 

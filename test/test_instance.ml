@@ -24,8 +24,8 @@ let problem_of_seed seed =
     { G.num_types = 4; min_cost = 1; max_cost = 20; min_throughput = 3;
       max_throughput = 10 }
 
-let prop ?(count = 100) name gen f =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
+let prop ?(count = 100) ?print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen f)
 
 (* --- compile: shape and bookkeeping --- *)
 
@@ -130,6 +130,76 @@ let prop_pruning_preserves_optimum =
           (Rentcost.Exhaustive.run full ~target).AL.cost
           = (Rentcost.Exhaustive.run pruned ~target).AL.cost)
         [ 0; 7; 12 ])
+
+(* The dominance test as it was first written, one [Array.iteri] over
+   the whole row: the reference for [Instance]'s early-exit scan. *)
+let reference_dominates rows j j' =
+  let cj = rows.(j) and cj' = rows.(j') in
+  let le = ref true and strict = ref false in
+  Array.iteri
+    (fun q n -> if n > cj'.(q) then le := false else if n < cj'.(q) then strict := true)
+    cj;
+  !le && (!strict || j < j')
+
+(* Survivors and (dropped, surviving dominator) pairs by the reference
+   test, in the order [Instance.compile] reports them. *)
+let reference_prune rows =
+  let j_orig = Array.length rows in
+  let dominator = Array.make j_orig (-1) in
+  for j' = 0 to j_orig - 1 do
+    let j = ref 0 in
+    while dominator.(j') < 0 && !j < j_orig do
+      if !j <> j' && reference_dominates rows !j j' then dominator.(j') <- !j;
+      incr j
+    done
+  done;
+  let rec survivor j = if dominator.(j) < 0 then j else survivor dominator.(j) in
+  let all = List.init j_orig Fun.id in
+  ( List.filter (fun j -> dominator.(j) < 0) all,
+    List.filter_map
+      (fun j' -> if dominator.(j') < 0 then None else Some (j', survivor j'))
+      all )
+
+(* Rows over up to 4 types with counts 0..2, half of them copies of an
+   earlier row, so equal rows and chains of dominance are common. *)
+let gen_rows =
+  QCheck2.Gen.(
+    int_range 1 4 >>= fun q_count ->
+    let row =
+      array_size (return q_count) (int_range 0 2) >|= fun counts ->
+      if Array.for_all (( = ) 0) counts then counts.(0) <- 1;
+      counts
+    in
+    list_size (int_range 1 8) (pair bool row) >|= fun picks ->
+    let rows = Array.of_list (List.map snd picks) in
+    List.iteri
+      (fun j (copy, _) -> if copy && j > 0 then rows.(j) <- rows.(j / 2))
+      picks;
+    rows)
+
+(* A recipe per row: a chain with [n] tasks of type [q] for each
+   count [n] of the row. *)
+let problem_of_rows rows =
+  let q_count = Array.length rows.(0) in
+  let platform =
+    Rentcost.Platform.of_list (List.init q_count (fun q -> (q + 1, 10)))
+  in
+  let tasks counts =
+    Array.concat (Array.to_list (Array.mapi (fun q n -> Array.make n q) counts))
+  in
+  PB.create platform
+    (Array.map (fun counts -> chain ~ntypes:q_count (tasks counts)) rows)
+
+let prop_pruning_matches_reference =
+  prop ~count:500 "pruning matches the reference dominance test"
+    ~print:
+      QCheck2.Print.(array (array int))
+    gen_rows
+    (fun rows ->
+      let inst = I.compile (problem_of_rows rows) in
+      let original, dropped = reference_prune rows in
+      List.init (I.num_recipes inst) (I.original_index inst) = original
+      && I.dropped inst = dropped)
 
 let test_pruning_unlocks_blackbox_routing () =
   (* The only structure violations are dominated recipes (a duplicate
@@ -297,6 +367,7 @@ let suite =
       Alcotest.test_case "pruning preserves optimum" `Quick
         test_pruning_preserves_optimum;
       prop_pruning_preserves_optimum;
+      prop_pruning_matches_reference;
       Alcotest.test_case "pruning unlocks blackbox routing" `Quick
         test_pruning_unlocks_blackbox_routing;
       prop_oracle_matches_scratch;

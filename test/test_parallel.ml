@@ -462,19 +462,16 @@ let test_daemon_cache_holds_its_capacity () =
     replays;
   Alcotest.(check int) "no evictions" 0 (Svc.Cache.evictions (E.cache engine))
 
-let test_decode_error_echoes_id () =
-  (* Under two workers, replies arrive in completion order, so a
-     request that fails to decode must say which one it was. *)
+(* Serve [lines] and then a shutdown through a daemon with [workers]
+   workers; every reply, in the order written. *)
+let serve_lines ~engine ~workers lines =
   let req_read, req_write = Unix.pipe () in
   let resp_read, resp_write = Unix.pipe () in
-  write_line req_write
-    {|{"op":"solve","id":1,"trace_id":"bad-1","problem":"types x","target":60}|};
-  write_line req_write (request_line (solve_req ~id:2 60));
-  write_line req_write (request_line Pr.Shutdown);
+  List.iter (write_line req_write) (lines @ [ request_line Pr.Shutdown ]);
   Unix.close req_write;
   let dump = open_out Filename.null in
   let oc = Unix.out_channel_of_descr resp_write in
-  Svc.Daemon.serve_channels ~engine:(fresh_engine ()) ~dump ~workers:2
+  Svc.Daemon.serve_channels ~engine ~dump ~workers
     (Unix.in_channel_of_descr req_read)
     oc;
   close_out dump;
@@ -487,6 +484,21 @@ let test_decode_error_echoes_id () =
   in
   let responses = read_all [] in
   close_in ic;
+  responses
+
+let bad_inline ~id =
+  Printf.sprintf
+    {|{"op":"solve","id":%d,"trace_id":"bad-%d","problem":"types x","target":60}|}
+    id id
+
+let test_decode_error_echoes_id () =
+  (* Under two workers, replies arrive in completion order, so a
+     request that fails to decode must say which one it was. *)
+  let responses =
+    serve_lines ~engine:(fresh_engine ()) ~workers:2
+      [ {|{"op":"solve","id":1,"trace_id":"bad-1","ref":"app","target":"sixty"}|};
+        request_line (solve_req ~id:2 60) ]
+  in
   (match
      List.filter_map
        (function
@@ -499,11 +511,52 @@ let test_decode_error_echoes_id () =
        (Some 1) id;
      Alcotest.(check (option string)) "and its trace id" (Some "bad-1")
        trace_id;
-     Alcotest.(check bool) "names the problem" true
-       (String.starts_with ~prefix:"solve: Problem_format: line 1" message)
+     Alcotest.(check bool) ("names the field: " ^ message) true
+       (String.starts_with ~prefix:{|solve: bad "target"|} message)
    | _ -> Alcotest.fail "expected exactly one error response");
   Alcotest.(check (list int)) "the good request solved" [ 2 ]
     (solved_ids responses)
+
+(* Malformed inline text is parsed when the solve is served, not when
+   it is decoded: it still answers its own error under its id and
+   trace id, whatever the worker count, and a failed parse leaves no
+   entry behind, however often it is sent. *)
+let test_malformed_inline_text () =
+  List.iter
+    (fun workers ->
+      let engine = fresh_engine () in
+      let responses =
+        serve_lines ~engine ~workers
+          [ bad_inline ~id:1; request_line (solve_req ~id:2 60); bad_inline ~id:3 ]
+      in
+      let errors =
+        List.filter_map
+          (function
+            | Pr.Error { id; trace_id; message } -> Some (id, trace_id, message)
+            | _ -> None)
+          responses
+      in
+      let what = Printf.sprintf "%d worker(s): %s" workers in
+      Alcotest.(check (list (pair (option int) (option string))))
+        (what "errors carry their ids and trace ids")
+        [ (Some 1, Some "bad-1"); (Some 3, Some "bad-3") ]
+        (List.sort compare (List.map (fun (id, tr, _) -> (id, tr)) errors));
+      List.iter
+        (fun (_, _, message) ->
+          Alcotest.(check bool) (what ("names the line: " ^ message)) true
+            (String.starts_with ~prefix:"solve: Problem_format: line 1" message))
+        errors;
+      Alcotest.(check (list int)) (what "the good request solved") [ 2 ]
+        (solved_ids responses);
+      let stat name =
+        match List.assoc_opt name (E.stats engine) with
+        | Some (J.Int n) -> n
+        | _ -> Alcotest.failf "stats carry no integer %S" name
+      in
+      Alcotest.(check int) (what "no text kept") 0 (stat "inline_texts");
+      Alcotest.(check int) (what "only the registered instance") 1
+        (stat "instances"))
+    [ 1; 2 ]
 
 let suite =
   ( "parallel",
@@ -526,4 +579,6 @@ let suite =
       Alcotest.test_case "daemon cache holds its capacity under workers"
         `Quick test_daemon_cache_holds_its_capacity;
       Alcotest.test_case "decode errors echo id and trace id" `Quick
-        test_decode_error_echoes_id ] )
+        test_decode_error_echoes_id;
+      Alcotest.test_case "malformed inline text errors at solve time" `Quick
+        test_malformed_inline_text ] )

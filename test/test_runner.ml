@@ -146,6 +146,25 @@ let test_presets_complete () =
   Alcotest.(check (option (float 1e-9))) "fig8 cap" (Some 100.0) fig8.E.ilp_time_limit;
   Alcotest.(check int) "sweep targets" 19 (List.length E.sweep_targets)
 
+(* The title names the ILP cap the run used: [--time-limit 20] prints
+   "20 s", the preset's own cap is the default, and a preset without a
+   cap names none. *)
+let test_title_names_the_cap () =
+  let fig8 = Option.get (E.find "fig8") and fig3 = Option.get (E.find "fig3") in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let capped = E.title ~time_limit:20. ~configs:2 ~seed:2016 fig8 in
+  Alcotest.(check bool) ("20 s cap in " ^ capped) true (contains capped "20 s");
+  Alcotest.(check bool) "no 100 s in it" false (contains capped "100 s");
+  Alcotest.(check bool) "default cap is the preset's" true
+    (contains (E.title ~configs:10 ~seed:2016 fig8) "100 s");
+  Alcotest.(check string) "uncapped title unchanged"
+    "fig3: normalized cost, small recipes (Figure 3) (100 configs, seed 2016)"
+    (E.title ~configs:100 ~seed:2016 fig3)
+
 let test_table3_experiment () =
   let rows = E.table3 () in
   Alcotest.(check int) "20 targets" 20 (List.length rows);
@@ -180,4 +199,6 @@ let suite =
       Alcotest.test_case "optimality rate" `Quick test_optimality_rate;
       Alcotest.test_case "csv rendering" `Quick test_csv_rendering;
       Alcotest.test_case "presets complete" `Quick test_presets_complete;
+      Alcotest.test_case "title names the ILP cap" `Quick
+        test_title_names_the_cap;
       Alcotest.test_case "table3 experiment" `Slow test_table3_experiment ] )

@@ -36,6 +36,9 @@ let permuted =
   P.create (PF.of_list [ (11, 30); (5, 10); (8, 20) ])
     (recipes [ [ 2; 0 ]; [ 1; 0 ]; [ 1; 2 ] ])
 
+(* A problem submitted inline, as its text. *)
+let inline p = Pr.Inline (Rentcost.Problem_format.to_string p)
+
 let solve_req ?id ?trace_id ?tenant ?(source = Pr.Ref "app") ?(spec = S.Auto)
     ?budget ?(reuse = Pr.Monotone) ?pricebook target =
   Pr.Solve
@@ -225,8 +228,8 @@ let test_warm_start_reuse () =
 
 let test_equivalent_inline_shares_cache () =
   let e = E.create () in
-  let r1 = solved1 e (solve_req ~source:(Pr.Inline base) 100) in
-  let r2 = solved1 e (solve_req ~source:(Pr.Inline permuted) 100) in
+  let r1 = solved1 e (solve_req ~source:(inline base) 100) in
+  let r2 = solved1 e (solve_req ~source:(inline permuted) 100) in
   check_served "permuted problem hits the cache" Pr.Exact_hit r2.s_served;
   Alcotest.(check int) "same optimal cost" r1.s_cost r2.s_cost;
   (* The cached split is translated into the submitted numbering. *)
@@ -237,6 +240,185 @@ let test_reuse_none_never_hits () =
   ignore (solved1 e (solve_req 70));
   let r = solved1 e (solve_req ~reuse:Pr.No_reuse 70) in
   check_served "reuse none solves cold" Pr.Cold r.s_served
+
+(* --- the inline-text table ---
+
+   An inline problem is compiled the first time its text is seen and
+   looked up by that text afterwards. A miss and a hit must answer
+   exactly what a fresh engine answers. *)
+
+module G = Cloudsim.Generator
+
+(* Preset problems from a pinned seed. *)
+let preset_problem ~seed id =
+  let preset = Option.get (Cloudsim.Experiments.find id) in
+  G.problem ~rng:(Numeric.Prng.create seed) preset.Cloudsim.Experiments.graphs
+    preset.Cloudsim.Experiments.cloud
+
+(* [p] with its types and recipes renumbered at random: a different
+   text for a fingerprint-equal problem. *)
+let renumber ~rng p =
+  let q_count = P.num_types p and platform = P.platform p in
+  let to_new = Array.init q_count Fun.id in
+  Numeric.Prng.shuffle rng to_new;
+  let to_old = Array.make q_count 0 in
+  Array.iteri (fun old q -> to_old.(q) <- old) to_new;
+  let recipe g =
+    TG.create ~ntypes:q_count
+      ~types:(Array.init (TG.num_tasks g) (fun i -> to_new.(TG.type_of g i)))
+      ~edges:(TG.edges g)
+  in
+  let order = Array.init (P.num_recipes p) Fun.id in
+  Numeric.Prng.shuffle rng order;
+  P.create
+    (PF.of_list
+       (List.init q_count (fun q ->
+            (PF.cost platform to_old.(q), PF.throughput platform to_old.(q)))))
+    (Array.map (fun j -> recipe (P.recipe p j)) order)
+
+(* Two books over [q_count] types: list prices above the platform's
+   range, one of them with a spot tier. *)
+let pricebook_for q_count =
+  let prices name pct =
+    String.concat ""
+      (Printf.sprintf "book %s\n" name
+      :: List.init q_count (fun q -> Printf.sprintf "  price %d %d\n" q (20 + (7 * q mod 90))))
+    ^ if pct < 100 then Printf.sprintf "  tier spot %d\n" pct else ""
+  in
+  Rentcost.Pricebook.of_string
+    ("pricebook version 1\n" ^ prices "east" 100 ^ prices "west" 60)
+
+(* What an inline solve answered, with the fingerprint its audit
+   record carries. *)
+let inline_answer e ~objective ?pricebook text =
+  let request =
+    Pr.Solve
+      { id = None; trace_id = None; tenant = None; source = Pr.Inline text;
+        objective; pricebook; spec = S.Auto;
+        budget = Some { B.deadline = None; node_cap = Some 2_000; eval_cap = None };
+        reuse = Pr.No_reuse }
+  in
+  match E.handle e request with
+  | [ Pr.Solved { status; cost; rho; machines; _ } ] ->
+    let fingerprint =
+      match Svc.Audit.recent ~last:1 (E.audit e) with
+      | [ r ] -> r.Svc.Audit.fingerprint
+      | _ -> Alcotest.fail "no audit record"
+    in
+    (S.status_to_string status, cost, rho, machines, fingerprint)
+  | [ Pr.Error { message; _ } ] -> Alcotest.fail ("engine error: " ^ message)
+  | _ -> Alcotest.fail "expected exactly one solved response"
+
+let stat e name =
+  match List.assoc_opt name (E.stats e) with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "stats carry no integer %S" name
+
+let test_inline_text_memo () =
+  let answer =
+    Alcotest.(
+      pair string (pair int (pair (array int) (pair (array int) string))))
+  in
+  let flat (st, c, r, m, f) = (st, (c, (r, (m, f)))) in
+  List.iter
+    (fun id ->
+      let problem = preset_problem ~seed:7 id in
+      let rng = Numeric.Prng.create 11 in
+      let texts =
+        List.map Rentcost.Problem_format.to_string
+          (problem :: List.init 2 (fun _ -> renumber ~rng problem))
+      in
+      let pricebook = pricebook_for (P.num_types problem) in
+      let scenarios =
+        [ ("min-cost", Rentcost.Objective.min_cost ~target:60, None);
+          ("max-throughput", Rentcost.Objective.max_throughput ~budget:400, None);
+          ("price book", Rentcost.Objective.min_cost ~target:60, Some pricebook) ]
+      in
+      List.iteri
+        (fun i text ->
+          (* One engine per text sees each scenario twice: the first
+             request of the first scenario misses, every later one hits
+             the text. *)
+          let e = E.create () in
+          List.iter
+            (fun (name, objective, pricebook) ->
+              let what kind = Printf.sprintf "%s text %d %s: %s" id i name kind in
+              let fresh = inline_answer (E.create ()) ~objective ?pricebook text in
+              let first = inline_answer e ~objective ?pricebook text in
+              let repeat = inline_answer e ~objective ?pricebook text in
+              Alcotest.check answer (what "first") (flat fresh) (flat first);
+              Alcotest.check answer (what "repeat") (flat fresh) (flat repeat))
+            scenarios;
+          Alcotest.(check int) (id ^ ": one text kept") 1 (stat e "inline_texts"))
+        texts;
+      (* Renumbered texts in one engine share a compiled instance: each
+         is a text of its own, all of them one fingerprint. *)
+      let e = E.create () in
+      let objective = Rentcost.Objective.min_cost ~target:60 in
+      let fingerprints =
+        List.map
+          (fun text ->
+            let _, _, _, _, fp = inline_answer e ~objective text in
+            fp)
+          (texts @ texts)
+      in
+      Alcotest.(check int) (id ^ ": one fingerprint") 1
+        (List.length (List.sort_uniq compare fingerprints));
+      Alcotest.(check int) (id ^ ": a text each") (List.length texts)
+        (stat e "inline_texts");
+      Alcotest.(check int) (id ^ ": one compiled instance") 1
+        (stat e "instances"))
+    [ "fig3"; "fig6" ]
+
+(* Both instance tables hold at most [cache_capacity] entries; a text
+   that fell out solves again as a fresh engine solves it. *)
+let test_inline_text_table_bound () =
+  let capacity = 3 in
+  let e = E.create ~config:{ E.default_config with E.cache_capacity = capacity } () in
+  let problem i =
+    P.create
+      (PF.of_list [ (5 + i, 10); (8, 20); (11, 30) ])
+      (recipes [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ])
+  in
+  let texts =
+    List.init (capacity + 1) (fun i -> Rentcost.Problem_format.to_string (problem i))
+  in
+  let objective = Rentcost.Objective.min_cost ~target:70 in
+  List.iter (fun text -> ignore (inline_answer e ~objective text)) texts;
+  let reused () = Telemetry.value Telemetry.service_compile_reuse in
+  let before = reused () in
+  ignore (inline_answer e ~objective (List.nth texts capacity));
+  Alcotest.(check int) "a text hit counts as compile reuse" (before + 1) (reused ());
+  Alcotest.(check int) "texts at capacity" capacity (stat e "inline_texts");
+  Alcotest.(check int) "instances at capacity" capacity (stat e "instances");
+  let evicted = List.hd texts in
+  let fresh = inline_answer (E.create ()) ~objective evicted in
+  Alcotest.(check bool) "the evicted text solves as a fresh engine does" true
+    (inline_answer e ~objective evicted = fresh);
+  Alcotest.(check int) "still at capacity" capacity (stat e "inline_texts");
+  Alcotest.(check int) "instances still at capacity" capacity (stat e "instances")
+
+(* A text first seen under another scenario is compiled under that
+   scenario alone; the default-scenario instance is compiled when a
+   default request first needs it, and each answers as a fresh engine
+   does. *)
+let test_inline_text_scenario_miss () =
+  let text = Rentcost.Problem_format.to_string (preset_problem ~seed:7 "fig6") in
+  let e = E.create () in
+  let throughput = Rentcost.Objective.max_throughput ~budget:400 in
+  let min_cost = Rentcost.Objective.min_cost ~target:60 in
+  let fresh objective = inline_answer (E.create ()) ~objective text in
+  Alcotest.(check bool) "max-throughput miss" true
+    (inline_answer e ~objective:throughput text = fresh throughput);
+  Alcotest.(check int) "one text kept" 1 (stat e "inline_texts");
+  Alcotest.(check int) "compiled under its scenario only" 1 (stat e "instances");
+  Alcotest.(check bool) "max-throughput hit" true
+    (inline_answer e ~objective:throughput text = fresh throughput);
+  Alcotest.(check int) "no further instance" 1 (stat e "instances");
+  Alcotest.(check bool) "min-cost after it" true
+    (inline_answer e ~objective:min_cost text = fresh min_cost);
+  Alcotest.(check int) "the default instance now" 2 (stat e "instances");
+  Alcotest.(check int) "still one text" 1 (stat e "inline_texts")
 
 let test_unknown_ref_errors () =
   let e = E.create () in
@@ -326,15 +508,15 @@ let test_track_protocol_roundtrip () =
    | Pr.Untrack { session = "fleet" } -> ()
    | _ -> Alcotest.fail "untrack request mangled");
   (* Defaults mirror Controller.default_config when the knobs are
-     absent. *)
+     absent; the inline problem is carried as the text sent. *)
+  let text = Rentcost.Problem_format.to_string base in
   match
     Pr.request_of_json
-      (J.Obj
-         [ ("op", J.String "track");
-           ("problem", J.String (Rentcost.Problem_format.to_string base)) ])
+      (J.Obj [ ("op", J.String "track"); ("problem", J.String text) ])
   with
-  | Ok (Pr.Track { session = "default"; source = Pr.Inline _;
+  | Ok (Pr.Track { session = "default"; source = Pr.Inline sent;
                    ticks_per_hour; deadband; headroom; _ }) ->
+    Alcotest.(check string) "inline text verbatim" text sent;
     let d = Rentcost_autoscale.Controller.default_config in
     Alcotest.(check int) "default ticks_per_hour"
       d.Rentcost_autoscale.Controller.ticks_per_hour ticks_per_hour;
@@ -1403,6 +1585,12 @@ let suite =
       Alcotest.test_case "reuse none never hits" `Quick
         test_reuse_none_never_hits;
       Alcotest.test_case "unknown ref errors" `Quick test_unknown_ref_errors;
+      Alcotest.test_case "inline text: a hit answers as a fresh engine" `Quick
+        test_inline_text_memo;
+      Alcotest.test_case "inline text: tables bounded by cache capacity" `Quick
+        test_inline_text_table_bound;
+      Alcotest.test_case "inline text: a scenario miss compiles once" `Quick
+        test_inline_text_scenario_miss;
       Alcotest.test_case "admission sheds at the door" `Quick
         test_admission_door_shed;
       Alcotest.test_case "admission sheds expired deadlines" `Quick
