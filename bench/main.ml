@@ -18,7 +18,8 @@
    - BENCH_numeric.json: the fast LP engine against exact Rat, the
      figure-preset and fig8 workloads' relaxations, fallbacks, pivots,
      warm nodes, peak retained words, capped cost sum and proved count,
-     and the words one decode of an inline problem allocates ("wire");
+     the words one decode of an inline problem allocates ("wire"), and
+     a tree that fills the snapshot budget ("budget_tree");
    - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
    It then prints "smoke OK" if: the exact engines agree and the
@@ -31,8 +32,9 @@
    BENCH_scenarios.json, its nodes within a fixed bound and zero
    fallbacks; the
    fast LP engine is bit-identical and fast enough, with the
-   figure-preset and fig8 effort counts, capped answers and wire
-   decode words equal to the committed BENCH_numeric.json; and the
+   figure-preset and fig8 effort counts, capped answers, wire decode
+   words and budget-tree counts equal to the committed
+   BENCH_numeric.json; and the
    autoscale policies are ordered oracle <= elastic <= static-peak.
    Otherwise it prints a FAIL line per failed check and exits 1. *)
 
@@ -749,6 +751,78 @@ let stress_workload () =
       answered acc (Rentcost.Ilp.optimize (I.compile overflow_problem) ~target))
     no_answers [ 10; 20; 30 ]
 
+(* --- BENCH_numeric.json "budget_tree": a tree past the snapshot
+   budget ---
+
+   The lp-warm "snapshot budget" test's tree, counted: three recipes
+   of 40 tasks over 100 types (seed 16, pinned whatever the root
+   seed), solved to optimality by [Milp.Solver] on the ILP's model
+   at target 17 with the splits branched first and no rounding. Every
+   tableau is about 21k words, so open nodes fill the 2M-word budget
+   and the children created past it replay their paths on the root's
+   tableau. [budget_tree_pivots_before] is what the tree took while
+   those children solved cold, with their path bounds as model rows
+   (the same tree, 1,840 nodes). *)
+let budget_tree_pivots_before = 159_176
+
+let budget_tree_problem () =
+  let rng = P.create 16 in
+  let q = 100 in
+  let draw () = 1 + P.int rng 20 in
+  let machines =
+    List.init q (fun _ ->
+        let cost = draw () in
+        let throughput = draw () in
+        (cost, throughput))
+  in
+  let recipe () =
+    Rentcost.Task_graph.chain ~ntypes:q
+      ~types:(Array.init 40 (fun _ -> P.int rng q))
+  in
+  let r0 = recipe () in
+  let r1 = recipe () in
+  let r2 = recipe () in
+  Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
+
+(* (field, count) of the budget tree. Children are warm from a
+   parent's tableau, replayed on the root's, or cold; the root is
+   none of them. *)
+let budget_tree () =
+  let instance = I.compile (budget_tree_problem ()) in
+  let m, integer = Rentcost.Ilp.model instance ~target:17 in
+  let rho, x = List.partition (fun v -> v < I.num_recipes instance) integer in
+  let replayed = ref 0 in
+  Telemetry.Span.set_sink
+    (Some
+       (fun sp ->
+         if
+           sp.Telemetry.Span.name = "lp.simplex"
+           && List.assoc_opt "lp.start" sp.Telemetry.Span.attrs = Some "replay"
+         then incr replayed));
+  let warm0 = Telemetry.value Telemetry.milp_warm_nodes
+  and pivots0 = Telemetry.value Telemetry.lp_pivots in
+  let o =
+    Fun.protect
+      ~finally:(fun () -> Telemetry.Span.set_sink None)
+      (fun () ->
+        Milp.Solver.solve ~integral_objective:true ~priority:[ rho; x ] m ~integer)
+  in
+  let warm = Telemetry.value Telemetry.milp_warm_nodes - warm0 in
+  let nodes = o.Milp.Solver.nodes in
+  [ ("nodes", nodes);
+    ("warm_children", warm - !replayed);
+    ("replayed_children", !replayed);
+    ("cold_children", nodes - 1 - warm);
+    ("pivots", Telemetry.value Telemetry.lp_pivots - pivots0);
+    ("peak_retained_words", o.Milp.Solver.peak_retained_words);
+    ( "cost",
+      match o.Milp.Solver.solution with
+      | Some sol -> (
+        match Numeric.Rat.to_small sol.Milp.Solver.objective with
+        | Some (c, 1) -> c
+        | _ -> -1)
+      | None -> -1 ) ]
+
 (* The capped-workload counts that are deterministic for a seed, gated
    exactly against the committed file: (block, field, this run's
    value). *)
@@ -915,6 +989,7 @@ let emit_numeric () =
   let fig8 = count_fallbacks fig8_workload in
   let stress = count_fallbacks stress_workload in
   let wire = wire_counts () in
+  let tree = budget_tree () in
   let split_json k =
     J.Obj
       [ ("name", J.String k.ks_label); ("rat_us", fixed 3 k.ks_rat_us);
@@ -922,7 +997,7 @@ let emit_numeric () =
         ("identical", J.Bool k.ks_identical) ]
   in
   let ints l = J.List (List.map (fun i -> J.Int i) l) in
-  emit "numeric" ~schema:"rentcost-bench-numeric/11"
+  emit "numeric" ~schema:"rentcost-bench-numeric/12"
     [ ( "kernels",
         J.Obj
           [ ("fast", J.String Lp.Simplex.fast_kernel);
@@ -976,8 +1051,12 @@ let emit_numeric () =
             ("minor_words_per_node_before", J.Int fig8_words_per_node_before);
             ("capped_cost_sum", J.Int fig8.fb_cost_sum);
             ("proved", J.Int fig8.fb_proved) ] );
-      ("wire", wire_json wire) ];
-  (splits, paper, fig8, stress, wire)
+      ("wire", wire_json wire);
+      ( "budget_tree",
+        J.Obj
+          (List.map (fun (name, n) -> (name, J.Int n)) tree
+          @ [ ("pivots_before", J.Int budget_tree_pivots_before) ]) ) ];
+  (splits, paper, fig8, stress, wire, tree)
 
 (* --- BENCH_autoscale.json: elastic vs static-peak vs oracle --- *)
 
@@ -1219,7 +1298,7 @@ let smoke () =
      relaxation — the fallback demonstrably fires, it is not dead
      code). *)
   let committed = committed_paper_counts "BENCH_numeric.json" in
-  let splits, paper, fig8, stress, wire = emit_numeric () in
+  let splits, paper, fig8, stress, wire, tree = emit_numeric () in
   List.iter
     (fun k -> check (k.ks_label ^ " bit-identical across engines") k.ks_identical)
     splits;
@@ -1298,6 +1377,29 @@ let smoke () =
            den words before)
         (words * den <= before * num))
     wire;
+  (* The budget tree: every count gated exactly against the committed
+     file (its instance is pinned, whatever the root seed), the root
+     the only cold relaxation, and the replays at most a third of the
+     pivots the cold children took. *)
+  List.iter
+    (fun (name, n) ->
+      match committed with
+      | Some (_, field) ->
+        check
+          (Printf.sprintf
+             "budget_tree.%s matches the committed BENCH_numeric.json (%d; \
+              committed %s)"
+             name n
+             (Option.fold ~none:"none" ~some:string_of_int
+                (field "budget_tree" name)))
+          (field "budget_tree" name = Some n)
+      | None -> check "committed BENCH_numeric.json carries budget_tree" false)
+    tree;
+  check "budget tree: no cold child" (List.assoc "cold_children" tree = 0);
+  check
+    (Printf.sprintf "budget tree: at most a third of %d pivots (%d)"
+       budget_tree_pivots_before (List.assoc "pivots" tree))
+    (List.assoc "pivots" tree * 3 <= budget_tree_pivots_before);
   (* Warm-path allocation: gated exactly above, and each workload must
      stay within its share of its [_before]: fig8 at most 2/3 per node,
      the figure presets at most 1/2 per solve. *)

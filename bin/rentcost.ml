@@ -594,7 +594,9 @@ let socket_arg =
 
 let cache_arg =
   Arg.(value & opt int 128 & info [ "cache" ] ~docv:"N"
-         ~doc:"Solution-cache capacity (LRU entries) for serve.")
+         ~doc:
+           "Solution-cache capacity (LRU entries) for serve; also bounds the \
+            registered names, inline texts and compiled instances it keeps.")
 
 let queue_arg =
   Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N"

@@ -15,20 +15,15 @@ type t = {
   mutable nconstrs : int;
   mutable sense : sense;
   mutable obj : Linexpr.t;
-  (* variable domains, sparse: only tightened variables appear *)
-  lowers : (var, R.t) Hashtbl.t;
-  uppers : (var, R.t) Hashtbl.t;
 }
 
 let create () =
   { nvars = 0; names_rev = []; constrs_rev = []; nconstrs = 0;
-    sense = Minimize; obj = Linexpr.zero;
-    lowers = Hashtbl.create 8; uppers = Hashtbl.create 8 }
+    sense = Minimize; obj = Linexpr.zero }
 
 let copy t =
   { nvars = t.nvars; names_rev = t.names_rev; constrs_rev = t.constrs_rev;
-    nconstrs = t.nconstrs; sense = t.sense; obj = t.obj;
-    lowers = Hashtbl.copy t.lowers; uppers = Hashtbl.copy t.uppers }
+    nconstrs = t.nconstrs; sense = t.sense; obj = t.obj }
 
 let add_var t ~name =
   let v = t.nvars in
@@ -52,32 +47,6 @@ let add_constraint t ?(name = "") expr cmp rhs =
   t.constrs_rev <- { expr; cmp; rhs; cname = name } :: t.constrs_rev;
   t.nconstrs <- t.nconstrs + 1
 
-let add_upper_bound t v ub = add_constraint t (Linexpr.var v) Le ub
-
-let check_var t v name =
-  if v < 0 || v >= t.nvars then invalid_arg (name ^ ": unknown variable")
-
-let tighten_lower t v lb =
-  check_var t v "Model.tighten_lower";
-  if R.sign lb > 0 then begin
-    match Hashtbl.find_opt t.lowers v with
-    | Some cur when R.compare cur lb >= 0 -> ()
-    | _ -> Hashtbl.replace t.lowers v lb
-  end
-
-let tighten_upper t v ub =
-  check_var t v "Model.tighten_upper";
-  match Hashtbl.find_opt t.uppers v with
-  | Some cur when R.compare cur ub <= 0 -> ()
-  | _ -> Hashtbl.replace t.uppers v ub
-
-let bounds t v =
-  check_var t v "Model.bounds";
-  ( Option.value (Hashtbl.find_opt t.lowers v) ~default:R.zero,
-    Hashtbl.find_opt t.uppers v )
-
-let has_var_bounds t = Hashtbl.length t.lowers > 0 || Hashtbl.length t.uppers > 0
-
 let set_objective t sense expr =
   (match Linexpr.max_var expr with
    | v when v >= t.nvars -> invalid_arg "Model.set_objective: unknown variable"
@@ -92,14 +61,6 @@ let num_constraints t = t.nconstrs
 let check_feasible t values =
   Array.length values = t.nvars
   && Array.for_all (fun v -> R.sign v >= 0) values
-  && (let ok = ref true in
-      Hashtbl.iter
-        (fun v lb -> if R.compare values.(v) lb < 0 then ok := false)
-        t.lowers;
-      Hashtbl.iter
-        (fun v ub -> if R.compare values.(v) ub > 0 then ok := false)
-        t.uppers;
-      !ok)
   && List.for_all
        (fun { expr; cmp; rhs; _ } ->
          let lhs = Linexpr.eval expr values in

@@ -5,8 +5,10 @@
     input format of the exact simplex ({!module:Simplex}) and of the
     branch-and-bound MILP solver ({!module:Milp.Solver}).
 
-    All variables implicitly satisfy [x >= 0]; other bounds are added
-    as ordinary rows with {!add_upper_bound}. *)
+    Every variable satisfies [x >= 0] and has no other bound of its
+    own: a bound is a row like any other constraint. The branch and
+    bound keeps its branch bounds on the simplex's columns instead
+    ({!Simplex.reoptimize}). *)
 
 type t
 
@@ -22,8 +24,8 @@ type constr = { expr : Linexpr.t; cmp : cmp; rhs : Numeric.Rat.t; cname : string
 val create : unit -> t
 
 (** [copy t] is a deep-enough copy: adding variables or constraints to
-    the copy never affects the original. Branch-and-bound relies on
-    this to derive child nodes. *)
+    the copy never affects the original. The branch and bound adds a
+    cold node's path bounds as rows to a copy. *)
 val copy : t -> t
 
 (** [add_var t ~name] introduces a fresh variable [x >= 0]. *)
@@ -39,32 +41,6 @@ val var_name : t -> var -> string
 (** [add_constraint t ?name expr cmp rhs] adds the row
     [expr cmp rhs]. Any constant inside [expr] is folded into [rhs]. *)
 val add_constraint : t -> ?name:string -> Linexpr.t -> cmp -> Numeric.Rat.t -> unit
-
-(** [add_upper_bound t v ub] adds the row [x_v <= ub]. *)
-val add_upper_bound : t -> var -> Numeric.Rat.t -> unit
-
-(** {1 Variable bounds}
-
-    Unlike {!add_upper_bound}, these do not create rows in the model:
-    they tighten the variable's own domain, which is how branch and
-    bound branches. {!Simplex} materializes them as rows internally. Bounds only ever tighten; the implicit domain is
-    [\[0, ∞)]. *)
-
-(** [tighten_lower t v lb] raises the lower bound to
-    [max (current, lb)]. *)
-val tighten_lower : t -> var -> Numeric.Rat.t -> unit
-
-(** [tighten_upper t v ub] lowers the upper bound to
-    [min (current, ub)]. *)
-val tighten_upper : t -> var -> Numeric.Rat.t -> unit
-
-(** [bounds t v] is the current [(lower, upper)]; [upper = None] means
-    unbounded above. The lower bound is at least zero. *)
-val bounds : t -> var -> Numeric.Rat.t * Numeric.Rat.t option
-
-(** [has_var_bounds t] is true when any variable has a tightened
-    domain. *)
-val has_var_bounds : t -> bool
 
 (** [set_objective t sense expr] installs the objective. The constant
     part of [expr] is reported back in solution objective values. *)

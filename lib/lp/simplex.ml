@@ -185,29 +185,16 @@ type direction = Upper | Lower
 let fast_kernel = "ff64"
 let exact_kernel = "rat"
 
-(* Variable bounds materialized as ordinary rows, then every row
-   oriented so its right-hand side is non-negative. Shared by both
-   engines. *)
+(* Every row oriented so its right-hand side is non-negative. Shared
+   by both engines. *)
 let orient model =
-  let nstruct = Model.num_vars model in
-  let bound_rows =
-    List.concat_map
-      (fun v ->
-        let lo, up = Model.bounds model v in
-        let lower = if R.sign lo > 0 then [ (Model.Ge, lo) ] else [] in
-        let upper = match up with Some u -> [ (Model.Le, u) ] | None -> [] in
-        List.map
-          (fun (cmp, b) -> { Model.expr = Linexpr.var v; cmp; rhs = b; cname = "" })
-          (lower @ upper))
-      (List.init nstruct Fun.id)
-  in
   List.map
     (fun { Model.expr; cmp; rhs; _ } ->
       if R.sign rhs < 0 then
         let cmp = match cmp with Model.Le -> Model.Ge | Ge -> Le | Eq -> Eq in
         (Linexpr.neg expr, cmp, R.neg rhs)
       else (expr, cmp, rhs))
-    (Model.constraints model @ bound_rows)
+    (Model.constraints model)
 
 let count_slack_art oriented =
   List.fold_left
@@ -446,6 +433,7 @@ end
 module Fraction_free = struct
   let span_attrs = [ ("lp.kernel", fast_kernel) ]
   let warm_span_attrs = [ ("lp.kernel", fast_kernel); ("lp.start", "warm") ]
+  let replay_span_attrs = [ ("lp.kernel", fast_kernel); ("lp.start", "replay") ]
 
   (* Exclusive bound on tableau entries and scales. *)
   let range = 1 lsl 30
@@ -697,8 +685,8 @@ module Fraction_free = struct
      never change, so a child copies only the array that holds them. *)
   type col = { lo_n : int; lo_d : int; up_n : int; up_d : int; at_up : bool }
 
-  (* Every column's bounds before a branch: [0 <= x], at [0]. Model
-     bounds are rows (see {!orient}), and slack columns stay free. *)
+  (* Every column's bounds before a branch: [0 <= x], at [0]. Models
+     have no other variable bounds, and slack columns stay free. *)
   let free = { lo_n = 0; lo_d = 1; up_n = 0; up_d = 0; at_up = false }
 
   let col cols j = if j < Array.length cols then cols.(j) else free
@@ -1074,24 +1062,20 @@ module Fraction_free = struct
   let copy t =
     { t with tab = Array.map Array.copy t.tab; basis = Array.copy t.basis }
 
-  (* The child LP from the parent's optimal tableau: [bound = p/q]
-     tightens [var]'s column bounds, and the tableau keeps its rows
-     and columns. A nonbasic [var] that the bound moves is folded into
-     every right-hand side once, each row it touches first multiplied
-     by [q]; a basic one simply gets the bound, which its value may
-     now violate. Reduced costs do not change, so the basis stays dual
-     feasible and the bounded dual simplex finishes the job. A looser
-     bound than the column's own leaves the LP unchanged, and one that
-     crosses the other bound leaves it empty. With [own] the caller
-     gives up [s] and the child pivots in [s]'s own rows; otherwise in
-     a copy. The result's tableau is never copied: it becomes the
-     child's snapshot. *)
-  let reoptimize ~own s ~var ~dir ~bound =
-    if var < 0 || var >= s.nstruct then invalid_arg "Simplex.reoptimize: var";
+  (* One branch bound [x_var <= p/q] ([Upper]) or [x_var >= p/q]
+     folded into [t] and [cols]. A nonbasic [var] that the bound moves
+     is folded into every right-hand side once, each row it touches
+     first multiplied by [q]; a basic one simply gets the bound, which
+     its value may now violate. A looser bound than the column's own
+     changes nothing. False when the bound crosses the column's other
+     one: the LP is empty. *)
+  let tighten t cols var dir bound =
+    if var < 0 || var >= Array.length cols then
+      invalid_arg "Simplex.reoptimize: var";
     let bn, bd =
       match R.to_small bound with Some nd -> nd | None -> overflow ()
     in
-    let c = s.cols.(var) in
+    let c = cols.(var) in
     let c' =
       match dir with
       | Upper when c.up_d = 0 || bn * c.up_d < c.up_n * bd ->
@@ -1099,32 +1083,51 @@ module Fraction_free = struct
       | Lower when bn * c.lo_d > c.lo_n * bd -> { c with lo_n = bn; lo_d = bd }
       | _ -> c
     in
-    if c'.up_d <> 0 && c'.lo_n * c'.up_d > c'.up_n * c'.lo_d then
-      (Infeasible, None)
+    if c'.up_d <> 0 && c'.lo_n * c'.up_d > c'.up_n * c'.lo_d then false
     else begin
-      let t = if own then s.t else copy s.t in
-      let cols = if own then s.cols else Array.copy s.cols in
       cols.(var) <- c';
-      if not (Array.mem var t.basis) then begin
-        let on, od = at c and nn, nd = at c' in
-        if on * nd <> nn * od then
-          match R.to_small (R.sub (R.of_ints nn nd) (R.of_ints on od)) with
-          | None -> overflow ()
-          | Some (p, q) ->
-            Array.iter
-              (fun row ->
-                let a = row.(var) in
-                if a <> 0 then shift_rhs row ~a:(-a) ~p ~q)
-              t.tab
-      end;
-      let p = priced t ~costs:s.costs ~cq:s.cq in
-      if not (run_dual t p cols) then (Infeasible, None)
-      else
-        ( Optimal
-            (optimum t p cols ~nstruct:s.nstruct ~negate:s.negate
-               ~const:s.const),
-          Some { s with t; cols } )
+      (if not (Array.mem var t.basis) then
+         let on, od = at c and nn, nd = at c' in
+         if on * nd <> nn * od then
+           match R.to_small (R.sub (R.of_ints nn nd) (R.of_ints on od)) with
+           | None -> overflow ()
+           | Some (p, q) ->
+             Array.iter
+               (fun row ->
+                 let a = row.(var) in
+                 if a <> 0 then shift_rhs row ~a:(-a) ~p ~q)
+               t.tab);
+      true
     end
+
+  (* The LP of [s] once [tighten] has folded its bounds into [t] and
+     [cols]: the tableau keeps its rows and columns. Reduced costs do
+     not change, so the basis stays dual feasible and one bounded dual
+     simplex finishes the job, however many bounds were folded. The
+     result's tableau is never copied: it becomes the child's
+     snapshot. *)
+  let resolve s t cols =
+    let p = priced t ~costs:s.costs ~cq:s.cq in
+    if not (run_dual t p cols) then (Infeasible, None)
+    else
+      ( Optimal
+          (optimum t p cols ~nstruct:s.nstruct ~negate:s.negate ~const:s.const),
+        Some { s with t; cols } )
+
+  (* A child from its parent's tableau [s]. With [own] the caller gives
+     up [s] and the child pivots in [s]'s own rows; otherwise in a
+     copy. *)
+  let reoptimize ~own s ~var ~dir ~bound =
+    let t = if own then s.t else copy s.t in
+    let cols = if own then s.cols else Array.copy s.cols in
+    if tighten t cols var dir bound then resolve s t cols else (Infeasible, None)
+
+  (* A node's whole path of bounds on a copy of [s]. *)
+  let replay s bounds =
+    let t = copy s.t and cols = Array.copy s.cols in
+    if List.for_all (fun (var, dir, bound) -> tighten t cols var dir bound) bounds
+    then resolve s t cols
+    else (Infeasible, None)
 end
 
 type snapshot = Fraction_free.snapshot
@@ -1155,10 +1158,16 @@ let solve_keeping ~keep model =
 let solve_with_snapshot = solve_keeping ~keep:true
 let solve model = map_outcome solution_of (fst (solve_keeping ~keep:false model))
 
-let reoptimize ?(own = false) snapshot ~var ~dir ~bound =
-  let answer =
-    Telemetry.Span.with_span ~attrs:Fraction_free.warm_span_attrs "lp.simplex"
-      (fun () -> Fraction_free.reoptimize ~own snapshot ~var ~dir ~bound)
-  in
+(* A warm solve: one bounded dual simplex from a snapshot. *)
+let warm attrs solve =
+  let answer = Telemetry.Span.with_span ~attrs "lp.simplex" solve in
   Telemetry.bump fast_solves_counter;
   answer
+
+let reoptimize ?(own = false) snapshot ~var ~dir ~bound =
+  warm Fraction_free.warm_span_attrs (fun () ->
+      Fraction_free.reoptimize ~own snapshot ~var ~dir ~bound)
+
+let replay snapshot bounds =
+  warm Fraction_free.replay_span_attrs (fun () ->
+      Fraction_free.replay snapshot bounds)

@@ -11,10 +11,9 @@
     this project stay small (tens of rows/columns), where exact simplex
     is fast and — unlike floating-point codes — never returns a
     slightly-infeasible or slightly-suboptimal basis. A cold tableau
-    has one row per constraint plus one per model variable bound: the
-    primal engines have no bounded variables, so a model bound costs a
-    row like any constraint. [Rentcost.Ilp.model] sets none, and its
-    root tableau has the paper's [1 + Q] rows.
+    has one row per constraint: a model has no variable bounds besides
+    [x >= 0], so a caller that needs one adds it as a row.
+    [Rentcost.Ilp.model]'s root tableau has the paper's [1 + Q] rows.
 
     {!solve} runs a fraction-free engine over native-int rows and, when
     a row outgrows the native range (or an objective coefficient or
@@ -25,12 +24,14 @@
 
     {!reoptimize} is the branch-and-bound warm start: it takes the
     fraction-free engine's final tableau ({!snapshot}) and adds one
-    variable bound. A branch bound is a bound on the variable's
-    column, not a row: a child's tableau has exactly its parent's rows
-    and columns. A bounded dual simplex under the dual Bland rule then
-    restores optimality. The optimal objective is the one a cold
-    {!solve} of the same LP returns; when the LP has several optimal
-    vertices the point may be a different one of them. *)
+    variable bound; {!replay} adds a whole list of them at once. A
+    branch bound is a bound on the variable's column, not a row: a
+    child's tableau has exactly its parent's rows and columns. A
+    bounded dual simplex under the dual Bland rule then restores
+    optimality. The optimal objective is the one a cold {!solve} of
+    the same LP, with each bound as a row, returns; when the LP has
+    several optimal vertices the point may be a different one of
+    them. *)
 
 (** {1 Relaxations}
 
@@ -158,6 +159,17 @@ val solve_with_snapshot : Model.t -> relaxation outcome * snapshot option
 val reoptimize :
   ?own:bool -> snapshot -> var:Model.var -> dir:direction ->
   bound:Numeric.Rat.t -> relaxation outcome * snapshot option
+
+(** [replay s bounds] is {!reoptimize} with every bound of [bounds]
+    (in any order; several may name one variable) folded into a copy of
+    [s] before one bounded dual simplex runs. [s] is never changed. The
+    branch and bound replays a node's whole path on the root's tableau
+    when no parent tableau was kept for it. Same counters, results and
+    exceptions as {!reoptimize}; its [lp.simplex] span has [lp.start]
+    ["replay"]. *)
+val replay :
+  snapshot -> (Model.var * direction * Numeric.Rat.t) list ->
+  relaxation outcome * snapshot option
 
 (** Heap words a retained snapshot holds, for memory budgets: its
     rows, basis and column bounds, block headers included. *)

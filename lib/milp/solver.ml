@@ -17,17 +17,20 @@
    incumbent. Branching reads the native pairs (a point of the Rat
    engine, after an overflow, branches in Rat). Incumbents, the
    strengthened keys and branch bounds are Rat values.
-   The root and any node without a parent tableau go through
-   [Lp.Simplex.solve_with_snapshot], which pivots on native ints and
-   reruns a relaxation on Rat only when that one overflows. Every other
-   node is warm: [Lp.Simplex.reoptimize] sets its branching bound on a
-   column of the parent's final fraction-free tableau, which keeps its
-   rows, and runs a few bounded dual pivots.
-   A warm child that overflows is solved cold instead. Both children
-   of a node share its tableau: the first one popped works on a copy
-   of its rows, and the last one takes the rows themselves. The
-   tableaus retained by open nodes are capped at [snapshot_budget]
-   words; children created past the cap carry none and solve cold.
+   The root goes through [Lp.Simplex.solve_with_snapshot], which
+   pivots on native ints and reruns a relaxation on Rat only when that
+   one overflows. Every other node is warm: [Lp.Simplex.reoptimize]
+   sets its branching bound on a column of the parent's final
+   fraction-free tableau, which keeps its rows, and runs a few bounded
+   dual pivots. Both children of a node share its tableau: the first
+   one popped works on a copy of its rows, and the last one takes the
+   rows themselves. The root's tableau is kept for the whole solve.
+   The tableaus retained by open nodes are a cache capped at
+   [snapshot_budget] words: a child created past the cap carries none,
+   and [Lp.Simplex.replay] folds its whole path of bounds into the
+   root's tableau instead. A node solves cold, with its path bounds as
+   rows, only when its warm solve overflows or the root fell back to
+   Rat and left no tableau.
    At every fractional node that still beats the incumbent, the
    caller's primal heuristic ([?round]) may offer a cheaper integer
    point; it is checked exactly before it becomes the incumbent, and
@@ -64,16 +67,18 @@ type outcome = {
   elapsed : float;
 }
 
-(* Heap words that the parent tableaus of open nodes may hold at once,
-   per solve: 2M words (16 MiB on 64-bit). The node-capped benchmark
-   solves peak well under it (BENCH_numeric.json records the peak); an
-   uncapped solve of tens of thousands of nodes reaches it and from
-   then on solves the children it cannot keep a tableau for cold, so
-   its memory stays within a few budgets of the cold path's. *)
+(* Heap words that the parent tableaus of open nodes, the root's
+   included, may hold at once, per solve: 2M words (16 MiB on 64-bit).
+   The node-capped benchmark solves peak well under it
+   (BENCH_numeric.json records the peak); an uncapped solve of tens of
+   thousands of nodes reaches it and from then on replays the children
+   it cannot keep a tableau for on the root's, trading pivots for
+   memory. *)
 let snapshot_budget = 1 lsl 21
 
 (* A parent tableau shared by the open children that still need it.
-   The last holder consumes it: its child may pivot in these rows. *)
+   The last holder consumes it: its child may pivot in these rows. The
+   solve itself holds the root's, which is never consumed. *)
 type shared = { snapshot : Lp.Simplex.snapshot; mutable holders : int }
 
 (* Whether last holders consume their parent's tableau; off only under
@@ -191,18 +196,27 @@ let branch_bounds point v =
     let x = values.(v) in
     (R.of_bigint (R.ceil x), R.of_bigint (R.floor x))
 
-(* Branch decisions tighten variable domains rather than adding rows to
-   the model. A warm child keeps them as column bounds; this model is
-   for a cold child (past the snapshot budget, or after an overflow),
-   whose solve materializes each of them as a row. *)
-let apply_extras base extra =
+(* The model of a node solved cold: [base] with the node's tightest
+   path bounds as rows after its own, for each variable in ascending
+   order its lower bound (none when it is 0) and then its upper
+   bound. *)
+let with_bound_rows base extra =
   let m = Lp.Model.copy base in
+  let tightest v dir pick =
+    List.fold_left
+      (fun acc (v', d, b) ->
+        if v' = v && d = dir then Some (Option.fold ~none:b ~some:(pick b) acc)
+        else acc)
+      None extra
+  in
   List.iter
-    (fun (v, dir, b) ->
-      match dir with
-      | Lp.Simplex.Upper -> Lp.Model.tighten_upper m v b
-      | Lower -> Lp.Model.tighten_lower m v b)
-    extra;
+    (fun v ->
+      let row cmp b = Lp.Model.add_constraint m (Lp.Linexpr.var v) cmp b in
+      (match tightest v Lp.Simplex.Lower R.max with
+       | Some lo when R.sign lo > 0 -> row Lp.Model.Ge lo
+       | _ -> ());
+      Option.iter (row Lp.Model.Le) (tightest v Lp.Simplex.Upper R.min))
+    (List.sort_uniq compare (List.map (fun (v, _, _) -> v) extra));
   m
 
 let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
@@ -294,8 +308,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
   in
   let root_status = ref None in
   let consume = Domain.DLS.get consume_key in
-  (* Words held by the [shared] tableaus of open nodes, and their most
-     at any one time. *)
+  (* Words held by the [shared] tableaus of open nodes and the root's,
+     and their most at any one time. *)
   let retained = ref 0 and peak = ref 0 in
   let release node =
     match node.parent with
@@ -306,32 +320,45 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
         retained := !retained - Lp.Simplex.snapshot_words sh.snapshot
     | None -> ()
   in
-  let share = function
+  (* The root's tableau is kept whatever its size, with the solve as
+     a third holder: its last child does not consume it, and [release]
+     never frees it. *)
+  let share ~is_root = function
     | Some snapshot
-      when !retained + Lp.Simplex.snapshot_words snapshot <= snapshot_budget ->
+      when is_root
+           || !retained + Lp.Simplex.snapshot_words snapshot <= snapshot_budget ->
       retained := !retained + Lp.Simplex.snapshot_words snapshot;
       peak := Int.max !peak !retained;
-      Some { snapshot; holders = 2 }
+      Some { snapshot; holders = (if is_root then 3 else 2) }
     | _ -> None
   in
+  (* The root's tableau, for the nodes created past the budget. *)
+  let root = ref None in
   (* The node's relaxation and its final tableau: warm from the
-     parent's when there is one, cold otherwise or on overflow. Either
-     way exactly one of numeric.fast_solves / numeric.fallbacks moves.
-     The last holder of the parent's tableau owns it: [release] follows
+     parent's tableau when there is one, else replayed on the root's,
+     cold when that overflows or there is no root tableau. Either way
+     exactly one of numeric.fast_solves / numeric.fallbacks moves. The
+     last holder of the parent's tableau owns it: [release] follows
      and nothing reads it again. *)
+  let cold node =
+    Lp.Simplex.solve_with_snapshot (with_bound_rows base node.extra)
+  in
   let relax node =
-    let cold () = Lp.Simplex.solve_with_snapshot (apply_extras base node.extra) in
-    match (node.parent, node.extra) with
-    | Some sh, (var, dir, b) :: _ -> (
+    match (node.parent, node.extra, !root) with
+    | Some sh, (var, dir, bound) :: _, _ -> (
       let own = consume && sh.holders = 1 in
-      match
-        Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound:b
-      with
+      match Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound with
       | answer ->
         Telemetry.bump warm_nodes_counter;
         answer
-      | exception Numeric.Kernel.Overflow -> cold ())
-    | _ -> cold ()
+      | exception Numeric.Kernel.Overflow -> cold node)
+    | None, _ :: _, Some root -> (
+      match Lp.Simplex.replay root.snapshot node.extra with
+      | answer ->
+        Telemetry.bump warm_nodes_counter;
+        answer
+      | exception Numeric.Kernel.Overflow -> cold node)
+    | _ -> cold node
   in
   Best_queue.push queue
     { key = Lp.Simplex.objective_of_terms []; skey = R.zero; depth = 0;
@@ -400,7 +427,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
                  (* A rounded point may have closed this node's gap. *)
                  if better_than_incumbent bound then begin
                    let up, down = branch_bounds point v in
-                   let parent = share snapshot in
+                   let parent = share ~is_root snapshot in
+                   if is_root then root := parent;
                    let mk dir b =
                      incr seq;
                      { key = lp_obj; skey = bound; depth = node.depth + 1;

@@ -40,7 +40,8 @@ type outcome = {
   nodes : int;  (** branch-and-bound nodes evaluated *)
   peak_retained_words : int;
       (** the most heap words that parent tableaus kept for warm
-          starts held at once; never above {!snapshot_budget} *)
+          starts, the root's included, held at once; never above
+          {!snapshot_budget} unless the root's alone is *)
   elapsed : float;  (** wall-clock seconds *)
 }
 
@@ -94,14 +95,17 @@ val solve :
   outcome
 
 (** Heap words the parent tableaus kept for warm-starting open nodes
-    may hold at once, per solve: 2M (16 MiB on 64-bit). Children
-    created past it carry no tableau and solve their relaxation
-    cold. *)
+    may hold at once, per solve: 2M (16 MiB on 64-bit). The root's
+    tableau is kept for the whole solve and counts toward it. Children
+    created past it carry no tableau: each replays its whole path of
+    branch bounds on the root's ({!Lp.Simplex.replay}), which costs
+    more pivots than a warm start from its parent. *)
 val snapshot_budget : int
 
 (** [always_copying f] runs [f] with every warm-started child working
     on a copy of its parent's tableau, including the last child, which
-    otherwise takes the parent's rows without a copy. For tests that
+    otherwise (the root's excepted) takes the parent's rows without a
+    copy. For tests that
     check that consuming tableaus leaves the tree unchanged; it only
     affects solves on the calling domain. *)
 val always_copying : (unit -> 'a) -> 'a

@@ -156,8 +156,8 @@ type t = {
          guarded by [fm] *)
   fm : Mutex.t;
   fc : Condition.t;  (* broadcast when any flight completes *)
-  registry : (string, Instance.t * Fingerprint.t) Hashtbl.t;
-      (* by name; guarded by [im] *)
+  registry : (Instance.t * Fingerprint.t) Lru.t;
+      (* by name, at most [cache_capacity]; guarded by [im] *)
   texts : text_entry Lru.t;
       (* inline problems by their exact text, at most
          [cache_capacity]; guarded by [im] *)
@@ -191,7 +191,7 @@ let create ?(config = default_config) () =
     flights = ref [];
     fm = Mutex.create ();
     fc = Condition.create ();
-    registry = Hashtbl.create 16;
+    registry = Lru.create ~capacity:config.cache_capacity;
     texts = Lru.create ~capacity:config.cache_capacity;
     instances = Lru.create ~capacity:config.cache_capacity;
     im = Mutex.create ();
@@ -275,7 +275,7 @@ let register t ~name problem =
   let inst = Instance.compile problem in
   let fp = Fingerprint.of_instance inst in
   Mutex.protect t.im (fun () ->
-      Hashtbl.replace t.registry name (inst, fp);
+      Lru.replace t.registry name (inst, fp);
       Lru.replace t.instances (Fingerprint.digest fp) (inst, fp));
   fp
 
@@ -305,7 +305,7 @@ let shared_compile t ?scenario problem =
   | `Fresh -> (inst, inst, fp)
 
 let registered t ~what name =
-  match Mutex.protect t.im (fun () -> Hashtbl.find_opt t.registry name) with
+  match Mutex.protect t.im (fun () -> Lru.find t.registry name) with
   | None -> Result.Error (Printf.sprintf "%s: unknown ref %S" what name)
   | Some entry -> Result.Ok entry
 
@@ -853,7 +853,7 @@ let stats t =
           ("capacity", Json.Int (Audit.capacity t.audit));
         ] );
     ( "registered",
-      Json.Int (Mutex.protect t.im (fun () -> Hashtbl.length t.registry)) );
+      Json.Int (Mutex.protect t.im (fun () -> Lru.length t.registry)) );
     ("instances", Json.Int (Mutex.protect t.im (fun () -> Lru.length t.instances)));
     ("inline_texts", Json.Int (Mutex.protect t.im (fun () -> Lru.length t.texts)));
     ( "tracked",

@@ -56,10 +56,11 @@
     kept parse under that scenario only. A text that fails
     to parse is answered [Error "solve: Problem_format: ..."] under
     the request's id and trace id, and is not kept. Compiled
-    instances are deduped by fingerprint digest. The text table and
-    the digest table each hold at most [config.cache_capacity]
-    entries, least recently used out first; named registrations are
-    kept until replaced.
+    instances are deduped by fingerprint digest. The name registry,
+    the text table and the digest table each hold at most
+    [config.cache_capacity] entries, least recently used out first; a
+    solve on an evicted name answers [Error "solve: unknown ref ..."]
+    as if it had never been registered.
 
     {2 Autoscale sessions}
 
@@ -184,7 +185,8 @@ val config : t -> config
 val audit : t -> Audit.t
 
 (** [register t ~name problem] compiles [problem], stores it under
-    [name] (replacing any previous binding) and in the digest-keyed
+    [name] (replacing any previous binding; the least recently used
+    name makes room when the registry is full) and in the digest-keyed
     instance table, and returns its fingerprint. *)
 val register : t -> name:string -> Rentcost.Problem.t -> Fingerprint.t
 

@@ -696,7 +696,7 @@ let () =
       (milp_nodes, "Branch-and-bound nodes evaluated.");
       (milp_incumbents, "Incumbent improvements (warm starts included).");
       ( milp_warm_nodes,
-        "Branch-and-bound nodes re-solved from the parent's tableau." );
+        "Branch-and-bound nodes re-solved from the parent's or the root's tableau." );
       (heuristic_evals, "Cost-oracle evaluations by the heuristics.");
       (service_requests, "Solve requests admitted (sheds excluded).");
       (service_cache_hits, "Requests answered from the solution cache.");

@@ -317,8 +317,8 @@ val milp_nodes : string
 val milp_incumbents : string
 
 (** Branch-and-bound nodes {!Milp.Solver} solved warm, by dual simplex
-    from the parent's final tableau; the rest of [milp.nodes] solved
-    cold. *)
+    from the parent's final tableau or, past the snapshot budget, from
+    the root's; the rest of [milp.nodes] solved cold. *)
 val milp_warm_nodes : string
 
 (** Cost-oracle evaluations by {!Rentcost.Heuristics}. *)

@@ -54,12 +54,19 @@ let test_build_structure () =
   (* 3 rho vars + 4 x vars *)
   Alcotest.(check int) "vars" 7 (Lp.Model.num_vars model);
   Alcotest.(check int) "integer vars" 7 (List.length integer);
-  (* 1 throughput + 4 capacity rows, and no variable bound *)
+  (* 1 throughput + 4 capacity rows *)
   Alcotest.(check int) "constraints" 5 (Lp.Model.num_constraints model);
-  Alcotest.(check bool) "no variable bounds" false (Lp.Model.has_var_bounds model);
-  (match Lp.Model.bounds model 0 with
-   | lo, None -> Alcotest.(check string) "rho lower" "0" (Numeric.Rat.to_string lo)
-   | _ -> Alcotest.fail "rho should have no upper bound");
+  (* The root tableau has exactly those rows, over the 7 variables and
+     one slack per row, then the right-hand side: no bound rows. *)
+  (match Lp.Simplex.solve_with_snapshot model with
+   | _, Some snap ->
+     let rows, _ = Lp.Simplex.snapshot_rows snap in
+     Alcotest.(check int) "root tableau rows" 5 (Array.length rows);
+     Array.iter
+       (fun row ->
+         Alcotest.(check int) "root tableau columns" (7 + 5 + 1) (Array.length row))
+       rows
+   | _, None -> Alcotest.fail "the root keeps no snapshot");
   Alcotest.(check string) "rho name" "rho_0" (Lp.Model.var_name model 0);
   Alcotest.(check string) "x name" "x_0" (Lp.Model.var_name model 3)
 

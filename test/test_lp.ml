@@ -12,6 +12,9 @@ let ri = R.of_int
 
 let expr terms = L.of_terms (List.map (fun (v, n) -> (v, ri n)) terms)
 
+(* The row [x_v cmp b]: a model's only way to bound a variable. *)
+let bound m v cmp b = M.add_constraint m (L.var v) cmp b
+
 let check_rat msg expected actual =
   Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
 
@@ -78,7 +81,7 @@ let test_lp_equality () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
   M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Eq (ri 3);
-  M.add_upper_bound m x (ri 2);
+  bound m x M.Le (ri 2);
   M.set_objective m M.Minimize (expr [ (x, 2); (y, 1) ]);
   let sol = solve_opt m in
   check_rat "objective" (ri 3) sol.objective;
@@ -180,7 +183,7 @@ let test_model_copy_isolated () =
   M.add_constraint m (expr [ (x, 1) ]) M.Ge (ri 1);
   M.set_objective m M.Minimize (expr [ (x, 1) ]);
   let m2 = M.copy m in
-  M.add_upper_bound m2 x (ri 0);
+  bound m2 x M.Le (ri 0);
   (match S.solve m2 with
    | S.Infeasible -> ()
    | _ -> Alcotest.fail "copy: expected infeasible");
@@ -207,9 +210,9 @@ let test_constraint_constant_folding () =
   let sol = solve_opt m in
   check_rat "x capped at 2" (ri 2) sol.values.(x)
 
-(* --- variable bounds ---
+(* --- bound rows ---
 
-   Model variable bounds reach the simplex as bound rows. Each case runs
+   A model bounds a variable with a row [x_v cmp b]. Each case runs
    through both engines, which must agree bit-for-bit: the fast engine
    may not overflow on these small models. *)
 
@@ -238,21 +241,21 @@ let expect_infeasible m =
   | _ -> Alcotest.fail "expected infeasible"
 
 let test_upper_bound_binds () =
-  (* max x with x <= 7 as a variable bound: the optimum sits at it. *)
+  (* max x with x <= 7 as a bound row: the optimum sits at it. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
-  M.tighten_upper m x (ri 7);
+  bound m x M.Le (ri 7);
   M.set_objective m M.Maximize (expr [ (x, 1) ]);
   let sol = solve_both_opt m in
   check_rat "x = 7" (ri 7) sol.values.(x);
   check_rat "objective" (ri 7) sol.objective
 
 let test_lower_bound_shifts () =
-  (* min x + y, x >= 3 (variable bound), x + y >= 5. *)
+  (* min x + y, x >= 3 (bound row), x + y >= 5. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.tighten_lower m x (ri 3);
   M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 5);
+  bound m x M.Ge (ri 3);
   M.set_objective m M.Minimize (expr [ (x, 1); (y, 1) ]);
   let sol = solve_both_opt m in
   check_rat "objective 5" (ri 5) sol.objective;
@@ -261,8 +264,8 @@ let test_lower_bound_shifts () =
 let test_crossing_bounds_infeasible () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
-  M.tighten_lower m x (ri 5);
-  M.tighten_upper m x (ri 3);
+  bound m x M.Ge (ri 5);
+  bound m x M.Le (ri 3);
   M.set_objective m M.Minimize (expr [ (x, 1) ]);
   expect_infeasible m
 
@@ -270,9 +273,9 @@ let test_fixed_variable () =
   (* x fixed at 4 by equal bounds; min y with y >= 10 - x. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.tighten_lower m x (ri 4);
-  M.tighten_upper m x (ri 4);
   M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Ge (ri 10);
+  bound m x M.Ge (ri 4);
+  bound m x M.Le (ri 4);
   M.set_objective m M.Minimize (expr [ (y, 1) ]);
   let sol = solve_both_opt m in
   check_rat "x pinned" (ri 4) sol.values.(x);
@@ -282,8 +285,8 @@ let test_bounds_with_infeasible_rows () =
   (* Bounds satisfiable but rows not. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
-  M.tighten_upper m x (ri 2);
   M.add_constraint m (expr [ (x, 1) ]) M.Ge (ri 5);
+  bound m x M.Le (ri 2);
   M.set_objective m M.Minimize (expr [ (x, 1) ]);
   expect_infeasible m
 
@@ -295,15 +298,15 @@ let test_unbounded_then_capped () =
    | S.Unbounded -> ()
    | _ -> Alcotest.fail "expected unbounded");
   (* The same objective with an upper bound is bounded. *)
-  M.tighten_upper m x (ri 9);
+  bound m x M.Le (ri 9);
   check_rat "capped" (ri 9) (solve_both_opt m).objective
 
 let test_eq_rows_with_bounds () =
   (* Equality rows take phase-1 artificials; a bound decides the split. *)
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.tighten_upper m x (ri 4);
   M.add_constraint m (expr [ (x, 1); (y, 1) ]) M.Eq (ri 6);
+  bound m x M.Le (ri 4);
   M.set_objective m M.Minimize (expr [ (y, 1) ]);
   let sol = solve_both_opt m in
   check_rat "x at its cap" (ri 4) sol.values.(x);
@@ -320,7 +323,7 @@ let test_negative_rhs_with_bounds () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
   M.add_constraint m (expr [ (x, 1); (y, -1) ]) M.Le (ri (-2));
-  M.tighten_upper m y (ri 10);
+  bound m y M.Le (ri 10);
   M.set_objective m M.Maximize (expr [ (x, 1) ]);
   (* y <= 10 and y >= x + 2 force x <= 8. *)
   check_rat "objective 8" (ri 8) (solve_both_opt m).objective
@@ -380,7 +383,7 @@ let props =
         | S.Optimal a, S.Optimal b -> R.equal a.objective b.objective
         | _ -> false) ]
 
-(* Random models with mixed row senses, signed data and variable bounds,
+(* Random models with mixed row senses, signed data and bound rows,
    through both engines. *)
 let bounded_gen =
   QCheck2.Gen.(
@@ -401,13 +404,6 @@ let build_bounded
   let senses = Array.of_list senses in
   let m = M.create () in
   let vars = Array.init nvars (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
-  Array.iteri
-    (fun i v ->
-      M.tighten_lower m v (ri lowers.(i mod 4));
-      match uppers.(i mod 4) with
-      | Some u -> M.tighten_upper m v (ri u)
-      | None -> ())
-    vars;
   for row = 0 to nrows - 1 do
     let terms =
       Array.to_list
@@ -416,6 +412,13 @@ let build_bounded
     let cmp = match senses.(row mod 4) with 0 -> M.Ge | 1 -> M.Le | _ -> M.Eq in
     M.add_constraint m (L.of_terms terms) cmp (ri rhs.(row mod 4))
   done;
+  (* Each variable's bounds after the rows, a zero lower bound left
+     out. *)
+  Array.iteri
+    (fun i v ->
+      if lowers.(i mod 4) > 0 then bound m v M.Ge (ri lowers.(i mod 4));
+      Option.iter (fun u -> bound m v M.Le (ri u)) uppers.(i mod 4))
+    vars;
   M.set_objective m
     (if maximize then M.Maximize else M.Minimize)
     (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, ri coeffs.(i mod 16))) vars)));

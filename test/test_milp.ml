@@ -392,7 +392,7 @@ let build_cover_mip ((nv, nc), (coeffs, (costs, rhs))) =
   (* The brute-force box is implied: x_i <= 12 suffices since rhs <= 12
      and any positive coefficient is >= 1; add it to the model so both
      searches range over the same space. *)
-  Array.iter (fun v -> M.add_upper_bound m v (ri 12)) vars;
+  Array.iter (fun v -> M.add_constraint m (L.var v) M.Le (ri 12)) vars;
   M.set_objective m M.Minimize
     (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, ri costs.(i))) vars)));
   (m, Array.to_list vars, costs, rows, rhs)

@@ -198,7 +198,7 @@ let test_driver_falls_back_on_huge_costs () =
   row [ 3808; 3247; 3671 ] 1910;
   row [ 3820; 2; 1 ] 3159;
   row [ 3923; 1; 3559 ] 2203;
-  Array.iter (fun x -> M.tighten_upper m x (ri 50)) xs;
+  Array.iter (fun x -> M.add_constraint m (L.var x) M.Le (ri 50)) xs;
   M.set_objective m M.Minimize
     (L.of_terms [ (xs.(0), ri 3); (xs.(1), ri 2); (xs.(2), ri 8) ]);
   Alcotest.(check bool) "root fits the fast range" true

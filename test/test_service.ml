@@ -398,6 +398,33 @@ let test_inline_text_table_bound () =
   Alcotest.(check int) "still at capacity" capacity (stat e "inline_texts");
   Alcotest.(check int) "instances still at capacity" capacity (stat e "instances")
 
+(* The name registry holds at most [cache_capacity] names too: a
+   daemon that registers endless names keeps the latest, and a solve
+   on an evicted name answers the unknown-ref error. *)
+let test_registry_bound () =
+  let capacity = 3 in
+  let e = E.create ~config:{ E.default_config with E.cache_capacity = capacity } () in
+  let problem i =
+    P.create
+      (PF.of_list [ (5 + i, 10); (8, 20); (11, 30) ])
+      (recipes [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ])
+  in
+  let name i = Printf.sprintf "app%d" i in
+  for i = 0 to (3 * capacity) - 1 do
+    ignore (E.register e ~name:(name i) (problem i));
+    Alcotest.(check int)
+      (Printf.sprintf "registered after %d names" (i + 1))
+      (Int.min (i + 1) capacity) (stat e "registered")
+  done;
+  (match E.handle e (solve_req ~source:(Pr.Ref (name 0)) 50) with
+   | [ Pr.Error { message; _ } ] ->
+     Alcotest.(check string) "an evicted name is unknown"
+       "solve: unknown ref \"app0\"" message
+   | _ -> Alcotest.fail "expected the unknown-ref error");
+  match E.handle e (solve_req ~source:(Pr.Ref (name ((3 * capacity) - 1))) 50) with
+  | [ Pr.Solved _ ] -> ()
+  | _ -> Alcotest.fail "the latest name must still solve"
+
 (* A text first seen under another scenario is compiled under that
    scenario alone; the default-scenario instance is compiled when a
    default request first needs it, and each answers as a fresh engine
@@ -1589,6 +1616,8 @@ let suite =
         test_inline_text_memo;
       Alcotest.test_case "inline text: tables bounded by cache capacity" `Quick
         test_inline_text_table_bound;
+      Alcotest.test_case "registry bounded by cache capacity" `Quick
+        test_registry_bound;
       Alcotest.test_case "inline text: a scenario miss compiles once" `Quick
         test_inline_text_scenario_miss;
       Alcotest.test_case "admission sheds at the door" `Quick

@@ -1,9 +1,10 @@
-(* The branch-and-bound warm start. [Lp.Simplex.reoptimize] must agree
-   with a cold [Lp.Simplex.solve] of the same child LP: the same result,
-   the same exact objective, and a point feasible for the child. Then
-   the warm tree of [Milp.Solver], end to end: against the exhaustive
-   oracle, and past the snapshot word budget, where children fall back
-   to cold solves. *)
+(* The branch-and-bound warm start. [Lp.Simplex.reoptimize] and
+   [Lp.Simplex.replay] must agree with a cold [Lp.Simplex.solve] of the
+   same child LP, its bounds as rows: the same result, the same exact
+   objective, and a point feasible for the child. Then the warm tree of
+   [Milp.Solver], end to end: against the exhaustive oracle, and past
+   the snapshot word budget, where children replay their paths on the
+   root's tableau. *)
 
 module R = Numeric.Rat
 module L = Lp.Linexpr
@@ -16,23 +17,16 @@ let expr terms = L.of_terms (List.map (fun (v, n) -> (v, ri n)) terms)
 let check_rat msg expected actual =
   Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
 
-(* [m] with one more variable bound. *)
+(* The row [x_v <= b] ([Upper]) or [x_v >= b] ([Lower]). *)
+let bound_row m v dir b =
+  let cmp = match dir with S.Upper -> M.Le | S.Lower -> M.Ge in
+  M.add_constraint m (L.var v) cmp b
+
+(* [m] with one more bound, as a row. *)
 let child m v dir b =
   let c = M.copy m in
-  (match dir with
-   | S.Upper -> M.tighten_upper c v b
-   | S.Lower -> M.tighten_lower c v b);
+  bound_row c v dir b;
   c
-
-let within_bounds m values =
-  let ok = ref true in
-  Array.iteri
-    (fun v x ->
-      let lo, up = M.bounds m v in
-      if R.compare x lo < 0 then ok := false;
-      match up with Some u when R.compare x u > 0 -> ok := false | _ -> ())
-    values;
-  !ok
 
 (* A finite float as the exact rational it is. *)
 let rat_of_float f =
@@ -50,7 +44,8 @@ let interval_holds (r : S.relaxation) =
   && (hi = infinity || R.compare x (rat_of_float hi) <= 0)
 
 (* A warm answer for [m] agrees with a cold solve of [m], and its
-   objective interval holds its exact objective. *)
+   objective interval holds its exact objective. [m]'s bounds are
+   rows, so [check_feasible] checks them. *)
 let agrees m warm =
   match (warm, S.solve m) with
   | S.Optimal r, S.Optimal c ->
@@ -58,7 +53,6 @@ let agrees m warm =
     interval_holds r
     && R.equal w.S.objective c.S.objective
     && M.check_feasible m w.S.values
-    && within_bounds m w.S.values
   | S.Infeasible, S.Infeasible -> true
   | _ -> false
 
@@ -147,16 +141,16 @@ let test_siblings_share_snapshot () =
     ignore (check_child "x >= 2" m snap x S.Lower (ri 2))
   done
 
-(* Only an owning call may change a snapshot. [x] also has model
-   bounds, which are rows of the snapshot, and the branch bounds
+(* Only an owning call may change a snapshot. [x] also has bound rows
+   in the model, which are rows of the snapshot, and the branch bounds
    tighten its column. The Upper and Lower children, in both orders,
    must each agree with a cold solve, which they cannot if an earlier
    call changed the snapshot; then an owning call agrees too, and its
    result took the snapshot's rows instead of copying them. *)
 let test_non_owning_leaves_snapshot () =
   let m, x, _, _ = parent_model () in
-  M.tighten_upper m x (ri 2);
-  M.tighten_lower m x R.one;
+  bound_row m x S.Upper (ri 2);
+  bound_row m x S.Lower R.one;
   let _, snap = snapshot_of m in
   let rows s = fst (S.snapshot_rows s) in
   let copied label (_, warm) =
@@ -180,7 +174,7 @@ let test_non_owning_leaves_snapshot () =
 
 (* A chain of bounds, each warm from the last child, each checked
    against a cold solve and keeping the root's rows. [x] also has a
-   model bound row, which stays a row; the branch bounds are column
+   bound row in the model, which stays a row; the branch bounds are column
    bounds. A bound on a basic variable lets the dual simplex move it
    out at that bound; a bound on a nonbasic one moves it at once,
    also from its upper bound; a looser bound than the column's own
@@ -189,7 +183,7 @@ let test_non_owning_leaves_snapshot () =
    point: a nonbasic variable sits at one of its bounds. *)
 let test_bound_chain () =
   let m, x, y, z = parent_model () in
-  M.tighten_upper m x (ri 2);
+  bound_row m x S.Upper (ri 2);
   let steps =
     [ ("x <= 1 (basic, leaves at its upper bound)", x, S.Upper, R.one, true,
        R.of_ints 5 3);
@@ -257,7 +251,8 @@ let warm_agrees_twice m =
    integral and fractional bounds, looser ones, and variables that are
    basic or nonbasic at either bound (an Upper bound that a basic
    variable leaves at, named again). Every child must agree with a
-   cold solve of its model and keep the root's row count. *)
+   cold solve of its model and keep the root's row count, and so must
+   the whole path so far replayed at once on the root's snapshot. *)
 let chain_gen =
   QCheck2.Gen.(
     pair Test_lp.bounded_gen
@@ -276,23 +271,32 @@ let chain_bound kind x =
 let warm_chain_agrees (input, steps) =
   let m = Test_lp.build_bounded input in
   match S.solve_with_snapshot m with
-  | S.Optimal r, Some snap ->
+  | S.Optimal r, Some root ->
     let sol = S.solution_of r in
-    let n = M.num_vars m and rows = row_count snap in
-    let rec go m snap (sol : S.solution) last = function
+    let n = M.num_vars m and rows = row_count root in
+    let replayed c path =
+      match S.replay root path with
+      | exception Numeric.Kernel.Overflow -> true
+      | (S.Optimal _ as replay), Some rsnap ->
+        agrees c replay && row_count rsnap = rows
+      | replay, _ -> agrees c replay
+    in
+    let rec go m snap (sol : S.solution) path last = function
       | [] -> true
       | (offset, kind) :: rest -> (
         let v = if offset = 0 then last else (last + offset) mod n in
         let dir, b = chain_bound kind sol.S.values.(v) in
-        let c = child m v dir b in
+        let c = child m v dir b and path = (v, dir, b) :: path in
+        replayed c path
+        &&
         match S.reoptimize snap ~var:v ~dir ~bound:b with
         | exception Numeric.Kernel.Overflow -> true
         | (S.Optimal cr, Some csnap) as warm ->
           agrees c (fst warm) && row_count csnap = rows
-          && go c csnap (S.solution_of cr) v rest
+          && go c csnap (S.solution_of cr) path v rest
         | warm, _ -> agrees c warm)
     in
-    go m snap sol 0 steps
+    go m root sol [] 0 steps
   | _ -> true
 
 let reoptimize_props =
@@ -541,9 +545,9 @@ let test_snapshot_words_cover_heap () =
 
 (* Three recipes of 40 tasks over 100 types: every snapshot (int rows,
    basis and column bounds) is about 21k words, so some hundred open
-   tableaus fill the 2M-word budget and later children solve cold.
-   The optimum must not care, and the exhaustive oracle (three
-   recipes) is cheap. *)
+   tableaus fill the 2M-word budget and later children replay their
+   paths on the root's tableau. The optimum must not care, and the
+   exhaustive oracle (three recipes) is cheap. *)
 let wide_problem () =
   let rng = Numeric.Prng.create 16 in
   let q = 100 in
@@ -563,20 +567,44 @@ let wide_problem () =
   let r2 = recipe () in
   Rentcost.Problem.create (Rentcost.Platform.of_list machines) [| r0; r1; r2 |]
 
+(* [f ()] with a count of its [lp.simplex] spans: those replayed on the
+   root's tableau, and the cold ones (no [lp.start]). *)
+let counting_starts f =
+  let replayed = ref 0 and cold = ref 0 in
+  Telemetry.Span.set_sink
+    (Some
+       (fun s ->
+         if s.Telemetry.Span.name = "lp.simplex" then
+           match List.assoc_opt "lp.start" s.Telemetry.Span.attrs with
+           | Some "replay" -> incr replayed
+           | Some _ -> ()
+           | None -> incr cold));
+  Fun.protect
+    ~finally:(fun () -> Telemetry.Span.set_sink None)
+    (fun () ->
+      let x = f () in
+      (x, !replayed, !cold))
+
 (* The budget is a property of the branch and bound, not of the ILP's
    branching order, so the tree is driven directly: the ILP's model
    with the splits branched first and no rounding keeps it wide enough
-   to fill the budget. *)
+   to fill the budget. Past it, children replay on the root's tableau,
+   so no node but the root solves cold; the tree solved the children
+   past the budget cold before, in 159,176 pivots, and the replays must
+   keep to a third of that. *)
 let test_snapshot_budget () =
   let instance = Rentcost.Instance.compile (wide_problem ()) and target = 17 in
   let m, integer = Rentcost.Ilp.model instance ~target in
   let j_count = Rentcost.Instance.num_recipes instance in
   let rho, x = List.partition (fun v -> v < j_count) integer in
-  let o, warm, fast, fallbacks =
-    counting (fun () ->
-        Milp.Solver.solve ~integral_objective:true ~priority:[ rho; x ] m
-          ~integer)
+  let pivots0 = Telemetry.value Telemetry.lp_pivots in
+  let (o, warm, fast, fallbacks), replayed, cold =
+    counting_starts (fun () ->
+        counting (fun () ->
+            Milp.Solver.solve ~integral_objective:true ~priority:[ rho; x ] m
+              ~integer))
   in
+  let pivots = Telemetry.value Telemetry.lp_pivots - pivots0 in
   let nodes = o.Milp.Solver.nodes in
   Alcotest.(check bool) "proved optimal" true
     (o.Milp.Solver.status = Milp.Solver.Optimal);
@@ -585,13 +613,20 @@ let test_snapshot_budget () =
     (Option.get o.Milp.Solver.solution).Milp.Solver.objective;
   Alcotest.(check int) "no fallback" 0 fallbacks;
   Alcotest.(check int) "one relaxation per node" nodes fast;
+  Alcotest.(check int) "every node but the root warm" (nodes - 1) warm;
   Alcotest.(check bool)
-    (Printf.sprintf "warm children (%d of %d nodes)" warm nodes)
-    true (warm > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "cold children past the budget (%d)" (nodes - 1 - warm))
+    (Printf.sprintf "warm children from a parent's tableau (%d of %d nodes)"
+       (warm - replayed) nodes)
     true
-    (nodes - 1 - warm > 0);
+    (warm - replayed > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "children replayed from the root past the budget (%d)"
+       replayed)
+    true (replayed > 0);
+  Alcotest.(check int) "one cold lp.simplex span: the root" 1 cold;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d pivots, at most 53,058" pivots)
+    true (pivots <= 53_058);
   (* The budget binds: the peak came within one snapshot of it. *)
   let one =
     match S.solve_with_snapshot m with
@@ -623,7 +658,7 @@ let suite =
       Alcotest.test_case "chain of bounds" `Quick test_bound_chain;
       Alcotest.test_case "snapshot words cover the heap" `Quick
         test_snapshot_words_cover_heap;
-      Alcotest.test_case "snapshot budget: warm and cold children" `Quick
+      Alcotest.test_case "snapshot budget: warm and replayed children" `Quick
         test_snapshot_budget;
       Alcotest.test_case "separated intervals decide alone" `Quick
         test_intervals_decide_alone ]
