@@ -237,6 +237,52 @@ let fixed digits x =
 
 let quotient a b = a /. Float.max b 1e-9
 
+(* Best-of-[reps] over [inner]-call batches, per-call seconds. Same
+   best-of discipline as the observability split: the minimum is the
+   honest "how fast can this go" number. *)
+let best_of_seconds ~reps ~inner f =
+  ignore (Sys.opaque_identity (f ()));
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to inner do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best /. float_of_int inner
+
+(* Words allocated by one call of [f], after a first call has warmed
+   it up. Promoted words are counted in the minor heap already, so
+   they are taken out of the major-heap growth. *)
+let allocated_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  let minor1 = Gc.minor_words () in
+  let _, promoted1, major1 = Gc.counters () in
+  int_of_float
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* A small (fig3) and a medium (fig6) problem from a pinned seed, the
+   sizes perfbench's paper-sweep sends. Counts measured on them do not
+   follow RENTCOST_BENCH_SEED and are gated exactly. *)
+let wire_seed = 2016
+
+let pinned_problems =
+  lazy
+    (let rng = P.create wire_seed in
+     let generate id =
+       let preset = Option.get (Cloudsim.Experiments.find id) in
+       G.problem ~rng preset.Cloudsim.Experiments.graphs
+         preset.Cloudsim.Experiments.cloud
+     in
+     let small = generate "fig3" in
+     let medium = generate "fig6" in
+     (small, medium))
+
 (* --- BENCH_solver.json: machine-readable per-engine record --- *)
 
 type engine_row = {
@@ -277,7 +323,8 @@ let engine_rows () =
 
 (* Incremental-vs-scratch oracle throughput on the large workload: the
    headline number for the compiled-instance layer. Both sides price
-   the same neighbour moves of rho = (5,…,5). *)
+   the same neighbour moves of rho = (5,…,5), the incremental side
+   with [Oracle.price], as the heuristics do. *)
 let oracle_throughput ~evals =
   let inst = Lazy.force large_instance in
   let problem = I.problem inst in
@@ -288,9 +335,7 @@ let oracle_throughput ~evals =
   let t0 = Unix.gettimeofday () in
   let acc = ref 0 in
   for i = 0 to evals - 1 do
-    I.Oracle.apply o ~j:(i mod j_compact) ~drho:1;
-    acc := !acc + I.Oracle.cost o;
-    I.Oracle.undo o
+    acc := !acc + I.Oracle.price o ~j:(i mod j_compact) ~drho:1
   done;
   let dt_inc = Unix.gettimeofday () -. t0 in
   let scratch_evals = max 1 (evals / 50) in
@@ -308,8 +353,63 @@ let oracle_throughput ~evals =
   let scratch_rate = float_of_int scratch_evals /. Float.max dt_scratch 1e-9 in
   (inc_rate, scratch_rate)
 
+(* The § VI search layer on its own: H2, H31, H32 and H32Jump with the
+   default parameters on the pinned fig3 and fig6 problems at two
+   targets, with the kill switch on so that nothing but the search
+   runs. Evaluations, cost and the words one run allocates are
+   deterministic, so they are gated exactly against the committed
+   file: a probe that moves and reverts, or allocates per evaluation,
+   shows as a count. Microseconds per run are recorded only. *)
+let heuristic_targets = [ 60; 140 ]
+
+let heuristic_names = [ H.H2; H.H31; H.H32; H.H32_jump ]
+
+type heuristic_row = {
+  hr_name : string;
+  hr_evaluations : int;
+  hr_cost : int;
+  hr_words : int;
+  hr_us : float;
+}
+
+(* The fields gated exactly, with this run's values. *)
+let heuristic_gated r =
+  [ ("evaluations", r.hr_evaluations); ("cost", r.hr_cost);
+    ("minor_words", r.hr_words) ]
+
+let heuristic_rows () =
+  let small, medium = Lazy.force pinned_problems in
+  Telemetry.set_enabled false;
+  let rows =
+    List.concat_map
+      (fun (label, problem) ->
+        let inst = I.compile problem in
+        List.concat_map
+          (fun target ->
+            List.map
+              (fun name ->
+                let run () =
+                  H.search ~rng:(P.create wire_seed) name inst ~target
+                in
+                let r = run () in
+                { hr_name =
+                    Printf.sprintf "%s_%s_rho%d"
+                      (String.lowercase_ascii (H.name_to_string name))
+                      label target;
+                  hr_evaluations = r.H.evaluations;
+                  hr_cost = r.H.allocation.Rentcost.Allocation.cost;
+                  hr_words = allocated_words run;
+                  hr_us = 1e6 *. best_of_seconds ~reps:5 ~inner:5 run })
+              heuristic_names)
+          heuristic_targets)
+      [ ("fig3", small); ("fig6", medium) ]
+  in
+  Telemetry.set_enabled true;
+  rows
+
 let emit_solver () =
   let rows = engine_rows () in
+  let heuristics = heuristic_rows () in
   let inc_rate, scratch_rate = oracle_throughput ~evals:20_000 in
   let row_json r =
     let t = r.row_telemetry in
@@ -327,8 +427,21 @@ let emit_solver () =
         J.Obj
           [ ("incremental_evals_per_sec", fixed 1 inc_rate);
             ("scratch_evals_per_sec", fixed 1 scratch_rate);
-            ("speedup", fixed 2 (quotient inc_rate scratch_rate)) ] ) ];
-  rows
+            ("speedup", fixed 2 (quotient inc_rate scratch_rate)) ] );
+      ( "heuristics",
+        J.Obj
+          [ ("seed", J.Int wire_seed); ("telemetry", J.Bool false);
+            ( "runs",
+              J.List
+                (List.map
+                   (fun r ->
+                     J.Obj
+                       ((("name", J.String r.hr_name)
+                        :: List.map (fun (k, v) -> (k, J.Int v))
+                             (heuristic_gated r))
+                       @ [ ("us", fixed 1 r.hr_us) ]))
+                   heuristics) ) ] ) ];
+  (rows, heuristics)
 
 (* --- BENCH_observability.json: instrumentation overhead on the
    heuristic hot path --- *)
@@ -586,22 +699,6 @@ let emit_scenarios () =
   r
 
 (* --- BENCH_numeric.json: fast-path speedup and fallback count --- *)
-
-(* Best-of-[reps] over [inner]-call batches, per-call seconds. Same
-   best-of discipline as the observability split: the minimum is the
-   honest "how fast can this go" number. *)
-let best_of_seconds ~reps ~inner f =
-  ignore (Sys.opaque_identity (f ()));
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to inner do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best /. float_of_int inner
 
 let lp_result_identical a b =
   match (a, b) with
@@ -877,8 +974,6 @@ let committed_paper_counts path =
    seed, so the counts do not follow RENTCOST_BENCH_SEED and are gated
    exactly. *)
 
-let wire_seed = 2016
-
 let ci_pricebook =
   {|pricebook version 1
 book us-east
@@ -903,19 +998,6 @@ book ap-spot
   tier spot 60
 |}
 
-(* Words allocated by one call of [f], after a first call has warmed
-   it up. Promoted words are counted in the minor heap already, so
-   they are taken out of the major-heap growth. *)
-let allocated_words f =
-  ignore (Sys.opaque_identity (f ()));
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  int_of_float
-    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-
 (* The same decodes before the single-pass scanners, measured with
    this code on the per-byte JSON string decoder and the line-splitting
    problem and price-book parsers (OCaml 5.1.1, no flambda);
@@ -933,14 +1015,7 @@ let wire_share name =
   else (2, 5)
 
 let wire_counts () =
-  let rng = P.create wire_seed in
-  let generate id =
-    let preset = Option.get (Cloudsim.Experiments.find id) in
-    G.problem ~rng preset.Cloudsim.Experiments.graphs
-      preset.Cloudsim.Experiments.cloud
-  in
-  let small = generate "fig3" in
-  let medium = generate "fig6" in
+  let small, medium = Lazy.force pinned_problems in
   let inline_solve ?(spec = S.Auto) name problem =
     Svc.Protocol.Solve
       { id = Some 1; trace_id = Some name; tenant = None;
@@ -1109,7 +1184,39 @@ let smoke () =
       Printf.printf "FAIL %s\n" name
     end
   in
-  let rows = emit_solver () in
+  let committed_solver = committed "BENCH_solver.json" in
+  let rows, heuristics = emit_solver () in
+  (* The heuristic layer's counts are gated exactly against the
+     committed file (its problems and seed are pinned, whatever the
+     root seed). *)
+  let committed_run name =
+    match committed_solver with
+    | None -> None
+    | Some (_, json) -> (
+      match
+        Option.bind (Svc.Json.member "heuristics" json) (Svc.Json.member "runs")
+      with
+      | Some (J.List runs) ->
+        List.find_opt
+          (fun r -> Svc.Json.get_string "name" r = Some name)
+          runs
+      | _ -> None)
+  in
+  List.iter
+    (fun r ->
+      let run = committed_run r.hr_name in
+      List.iter
+        (fun (field, value) ->
+          let c = Option.bind run (Svc.Json.get_int field) in
+          check
+            (Printf.sprintf
+               "heuristics %s %s matches the committed BENCH_solver.json (%d; \
+                committed %s)"
+               r.hr_name field value
+               (Option.fold ~none:"none" ~some:string_of_int c))
+            (c = Some value))
+        (heuristic_gated r))
+    heuristics;
   let cost_of name =
     (List.find (fun r -> r.row_name = name) rows).row_cost
   in
@@ -1134,7 +1241,7 @@ let smoke () =
     [ ("smoke_blackbox", blackbox_instance, S.Dp_blackbox);
       ("smoke_disjoint", disjoint_instance, S.Dp_disjoint) ];
   (* Incremental oracle vs scratch repricing on the illustrating
-     instance, including after undo. *)
+     instance, including after inverse applies. *)
   let inst = Lazy.force illustrating_instance in
   let o = I.Oracle.create inst in
   let j_count = I.num_recipes inst in
@@ -1151,8 +1258,8 @@ let smoke () =
       (I.Oracle.cost o = scratch ())
   done;
   for j = j_count - 1 downto 0 do
-    I.Oracle.undo o;
-    check (Printf.sprintf "oracle matches scratch after undo %d" j)
+    I.Oracle.apply o ~j ~drho:(-2 * (j + 1));
+    check (Printf.sprintf "oracle matches scratch after inverse apply %d" j)
       (I.Oracle.cost o = scratch ())
   done;
   (* Observability: the kill switch must freeze every instrument, and

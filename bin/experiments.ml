@@ -25,13 +25,16 @@ let run_preset preset ~configs ~seed ~time_limit ~csv ~quiet =
   let ms =
     Cloudsim.Experiments.run ~configs ~seed ?time_limit ~progress preset
   in
-  let series =
+  (* Figure 5's heuristics run in microseconds; Figure 8's capped ILP
+     runs for seconds. *)
+  let series, decimals =
     match preset.Cloudsim.Experiments.id with
-    | "fig4" -> Cloudsim.Stats.best_counts ms
-    | "fig5" | "fig8" -> Cloudsim.Stats.mean_times ms
-    | _ -> Cloudsim.Stats.normalized_cost ms
+    | "fig4" -> (Cloudsim.Stats.best_counts ms, None)
+    | "fig5" -> (Cloudsim.Stats.mean_times ~microseconds:true ms, Some 1)
+    | "fig8" -> (Cloudsim.Stats.mean_times ms, None)
+    | _ -> (Cloudsim.Stats.normalized_cost ms, None)
   in
-  Cloudsim.Report.print_series Format.std_formatter
+  Cloudsim.Report.print_series ?decimals Format.std_formatter
     ~title:(Cloudsim.Experiments.title ?time_limit ~configs ~seed preset)
     series;
   (* The companion statistics the paper discusses alongside each plot. *)

@@ -1,4 +1,4 @@
-let print_series fmt ~title (s : Stats.series) =
+let print_series ?(decimals = 4) fmt ~title (s : Stats.series) =
   Format.fprintf fmt "@[<v>== %s ==@,(%s)@," title s.Stats.ylabel;
   let width = 12 in
   Format.fprintf fmt "%8s" "target";
@@ -7,7 +7,7 @@ let print_series fmt ~title (s : Stats.series) =
   List.iter
     (fun (target, values) ->
       Format.fprintf fmt "%8d" target;
-      Array.iter (fun v -> Format.fprintf fmt " %*.4f" width v) values;
+      Array.iter (fun v -> Format.fprintf fmt " %*.*f" width decimals v) values;
       Format.fprintf fmt "@,")
     s.Stats.rows;
   Format.fprintf fmt "@]@."

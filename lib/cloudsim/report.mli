@@ -2,8 +2,10 @@
     harness prints) and CSV (for external plotting). *)
 
 (** [print_series fmt ~title s] renders a {!Stats.series} as an
-    aligned table with one row per target. *)
-val print_series : Format.formatter -> title:string -> Stats.series -> unit
+    aligned table with one row per target, values to [decimals]
+    places (default 4). *)
+val print_series :
+  ?decimals:int -> Format.formatter -> title:string -> Stats.series -> unit
 
 (** [series_to_csv s] is a CSV rendering with header
     [target,<alg>,...]. *)

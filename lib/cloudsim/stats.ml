@@ -99,10 +99,14 @@ let best_counts ms =
       in
       float_of_int count)
 
-let mean_times ms =
-  aggregate ~ylabel:"mean time (s)" ms
+let mean_times ?(microseconds = false) ms =
+  let scale, ylabel =
+    if microseconds then (1e6, "mean time (us)") else (1., "mean time (s)")
+  in
+  aggregate ~ylabel ms
     (fun ~tbl ~configs ~algorithms:_ ~target ~alg ->
-      mean
+      scale
+      *. mean
         (List.filter_map
            (fun config ->
              Option.map

@@ -26,8 +26,8 @@ val normalized_cost : Runner.measurement list -> series
 val best_counts : Runner.measurement list -> series
 
 (** [mean_times ms] is Figures 5/8: per target, the mean wall-clock
-    seconds per algorithm. *)
-val mean_times : Runner.measurement list -> series
+    seconds per algorithm ([~microseconds:true]: microseconds). *)
+val mean_times : ?microseconds:bool -> Runner.measurement list -> series
 
 (** [mean_gap_vs_reference ms ~reference] is, per target, the mean of
     [cost_alg / cost_reference - 1] (a cost overhead ratio); used in

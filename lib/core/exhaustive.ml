@@ -3,23 +3,19 @@ let run instance ~target =
   let j_count = Instance.num_recipes instance in
   let o = Instance.Oracle.create instance in
   let best_cost = ref max_int and best_rho = ref [||] in
-  let consider () =
-    let c = Instance.Oracle.cost o in
-    if c < !best_cost then begin
-      best_cost := c;
-      best_rho := Instance.Oracle.rho o
-    end
-  in
   (* Enumerate compositions over the (dominance-pruned) compact recipe
      space: assign to recipe j any amount of what is left, the last
-     recipe takes the remainder. Each unit assigned is one O(|supp|)
-     incremental re-price; applies and undos are strictly balanced, so
-     the oracle log stays bounded by the recursion depth. *)
+     recipe takes the remainder, priced without a move. Each unit
+     assigned is one O(|supp|) incremental re-price, and one negative
+     apply restores a level exactly. *)
   let rec go j remaining =
     if j = j_count - 1 then begin
-      Instance.Oracle.apply o ~j ~drho:remaining;
-      consider ();
-      Instance.Oracle.undo o
+      let c = Instance.Oracle.price o ~j ~drho:remaining in
+      if c < !best_cost then begin
+        best_cost := c;
+        best_rho := Instance.Oracle.rho o;
+        !best_rho.(j) <- remaining
+      end
     end
     else begin
       go (j + 1) remaining;
@@ -27,9 +23,7 @@ let run instance ~target =
         Instance.Oracle.apply o ~j ~drho:1;
         go (j + 1) (remaining - v)
       done;
-      for _ = 1 to remaining do
-        Instance.Oracle.undo o
-      done
+      Instance.Oracle.apply o ~j ~drho:(-remaining)
     end
   in
   go 0 target;

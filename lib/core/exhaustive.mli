@@ -9,7 +9,8 @@
     into [J] non-negative parts and returns a cheapest allocation.
     Enumeration runs over the dominance-pruned compact recipe space,
     pricing each assigned unit incrementally with
-    {!Instance.Oracle.apply} — pruning never changes the optimal cost
+    {!Instance.Oracle.apply} and each complete split with
+    {!Instance.Oracle.price} — pruning never changes the optimal cost
     (see {!Instance}).
     @raise Invalid_argument when [target < 0]. *)
 val run : Instance.t -> target:int -> Allocation.t

@@ -90,9 +90,7 @@ let stopped oracle =
        true
      end
 
-let note_eval oracle =
-  oracle.evals <- oracle.evals + 1;
-  Telemetry.Effort.evaluation ()
+let note_eval oracle = oracle.evals <- oracle.evals + 1
 
 (* Price the oracle's current point: one evaluation, O(1) — the
    incremental state was already re-priced by the applies. *)
@@ -100,7 +98,11 @@ let current_cost oracle =
   note_eval oracle;
   Instance.Oracle.cost oracle.state
 
+(* The run's evaluations reach telemetry once, here: per-evaluation
+   bumps would cost an atomic and a domain-local lookup on the hottest
+   loop. *)
 let finish oracle =
+  Telemetry.Effort.evaluations oracle.evals;
   { allocation = Instance.Oracle.allocation oracle.state;
     evaluations = oracle.evals;
     exhausted = oracle.exhausted }
@@ -129,19 +131,15 @@ let sample_block ~name oracle ~iter ~block_start =
     block_start := t
   end
 
-(* Move δ units from j1 to j2; moves everything when the source holds
-   less than δ (the H2 rule of the paper). Returns the amount actually
-   moved. Always pushes exactly two entries on the undo log, so a
-   revert is two [undo]s regardless of clamping. *)
-let move st j1 j2 delta =
-  let d = min delta (Instance.Oracle.rho_at st j1) in
-  Instance.Oracle.apply st ~j:j1 ~drho:(-d);
-  Instance.Oracle.apply st ~j:j2 ~drho:d;
-  d
+(* The amount an exchange of δ out of [j1] moves: everything when the
+   source holds less than δ (the H2 rule of the paper). *)
+let quantum st j1 delta = min delta (Instance.Oracle.rho_at st j1)
 
-let revert_move st =
-  Instance.Oracle.undo st;
-  Instance.Oracle.undo st
+(* Move δ units from j1 to j2. *)
+let move st j1 j2 delta =
+  let d = quantum st j1 delta in
+  Instance.Oracle.apply st ~j:j1 ~drho:(-d);
+  Instance.Oracle.apply st ~j:j2 ~drho:d
 
 (* ----- H0: uniformly random composition ----- *)
 
@@ -240,7 +238,7 @@ let h2_on ~params budget ~rng ~warm_start inst ~target =
     while !i < params.iterations && not (stopped oracle) do
       incr i;
       let j1, j2 = random_pair rng j_count in
-      ignore (move st j1 j2 params.step);
+      move st j1 j2 params.step;
       let c = current_cost oracle in
       if c < !best_cost then begin
         best_cost := c;
@@ -249,7 +247,6 @@ let h2_on ~params budget ~rng ~warm_start inst ~target =
       end;
       (* The walk continues from the new point whether or not it
          improved (contrast with H31). *)
-      Instance.Oracle.commit st;
       sample_block ~name:"heuristics.h2.block" oracle ~iter:!i ~block_start
     done;
     Instance.Oracle.reset st ~rho:!best
@@ -271,17 +268,20 @@ let h31_on ~params budget ~rng ~warm_start inst ~target =
     do
       incr i;
       let j1, j2 = random_pair rng j_count in
-      ignore (move st j1 j2 params.step);
-      let c = current_cost oracle in
+      (* Take δ out of j1, price it into j2, then complete the move or
+         put δ back: descent only keeps improving moves. *)
+      let d = quantum st j1 params.step in
+      Instance.Oracle.apply st ~j:j1 ~drho:(-d);
+      note_eval oracle;
+      let c = Instance.Oracle.price st ~j:j2 ~drho:d in
       if c < !current_cost_r then begin
+        Instance.Oracle.apply st ~j:j2 ~drho:d;
         current_cost_r := c;
         stale := 0;
-        Instance.Oracle.commit st;
         observe_best oracle c
       end
       else begin
-        (* Revert: descent only keeps improving moves. *)
-        revert_move st;
+        Instance.Oracle.apply st ~j:j1 ~drho:d;
         incr stale
       end;
       sample_block ~name:"heuristics.h31.block" oracle ~iter:!i ~block_start
@@ -293,44 +293,58 @@ let h31_on ~params budget ~rng ~warm_start inst ~target =
 
 (* One steepest-descent pass: returns true when a strictly improving
    exchange was applied. By default a single quantum [step] is tried
-   per ordered pair; with [exhaustive_deltas] every multiple of [step]
-   up to the source's whole throughput is tested — the literal reading
-   of the paper's "all possible throughput fraction exchanges", at a
-   quadratically higher cost per pass. *)
+   per ordered pair: δ is taken out of [j1] once and every [j2] is
+   priced with it in one read-only pass over its support. With
+   [exhaustive_deltas] every multiple of [step] up to the source's
+   whole throughput is tested — the literal reading of the paper's
+   "all possible throughput fraction exchanges", at a quadratically
+   higher cost per pass. That path tests in (j1, j2, δ) order, so the
+   first of equal gains wins and a budget stop cuts the same
+   evaluations as probing each move and reverting it would: per pair,
+   [j1] is drained one [step] at a time and [j2] priced after each. *)
 let steepest_step oracle params current_cost =
   let st = oracle.state in
   let j_count = Instance.num_recipes oracle.inst in
   let best_gain = ref 0 and best_move = ref None in
-  let try_move j1 j2 delta =
-    let moved = move st j1 j2 delta in
-    let c = (note_eval oracle; Instance.Oracle.cost st) in
-    revert_move st;
-    let gain = !current_cost - c in
+  let consider j1 j2 delta =
+    note_eval oracle;
+    let gain = !current_cost - Instance.Oracle.price st ~j:j2 ~drho:delta in
     if gain > !best_gain then begin
       best_gain := gain;
-      best_move := Some (j1, j2, moved)
+      best_move := Some (j1, j2, delta)
     end
   in
   for j1 = 0 to j_count - 1 do
-    if Instance.Oracle.rho_at st j1 > 0 && not (stopped oracle) then
-      for j2 = 0 to j_count - 1 do
-        if j1 <> j2 then
-          if params.exhaustive_deltas then begin
-            let delta = ref params.step in
-            while !delta < Instance.Oracle.rho_at st j1 && not (stopped oracle) do
-              try_move j1 j2 !delta;
+    let whole = Instance.Oracle.rho_at st j1 in
+    if whole > 0 && not (stopped oracle) then
+      if params.exhaustive_deltas then
+        for j2 = 0 to j_count - 1 do
+          if j1 <> j2 then begin
+            let taken = ref 0 and delta = ref params.step in
+            while !delta < whole && not (stopped oracle) do
+              Instance.Oracle.apply st ~j:j1 ~drho:(!taken - !delta);
+              taken := !delta;
+              consider j1 j2 !delta;
               delta := !delta + params.step
             done;
-            try_move j1 j2 (Instance.Oracle.rho_at st j1)
+            Instance.Oracle.apply st ~j:j1 ~drho:(!taken - whole);
+            consider j1 j2 whole;
+            Instance.Oracle.apply st ~j:j1 ~drho:whole
           end
-          else try_move j1 j2 params.step
-      done
+        done
+      else begin
+        let d = quantum st j1 params.step in
+        Instance.Oracle.apply st ~j:j1 ~drho:(-d);
+        for j2 = 0 to j_count - 1 do
+          if j1 <> j2 then consider j1 j2 d
+        done;
+        Instance.Oracle.apply st ~j:j1 ~drho:d
+      end
   done;
   match !best_move with
   | None -> false
   | Some (j1, j2, delta) ->
-    ignore (move st j1 j2 delta);
-    Instance.Oracle.commit st;
+    move st j1 j2 delta;
     current_cost := !current_cost - !best_gain;
     true
 
@@ -368,9 +382,8 @@ let h32_jump_on ~params budget ~rng ~warm_start inst ~target =
          then descend to the nearby local minimum. *)
       for _ = 1 to params.jump_size do
         let j1, j2 = random_pair rng j_count in
-        ignore (move st j1 j2 params.step)
+        move st j1 j2 params.step
       done;
-      Instance.Oracle.commit st;
       current_cost_r := descend oracle params (current_cost oracle);
       if !current_cost_r < !best_cost then begin
         best_cost := !current_cost_r;

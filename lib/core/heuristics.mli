@@ -9,9 +9,13 @@
     exchange described for H2 in the paper.
 
     Pricing goes through the compiled {!Instance} layer: the search
-    runs over the dominance-pruned compact recipe space, and every
-    move is re-priced incrementally by {!Instance.Oracle.apply} in
-    [O(|supp(j)|)] rather than recomputed from scratch in [O(Q·J)].
+    runs over the dominance-pruned compact recipe space, a neighbour is
+    priced without moving to it by {!Instance.Oracle.price} and a move
+    is made by {!Instance.Oracle.apply}, each in one [O(|supp(j)|)]
+    pass rather than recomputed from scratch in [O(Q·J)]. A steepest
+    pass takes [δ] out of [j1] once and prices every [j2] against it;
+    an inverse apply puts [δ] back. Evaluation counts reach
+    {!Telemetry.Effort} once per run, when it finishes.
     Results are reported in the problem's original recipe numbering.
     On instances without dominated recipes the search trajectories
     (and therefore costs, splits and evaluation counts) are identical

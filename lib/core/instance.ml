@@ -280,8 +280,6 @@ module Oracle = struct
     loads : int array;  (* per type *)
     machines : int array;  (* per type, always ⌈load/r⌉ *)
     mutable cost : int;
-    mutable log : (int * int) list;  (* applied (j, drho), LIFO *)
-    mutable depth : int;
   }
 
   let create inst =
@@ -289,10 +287,12 @@ module Oracle = struct
       rho = Array.make (num_recipes inst) 0;
       loads = Array.make (num_types inst) 0;
       machines = Array.make (num_types inst) 0;
-      cost = 0; log = []; depth = 0 }
+      cost = 0 }
 
-  (* The one hot path: re-price exactly supp(j). *)
-  let apply_raw o j drho =
+  (* The two hot paths: each is one pass over supp(j). Machine counts
+     are a function of the loads, so an apply of [-drho] restores the
+     state before an apply of [drho] exactly. *)
+  let apply o ~j ~drho =
     if drho <> 0 then begin
       let r = o.rho.(j) + drho in
       if r < 0 then invalid_arg "Instance.Oracle.apply: negative throughput";
@@ -312,24 +312,21 @@ module Oracle = struct
       done
     end
 
-  let apply o ~j ~drho =
-    apply_raw o j drho;
-    o.log <- (j, drho) :: o.log;
-    o.depth <- o.depth + 1
-
-  let undo o =
-    match o.log with
-    | [] -> invalid_arg "Instance.Oracle.undo: nothing to undo"
-    | (j, drho) :: rest ->
-      o.log <- rest;
-      o.depth <- o.depth - 1;
-      apply_raw o j (-drho)
-
-  let depth o = o.depth
-
-  let commit o =
-    o.log <- [];
-    o.depth <- 0
+  let price o ~j ~drho =
+    if o.rho.(j) + drho < 0 then
+      invalid_arg "Instance.Oracle.price: negative throughput";
+    let s = o.inst.supports.(j) in
+    let types = s.types and counts = s.counts in
+    let cost = ref o.cost in
+    if drho <> 0 then
+      for i = 0 to Array.length types - 1 do
+        let q = types.(i) in
+        let m =
+          ceil_div (o.loads.(q) + (counts.(i) * drho)) o.inst.throughputs.(q)
+        in
+        cost := !cost + ((m - o.machines.(q)) * o.inst.costs.(q))
+      done;
+    !cost
 
   let reset o ~rho =
     if Array.length rho <> num_recipes o.inst then
@@ -354,9 +351,7 @@ module Oracle = struct
         let m = ceil_div load o.inst.throughputs.(q) in
         o.machines.(q) <- m;
         o.cost <- o.cost + (m * o.inst.costs.(q)))
-      o.loads;
-    o.log <- [];
-    o.depth <- 0
+      o.loads
 
   let cost o = o.cost
   let rho_at o j = o.rho.(j)

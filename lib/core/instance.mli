@@ -25,7 +25,8 @@
     machine counts and cost incrementally: {!Oracle.apply} re-prices
     only the support of the touched recipe — [O(|supp(j)|)] per move
     instead of the [O(Q·J)] plus allocations of a fresh
-    {!Allocation.of_rho}. *)
+    {!Allocation.of_rho} — and {!Oracle.price} reads the cost of such
+    a move in the same single pass without making it. *)
 
 (** Sparse counts of one recipe: [counts.(i)] tasks of type
     [types.(i)], types ascending, all counts positive. *)
@@ -171,10 +172,11 @@ val fingerprint : t -> string
 val canonical_recipe_order : t -> int array
 
 (** Incremental cost oracle: mutable loads/machines/cost state over
-    the compact index space. {!apply} pushes onto an undo log;
-    {!undo} pops (LIFO), restoring the previous state exactly —
-    machine counts are a deterministic function of the loads, so
-    replaying the inverse delta is exact. *)
+    the compact index space. {!apply} moves the state; {!price} reads
+    what a move would cost without making it. Both re-price only
+    [supp(j)]. Machine counts are a deterministic function of the
+    loads, so the inverse move [apply ~drho:(-d)] restores the state
+    before [apply ~drho:d] exactly. *)
 module Oracle : sig
   type t
 
@@ -182,8 +184,7 @@ module Oracle : sig
   val create : instance -> t
 
   (** [reset o ~rho] rebuilds the state from scratch for a compact
-      split (length [J']) and clears the undo log.
-      [O(Σ_j |supp(j)|)].
+      split (length [J']). [O(Σ_j |supp(j)|)].
       @raise Invalid_argument on a wrong-sized or negative [rho]. *)
   val reset : t -> rho:int array -> unit
 
@@ -203,21 +204,18 @@ module Oracle : sig
   val machines : t -> int array
 
   (** [apply o ~j ~drho] adds [drho] to [ρ_j] and re-prices exactly
-      [supp(j)]: [O(|supp(j)|)]. The delta is pushed on the undo log.
+      [supp(j)]: [O(|supp(j)|)]. [apply ~drho:(-drho)] undoes it.
       @raise Invalid_argument when the move would make [ρ_j]
       negative. *)
   val apply : t -> j:int -> drho:int -> unit
 
-  (** Reverts the most recent un-undone {!apply}.
-      @raise Invalid_argument on an empty log. *)
-  val undo : t -> unit
-
-  (** Number of un-undone applies on the log. *)
-  val depth : t -> int
-
-  (** Accept the current state: clears the undo log (so walks that
-      keep every move do not grow it without bound). *)
-  val commit : t -> unit
+  (** [price o ~j ~drho] is the {!cost} the state would have after
+      [apply o ~j ~drho], in one read-only pass over [supp(j)]: it
+      writes nothing, so pricing every neighbour of a point needs no
+      move and no revert.
+      @raise Invalid_argument when the move would make [ρ_j]
+      negative. *)
+  val price : t -> j:int -> drho:int -> int
 
   (** The current state as a full {!Allocation.t} in original recipe
       numbering (recomputed through {!Allocation.of_rho}, which also

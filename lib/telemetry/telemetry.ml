@@ -641,11 +641,11 @@ module Effort = struct
   let pivots_counter = counter lp_pivots
   let nodes_counter = counter milp_nodes
 
-  let evaluation () =
-    if !enabled_flag then begin
-      Atomic.incr evals_counter;
+  let evaluations n =
+    if !enabled_flag && n <> 0 then begin
+      ignore (Atomic.fetch_and_add evals_counter n);
       let t = Domain.DLS.get tally_key in
-      t.t_evaluations <- t.t_evaluations + 1
+      t.t_evaluations <- t.t_evaluations + n
     end
 
   let pivot () =

@@ -335,8 +335,10 @@ val heuristic_evals : string
 module Effort : sig
   type t = { evaluations : int; pivots : int; nodes : int }
 
-  (** One cost-oracle evaluation ({!heuristic_evals}). *)
-  val evaluation : unit -> unit
+  (** [evaluations n]: [n] cost-oracle evaluations
+      ({!heuristic_evals}). A heuristic run counts its own and hands
+      the total over once, when it finishes. *)
+  val evaluations : int -> unit
 
   (** One simplex pivot ({!lp_pivots}). *)
   val pivot : unit -> unit

@@ -37,11 +37,10 @@ let words line =
 let is_decimal w =
   w <> "" && String.for_all (function '0' .. '9' -> true | _ -> false) w
 
-(* Another spelling of the non-negative decimal [w]: one that reads as
-   the same int ([0x], [0o], [+], [_], leading zeros) or one that
-   overflows. *)
-let respell rs w =
-  let n = int_of_string w in
+(* Another spelling of the non-negative decimal [n] (spelt [w]): one
+   that reads as the same int ([0x], [0o], [+], [_], leading zeros) or
+   one that overflows. *)
+let respell rs w n =
   match Random.State.int rs 6 with
   | 0 -> Printf.sprintf "0x%x" n
   | 1 -> Printf.sprintf "0o%o" n
@@ -72,7 +71,16 @@ let mutate_line rs ws =
   | 2 -> String.concat " " ws ^ pick rs [ " # note"; "#x 1 2"; "\t# type 9" ]
   | 3 ->
     String.concat " "
-      (List.map (fun w -> if is_decimal w && Random.State.bool rs then respell rs w else w) ws)
+      (List.map
+         (fun w ->
+           if is_decimal w && Random.State.bool rs then
+             (* An earlier mutation may already have pushed [w] past
+                [max_int]; only a word that reads as an int respells. *)
+             match int_of_string_opt w with
+             | Some n -> respell rs w n
+             | None -> w
+           else w)
+         ws)
   | 4 -> (* wrong arity: drop a word *)
     String.concat " " (List.filteri (fun i _ -> i <> Random.State.int rs (max 1 (List.length ws))) ws)
   | 5 -> String.concat " " (ws @ [ pick rs [ "1"; "x"; "type" ] ])

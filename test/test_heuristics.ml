@@ -217,6 +217,82 @@ let props =
           rho;
         !ok) ]
 
+(* Differential: the read-only pricing loops against the move-and-revert
+   reference on generated instances, targets, seeds and parameters,
+   for every heuristic, with and without an evaluation cap and a warm
+   start. The trajectories must agree exactly. *)
+let gen_case =
+  QCheck2.Gen.(
+    let* inst_seed = int_range 0 10_000 in
+    let* num_graphs = int_range 1 6 in
+    let* target = int_range 0 120 in
+    let* rng_seed = int_range 0 10_000 in
+    let* step = int_range 1 4 in
+    let* exhaustive_deltas = bool in
+    let* iterations = int_range 0 60 in
+    let* patience = int_range 0 20 in
+    let* jumps = int_range 0 6 in
+    let* jump_size = int_range 0 5 in
+    let* eval_cap = opt (int_range 0 200) in
+    let* warm = opt (int_range 0 10_000) in
+    return
+      ( (inst_seed, num_graphs, target, rng_seed),
+        { H.step; iterations; patience; jumps; jump_size; exhaustive_deltas },
+        eval_cap,
+        warm ))
+
+let print_case ((inst_seed, num_graphs, target, rng_seed), p, cap, warm) =
+  Printf.sprintf
+    "instance %d (%d graphs), target %d, rng %d, step %d, iterations %d, \
+     patience %d, jumps %d x %d, exhaustive %b, cap %s, warm %s"
+    inst_seed num_graphs target rng_seed p.H.step p.H.iterations p.H.patience
+    p.H.jumps p.H.jump_size p.H.exhaustive_deltas
+    (Option.fold ~none:"none" ~some:string_of_int cap)
+    (Option.fold ~none:"none" ~some:string_of_int warm)
+
+let prop_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:150 ~print:print_case
+       ~name:"every heuristic matches the move-and-revert reference" gen_case
+       (fun ((inst_seed, num_graphs, target, rng_seed), params, eval_cap, warm) ->
+         let inst =
+           Rentcost.Instance.compile
+             (Cloudsim.Generator.problem ~rng:(Prng.create inst_seed)
+                { Cloudsim.Generator.num_graphs; min_tasks = 2; max_tasks = 6;
+                  mutation_pct = 0.5 }
+                { Cloudsim.Generator.num_types = 5; min_cost = 1; max_cost = 30;
+                  min_throughput = 3; max_throughput = 12 })
+         in
+         let j_count = Rentcost.Instance.num_recipes inst in
+         (* A warm start is any compact split summing to the target. *)
+         let warm_start =
+           Option.map
+             (fun seed ->
+               let rng = Prng.create seed in
+               let rho = Array.make j_count 0 in
+               for _ = 1 to target do
+                 let j = Prng.int rng j_count in
+                 rho.(j) <- rho.(j) + 1
+               done;
+               rho)
+             warm
+         in
+         let budget = { Rentcost.Budget.unlimited with eval_cap } in
+         List.for_all
+           (fun name ->
+             let r =
+               H.search ~params ~budget ~rng:(Prng.create rng_seed) ?warm_start
+                 name inst ~target
+             in
+             let r0 =
+               Reference_heuristics.search ~params ~budget
+                 ~rng:(Prng.create rng_seed) ?warm_start name inst ~target
+             in
+             r.H.allocation = r0.H.allocation
+             && r.H.evaluations = r0.H.evaluations
+             && r.H.exhausted = r0.H.exhausted)
+           H.all))
+
 let suite =
   ( "heuristics",
     [ Alcotest.test_case "H1: all 20 Table III rows" `Quick test_h1_table3;
@@ -234,4 +310,4 @@ let suite =
       Alcotest.test_case "evaluation counts" `Quick test_evaluation_counts;
       Alcotest.test_case "negative target rejected" `Quick test_negative_target_rejected;
       Alcotest.test_case "bad params rejected" `Quick test_bad_params_rejected ]
-    @ props )
+    @ props @ [ prop_matches_reference ] )

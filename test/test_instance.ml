@@ -1,6 +1,6 @@
 (* Tests for the compiled-instance layer: the incremental cost oracle
-   against fresh [Allocation.of_rho] repricing (including across undo
-   and reset), dominance preprocessing (soundness: the optimal cost
+   against fresh [Allocation.of_rho] repricing (including across
+   inverse applies and reset), read-only pricing against applying, dominance preprocessing (soundness: the optimal cost
    never changes; bookkeeping: index maps and dropped pairs), the
    closed-form per-recipe costs, and the fluid lower bound. *)
 
@@ -261,23 +261,52 @@ let prop_oracle_matches_scratch =
       O.reset o ~rho:rho0;
       let start_cost = O.cost o in
       let ok = ref (oracle_matches_scratch inst o) in
-      let applied = ref 0 in
+      let applied =
+        List.fold_left
+          (fun applied (jraw, d) ->
+            let j = jraw mod j_count in
+            (* Clamp so throughputs stay non-negative, as callers do. *)
+            let drho = max d (-O.rho_at o j) in
+            O.apply o ~j ~drho;
+            ok := !ok && oracle_matches_scratch inst o;
+            (j, drho) :: applied)
+          [] raw_moves
+      in
+      (* Unwind with inverse applies, newest first: every intermediate
+         state reprices as from scratch, and the walk ends exactly at
+         the starting state. *)
       List.iter
+        (fun (j, drho) ->
+          O.apply o ~j ~drho:(-drho);
+          ok := !ok && oracle_matches_scratch inst o)
+        applied;
+      !ok && O.cost o = start_cost && O.rho o = rho0)
+
+let prop_oracle_price_is_apply =
+  prop ~count:100 "oracle price equals the cost after apply, writing nothing"
+    QCheck2.Gen.(
+      triple (int_range 0 10_000)
+        (list_size (int_range 1 8) (int_range 0 9))
+        (list_size (int_range 1 20) (pair (int_range 0 1000) (int_range (-5) 5))))
+    (fun (seed, rho_list, probes) ->
+      let inst = I.compile (problem_of_seed seed) in
+      let j_count = I.num_recipes inst in
+      let o = O.create inst in
+      O.reset o ~rho:
+        (Array.init j_count (fun j ->
+             List.nth rho_list (j mod List.length rho_list)));
+      List.for_all
         (fun (jraw, d) ->
           let j = jraw mod j_count in
-          (* Clamp so throughputs stay non-negative, as callers do. *)
           let drho = max d (-O.rho_at o j) in
+          let before = (O.rho o, O.loads o, O.machines o, O.cost o) in
+          let priced = O.price o ~j ~drho in
+          let untouched = (O.rho o, O.loads o, O.machines o, O.cost o) = before in
           O.apply o ~j ~drho;
-          incr applied;
-          ok := !ok && oracle_matches_scratch inst o)
-        raw_moves;
-      ok := !ok && O.depth o = !applied;
-      (* Unwind the whole log: exact return to the starting state. *)
-      while O.depth o > 0 do
-        O.undo o
-      done;
-      !ok && O.cost o = start_cost && O.rho o = rho0
-      && oracle_matches_scratch inst o)
+          (* Each probe also moves the state, so later probes price
+             from varied points. *)
+          untouched && O.cost o = priced && oracle_matches_scratch inst o)
+        probes)
 
 let prop_oracle_reset_matches_scratch =
   prop ~count:100 "oracle reset matches scratch on arbitrary rho"
@@ -293,24 +322,27 @@ let prop_oracle_reset_matches_scratch =
       in
       let o = O.create inst in
       O.reset o ~rho;
-      O.depth o = 0 && oracle_matches_scratch inst o)
+      oracle_matches_scratch inst o)
 
-let test_oracle_allocation_and_commit () =
+let test_oracle_allocation_and_inverse_apply () =
   let inst = I.compile PB.illustrating in
   let o = O.create inst in
   O.reset o ~rho:[| 10; 20; 40 |];
   let a = O.allocation o in
   Alcotest.(check int) "allocation cost" (O.cost o) a.AL.cost;
   Alcotest.(check (array int)) "allocation rho" [| 10; 20; 40 |] a.AL.rho;
+  let cost0 = O.cost o in
   O.apply o ~j:0 ~drho:5;
   O.apply o ~j:2 ~drho:(-5);
-  Alcotest.(check int) "depth tracks log" 2 (O.depth o);
-  O.commit o;
-  Alcotest.(check int) "commit clears log" 0 (O.depth o);
-  Alcotest.(check (array int)) "commit keeps state" [| 15; 20; 35 |] (O.rho o);
-  Alcotest.check_raises "undo past commit"
-    (Invalid_argument "Instance.Oracle.undo: nothing to undo") (fun () ->
-      O.undo o)
+  Alcotest.(check (array int)) "applies move the state" [| 15; 20; 35 |]
+    (O.rho o);
+  Alcotest.(check int) "allocation follows the moves" (O.cost o)
+    (O.allocation o).AL.cost;
+  O.apply o ~j:2 ~drho:5;
+  O.apply o ~j:0 ~drho:(-5);
+  Alcotest.(check (array int)) "inverse applies restore rho" [| 10; 20; 40 |]
+    (O.rho o);
+  Alcotest.(check int) "inverse applies restore the cost" cost0 (O.cost o)
 
 let test_oracle_validation () =
   let inst = I.compile PB.illustrating in
@@ -324,7 +356,10 @@ let test_oracle_validation () =
   O.reset o ~rho:[| 0; 0; 0 |];
   Alcotest.check_raises "apply below zero"
     (Invalid_argument "Instance.Oracle.apply: negative throughput") (fun () ->
-      O.apply o ~j:1 ~drho:(-1))
+      O.apply o ~j:1 ~drho:(-1));
+  Alcotest.check_raises "price below zero"
+    (Invalid_argument "Instance.Oracle.price: negative throughput") (fun () ->
+      ignore (O.price o ~j:1 ~drho:(-1)))
 
 (* --- bounds --- *)
 
@@ -372,8 +407,9 @@ let suite =
         test_pruning_unlocks_blackbox_routing;
       prop_oracle_matches_scratch;
       prop_oracle_reset_matches_scratch;
-      Alcotest.test_case "oracle allocation and commit" `Quick
-        test_oracle_allocation_and_commit;
+      prop_oracle_price_is_apply;
+      Alcotest.test_case "oracle allocation and inverse apply" `Quick
+        test_oracle_allocation_and_inverse_apply;
       Alcotest.test_case "oracle validation" `Quick test_oracle_validation;
       Alcotest.test_case "fluid lower bound" `Quick test_fluid_lower_bound;
       prop_fluid_lower_bound ] )

@@ -102,6 +102,61 @@ let test_split_diverges () =
   done;
   Alcotest.(check bool) "split stream differs" true (!same < 3)
 
+(* Differential: the unboxed generator against the boxed reference, op
+   for op. Split and copy add generators to the pool, so derived
+   streams are compared too; bounds reach [max_int] so the rejection
+   branch of [int] runs. *)
+module Ref = Reference_prng
+
+type op =
+  | Bits
+  | Int of int
+  | Range of int * int
+  | Float
+  | Bool
+  | Split
+  | Copy
+  | Shuffle of int
+  | Choose of int
+
+let gen_op =
+  QCheck2.Gen.(
+    oneof
+      [ return Bits;
+        map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int ]);
+        map2 (fun lo w -> Range (lo, lo + w)) (int_range (-1000) 1000) (int_range 0 1000);
+        return Float; return Bool; return Split; return Copy;
+        map (fun n -> Shuffle n) (int_range 0 20);
+        map (fun n -> Choose n) (int_range 1 20) ])
+
+let prop_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"streams match the boxed reference"
+       QCheck2.Gen.(pair int (list_size (int_range 1 60) (pair nat gen_op)))
+       (fun (seed, ops) ->
+         let pool = ref [| (P.create seed, Ref.create seed) |] in
+         List.for_all
+           (fun (i, op) ->
+             let a, b = !pool.(i mod Array.length !pool) in
+             let add p = pool := Array.append !pool [| p |] in
+             match op with
+             | Bits -> P.bits64 a = Ref.bits64 b
+             | Int n -> P.int a n = Ref.int b n
+             | Range (lo, hi) -> P.int_in_range a ~lo ~hi = Ref.int_in_range b ~lo ~hi
+             | Float -> Int64.bits_of_float (P.float a) = Int64.bits_of_float (Ref.float b)
+             | Bool -> P.bool a = Ref.bool b
+             | Split -> add (P.split a, Ref.split b); true
+             | Copy -> add (P.copy a, Ref.copy b); true
+             | Shuffle n ->
+               let x = Array.init n Fun.id and y = Array.init n Fun.id in
+               P.shuffle a x;
+               Ref.shuffle b y;
+               x = y
+             | Choose n ->
+               let arr = Array.init n Fun.id in
+               P.choose a arr = Ref.choose b arr)
+           ops))
+
 let suite =
   ( "prng",
     [ Alcotest.test_case "determinism" `Quick test_determinism;
@@ -113,4 +168,5 @@ let suite =
       Alcotest.test_case "float range" `Quick test_float_range;
       Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;
       Alcotest.test_case "choose" `Quick test_choose;
-      Alcotest.test_case "split diverges" `Quick test_split_diverges ] )
+      Alcotest.test_case "split diverges" `Quick test_split_diverges;
+      prop_matches_reference ] )
