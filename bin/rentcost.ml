@@ -43,7 +43,7 @@
    "serve" starts the provisioning daemon (Rentcost_service): a
    long-running solve loop speaking line-delimited JSON over a Unix
    socket (--socket) or stdin/stdout, with instance fingerprinting,
-   an LRU solution cache and warm-start reuse. --time-limit /
+   an LRU solution cache and warm-start reuse for the heuristics. --time-limit /
    --node-limit / --max-evals set the default per-request budget;
    --workers N drains the admission queue with N worker domains, one
    request per wakeup, with identical in-flight solves coalesced to

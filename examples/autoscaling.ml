@@ -13,8 +13,9 @@
 
    and reports the churn (machine starts/stops) each elastic policy
    would impose on the autoscaler. The example compiles the problem
-   once for the whole day and seeds each hour's solve with the
-   previous hour's fleet (Solver warm starts).
+   once for the whole day and hands each hour's solve the previous
+   hour's fleet as a warm start, which only the search heuristics
+   read (the exact MILP and H1 do not).
 
    Run with: dune exec examples/autoscaling.exe *)
 

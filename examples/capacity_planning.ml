@@ -12,7 +12,7 @@ let problem = Rentcost.Problem.illustrating
 let () =
   (* 1. Optimal cost curve: marginal cost of throughput. *)
   let targets = List.init 11 (fun i -> 20 * i) in
-  let curve = A.cost_curve (A.ilp_solver ()) problem ~targets in
+  let curve = A.cost_curve A.ilp_solver problem ~targets in
   Format.printf "Optimal cost curve:@.%8s %8s %14s@." "target" "cost" "cost/target";
   List.iter
     (fun (t, a) ->

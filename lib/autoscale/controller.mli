@@ -13,10 +13,10 @@
       renewals that fall due.
 
     Re-solves go through {!Rentcost.Solver.run} on one compiled
-    instance, warm-started from the current allocation — consecutive
-    targets are close, so the previous optimum is a near-optimal
-    incumbent (and on downscale the solver trims it to a feasible
-    seed). The desired fleet is then reconciled against the hourly
+    instance, with the current allocation as the warm start.
+    Consecutive targets are close, so a search heuristic starts from
+    a near-optimal split (on downscale the solver trims it to the
+    target); the exact engines do not read it. The desired fleet is then reconciled against the hourly
     {!Billing} ledger, which keeps already-paid machines idle for free
     until their hour boundary — so a reconfiguration plan distinguishes
     freshly-rented, renewed and released machines, and downscaling

@@ -46,7 +46,8 @@ val static_peak :
   outcome
 
 (** [oracle ~ticks_per_hour instance trace] provisions each hour block
-    for its peak demand, warm-starting block to block. *)
+    for its peak demand, each block's solve handed the previous
+    block's fleet as its warm start. *)
 val oracle :
   ?budget:Rentcost.Budget.t ->
   ?spec:Rentcost.Solver.spec ->

@@ -14,9 +14,9 @@ type preset = {
   ilp_time_limit : float option;  (** Figure 8 uses 100 s *)
   ilp_node_limit : int option;
       (** deterministic cap for the sweep figures: rare hard instances
-          return their warm-started incumbent instead of running for
-          minutes (the paper's Gurobi handles these with its own cut
-          machinery; see DESIGN.md § 3) *)
+          return their best incumbent (from node rounding) instead of
+          running for minutes (the paper's Gurobi handles these with
+          its own cut machinery; see DESIGN.md § 3) *)
 }
 
 (** Presets for the sweep figures, keyed by id:

@@ -1,11 +1,12 @@
 type solver = Problem.t -> target:int -> Allocation.t
 
-let ilp_solver ?node_limit () problem ~target =
+let ilp_solver problem ~target =
   let instance = Instance.compile problem in
-  match (Ilp.optimize ?node_limit instance ~target).Ilp.allocation with
+  match (Ilp.optimize instance ~target).Ilp.allocation with
   | Some a -> a
   | None ->
-    (* Warm starts guarantee an incumbent even under a node cap. *)
+    (* An uncapped ILP runs to its proof, and the rental MILP is always
+       feasible (rent enough machines), so it always returns a split. *)
     assert false
 
 let h1_on instance ~target =
@@ -30,7 +31,7 @@ let h1_buckets problem ~max_target =
   in
   go 0 1 (cost 0) []
 
-let price_sensitivity ?(solver = ilp_solver ()) problem ~target ~percent =
+let price_sensitivity ?(solver = ilp_solver) problem ~target ~percent =
   if percent <= -100 then invalid_arg "Analysis.price_sensitivity: percent <= -100";
   let baseline = (solver problem ~target).Allocation.cost in
   let platform = Problem.platform problem in

@@ -10,8 +10,8 @@
 (** A solving policy: maps an instance and target to an allocation. *)
 type solver = Problem.t -> target:int -> Allocation.t
 
-(** Exact MILP solver, optionally node-capped (see {!Ilp.optimize}). *)
-val ilp_solver : ?node_limit:int -> unit -> solver
+(** The exact MILP solver, run to its proof (see {!Ilp.optimize}). *)
+val ilp_solver : solver
 
 (** The H1 best-single-recipe heuristic as a policy. *)
 val h1_solver : solver

@@ -8,10 +8,10 @@
 
     Planning goes through the unified {!Solver} over one compiled
     {!Instance.t}: the caller compiles the problem once for the whole
-    trace, and each period's solve is seeded with the previous
-    period's fleet as a {!Solver.run} warm start — consecutive demands
-    are close, so the previous optimum is usually a near-optimal
-    incumbent.
+    trace, and each period's solve is handed the previous period's
+    fleet as a {!Solver.run} warm start. Consecutive demands are
+    close, so the search heuristics start from a near-optimal split;
+    the exact engines do not read it.
 
     This module bills every period in full and re-solves every period —
     a clairvoyant per-period planner. The online counterpart lives in
@@ -29,8 +29,9 @@ type plan = Allocation.t array
     default min-cost scenario), so callers planning many traces — or
     mixing per-period planning with other solves, as the autoscale
     layer's clairvoyant oracle does — amortize one compile. Each
-    period after the first is warm-started from the previous period's
-    allocation; exact engines still return optima.
+    period after the first hands the previous period's allocation to
+    the solver as a warm start, which seeds the search heuristics
+    only; exact engines return the same optima without it.
 
     @param spec engine selection (default [Solver.Auto]).
     @param budget per-period solve budget (default unlimited).

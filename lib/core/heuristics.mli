@@ -96,8 +96,8 @@ type result = {
     H31, H32Jump) and may be omitted even for them, in which case a
     fixed-seed PRNG makes the run deterministic; deterministic H1/H32
     never touch it. This is the hook {!Solver.run} uses so one
-    compiled instance serves routing, the ILP warm start and any
-    heuristic fallback of a single solve.
+    compiled instance serves routing, the ILP and any heuristic
+    fallback of a single solve.
 
     Applications should still prefer {!Solver.run}
     [~spec:(Heuristic name)], which wraps this dispatch with budget

@@ -183,7 +183,7 @@ let rounder instance ~target =
       point_of instance ~rho ~loads ~limit
     end
 
-let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
+let optimize ?time_limit ?node_limit ?budget_cap instance ~target =
   let t0 = Unix.gettimeofday () in
   (* The money prunes the search as a cutoff: a cost of cap + 1 or
      more is cut off, counted in Rat so that max_int does not wrap. *)
@@ -199,21 +199,6 @@ let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
   in
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
-  (* A caller's split (a cached or previous-period solution) seeds the
-     search, pruning by its cost from the first node; past the cutoff
-     the solver ignores it and the search starts cold. *)
-  let warm =
-    Option.bind incumbent (fun rho ->
-        let loads =
-          Array.init q_count (fun q ->
-              let load = ref 0 in
-              for j = 0 to j_count - 1 do
-                load := !load + (Instance.count instance j q * rho.(j))
-              done;
-              !load)
-        in
-        point_of instance ~rho ~loads ~limit:max_int)
-  in
   (* Branch where the objective moves: one group per machine count,
      most expensive type first (a stable sort keeps equal costs in type
      order), then the splits. A fractional x_q moves the bound by about
@@ -232,8 +217,7 @@ let optimize ?time_limit ?node_limit ?incumbent ?budget_cap instance ~target =
      role Gurobi's primal heuristics play in the paper's runs. *)
   let result =
     Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true ?cutoff
-      ?warm_start:warm ~round:(rounder instance ~target) ~priority model
-      ~integer
+      ~round:(rounder instance ~target) ~priority model ~integer
   in
   let allocation = Option.map (decode instance) result.Milp.Solver.solution in
   let best_bound =

@@ -71,12 +71,6 @@ val model :
     @param node_limit maximum branch-and-bound nodes (default:
       unlimited); unlike a time limit, a node limit keeps capped runs
       deterministic across machines
-    @param incumbent a known feasible split (e.g. a cached or
-      previous-period solution) in {e compact} recipe numbering, used
-      with its minimal machine counts as the initial incumbent. The
-      caller is responsible for validity: non-negative and summing to
-      at least [target] — {!Solver.run}'s warm start produces exactly
-      such splits. Ignored when it costs more than [?budget_cap].
     @param budget_cap the money of a max-throughput probe, handed to
       the branch and bound as the cutoff [cap + 1]
       ({!Milp.Solver.solve}[ ?cutoff]): the model, kernel and warm
@@ -86,7 +80,6 @@ val model :
 val optimize :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?incumbent:int array ->
   ?budget_cap:int ->
   Instance.t ->
   target:int ->

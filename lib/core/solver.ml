@@ -78,7 +78,8 @@ let auto_of_instance instance =
    exactly — surplus throughput is shed from the highest fluid
    unit-cost recipes first. Trimming keeps the split feasible (loads
    only drop) and puts it inside the search space of the heuristics,
-   which exchange throughput at constant Σρ. *)
+   which exchange throughput at constant Σρ and are the only engines
+   that read it. *)
 let normalize_warm_start instance ~target alloc =
   let problem = Instance.problem instance in
   let rho = alloc.Allocation.rho in
@@ -113,45 +114,60 @@ let normalize_warm_start instance ~target alloc =
   end
 
 (* The one engine dispatch: run [engine] once at [target], within what
-   is left of [budget] for the solve started at [t0], seeded with the
-   normalized warm split. [cap] is the money of a max-throughput
-   probe, which the ILP prunes by; [(Infeasible, None)] means the
-   target is unreachable within it. *)
-let dispatch ~budget ~rng ~params ~warm ~t0 ?cap engine instance ~target =
+   is left of [budget] for the solve started at [t0]. A caller's
+   [warm_start] is normalized and read only where a search heuristic
+   runs: a heuristic engine other than H0 and H1, or the ILP's budget
+   fallback. [cap] is the money of a max-throughput probe, which the
+   ILP prunes by; [(Infeasible, None)] means the target is unreachable
+   within it. The last component says whether a heuristic ran with the
+   seed. *)
+let dispatch ~budget ~rng ~params ?warm_start ~t0 ?cap engine instance ~target =
   let left () = Budget.remaining budget ~elapsed:(Unix.gettimeofday () -. t0) in
+  let seeded = ref false in
   let search name =
+    let warm =
+      match (warm_start, name) with
+      | None, _ | _, (Heuristics.H0 | Heuristics.H1) -> None
+      | Some a, _ ->
+        Telemetry.Span.with_span "solver.warm_start" (fun () ->
+            normalize_warm_start instance ~target a)
+    in
+    seeded := warm <> None;
     Heuristics.search ~params ~budget:(left ()) ?rng ?warm_start:warm name
       instance ~target
   in
-  match engine with
-  | Auto -> assert false (* resolved by [run] *)
-  | Dp_blackbox -> (Optimal, Some (Dp_blackbox.run instance ~target))
-  | Dp_disjoint -> (Optimal, Some (Dp_disjoint.run instance ~target))
-  | Exhaustive -> (Optimal, Some (Exhaustive.run instance ~target))
-  | Exact_ilp -> (
-    let { Budget.deadline; node_cap; _ } = left () in
-    let o =
-      Ilp.optimize ?time_limit:deadline ?node_limit:node_cap ?incumbent:warm
-        ?budget_cap:cap instance ~target
-    in
-    match (o.Ilp.status, o.Ilp.allocation) with
-    | Milp.Solver.Optimal, (Some _ as a) -> (Optimal, a)
-    | Milp.Solver.Feasible, (Some _ as a) -> (Budget_exhausted, a)
-    | Milp.Solver.Infeasible, _ -> (Infeasible, None)
-    | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None ->
-      (* A limit before any integer point (the rental MILP is never
-         unbounded): degrade to the best heuristic reachable in what
-         remains. H32Jump under an expired budget collapses to the H1
-         floor, which always completes, so this cannot come back
-         empty. *)
-      ( Budget_exhausted,
-        Some
-          (Telemetry.Span.with_span "solver.fallback" (fun () ->
-               (search Heuristics.H32_jump).Heuristics.allocation)) ))
-  | Heuristic name ->
-    let r = search name in
-    ( (if r.Heuristics.exhausted then Budget_exhausted else Feasible),
-      Some r.Heuristics.allocation )
+  let status, allocation =
+    match engine with
+    | Auto -> assert false (* resolved by [run] *)
+    | Dp_blackbox -> (Optimal, Some (Dp_blackbox.run instance ~target))
+    | Dp_disjoint -> (Optimal, Some (Dp_disjoint.run instance ~target))
+    | Exhaustive -> (Optimal, Some (Exhaustive.run instance ~target))
+    | Exact_ilp -> (
+      let { Budget.deadline; node_cap; _ } = left () in
+      let o =
+        Ilp.optimize ?time_limit:deadline ?node_limit:node_cap ?budget_cap:cap
+          instance ~target
+      in
+      match (o.Ilp.status, o.Ilp.allocation) with
+      | Milp.Solver.Optimal, (Some _ as a) -> (Optimal, a)
+      | Milp.Solver.Feasible, (Some _ as a) -> (Budget_exhausted, a)
+      | Milp.Solver.Infeasible, _ -> (Infeasible, None)
+      | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None ->
+        (* A limit before any integer point (the rental MILP is never
+           unbounded): degrade to the best heuristic reachable in what
+           remains. H32Jump under an expired budget collapses to the H1
+           floor, which always completes, so this cannot come back
+           empty. *)
+        ( Budget_exhausted,
+          Some
+            (Telemetry.Span.with_span "solver.fallback" (fun () ->
+                 (search Heuristics.H32_jump).Heuristics.allocation)) ))
+    | Heuristic name ->
+      let r = search name in
+      ( (if r.Heuristics.exhausted then Budget_exhausted else Feasible),
+        Some r.Heuristics.allocation )
+  in
+  (status, allocation, !seeded)
 
 (* Run [f] under the solve's span and collect the convergence timeline
    the engines emit meanwhile. Skipped entirely when telemetry is off —
@@ -186,22 +202,11 @@ let metered engine instance f =
     convergence }
 
 let min_cost ~budget ~rng ~params ~warm_start engine instance ~target t0 =
-  let warm =
-    match warm_start with
-    | None -> None
-    | Some a ->
-      Telemetry.Span.with_span "solver.warm_start" (fun () ->
-          normalize_warm_start instance ~target a)
-  in
-  let (status, allocation), convergence =
-    traced "solver.solve"
-      (fun () ->
-        [ ("engine", spec_to_string engine);
-          ("target", string_of_int target);
-          ("warm", if warm <> None then "true" else "false") ])
-      (fun () -> dispatch ~budget ~rng ~params ~warm ~t0 engine instance ~target)
-  in
-  ((status, allocation, warm <> None), convergence)
+  traced "solver.solve"
+    (fun () ->
+      [ ("engine", spec_to_string engine); ("target", string_of_int target) ])
+    (fun () ->
+      dispatch ~budget ~rng ~params ?warm_start ~t0 engine instance ~target)
 
 (* The all-zero split: cost 0, so always within any monetary budget —
    the trivially-feasible floor of the max-throughput search. *)
@@ -219,28 +224,17 @@ let zero_allocation instance =
    so its Infeasible *proves* unreachability; the DPs and the oracle
    compare their exact optimum against the cap; heuristic engines
    compare their incumbent — whose "no" is not a proof, hence status
-   [Feasible] rather than [Optimal]. *)
-let max_throughput ~budget ~rng ~params ~warm_start ~hi engine instance
-    ~money t0 =
+   [Feasible] rather than [Optimal]. No probe is seeded. *)
+let max_throughput ~budget ~rng ~params ~hi engine instance ~money t0 =
   let probe_exhausted = ref false in
-  let warm_used = ref false in
   (* [Some a]: proof that [target] is reachable within [money].
      [None]: unreachable — a proof for exact engines (modulo
      [probe_exhausted]), best-effort for heuristics. A probe that hit
      its budget without a verdict marks the search exhausted. *)
   let probe target =
-    let warm =
-      match warm_start with
-      | None -> None
-      | Some a -> normalize_warm_start instance ~target a
-    in
-    if warm <> None then warm_used := true;
-    match
-      dispatch ~budget ~rng ~params ~warm ~t0 ~cap:money engine instance
-        ~target
-    with
-    | _, Some a when a.Allocation.cost <= money -> Some a
-    | status, _ ->
+    match dispatch ~budget ~rng ~params ~t0 ~cap:money engine instance ~target with
+    | _, Some a, _ when a.Allocation.cost <= money -> Some a
+    | status, _, _ ->
       if status = Budget_exhausted then probe_exhausted := true;
       None
   in
@@ -270,7 +264,7 @@ let max_throughput ~budget ~rng ~params ~warm_start ~hi engine instance
     if !probe_exhausted then Budget_exhausted
     else match engine with Heuristic _ -> Feasible | _ -> Optimal
   in
-  ((status, Some allocation, !warm_used), convergence)
+  ((status, Some allocation, false), convergence)
 
 let run ?(budget = Budget.unlimited) ?rng ?(params = Heuristics.default_params)
     ?warm_start ?(spec = Auto) instance ~objective =
@@ -292,8 +286,7 @@ let run ?(budget = Budget.unlimited) ?rng ?(params = Heuristics.default_params)
        max_int is rejected before any engine runs. *)
     let hi = Instance.fluid_upper_target instance ~budget:money in
     metered engine instance
-      (max_throughput ~budget ~rng ~params ~warm_start ~hi engine instance
-         ~money)
+      (max_throughput ~budget ~rng ~params ~hi engine instance ~money)
 
 let pp_outcome fmt o =
   Format.fprintf fmt "@[<v>%s via %s in %.3f s" (status_to_string o.status)

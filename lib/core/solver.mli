@@ -81,8 +81,11 @@ type telemetry = {
       (** recipes removed by dominance preprocessing at instance
           compile time (see {!Instance.compile}) *)
   warm_started : bool;
-      (** a caller-supplied [?warm_start] passed validation and seeded
-          the engine (always [false] without one) *)
+      (** a caller-supplied [?warm_start] passed validation and a
+          heuristic that reads it ran with it: H2, H31, H32 or
+          H32Jump, as the engine or as the ILP's budget fallback
+          (always [false] without one, for H0, H1, the exact engines
+          that run to the end, and under [Max_throughput]) *)
 }
 
 type outcome = {
@@ -142,19 +145,22 @@ val auto_of_instance : Instance.t -> spec
     @param params heuristic tuning (default
       {!Heuristics.default_params}); exact engines ignore it.
     @param warm_start a known allocation (a cached solution, the
-      previous billing period's fleet) used to seed the solve. It is
+      previous billing period's fleet) used as a start point of the
+      search heuristics (H2, H31, H32, H32Jump), which start from
+      whichever of the seed and the H1 split prices cheaper. A cheaper
+      start usually ends cheaper, but it is a different walk, so a
+      seeded answer can also end dearer. The seed is
       feasibility-checked against the instance and {e silently
       dropped} when unusable (wrong shape, misses the target, or
       routes throughput through a dominance-pruned recipe); when it
       passes, surplus throughput beyond the target is shed from the
-      most expensive recipes and the trimmed split seeds the search
-      heuristics' start point and the ILP's initial incumbent. The
-      DPs and the exhaustive oracle ignore it. Results can only
-      improve: engines keep whichever of the seed and their own start
-      prices cheaper, and exact engines still prove optimality.
-      {!telemetry}[.warm_started] records whether the seed was used.
-      Under [Max_throughput] it is re-validated per probe (a seed can
-      only meet the probes at or below its own throughput).
+      most expensive recipes first. The exact engines do not read it:
+      the ILP finds its own incumbents by rounding its nodes, and the
+      DPs and the exhaustive oracle enumerate. Only the ILP's
+      heuristic fallback, when a budget stops it before any integer
+      point, starts from it. Under [Max_throughput] it is dropped.
+      {!telemetry}[.warm_started] records whether a heuristic ran with
+      it.
     @raise Invalid_argument when the instance's objective kind
       mismatches, a min-cost target is negative, a max-throughput
       budget affords a throughput past [max_int] (the message names the

@@ -220,7 +220,7 @@ let with_bound_rows base extra =
   m
 
 let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
-    ?warm_start ?round ?priority model ~integer =
+    ?round ?priority model ~integer =
   let t0 = Unix.gettimeofday () in
   let sense, obj = Lp.Model.objective model in
   (* Normalize to minimization. *)
@@ -255,34 +255,29 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
   let better_than_incumbent bound =
     match to_beat () with None -> true | Some b -> R.compare bound b < 0
   in
-  (* Install a caller's integer point as the incumbent when it is
-     strictly better; [what] names it in the error, [source] on the
-     timeline. *)
-  let offer ~what ~source values =
-    if
-      not
-        (Lp.Model.check_feasible model values
-        && List.for_all (fun v -> R.is_integer values.(v)) integer)
-    then
-      invalid_arg
-        ("Milp.Solver.solve: " ^ what ^ " is not a feasible integer point");
-    let o = denorm_obj (Lp.Linexpr.eval obj values) in
-    if better_than_incumbent o then begin
-      Telemetry.bump incumbents_counter;
-      Telemetry.Progress.emit ~incumbent:(R.to_float (denorm_obj o)) ~source ();
-      incumbent := Some (o, Array.copy values)
-    end
-  in
-  Option.iter (offer ~what:"warm start" ~source:"milp.warm") warm_start;
-  (* The primal heuristic at a fractional node: its point, if any,
-     must beat the incumbent to replace it. *)
+  (* The primal heuristic at a fractional node: its point, if any, is
+     checked exactly and replaces the incumbent when strictly better. *)
   let try_round point =
     match round with
     | None -> ()
     | Some f -> (
       match f ~incumbent:(Option.map denorm_obj (to_beat ())) point with
-      | Some point -> offer ~what:"rounded point" ~source:"milp.round" point
-      | None -> ())
+      | None -> ()
+      | Some values ->
+        if
+          not
+            (Lp.Model.check_feasible model values
+            && List.for_all (fun v -> R.is_integer values.(v)) integer)
+        then
+          invalid_arg
+            "Milp.Solver.solve: rounded point is not a feasible integer point";
+        let o = denorm_obj (Lp.Linexpr.eval obj values) in
+        if better_than_incumbent o then begin
+          Telemetry.bump incumbents_counter;
+          Telemetry.Progress.emit ~incumbent:(R.to_float (denorm_obj o))
+            ~source:"milp.round" ();
+          incumbent := Some (o, Array.copy values)
+        end)
   in
   (* Last dual bound handed to the convergence timeline, in the
      normalized (minimization) sense. Bound events are emitted only

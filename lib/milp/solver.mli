@@ -59,17 +59,13 @@ type outcome = {
       as an incumbent with no point behind it: the search prunes by
       it, quietly declines points that do not beat it, and hands it to
       [round] until a point does (default: none).
-    @param warm_start a known feasible integer point used as the
-      initial incumbent (a heuristic solution); dramatically improves
-      pruning. Must be feasible and integral on [integer] —
-      @raise Invalid_argument otherwise.
     @param round a primal heuristic, called at every node whose LP
       optimum is fractional and still beats the incumbent, with the
       incumbent's objective (in the model's own sense; the cutoff or
       [None] before the first incumbent) and the node's LP point
       (read-only; [Pairs] from the native-int engine, [Rats] after an
       overflow). It returns an integer point meant to be strictly
-      better than the incumbent. The solver checks it like a [warm_start], raising
+      better than the incumbent. The solver checks it exactly, raising
       [Invalid_argument] when it is infeasible or not integral on
       [integer], installs it only when it is strictly better, and
       emits a [milp.round] progress event when it does. The node
@@ -84,7 +80,6 @@ val solve :
   ?node_limit:int ->
   ?integral_objective:bool ->
   ?cutoff:Numeric.Rat.t ->
-  ?warm_start:Numeric.Rat.t array ->
   ?round:
     (incumbent:Numeric.Rat.t option ->
     Lp.Simplex.point ->

@@ -25,7 +25,7 @@
       a feasible incumbent. Returns the optimal entry with the largest
       such [b'], the closest throughput available.
     - {!find_nearest} — the nearest {e usable} cached split for the
-      structure, to warm-start a cold solve. Usable means its target
+      structure, to seed a cold heuristic solve. Usable means its target
       is [>= target]: the solver's warm-start validation drops any
       split short of the requested target (it is not feasible there),
       so lower-target entries are never returned.

@@ -22,10 +22,12 @@
       fits this budget too). Served immediately as a feasible
       incumbent, without running an engine.
     + {b warm start} (min-cost only) — the nearest cached split at or
-      above the target (optimal or not) seeds {!Rentcost.Solver.run}
-      ([?warm_start]); surplus throughput is trimmed by the solver. A
-      max-throughput solve re-brackets its own binary search and goes
-      straight to
+      above the target (optimal or not) is handed to
+      {!Rentcost.Solver.run} ([?warm_start]), which trims surplus
+      throughput and starts the search heuristics from it. The reply
+      says [warm-started] only when a heuristic read the seed; an
+      exact engine (which does not) answers [cold]. A max-throughput
+      solve re-brackets its own binary search and goes straight to
     + {b cold solve}.
 
     Cached splits are stored in canonical recipe order, so all three

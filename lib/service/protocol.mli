@@ -38,8 +38,8 @@
     ({!Rentcost.Pricebook.of_string} format) or a server-side
     ["pricebook_path"]. [reuse] picks a rung of the reuse ladder:
     ["none"] always solves cold, ["exact"] replays identical requests
-    only, ["warm"] additionally seeds cold solves from the nearest
-    cached split, ["monotone"] additionally answers from a cached
+    only, ["warm"] additionally seeds cold heuristic solves from the
+    nearest cached split, ["monotone"] additionally answers from a cached
     optimal at a higher target (feasible incumbent, served without
     solving) — or, under max-throughput, from a cached optimal at a
     lower monetary budget. The ladder never crosses objectives or

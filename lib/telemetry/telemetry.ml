@@ -694,7 +694,7 @@ let () =
       ( lp_exact_objectives,
         "Relaxation objectives made exact from their native terms." );
       (milp_nodes, "Branch-and-bound nodes evaluated.");
-      (milp_incumbents, "Incumbent improvements (warm starts included).");
+      (milp_incumbents, "Incumbent improvements (rounded points and integral relaxations).");
       ( milp_warm_nodes,
         "Branch-and-bound nodes re-solved from the parent's or the root's tableau." );
       (heuristic_evals, "Cost-oracle evaluations by the heuristics.");

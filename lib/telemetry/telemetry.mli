@@ -312,8 +312,8 @@ val numeric_fallbacks : string
 (** Branch-and-bound nodes evaluated by {!Milp.Solver}. *)
 val milp_nodes : string
 
-(** Incumbent improvements (warm starts included) in
-    {!Milp.Solver}. *)
+(** Incumbent improvements in {!Milp.Solver}: rounded points and
+    integral relaxations. *)
 val milp_incumbents : string
 
 (** Branch-and-bound nodes {!Milp.Solver} solved warm, by dual simplex
@@ -399,7 +399,7 @@ val service_op : string -> string
 (** Demand ticks fed to an elastic controller. *)
 val autoscale_ticks : string
 
-(** Controller ticks that triggered a warm-started re-solve. *)
+(** Controller ticks that triggered a re-solve. *)
 val autoscale_replans : string
 
 (** Controller ticks held inside the deadband (no re-solve). *)

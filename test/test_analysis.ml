@@ -20,11 +20,11 @@ let test_cost_curve_monotone () =
     in
     Alcotest.(check bool) (name ^ " monotone") true (monotone costs)
   in
-  check_curve "ILP" (A.ilp_solver ());
+  check_curve "ILP" A.ilp_solver;
   check_curve "H1" A.h1_solver
 
 let test_cost_curve_values () =
-  let curve = A.cost_curve (A.ilp_solver ()) p ~targets:[ 10; 70; 200 ] in
+  let curve = A.cost_curve A.ilp_solver p ~targets:[ 10; 70; 200 ] in
   Alcotest.(check (list (pair int int))) "ILP curve matches Table III"
     [ (10, 28); (70, 124); (200, 333) ]
     (List.map (fun (t, a) -> (t, a.AL.cost)) curve)
@@ -152,9 +152,9 @@ let test_elastic_accounting () =
   Alcotest.(check bool) "elastic churn >= ramp-up" true (E.churn plan >= 0)
 
 let test_elastic_warm_matches_cold () =
-  (* Warm-started exact solves stay optimal: per-period costs agree
-     with per-period solves run without a warm start, over rising,
-     falling and repeated demand. *)
+  (* The ILP does not read the previous period's fleet: per-period
+     costs agree with per-period solves run without a warm start, over
+     rising, falling and repeated demand. *)
   let demand = [| 120; 70; 70; 20; 90; 120 |] in
   let warm = E.provision_on ~spec:Rentcost.Solver.Exact_ilp inst ~demand in
   Array.iteri

@@ -76,28 +76,6 @@ let test_dp_vs_ilp_on_disjoint_generated () =
     Alcotest.(check int) "DP = ILP" ilp dp
   done
 
-let test_warm_start_ablation_equal_cost () =
-  (* With and without a caller's incumbent (H32Jump's split, as the
-     cache's warm rung would hand over), the proved optimum is
-     identical; only the node count changes. *)
-  let inst = Rentcost.Instance.compile Rentcost.Problem.illustrating in
-  List.iter
-    (fun target ->
-      let seed = (H.search ~rng:(P.create 0x5EED) H.H32_jump inst ~target).H.allocation in
-      let incumbent =
-        Array.init (Rentcost.Instance.num_recipes inst) (fun j ->
-            seed.AL.rho.(Rentcost.Instance.original_index inst j))
-      in
-      let w = Rentcost.Ilp.optimize ~incumbent inst ~target in
-      let c = Rentcost.Ilp.optimize inst ~target in
-      let label = Printf.sprintf "target %d" target in
-      Alcotest.(check bool) (label ^ ": both proved") true
-        (w.Rentcost.Ilp.proved_optimal && c.Rentcost.Ilp.proved_optimal);
-      Alcotest.(check int) label
-        (Option.get c.Rentcost.Ilp.allocation).AL.cost
-        (Option.get w.Rentcost.Ilp.allocation).AL.cost)
-    [ 40; 70; 110; 160 ]
-
 let test_node_limited_ilp_still_good () =
   (* A 1-node budget returns the root's rounding. Here it meets the
      root's LP bound, so the single node proves it optimal. *)
@@ -119,6 +97,5 @@ let suite =
     [ Alcotest.test_case "full stack agreement" `Slow test_full_stack_agreement;
       Alcotest.test_case "DP vs ILP on generated disjoint" `Slow
         test_dp_vs_ilp_on_disjoint_generated;
-      Alcotest.test_case "warm start ablation" `Quick test_warm_start_ablation_equal_cost;
       Alcotest.test_case "node-limited ILP still good" `Quick
         test_node_limited_ilp_still_good ] )

@@ -142,38 +142,7 @@ let test_integral_objective_strengthening () =
   Alcotest.(check bool) "strengthening cannot need more nodes" true
     (strengthened.Solver.nodes <= plain.Solver.nodes)
 
-let test_warm_start () =
-  let m = M.create () in
-  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.add_constraint m (expr [ (x, 3); (y, 2) ]) M.Ge (ri 7);
-  M.set_objective m M.Minimize (expr [ (x, 5); (y, 4) ]);
-  (* A feasible integer point: x = 3, y = 0, objective 15. *)
-  let outcome =
-    Solver.solve ~warm_start:[| ri 3; ri 0 |] m ~integer:[ x; y ]
-  in
-  check_rat "still finds the optimum" (ri 13) (get_solution outcome).Solver.objective;
-  (* With a zero node budget the warm start is returned as incumbent. *)
-  let capped =
-    Solver.solve ~node_limit:0 ~warm_start:[| ri 3; ri 0 |] m ~integer:[ x; y ]
-  in
-  Alcotest.(check bool) "feasible status" true (capped.Solver.status = Solver.Feasible);
-  check_rat "incumbent is the warm point" (ri 15)
-    (get_solution capped).Solver.objective
-
-let test_warm_start_rejected () =
-  let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 1) ]) M.Ge (ri 2);
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
-  Alcotest.check_raises "infeasible warm start"
-    (Invalid_argument "Milp.Solver.solve: warm start is not a feasible integer point")
-    (fun () -> ignore (Solver.solve ~warm_start:[| ri 1 |] m ~integer:[ x ]));
-  Alcotest.check_raises "fractional warm start"
-    (Invalid_argument "Milp.Solver.solve: warm start is not a feasible integer point")
-    (fun () ->
-      ignore (Solver.solve ~warm_start:[| R.of_ints 5 2 |] m ~integer:[ x ]))
-
-(* The primal-heuristic hook: its point is checked like a warm start,
+(* The primal-heuristic hook: its point is checked exactly,
    installed only when strictly better, and can close a node's gap on
    its own. min x + y over 2x + 2y >= 5: the LP bound 5/2 strengthens
    to 3, which the rounding (3, 0) meets. *)
@@ -197,30 +166,30 @@ let test_round_hook () =
     (fun () ->
       ignore
         (Solver.solve ~round:(rounded [| R.of_ints 5 2; ri 0 |]) m ~integer));
-  (* A point no cheaper than the incumbent never replaces it, and the
-     hook sees the incumbent's objective and the node's LP point, the
+  (* The root's point (0, 3) becomes the incumbent; the equally cheap
+     (3, 0) offered at every later node never replaces it. The hook
+     sees the incumbent's objective and the node's LP point, the
      root's (5/2, 0), as the native pairs of the fast engine. *)
   let seen = ref [] and points = ref [] in
   let no_cheaper ~incumbent point =
     seen := incumbent :: !seen;
     points := point :: !points;
-    Some [| ri 3; ri 0 |]
+    Some (if incumbent = None then [| ri 0; ri 3 |] else [| ri 3; ri 0 |])
   in
-  let capped =
-    Solver.solve ~node_limit:1 ~warm_start:[| ri 0; ri 3 |] ~round:no_cheaper m
-      ~integer
-  in
+  let kept = Solver.solve ~round:no_cheaper m ~integer in
+  Alcotest.(check bool) "optimal" true (kept.Solver.status = Solver.Optimal);
   Alcotest.(check (list string)) "incumbent kept" [ "0"; "3" ]
-    (Array.to_list
-       (Array.map R.to_string (get_solution capped).Solver.values));
-  Alcotest.(check (list (option string))) "hook saw the incumbent"
-    [ Some "3" ]
-    (List.map (Option.map R.to_string) !seen);
-  (match !points with
-   | [ (Lp.Simplex.Pairs _ as point) ] ->
+    (Array.to_list (Array.map R.to_string (get_solution kept).Solver.values));
+  (match List.rev_map (Option.map R.to_string) !seen with
+   | None :: (_ :: _ as later) ->
+     Alcotest.(check bool) "hook saw the incumbent" true
+       (List.for_all (( = ) (Some "3")) later)
+   | _ -> Alcotest.fail "hook: expected the root's call and a later one");
+  (match List.rev !points with
+   | (Lp.Simplex.Pairs _ as point) :: _ ->
      Alcotest.(check (list string)) "hook saw the root's LP point" [ "5/2"; "0" ]
        (Array.to_list (Array.map R.to_string (Lp.Simplex.values point)))
-   | _ -> Alcotest.fail "hook: expected one native-int point");
+   | _ -> Alcotest.fail "hook: expected a native-int root point");
   (* A root that rounds to its own bound proves optimal at one node;
      without the hook the same solve branches. *)
   let proved =
@@ -239,9 +208,9 @@ let test_round_hook () =
 (* A cutoff is an incumbent with no point behind it. On min 5x + 4y
    over 3x + 2y >= 7 (optimum 13): above the optimum it changes
    nothing, at or below it nothing beats it and the tree closes
-   Infeasible. A warm start past it is ignored rather than raised,
-   and the round hook sees it as the incumbent. A maximization takes
-   its cutoff in its own sense. *)
+   Infeasible. A rounded point past it is declined rather than
+   raised, and the round hook sees it as the incumbent. A
+   maximization takes its cutoff in its own sense. *)
 let test_cutoff () =
   let build () =
     let m = M.create () in
@@ -251,8 +220,8 @@ let test_cutoff () =
     (m, [ x; y ])
   in
   let m, integer = build () in
-  let cut ?node_limit ?warm_start ?round c =
-    Solver.solve ?node_limit ?warm_start ?round ~integral_objective:true
+  let cut ?node_limit ?round c =
+    Solver.solve ?node_limit ?round ~integral_objective:true
       ~cutoff:(ri c) m ~integer
   in
   let above = cut 14 in
@@ -268,17 +237,13 @@ let test_cutoff () =
         true
         (o.Solver.status = Solver.Infeasible && o.Solver.solution = None))
     [ 13; 12; 0 ];
-  (* (3, 0) costs 15: past a cutoff of 14 it is ignored, not raised. *)
-  let warm = [| ri 3; ri 0 |] in
-  check_rat "over-cutoff warm start ignored" (ri 13)
-    (get_solution (cut ~warm_start:warm 14)).Solver.objective;
-  let idle = cut ~node_limit:0 ~warm_start:warm 14 in
-  Alcotest.(check bool) "no incumbent from an over-cutoff warm start" true
+  (* (3, 0) costs 15: past a cutoff of 14 it is declined, not raised. *)
+  let over ~incumbent:_ _ = Some [| ri 3; ri 0 |] in
+  check_rat "over-cutoff rounded point declined" (ri 13)
+    (get_solution (cut ~round:over 14)).Solver.objective;
+  let idle = cut ~node_limit:1 ~round:over 14 in
+  Alcotest.(check bool) "no incumbent from an over-cutoff rounded point" true
     (idle.Solver.status = Solver.Unknown && idle.Solver.solution = None);
-  Alcotest.check_raises "an infeasible warm start still raises"
-    (Invalid_argument
-       "Milp.Solver.solve: warm start is not a feasible integer point")
-    (fun () -> ignore (cut ~warm_start:[| ri 0; ri 0 |] 14));
   let seen = ref [] in
   let watch ~incumbent _ =
     seen := incumbent :: !seen;
@@ -487,8 +452,6 @@ let suite =
       Alcotest.test_case "integral objective strengthening" `Quick
         test_integral_objective_strengthening;
       Alcotest.test_case "gap at optimality" `Quick test_gap;
-      Alcotest.test_case "warm start" `Quick test_warm_start;
-      Alcotest.test_case "warm start rejected" `Quick test_warm_start_rejected;
       Alcotest.test_case "round hook" `Quick test_round_hook;
       Alcotest.test_case "cutoff" `Quick test_cutoff;
       Alcotest.test_case "priority groups" `Quick test_priority_groups_same_optimum ]

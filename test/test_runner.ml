@@ -56,8 +56,8 @@ let test_sweep_deterministic_costs () =
     (costs (run_tiny ()) = costs (run_tiny ()))
 
 let test_ilp_never_worse () =
-  (* The ILP is warm-started with H32Jump, so its cost is never worse
-     than any heuristic's on the same (config, target). *)
+  (* The tiny sweep's ILP runs to its proof, so its cost is never
+     worse than any heuristic's on the same (config, target). *)
   let ms = run_tiny () in
   let ilp = Hashtbl.create 16 in
   List.iter

@@ -214,17 +214,35 @@ let test_monotone_reuse_feasible () =
   Alcotest.(check bool) "incumbent upper-bounds the optimum" true
     (cold.s_cost <= low.s_cost)
 
+(* The warm rung seeds heuristics only. After an unproved entry, an
+   exact engine answers cold, at a fresh engine's cost; a heuristic
+   seeded from a node-capped ILP entry answers warm-started, in the
+   numbering it was submitted in. The ILP case climbs the "warm"
+   ladder, which skips the monotone rung. *)
 let test_warm_start_reuse () =
+  List.iter
+    (fun (spec, reuse) ->
+      let e = engine_with base in
+      ignore (solved1 e (solve_req ~spec:(S.Heuristic Rentcost.Heuristics.H1) 100));
+      let r = solved1 e (solve_req ~spec ~reuse 80) in
+      let name = S.spec_to_string spec in
+      check_served (name ^ " after an unproved entry") Pr.Cold r.s_served;
+      let fresh = solved1 (engine_with base) (solve_req ~reuse:Pr.No_reuse ~spec 80) in
+      Alcotest.(check int) (name ^ " at a fresh engine's cost") fresh.s_cost
+        r.s_cost)
+    [ (S.Exhaustive, Pr.Monotone); (S.Exact_ilp, Pr.Warm) ];
   let e = engine_with base in
-  ignore (solved1 e (solve_req 100));
-  let warm = solved1 e (solve_req ~reuse:Pr.Warm 80) in
-  check_served "seeded from nearest cached split" Pr.Warm_started warm.s_served;
-  Alcotest.(check string) "exact engine still proves optimality" "optimal"
-    (S.status_to_string warm.s_status);
-  let cold = solved1 (engine_with base) (solve_req ~reuse:Pr.No_reuse 80) in
-  Alcotest.(check int) "warm start does not change the optimum" cold.s_cost
-    warm.s_cost;
-  check_valid_for base ~target:80 warm
+  let capped = solved1 e (solve_req ~spec:S.Exact_ilp ~budget:(B.nodes 0) 100) in
+  Alcotest.(check string) "node-capped entry is unproved" "budget-exhausted"
+    (S.status_to_string capped.s_status);
+  let warm =
+    solved1 e
+      (solve_req ~source:(inline permuted)
+         ~spec:(S.Heuristic Rentcost.Heuristics.H32_jump) 80)
+  in
+  check_served "heuristic seeded from the cached split" Pr.Warm_started
+    warm.s_served;
+  check_valid_for permuted ~target:80 warm
 
 let test_equivalent_inline_shares_cache () =
   let e = E.create () in

@@ -137,8 +137,9 @@ let test_zero_deadline_degrades () =
   Alcotest.(check bool) "fallback evaluated" true (o.S.telemetry.S.evaluations > 0)
 
 let test_node_budget_degrades () =
-  (* A zero node cap stops branch and bound before any node: the warm
-     start incumbent (H32Jump) is returned as budget-exhausted. *)
+  (* A zero node cap stops branch and bound before any node, so no
+     incumbent exists: the H32Jump fallback's split is returned as
+     budget-exhausted. *)
   let target = 70 in
   let o =
     solve ~budget:(B.nodes 0) ~spec:S.Exact_ilp shared_problem ~target
@@ -204,6 +205,48 @@ let test_telemetry_dp () =
   Alcotest.(check int) "no nodes" 0 t.S.nodes;
   Alcotest.(check int) "no evaluations" 0 t.S.evaluations
 
+(* A warm start seeds the heuristics only: [warm_started] says that a
+   heuristic that reads seeds ran with it, as the engine or as the
+   ILP's budget fallback. The exact engines, H0, H1 and a
+   max-throughput search drop it, and the ILP's proved tree is the
+   unseeded one. *)
+let test_warm_start_seeds_heuristics_only () =
+  let inst = Rentcost.Instance.compile shared_problem in
+  let seed =
+    Option.get (solve ~spec:(S.Heuristic H.H1) shared_problem ~target:100).S.allocation
+  in
+  let run ?budget ?warm_start spec =
+    S.run ?budget ?warm_start ~spec inst
+      ~objective:(Rentcost.Objective.min_cost ~target:80)
+  in
+  List.iter
+    (fun (name, budget, spec, expected) ->
+      Alcotest.(check bool) name expected
+        (run ?budget ~warm_start:seed spec).S.telemetry.S.warm_started)
+    [ ("ilp", None, S.Exact_ilp, false);
+      ("ilp fallback", Some (B.nodes 0), S.Exact_ilp, true);
+      ("exhaustive", None, S.Exhaustive, false);
+      ("h0", None, S.Heuristic H.H0, false);
+      ("h1", None, S.Heuristic H.H1, false);
+      ("h2", None, S.Heuristic H.H2, true);
+      ("h31", None, S.Heuristic H.H31, true);
+      ("h32", None, S.Heuristic H.H32, true);
+      ("h32jump", None, S.Heuristic H.H32_jump, true) ];
+  let seeded = run ~warm_start:seed S.Exact_ilp and cold = run S.Exact_ilp in
+  Alcotest.(check (pair int int)) "ilp: the unseeded cost and nodes"
+    ((Option.get cold.S.allocation).Rentcost.Allocation.cost, cold.S.telemetry.S.nodes)
+    ((Option.get seeded.S.allocation).Rentcost.Allocation.cost,
+     seeded.S.telemetry.S.nodes);
+  let dual =
+    S.run ~warm_start:seed ~spec:(S.Heuristic H.H32_jump)
+      (Rentcost.Instance.compile
+         ~scenario:(Rentcost.Scenario.max_throughput ~budget:150 ())
+         shared_problem)
+      ~objective:(Rentcost.Objective.max_throughput ~budget:150)
+  in
+  Alcotest.(check bool) "max-throughput drops the seed" false
+    dual.S.telemetry.S.warm_started
+
 let test_telemetry_isolated_per_solve () =
   (* Telemetry is a delta around each solve, not a cumulative global:
      two identical solves report identical (deterministic) counts. *)
@@ -266,8 +309,8 @@ let test_convergence_milp () =
   let o = solve ~spec:S.Exact_ilp shared_problem ~target in
   Alcotest.(check bool) "optimality proved" true (o.S.status = S.Optimal);
   check_timeline ~optimal "milp" o.S.convergence;
-  (* The warm start reports first, then branch and bound takes over:
-     the proof event carries the milp source. *)
+  (* Node rounding reports incumbents, then the proof event carries
+     the milp source. *)
   let sources = List.map (fun (e : TP.event) -> e.TP.source) o.S.convergence in
   Alcotest.(check bool) "proof event present" true
     (List.mem "milp.proved" sources)
@@ -366,6 +409,8 @@ let suite =
       Alcotest.test_case "telemetry dp" `Quick test_telemetry_dp;
       Alcotest.test_case "telemetry isolated per solve" `Quick
         test_telemetry_isolated_per_solve;
+      Alcotest.test_case "warm start seeds heuristics only" `Quick
+        test_warm_start_seeds_heuristics_only;
       Alcotest.test_case "milp convergence timeline" `Quick
         test_convergence_milp;
       Alcotest.test_case "heuristic convergence timeline" `Quick
