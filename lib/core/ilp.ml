@@ -1,5 +1,3 @@
-module R = Numeric.Rat
-
 type outcome = {
   allocation : Allocation.t option;
   proved_optimal : bool;
@@ -30,62 +28,62 @@ let model instance ~target =
   in
   (* Σ_j ρ_j >= ρ  (constraint (1) of the paper) *)
   let total =
-    Lp.Linexpr.of_terms (Array.to_list (Array.map (fun v -> (v, R.one)) rho_vars))
+    Lp.Linexpr.of_terms (Array.to_list (Array.map (fun v -> (v, 1)) rho_vars))
   in
-  Lp.Model.add_constraint m ~name:"throughput" total Lp.Model.Ge (R.of_int target);
+  Lp.Model.add_constraint m ~name:"throughput" total Lp.Model.Ge target;
   (* Per type: x_q·r_q - Σ_j n^j_q·ρ_j >= 0  (constraint (2)) *)
   for q = 0 to q_count - 1 do
     let terms =
-      (x_vars.(q), R.of_int (Instance.type_throughput instance q))
+      (x_vars.(q), Instance.type_throughput instance q)
       :: List.filter_map
            (fun j ->
              let n = Instance.count instance j q in
-             if n = 0 then None else Some (rho_vars.(j), R.of_int (-n)))
+             if n = 0 then None else Some (rho_vars.(j), -n))
            (List.init j_count Fun.id)
     in
     Lp.Model.add_constraint m
       ~name:(Printf.sprintf "capacity_%d" q)
       (Lp.Linexpr.of_terms terms)
-      Lp.Model.Ge R.zero
+      Lp.Model.Ge 0
   done;
   let objective =
     Lp.Linexpr.of_terms
       (Array.to_list
-         (Array.mapi (fun q v -> (v, R.of_int (Instance.type_cost instance q))) x_vars))
+         (Array.mapi (fun q v -> (v, Instance.type_cost instance q)) x_vars))
   in
   Lp.Model.set_objective m Lp.Model.Minimize objective;
-  (m, Array.to_list rho_vars @ Array.to_list x_vars)
+  m
 
 let decode instance solution =
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
   let values = solution.Milp.Solver.values in
-  let to_int v =
-    (* Integrality is enforced by the solver; exact rationals make the
-       conversion lossless. *)
-    Numeric.Bigint.to_int_exn (R.num values.(v))
-  in
-  let rho = Instance.expand_rho instance (Array.init j_count to_int) in
-  let machines = Array.init q_count (fun q -> to_int (j_count + q)) in
+  let rho = Instance.expand_rho instance (Array.sub values 0 j_count) in
+  let machines = Array.sub values j_count q_count in
   Allocation.make (Instance.problem instance) ~rho ~machines
 
 (* The MILP point of a compact split [rho] whose per-type loads are
    [loads], machines minimized through the closed form
    [x_q = ⌈load_q / r_q⌉] so it satisfies the capacity rows with the
    smallest x_q; [None] when it costs more than [limit]. Priced in
-   native ints; the [Rat] point is built only when it is kept. *)
+   native ints, and the point is the one priced: each term is checked
+   against what is left of the limit before it is added, so no sum or
+   product wraps. *)
 let point_of instance ~rho ~loads ~limit =
   let j_count = Array.length rho and q_count = Array.length loads in
-  let machines q = ceil_div loads.(q) (Instance.type_throughput instance q) in
-  let cost = ref 0 in
-  for q = 0 to q_count - 1 do
-    cost := !cost + (Instance.type_cost instance q * machines q)
-  done;
-  if !cost > limit then None
-  else
-    Some
-      (Array.init (j_count + q_count) (fun i ->
-           R.of_int (if i < j_count then rho.(i) else machines (i - j_count))))
+  let point = Array.make (j_count + q_count) 0 in
+  Array.blit rho 0 point 0 j_count;
+  let rec price q cost =
+    if q = q_count then Some point
+    else begin
+      let x = ceil_div loads.(q) (Instance.type_throughput instance q) in
+      let c = Instance.type_cost instance q in
+      point.(j_count + q) <- x;
+      if x > 0 && c > (limit - cost) / x then None
+      else price (q + 1) (cost + (c * x))
+    end
+  in
+  if limit < 0 then None else price 0 0
 
 (* The branch and bound's primal heuristic: round a node's LP split to
    an integer one on the compiled instance. Each ρ_j is floored from
@@ -148,7 +146,7 @@ let rounder instance ~target =
        done
      | Rats values ->
        for j = 0 to j_count - 1 do
-         match R.to_small values.(j) with
+         match Numeric.Rat.to_small values.(j) with
          | Some (n, d) -> take j n d
          | None -> small := false
        done);
@@ -168,33 +166,20 @@ let rounder instance ~target =
         frac.(!best) <- 0;
         decr missing
       done;
-      let limit =
-        match incumbent with
-        | None -> max_int
-        | Some o -> (
-          (* Integer costs make every incumbent objective an integer; a
-             cutoff past max_int limits nothing. *)
-          match R.to_small o with
-          | Some (n, 1) -> n - 1
-          | _ ->
-            Option.fold ~none:max_int ~some:pred
-              (Numeric.Bigint.to_int (R.ceil o)))
-      in
+      let limit = match incumbent with None -> max_int | Some o -> o - 1 in
       point_of instance ~rho ~loads ~limit
     end
 
 let optimize ?time_limit ?node_limit ?budget_cap instance ~target =
   let t0 = Unix.gettimeofday () in
   (* The money prunes the search as a cutoff: a cost of cap + 1 or
-     more is cut off, counted in Rat so that max_int does not wrap. *)
+     more is cut off, and a cap of max_int cuts off nothing. *)
   let cutoff =
-    Option.map
-      (fun cap ->
+    Option.bind budget_cap (fun cap ->
         if cap < 0 then invalid_arg "Ilp.optimize: negative budget cap";
-        R.add (R.of_int cap) R.one)
-      budget_cap
+        if cap = max_int then None else Some (cap + 1))
   in
-  let model, integer =
+  let model =
     Telemetry.Span.with_span "ilp.build" (fun () -> model instance ~target)
   in
   let j_count = Instance.num_recipes instance in
@@ -216,27 +201,23 @@ let optimize ?time_limit ?node_limit ?budget_cap instance ~target =
   (* Every fractional node is rounded to a candidate incumbent: the
      role Gurobi's primal heuristics play in the paper's runs. *)
   let result =
-    Milp.Solver.solve ?time_limit ?node_limit ~integral_objective:true ?cutoff
-      ~round:(rounder instance ~target) ~priority model ~integer
+    Milp.Solver.solve ?time_limit ?node_limit ?cutoff
+      ~round:(rounder instance ~target) ~priority model
   in
   let allocation = Option.map (decode instance) result.Milp.Solver.solution in
-  let best_bound =
-    Option.map
-      (fun b -> Numeric.Bigint.to_int_exn (R.ceil b))
-      result.Milp.Solver.best_bound
-  in
   { allocation;
     proved_optimal = result.Milp.Solver.status = Milp.Solver.Optimal;
     status = result.Milp.Solver.status;
-    best_bound;
+    best_bound = result.Milp.Solver.best_bound;
     nodes = result.Milp.Solver.nodes;
     peak_retained_words = result.Milp.Solver.peak_retained_words;
     elapsed = Unix.gettimeofday () -. t0 }
 
 let lp_lower_bound problem ~target =
-  let m, _ = model (Instance.compile problem) ~target in
+  let m = model (Instance.compile problem) ~target in
   match Lp.Simplex.solve m with
-  | Lp.Simplex.Optimal { objective; _ } -> Numeric.Bigint.to_int_exn (R.ceil objective)
+  | Lp.Simplex.Optimal { objective; _ } ->
+    Numeric.Bigint.to_int_exn (Numeric.Rat.ceil objective)
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
     (* The MILP is always feasible (rent enough machines) and bounded
        below by zero. *)

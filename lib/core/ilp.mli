@@ -8,21 +8,25 @@
     The solver is the exact branch-and-bound of {!Milp.Solver} (our
     stand-in for the paper's Gurobi); [time_limit] reproduces the
     100-second cap of the paper's Figure 8 experiment. The model is
-    the paper's as it stands: [J + Q] variables, [1 + Q] rows and no
-    variable bound, so the root relaxation's tableau has [1 + Q] rows,
-    and a branch bound is a column bound of the warm dual simplex, so
-    a warm child keeps its parent's rows. The search is
-    strengthened by objective integrality (all costs are integers),
-    and it branches on the machine counts [x_q] first, most expensive
-    type first, then on the splits [ρ_j]: the objective depends on
-    the [x_q] alone.
+    the paper's as it stands: [J + Q] integer variables, [1 + Q] rows
+    and no variable bound, all over the instance's ints, so the root
+    relaxation's tableau has [1 + Q] rows, and a branch bound is an
+    int column bound of the warm dual simplex, so a warm child keeps
+    its parent's rows. Every cost is an int, so the search
+    strengthens each LP bound to its ceiling, and it branches on the
+    machine counts [x_q] first, most expensive type first, then on
+    the splits [ρ_j]: the objective depends on the [x_q] alone.
+    Incumbents, bounds and the cutoff are ints; a caller keeps every
+    cost within the int range ({!Solver.run} refuses a target whose
+    splits can cost past [max_int]).
 
     {b Primal heuristic.} Every node whose LP split is fractional and
     still beats the incumbent is rounded to an integer split: each
     [ρ_j] is floored, the missing units go to the recipes with the
     smallest marginal closed-form machine cost (ties to the largest
     fractional part), and machines are priced by the closed form, all
-    in native ints. The rounded point becomes the incumbent when it is
+    in native ints; the point priced is the point offered. The rounded
+    point becomes the incumbent when it is
     strictly cheaper (and within [?budget_cap]); this is the role
     Gurobi's primal heuristics play in the paper's runs. A solve that
     reaches its root therefore has an incumbent whenever the root's
@@ -49,9 +53,9 @@ type outcome = {
   elapsed : float;  (** seconds *)
 }
 
-(** [model instance ~target] constructs the MILP and returns it with
-    the list of integer variables — exposed for inspection, testing
-    and benchmarking. The model has one [ρ] column per {e surviving}
+(** [model instance ~target] constructs the MILP (every variable is
+    integral) — exposed for inspection, testing and benchmarking. The
+    model has one [ρ] column per {e surviving}
     recipe of the dominance-pruned compiled instance (see {!Instance}):
     variables [0..J'-1] are the [ρ_j] in compact numbering and
     [J'..J'+Q-1] are the [x_q]. Dominated columns never price cheaper
@@ -61,10 +65,7 @@ type outcome = {
     is one model for both objectives: a monetary budget is a cutoff of
     {!optimize}, not a row.
     @raise Invalid_argument when [target < 0]. *)
-val model :
-  Instance.t ->
-  target:int ->
-  Lp.Model.t * Lp.Model.var list
+val model : Instance.t -> target:int -> Lp.Model.t
 
 (** [optimize instance ~target] solves the MILP.
     @param time_limit wall-clock seconds (default: unlimited)
@@ -73,7 +74,8 @@ val model :
       deterministic across machines
     @param budget_cap the money of a max-throughput probe, handed to
       the branch and bound as the cutoff [cap + 1]
-      ({!Milp.Solver.solve}[ ?cutoff]): the model, kernel and warm
+      ({!Milp.Solver.solve}[ ?cutoff]; none at [cap = max_int], which
+      cuts off nothing): the model, kernel and warm
       tableaus stay those of a min-cost solve, and [status =
       Infeasible] means "unreachable within [cap]".
     @raise Invalid_argument when [target < 0] or the cap is negative. *)

@@ -17,6 +17,7 @@ type t = {
   supports : support array;  (* sparse rows, compact j *)
   dropped : (int * int) list;  (* (dominated, surviving dominator), original *)
   unit_costs : R.t array;  (* fluid cost per throughput unit, compact j *)
+  max_target : int;  (* the largest target whose splits cost <= max_int *)
   blackbox : bool;
   disjoint : bool;
   mutable canon : (string * int array) option;
@@ -110,9 +111,22 @@ let compile_impl ?(prune = true) ~source_problem ~objective_kind ~pricebook
         !acc)
       supports
   in
+  (* B(t) = ⌈t · max_j u_j⌉ + Σ_q c_q <= max_int exactly when
+     t · max_j u_j <= max_int - Σ_q c_q, an int. Costs are positive,
+     so only the sum can leave the int range. *)
+  let max_target =
+    let worst = Array.fold_left R.max R.zero unit_costs in
+    match Array.fold_left Numeric.Kernel.add_exn 0 costs with
+    | exception Invalid_argument _ -> -1
+    | _ when R.is_zero worst -> max_int
+    | fleet ->
+      Option.value ~default:max_int
+        (Numeric.Bigint.to_int
+           (R.floor (R.div (R.of_int (max_int - fleet)) worst)))
+  in
   { problem; source_problem; objective_kind; pricebook; costs; throughputs;
-    original; counts; supports; dropped; unit_costs; blackbox; disjoint;
-    canon = None }
+    original; counts; supports; dropped; unit_costs; max_target; blackbox;
+    disjoint; canon = None }
 
 let compile ?prune ?scenario problem =
   Telemetry.Span.with_span "instance.compile" (fun () ->
@@ -188,6 +202,8 @@ let fluid_upper_target t ~budget =
             can carry"
            budget)
   end
+
+let max_target t = t.max_target
 
 let expand_rho t rho =
   if Array.length rho <> num_recipes t then

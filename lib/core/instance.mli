@@ -133,6 +133,17 @@ val fluid_lower_bound : t -> target:int -> int
       carry that throughput. *)
 val fluid_upper_target : t -> budget:int -> int
 
+(** [max_target t] is the largest target [ρ] whose cost bound
+    [B(ρ) = ⌈ρ · max_j unit_cost j⌉ + Σ_q c_q] is at most [max_int]
+    ([max_int] without recipes, [-1] when [Σ_q c_q] alone passes
+    [max_int]); computed exactly, once, at compile time. Each
+    [x_q = ⌈load_q / r_q⌉] is below [load_q / r_q + 1], so every split
+    of [ρ] over the compiled recipes costs at most [B(ρ)]: so do every
+    DP entry, every heuristic's split and every incumbent of the ILP
+    at [ρ]. {!Solver.run} refuses a min-cost target past it before
+    any engine runs, so no engine's int cost can wrap. *)
+val max_target : t -> int
+
 (** [expand_rho t rho] maps a compact split (length [J']) to the
     original numbering (length [J], zeros for dropped recipes). *)
 val expand_rho : t -> int array -> int array

@@ -152,6 +152,12 @@ let dispatch ~budget ~rng ~params ?warm_start ~t0 ?cap engine instance ~target =
       | Milp.Solver.Optimal, (Some _ as a) -> (Optimal, a)
       | Milp.Solver.Feasible, (Some _ as a) -> (Budget_exhausted, a)
       | Milp.Solver.Infeasible, _ -> (Infeasible, None)
+      | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None
+        when target > Instance.max_target instance ->
+        (* A max-throughput probe whose splits can cost past max_int
+           (see [run]): a heuristic's int costs could wrap there, so
+           the probe ends without a verdict. *)
+        (Budget_exhausted, None)
       | (Milp.Solver.Unknown | Milp.Solver.Unbounded), _ | _, None ->
         (* A limit before any integer point (the rental MILP is never
            unbounded): degrade to the best heuristic reachable in what
@@ -279,12 +285,31 @@ let run ?(budget = Budget.unlimited) ?rng ?(params = Heuristics.default_params)
   match objective with
   | Objective.Min_cost { target } ->
     if target < 0 then invalid_arg "Solver.run: negative target";
+    (* Every engine prices in ints: a target whose splits can cost past
+       max_int is rejected before any engine runs. *)
+    if target > Instance.max_target instance then
+      invalid_arg
+        (Printf.sprintf
+           "target %d: a split can cost past max_int, which no int cost \
+            can carry"
+           target);
     metered engine instance
       (min_cost ~budget ~rng ~params ~warm_start engine instance ~target)
   | Objective.Max_throughput { budget = money } ->
     (* The bracket first: a budget that affords a throughput past
        max_int is rejected before any engine runs. *)
     let hi = Instance.fluid_upper_target instance ~budget:money in
+    (* A probe below the bracket costs at most what a split at the
+       bracket can. Past max_int, only the ILP still answers exactly:
+       it prunes every node whose bound passes max_int, its rounding
+       stops pricing past its limit, and it takes no heuristic
+       fallback at a probe whose splits can pass max_int. *)
+    if engine <> Exact_ilp && hi > Instance.max_target instance then
+      invalid_arg
+        (Printf.sprintf
+           "budget %d: a split at its fluid throughput %d can cost past \
+            max_int, which only the ilp engine searches"
+           money hi);
     metered engine instance
       (max_throughput ~budget ~rng ~params ~hi engine instance ~money)
 

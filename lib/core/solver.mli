@@ -161,12 +161,20 @@ val auto_of_instance : Instance.t -> spec
       point, starts from it. Under [Max_throughput] it is dropped.
       {!telemetry}[.warm_started] records whether a heuristic ran with
       it.
+    Every engine prices in native ints. A min-cost target past
+    {!Instance.max_target}, where a split can cost past [max_int], is
+    refused before any engine runs. A max-throughput bracket past it is
+    searched by the ILP alone, which prunes every bound past [max_int]
+    and takes no heuristic fallback at a probe past it.
+
     @raise Invalid_argument when the instance's objective kind
-      mismatches, a min-cost target is negative, a max-throughput
-      budget affords a throughput past [max_int] (the message names the
-      budget; see {!Instance.fluid_upper_target}), or a DP engine is
-      forced (not via [Auto]) on a problem whose structure it does not
-      support. *)
+      mismatches, a min-cost target is negative or past
+      {!Instance.max_target} (the message names the target), a
+      max-throughput budget affords a throughput past [max_int] or, on
+      an engine other than the ILP, a bracket past
+      {!Instance.max_target} (either message names the budget; see
+      {!Instance.fluid_upper_target}), or a DP engine is forced (not
+      via [Auto]) on a problem whose structure it does not support. *)
 val run :
   ?budget:Budget.t ->
   ?rng:Numeric.Prng.t ->

@@ -1,15 +1,15 @@
-module R = Numeric.Rat
+module K = Numeric.Kernel
 
-type t = { terms : (int * R.t) list; const : R.t }
+type t = { terms : (int * int) list; const : int }
 (* Invariant: [terms] sorted by strictly increasing variable index,
    every coefficient non-zero. *)
 
-let zero = { terms = []; const = R.zero }
+let zero = { terms = []; const = 0 }
 let constant k = { terms = []; const = k }
 
-let var ?(coeff = R.one) v =
+let var ?(coeff = 1) v =
   if v < 0 then invalid_arg "Linexpr.var: negative variable index";
-  if R.is_zero coeff then zero else { terms = [ (v, coeff) ]; const = R.zero }
+  if coeff = 0 then zero else { terms = [ (v, coeff) ]; const = 0 }
 
 (* Merge two sorted term lists, summing coefficients and dropping zeros. *)
 let rec merge a b =
@@ -19,22 +19,22 @@ let rec merge a b =
     if va < vb then ha :: merge ta b
     else if vb < va then hb :: merge a tb
     else begin
-      let c = R.add ca cb in
-      if R.is_zero c then merge ta tb else (va, c) :: merge ta tb
+      let c = K.add_exn ca cb in
+      if c = 0 then merge ta tb else (va, c) :: merge ta tb
     end
 
-let of_terms ?(const = R.zero) pairs =
+let of_terms ?(const = 0) pairs =
   let sorted = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
   (* Fold runs of equal variables. *)
   let rec fold = function
     | [] -> []
     | (v, c) :: rest ->
       let rec take acc = function
-        | (v', c') :: tl when v' = v -> take (R.add acc c') tl
+        | (v', c') :: tl when v' = v -> take (K.add_exn acc c') tl
         | tl -> (acc, tl)
       in
       let total, tl = take c rest in
-      if R.is_zero total then fold tl else (v, total) :: fold tl
+      if total = 0 then fold tl else (v, total) :: fold tl
   in
   List.iter (fun (v, _) -> if v < 0 then invalid_arg "Linexpr.of_terms: negative index") pairs;
   { terms = fold sorted; const }
@@ -42,48 +42,33 @@ let of_terms ?(const = R.zero) pairs =
 let terms t = t.terms
 let const t = t.const
 
-let add a b = { terms = merge a.terms b.terms; const = R.add a.const b.const }
-
 let neg t =
-  { terms = List.map (fun (v, c) -> (v, R.neg c)) t.terms; const = R.neg t.const }
+  { terms = List.map (fun (v, c) -> (v, K.neg_exn c)) t.terms; const = K.neg_exn t.const }
 
-let sub a b = add a (neg b)
-
-let scale c t =
-  if R.is_zero c then zero
-  else { terms = List.map (fun (v, k) -> (v, R.mul c k)) t.terms; const = R.mul c t.const }
-
-let coeff_of t v =
-  match List.assoc_opt v t.terms with Some c -> c | None -> R.zero
+let sub a b =
+  let b = neg b in
+  { terms = merge a.terms b.terms; const = K.add_exn a.const b.const }
 
 let eval t values =
   List.fold_left
     (fun acc (v, c) ->
       if v >= Array.length values then invalid_arg "Linexpr.eval: variable out of bounds";
-      R.add acc (R.mul c values.(v)))
+      K.add_exn acc (K.mul_exn c values.(v)))
     t.const t.terms
 
 let max_var t = List.fold_left (fun acc (v, _) -> max acc v) (-1) t.terms
 
-let equal a b =
-  R.equal a.const b.const
-  && List.length a.terms = List.length b.terms
-  && List.for_all2 (fun (v, c) (v', c') -> v = v' && R.equal c c') a.terms b.terms
-
 let pp fmt t =
   let pp_term first fmt (v, c) =
-    if R.sign c >= 0 && not first then Format.fprintf fmt " + ";
-    if R.sign c < 0 then Format.fprintf fmt (if first then "-" else " - ");
-    let a = R.abs c in
-    if R.equal a R.one then Format.fprintf fmt "x%d" v
-    else Format.fprintf fmt "%a·x%d" R.pp a v
+    if c >= 0 && not first then Format.fprintf fmt " + ";
+    if c < 0 then Format.fprintf fmt (if first then "-" else " - ");
+    let a = abs c in
+    if a = 1 then Format.fprintf fmt "x%d" v else Format.fprintf fmt "%d·x%d" a v
   in
   match t.terms with
-  | [] -> R.pp fmt t.const
+  | [] -> Format.pp_print_int fmt t.const
   | first :: rest ->
     pp_term true fmt first;
     List.iter (pp_term false fmt) rest;
-    if not (R.is_zero t.const) then begin
-      if R.sign t.const > 0 then Format.fprintf fmt " + %a" R.pp t.const
-      else Format.fprintf fmt " - %a" R.pp (R.abs t.const)
-    end
+    if t.const > 0 then Format.fprintf fmt " + %d" t.const
+    else if t.const < 0 then Format.fprintf fmt " - %d" (abs t.const)

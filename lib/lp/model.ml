@@ -1,12 +1,10 @@
-module R = Numeric.Rat
-
 type var = int
 
 type sense = Minimize | Maximize
 
 type cmp = Le | Ge | Eq
 
-type constr = { expr : Linexpr.t; cmp : cmp; rhs : R.t; cname : string }
+type constr = { expr : Linexpr.t; cmp : cmp; rhs : int; cname : string }
 
 type t = {
   mutable nvars : int;
@@ -40,7 +38,7 @@ let var_name t v =
 let add_constraint t ?(name = "") expr cmp rhs =
   let k = Linexpr.const expr in
   let expr = Linexpr.sub expr (Linexpr.constant k) in
-  let rhs = R.sub rhs k in
+  let rhs = Numeric.Kernel.sub_exn rhs k in
   (match Linexpr.max_var expr with
    | v when v >= t.nvars -> invalid_arg "Model.add_constraint: unknown variable"
    | _ -> ());
@@ -60,14 +58,11 @@ let num_constraints t = t.nconstrs
 
 let check_feasible t values =
   Array.length values = t.nvars
-  && Array.for_all (fun v -> R.sign v >= 0) values
+  && Array.for_all (fun v -> v >= 0) values
   && List.for_all
        (fun { expr; cmp; rhs; _ } ->
          let lhs = Linexpr.eval expr values in
-         match cmp with
-         | Le -> R.compare lhs rhs <= 0
-         | Ge -> R.compare lhs rhs >= 0
-         | Eq -> R.equal lhs rhs)
+         match cmp with Le -> lhs <= rhs | Ge -> lhs >= rhs | Eq -> lhs = rhs)
        (constraints t)
 
 let pp fmt t =
@@ -81,8 +76,8 @@ let pp fmt t =
     Linexpr.pp t.obj;
   List.iter
     (fun { expr; cmp; rhs; cname } ->
-      Format.fprintf fmt "  %s%a %a %a@,"
+      Format.fprintf fmt "  %s%a %a %d@,"
         (if cname = "" then "" else cname ^ ": ")
-        Linexpr.pp expr pp_cmp cmp R.pp rhs)
+        Linexpr.pp expr pp_cmp cmp rhs)
     (constraints t);
   Format.fprintf fmt "  x%d..x%d >= 0@]" 0 (t.nvars - 1)

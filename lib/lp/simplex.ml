@@ -15,6 +15,13 @@
    engine answered shows only in the [numeric.*] counters and the
    [lp.kernel] span attribute.
 
+   A model's data are native ints ({!Model}), so a cold tableau's
+   rows are its rows as they stand, every initial scale is 1, and the
+   objective's costs are the cost row itself; branch bounds are ints
+   too. Rat is left for what is rational by nature: an exact
+   objective, a reduced cost confirmed exactly, the {!Exact} engine
+   and an LP {!solution}.
+
    The branch and bound reads a fraction-free answer without
    canonicalizing it ({!relaxation}): the point as each row's own
    [(rhs, scale)] pair, and the objective as a float interval around
@@ -22,6 +29,7 @@
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
+module K = Numeric.Kernel
 
 let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
 let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
@@ -138,11 +146,24 @@ let compare_objectives a b =
   else R.compare (exact_objective a) (exact_objective b)
 
 (* lo <= x <= hi gives ceil lo <= ceil x <= ceil hi: equal ends
-   settle it. They are integral floats, exact as ints below 2^62. *)
+   settle it. They are integral floats, exact as ints below 2^62. A
+   ceiling past max_int is [None]: no int is at least x. *)
 let ceil_objective o =
   let c = Float.ceil o.lo in
-  if c = Float.ceil o.hi && Float.abs c < 0x1p62 then R.of_int (int_of_float c)
-  else R.of_bigint (R.ceil (exact_objective o))
+  if c = Float.ceil o.hi && Float.abs c < 0x1p62 then Some (int_of_float c)
+  else begin
+    let c = R.ceil (exact_objective o) in
+    match B.to_int c with
+    | Some n -> Some n
+    | None when B.sign c > 0 -> None
+    | None -> invalid_arg "Simplex.ceil_objective: below min_int"
+  end
+
+let int_objective o =
+  let x = exact_objective o in
+  match B.to_int (R.num x) with
+  | Some n when R.is_integer x -> n
+  | _ -> invalid_arg "Simplex.int_objective: not an int"
 
 (* Point [v] is [pairs.(2v) / pairs.(2v+1)]: each row's own right-hand
    side and scale, unreduced, both under 2^30 by the fast engine's
@@ -190,9 +211,9 @@ let exact_kernel = "rat"
 let orient model =
   List.map
     (fun { Model.expr; cmp; rhs; _ } ->
-      if R.sign rhs < 0 then
+      if rhs < 0 then
         let cmp = match cmp with Model.Le -> Model.Ge | Ge -> Le | Eq -> Eq in
-        (Linexpr.neg expr, cmp, R.neg rhs)
+        (Linexpr.neg expr, cmp, K.neg_exn rhs)
       else (expr, cmp, rhs))
     (Model.constraints model)
 
@@ -205,9 +226,10 @@ let count_slack_art oriented =
       | Model.Eq -> (ns, na + 1))
     (0, 0) oriented
 
-(* The exact engine: plain Gaussian elimination on Rat. The cost row
-   [z] holds reduced costs, with [z.(ncols)] equal to minus the current
-   objective value. Never overflows; {!solve} falls back to it. *)
+(* The exact engine: plain Gaussian elimination on Rat, the model's
+   ints converted once as the tableau is built. The cost row [z] holds
+   reduced costs, with [z.(ncols)] equal to minus the current objective
+   value. Never overflows; {!solve} falls back to it. *)
 module Exact = struct
   let span_attrs = [ ("lp.kernel", exact_kernel) ]
 
@@ -317,8 +339,8 @@ module Exact = struct
     List.iteri
       (fun i (expr, cmp, rhs) ->
         let row = tab.(i) in
-        List.iter (fun (v, c) -> row.(v) <- c) (Linexpr.terms expr);
-        row.(ncols) <- rhs;
+        List.iter (fun (v, c) -> row.(v) <- R.of_int c) (Linexpr.terms expr);
+        row.(ncols) <- R.of_int rhs;
         (match cmp with
          | Model.Le ->
            row.(!slack_idx) <- R.one;
@@ -381,10 +403,11 @@ module Exact = struct
     else begin
       (* Phase 2: the real objective (negated for maximization). *)
       let sense, obj = Model.objective model in
-      let obj_const = Linexpr.const obj in
+      let obj_const = R.of_int (Linexpr.const obj) in
       let costs = Array.make ncols R.zero in
       List.iter
         (fun (v, c) ->
+          let c = R.of_int c in
           costs.(v) <- (match sense with Model.Minimize -> c | Maximize -> R.neg c))
         (Linexpr.terms obj);
       let z = init_cost_row t costs in
@@ -444,13 +467,8 @@ module Fraction_free = struct
      |v| - 1 for v < 0 — exact enough to compare against [range]. *)
   let mag v = v lxor (v asr 62)
 
-  (* lcm of [l] and the denominator of [r], overflow-checked. *)
-  let lcm_den l r =
-    match R.to_small r with
-    | None -> overflow ()
-    | Some (_, d) ->
-      let l = l / gcd_int l d * d in
-      if l >= range then overflow () else l
+  (* A model's int [v] as a tableau entry or cost. *)
+  let entry v = if mag v >= range then overflow () else v
 
   type tableau = {
     tab : int array array;  (* m rows of (ncols + 1) entries *)
@@ -527,7 +545,7 @@ module Fraction_free = struct
      (tableau rows share the basis determinant as denominator; reduced
      costs do not share anything). Pricing instead reads
 
-       d_j = (costs_j - sum_i cb_i * tab_ij / s_i) / cq
+       d_j = costs_j - sum_i cb_i * tab_ij / s_i
 
      over the cost-bearing basic rows [i] (refreshed after every
      pivot), filters columns with a float estimate plus a conservative
@@ -535,8 +553,7 @@ module Fraction_free = struct
      exact Rat arithmetic, which cannot overflow. Confirmed values
      equal the exact engine's z-row, so every decision is exact. *)
   type priced = {
-    costs : int array;  (* over [cq]; columns past the end cost 0 *)
-    cq : int;
+    costs : int array;  (* columns past the end cost 0 *)
     rows : int array;
     cbs : int array;
     scales : int array;
@@ -545,9 +562,9 @@ module Fraction_free = struct
     mutable k : int;
   }
 
-  let priced t ~costs ~cq =
+  let priced t ~costs =
     let m = Stdlib.max (Array.length t.tab) 1 in
-    { costs; cq; rows = Array.make m 0; cbs = Array.make m 0;
+    { costs; rows = Array.make m 0; cbs = Array.make m 0;
       scales = Array.make m 0; fcb = Array.make m 0.0; est = Array.make 2 0.0;
       k = 0 }
 
@@ -571,16 +588,15 @@ module Fraction_free = struct
 
   (* The exact reduced cost d_j. *)
   let reduced_cost p t j =
-    let d = ref (R.of_ints (cost p j) p.cq) in
+    let d = ref (R.of_int (cost p j)) in
     for q = 0 to p.k - 1 do
       let a = t.tab.(p.rows.(q)).(j) in
-      (* cb*a and cq*s stay under 2^60 by the range invariant. *)
-      if a <> 0 then
-        d := R.sub !d (R.of_ints (p.cbs.(q) * a) (p.cq * p.scales.(q)))
+      (* cb*a stays under 2^60 by the range invariant. *)
+      if a <> 0 then d := R.sub !d (R.of_ints (p.cbs.(q) * a) p.scales.(q))
     done;
     !d
 
-  (* The float estimate of [cq * d_j] is [c_j - sum_q fcb_q * a_qj]
+  (* The float estimate of [d_j] is [c_j - sum_q fcb_q * a_qj]
      over the [k] cost-bearing rows, with [asum] the sum of the terms'
      magnitudes. Each term carries <= 2 roundings and each subtraction
      one more, so |est - true| <= 3 (k+1) eps (|c_j| + asum) with
@@ -679,42 +695,37 @@ module Fraction_free = struct
     in
     loop ()
 
-  (* A structural column's bounds [lo <= x <= up], each a small
-     fraction [n/d] ([up_d = 0]: no upper bound), and, while the column
-     is nonbasic, whether it sits at [up] rather than at [lo]. Records
-     never change, so a child copies only the array that holds them. *)
-  type col = { lo_n : int; lo_d : int; up_n : int; up_d : int; at_up : bool }
+  (* A structural column's bounds [0 <= lo <= x <= up < 2^30]
+     ([up = no_up]: no upper bound) and, while the column is nonbasic,
+     whether it sits at [up] rather than at [lo]. Records never change,
+     so a child copies only the array that holds them. *)
+  type col = { lo : int; up : int; at_up : bool }
+
+  let no_up = max_int
 
   (* Every column's bounds before a branch: [0 <= x], at [0]. Models
      have no other variable bounds, and slack columns stay free. *)
-  let free = { lo_n = 0; lo_d = 1; up_n = 0; up_d = 0; at_up = false }
+  let free = { lo = 0; up = no_up; at_up = false }
 
   let col cols j = if j < Array.length cols then cols.(j) else free
 
-  (* A column's upper ([up]) or lower bound as [n/d], and the one a
-     nonbasic column sits at. *)
-  let bound c ~up = if up then (c.up_n, c.up_d) else (c.lo_n, c.lo_d)
+  (* A column's upper ([up]) or lower bound, and the one a nonbasic
+     column sits at. *)
+  let bound c ~up = if up then c.up else c.lo
   let at c = bound c ~up:c.at_up
 
-  (* Whether a column's value can move: [lo < up]. *)
-  let movable c = c.up_d = 0 || c.lo_n * c.up_d < c.up_n * c.lo_d
+  (* Whether a column's value can move. *)
+  let movable c = c.lo < c.up
 
-  (* [row <- q * row], then [a * p] added to the right-hand side (the
-     last entry): the row's basic variable moves by [a * (p/q)] over
-     the row's scale. Reduced by the content gcd when an entry leaves
-     the range. Every factor is under 2^30, so no product overflows. *)
-  let shift_rhs row ~a ~p ~q =
+  (* [a * p] added to a row's right-hand side (its last entry): the
+     row's basic variable moves by [a * p] over the row's scale.
+     Reduced by the content gcd when it leaves the range. [a] and [p]
+     are under 2^30 in magnitude, so nothing overflows. *)
+  let shift_rhs row ~a ~p =
     let len = Array.length row in
-    let acc = ref 0 in
-    if q <> 1 then
-      for j = 0 to len - 2 do
-        let v = row.(j) * q in
-        row.(j) <- v;
-        acc := !acc lor mag v
-      done;
-    let v = (row.(len - 1) * q) + (a * p) in
+    let v = row.(len - 1) + (a * p) in
     row.(len - 1) <- v;
-    if !acc lor mag v >= range then ignore (reduce_row row len 0)
+    if mag v >= range then ignore (reduce_row row len 0)
 
   (* Bounded dual simplex from a dual-feasible basis: every nonbasic
      column at its lower bound has d_j >= 0 and every one at its upper
@@ -739,11 +750,11 @@ module Fraction_free = struct
         if !r < 0 || bv < t.basis.(!r) then begin
           let c = col cols bv and row = t.tab.(i) in
           let v = row.(n) and s = row.(bv) in
-          if v * c.lo_d < c.lo_n * s then begin
+          if v < c.lo * s then begin
             r := i;
             up := false
           end
-          else if c.up_d <> 0 && v * c.up_d > c.up_n * s then begin
+          else if c.up <> no_up && v > c.up * s then begin
             r := i;
             up := true
           end
@@ -807,11 +818,11 @@ module Fraction_free = struct
              other row; the entering column then adds its own bound
              value to its new row. *)
           let lc = col cols leaving in
-          let ln, ld = bound lc ~up:!up in
-          if ln <> 0 then shift_rhs row ~a:(-row.(leaving)) ~p:ln ~q:ld;
-          let en, ed = at (col cols c) in
+          let lb = bound lc ~up:!up in
+          if lb <> 0 then shift_rhs row ~a:(-row.(leaving)) ~p:lb;
+          let eb = at (col cols c) in
           pivot t !r c;
-          if en <> 0 then shift_rhs row ~a:row.(c) ~p:en ~q:ed;
+          if eb <> 0 then shift_rhs row ~a:row.(c) ~p:eb;
           if leaving < Array.length cols && lc.at_up <> !up then
             cols.(leaving) <- { lc with at_up = !up };
           loop ()
@@ -822,13 +833,12 @@ module Fraction_free = struct
 
   (* The relaxation of an optimal tableau: basic structurals at their
      rows' [(rhs, scale)], nonbasic ones at their bounds, and the
-     objective [c x] as its terms [cb * rhs / (cq * s)] and
-     [c_j * n / (cq * d)] (all under 2^60 by the range invariant),
-     negated when [negate], plus the small constant [cn / cd]. No
-     gcd and no Rat. *)
-  let optimum t p cols ~nstruct ~negate ~const:(cn, cd) =
+     objective [c x] as its terms [cb * rhs / s] and [c_j * b] (all
+     under 2^60 by the range invariant), negated when [negate], plus
+     the constant. No gcd and no Rat. *)
+  let optimum t p cols ~nstruct ~negate ~const =
     let pairs = Array.make (2 * nstruct) 0 in
-    let nterms = ref (if cn <> 0 then 1 else 0) in
+    let nterms = ref (if const <> 0 then 1 else 0) in
     Array.iteri
       (fun i bv ->
         let rhs = t.tab.(i).(t.ncols) in
@@ -840,9 +850,9 @@ module Fraction_free = struct
       t.basis;
     (* A zero denominator marks a nonbasic structural until the second
        pass below writes its bound. *)
-    let bound_of j = if j < Array.length cols then at cols.(j) else (0, 1) in
+    let bound_of j = if j < Array.length cols then at cols.(j) else 0 in
     for j = 0 to nstruct - 1 do
-      if pairs.((2 * j) + 1) = 0 && cost p j <> 0 && fst (bound_of j) <> 0 then
+      if pairs.((2 * j) + 1) = 0 && cost p j <> 0 && bound_of j <> 0 then
         incr nterms
     done;
     let terms = Array.make (2 * !nterms) 0 and k = ref 0 in
@@ -854,20 +864,20 @@ module Fraction_free = struct
     Array.iteri
       (fun i bv ->
         let rhs = t.tab.(i).(t.ncols) and cb = cost p bv in
-        if cb <> 0 && rhs <> 0 then add (cb * rhs) (p.cq * scale t i))
+        if cb <> 0 && rhs <> 0 then add (cb * rhs) (scale t i))
       t.basis;
     for j = 0 to nstruct - 1 do
       if pairs.((2 * j) + 1) = 0 then begin
-        let n, d = bound_of j in
-        pairs.(2 * j) <- n;
-        pairs.((2 * j) + 1) <- d;
+        let b = bound_of j in
+        pairs.(2 * j) <- b;
+        pairs.((2 * j) + 1) <- 1;
         let cj = cost p j in
-        if cj <> 0 && n <> 0 then add (cj * n) (p.cq * d)
+        if cj <> 0 && b <> 0 then add (cj * b) 1
       end
     done;
-    if cn <> 0 then begin
-      terms.(2 * !k) <- cn;
-      terms.((2 * !k) + 1) <- cd
+    if const <> 0 then begin
+      terms.(2 * !k) <- const;
+      terms.((2 * !k) + 1) <- 1
     end;
     { objective = of_terms terms; point = Pairs pairs }
 
@@ -877,15 +887,13 @@ module Fraction_free = struct
      result's tableau is one already and becomes its snapshot as it
      stands; a cold result is compacted once (see {!compact}). [cols]
      holds the structural columns' branch bounds; the objective is
-     [costs / cq], negated when [negate], plus [const] (see
-     {!optimum}). *)
+     [costs], negated when [negate], plus [const] (see {!optimum}). *)
   type snapshot = {
     t : tableau;
     nstruct : int;
     costs : int array;
-    cq : int;
     negate : bool;
-    const : int * int;
+    const : int;
     cols : col array;
   }
 
@@ -925,7 +933,7 @@ module Fraction_free = struct
         s.t.tab
     in
     Array.fold_left
-      (fun acc c -> if c == free then acc else acc + 6)
+      (fun acc c -> if c == free then acc else acc + 4)
       (rows + Array.length s.cols + 1)
       s.cols
 
@@ -940,39 +948,26 @@ module Fraction_free = struct
     let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0) in
     let basis = Array.make m (-1) in
     let slack_idx = ref nstruct and art_idx = ref art_start in
+    (* Each row as it stands: the slack/artificial entry, the initial
+       scale, is 1. *)
     List.iteri
       (fun i (expr, cmp, rhs) ->
         let row = tab.(i) in
-        (* Integerize the row by the lcm [l] of its denominators; [l]
-           is also the slack/artificial entry, i.e. the initial scale. *)
-        let l =
-          List.fold_left
-            (fun acc (_, c) -> lcm_den acc c)
-            (lcm_den 1 rhs) (Linexpr.terms expr)
-        in
-        let fill j x =
-          match R.to_small x with
-          | None -> overflow ()
-          | Some (nu, de) ->
-            let e = nu * (l / de) in
-            if abs e >= range then overflow ();
-            row.(j) <- e
-        in
-        List.iter (fun (v, c) -> fill v c) (Linexpr.terms expr);
-        fill ncols rhs;
+        List.iter (fun (v, c) -> row.(v) <- entry c) (Linexpr.terms expr);
+        row.(ncols) <- entry rhs;
         (match cmp with
          | Model.Le ->
-           row.(!slack_idx) <- l;
+           row.(!slack_idx) <- 1;
            basis.(i) <- !slack_idx;
            incr slack_idx
          | Model.Ge ->
-           row.(!slack_idx) <- -l;
+           row.(!slack_idx) <- -1;
            incr slack_idx;
-           row.(!art_idx) <- l;
+           row.(!art_idx) <- 1;
            basis.(i) <- !art_idx;
            incr art_idx
          | Model.Eq ->
-           row.(!art_idx) <- l;
+           row.(!art_idx) <- 1;
            basis.(i) <- !art_idx;
            incr art_idx))
       oriented;
@@ -986,7 +981,7 @@ module Fraction_free = struct
         for j = art_start to ncols - 1 do
           costs.(j) <- 1
         done;
-        (match run_phase t (priced t ~costs ~cq:1) ~banned:(fun _ -> false) with
+        (match run_phase t (priced t ~costs) ~banned:(fun _ -> false) with
          | Phase_unbounded ->
            (* Phase-1 objective is bounded below by zero; unbounded is
               impossible with exact arithmetic. *)
@@ -1025,36 +1020,24 @@ module Fraction_free = struct
     in
     if not feasible then (Infeasible, None)
     else begin
-      (* Phase 2: the real objective (negated for maximization),
-         integerized over the objective's common denominator [cq]. *)
+      (* Phase 2: the real objective (negated for maximization). *)
       let sense, obj = Model.objective model in
       let negate = sense = Model.Maximize in
-      let const =
-        match R.to_small (Linexpr.const obj) with
-        | Some nd -> nd
-        | None -> overflow ()
-      in
+      let const = Linexpr.const obj in
       let costs = Array.make ncols 0 in
-      let cq =
-        List.fold_left (fun acc (_, c) -> lcm_den acc c) 1 (Linexpr.terms obj)
-      in
       List.iter
         (fun (v, c) ->
-          match R.to_small c with
-          | None -> overflow ()
-          | Some (nu, de) ->
-            let e = nu * (cq / de) in
-            if abs e >= range then overflow ();
-            costs.(v) <- (if negate then -e else e))
+          let e = entry c in
+          costs.(v) <- (if negate then -e else e))
         (Linexpr.terms obj);
-      let p = priced t ~costs ~cq in
+      let p = priced t ~costs in
       match run_phase t p ~banned:(fun j -> j >= t.art_start) with
       | Phase_unbounded -> (Unbounded, None)
       | Phase_optimal ->
         ( Optimal (optimum t p [||] ~nstruct ~negate ~const),
           if keep then
             Some
-              { t = compact t; nstruct; costs; cq; negate; const;
+              { t = compact t; nstruct; costs; negate; const;
                 cols = Array.make nstruct free }
           else None )
     end
@@ -1062,41 +1045,34 @@ module Fraction_free = struct
   let copy t =
     { t with tab = Array.map Array.copy t.tab; basis = Array.copy t.basis }
 
-  (* One branch bound [x_var <= p/q] ([Upper]) or [x_var >= p/q]
+  (* One branch bound [x_var <= bound] ([Upper]) or [x_var >= bound]
      folded into [t] and [cols]. A nonbasic [var] that the bound moves
-     is folded into every right-hand side once, each row it touches
-     first multiplied by [q]; a basic one simply gets the bound, which
-     its value may now violate. A looser bound than the column's own
-     changes nothing. False when the bound crosses the column's other
-     one: the LP is empty. *)
+     is folded into every right-hand side once; a basic one simply
+     gets the bound, which its value may now violate. A looser bound
+     than the column's own changes nothing. False when the bound
+     crosses the column's other one: the LP is empty. *)
   let tighten t cols var dir bound =
     if var < 0 || var >= Array.length cols then
       invalid_arg "Simplex.reoptimize: var";
-    let bn, bd =
-      match R.to_small bound with Some nd -> nd | None -> overflow ()
-    in
+    let bound = entry bound in
     let c = cols.(var) in
     let c' =
       match dir with
-      | Upper when c.up_d = 0 || bn * c.up_d < c.up_n * bd ->
-        { c with up_n = bn; up_d = bd }
-      | Lower when bn * c.lo_d > c.lo_n * bd -> { c with lo_n = bn; lo_d = bd }
+      | Upper when bound < c.up -> { c with up = bound }
+      | Lower when bound > c.lo -> { c with lo = bound }
       | _ -> c
     in
-    if c'.up_d <> 0 && c'.lo_n * c'.up_d > c'.up_n * c'.lo_d then false
+    if c'.lo > c'.up then false
     else begin
       cols.(var) <- c';
       (if not (Array.mem var t.basis) then
-         let on, od = at c and nn, nd = at c' in
-         if on * nd <> nn * od then
-           match R.to_small (R.sub (R.of_ints nn nd) (R.of_ints on od)) with
-           | None -> overflow ()
-           | Some (p, q) ->
-             Array.iter
-               (fun row ->
-                 let a = row.(var) in
-                 if a <> 0 then shift_rhs row ~a:(-a) ~p ~q)
-               t.tab);
+         let d = at c' - at c in
+         if d <> 0 then
+           Array.iter
+             (fun row ->
+               let a = row.(var) in
+               if a <> 0 then shift_rhs row ~a:(-a) ~p:d)
+             t.tab);
       true
     end
 
@@ -1107,7 +1083,7 @@ module Fraction_free = struct
      result's tableau is never copied: it becomes the child's
      snapshot. *)
   let resolve s t cols =
-    let p = priced t ~costs:s.costs ~cq:s.cq in
+    let p = priced t ~costs:s.costs in
     if not (run_dual t p cols) then (Infeasible, None)
     else
       ( Optimal

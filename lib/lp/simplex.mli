@@ -15,17 +15,20 @@
     [x >= 0], so a caller that needs one adds it as a row.
     [Rentcost.Ilp.model]'s root tableau has the paper's [1 + Q] rows.
 
-    {!solve} runs a fraction-free engine over native-int rows and, when
-    a row outgrows the native range (or an objective coefficient or
-    constant cannot be integerized within it), reruns that one model
-    on exact {!Numeric.Rat}. Both engines make the same pivot
-    decisions (exact signs and exact ratio comparisons), so the result
-    is bit-identical whichever engine answered.
+    A model's data are native ints ({!Model}). {!solve} runs a
+    fraction-free engine whose rows are the model's own rows, and when
+    a row outgrows the native range (or a coefficient starts out
+    past it) reruns that one model on exact {!Numeric.Rat}. Both
+    engines make the same pivot decisions (exact signs and exact ratio
+    comparisons), so the result is bit-identical whichever engine
+    answered. An LP optimum is rational, so a {!solution} is
+    {!Numeric.Rat}; the branch and bound reads a {!relaxation}
+    instead, whose objective is made exact only on demand.
 
     {!reoptimize} is the branch-and-bound warm start: it takes the
     fraction-free engine's final tableau ({!snapshot}) and adds one
     variable bound; {!replay} adds a whole list of them at once. A
-    branch bound is a bound on the variable's column, not a row: a
+    branch bound is an int bound on the variable's column, not a row: a
     child's tableau has exactly its parent's rows and columns. A
     bounded dual simplex under the dual Bland rule then restores
     optimality. The optimal objective is the one a cold {!solve} of
@@ -41,7 +44,7 @@
 
 (** A relaxation's optimal objective. A native-int answer reports it
     as the sum of at most [rows + variables + 1] native fractions (each
-    row's [cb·rhs / (cq·scale)], each nonbasic variable's cost at its
+    row's [cb·rhs / scale], each nonbasic variable's cost at its
     bound, the model's constant) together with a float interval that
     provably holds that sum; the exact value is summed only on demand
     and then kept. An answer of the exact engine carries its exact
@@ -64,10 +67,19 @@ val exact_objective : objective -> Numeric.Rat.t
     make both exact. *)
 val compare_objectives : objective -> objective -> int
 
-(** [ceil_objective o] is [⌈o⌉] exactly. When both ends of the interval
-    have the same ceiling that is the answer, and [o] is not made
-    exact. *)
-val ceil_objective : objective -> Numeric.Rat.t
+(** [ceil_objective o] is [Some ⌈o⌉] exactly, or [None] when [⌈o⌉]
+    passes [max_int]: no int is at least [o]. When both ends of the
+    interval have the same ceiling that is the answer, and [o] is not
+    made exact.
+    @raise Invalid_argument when [⌈o⌉] is below [min_int]. *)
+val ceil_objective : objective -> int option
+
+(** [int_objective o] is {!exact_objective}[ o], which bumps
+    [lp.exact_objectives] as it does, as an int: the objective of an
+    integral point of an integer model.
+    @raise Invalid_argument when [o] is not an integer or not an
+      int. *)
+val int_objective : objective -> int
 
 (** [objective_of_terms [(a1, b1); …]] is the objective [Σ ai / bi],
     with its interval, as the engine builds it; for tests and for a
@@ -78,8 +90,8 @@ val objective_of_terms : (int * int) list -> objective
 (** A relaxation's optimal point, one value per model variable. A
     native-int answer gives variable [v] as [pairs.(2v) / pairs.(2v+1)]:
     its row's own right-hand side and scale (or a nonbasic variable's
-    bound), unreduced, the denominator positive and both under [2^30]
-    in magnitude. An answer of the exact engine gives canonical
+    bound over 1), unreduced, the denominator positive and both under
+    [2^30] in magnitude. An answer of the exact engine gives canonical
     values. *)
 type point = Pairs of int array | Rats of Numeric.Rat.t array
 
@@ -122,7 +134,7 @@ val exact_kernel : string
 (** {1 Warm start} *)
 
 (** The fraction-free engine's optimal tableau as int rows, with its
-    basis, integer cost vector and the branch bounds on its columns.
+    basis, cost vector and the int branch bounds on its columns.
     {!reoptimize} never changes a snapshot unless it is called with
     [~own:true], so any number of non-owning calls may share one. *)
 type snapshot
@@ -153,12 +165,12 @@ val solve_with_snapshot : Model.t -> relaxation outcome * snapshot option
       instead of a copy of them, and the result shares them. Default
       [false]: [s] is left as it was.
     @raise Numeric.Kernel.Overflow when the native range is exceeded
-      (the bound's numerator or denominator included); no counter is
+      (a bound of [2^30] or more in magnitude included); no counter is
       bumped then, and the caller solves the child cold.
     @raise Invalid_argument when [var] is not a variable of the model. *)
 val reoptimize :
   ?own:bool -> snapshot -> var:Model.var -> dir:direction ->
-  bound:Numeric.Rat.t -> relaxation outcome * snapshot option
+  bound:int -> relaxation outcome * snapshot option
 
 (** [replay s bounds] is {!reoptimize} with every bound of [bounds]
     (in any order; several may name one variable) folded into a copy of
@@ -168,7 +180,7 @@ val reoptimize :
     exceptions as {!reoptimize}; its [lp.simplex] span has [lp.start]
     ["replay"]. *)
 val replay :
-  snapshot -> (Model.var * direction * Numeric.Rat.t) list ->
+  snapshot -> (Model.var * direction * int) list ->
   relaxation outcome * snapshot option
 
 (** Heap words a retained snapshot holds, for memory budgets: its
@@ -190,9 +202,10 @@ val snapshot_rows : snapshot -> int array array * int array
     per entry — no division, no gcd. Reduced-cost signs are confirmed in
     exact {!Numeric.Rat} arithmetic.
     @raise Numeric.Kernel.Overflow when a row outgrows the native range
-      even after gcd reduction, or an input coefficient cannot be
-      integerized within it. *)
+      even after gcd reduction, or an input coefficient is [2^30] or
+      more in magnitude. *)
 val solve_fast : Model.t -> result
 
-(** The exact {!Numeric.Rat} engine alone. Never raises. *)
+(** The exact {!Numeric.Rat} engine alone. Never raises
+    [Numeric.Kernel.Overflow]. *)
 val solve_exact : Model.t -> result

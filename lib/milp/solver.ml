@@ -1,4 +1,7 @@
-(* Best-bound branch and bound over exact LP relaxations.
+(* Best-bound branch and bound over exact LP relaxations of a pure
+   integer program: every variable is integral, and every coefficient
+   is an int, so every integer point's objective is an int and each
+   LP bound strengthens to its ceiling.
 
    Internally everything is a minimization (a maximization problem is
    negated on the way in and back on the way out). A node carries the
@@ -11,12 +14,13 @@
    interval around native terms ([Lp.Simplex.objective]) and its
    point as each row's own native pair. Node keys compare by their
    intervals and go exact only when two overlap (siblings share one
-   key, which is equal to itself); [strengthen] takes the ceiling of
-   both interval ends and goes exact only when they differ; an
-   integral node makes its objective exact before it becomes the
-   incumbent. Branching reads the native pairs (a point of the Rat
-   engine, after an overflow, branches in Rat). Incumbents, the
-   strengthened keys and branch bounds are Rat values.
+   key, which is equal to itself); the strengthened key is the
+   ceiling of both interval ends and goes exact only when they
+   differ; an integral node makes its objective exact before it
+   becomes the incumbent. Branching reads the native pairs (a point
+   of the Rat engine, after an overflow, branches in Rat and converts
+   its floor and ceiling to ints). Incumbents, the strengthened keys,
+   the cutoff and branch bounds are ints.
    The root goes through [Lp.Simplex.solve_with_snapshot], which
    pivots on native ints and reruns a relaxation on Rat only when that
    one overflows. Every other node is warm: [Lp.Simplex.reoptimize]
@@ -41,6 +45,7 @@
    is a function of the input alone. *)
 
 module R = Numeric.Rat
+module K = Numeric.Kernel
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
@@ -56,12 +61,12 @@ let solve_nodes_hist =
    engines underneath still record a span per relaxation solve. *)
 let node_sampled n = (n - 1) land 63 = 0
 
-type solution = { objective : R.t; values : R.t array }
+type solution = { objective : int; values : int array }
 
 type outcome = {
   status : status;
   solution : solution option;
-  best_bound : R.t option;
+  best_bound : int option;
   nodes : int;
   peak_retained_words : int;
   elapsed : float;
@@ -95,10 +100,10 @@ type node = {
   key : Lp.Simplex.objective;
       (* parent relaxation objective: a valid lower bound; both
          children share it *)
-  skey : R.t;  (* [key] strengthened, computed once for both children *)
+  skey : int;  (* [key]'s ceiling, computed once for both children *)
   depth : int;
   seq : int;  (* creation order, for deterministic tie-breaking *)
-  extra : (Lp.Model.var * Lp.Simplex.direction * R.t) list;
+  extra : (Lp.Model.var * Lp.Simplex.direction * int) list;
       (* branch bounds, newest first *)
   mutable parent : shared option;
       (* dropped once used: the heap's vacated slots may still point
@@ -108,11 +113,11 @@ type node = {
 module Best_queue = Pqueue.Make (struct
   type t = node
 
-  (* [strengthen] is monotone, so this is the order of [key] then
-     [seq]; under [integral_objective] the integer [skey] decides most
-     compares cheaply, and keys compare by their intervals. *)
+  (* The ceiling is monotone, so this is the order of [key] then
+     [seq]; the integer [skey] decides most compares cheaply, and keys
+     compare by their intervals. *)
   let compare a b =
-    match R.compare a.skey b.skey with
+    match Int.compare a.skey b.skey with
     | 0 -> (
       match Lp.Simplex.compare_objectives a.key b.key with
       | 0 -> compare a.seq b.seq
@@ -128,12 +133,6 @@ let pp_status fmt s =
      | Infeasible -> "infeasible"
      | Unbounded -> "unbounded"
      | Unknown -> "unknown")
-
-(* Strengthen a dual bound to the next integer when the objective is
-   known to be integral on feasible integer points. *)
-let strengthen ~integral bound =
-  if integral then Lp.Simplex.ceil_objective bound
-  else Lp.Simplex.exact_objective bound
 
 (* Floor division, for a positive divisor. *)
 let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
@@ -185,16 +184,30 @@ let branch_var point groups =
       match acc with Some _ -> acc | None -> choose_in_group point group)
     None groups
 
+(* An exact Rat engine's integer as an int, raising rather than
+   wrapping. *)
+let rat_int b =
+  match Numeric.Bigint.to_int b with
+  | Some n -> n
+  | None ->
+    invalid_arg "Milp.Solver.solve: a relaxation's value is past the int range"
+
 (* The branch bounds [x_v >= ceil x] and [x_v <= floor x] of a
    fractional [x_v]. *)
 let branch_bounds point v =
   match point with
   | Lp.Simplex.Pairs p ->
     let fl = fdiv p.(2 * v) p.((2 * v) + 1) in
-    (R.of_int (fl + 1), R.of_int fl)
+    (fl + 1, fl)
   | Rats values ->
     let x = values.(v) in
-    (R.of_bigint (R.ceil x), R.of_bigint (R.floor x))
+    (rat_int (R.ceil x), rat_int (R.floor x))
+
+(* An integral point's values as ints. *)
+let int_values = function
+  | Lp.Simplex.Pairs p ->
+    Array.init (Array.length p / 2) (fun v -> p.(2 * v) / p.((2 * v) + 1))
+  | Rats values -> Array.map (fun x -> rat_int (R.num x)) values
 
 (* The model of a node solved cold: [base] with the node's tightest
    path bounds as rows after its own, for each variable in ascending
@@ -212,15 +225,14 @@ let with_bound_rows base extra =
   List.iter
     (fun v ->
       let row cmp b = Lp.Model.add_constraint m (Lp.Linexpr.var v) cmp b in
-      (match tightest v Lp.Simplex.Lower R.max with
-       | Some lo when R.sign lo > 0 -> row Lp.Model.Ge lo
+      (match tightest v Lp.Simplex.Lower Int.max with
+       | Some lo when lo > 0 -> row Lp.Model.Ge lo
        | _ -> ());
-      Option.iter (row Lp.Model.Le) (tightest v Lp.Simplex.Upper R.min))
+      Option.iter (row Lp.Model.Le) (tightest v Lp.Simplex.Upper Int.min))
     (List.sort_uniq compare (List.map (fun (v, _, _) -> v) extra));
   m
 
-let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
-    ?round ?priority model ~integer =
+let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
   let t0 = Unix.gettimeofday () in
   let sense, obj = Lp.Model.objective model in
   (* Normalize to minimization. *)
@@ -234,16 +246,20 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
   in
   (* Its own inverse, so it also normalizes. *)
   let denorm_obj o =
-    match sense with Lp.Model.Minimize -> o | Maximize -> R.neg o
+    match sense with Lp.Model.Minimize -> o | Maximize -> K.neg_exn o
   in
   let queue = Best_queue.create () in
   (* Branching groups: the caller's priority classes, then a catch-all
-     group for remaining integer variables. *)
+     group for the remaining variables. *)
   let groups =
     let listed = match priority with None -> [] | Some gs -> gs in
     let in_listed = List.concat listed in
-    let rest = List.filter (fun v -> not (List.mem v in_listed)) integer in
-    List.map (List.filter (fun v -> List.mem v integer)) listed @ [ rest ]
+    let rest =
+      List.filter
+        (fun v -> not (List.mem v in_listed))
+        (List.init (Lp.Model.num_vars model) Fun.id)
+    in
+    listed @ [ rest ]
   in
   let incumbent = ref None in
   (* What a bound must beat: the incumbent's objective, else the
@@ -253,7 +269,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
     match !incumbent with Some (inc_obj, _) -> Some inc_obj | None -> cutoff
   in
   let better_than_incumbent bound =
-    match to_beat () with None -> true | Some b -> R.compare bound b < 0
+    match to_beat () with None -> true | Some b -> bound < b
   in
   (* The primal heuristic at a fractional node: its point, if any, is
      checked exactly and replaces the incumbent when strictly better. *)
@@ -264,17 +280,13 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
       match f ~incumbent:(Option.map denorm_obj (to_beat ())) point with
       | None -> ()
       | Some values ->
-        if
-          not
-            (Lp.Model.check_feasible model values
-            && List.for_all (fun v -> R.is_integer values.(v)) integer)
-        then
+        if not (Lp.Model.check_feasible model values) then
           invalid_arg
             "Milp.Solver.solve: rounded point is not a feasible integer point";
         let o = denorm_obj (Lp.Linexpr.eval obj values) in
         if better_than_incumbent o then begin
           Telemetry.bump incumbents_counter;
-          Telemetry.Progress.emit ~incumbent:(R.to_float (denorm_obj o))
+          Telemetry.Progress.emit ~incumbent:(float_of_int (denorm_obj o))
             ~source:"milp.round" ();
           incumbent := Some (o, Array.copy values)
         end)
@@ -285,11 +297,11 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
   let last_bound = ref None in
   let emit_bound k =
     let improved =
-      match !last_bound with None -> true | Some b -> R.compare k b > 0
+      match !last_bound with None -> true | Some b -> k > b
     in
     if improved then begin
       last_bound := Some k;
-      Telemetry.Progress.emit ~bound:(R.to_float (denorm_obj k))
+      Telemetry.Progress.emit ~bound:(float_of_int (denorm_obj k))
         ~source:"milp" ()
     end
   in
@@ -356,7 +368,7 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
     | _ -> cold node
   in
   Best_queue.push queue
-    { key = Lp.Simplex.objective_of_terms []; skey = R.zero; depth = 0;
+    { key = Lp.Simplex.objective_of_terms []; skey = 0; depth = 0;
       seq = 0; extra = []; parent = None };
   let interrupted = ref false in
   (* A tree that closes exactly at a limit is proved, not
@@ -403,36 +415,40 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
                 relaxation can only be the root. *)
              root_status := Some Unbounded;
              interrupted := true
-           | Lp.Simplex.Optimal { objective = lp_obj; point } ->
-             let bound = strengthen ~integral:integral_objective lp_obj in
-             (* The root relaxation is a global dual bound. *)
-             if is_root then emit_bound bound;
-             if better_than_incumbent bound then begin
-               match branch_var point groups with
-               | None ->
-                 (* Integral relaxation: new incumbent, made exact. *)
-                 let o = Lp.Simplex.exact_objective lp_obj in
-                 Telemetry.bump incumbents_counter;
-                 Telemetry.Progress.emit
-                   ~incumbent:(R.to_float (denorm_obj o))
-                   ~source:"milp" ();
-                 incumbent := Some (o, Lp.Simplex.values point)
-               | Some v ->
-                 try_round point;
-                 (* A rounded point may have closed this node's gap. *)
-                 if better_than_incumbent bound then begin
-                   let up, down = branch_bounds point v in
-                   let parent = share ~is_root snapshot in
-                   if is_root then root := parent;
-                   let mk dir b =
-                     incr seq;
-                     { key = lp_obj; skey = bound; depth = node.depth + 1;
-                       seq = !seq; extra = (v, dir, b) :: node.extra; parent }
-                   in
-                   Best_queue.push queue (mk Lower up);
-                   Best_queue.push queue (mk Upper down)
-                 end
-             end);
+           | Lp.Simplex.Optimal { objective = lp_obj; point } -> (
+             (* A bound past max_int holds no point with an int
+                objective: the node is pruned like an infeasible one. *)
+             match Lp.Simplex.ceil_objective lp_obj with
+             | None -> ()
+             | Some bound ->
+               (* The root relaxation is a global dual bound. *)
+               if is_root then emit_bound bound;
+               if better_than_incumbent bound then begin
+                 match branch_var point groups with
+                 | None ->
+                   (* Integral relaxation: new incumbent, made exact. *)
+                   let o = Lp.Simplex.int_objective lp_obj in
+                   Telemetry.bump incumbents_counter;
+                   Telemetry.Progress.emit
+                     ~incumbent:(float_of_int (denorm_obj o))
+                     ~source:"milp" ();
+                   incumbent := Some (o, int_values point)
+                 | Some v ->
+                   try_round point;
+                   (* A rounded point may have closed this node's gap. *)
+                   if better_than_incumbent bound then begin
+                     let up, down = branch_bounds point v in
+                     let parent = share ~is_root snapshot in
+                     if is_root then root := parent;
+                     let mk dir b =
+                       incr seq;
+                       { key = lp_obj; skey = bound; depth = node.depth + 1;
+                         seq = !seq; extra = (v, dir, b) :: node.extra; parent }
+                     in
+                     Best_queue.push queue (mk Lower up);
+                     Best_queue.push queue (mk Upper down)
+                   end
+               end));
           if not !interrupted then loop ()
         end
     end
@@ -459,8 +475,8 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
         (* Close the timeline: the proof pins the dual bound to the
            incumbent, so both sequences end at the optimum. *)
         Telemetry.Progress.emit
-          ~incumbent:(R.to_float sol.objective)
-          ~bound:(R.to_float sol.objective)
+          ~incumbent:(float_of_int sol.objective)
+          ~bound:(float_of_int sol.objective)
           ~source:"milp.proved" ();
         outcome Optimal (Some sol) (Some sol.objective)
       | None ->
@@ -476,12 +492,12 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
           (fun acc n ->
             match acc with
             | None -> Some n.skey
-            | Some b -> Some (R.min b n.skey))
+            | Some b -> Some (Int.min b n.skey))
           None queue
       in
       let best_bound =
         match (queued_bound, !incumbent) with
-        | Some qb, Some (io, _) -> Some (denorm_obj (R.min qb io))
+        | Some qb, Some (io, _) -> Some (denorm_obj (Int.min qb io))
         | Some qb, None -> Some (denorm_obj qb)
         | None, Some (io, _) -> Some (denorm_obj io)
         | None, None -> None
@@ -493,6 +509,6 @@ let solve ?time_limit ?node_limit ?(integral_objective = false) ?cutoff
 let gap outcome =
   match (outcome.solution, outcome.best_bound) with
   | Some { objective; _ }, Some bound ->
-    let inc = R.to_float objective and b = R.to_float bound in
+    let inc = float_of_int objective and b = float_of_int bound in
     Some (Float.abs (inc -. b) /. Float.max 1.0 (Float.abs inc))
   | _ -> None

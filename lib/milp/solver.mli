@@ -1,19 +1,26 @@
-(** Exact branch-and-bound mixed-integer linear programming.
+(** Exact branch-and-bound integer linear programming.
 
-    Solves an {!Lp.Model.t} in which a designated subset of the
-    variables must take integer values. LP relaxations are solved by
-    the exact simplex of {!Lp.Simplex}, so bounds and incumbents are
-    exact rationals — the solver never declares optimality spuriously
-    or misses it because of floating-point tolerances.
+    Solves an {!Lp.Model.t} as a pure integer program: every variable
+    must take an integer value, and the model's data are ints, so every
+    integer point's objective is an int. That is the paper's § V-C
+    model. LP relaxations are solved by the exact simplex of
+    {!Lp.Simplex}, so no bound is off by a floating-point tolerance —
+    the solver never declares optimality spuriously or misses it.
+    Incumbents, their objectives, the dual bounds, the cutoff and the
+    branch bounds are ints. A node whose LP bound passes [max_int]
+    holds no point with an int objective and is pruned; any other
+    value that would leave the int range raises [Invalid_argument]
+    rather than wrap.
 
     A node reads its relaxation as {!Lp.Simplex.relaxation}: a float
     interval that provably holds the objective, and the point as
-    native pairs. Node order, pruning and the integer strengthening
-    decide on the interval when it settles the question and make the
-    objective exact otherwise ({!Lp.Simplex.compare_objectives},
-    {!Lp.Simplex.ceil_objective}), as does every new incumbent, so the
-    tree is the one exact arithmetic throughout would build. The
-    [lp.exact_objectives] counter counts the objectives made exact.
+    native pairs. Node order, pruning and the strengthening of each LP
+    bound to its ceiling decide on the interval when it settles the
+    question and make the objective exact otherwise
+    ({!Lp.Simplex.compare_objectives}, {!Lp.Simplex.ceil_objective}),
+    as does every new incumbent, so the tree is the one exact
+    arithmetic throughout would build. The [lp.exact_objectives]
+    counter counts the objectives made exact.
 
     This module is the replacement for the Gurobi solver used in the
     paper's experiments; in particular it exposes the same wall-clock
@@ -24,17 +31,17 @@ type status =
   | Optimal  (** incumbent proven optimal *)
   | Feasible  (** limit hit with an incumbent; gap may be positive *)
   | Infeasible
-      (** no integer point satisfies the constraints (and beats the
-          cutoff, when there is one) *)
+      (** no integer point with an int objective satisfies the
+          constraints (and beats the cutoff, when there is one) *)
   | Unbounded  (** the LP relaxation is unbounded *)
   | Unknown  (** limit hit before any incumbent was found *)
 
-type solution = { objective : Numeric.Rat.t; values : Numeric.Rat.t array }
+type solution = { objective : int; values : int array }
 
 type outcome = {
   status : status;
   solution : solution option;  (** best integer point found *)
-  best_bound : Numeric.Rat.t option;
+  best_bound : int option;
       (** proven dual bound on the optimum (for minimization, a lower
           bound); equals the incumbent objective when [status = Optimal] *)
   nodes : int;  (** branch-and-bound nodes evaluated *)
@@ -45,16 +52,13 @@ type outcome = {
   elapsed : float;  (** wall-clock seconds *)
 }
 
-(** [solve model ~integer] minimizes or maximizes [model] subject to
-    integrality of the variables in [integer], by best-bound branch and
-    bound, branching on the most fractional variable.
+(** [solve model] minimizes or maximizes [model] over its integer
+    points, by best-bound branch and bound, branching on the most
+    fractional variable. Each LP bound is strengthened to the next
+    integer.
 
     @param time_limit wall-clock budget in seconds (default: none).
     @param node_limit maximum nodes to evaluate (default: none).
-    @param integral_objective when true, the solver strengthens LP
-      bounds to the next integer — valid whenever every feasible
-      integer point has an integer objective value (e.g. integer costs
-      over integer variables, as in the rental-cost MILP).
     @param cutoff an objective, in the model's own sense, that acts
       as an incumbent with no point behind it: the search prunes by
       it, quietly declines points that do not beat it, and hands it to
@@ -66,27 +70,23 @@ type outcome = {
       (read-only; [Pairs] from the native-int engine, [Rats] after an
       overflow). It returns an integer point meant to be strictly
       better than the incumbent. The solver checks it exactly, raising
-      [Invalid_argument] when it is infeasible or not integral on
-      [integer], installs it only when it is strictly better, and
-      emits a [milp.round] progress event when it does. The node
-      branches only if its bound still beats the incumbent after
-      that.
+      [Invalid_argument] when it is infeasible, installs it only when
+      it is strictly better, and emits a [milp.round] progress event
+      when it does. The node branches only if its bound still beats
+      the incumbent after that.
     @param priority when given, branching considers fractional
       variables of the earliest non-empty group first (e.g. structural
       throughput splits before derived machine counts); variables in
-      [integer] but in no group form an implicit last group. *)
+      no group form an implicit last group.
+    @raise Invalid_argument when an objective, a bound or a branch
+      bound leaves the int range. *)
 val solve :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?integral_objective:bool ->
-  ?cutoff:Numeric.Rat.t ->
-  ?round:
-    (incumbent:Numeric.Rat.t option ->
-    Lp.Simplex.point ->
-    Numeric.Rat.t array option) ->
+  ?cutoff:int ->
+  ?round:(incumbent:int option -> Lp.Simplex.point -> int array option) ->
   ?priority:Lp.Model.var list list ->
   Lp.Model.t ->
-  integer:Lp.Model.var list ->
   outcome
 
 (** Heap words the parent tableaus kept for warm-starting open nodes

@@ -1,11 +1,26 @@
-(** The overflow signal of the native-int fast path.
+(** The overflow signal of the native-int fast path, and checked
+    native-int arithmetic.
 
     The LP engine's fraction-free fast path ([Lp.Simplex.solve_fast])
     works on native ints and never rounds: it either returns the exact
     result or raises {!Overflow} when a value leaves its range.
     [Lp.Simplex.solve] catches it and reruns the relaxation on exact
-    {!Rat} (see DESIGN.md, "Numeric kernels"). *)
+    {!Rat} (see DESIGN.md, "Numeric kernels").
+
+    The integer program's interface ([Lp.Linexpr], [Lp.Model],
+    [Milp.Solver]) is native ints; its sums, products and negations
+    go through {!add_exn}, {!sub_exn}, {!mul_exn} and {!neg_exn}, so a
+    value past the int range is an error rather than a wrapped
+    answer. *)
 
 (** Raised by the native-int fast path when an exact result is not
     representable in its range. *)
 exception Overflow
+
+(** [a + b], [a - b], [a * b] and [-a].
+    @raise Invalid_argument when the exact result is not an int. *)
+val add_exn : int -> int -> int
+
+val sub_exn : int -> int -> int
+val mul_exn : int -> int -> int
+val neg_exn : int -> int

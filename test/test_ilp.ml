@@ -50,10 +50,9 @@ let test_proved_optimal () =
   Alcotest.(check bool) "some nodes" true (o.ILP.nodes >= 1)
 
 let test_build_structure () =
-  let model, integer = ILP.model illustrating ~target:70 in
-  (* 3 rho vars + 4 x vars *)
+  let model = ILP.model illustrating ~target:70 in
+  (* 3 rho vars + 4 x vars, all integral *)
   Alcotest.(check int) "vars" 7 (Lp.Model.num_vars model);
-  Alcotest.(check int) "integer vars" 7 (List.length integer);
   (* 1 throughput + 4 capacity rows *)
   Alcotest.(check int) "constraints" 5 (Lp.Model.num_constraints model);
   (* The root tableau has exactly those rows, over the 7 variables and
@@ -84,7 +83,7 @@ let test_huge_target_model () =
   let i = I.compile p in
   Alcotest.(check int) "both recipes survive" 2 (I.num_recipes i);
   let lp target =
-    match Lp.Simplex.solve (fst (ILP.model i ~target)) with
+    match Lp.Simplex.solve (ILP.model i ~target) with
     | Lp.Simplex.Optimal { objective; _ } -> objective
     | _ -> Alcotest.fail "relaxation should be optimal"
   in

@@ -2,8 +2,8 @@
    must agree with the exact Rat engine solve-by-solve wherever it
    completes, and must raise [Kernel.Overflow] rather than return a
    wrong value where it cannot. Directed tests probe the overflow
-   boundary (on input, mid-pivot, on a row's lcm), the per-relaxation
-   exact fallback of [Lp.Simplex.solve] as the [Rentcost.Ilp] driver
+   boundary (on input, mid-pivot, on a row scaled by its lcm), the
+   per-relaxation exact fallback of [Lp.Simplex.solve] as the [Rentcost.Ilp] driver
    sees it, and that the paper's figure presets never need it. *)
 
 module R = Numeric.Rat
@@ -12,7 +12,6 @@ module L = Lp.Linexpr
 module M = Lp.Model
 module S = Lp.Simplex
 
-let rat = R.of_ints
 let check_rat msg a b = Alcotest.(check string) msg (R.to_string a) (R.to_string b)
 
 (* The fast engine's exclusive bound on tableau entries and scales. *)
@@ -22,8 +21,6 @@ let prop ?(count = 500) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
 (* --- qcheck: solver-level differential --- *)
-
-let ri = R.of_int
 
 (* Random always-feasible bounded covering LPs (the generator of
    test_lp). *)
@@ -42,12 +39,12 @@ let build_covering ((nv, nc), (coeffs, rhs)) =
   for c = 0 to nc - 1 do
     let terms =
       Array.to_list
-        (Array.mapi (fun i v -> (v, ri coeff.(((c * nv) + i) mod 16))) vars)
+        (Array.mapi (fun i v -> (v, coeff.(((c * nv) + i) mod 16))) vars)
     in
-    M.add_constraint m (L.of_terms terms) M.Ge (ri rhs.(c mod 4))
+    M.add_constraint m (L.of_terms terms) M.Ge rhs.(c mod 4)
   done;
   M.set_objective m M.Minimize
-    (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, ri (1 + (i mod 3)))) vars)));
+    (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, 1 + (i mod 3))) vars)));
   m
 
 let result_equal a b =
@@ -93,8 +90,8 @@ let check_falls_back m =
 let test_simplex_overflow_on_injection () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
-  M.add_constraint m (L.of_terms [ (x, R.one) ]) M.Ge R.one;
-  M.set_objective m M.Minimize (L.of_terms [ (x, R.of_int bound) ]);
+  M.add_constraint m (L.of_terms [ (x, 1) ]) M.Ge 1;
+  M.set_objective m M.Minimize (L.of_terms [ (x, bound) ]);
   Alcotest.check_raises "Fast overflows at the bound" K.Overflow (fun () ->
       ignore (S.solve_fast m));
   match check_falls_back m with
@@ -109,9 +106,9 @@ let test_simplex_overflow_on_pivot () =
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
   let y = M.add_var m ~name:"y" in
-  M.add_constraint m (L.of_terms [ (x, ri a); (y, ri b) ]) M.Ge R.one;
-  M.add_constraint m (L.of_terms [ (x, ri d); (y, R.one) ]) M.Ge R.one;
-  M.set_objective m M.Minimize (L.of_terms [ (x, R.one); (y, R.one) ]);
+  M.add_constraint m (L.of_terms [ (x, a); (y, b) ]) M.Ge 1;
+  M.add_constraint m (L.of_terms [ (x, d); (y, 1) ]) M.Ge 1;
+  M.set_objective m M.Minimize (L.of_terms [ (x, 1); (y, 1) ]);
   let pivots0 = Telemetry.value Telemetry.lp_pivots in
   Alcotest.check_raises "Fast overflows mid-pivot" K.Overflow (fun () ->
       ignore (S.solve_fast m));
@@ -120,22 +117,21 @@ let test_simplex_overflow_on_pivot () =
   match check_falls_back m with
   | S.Optimal sol ->
     Alcotest.(check bool) "exact optimum is feasible" true
-      (M.check_feasible m sol.S.values)
+      (Test_lp.feasible m sol.S.values)
   | _ -> Alcotest.fail "exact engine must solve the model"
 
-(* Two coprime near-range denominators in one row: their lcm exceeds
-   the fraction-free range, so the fast engine overflows while
-   integerizing the row — before any pivot — and the exact rerun is
-   what saves such models. *)
+(* The row x/p1 + y/p2 >= 1 of two coprime near-range denominators,
+   scaled by their lcm to integer data: its right-hand side p1 p2
+   exceeds the fraction-free range, so the fast engine overflows while
+   filling the row — before any pivot — and the exact rerun is what
+   saves such models. *)
 let test_simplex_overflow_on_row_lcm () =
   let p1 = bound - 1 and p2 = bound - 3 in
   let m = M.create () in
   let x = M.add_var m ~name:"x" in
   let y = M.add_var m ~name:"y" in
-  M.add_constraint m
-    (L.of_terms [ (x, rat 1 p1); (y, rat 1 p2) ])
-    M.Ge R.one;
-  M.set_objective m M.Minimize (L.of_terms [ (x, R.one); (y, R.one) ]);
+  M.add_constraint m (L.of_terms [ (x, p2); (y, p1) ]) M.Ge (p1 * p2);
+  M.set_objective m M.Minimize (L.of_terms [ (x, 1); (y, 1) ]);
   Alcotest.check_raises "Fast overflows on the row lcm" K.Overflow
     (fun () -> ignore (S.solve_fast m));
   match check_falls_back m with
@@ -187,35 +183,38 @@ let test_driver_falls_back_on_huge_costs () =
   (* Warm children overflow too. Here the root and every cold
      relaxation fit the fast range, but a child's dual pivots on top of
      the root's tableau do not: that child re-solves cold, still on the
-     fast engine, and still counts as exactly one relaxation. *)
+     fast engine, and still counts as exactly one relaxation. The
+     model is one whose strengthened tree still reaches such a child
+     (7 nodes, the optimum x0 = x1 = 1 at cost 11). *)
   let m = M.create () in
   let xs = Array.init 3 (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
   let row coeffs rhs =
     M.add_constraint m
-      (L.of_terms (List.mapi (fun i c -> (xs.(i), ri c)) coeffs))
-      M.Ge (ri rhs)
+      (L.of_terms (List.mapi (fun i c -> (xs.(i), c)) coeffs))
+      M.Ge rhs
   in
-  row [ 3808; 3247; 3671 ] 1910;
-  row [ 3820; 2; 1 ] 3159;
-  row [ 3923; 1; 3559 ] 2203;
-  Array.iter (fun x -> M.add_constraint m (L.var x) M.Le (ri 50)) xs;
+  row [ 3797; 2147; 3 ] 2774;
+  row [ 1655; 3503; 338 ] 2006;
+  row [ 3584; 2; 3 ] 1817;
+  Array.iter (fun x -> M.add_constraint m (L.var x) M.Le 50) xs;
   M.set_objective m M.Minimize
-    (L.of_terms [ (xs.(0), ri 3); (xs.(1), ri 2); (xs.(2), ri 8) ]);
+    (L.of_terms [ (xs.(0), 6); (xs.(1), 5); (xs.(2), 7) ]);
   Alcotest.(check bool) "root fits the fast range" true
     (match S.solve_fast m with
      | _ -> true
      | exception K.Overflow -> false);
   let warm0 = Telemetry.value Telemetry.milp_warm_nodes in
   let o, fast, fallbacks =
-    count_relaxations (fun () ->
-        Milp.Solver.solve m ~integer:(Array.to_list xs))
+    count_relaxations (fun () -> Milp.Solver.solve m)
   in
   let warm = Telemetry.value Telemetry.milp_warm_nodes - warm0 in
   let nodes = o.Milp.Solver.nodes in
   Alcotest.(check bool) "MIP proved optimal" true
     (o.Milp.Solver.status = Milp.Solver.Optimal);
   (match o.Milp.Solver.solution with
-   | Some sol -> check_rat "MIP optimum (x0 = 1)" (ri 3) sol.Milp.Solver.objective
+   | Some sol ->
+     Alcotest.(check int) "MIP optimum (x0 = x1 = 1)" 11 sol.Milp.Solver.objective;
+     Alcotest.(check (array int)) "MIP point" [| 1; 1; 0 |] sol.Milp.Solver.values
    | None -> Alcotest.fail "MIP must have a solution");
   Alcotest.(check int) "MIP: one relaxation per node" nodes (fast + fallbacks);
   Alcotest.(check int) "MIP: no fallback" 0 fallbacks;
@@ -252,6 +251,48 @@ let test_presets_never_fall_back () =
       done)
     [ "fig3"; "fig6"; "fig7" ]
 
+(* Random shared-type instances priced near max_int / 1024: 2-3 types
+   at 1-4 times that (plus a small odd part, so costs share no
+   factor), 2-3 recipes of 1-3 tasks, targets 1-30. The root overflows
+   the fast range and solves on Rat, so the tree branches on Rats
+   points, whose floors and ceilings become the int branch bounds;
+   the proved cost must still be the exhaustive oracle's. *)
+let huge_gen =
+  QCheck2.Gen.(
+    let huge = max_int / 1024 in
+    let machine =
+      map2
+        (fun (k, odd) r -> ((k * huge) + odd, r))
+        (pair (int_range 1 4) (int_range 0 999))
+        (int_range 1 30)
+    in
+    triple
+      (list_size (int_range 2 3) machine)
+      (list_size (int_range 2 3) (list_size (int_range 1 3) (int_range 0 2)))
+      (int_range 1 30))
+
+let huge_props =
+  [ prop ~count:100 "ILP on Rat relaxations matches the oracle" huge_gen
+      (fun (machines, recipes, target) ->
+        let ntypes = List.length machines in
+        let problem =
+          Rentcost.Problem.create
+            (Rentcost.Platform.of_list machines)
+            (Array.of_list
+               (List.map
+                  (fun types ->
+                    Rentcost.Task_graph.chain ~ntypes
+                      ~types:(Array.of_list (List.map (fun q -> q mod ntypes) types)))
+                  recipes))
+        in
+        let instance = Rentcost.Instance.compile problem in
+        let o, _, fallbacks =
+          count_relaxations (fun () -> Rentcost.Ilp.optimize instance ~target)
+        in
+        o.Rentcost.Ilp.proved_optimal && fallbacks >= 1
+        && (Option.get o.Rentcost.Ilp.allocation).Rentcost.Allocation.cost
+           = (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost) ]
+
 let suite =
   ( "numeric-kernel",
     [ Alcotest.test_case "simplex overflow on injection" `Quick
@@ -265,4 +306,4 @@ let suite =
         test_driver_falls_back_on_huge_costs;
       Alcotest.test_case "zero fallbacks on figure presets" `Slow
         test_presets_never_fall_back ]
-    @ solver_props )
+    @ solver_props @ huge_props )

@@ -474,6 +474,81 @@ let test_budget_past_max_int_rejected () =
   | [ Pr.Error { message; _ } ] -> named "the daemon's reply" message
   | _ -> Alcotest.fail "the daemon answered a budget past max_int"
 
+(* Two single-task recipes on types priced near max_int / 1024 and
+   max_int / 512: every split of 20000 may cost up to
+   ⌈20000 · max_j u_j⌉ + Σ_q c_q, past max_int, where the int costs of
+   every engine wrapped (a negative "optimal" cost from the exhaustive
+   oracle, a Failure from the ILP). Both surfaces refuse that target,
+   naming it, on every engine, and still answer 5000 exactly. A
+   max-throughput budget of max_int reaches such splits too: the
+   exhaustive oracle refuses it, naming the budget, and the ILP, which
+   prunes every bound past max_int, answers within the money. *)
+let test_split_cost_past_max_int_rejected () =
+  let big =
+    P.create
+      (PF.of_list [ (4503599627370495, 10); (9007199254740990, 25) ])
+      [| Rentcost.Task_graph.chain ~ntypes:2 ~types:[| 0 |];
+         Rentcost.Task_graph.chain ~ntypes:2 ~types:[| 1 |] |]
+  in
+  let refused what ~sub msg =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s names %s (%s)" what sub msg)
+      true
+      (contains ~sub msg && not (contains ~sub:"Failure(" msg))
+  in
+  let e = E.create () in
+  ignore (E.register e ~name:"app" big);
+  let request spec target =
+    Pr.Solve
+      { id = None; trace_id = None; tenant = None; source = Pr.Ref "app";
+        objective = Ob.min_cost ~target; pricebook = None; spec; budget = None;
+        reuse = Pr.No_reuse }
+  in
+  List.iter
+    (fun spec ->
+      let name = S.spec_to_string spec in
+      let objective = Ob.min_cost ~target:20000 in
+      (match S.run ~spec (I.compile big) ~objective with
+       | exception Invalid_argument msg ->
+         refused ("Solver.run, " ^ name) ~sub:"target 20000" msg
+       | _ -> Alcotest.fail (name ^ ": Solver.run answered target 20000"));
+      (match E.handle e (request spec 20000) with
+       | [ Pr.Error { message; _ } ] ->
+         refused ("the daemon's reply, " ^ name) ~sub:"target 20000" message
+       | _ -> Alcotest.fail (name ^ ": the daemon answered target 20000"));
+      let objective = Ob.min_cost ~target:5000 in
+      let o = S.run ~spec (I.compile big) ~objective in
+      Alcotest.(check (option int)) (name ^ ": Solver.run at 5000")
+        (Some 1801439850948198000)
+        (Option.map (fun a -> a.AL.cost) o.S.allocation);
+      let _, cost, _ = solved1 e (request spec 5000) in
+      Alcotest.(check int) (name ^ ": the daemon at 5000") 1801439850948198000 cost)
+    [ S.Exhaustive; S.Heuristic Rentcost.Heuristics.H1; S.Exact_ilp; S.Auto ];
+  let objective = Ob.max_throughput ~budget:max_int in
+  let dual spec =
+    S.run ~spec (I.compile ~scenario:(Sc.make ~objective ()) big) ~objective
+  in
+  (match dual S.Exhaustive with
+   | exception Invalid_argument msg ->
+     refused "a max-throughput exhaustive solve" ~sub:(string_of_int max_int) msg
+   | _ -> Alcotest.fail "the exhaustive oracle answered a budget of max_int");
+  let o = dual S.Exact_ilp in
+  match o.S.allocation with
+  | Some a ->
+    Alcotest.(check int) "the ILP's throughput" 12800 o.S.throughput;
+    let module B = Numeric.Bigint in
+    let exact =
+      Array.fold_left B.add B.zero
+        (Array.mapi
+           (fun q x -> B.mul (B.of_int x) (B.of_int (PF.cost (P.platform big) q)))
+           a.AL.machines)
+    in
+    Alcotest.(check string) "the ILP's cost, priced without wrapping"
+      (B.to_string exact) (string_of_int a.AL.cost);
+    Alcotest.(check bool) "the ILP's split is feasible" true
+      (AL.feasible big ~target:o.S.throughput a)
+  | None -> Alcotest.fail "the ILP found no allocation"
+
 let test_engine_pricebook_solves () =
   let e = E.create () in
   ignore (E.register e ~name:"app" illustrating);
@@ -596,5 +671,7 @@ let suite =
       Alcotest.test_case "engine pricebook solves" `Quick
         test_engine_pricebook_solves;
       Alcotest.test_case "budget past max_int rejected" `Quick
-        test_budget_past_max_int_rejected ]
+        test_budget_past_max_int_rejected;
+      Alcotest.test_case "split cost past max_int rejected" `Quick
+        test_split_cost_past_max_int_rejected ]
     @ props )

@@ -54,8 +54,12 @@ let rec subsets n lo k =
     @ subsets n (lo + 1) k
 
 (* Best vertex objective of: min/max c.x s.t. rows (a_i . x >= / <= b_i),
-   x >= 0. Rows are (coeffs, cmp, rhs) with cmp in {`Ge, `Le}. *)
+   x >= 0. Rows are (coeffs, cmp, rhs) with cmp in {`Ge, `Le}, over
+   ints as the model takes them. *)
 let best_vertex ~nvars ~rows ~objective ~maximize =
+  let rows =
+    List.map (fun (a, cmp, b) -> (Array.map R.of_int a, cmp, R.of_int b)) rows
+  and objective = Array.map R.of_int objective in
   (* Hyperplanes: one per row (a.x = b) plus one per axis (x_i = 0). *)
   let planes =
     List.map (fun (a, _, b) -> (a, b)) rows
@@ -109,12 +113,11 @@ let build ((nvars, nrows), ((coeffs, rhs), (obj, (senses, maximize)))) =
   let senses = Array.of_list senses in
   let rows =
     List.init nrows (fun r ->
-        ( Array.init nvars (fun i -> R.of_int coeffs.(((r * nvars) + i) mod 12)),
+        ( Array.init nvars (fun i -> coeffs.(((r * nvars) + i) mod 12)),
           (if senses.(r mod 4) then `Ge else `Le),
-          R.of_int rhs.(r mod 4) ))
+          rhs.(r mod 4) ))
   in
-  let objective = Array.map R.of_int obj in
-  (nvars, rows, objective, maximize)
+  (nvars, rows, obj, maximize)
 
 let to_model (nvars, rows, objective, maximize) =
   let m = M.create () in
@@ -157,8 +160,8 @@ let props =
         let m = to_model lp in
         match S.solve m with
         | S.Optimal sol ->
-          M.check_feasible m sol.values
-          && R.equal sol.objective (L.eval (snd (M.objective m)) sol.values)
+          Test_lp.feasible m sol.values
+          && R.equal sol.objective (Test_lp.value (snd (M.objective m)) sol.values)
         | S.Infeasible | S.Unbounded -> true) ]
 
 let suite = ("simplex_oracle", props)

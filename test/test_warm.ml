@@ -12,7 +12,7 @@ module M = Lp.Model
 module S = Lp.Simplex
 
 let ri = R.of_int
-let expr terms = L.of_terms (List.map (fun (v, n) -> (v, ri n)) terms)
+let expr terms = L.of_terms terms
 
 let check_rat msg expected actual =
   Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
@@ -45,14 +45,14 @@ let interval_holds (r : S.relaxation) =
 
 (* A warm answer for [m] agrees with a cold solve of [m], and its
    objective interval holds its exact objective. [m]'s bounds are
-   rows, so [check_feasible] checks them. *)
+   rows, so [Test_lp.feasible] checks them. *)
 let agrees m warm =
   match (warm, S.solve m) with
   | S.Optimal r, S.Optimal c ->
     let w = S.solution_of r in
     interval_holds r
     && R.equal w.S.objective c.S.objective
-    && M.check_feasible m w.S.values
+    && Test_lp.feasible m w.S.values
   | S.Infeasible, S.Infeasible -> true
   | _ -> false
 
@@ -91,8 +91,8 @@ let parent_model () =
   let x = M.add_var m ~name:"x" in
   let y = M.add_var m ~name:"y" in
   let z = M.add_var m ~name:"z" in
-  M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le (ri 5);
-  M.add_constraint m (expr [ (x, 1); (y, 2); (z, -1) ]) M.Le (ri 5);
+  M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le 5;
+  M.add_constraint m (expr [ (x, 1); (y, 2); (z, -1) ]) M.Le 5;
   M.set_objective m M.Minimize (expr [ (x, -1); (y, -1); (z, 1) ]);
   (m, x, y, z)
 
@@ -106,28 +106,28 @@ let test_parent () =
 let test_upper_on_basic () =
   let m, x, _, _ = parent_model () in
   let _, snap = snapshot_of m in
-  let _, warm = check_child "x <= 1" m snap x S.Upper R.one in
+  let _, warm = check_child "x <= 1" m snap x S.Upper 1 in
   check_rat "x <= 1 optimum" (ri (-3)) (objective_of "x <= 1" warm)
 
 let test_lower_on_basic () =
   let m, x, _, _ = parent_model () in
   let _, snap = snapshot_of m in
-  let _, warm = check_child "x >= 2" m snap x S.Lower (ri 2) in
+  let _, warm = check_child "x >= 2" m snap x S.Lower 2 in
   check_rat "x >= 2 optimum" (ri (-3)) (objective_of "x >= 2" warm)
 
 let test_bounds_on_nonbasic () =
   let m, _, _, z = parent_model () in
   let _, snap = snapshot_of m in
-  let _, lower = check_child "z >= 1" m snap z S.Lower R.one in
+  let _, lower = check_child "z >= 1" m snap z S.Lower 1 in
   check_rat "z >= 1 optimum" (R.of_ints (-8) 3) (objective_of "z >= 1" lower);
-  let _, upper = check_child "z <= 0" m snap z S.Upper R.zero in
+  let _, upper = check_child "z <= 0" m snap z S.Upper 0 in
   check_rat "z <= 0 leaves the optimum" (R.of_ints (-10) 3)
     (objective_of "z <= 0" upper)
 
 let test_infeasible_child () =
   let m, x, _, _ = parent_model () in
   let _, snap = snapshot_of m in
-  match check_child "x >= 3" m snap x S.Lower (ri 3) with
+  match check_child "x >= 3" m snap x S.Lower 3 with
   | _, (S.Infeasible, None) -> ()
   | _ -> Alcotest.fail "x >= 3 contradicts 2x + y <= 5"
 
@@ -137,8 +137,8 @@ let test_siblings_share_snapshot () =
   let m, x, _, _ = parent_model () in
   let _, snap = snapshot_of m in
   for _ = 1 to 2 do
-    ignore (check_child "x <= 1" m snap x S.Upper R.one);
-    ignore (check_child "x >= 2" m snap x S.Lower (ri 2))
+    ignore (check_child "x <= 1" m snap x S.Upper 1);
+    ignore (check_child "x >= 2" m snap x S.Lower 2)
   done
 
 (* Only an owning call may change a snapshot. [x] also has bound rows
@@ -149,8 +149,8 @@ let test_siblings_share_snapshot () =
    result took the snapshot's rows instead of copying them. *)
 let test_non_owning_leaves_snapshot () =
   let m, x, _, _ = parent_model () in
-  bound_row m x S.Upper (ri 2);
-  bound_row m x S.Lower R.one;
+  bound_row m x S.Upper 2;
+  bound_row m x S.Lower 1;
   let _, snap = snapshot_of m in
   let rows s = fst (S.snapshot_rows s) in
   let copied label (_, warm) =
@@ -159,16 +159,16 @@ let test_non_owning_leaves_snapshot () =
       Alcotest.(check bool) (label ^ ": rows copied") true (rows c != rows snap)
     | _ -> Alcotest.fail (label ^ ": expected an optimum")
   in
-  let upper () = copied "x <= 1" (check_child "x <= 1" m snap x S.Upper R.one) in
-  let lower () = copied "x >= 2" (check_child "x >= 2" m snap x S.Lower (ri 2)) in
+  let upper () = copied "x <= 1" (check_child "x <= 1" m snap x S.Upper 1) in
+  let lower () = copied "x >= 2" (check_child "x >= 2" m snap x S.Lower 2) in
   upper ();
   lower ();
   lower ();
   upper ();
-  match S.reoptimize ~own:true snap ~var:x ~dir:S.Upper ~bound:R.one with
+  match S.reoptimize ~own:true snap ~var:x ~dir:S.Upper ~bound:1 with
   | (S.Optimal _ as owned), Some c ->
     Alcotest.(check bool) "owning call agrees with a cold solve" true
-      (agrees (child m x S.Upper R.one) owned);
+      (agrees (child m x S.Upper 1) owned);
     Alcotest.(check bool) "owning call takes the rows" true (rows c == rows snap)
   | _ -> Alcotest.fail "owning call: expected an optimum"
 
@@ -183,17 +183,16 @@ let test_non_owning_leaves_snapshot () =
    point: a nonbasic variable sits at one of its bounds. *)
 let test_bound_chain () =
   let m, x, y, z = parent_model () in
-  bound_row m x S.Upper (ri 2);
+  bound_row m x S.Upper 2;
   let steps =
-    [ ("x <= 1 (basic, leaves at its upper bound)", x, S.Upper, R.one, true,
+    [ ("x <= 1 (basic, leaves at its upper bound)", x, S.Upper, 1, true,
        R.of_ints 5 3);
-      ("x <= 4 (looser than the column's own)", x, S.Upper, ri 4, false, R.one);
-      ("z >= 1 (nonbasic at lower, moves)", z, S.Lower, R.one, false, R.zero);
-      ("z >= 2 (nonbasic at lower, moves again)", z, S.Lower, ri 2, false, R.one);
-      ("y <= 5/2 (basic, fractional)", y, S.Upper, R.of_ints 5 2, true, ri 3);
-      ("y <= 1 (nonbasic at a fractional upper bound, moves)", y, S.Upper,
-       R.one, false, R.of_ints 5 2);
-      ("x <= 0 (nonbasic at upper, moves)", x, S.Upper, R.zero, false, R.one) ]
+      ("x <= 4 (looser than the column's own)", x, S.Upper, 4, false, R.one);
+      ("z >= 1 (nonbasic at lower, moves)", z, S.Lower, 1, false, R.zero);
+      ("z >= 2 (nonbasic at lower, moves again)", z, S.Lower, 2, false, R.one);
+      ("y <= 2 (basic, leaves at its upper bound)", y, S.Upper, 2, true, ri 3);
+      ("y <= 1 (nonbasic at upper, moves)", y, S.Upper, 1, false, ri 2);
+      ("x <= 0 (nonbasic at upper, moves)", x, S.Upper, 0, false, R.one) ]
   in
   let sol, snap = snapshot_of m in
   ignore
@@ -209,12 +208,14 @@ let test_bound_chain () =
 
 (* --- qcheck: random bounded models, two levels deep --- *)
 
-let half = R.of_ints 1 2
+let floor_int x = Numeric.Bigint.to_int_exn (R.floor x)
+let ceil_int x = Numeric.Bigint.to_int_exn (R.ceil x)
 
-(* Integer and fractional bounds in both directions around [x]. *)
+(* The branch bounds in both directions around [x], and a bound one
+   past each. *)
 let bounds_around x =
-  [ (S.Upper, R.of_bigint (R.floor x)); (S.Lower, R.of_bigint (R.ceil x));
-    (S.Upper, R.sub x half); (S.Lower, R.add x half) ]
+  [ (S.Upper, floor_int x); (S.Lower, ceil_int x);
+    (S.Upper, floor_int x - 1); (S.Lower, ceil_int x + 1) ]
 
 let warm_agrees_twice m =
   match S.solve_with_snapshot m with
@@ -246,11 +247,11 @@ let warm_agrees_twice m =
 (* A chain of 3-6 bounds, each warm from the last child. A step names
    the last step's variable again (offset 0) or another one, and its
    bound relative to that variable's value [x] in the parent: kinds
-   0-5 are [<= floor x], [>= ceil x], [<= x - 1/2], [>= x + 1/3],
-   [<= floor x - 1] and [>= x]. So chains mix both directions,
-   integral and fractional bounds, looser ones, and variables that are
-   basic or nonbasic at either bound (an Upper bound that a basic
-   variable leaves at, named again). Every child must agree with a
+   0-5 are [<= floor x], [>= ceil x], [<= ceil x], [>= ceil x + 1],
+   [<= floor x - 1] and [>= floor x]. So chains mix both directions,
+   bounds that cut and looser ones, and variables that are basic or
+   nonbasic at either bound (an Upper bound that a basic variable
+   leaves at, named again). Every child must agree with a
    cold solve of its model and keep the root's row count, and so must
    the whole path so far replayed at once on the root's snapshot. *)
 let chain_gen =
@@ -259,14 +260,14 @@ let chain_gen =
       (list_size (int_range 3 6) (pair (int_range 0 3) (int_range 0 5))))
 
 let chain_bound kind x =
-  let fl = R.of_bigint (R.floor x) and cl = R.of_bigint (R.ceil x) in
+  let fl = floor_int x and cl = ceil_int x in
   match kind with
   | 0 -> (S.Upper, fl)
   | 1 -> (S.Lower, cl)
-  | 2 -> (S.Upper, R.sub x half)
-  | 3 -> (S.Lower, R.add x (R.of_ints 1 3))
-  | 4 -> (S.Upper, R.sub fl R.one)
-  | _ -> (S.Lower, x)
+  | 2 -> (S.Upper, cl)
+  | 3 -> (S.Lower, cl + 1)
+  | 4 -> (S.Upper, fl - 1)
+  | _ -> (S.Lower, fl)
 
 let warm_chain_agrees (input, steps) =
   let m = Test_lp.build_bounded input in
@@ -349,6 +350,18 @@ let terms_pair_gen =
 let exact_sum terms =
   List.fold_left (fun acc (a, b) -> R.add acc (R.of_ints a b)) R.zero terms
 
+(* [S.ceil_objective o] is [⌈x⌉] when that is an int, [None] past
+   [max_int], and raises below [min_int]: sums of six terms near
+   [±2^60] leave the int range. *)
+let ceil_agrees o x =
+  match Numeric.Bigint.to_int (R.ceil x) with
+  | Some c -> S.ceil_objective o = Some c
+  | None when R.sign x > 0 -> S.ceil_objective o = None
+  | None -> (
+    match S.ceil_objective o with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let intervals_agree (t1, t2) =
   let o1 = S.objective_of_terms t1 and o2 = S.objective_of_terms t2 in
   let x1 = exact_sum t1 and x2 = exact_sum t2 in
@@ -359,8 +372,7 @@ let intervals_agree (t1, t2) =
   holds o1 x1 && holds o2 x2
   && Int.compare (S.compare_objectives o1 o2) 0 = Int.compare (R.compare x1 x2) 0
   && S.compare_objectives o1 o1 = 0
-  && R.equal (S.ceil_objective o1) (R.of_bigint (R.ceil x1))
-  && R.equal (S.ceil_objective o2) (R.of_bigint (R.ceil x2))
+  && ceil_agrees o1 x1 && ceil_agrees o2 x2
   && R.equal (S.exact_objective o1) x1
   && R.equal (S.exact_objective o2) x2
 
@@ -372,7 +384,7 @@ let test_intervals_decide_alone () =
   and five_halves = S.objective_of_terms [ (5, 2) ] in
   let before = Telemetry.value Telemetry.lp_exact_objectives in
   Alcotest.(check int) "1/3 < 2/3" (-1) (S.compare_objectives third two_thirds);
-  check_rat "ceil 5/2" (ri 3) (S.ceil_objective five_halves);
+  Alcotest.(check (option int)) "ceil 5/2" (Some 3) (S.ceil_objective five_halves);
   Alcotest.(check int) "no exact objective" before
     (Telemetry.value Telemetry.lp_exact_objectives);
   Alcotest.(check int) "an exact tie goes exact" 0
@@ -526,7 +538,7 @@ let test_snapshot_words_cover_heap () =
     build_instance
       (([ (3, 2); (5, 7); (4, 3) ], [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 0; 0 ] ]), 17)
   in
-  let m, _ = Rentcost.Ilp.model (Rentcost.Instance.compile problem) ~target in
+  let m = Rentcost.Ilp.model (Rentcost.Instance.compile problem) ~target in
   let sol, snap = snapshot_of m in
   covers "cold" snap;
   let warm = ref 0 in
@@ -594,22 +606,23 @@ let counting_starts f =
    keep to a third of that. *)
 let test_snapshot_budget () =
   let instance = Rentcost.Instance.compile (wide_problem ()) and target = 17 in
-  let m, integer = Rentcost.Ilp.model instance ~target in
+  let m = Rentcost.Ilp.model instance ~target in
   let j_count = Rentcost.Instance.num_recipes instance in
-  let rho, x = List.partition (fun v -> v < j_count) integer in
+  let rho, x =
+    List.partition (fun v -> v < j_count) (List.init (M.num_vars m) Fun.id)
+  in
   let pivots0 = Telemetry.value Telemetry.lp_pivots in
   let (o, warm, fast, fallbacks), replayed, cold =
     counting_starts (fun () ->
         counting (fun () ->
-            Milp.Solver.solve ~integral_objective:true ~priority:[ rho; x ] m
-              ~integer))
+            Milp.Solver.solve ~priority:[ rho; x ] m))
   in
   let pivots = Telemetry.value Telemetry.lp_pivots - pivots0 in
   let nodes = o.Milp.Solver.nodes in
   Alcotest.(check bool) "proved optimal" true
     (o.Milp.Solver.status = Milp.Solver.Optimal);
-  check_rat "cost matches the oracle"
-    (ri (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost)
+  Alcotest.(check int) "cost matches the oracle"
+    (Rentcost.Exhaustive.run instance ~target).Rentcost.Allocation.cost
     (Option.get o.Milp.Solver.solution).Milp.Solver.objective;
   Alcotest.(check int) "no fallback" 0 fallbacks;
   Alcotest.(check int) "one relaxation per node" nodes fast;
