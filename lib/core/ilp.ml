@@ -20,38 +20,24 @@ let model instance ~target =
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
   let m = Lp.Model.create () in
-  let rho_vars =
-    Array.init j_count (fun j -> Lp.Model.add_var m ~name:(Printf.sprintf "rho_%d" j))
-  in
-  let x_vars =
-    Array.init q_count (fun q -> Lp.Model.add_var m ~name:(Printf.sprintf "x_%d" q))
-  in
+  (* Variables [0, J') are the ρ_j and [J', J' + Q) the x_q; every
+     term list below is in ascending variable order. *)
+  for _ = 1 to j_count + q_count do
+    ignore (Lp.Model.add_var m)
+  done;
   (* Σ_j ρ_j >= ρ  (constraint (1) of the paper) *)
-  let total =
-    Lp.Linexpr.of_terms (Array.to_list (Array.map (fun v -> (v, 1)) rho_vars))
-  in
-  Lp.Model.add_constraint m ~name:"throughput" total Lp.Model.Ge target;
+  Lp.Model.add_constraint m (List.init j_count (fun j -> (j, 1))) Lp.Model.Ge target;
   (* Per type: x_q·r_q - Σ_j n^j_q·ρ_j >= 0  (constraint (2)) *)
   for q = 0 to q_count - 1 do
-    let terms =
-      (x_vars.(q), Instance.type_throughput instance q)
-      :: List.filter_map
-           (fun j ->
-             let n = Instance.count instance j q in
-             if n = 0 then None else Some (rho_vars.(j), -n))
-           (List.init j_count Fun.id)
-    in
-    Lp.Model.add_constraint m
-      ~name:(Printf.sprintf "capacity_%d" q)
-      (Lp.Linexpr.of_terms terms)
-      Lp.Model.Ge 0
+    let terms = ref [ (j_count + q, Instance.type_throughput instance q) ] in
+    for j = j_count - 1 downto 0 do
+      let n = Instance.count instance j q in
+      if n <> 0 then terms := (j, -n) :: !terms
+    done;
+    Lp.Model.add_constraint m !terms Lp.Model.Ge 0
   done;
-  let objective =
-    Lp.Linexpr.of_terms
-      (Array.to_list
-         (Array.mapi (fun q v -> (v, Instance.type_cost instance q)) x_vars))
-  in
-  Lp.Model.set_objective m Lp.Model.Minimize objective;
+  Lp.Model.set_objective m
+    (List.init q_count (fun q -> (j_count + q, Instance.type_cost instance q)));
   m
 
 let decode instance solution =
@@ -212,13 +198,3 @@ let optimize ?time_limit ?node_limit ?budget_cap instance ~target =
     nodes = result.Milp.Solver.nodes;
     peak_retained_words = result.Milp.Solver.peak_retained_words;
     elapsed = Unix.gettimeofday () -. t0 }
-
-let lp_lower_bound problem ~target =
-  let m = model (Instance.compile problem) ~target in
-  match Lp.Simplex.solve m with
-  | Lp.Simplex.Optimal { objective; _ } ->
-    Numeric.Bigint.to_int_exn (Numeric.Rat.ceil objective)
-  | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
-    (* The MILP is always feasible (rent enough machines) and bounded
-       below by zero. *)
-    assert false

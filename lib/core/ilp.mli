@@ -86,8 +86,3 @@ val optimize :
   Instance.t ->
   target:int ->
   outcome
-
-(** [lp_lower_bound problem ~target] is the plain LP-relaxation bound
-    [⌈LP⌉] (no branching); cheap and useful for normalization when the
-    exact solve times out. *)
-val lp_lower_bound : Problem.t -> target:int -> int

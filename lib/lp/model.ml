@@ -1,83 +1,66 @@
+module K = Numeric.Kernel
+
 type var = int
 
-type sense = Minimize | Maximize
+type cmp = Le | Ge
 
-type cmp = Le | Ge | Eq
-
-type constr = { expr : Linexpr.t; cmp : cmp; rhs : int; cname : string }
+type constr = { terms : (var * int) list; cmp : cmp; rhs : int }
 
 type t = {
   mutable nvars : int;
-  mutable names_rev : string list;
   mutable constrs_rev : constr list;
-  mutable nconstrs : int;
-  mutable sense : sense;
-  mutable obj : Linexpr.t;
+  mutable obj : (var * int) list;
 }
 
-let create () =
-  { nvars = 0; names_rev = []; constrs_rev = []; nconstrs = 0;
-    sense = Minimize; obj = Linexpr.zero }
+let create () = { nvars = 0; constrs_rev = []; obj = [] }
+let copy t = { nvars = t.nvars; constrs_rev = t.constrs_rev; obj = t.obj }
 
-let copy t =
-  { nvars = t.nvars; names_rev = t.names_rev; constrs_rev = t.constrs_rev;
-    nconstrs = t.nconstrs; sense = t.sense; obj = t.obj }
-
-let add_var t ~name =
+let add_var t =
   let v = t.nvars in
   t.nvars <- v + 1;
-  t.names_rev <- name :: t.names_rev;
   v
 
 let num_vars t = t.nvars
 
-let var_name t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.var_name: unknown variable";
-  List.nth t.names_rev (t.nvars - 1 - v)
+(* Every variable known and mentioned once, every coefficient
+   non-zero. *)
+let check_terms t fn terms =
+  let seen = Bytes.make t.nvars '\000' in
+  List.iter
+    (fun (v, c) ->
+      if v < 0 || v >= t.nvars then invalid_arg (fn ^ ": unknown variable");
+      if Bytes.get seen v <> '\000' then invalid_arg (fn ^ ": repeated variable");
+      if c = 0 then invalid_arg (fn ^ ": zero coefficient");
+      Bytes.set seen v '\001')
+    terms
 
-let add_constraint t ?(name = "") expr cmp rhs =
-  let k = Linexpr.const expr in
-  let expr = Linexpr.sub expr (Linexpr.constant k) in
-  let rhs = Numeric.Kernel.sub_exn rhs k in
-  (match Linexpr.max_var expr with
-   | v when v >= t.nvars -> invalid_arg "Model.add_constraint: unknown variable"
-   | _ -> ());
-  t.constrs_rev <- { expr; cmp; rhs; cname = name } :: t.constrs_rev;
-  t.nconstrs <- t.nconstrs + 1
+let add_constraint t terms cmp rhs =
+  check_terms t "Model.add_constraint" terms;
+  if rhs < 0 then invalid_arg "Model.add_constraint: negative right-hand side";
+  t.constrs_rev <- { terms; cmp; rhs } :: t.constrs_rev
 
-let set_objective t sense expr =
-  (match Linexpr.max_var expr with
-   | v when v >= t.nvars -> invalid_arg "Model.set_objective: unknown variable"
-   | _ -> ());
-  t.sense <- sense;
-  t.obj <- expr
+let set_objective t terms =
+  check_terms t "Model.set_objective" terms;
+  t.obj <- terms
 
-let objective t = (t.sense, t.obj)
+let objective t = t.obj
 let constraints t = List.rev t.constrs_rev
-let num_constraints t = t.nconstrs
+
+(* [Σ c·values.(v)], raising rather than wrapping. *)
+let eval terms values =
+  List.fold_left
+    (fun acc (v, c) ->
+      if v >= Array.length values then invalid_arg "Model: variable past the point";
+      K.add_exn acc (K.mul_exn c values.(v)))
+    0 terms
+
+let objective_value t values = eval t.obj values
 
 let check_feasible t values =
   Array.length values = t.nvars
   && Array.for_all (fun v -> v >= 0) values
   && List.for_all
-       (fun { expr; cmp; rhs; _ } ->
-         let lhs = Linexpr.eval expr values in
-         match cmp with Le -> lhs <= rhs | Ge -> lhs >= rhs | Eq -> lhs = rhs)
+       (fun { terms; cmp; rhs } ->
+         let lhs = eval terms values in
+         match cmp with Le -> lhs <= rhs | Ge -> lhs >= rhs)
        (constraints t)
-
-let pp fmt t =
-  let pp_cmp fmt = function
-    | Le -> Format.pp_print_string fmt "<="
-    | Ge -> Format.pp_print_string fmt ">="
-    | Eq -> Format.pp_print_string fmt "="
-  in
-  Format.fprintf fmt "@[<v>%s %a@,subject to:@,"
-    (match t.sense with Minimize -> "minimize" | Maximize -> "maximize")
-    Linexpr.pp t.obj;
-  List.iter
-    (fun { expr; cmp; rhs; cname } ->
-      Format.fprintf fmt "  %s%a %a %d@,"
-        (if cname = "" then "" else cname ^ ": ")
-        Linexpr.pp expr pp_cmp cmp rhs)
-    (constraints t);
-  Format.fprintf fmt "  x%d..x%d >= 0@]" 0 (t.nvars - 1)

@@ -1,11 +1,11 @@
 (** Linear-program model builder.
 
     A model owns a growing set of non-negative decision variables, a
-    list of linear constraints and one objective, all over native-int
-    data ({!Linexpr}): the paper's § V-C model is a pure integer
-    program over integer data. It is the common input format of the
-    exact simplex ({!module:Simplex}) and of the branch-and-bound
-    integer solver ({!module:Milp.Solver}).
+    list of [≥]/[≤] rows with non-negative right-hand sides and one
+    objective to minimize, all over native-int data: the paper's § V-C
+    model is a pure integer program over integer data. It is the common
+    input format of the exact simplex ({!module:Simplex}) and of the
+    branch-and-bound integer solver ({!module:Milp.Solver}).
 
     Every variable satisfies [x >= 0] and has no other bound of its
     own: a bound is a row like any other constraint. The branch and
@@ -16,13 +16,12 @@ type t
 
 type var = int
 
-type sense = Minimize | Maximize
+type cmp = Le | Ge
 
-type cmp = Le | Ge | Eq
+(** A row [Σ c·x cmp rhs], its [(var, c)] terms in the order given. *)
+type constr = { terms : (var * int) list; cmp : cmp; rhs : int }
 
-type constr = { expr : Linexpr.t; cmp : cmp; rhs : int; cname : string }
-
-(** [create ()] is an empty model (zero objective, [Minimize]). *)
+(** [create ()] is an empty model (zero objective). *)
 val create : unit -> t
 
 (** [copy t] is a deep-enough copy: adding variables or constraints to
@@ -30,31 +29,26 @@ val create : unit -> t
     cold node's path bounds as rows to a copy. *)
 val copy : t -> t
 
-(** [add_var t ~name] introduces a fresh variable [x >= 0]. *)
-val add_var : t -> name:string -> var
+(** [add_var t] introduces a fresh variable [x >= 0]. *)
+val add_var : t -> var
 
 (** [num_vars t] is the number of variables added so far. *)
 val num_vars : t -> int
 
-(** [var_name t v] is the name given at creation.
-    @raise Invalid_argument on an unknown index. *)
-val var_name : t -> var -> string
+(** [add_constraint t terms cmp rhs] adds the row [Σ c·x cmp rhs].
+    @raise Invalid_argument when a variable is unknown or repeats, a
+      coefficient is zero, or [rhs < 0]. *)
+val add_constraint : t -> (var * int) list -> cmp -> int -> unit
 
-(** [add_constraint t ?name expr cmp rhs] adds the row
-    [expr cmp rhs]. Any constant inside [expr] is folded into [rhs].
-    @raise Invalid_argument when folding it leaves the int range. *)
-val add_constraint : t -> ?name:string -> Linexpr.t -> cmp -> int -> unit
+(** [set_objective t terms] installs the objective [min Σ c·x].
+    @raise Invalid_argument when a variable is unknown or repeats, or
+      a coefficient is zero. *)
+val set_objective : t -> (var * int) list -> unit
 
-(** [set_objective t sense expr] installs the objective. The constant
-    part of [expr] is reported back in solution objective values. *)
-val set_objective : t -> sense -> Linexpr.t -> unit
-
-val objective : t -> sense * Linexpr.t
+val objective : t -> (var * int) list
 
 (** Constraints in insertion order. *)
 val constraints : t -> constr list
-
-val num_constraints : t -> int
 
 (** [check_feasible t values] tests every constraint and the
     non-negativity of each variable at the integer point [values]
@@ -62,4 +56,8 @@ val num_constraints : t -> int
     @raise Invalid_argument when a row's value leaves the int range. *)
 val check_feasible : t -> int array -> bool
 
-val pp : Format.formatter -> t -> unit
+(** [objective_value t values] is the objective at the integer point
+    [values].
+    @raise Invalid_argument when a variable is past the point or the
+      value leaves the int range. *)
+val objective_value : t -> int array -> int

@@ -15,10 +15,11 @@
    engine answered shows only in the [numeric.*] counters and the
    [lp.kernel] span attribute.
 
-   A model's data are native ints ({!Model}), so a cold tableau's
-   rows are its rows as they stand, every initial scale is 1, and the
-   objective's costs are the cost row itself; branch bounds are ints
-   too. Rat is left for what is rational by nature: an exact
+   A model minimizes over [>=]/[<=] rows with non-negative
+   right-hand sides and native-int data ({!Model}), so a cold
+   tableau's rows are its rows as they stand, every initial scale is
+   1, and the objective's costs are the cost row itself; branch bounds
+   are ints too. Rat is left for what is rational by nature: an exact
    objective, a reduced cost confirmed exactly, the {!Exact} engine
    and an LP {!solution}.
 
@@ -29,7 +30,6 @@
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
-module K = Numeric.Kernel
 
 let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
 let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
@@ -206,25 +206,12 @@ type direction = Upper | Lower
 let fast_kernel = "ff64"
 let exact_kernel = "rat"
 
-(* Every row oriented so its right-hand side is non-negative. Shared
-   by both engines. *)
-let orient model =
-  List.map
-    (fun { Model.expr; cmp; rhs; _ } ->
-      if rhs < 0 then
-        let cmp = match cmp with Model.Le -> Model.Ge | Ge -> Le | Eq -> Eq in
-        (Linexpr.neg expr, cmp, K.neg_exn rhs)
-      else (expr, cmp, rhs))
-    (Model.constraints model)
-
-let count_slack_art oriented =
+(* The number of artificial columns: one per [Ge] row. Every row has
+   a slack column. *)
+let count_art rows =
   List.fold_left
-    (fun (ns, na) (_, cmp, _) ->
-      match cmp with
-      | Model.Le -> (ns + 1, na)
-      | Model.Ge -> (ns + 1, na + 1)
-      | Model.Eq -> (ns, na + 1))
-    (0, 0) oriented
+    (fun na { Model.cmp; _ } -> match cmp with Model.Le -> na | Ge -> na + 1)
+    0 rows
 
 (* The exact engine: plain Gaussian elimination on Rat, the model's
    ints converted once as the tableau is built. The cost row [z] holds
@@ -326,37 +313,31 @@ module Exact = struct
 
   let solve model =
     let nstruct = Model.num_vars model in
-    let oriented = orient model in
-    let m = List.length oriented in
-    (* Column layout: structurals, then one slack/surplus per inequality,
-       then one artificial per Ge/Eq row. *)
-    let nslack, nart = count_slack_art oriented in
-    let art_start = nstruct + nslack in
+    let rows = Model.constraints model in
+    let m = List.length rows in
+    (* Column layout: structurals, then one slack/surplus per row, then
+       one artificial per Ge row. *)
+    let nart = count_art rows in
+    let art_start = nstruct + m in
     let ncols = art_start + nart in
     let tab = Array.init m (fun _ -> Array.make (ncols + 1) R.zero) in
     let basis = Array.make m (-1) in
-    let slack_idx = ref nstruct and art_idx = ref art_start in
+    let art_idx = ref art_start in
     List.iteri
-      (fun i (expr, cmp, rhs) ->
-        let row = tab.(i) in
-        List.iter (fun (v, c) -> row.(v) <- R.of_int c) (Linexpr.terms expr);
+      (fun i { Model.terms; cmp; rhs } ->
+        let row = tab.(i) and slack = nstruct + i in
+        List.iter (fun (v, c) -> row.(v) <- R.of_int c) terms;
         row.(ncols) <- R.of_int rhs;
-        (match cmp with
-         | Model.Le ->
-           row.(!slack_idx) <- R.one;
-           basis.(i) <- !slack_idx;
-           incr slack_idx
-         | Model.Ge ->
-           row.(!slack_idx) <- R.minus_one;
-           incr slack_idx;
-           row.(!art_idx) <- R.one;
-           basis.(i) <- !art_idx;
-           incr art_idx
-         | Model.Eq ->
-           row.(!art_idx) <- R.one;
-           basis.(i) <- !art_idx;
-           incr art_idx))
-      oriented;
+        match cmp with
+        | Model.Le ->
+          row.(slack) <- R.one;
+          basis.(i) <- slack
+        | Ge ->
+          row.(slack) <- R.minus_one;
+          row.(!art_idx) <- R.one;
+          basis.(i) <- !art_idx;
+          incr art_idx)
+      rows;
     let t = { tab; basis; ncols; art_start } in
     (* Phase 1: minimize the sum of artificial variables. *)
     let feasible =
@@ -401,15 +382,9 @@ module Exact = struct
     in
     if not feasible then Infeasible
     else begin
-      (* Phase 2: the real objective (negated for maximization). *)
-      let sense, obj = Model.objective model in
-      let obj_const = R.of_int (Linexpr.const obj) in
+      (* Phase 2: the real objective. *)
       let costs = Array.make ncols R.zero in
-      List.iter
-        (fun (v, c) ->
-          let c = R.of_int c in
-          costs.(v) <- (match sense with Model.Minimize -> c | Maximize -> R.neg c))
-        (Linexpr.terms obj);
+      List.iter (fun (v, c) -> costs.(v) <- R.of_int c) (Model.objective model);
       let z = init_cost_row t costs in
       match run_phase t z ~banned:(fun j -> j >= t.art_start) with
       | Phase_unbounded -> Unbounded
@@ -418,13 +393,7 @@ module Exact = struct
         Array.iteri
           (fun i bv -> if bv < nstruct then values.(bv) <- tab.(i).(ncols))
           basis;
-        let minimized = R.neg z.(ncols) in
-        let objective =
-          match sense with
-          | Model.Minimize -> R.add minimized obj_const
-          | Maximize -> R.add (R.neg minimized) obj_const
-        in
-        Optimal { objective; values }
+        Optimal { objective = R.neg z.(ncols); values }
     end
 end
 
@@ -834,11 +803,10 @@ module Fraction_free = struct
   (* The relaxation of an optimal tableau: basic structurals at their
      rows' [(rhs, scale)], nonbasic ones at their bounds, and the
      objective [c x] as its terms [cb * rhs / s] and [c_j * b] (all
-     under 2^60 by the range invariant), negated when [negate], plus
-     the constant. No gcd and no Rat. *)
-  let optimum t p cols ~nstruct ~negate ~const =
+     under 2^60 by the range invariant). No gcd and no Rat. *)
+  let optimum t p cols ~nstruct =
     let pairs = Array.make (2 * nstruct) 0 in
-    let nterms = ref (if const <> 0 then 1 else 0) in
+    let nterms = ref 0 in
     Array.iteri
       (fun i bv ->
         let rhs = t.tab.(i).(t.ncols) in
@@ -857,7 +825,7 @@ module Fraction_free = struct
     done;
     let terms = Array.make (2 * !nterms) 0 and k = ref 0 in
     let add a b =
-      terms.(2 * !k) <- (if negate then -a else a);
+      terms.(2 * !k) <- a;
       terms.((2 * !k) + 1) <- b;
       incr k
     in
@@ -875,10 +843,6 @@ module Fraction_free = struct
         if cj <> 0 && b <> 0 then add (cj * b) 1
       end
     done;
-    if const <> 0 then begin
-      terms.(2 * !k) <- const;
-      terms.((2 * !k) + 1) <- 1
-    end;
     { objective = of_terms terms; point = Pairs pairs }
 
   (* An optimal phase-2 tableau as int rows: each row holds its
@@ -887,13 +851,11 @@ module Fraction_free = struct
      result's tableau is one already and becomes its snapshot as it
      stands; a cold result is compacted once (see {!compact}). [cols]
      holds the structural columns' branch bounds; the objective is
-     [costs], negated when [negate], plus [const] (see {!optimum}). *)
+     [costs] (see {!optimum}). *)
   type snapshot = {
     t : tableau;
     nstruct : int;
     costs : int array;
-    negate : bool;
-    const : int;
     cols : col array;
   }
 
@@ -940,37 +902,31 @@ module Fraction_free = struct
   (* [keep] asks for the snapshot of an optimal result. *)
   let solve ~keep model =
     let nstruct = Model.num_vars model in
-    let oriented = orient model in
-    let m = List.length oriented in
-    let nslack, nart = count_slack_art oriented in
-    let art_start = nstruct + nslack in
+    let rows = Model.constraints model in
+    let m = List.length rows in
+    let nart = count_art rows in
+    let art_start = nstruct + m in
     let ncols = art_start + nart in
     let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0) in
     let basis = Array.make m (-1) in
-    let slack_idx = ref nstruct and art_idx = ref art_start in
+    let art_idx = ref art_start in
     (* Each row as it stands: the slack/artificial entry, the initial
        scale, is 1. *)
     List.iteri
-      (fun i (expr, cmp, rhs) ->
-        let row = tab.(i) in
-        List.iter (fun (v, c) -> row.(v) <- entry c) (Linexpr.terms expr);
+      (fun i { Model.terms; cmp; rhs } ->
+        let row = tab.(i) and slack = nstruct + i in
+        List.iter (fun (v, c) -> row.(v) <- entry c) terms;
         row.(ncols) <- entry rhs;
-        (match cmp with
-         | Model.Le ->
-           row.(!slack_idx) <- 1;
-           basis.(i) <- !slack_idx;
-           incr slack_idx
-         | Model.Ge ->
-           row.(!slack_idx) <- -1;
-           incr slack_idx;
-           row.(!art_idx) <- 1;
-           basis.(i) <- !art_idx;
-           incr art_idx
-         | Model.Eq ->
-           row.(!art_idx) <- 1;
-           basis.(i) <- !art_idx;
-           incr art_idx))
-      oriented;
+        match cmp with
+        | Model.Le ->
+          row.(slack) <- 1;
+          basis.(i) <- slack
+        | Ge ->
+          row.(slack) <- -1;
+          row.(!art_idx) <- 1;
+          basis.(i) <- !art_idx;
+          incr art_idx)
+      rows;
     let t = { tab; basis; ncols; art_start } in
     (* Phase 1: minimize the sum of artificial variables (unit cost on
        each artificial column). *)
@@ -1020,25 +976,16 @@ module Fraction_free = struct
     in
     if not feasible then (Infeasible, None)
     else begin
-      (* Phase 2: the real objective (negated for maximization). *)
-      let sense, obj = Model.objective model in
-      let negate = sense = Model.Maximize in
-      let const = Linexpr.const obj in
+      (* Phase 2: the real objective. *)
       let costs = Array.make ncols 0 in
-      List.iter
-        (fun (v, c) ->
-          let e = entry c in
-          costs.(v) <- (if negate then -e else e))
-        (Linexpr.terms obj);
+      List.iter (fun (v, c) -> costs.(v) <- entry c) (Model.objective model);
       let p = priced t ~costs in
       match run_phase t p ~banned:(fun j -> j >= t.art_start) with
       | Phase_unbounded -> (Unbounded, None)
       | Phase_optimal ->
-        ( Optimal (optimum t p [||] ~nstruct ~negate ~const),
+        ( Optimal (optimum t p [||] ~nstruct),
           if keep then
-            Some
-              { t = compact t; nstruct; costs; negate; const;
-                cols = Array.make nstruct free }
+            Some { t = compact t; nstruct; costs; cols = Array.make nstruct free }
           else None )
     end
 
@@ -1086,9 +1033,7 @@ module Fraction_free = struct
     let p = priced t ~costs:s.costs in
     if not (run_dual t p cols) then (Infeasible, None)
     else
-      ( Optimal
-          (optimum t p cols ~nstruct:s.nstruct ~negate:s.negate ~const:s.const),
-        Some { s with t; cols } )
+      (Optimal (optimum t p cols ~nstruct:s.nstruct), Some { s with t; cols })
 
   (* A child from its parent's tableau [s]. With [own] the caller gives
      up [s] and the child pivots in [s]'s own rows; otherwise in a

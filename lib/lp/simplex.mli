@@ -1,7 +1,7 @@
 (** Exact simplex: two-phase primal from scratch, dual from a parent's
     optimal tableau.
 
-    Solves a {!Model.t} exactly using the dense tableau method with
+    Minimizes a {!Model.t} exactly using the dense tableau method with
     Bland's anti-cycling rule, so termination is guaranteed and results
     carry no floating-point error. This is the relaxation engine under
     {!module:Milp.Solver}, standing in for the commercial LP solver
@@ -12,7 +12,10 @@
     is fast and — unlike floating-point codes — never returns a
     slightly-infeasible or slightly-suboptimal basis. A cold tableau
     has one row per constraint: a model has no variable bounds besides
-    [x >= 0], so a caller that needs one adds it as a row.
+    [x >= 0], so a caller that needs one adds it as a row. A [Le] row
+    starts basic in its slack, and a [Ge] row in an artificial column
+    that phase 1 drives out; every right-hand side is non-negative, so
+    the starting basis is feasible as it stands.
     [Rentcost.Ilp.model]'s root tableau has the paper's [1 + Q] rows.
 
     A model's data are native ints ({!Model}). {!solve} runs a
@@ -44,8 +47,8 @@
 
 (** A relaxation's optimal objective. A native-int answer reports it
     as the sum of at most [rows + variables + 1] native fractions (each
-    row's [cb·rhs / scale], each nonbasic variable's cost at its
-    bound, the model's constant) together with a float interval that
+    row's [cb·rhs / scale] and each nonbasic variable's cost at its
+    bound) together with a float interval that
     provably holds that sum; the exact value is summed only on demand
     and then kept. An answer of the exact engine carries its exact
     value and the interval [(-∞, ∞)]. *)
@@ -101,8 +104,8 @@ val values : point -> Numeric.Rat.t array
 
 type relaxation = { objective : objective; point : point }
 
-(** An optimal point: [objective] includes any constant term of the
-    model's objective; [values] has one entry per model variable. *)
+(** An optimal point: [objective] is the minimum; [values] has one
+    entry per model variable. *)
 type solution = { objective : Numeric.Rat.t; values : Numeric.Rat.t array }
 
 type 'a outcome =
@@ -116,7 +119,7 @@ type result = solution outcome
     canonical: what {!solve} returns for the same model. *)
 val solution_of : relaxation -> solution
 
-(** [solve model] optimizes the model exactly. Never raises
+(** [solve model] minimizes the model exactly. Never raises
     [Numeric.Kernel.Overflow]: a model that leaves the native range is
     solved again on {!Numeric.Rat}. Each call bumps exactly one of the
     [numeric.fast_solves] / [numeric.fallbacks] counters and records

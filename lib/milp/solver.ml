@@ -3,11 +3,10 @@
    is an int, so every integer point's objective is an int and each
    LP bound strengthens to its ceiling.
 
-   Internally everything is a minimization (a maximization problem is
-   negated on the way in and back on the way out). A node carries the
-   extra variable bounds accumulated along its branch plus the parent
-   relaxation objective, which is a valid dual bound used both for node
-   ordering and for pruning before the node's own relaxation is solved.
+   Every model minimizes. A node carries the extra variable bounds
+   accumulated along its branch plus the parent relaxation objective,
+   which is a valid dual bound used both for node ordering and for
+   pruning before the node's own relaxation is solved.
 
    Every decision is exact, but a node does not pay for exact values
    it does not need. A relaxation reports its objective as a float
@@ -45,7 +44,6 @@
    is a function of the input alone. *)
 
 module R = Numeric.Rat
-module K = Numeric.Kernel
 
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
@@ -209,12 +207,12 @@ let int_values = function
     Array.init (Array.length p / 2) (fun v -> p.(2 * v) / p.((2 * v) + 1))
   | Rats values -> Array.map (fun x -> rat_int (R.num x)) values
 
-(* The model of a node solved cold: [base] with the node's tightest
+(* The model of a node solved cold: [model] with the node's tightest
    path bounds as rows after its own, for each variable in ascending
    order its lower bound (none when it is 0) and then its upper
    bound. *)
-let with_bound_rows base extra =
-  let m = Lp.Model.copy base in
+let with_bound_rows model extra =
+  let m = Lp.Model.copy model in
   let tightest v dir pick =
     List.fold_left
       (fun acc (v', d, b) ->
@@ -224,7 +222,7 @@ let with_bound_rows base extra =
   in
   List.iter
     (fun v ->
-      let row cmp b = Lp.Model.add_constraint m (Lp.Linexpr.var v) cmp b in
+      let row cmp b = Lp.Model.add_constraint m [ (v, 1) ] cmp b in
       (match tightest v Lp.Simplex.Lower Int.max with
        | Some lo when lo > 0 -> row Lp.Model.Ge lo
        | _ -> ());
@@ -234,20 +232,6 @@ let with_bound_rows base extra =
 
 let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
   let t0 = Unix.gettimeofday () in
-  let sense, obj = Lp.Model.objective model in
-  (* Normalize to minimization. *)
-  let base =
-    match sense with
-    | Lp.Model.Minimize -> model
-    | Maximize ->
-      let m = Lp.Model.copy model in
-      Lp.Model.set_objective m Lp.Model.Minimize (Lp.Linexpr.neg obj);
-      m
-  in
-  (* Its own inverse, so it also normalizes. *)
-  let denorm_obj o =
-    match sense with Lp.Model.Minimize -> o | Maximize -> K.neg_exn o
-  in
   let queue = Best_queue.create () in
   (* Branching groups: the caller's priority classes, then a catch-all
      group for the remaining variables. *)
@@ -264,7 +248,6 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
   let incumbent = ref None in
   (* What a bound must beat: the incumbent's objective, else the
      cutoff, which every incumbent beats. *)
-  let cutoff = Option.map denorm_obj cutoff in
   let to_beat () =
     match !incumbent with Some (inc_obj, _) -> Some inc_obj | None -> cutoff
   in
@@ -277,23 +260,23 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
     match round with
     | None -> ()
     | Some f -> (
-      match f ~incumbent:(Option.map denorm_obj (to_beat ())) point with
+      match f ~incumbent:(to_beat ()) point with
       | None -> ()
       | Some values ->
         if not (Lp.Model.check_feasible model values) then
           invalid_arg
             "Milp.Solver.solve: rounded point is not a feasible integer point";
-        let o = denorm_obj (Lp.Linexpr.eval obj values) in
+        let o = Lp.Model.objective_value model values in
         if better_than_incumbent o then begin
           Telemetry.bump incumbents_counter;
-          Telemetry.Progress.emit ~incumbent:(float_of_int (denorm_obj o))
+          Telemetry.Progress.emit ~incumbent:(float_of_int o)
             ~source:"milp.round" ();
           incumbent := Some (o, Array.copy values)
         end)
   in
-  (* Last dual bound handed to the convergence timeline, in the
-     normalized (minimization) sense. Bound events are emitted only
-     on strict improvement, so the timeline stays monotone. *)
+  (* Last dual bound handed to the convergence timeline. Bound events
+     are emitted only on strict improvement, so the timeline stays
+     monotone. *)
   let last_bound = ref None in
   let emit_bound k =
     let improved =
@@ -301,8 +284,7 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
     in
     if improved then begin
       last_bound := Some k;
-      Telemetry.Progress.emit ~bound:(float_of_int (denorm_obj k))
-        ~source:"milp" ()
+      Telemetry.Progress.emit ~bound:(float_of_int k) ~source:"milp" ()
     end
   in
   let nodes = ref 0 in
@@ -348,7 +330,7 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
      last holder of the parent's tableau owns it: [release] follows
      and nothing reads it again. *)
   let cold node =
-    Lp.Simplex.solve_with_snapshot (with_bound_rows base node.extra)
+    Lp.Simplex.solve_with_snapshot (with_bound_rows model node.extra)
   in
   let relax node =
     match (node.parent, node.extra, !root) with
@@ -429,8 +411,7 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
                    (* Integral relaxation: new incumbent, made exact. *)
                    let o = Lp.Simplex.int_objective lp_obj in
                    Telemetry.bump incumbents_counter;
-                   Telemetry.Progress.emit
-                     ~incumbent:(float_of_int (denorm_obj o))
+                   Telemetry.Progress.emit ~incumbent:(float_of_int o)
                      ~source:"milp" ();
                    incumbent := Some (o, int_values point)
                  | Some v ->
@@ -465,9 +446,7 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
   | Some Unbounded -> outcome Unbounded None None
   | _ ->
     let solution =
-      Option.map
-        (fun (o, values) -> { objective = denorm_obj o; values })
-        !incumbent
+      Option.map (fun (objective, values) -> { objective; values }) !incumbent
     in
     if not !interrupted then begin
       match solution with
@@ -497,9 +476,8 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
       in
       let best_bound =
         match (queued_bound, !incumbent) with
-        | Some qb, Some (io, _) -> Some (denorm_obj (Int.min qb io))
-        | Some qb, None -> Some (denorm_obj qb)
-        | None, Some (io, _) -> Some (denorm_obj io)
+        | Some qb, Some (io, _) -> Some (Int.min qb io)
+        | Some b, None | None, Some (b, _) -> Some b
         | None, None -> None
       in
       let status = if solution = None then Unknown else Feasible in

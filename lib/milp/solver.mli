@@ -42,8 +42,8 @@ type outcome = {
   status : status;
   solution : solution option;  (** best integer point found *)
   best_bound : int option;
-      (** proven dual bound on the optimum (for minimization, a lower
-          bound); equals the incumbent objective when [status = Optimal] *)
+      (** proven lower bound on the optimum; equals the incumbent
+          objective when [status = Optimal] *)
   nodes : int;  (** branch-and-bound nodes evaluated *)
   peak_retained_words : int;
       (** the most heap words that parent tableaus kept for warm
@@ -52,23 +52,21 @@ type outcome = {
   elapsed : float;  (** wall-clock seconds *)
 }
 
-(** [solve model] minimizes or maximizes [model] over its integer
-    points, by best-bound branch and bound, branching on the most
-    fractional variable. Each LP bound is strengthened to the next
-    integer.
+(** [solve model] minimizes [model] over its integer points, by
+    best-bound branch and bound, branching on the most fractional
+    variable. Each LP bound is strengthened to the next integer.
 
     @param time_limit wall-clock budget in seconds (default: none).
     @param node_limit maximum nodes to evaluate (default: none).
-    @param cutoff an objective, in the model's own sense, that acts
-      as an incumbent with no point behind it: the search prunes by
-      it, quietly declines points that do not beat it, and hands it to
-      [round] until a point does (default: none).
+    @param cutoff an objective that acts as an incumbent with no
+      point behind it: the search prunes by it, quietly declines
+      points that do not beat it, and hands it to [round] until a
+      point does (default: none).
     @param round a primal heuristic, called at every node whose LP
       optimum is fractional and still beats the incumbent, with the
-      incumbent's objective (in the model's own sense; the cutoff or
-      [None] before the first incumbent) and the node's LP point
-      (read-only; [Pairs] from the native-int engine, [Rats] after an
-      overflow). It returns an integer point meant to be strictly
+      incumbent's objective (the cutoff or [None] before the first
+      incumbent) and the node's LP point (read-only; [Pairs] from the
+      native-int engine, [Rats] after an overflow). It returns an integer point meant to be strictly
       better than the incumbent. The solver checks it exactly, raising
       [Invalid_argument] when it is infeasible, installs it only when
       it is strictly better, and emits a [milp.round] progress event

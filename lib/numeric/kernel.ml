@@ -12,14 +12,6 @@ let add_exn a b =
   let s = a + b in
   if (a lxor s) land (b lxor s) < 0 then wrapped () else s
 
-let neg_exn a = if a = min_int then wrapped () else -a
-
-(* The difference wraps exactly when the operands differ in sign and
-   the result does not have [a]'s. *)
-let sub_exn a b =
-  let d = a - b in
-  if (a lxor b) land (a lxor d) < 0 then wrapped () else d
-
 let mul_exn a b =
   if a = 0 || b = 0 then 0
   else begin

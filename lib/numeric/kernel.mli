@@ -7,20 +7,17 @@
     [Lp.Simplex.solve] catches it and reruns the relaxation on exact
     {!Rat} (see DESIGN.md, "Numeric kernels").
 
-    The integer program's interface ([Lp.Linexpr], [Lp.Model],
-    [Milp.Solver]) is native ints; its sums, products and negations
-    go through {!add_exn}, {!sub_exn}, {!mul_exn} and {!neg_exn}, so a
-    value past the int range is an error rather than a wrapped
-    answer. *)
+    The integer program's interface ([Lp.Model], [Milp.Solver]) is
+    native ints; [Lp.Model] evaluates a row or the objective at an
+    integer point through {!add_exn} and {!mul_exn}, so a value past
+    the int range is an error rather than a wrapped answer. *)
 
 (** Raised by the native-int fast path when an exact result is not
     representable in its range. *)
 exception Overflow
 
-(** [a + b], [a - b], [a * b] and [-a].
+(** [a + b] and [a * b].
     @raise Invalid_argument when the exact result is not an int. *)
 val add_exn : int -> int -> int
 
-val sub_exn : int -> int -> int
 val mul_exn : int -> int -> int
-val neg_exn : int -> int

@@ -54,7 +54,7 @@ let test_build_structure () =
   (* 3 rho vars + 4 x vars, all integral *)
   Alcotest.(check int) "vars" 7 (Lp.Model.num_vars model);
   (* 1 throughput + 4 capacity rows *)
-  Alcotest.(check int) "constraints" 5 (Lp.Model.num_constraints model);
+  Alcotest.(check int) "constraints" 5 (List.length (Lp.Model.constraints model));
   (* The root tableau has exactly those rows, over the 7 variables and
      one slack per row, then the right-hand side: no bound rows. *)
   (match Lp.Simplex.solve_with_snapshot model with
@@ -66,8 +66,15 @@ let test_build_structure () =
          Alcotest.(check int) "root tableau columns" (7 + 5 + 1) (Array.length row))
        rows
    | _, None -> Alcotest.fail "the root keeps no snapshot");
-  Alcotest.(check string) "rho name" "rho_0" (Lp.Model.var_name model 0);
-  Alcotest.(check string) "x name" "x_0" (Lp.Model.var_name model 3)
+  (* Variables 0-2 are the splits, 3-6 the machine counts. *)
+  (match Lp.Model.constraints model with
+   | { Lp.Model.terms; cmp = Lp.Model.Ge; rhs = 70 } :: _ ->
+     Alcotest.(check (list (pair int int))) "throughput row over the splits"
+       [ (0, 1); (1, 1); (2, 1) ] terms
+   | _ -> Alcotest.fail "the first row is not the throughput row");
+  Alcotest.(check (list int)) "the objective prices the machine counts"
+    [ 3; 4; 5; 6 ]
+    (List.map fst (Lp.Model.objective model))
 
 (* A recipe that runs type 0 three times, at a target where
    [3 * target] wraps: the model forms no product of a count and the
@@ -102,15 +109,24 @@ let test_negative_target () =
   Alcotest.check_raises "negative" (Invalid_argument "Ilp.model: negative target")
     (fun () -> ignore (ILP.optimize illustrating ~target:(-1)))
 
+(* The plain LP-relaxation bound [⌈LP⌉] of the ILP's model (no
+   branching). *)
+let lp_lower_bound problem ~target =
+  match Lp.Simplex.solve (ILP.model (I.compile problem) ~target) with
+  | Lp.Simplex.Optimal { objective; _ } ->
+    Numeric.Bigint.to_int_exn (Numeric.Rat.ceil objective)
+  | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->
+    Alcotest.fail "the ILP's relaxation is feasible and bounded"
+
 let test_lp_lower_bound () =
   List.iter
     (fun (target, _, cost) ->
-      let lb = ILP.lp_lower_bound PB.illustrating ~target in
+      let lb = lp_lower_bound PB.illustrating ~target in
       Alcotest.(check bool)
         (Printf.sprintf "lb %d <= opt %d at rho=%d" lb cost target)
         true (lb <= cost))
     table3_ilp;
-  Alcotest.(check int) "lb at 0" 0 (ILP.lp_lower_bound PB.illustrating ~target:0)
+  Alcotest.(check int) "lb at 0" 0 (lp_lower_bound PB.illustrating ~target:0)
 
 let test_time_limit_returns_quickly () =
   (* An exhausted budget must still return, with a valid bound. *)
@@ -154,7 +170,7 @@ let props =
         | None -> false);
     prop "LP bound sandwiches the optimum" shared_gen (fun input ->
         let p, target = build_shared input in
-        let lb = ILP.lp_lower_bound p ~target in
+        let lb = lp_lower_bound p ~target in
         match (ILP.optimize (I.compile p) ~target).ILP.allocation with
         | Some a -> lb <= a.AL.cost
         | None -> false) ]

@@ -4,11 +4,8 @@
 
 module R = Numeric.Rat
 module B = Numeric.Bigint
-module L = Lp.Linexpr
 module M = Lp.Model
 module Solver = Milp.Solver
-
-let expr terms = L.of_terms terms
 
 let check_int msg expected actual = Alcotest.(check int) msg expected actual
 
@@ -21,26 +18,26 @@ let get_solution outcome =
 
 (* --- hand-checked MIPs --- *)
 
-(* max x + y, 2x + y <= 5, x + 3y <= 6, integers -> LP opt at (1.8, 1.4);
-   integer optimum (2, 1) with value 3. *)
+(* max x + y, as min -x - y, over 2x + y <= 5, x + 3y <= 6, integers
+   -> LP opt at (1.8, 1.4); integer optimum (2, 1) with value -3. *)
 let test_basic_branching () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le 5;
-  M.add_constraint m (expr [ (x, 1); (y, 3) ]) M.Le 6;
-  M.set_objective m M.Maximize (expr [ (x, 1); (y, 1) ]);
+  let x = M.add_var m and y = M.add_var m in
+  M.add_constraint m [ (x, 2); (y, 1) ] M.Le 5;
+  M.add_constraint m [ (x, 1); (y, 3) ] M.Le 6;
+  M.set_objective m [ (x, -1); (y, -1) ];
   let outcome = solve m in
   Alcotest.(check bool) "optimal" true (outcome.Solver.status = Solver.Optimal);
   let sol = get_solution outcome in
-  check_int "objective" 3 sol.Solver.objective
+  check_int "objective" (-3) sol.Solver.objective
 
 (* Knapsack-flavoured: min 5x + 4y s.t. 3x + 2y >= 7 -> LP (0, 3.5) = 14;
    integer candidates: y=4 -> 16, x=1,y=2 -> 13 (3+4=7 ok). Optimum 13. *)
 let test_min_cover_integer () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.add_constraint m (expr [ (x, 3); (y, 2) ]) M.Ge 7;
-  M.set_objective m M.Minimize (expr [ (x, 5); (y, 4) ]);
+  let x = M.add_var m and y = M.add_var m in
+  M.add_constraint m [ (x, 3); (y, 2) ] M.Ge 7;
+  M.set_objective m [ (x, 5); (y, 4) ];
   let outcome = solve m in
   let sol = get_solution outcome in
   check_int "objective" 13 sol.Solver.objective;
@@ -50,9 +47,9 @@ let test_min_cover_integer () =
 let test_already_integral_relaxation () =
   (* LP optimum is integral: should solve in a single node. *)
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 1) ]) M.Ge 4;
-  M.set_objective m M.Minimize (expr [ (x, 3) ]);
+  let x = M.add_var m in
+  M.add_constraint m [ (x, 1) ] M.Ge 4;
+  M.set_objective m [ (x, 3) ];
   let outcome = solve m in
   Alcotest.(check int) "single node" 1 outcome.Solver.nodes;
   check_int "objective" 12 (get_solution outcome).Solver.objective
@@ -60,26 +57,26 @@ let test_already_integral_relaxation () =
 let test_infeasible_integer () =
   (* 1/3 <= x <= 2/3 has no integer point. *)
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 3) ]) M.Ge 1;
-  M.add_constraint m (expr [ (x, 3) ]) M.Le 2;
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  let x = M.add_var m in
+  M.add_constraint m [ (x, 3) ] M.Ge 1;
+  M.add_constraint m [ (x, 3) ] M.Le 2;
+  M.set_objective m [ (x, 1) ];
   let outcome = solve m in
   Alcotest.(check bool) "infeasible" true (outcome.Solver.status = Solver.Infeasible)
 
 let test_lp_infeasible_root () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 1) ]) M.Le 1;
-  M.add_constraint m (expr [ (x, 1) ]) M.Ge 2;
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  let x = M.add_var m in
+  M.add_constraint m [ (x, 1) ] M.Le 1;
+  M.add_constraint m [ (x, 1) ] M.Ge 2;
+  M.set_objective m [ (x, 1) ];
   let outcome = solve m in
   Alcotest.(check bool) "infeasible" true (outcome.Solver.status = Solver.Infeasible)
 
 let test_unbounded_root () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.set_objective m M.Maximize (expr [ (x, 1) ]);
+  let x = M.add_var m in
+  M.set_objective m [ (x, -1) ];
   let outcome = solve m in
   Alcotest.(check bool) "unbounded" true (outcome.Solver.status = Solver.Unbounded)
 
@@ -87,9 +84,9 @@ let test_node_limit () =
   (* A MIP needing several nodes, capped at 1 node: status Feasible or
      Unknown, never Optimal. *)
   let m = M.create () in
-  let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-  M.add_constraint m (expr [ (x, 2); (y, 3) ]) M.Ge 7;
-  M.set_objective m M.Minimize (expr [ (x, 3); (y, 4) ]);
+  let x = M.add_var m and y = M.add_var m in
+  M.add_constraint m [ (x, 2); (y, 3) ] M.Ge 7;
+  M.set_objective m [ (x, 3); (y, 4) ];
   let outcome = solve ~node_limit:1 m in
   Alcotest.(check bool) "not proven optimal" true
     (outcome.Solver.status <> Solver.Optimal);
@@ -97,9 +94,9 @@ let test_node_limit () =
 
 let test_time_limit_zero () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 2) ]) M.Ge 3;
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  let x = M.add_var m in
+  M.add_constraint m [ (x, 2) ] M.Ge 3;
+  M.set_objective m [ (x, 1) ];
   let outcome = solve ~time_limit:(-1.0) m in
   (* The budget is already exhausted before the first node. *)
   Alcotest.(check bool) "unknown" true (outcome.Solver.status = Solver.Unknown);
@@ -115,9 +112,9 @@ let test_time_limit_zero () =
 let test_round_hook () =
   let build cost =
     let m = M.create () in
-    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-    M.add_constraint m (expr [ (x, 2); (y, 2) ]) M.Ge 5;
-    M.set_objective m M.Minimize (expr [ (x, cost); (y, cost) ]);
+    let x = M.add_var m and y = M.add_var m in
+    M.add_constraint m [ (x, 2); (y, 2) ] M.Ge 5;
+    M.set_objective m [ (x, cost); (y, cost) ];
     m
   in
   let rounded point ~incumbent:_ _ = Some point in
@@ -171,9 +168,9 @@ let test_round_hook () =
 let test_cutoff () =
   let build () =
     let m = M.create () in
-    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-    M.add_constraint m (expr [ (x, 3); (y, 2) ]) M.Ge 7;
-    M.set_objective m M.Minimize (expr [ (x, 5); (y, 4) ]);
+    let x = M.add_var m and y = M.add_var m in
+    M.add_constraint m [ (x, 3); (y, 2) ] M.Ge 7;
+    M.set_objective m [ (x, 5); (y, 4) ];
     m
   in
   let m = build () in
@@ -206,26 +203,27 @@ let test_cutoff () =
   ignore (cut ~node_limit:1 ~round:watch 14);
   Alcotest.(check (list (option int))) "the hook sees the cutoff" [ Some 14 ]
     !seen;
-  (* max x + y over 2x + y <= 5, x + 3y <= 6: optimum 3. *)
-  let maximize c =
+  (* min -x - y over 2x + y <= 5, x + 3y <= 6 (a maximization of
+     x + y): optimum -3, below a negative cutoff. *)
+  let negated c =
     let m = M.create () in
-    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-    M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le 5;
-    M.add_constraint m (expr [ (x, 1); (y, 3) ]) M.Le 6;
-    M.set_objective m M.Maximize (expr [ (x, 1); (y, 1) ]);
+    let x = M.add_var m and y = M.add_var m in
+    M.add_constraint m [ (x, 2); (y, 1) ] M.Le 5;
+    M.add_constraint m [ (x, 1); (y, 3) ] M.Le 6;
+    M.set_objective m [ (x, -1); (y, -1) ];
     Solver.solve ~cutoff:c m
   in
-  check_int "maximize, cutoff below the optimum" 3
-    (get_solution (maximize 2)).Solver.objective;
-  Alcotest.(check bool) "maximize, cutoff at the optimum: infeasible" true
-    ((maximize 3).Solver.status = Solver.Infeasible)
+  check_int "negated costs, cutoff above the optimum" (-3)
+    (get_solution (negated (-2))).Solver.objective;
+  Alcotest.(check bool) "negated costs, cutoff at the optimum: infeasible" true
+    ((negated (-3)).Solver.status = Solver.Infeasible)
 
 let test_priority_groups_same_optimum () =
   let build () =
     let m = M.create () in
-    let x = M.add_var m ~name:"x" and y = M.add_var m ~name:"y" in
-    M.add_constraint m (expr [ (x, 3); (y, 5) ]) M.Ge 11;
-    M.set_objective m M.Minimize (expr [ (x, 4); (y, 7) ]);
+    let x = M.add_var m and y = M.add_var m in
+    M.add_constraint m [ (x, 3); (y, 5) ] M.Ge 11;
+    M.set_objective m [ (x, 4); (y, 7) ];
     (m, x, y)
   in
   let m1, _, _ = build () in
@@ -237,9 +235,9 @@ let test_priority_groups_same_optimum () =
 
 let test_gap () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (expr [ (x, 1) ]) M.Ge 2;
-  M.set_objective m M.Minimize (expr [ (x, 1) ]);
+  let x = M.add_var m in
+  M.add_constraint m [ (x, 1) ] M.Ge 2;
+  M.set_objective m [ (x, 1) ];
   let outcome = solve m in
   match Solver.gap outcome with
   | Some g -> Alcotest.(check (float 1e-9)) "zero gap at optimality" 0.0 g
@@ -300,19 +298,20 @@ let build_cover_mip ((nv, nc), (coeffs, (costs, rhs))) =
      zeros with positive rhs is infeasible; the solver must agree. *)
   let rhs = List.init nc (fun c -> rhs_all.(c)) in
   let m = M.create () in
-  let vars = Array.init nv (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
+  let vars = Array.init nv (fun _ -> M.add_var m) in
   List.iter2
     (fun row b ->
       M.add_constraint m
-        (L.of_terms (Array.to_list (Array.mapi (fun i c -> (vars.(i), c)) row)))
+        (List.filter
+           (fun (_, c) -> c <> 0)
+           (Array.to_list (Array.mapi (fun i c -> (vars.(i), c)) row)))
         M.Ge b)
     rows rhs;
   (* The brute-force box is implied: x_i <= 12 suffices since rhs <= 12
      and any positive coefficient is >= 1; add it to the model so both
      searches range over the same space. *)
-  Array.iter (fun v -> M.add_constraint m (L.var v) M.Le 12) vars;
-  M.set_objective m M.Minimize
-    (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, costs.(i))) vars)));
+  Array.iter (fun v -> M.add_constraint m [ (v, 1) ] M.Le 12) vars;
+  M.set_objective m (Array.to_list (Array.mapi (fun i v -> (v, costs.(i))) vars));
   (m, costs, rows, rhs)
 
 (* Most-fractional branching as it was decided in Rat before nodes kept

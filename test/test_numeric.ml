@@ -8,7 +8,6 @@
 
 module R = Numeric.Rat
 module K = Numeric.Kernel
-module L = Lp.Linexpr
 module M = Lp.Model
 module S = Lp.Simplex
 
@@ -33,7 +32,7 @@ let covering_gen =
 
 let build_covering ((nv, nc), (coeffs, rhs)) =
   let m = M.create () in
-  let vars = Array.init nv (fun i -> M.add_var m ~name:(Printf.sprintf "v%d" i)) in
+  let vars = Array.init nv (fun _ -> M.add_var m) in
   let coeff = Array.of_list coeffs in
   let rhs = Array.of_list rhs in
   for c = 0 to nc - 1 do
@@ -41,10 +40,9 @@ let build_covering ((nv, nc), (coeffs, rhs)) =
       Array.to_list
         (Array.mapi (fun i v -> (v, coeff.(((c * nv) + i) mod 16))) vars)
     in
-    M.add_constraint m (L.of_terms terms) M.Ge rhs.(c mod 4)
+    M.add_constraint m terms M.Ge rhs.(c mod 4)
   done;
-  M.set_objective m M.Minimize
-    (L.of_terms (Array.to_list (Array.mapi (fun i v -> (v, 1 + (i mod 3))) vars)));
+  M.set_objective m (Array.to_list (Array.mapi (fun i v -> (v, 1 + (i mod 3))) vars));
   m
 
 let result_equal a b =
@@ -89,9 +87,9 @@ let check_falls_back m =
    pivot; the exact engine is untroubled. *)
 let test_simplex_overflow_on_injection () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  M.add_constraint m (L.of_terms [ (x, 1) ]) M.Ge 1;
-  M.set_objective m M.Minimize (L.of_terms [ (x, bound) ]);
+  let x = M.add_var m in
+  M.add_constraint m [ (x, 1) ] M.Ge 1;
+  M.set_objective m [ (x, bound) ];
   Alcotest.check_raises "Fast overflows at the bound" K.Overflow (fun () ->
       ignore (S.solve_fast m));
   match check_falls_back m with
@@ -104,11 +102,11 @@ let test_simplex_overflow_on_injection () =
 let test_simplex_overflow_on_pivot () =
   let a = bound - 3 and b = bound - 5 and d = bound - 1 in
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  let y = M.add_var m ~name:"y" in
-  M.add_constraint m (L.of_terms [ (x, a); (y, b) ]) M.Ge 1;
-  M.add_constraint m (L.of_terms [ (x, d); (y, 1) ]) M.Ge 1;
-  M.set_objective m M.Minimize (L.of_terms [ (x, 1); (y, 1) ]);
+  let x = M.add_var m in
+  let y = M.add_var m in
+  M.add_constraint m [ (x, a); (y, b) ] M.Ge 1;
+  M.add_constraint m [ (x, d); (y, 1) ] M.Ge 1;
+  M.set_objective m [ (x, 1); (y, 1) ];
   let pivots0 = Telemetry.value Telemetry.lp_pivots in
   Alcotest.check_raises "Fast overflows mid-pivot" K.Overflow (fun () ->
       ignore (S.solve_fast m));
@@ -128,10 +126,10 @@ let test_simplex_overflow_on_pivot () =
 let test_simplex_overflow_on_row_lcm () =
   let p1 = bound - 1 and p2 = bound - 3 in
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  let y = M.add_var m ~name:"y" in
-  M.add_constraint m (L.of_terms [ (x, p2); (y, p1) ]) M.Ge (p1 * p2);
-  M.set_objective m M.Minimize (L.of_terms [ (x, 1); (y, 1) ]);
+  let x = M.add_var m in
+  let y = M.add_var m in
+  M.add_constraint m [ (x, p2); (y, p1) ] M.Ge (p1 * p2);
+  M.set_objective m [ (x, 1); (y, 1) ];
   Alcotest.check_raises "Fast overflows on the row lcm" K.Overflow
     (fun () -> ignore (S.solve_fast m));
   match check_falls_back m with
@@ -187,18 +185,15 @@ let test_driver_falls_back_on_huge_costs () =
      model is one whose strengthened tree still reaches such a child
      (7 nodes, the optimum x0 = x1 = 1 at cost 11). *)
   let m = M.create () in
-  let xs = Array.init 3 (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
+  let xs = Array.init 3 (fun _ -> M.add_var m) in
   let row coeffs rhs =
-    M.add_constraint m
-      (L.of_terms (List.mapi (fun i c -> (xs.(i), c)) coeffs))
-      M.Ge rhs
+    M.add_constraint m (List.mapi (fun i c -> (xs.(i), c)) coeffs) M.Ge rhs
   in
   row [ 3797; 2147; 3 ] 2774;
   row [ 1655; 3503; 338 ] 2006;
   row [ 3584; 2; 3 ] 1817;
-  Array.iter (fun x -> M.add_constraint m (L.var x) M.Le 50) xs;
-  M.set_objective m M.Minimize
-    (L.of_terms [ (xs.(0), 6); (xs.(1), 5); (xs.(2), 7) ]);
+  Array.iter (fun x -> M.add_constraint m [ (x, 1) ] M.Le 50) xs;
+  M.set_objective m [ (xs.(0), 6); (xs.(1), 5); (xs.(2), 7) ];
   Alcotest.(check bool) "root fits the fast range" true
     (match S.solve_fast m with
      | _ -> true

@@ -7,7 +7,6 @@
    feasible. *)
 
 module R = Numeric.Rat
-module L = Lp.Linexpr
 module M = Lp.Model
 module S = Lp.Simplex
 
@@ -53,10 +52,10 @@ let rec subsets n lo k =
     List.map (fun s -> lo :: s) (subsets (n - 1) (lo + 1) k)
     @ subsets n (lo + 1) k
 
-(* Best vertex objective of: min/max c.x s.t. rows (a_i . x >= / <= b_i),
+(* Best vertex objective of: min c.x s.t. rows (a_i . x >= / <= b_i),
    x >= 0. Rows are (coeffs, cmp, rhs) with cmp in {`Ge, `Le}, over
    ints as the model takes them. *)
-let best_vertex ~nvars ~rows ~objective ~maximize =
+let best_vertex ~nvars ~rows ~objective =
   let rows =
     List.map (fun (a, cmp, b) -> (Array.map R.of_int a, cmp, R.of_int b)) rows
   and objective = Array.map R.of_int objective in
@@ -90,15 +89,15 @@ let best_vertex ~nvars ~rows ~objective ~maximize =
           let obj = ref R.zero in
           Array.iteri (fun i c -> obj := R.add !obj (R.mul c x.(i))) objective;
           match !best with
-          | Some cur
-            when (maximize && R.compare cur !obj >= 0)
-                 || ((not maximize) && R.compare cur !obj <= 0) -> ()
+          | Some cur when R.compare cur !obj <= 0 -> ()
           | _ -> best := Some !obj
         end)
     (subsets nvars 0 (Array.length planes));
   !best
 
-(* Random LP generator: coefficients in [-4, 4], rhs in [0, 12]. *)
+(* Random LP generator: coefficients in [-4, 4], rhs in [0, 12]. A
+   maximization is generated as the minimization of the negated
+   costs. *)
 let lp_gen =
   QCheck2.Gen.(
     let coeff = int_range (-4) 4 in
@@ -110,6 +109,7 @@ let lp_gen =
 let build ((nvars, nrows), ((coeffs, rhs), (obj, (senses, maximize)))) =
   let coeffs = Array.of_list coeffs and rhs = Array.of_list rhs in
   let obj = Array.of_list (List.filteri (fun i _ -> i < nvars) obj) in
+  let obj = if maximize then Array.map (fun c -> -c) obj else obj in
   let senses = Array.of_list senses in
   let rows =
     List.init nrows (fun r ->
@@ -117,38 +117,39 @@ let build ((nvars, nrows), ((coeffs, rhs), (obj, (senses, maximize)))) =
           (if senses.(r mod 4) then `Ge else `Le),
           rhs.(r mod 4) ))
   in
-  (nvars, rows, obj, maximize)
+  (nvars, rows, obj)
 
-let to_model (nvars, rows, objective, maximize) =
+(* The model's terms: the non-zero coefficients. *)
+let terms a =
+  List.filter (fun (_, c) -> c <> 0) (Array.to_list (Array.mapi (fun i c -> (i, c)) a))
+
+let to_model (nvars, rows, objective) =
   let m = M.create () in
-  let vars = Array.init nvars (fun i -> M.add_var m ~name:(Printf.sprintf "x%d" i)) in
+  for _ = 1 to nvars do
+    ignore (M.add_var m)
+  done;
   List.iter
     (fun (a, cmp, b) ->
-      let terms = Array.to_list (Array.mapi (fun i c -> (vars.(i), c)) a) in
-      M.add_constraint m (L.of_terms terms)
-        (match cmp with `Ge -> M.Ge | `Le -> M.Le)
-        b)
+      M.add_constraint m (terms a) (match cmp with `Ge -> M.Ge | `Le -> M.Le) b)
     rows;
-  M.set_objective m
-    (if maximize then M.Maximize else M.Minimize)
-    (L.of_terms (Array.to_list (Array.mapi (fun i c -> (vars.(i), c)) objective)));
+  M.set_objective m (terms objective);
   m
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count:400 ~name gen f)
 
 let props =
   [ prop "simplex optimum equals best feasible vertex" lp_gen (fun input ->
-        let (nvars, rows, objective, maximize) as lp = build input in
+        let (nvars, rows, objective) as lp = build input in
         let m = to_model lp in
         match S.solve m with
         | S.Optimal sol ->
-          (match best_vertex ~nvars ~rows ~objective ~maximize with
+          (match best_vertex ~nvars ~rows ~objective with
            | Some best -> R.equal sol.objective best
            | None -> false (* simplex found a point, oracle must too *))
         | S.Infeasible ->
           (* No vertex may be feasible... note the oracle only sees
              vertices; an infeasible LP has none. *)
-          best_vertex ~nvars ~rows ~objective ~maximize = None
+          best_vertex ~nvars ~rows ~objective = None
         | S.Unbounded ->
           (* Unbounded LPs are feasible: the oracle finds some vertex
              (possibly not optimal since no optimum exists). Check
@@ -161,7 +162,7 @@ let props =
         match S.solve m with
         | S.Optimal sol ->
           Test_lp.feasible m sol.values
-          && R.equal sol.objective (Test_lp.value (snd (M.objective m)) sol.values)
+          && R.equal sol.objective (Test_lp.value (M.objective m) sol.values)
         | S.Infeasible | S.Unbounded -> true) ]
 
 let suite = ("simplex_oracle", props)

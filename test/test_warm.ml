@@ -7,20 +7,20 @@
    root's tableau. *)
 
 module R = Numeric.Rat
-module L = Lp.Linexpr
 module M = Lp.Model
 module S = Lp.Simplex
 
 let ri = R.of_int
-let expr terms = L.of_terms terms
-
 let check_rat msg expected actual =
   Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
 
-(* The row [x_v <= b] ([Upper]) or [x_v >= b] ([Lower]). *)
+(* The row [x_v <= b] ([Upper]) or [x_v >= b] ([Lower]); a negative
+   [b] as the oriented row [-x_v >= -b] or [-x_v <= -b]. *)
 let bound_row m v dir b =
   let cmp = match dir with S.Upper -> M.Le | S.Lower -> M.Ge in
-  M.add_constraint m (L.var v) cmp b
+  if b >= 0 then M.add_constraint m [ (v, 1) ] cmp b
+  else
+    M.add_constraint m [ (v, -1) ] (if cmp = M.Le then M.Ge else M.Le) (-b)
 
 (* [m] with one more bound, as a row. *)
 let child m v dir b =
@@ -88,12 +88,12 @@ let objective_of label = function
    fractional, z is nonbasic with reduced cost 2/3. *)
 let parent_model () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" in
-  let y = M.add_var m ~name:"y" in
-  let z = M.add_var m ~name:"z" in
-  M.add_constraint m (expr [ (x, 2); (y, 1) ]) M.Le 5;
-  M.add_constraint m (expr [ (x, 1); (y, 2); (z, -1) ]) M.Le 5;
-  M.set_objective m M.Minimize (expr [ (x, -1); (y, -1); (z, 1) ]);
+  let x = M.add_var m in
+  let y = M.add_var m in
+  let z = M.add_var m in
+  M.add_constraint m [ (x, 2); (y, 1) ] M.Le 5;
+  M.add_constraint m [ (x, 1); (y, 2); (z, -1) ] M.Le 5;
+  M.set_objective m [ (x, -1); (y, -1); (z, 1) ];
   (m, x, y, z)
 
 let test_parent () =
