@@ -76,16 +76,6 @@ open Cmdliner
 
 module S = Rentcost.Solver
 
-let algorithms =
-  [ ("auto", S.Auto); ("ilp", S.Exact_ilp); ("dp", S.Dp_disjoint);
-    ("dp-blackbox", S.Dp_blackbox); ("exhaustive", S.Exhaustive);
-    ("h0", S.Heuristic Rentcost.Heuristics.H0);
-    ("h1", S.Heuristic Rentcost.Heuristics.H1);
-    ("h2", S.Heuristic Rentcost.Heuristics.H2);
-    ("h31", S.Heuristic Rentcost.Heuristics.H31);
-    ("h32", S.Heuristic Rentcost.Heuristics.H32);
-    ("h32jump", S.Heuristic Rentcost.Heuristics.H32_jump) ]
-
 let load path =
   try Ok (Rentcost.Problem_format.load path) with
   | Failure msg | Invalid_argument msg -> Error msg
@@ -516,11 +506,9 @@ let cmd_serve socket cache_capacity queue_capacity queue_policy budget workers
 
 let algorithm_arg =
   Arg.(value
-      & opt (enum algorithms) S.Auto
+      & opt (enum S.specs) S.Auto
       & info [ "algorithm"; "a" ] ~docv:"ALG"
-          ~doc:
-            "One of: auto, ilp, dp, dp-blackbox, exhaustive, h0, h1, h2, h31, \
-             h32, h32jump.")
+          ~doc:("One of: " ^ String.concat ", " (List.map fst S.specs) ^ "."))
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 

@@ -14,20 +14,13 @@ let spec_to_string = function
   | Heuristic n -> String.lowercase_ascii (Heuristics.name_to_string n)
   | Auto -> "auto"
 
-let spec_of_string s =
-  match String.lowercase_ascii s with
-  | "auto" -> Some Auto
-  | "ilp" -> Some Exact_ilp
-  | "dp-blackbox" -> Some Dp_blackbox
-  | "dp" | "dp-disjoint" -> Some Dp_disjoint
-  | "exhaustive" -> Some Exhaustive
-  | "h0" -> Some (Heuristic Heuristics.H0)
-  | "h1" -> Some (Heuristic Heuristics.H1)
-  | "h2" -> Some (Heuristic Heuristics.H2)
-  | "h31" -> Some (Heuristic Heuristics.H31)
-  | "h32" -> Some (Heuristic Heuristics.H32)
-  | "h32jump" -> Some (Heuristic Heuristics.H32_jump)
-  | _ -> None
+let specs =
+  [ ("auto", Auto); ("ilp", Exact_ilp); ("dp", Dp_disjoint);
+    ("dp-disjoint", Dp_disjoint); ("dp-blackbox", Dp_blackbox);
+    ("exhaustive", Exhaustive) ]
+  @ List.map (fun n -> (spec_to_string (Heuristic n), Heuristic n)) Heuristics.all
+
+let spec_of_string s = List.assoc_opt (String.lowercase_ascii s) specs
 
 type status = Optimal | Feasible | Budget_exhausted | Infeasible
 
@@ -312,20 +305,3 @@ let run ?(budget = Budget.unlimited) ?rng ?(params = Heuristics.default_params)
            money hi);
     metered engine instance
       (max_throughput ~budget ~rng ~params ~hi engine instance ~money)
-
-let pp_outcome fmt o =
-  Format.fprintf fmt "@[<v>%s via %s in %.3f s" (status_to_string o.status)
-    (spec_to_string o.telemetry.engine)
-    o.telemetry.wall_time;
-  if o.telemetry.nodes > 0 then Format.fprintf fmt ", %d nodes" o.telemetry.nodes;
-  if o.telemetry.pivots > 0 then
-    Format.fprintf fmt ", %d pivots" o.telemetry.pivots;
-  if o.telemetry.evaluations > 0 then
-    Format.fprintf fmt ", %d evaluations" o.telemetry.evaluations;
-  if o.telemetry.pruned_recipes > 0 then
-    Format.fprintf fmt ", %d recipes pruned" o.telemetry.pruned_recipes;
-  if o.telemetry.warm_started then Format.fprintf fmt ", warm-started";
-  (match o.allocation with
-   | Some a -> Format.fprintf fmt "@,%a" Allocation.pp a
-   | None -> Format.fprintf fmt "@,(no allocation)");
-  Format.fprintf fmt "@]"

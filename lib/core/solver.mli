@@ -50,9 +50,11 @@ type spec =
 
 val spec_to_string : spec -> string
 
-(** [spec_of_string s] parses the [spec_to_string] forms plus the CLI
-    spellings ("auto", "ilp", "dp-blackbox", "dp", "exhaustive", "h0"
-    … "h32jump"). *)
+(** Every spelling of a spec, lower case: the [spec_to_string] forms
+    plus ["dp"] for [Dp_disjoint]. The CLI's [-a] reads this table. *)
+val specs : (string * spec) list
+
+(** [spec_of_string s] looks [s] up in {!specs}, ignoring case. *)
 val spec_of_string : string -> spec option
 
 (** Uniform verdict across engines. *)
@@ -184,5 +186,3 @@ val run :
   Instance.t ->
   objective:Objective.t ->
   outcome
-
-val pp_outcome : Format.formatter -> outcome -> unit

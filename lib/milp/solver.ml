@@ -123,15 +123,6 @@ module Best_queue = Pqueue.Make (struct
     | c -> c
 end)
 
-let pp_status fmt s =
-  Format.pp_print_string fmt
-    (match s with
-     | Optimal -> "optimal"
-     | Feasible -> "feasible"
-     | Infeasible -> "infeasible"
-     | Unbounded -> "unbounded"
-     | Unknown -> "unknown")
-
 (* Floor division, for a positive divisor. *)
 let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
 

@@ -113,5 +113,3 @@ val branch_var : Lp.Simplex.point -> Lp.Model.var list list -> Lp.Model.var opti
 (** [gap outcome] is the relative optimality gap
     [(incumbent - bound) / max(1, |incumbent|)] when both are known. *)
 val gap : outcome -> float option
-
-val pp_status : Format.formatter -> status -> unit

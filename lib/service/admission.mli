@@ -77,6 +77,6 @@ val take : 'a t -> now:float -> [ `Job of 'a | `Shed of 'a | `Empty ]
 (** [remove_matching t ~f] removes and returns every queued job
     satisfying [f], in queue order, leaving the others in place. The
     removed jobs are {e not} counted as shed — the caller is taking
-    responsibility for answering them (the completing single-flight
-    leader adopting queued duplicates). *)
+    responsibility for answering them (a single-flight leader
+    adopting queued duplicates as it starts). *)
 val remove_matching : 'a t -> f:('a -> bool) -> 'a list

@@ -94,13 +94,13 @@ let queue_wait_hist =
 
 (* --- single-flight coalescing ---
 
-   One open [flight] per distinct solve key: the first worker to start
-   a key becomes its leader; every identical request that shows up
-   while the flight is open — at the door, in the queue, or on another
-   worker — rides the leader's outcome
-   instead of solving again. The key is structural equality on the
-   solve inputs; all four record components are pure data (no
-   closures), so polymorphic equality is exact. *)
+   One open [flight] per distinct solve key: the worker that takes a
+   key off the queue becomes its leader and adopts every queued
+   duplicate; a duplicate arriving while the flight is open attaches
+   at the door. Either way it rides the leader's outcome instead of
+   solving again. The key is structural equality on the solve inputs;
+   all four record components are pure data (no closures), so
+   polymorphic equality is exact. *)
 
 (* What a leader's request came to — everything a follower copies.
    Followers share the leader's objective (that is part of the key),
@@ -122,14 +122,17 @@ type flight_result =
 
 type flight = {
   f_leader : job;
-  mutable f_result : flight_result option;  (* guarded by [fm] *)
-  mutable f_pending : job list;
-      (* submit-time followers, newest first; guarded by [fm] *)
+  mutable f_followers : job list;  (* newest first; guarded by [qm] *)
 }
 
 let same_solve a b =
   a.source = b.source && a.objective = b.objective
   && a.pricebook = b.pricebook && a.spec = b.spec
+
+(* Whether [job] may ride [leader]'s flight. [No_reuse] jobs never
+   follow (the client asked for a cold solve) but still lead —
+   duplicates are welcome to ride the cold result. *)
+let follows leader job = job.reuse <> Protocol.No_reuse && same_solve leader job
 
 (* The compiled-instance tables are keyed by text or digest, compared
    with [String.equal]. *)
@@ -149,13 +152,11 @@ type t = {
   config : config;
   solutions : Cache.t;  (* locks itself *)
   queue : job Admission.t;
-  qm : Mutex.t;  (* guards every [queue] access *)
+  qm : Mutex.t;  (* guards every [queue] and [flights] access *)
   qc : Condition.t;  (* signalled on admission; workers sleep here *)
   flights : flight list ref;
-      (* open single-flight leaders, at most one per worker;
-         guarded by [fm] *)
-  fm : Mutex.t;
-  fc : Condition.t;  (* broadcast when any flight completes *)
+      (* open single-flight leaders, at most one per worker. While a
+         flight is open, no job that [follows] its leader is queued. *)
   registry : (Instance.t * Fingerprint.t) Lru.t;
       (* by name, at most [cache_capacity]; guarded by [im] *)
   texts : text_entry Lru.t;
@@ -189,8 +190,6 @@ let create ?(config = default_config) () =
     qm = Mutex.create ();
     qc = Condition.create ();
     flights = ref [];
-    fm = Mutex.create ();
-    fc = Condition.create ();
     registry = Lru.create ~capacity:config.cache_capacity;
     texts = Lru.create ~capacity:config.cache_capacity;
     instances = Lru.create ~capacity:config.cache_capacity;
@@ -219,11 +218,7 @@ let locked_queue t f = Mutex.protect t.qm (fun () -> f t.queue)
 
 let queue_length t = locked_queue t Admission.length
 
-let inflight t =
-  Mutex.lock t.fm;
-  let n = List.length !(t.flights) in
-  Mutex.unlock t.fm;
-  n
+let inflight t = Mutex.protect t.qm (fun () -> List.length !(t.flights))
 
 (* Back-pressure hint for [Overloaded]: queue depth times observed mean
    service latency — roughly how long the present backlog takes to
@@ -733,86 +728,28 @@ let serve_coalesced t ~now job result =
       Telemetry.observe queue_wait_hist waited;
       answer t job ~coalesced:true ~queue_wait:waited ~wall:waited result)
 
-(* Join-or-lead, non-blocking: find an open flight for [job]'s key or
-   open one. Callers hold [fm] already ([with_flights]); the dequeue
-   path additionally holds [qm] around the take AND this decision, so
-   a flight completing concurrently (which must sweep under [qm]
-   first) can never close between a worker's take and its join — a
-   dequeued duplicate always finds its leader's flight still open.
-   [No_reuse] jobs never join (the client asked for a cold solve) but
-   still lead — duplicates are welcome to ride the cold result. *)
-let join_or_lead t job =
-  match
-    if job.reuse = Protocol.No_reuse then None
-    else List.find_opt (fun f -> same_solve f.f_leader job) !(t.flights)
-  with
-  | Some f -> `Join f
-  | None ->
-    let f = { f_leader = job; f_result = None; f_pending = [] } in
-    t.flights := f :: !(t.flights);
-    `Lead f
-
-let with_flights t f = Mutex.protect t.fm f
-
-(* Block until a joined flight lands. Never called with [qm] held —
-   the leader needs [qm] to publish. *)
-let await_flight t f =
-  Mutex.lock t.fm;
-  let rec await () =
-    match f.f_result with
-    | Some r -> r
-    | None ->
-      Condition.wait t.fc t.fm;
-      await ()
-  in
-  let r = await () in
-  Mutex.unlock t.fm;
-  r
-
-(* Publish a finished flight and collect every follower it owes an
-   answer: door-attached pending jobs plus identical jobs still
-   sitting in the queue (swept here so a herd never pays a second
-   solve, whatever the worker interleaving). The sweep, the result
-   publication and the flight removal all happen under [qm] (with
-   [fm] nested), mirroring the dequeue path's take-and-join section.
-   The leader's cache insert happened inside [climb], strictly
+(* Close a finished flight and return its followers in arrival
+   order. The leader's cache insert happened inside [climb], strictly
    before this — so once the flight is gone, late duplicates hit the
    cache instead. *)
-let complete_flight t f result =
-  locked_queue t (fun q ->
-      let swept =
-        Admission.remove_matching q ~f:(fun j ->
-            j.reuse <> Protocol.No_reuse && same_solve f.f_leader j)
-      in
-      let pending =
-        with_flights t (fun () ->
-            f.f_result <- Some result;
-            let pending = List.rev f.f_pending in
-            f.f_pending <- [];
-            t.flights := List.filter (fun g -> g != f) !(t.flights);
-            Condition.broadcast t.fc;
-            pending)
-      in
-      pending @ swept)
+let complete_flight t f =
+  Mutex.protect t.qm (fun () ->
+      t.flights := List.filter (fun g -> g != f) !(t.flights);
+      List.rev f.f_followers)
 
-(* Run one job in the flight role picked for it. Returns every
-   response this now owes: the job's own answer first, then those of
-   the followers its completing flight adopted. *)
-let run t ~now job = function
-  | `Join f -> [ serve_coalesced t ~now job (await_flight t f) ]
-  | `Lead f ->
-    let attrs =
-      [
-        ("objective", Objective.kind_to_string (Objective.kind job.objective));
-        ("target", string_of_int (Objective.scalar job.objective));
-        ("reuse", Protocol.reuse_to_string job.reuse);
-      ]
-    in
-    let result, reply = traced job ~attrs (fun () -> lead t ~now job) in
-    reply
-    :: List.map
-         (fun j -> serve_coalesced t ~now j result)
-         (complete_flight t f result)
+(* Lead one job's flight. Returns every response this now owes: the
+   job's own answer first, then those of its followers. *)
+let run t ~now job f =
+  let attrs =
+    [
+      ("objective", Objective.kind_to_string (Objective.kind job.objective));
+      ("target", string_of_int (Objective.scalar job.objective));
+      ("reuse", Protocol.reuse_to_string job.reuse);
+    ]
+  in
+  let result, reply = traced job ~attrs (fun () -> lead t ~now job) in
+  reply
+  :: List.map (fun j -> serve_coalesced t ~now j result) (complete_flight t f)
 
 (* --- stats --- *)
 
@@ -915,45 +852,32 @@ let submit ?now t (request : Protocol.request) =
     in
     (* Single-flight at the door: a duplicate of a solve already in
        flight attaches to that flight and skips admission entirely —
-       it holds no queue slot and cannot be shed. *)
-    let attached =
-      job.reuse <> Protocol.No_reuse
-      && begin
-           Mutex.lock t.fm;
-           let hit =
-             match
-               List.find_opt (fun f -> same_solve f.f_leader job) !(t.flights)
-             with
-             | Some f ->
-               f.f_pending <- job :: f.f_pending;
-               true
-             | None -> false
-           in
-           Mutex.unlock t.fm;
-           hit
-         end
-    in
-    if attached then []
-    else begin
-      let outcome =
-        locked_queue t (fun q ->
+       it holds no queue slot and cannot be shed. The check and the
+       offer share one [qm] section, so no duplicate is queued behind
+       an open flight. *)
+    let outcome =
+      locked_queue t (fun q ->
+          match List.find_opt (fun f -> follows f.f_leader job) !(t.flights) with
+          | Some f ->
+            f.f_followers <- job :: f.f_followers;
+            None
+          | None ->
             let o = Admission.offer q ?expires_at ~tenant ~now job in
             if o.Admission.admitted then Condition.signal t.qc;
-            o)
-      in
-      let evicted = List.map (overloaded t) outcome.Admission.evicted in
-      if outcome.Admission.admitted then evicted
-      else evicted @ [ overloaded t job ]
-    end
+            Some o)
+    in
+    match outcome with
+    | None -> []
+    | Some o ->
+      let evicted = List.map (overloaded t) o.Admission.evicted in
+      if o.Admission.admitted then evicted else evicted @ [ overloaded t job ]
 
-(* Take the oldest live job and pick its flight role in ONE
-   queue-lock section, shedding the expired entries met on the way;
-   run the job outside (solves are the long part — holding qm across
-   them would serialize the workers). The atomic take-and-join is what
-   makes the herd invariant scheduling-proof: a completing flight
-   sweeps under [qm] before it closes, so a duplicate this take just
-   dequeued either was swept (not ours any more) or joins a flight
-   that is still open — never the limbo in between. *)
+(* Take the oldest live job, shedding the expired entries met on the
+   way, and open its flight in the same queue-lock section, adopting
+   every queued duplicate as a follower; run the job outside (solves
+   are the long part — holding qm across them would serialize the
+   workers). Since the door check also runs under [qm], a taken job
+   never has an open flight to follow: it always leads. *)
 let take t ~now =
   locked_queue t (fun q ->
       let rec go shed =
@@ -961,7 +885,10 @@ let take t ~now =
         | `Empty -> (List.rev shed, None)
         | `Shed job -> go (job :: shed)
         | `Job job ->
-          (List.rev shed, Some (job, with_flights t (fun () -> join_or_lead t job)))
+          let swept = Admission.remove_matching q ~f:(follows job) in
+          let f = { f_leader = job; f_followers = List.rev swept } in
+          t.flights := f :: !(t.flights);
+          (List.rev shed, Some (job, f))
       in
       go [])
 
@@ -974,7 +901,7 @@ let drain_next ?now t =
   let shed_rs = List.map (overloaded t) shed in
   match next with
   | None -> shed_rs
-  | Some (job, role) -> shed_rs @ run t ~now job role
+  | Some (job, f) -> shed_rs @ run t ~now job f
 
 let drain ?now t =
   let now = clock now in

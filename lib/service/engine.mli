@@ -113,37 +113,36 @@
     {2 Concurrency}
 
     The engine is safe to share across domains: the admission queue
-    sits behind one mutex + condition variable ({!submit} signals,
-    {!wait_for_work} sleeps), the solution {!Cache} locks itself, and
-    the name registry and instance table share one mutex, so
-    {!register} updates both in one critical section. Those two locks
-    are held only for a lookup or insert, and solves run outside all
-    engine locks, so [N] workers really solve [N] jobs at once. The engine
-    spawns nothing — {!Daemon} owns the worker domains, and each
-    worker wakeup ({!drain_next}) takes one job.
+    and the open flights sit behind one mutex + condition variable
+    ({!submit} signals, {!wait_for_work} sleeps), the solution
+    {!Cache} locks itself, and the name registry and instance table
+    share one mutex, so {!register} updates both in one critical
+    section. Those two locks are held only for a lookup or insert,
+    and solves run outside all engine locks, so [N] workers really
+    solve [N] jobs at once. The engine spawns nothing — {!Daemon} owns
+    the worker domains, and each worker wakeup ({!drain_next}) takes
+    one job.
 
     {2 Single-flight coalescing}
 
     Identical solves — same source, objective, price book and spec —
-    never run twice concurrently. The first to start becomes the
-    {e leader} of an open flight; every duplicate arriving while the
-    flight is open attaches to it instead of solving: at the door
-    ({!submit} parks it on the flight, holding no queue slot), on
-    another worker ({!drain_next} blocks until the leader lands), or
-    still queued at completion (the leader sweeps
-    identical queued jobs and answers them itself). Followers are
-    answered [served = "coalesced"], each under its own trace id and
-    audit record, and {e never observe a different answer than their
-    leader} — payloads are copied from the leader's outcome verbatim,
-    including errors. The leader inserts into the cache strictly
-    before closing its flight, so late duplicates hit the cache
-    instead of re-solving. Dequeue joins a flight in the same
-    queue-lock section as the take, and a completing flight sweeps
-    under that lock before it closes — so a herd of [n] identical
-    queued requests costs exactly one cold solve and [n - 1]
-    coalesced answers under {e any} worker interleaving, not just the
-    lucky ones. [reuse = "none"] requests never follow
-    (the client asked for a cold solve) but do lead. Coalesced
+    never run twice concurrently. The worker that takes one off the
+    queue becomes the {e leader} of an open flight, and a follower
+    attaches to it at one of two points, both under the queue lock:
+    when the leader starts, it adopts every identical request still
+    queued (their slots free at once); while it solves, a duplicate
+    arriving at {!submit} attaches at the door, holding no queue slot.
+    So while a flight is open no request with its key sits in the
+    queue, no worker ever waits on another's solve, and a herd of [n]
+    identical queued requests costs exactly one cold solve and
+    [n - 1] coalesced answers under {e any} worker interleaving.
+    Followers are answered [served = "coalesced"], each under its own
+    trace id and audit record, and {e never observe a different answer
+    than their leader} — payloads are copied from the leader's outcome
+    verbatim, including errors. The leader inserts into the cache
+    strictly before closing its flight, so late duplicates hit the
+    cache instead of re-solving. [reuse = "none"] requests never
+    follow (the client asked for a cold solve) but do lead. Coalesced
     requests bump [service.coalesced] and the [(tenant, "coalesced")]
     labelled series.
 
@@ -209,11 +208,11 @@ val submit : ?now:float -> t -> Protocol.request -> Protocol.response list
 val drain : ?now:float -> t -> Protocol.response list
 
 (** [drain_next t] takes and runs {e one job}: the oldest live queued
-    solve, under single-flight discipline (see the module doc).
-    Returns every response that work now owes — dispatch-time sheds,
-    the job's answer, and any followers adopted by its completing
-    flight — and [[]] only when the queue held nothing. The building
-    block of the parallel daemon's worker loop. *)
+    solve, as the leader of its flight (see the module doc). Returns
+    every response that work now owes — dispatch-time sheds, the job's
+    answer, then its followers' in arrival order — and [[]] only when
+    the queue held nothing. The building block of the parallel
+    daemon's worker loop. *)
 val drain_next : ?now:float -> t -> Protocol.response list
 
 (** [wait_for_work t ~stop] blocks the calling domain until the queue
@@ -247,3 +246,6 @@ val cache : t -> Cache.t
 
 (** Queued solve requests not yet drained. *)
 val queue_length : t -> int
+
+(** Open single-flight leaders: solves running now. *)
+val inflight : t -> int

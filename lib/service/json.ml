@@ -345,5 +345,3 @@ let to_bool = function Bool b -> Some b | _ -> None
 let get_string key v = Option.bind (member key v) to_str
 
 let get_int key v = Option.bind (member key v) to_int
-
-let get_float key v = Option.bind (member key v) to_float

@@ -51,10 +51,8 @@ val to_str : t -> string option
 
 val to_bool : t -> bool option
 
-(** [get_string key v] / [get_int key v] / [get_float key v] compose
-    {!member} with the coercions. *)
+(** [get_string key v] / [get_int key v] compose {!member} with the
+    coercions. *)
 val get_string : string -> t -> string option
 
 val get_int : string -> t -> int option
-
-val get_float : string -> t -> float option

@@ -1218,17 +1218,19 @@ let test_herd_single_thread () =
             records))
   | _ -> Alcotest.fail "expected an audit reply"
 
-(* The daemon worker loop, inlined over [test_domains] domains. Worker
-   interleavings can turn a late duplicate into an exact cache hit
-   (the flight already closed), but never into a second solve: the
-   deterministic invariants are one cold solve, one service.solve
-   span, bit-identical replies and per-request trace ids. *)
-let run_worker_herd ~engine ~jobs =
+(* The daemon worker loop, inlined over [domains] domains (default
+   [test_domains]). Returns the responses in the order the workers
+   handed them over. Worker interleavings can turn a late duplicate
+   into an exact cache hit (the flight already closed), but never into
+   a second solve: the deterministic invariants are one cold solve,
+   one service.solve span, bit-identical replies and per-request trace
+   ids. *)
+let run_worker_herd ?(domains = test_domains) ~engine ~jobs () =
   let stop = Atomic.make false in
   let rm = Mutex.create () in
   let responses = ref [] in
   let workers =
-    List.init test_domains (fun _ ->
+    List.init domains (fun _ ->
         Domain.spawn (fun () ->
             let rec loop () =
               if
@@ -1238,7 +1240,7 @@ let run_worker_herd ~engine ~jobs =
                  | [] -> ()
                  | rs ->
                    Mutex.lock rm;
-                   responses := rs @ !responses;
+                   responses := List.rev_append rs !responses;
                    Mutex.unlock rm);
                 loop ()
               end
@@ -1256,7 +1258,7 @@ let run_worker_herd ~engine ~jobs =
   Atomic.set stop true;
   E.wake_all engine;
   List.iter Domain.join workers;
-  !responses
+  List.rev !responses
 
 let test_herd_across_workers () =
   Telemetry.Span.clear ();
@@ -1265,7 +1267,7 @@ let test_herd_across_workers () =
     Alcotest.(check bool) "admitted" true
       (E.submit e (solve_req ~id:i 110) = [])
   done;
-  let responses = run_worker_herd ~engine:e ~jobs:32 in
+  let responses = run_worker_herd ~engine:e ~jobs:32 () in
   Alcotest.(check int) "herd fully answered" 32 (List.length responses);
   let cold, rest =
     List.partition
@@ -1349,13 +1351,69 @@ let test_leader_failure_across_workers () =
   done;
   (* Termination itself is the assertion: a stranded follower would
      hang this join. *)
-  let responses = run_worker_herd ~engine:e ~jobs:16 in
+  let responses = run_worker_herd ~engine:e ~jobs:16 () in
   Alcotest.(check int) "herd fully answered" 16 (List.length responses);
   List.iter
     (function
       | Pr.Error _ -> ()
       | _ -> Alcotest.fail "expected every herd member to get the error")
     responses
+
+(* A leader that runs for a while: an uncapped ILP on a fig8 problem
+   it cannot close within a second, stopped by its half-second
+   deadline. *)
+let slow_engine () = engine_with (preset_problem ~seed:4 "fig8")
+
+let slow_req id =
+  solve_req ~id ~spec:S.Exact_ilp ~budget:(B.deadline 0.5) 200
+
+let response_id = function
+  | Pr.Solved { id; _ } | Pr.Error { id; _ } | Pr.Overloaded { id; _ } -> id
+  | _ -> None
+
+(* Duplicates queued behind a slow leader ride its flight from the
+   moment it starts, so the second of two workers takes the unrelated
+   request queued after them at once instead of waiting out the
+   leader's solve. *)
+let test_herd_holds_no_worker () =
+  let e = slow_engine () in
+  for i = 1 to 3 do
+    Alcotest.(check bool) "admitted" true (E.submit e (slow_req i) = [])
+  done;
+  Alcotest.(check bool) "admitted" true
+    (E.submit e (solve_req ~id:99 ~spec:(S.Heuristic Rentcost.Heuristics.H1) 100)
+     = []);
+  let responses = run_worker_herd ~domains:2 ~engine:e ~jobs:4 () in
+  Alcotest.(check (list (option int))) "the unrelated reply comes first"
+    [ Some 99; Some 1; Some 2; Some 3 ]
+    (List.map response_id responses);
+  match responses with
+  | [ _; Pr.Solved { cost; rho; _ };
+      Pr.Solved { served = Pr.Coalesced; cost = c2; rho = r2; _ };
+      Pr.Solved { served = Pr.Coalesced; cost = c3; rho = r3; _ } ] ->
+    Alcotest.(check (list int)) "followers copy the cost" [ cost; cost ] [ c2; c3 ];
+    Alcotest.(check (list (array int))) "followers copy the split" [ rho; rho ]
+      [ r2; r3 ]
+  | _ -> Alcotest.fail "expected the leader then two coalesced followers"
+
+(* A duplicate submitted while its leader solves attaches at the door:
+   it takes no queue slot and is answered with the leader's reply. *)
+let test_door_attaches_follower () =
+  let e = slow_engine () in
+  Alcotest.(check bool) "admitted" true (E.submit e (slow_req 1) = []);
+  let worker = Domain.spawn (fun () -> E.drain_next e) in
+  while E.inflight e = 0 && E.queue_length e > 0 do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check int) "leader in flight" 1 (E.inflight e);
+  Alcotest.(check bool) "duplicate attached" true (E.submit e (slow_req 2) = []);
+  Alcotest.(check int) "no queue slot taken" 0 (E.queue_length e);
+  match Domain.join worker with
+  | [ Pr.Solved { id = Some 1; cost; rho; _ };
+      Pr.Solved { id = Some 2; served = Pr.Coalesced; cost = c; rho = r; _ } ] ->
+    Alcotest.(check int) "follower cost identical" cost c;
+    Alcotest.(check (array int)) "follower split identical" rho r
+  | _ -> Alcotest.fail "expected the leader's reply then its follower's"
 
 (* --- shed policies at the engine level --- *)
 
@@ -1673,6 +1731,10 @@ let suite =
         `Quick test_leader_failure_single_thread;
       Alcotest.test_case "leader failure fails followers (worker domains)"
         `Quick test_leader_failure_across_workers;
+      Alcotest.test_case "a queued herd holds no worker" `Quick
+        test_herd_holds_no_worker;
+      Alcotest.test_case "a duplicate attaches at the door" `Quick
+        test_door_attaches_follower;
       Alcotest.test_case "drop-oldest evicts the head" `Quick
         test_drop_oldest_policy;
       Alcotest.test_case "tenant-fair evicts the hog's newest" `Quick
