@@ -18,7 +18,8 @@
    - BENCH_numeric.json: the fast LP engine against exact Rat, the
      figure-preset and fig8 workloads' relaxations, fallbacks, pivots,
      warm nodes, peak retained words, capped cost sum and proved count,
-     the words one decode of an inline problem allocates ("wire"), and
+     the overflow stress workload's relaxations, fallbacks, nodes,
+     pivots and cost sum, the words one decode of an inline problem allocates ("wire"), and
      a tree that fills the snapshot budget ("budget_tree");
    - BENCH_autoscale.json: elastic vs static-peak vs oracle cost.
 
@@ -32,8 +33,8 @@
    BENCH_scenarios.json, its nodes within a fixed bound and zero
    fallbacks; the
    fast LP engine is bit-identical and fast enough, with the
-   figure-preset and fig8 effort counts, capped answers, wire decode
-   words and budget-tree counts equal to the committed
+   figure-preset, fig8 and stress effort counts, capped answers, wire
+   decode words and budget-tree counts equal to the committed
    BENCH_numeric.json; and the
    autoscale policies are ordered oracle <= elastic <= static-peak.
    Otherwise it prints a FAIL line per failed check and exits 1.
@@ -861,8 +862,9 @@ let paper_workload = capped_workload paper_presets
    bind. *)
 let fig8_workload = capped_workload [ "fig8" ]
 
-(* Costs near max_int sit far outside the fast range, so every
-   relaxation must overflow and rerun on Rat. *)
+(* Throughputs near max_int / 1024 sit far outside the fast range, so
+   every relaxation must overflow and rerun on Rat: the root, and each
+   child, solved cold with its path bounds as rows. *)
 let overflow_problem =
   let huge = max_int / 1024 in
   let chain types = Rentcost.Task_graph.chain ~ntypes:2 ~types in
@@ -951,8 +953,9 @@ let budget_tree () =
 
 (* The capped-workload counts that are deterministic for a seed, gated
    exactly against the committed file: (block, field, this run's
-   value). *)
-let numeric_gated paper fig8 =
+   value). The stress workload's tree is the one every relaxation
+   answered on Rat builds: its root's children solve cold. *)
+let numeric_gated paper fig8 stress =
   [ ("fallback", "paper_relaxations", paper.fb_relaxations);
     ("warm_start", "paper_pivots", paper.fb_pivots);
     ("warm_start", "paper_warm_nodes", paper.fb_warm_nodes);
@@ -970,7 +973,10 @@ let numeric_gated paper fig8 =
     ("fig8", "peak_retained_words", fig8.fb_peak_words);
     ("fig8", "minor_words_per_node", words_per_node fig8);
     ("fig8", "capped_cost_sum", fig8.fb_cost_sum);
-    ("fig8", "proved", fig8.fb_proved) ]
+    ("fig8", "proved", fig8.fb_proved);
+    ("fallback", "stress_nodes", stress.fb_nodes);
+    ("fallback", "stress_pivots", stress.fb_pivots);
+    ("fallback", "stress_cost_sum", stress.fb_cost_sum) ]
 
 (* The committed file's seed and its JSON, read before this run
    rewrites it. *)
@@ -1119,7 +1125,10 @@ let emit_numeric () =
             ("stress_relaxations", J.Int stress.fb_relaxations);
             ("stress_fallbacks", J.Int stress.fb_fallbacks);
             ( "stress_fallback_rate",
-              fixed 3 (ratio stress.fb_fallbacks stress.fb_relaxations) ) ] );
+              fixed 3 (ratio stress.fb_fallbacks stress.fb_relaxations) );
+            ("stress_nodes", J.Int stress.fb_nodes);
+            ("stress_pivots", J.Int stress.fb_pivots);
+            ("stress_cost_sum", J.Int stress.fb_cost_sum) ] );
       ( "warm_start",
         J.Obj
           [ ("paper_nodes", J.Int paper.fb_nodes);
@@ -1503,7 +1512,7 @@ let smoke () =
              (Printf.sprintf "committed BENCH_numeric.json carries %s.%s" block
                 name)
              false)
-       (numeric_gated paper fig8)
+       (numeric_gated paper fig8 stress)
    | Some (seed, _) ->
      Printf.printf
        "SKIP capped-workload effort gate (committed seed %d, this run %d; \

@@ -504,9 +504,17 @@ let cmd_serve socket cache_capacity queue_capacity queue_policy budget workers
 
 (* --- cmdliner plumbing --- *)
 
+(* The spellings of {!S.specs}, read as the daemon's ["spec"] field is:
+   any case, no prefixes. *)
 let algorithm_arg =
+  let parse s =
+    match S.spec_of_string s with
+    | Some spec -> Ok spec
+    | None -> Error (`Msg (Printf.sprintf "unknown algorithm %S" s))
+  in
+  let print ppf spec = Format.pp_print_string ppf (S.spec_to_string spec) in
   Arg.(value
-      & opt (enum S.specs) S.Auto
+      & opt (conv (parse, print)) S.Auto
       & info [ "algorithm"; "a" ] ~docv:"ALG"
           ~doc:("One of: " ^ String.concat ", " (List.map fst S.specs) ^ "."))
 

@@ -73,15 +73,14 @@ let point_of instance ~rho ~loads ~limit =
 
 (* The branch and bound's primal heuristic: round a node's LP split to
    an integer one on the compiled instance. Each ρ_j is floored from
-   its native numerator and denominator (the LP row's own pair, or a
-   small exact value); the missing
-   [target - Σ⌊ρ_j⌋] units (fewer than J') go one at a time to the
-   recipe whose unit costs the fewest extra machines at the loads so
-   far, ties to the largest fractional part not yet rounded up, then
-   to the lowest index. The point is kept only when it is strictly
-   cheaper than the incumbent, which before the first point is the
-   solve's cutoff. A node whose exact ρ has left the small
-   representation is not rounded. *)
+   its native numerator and denominator ([Lp.Simplex.fractions]); the
+   missing [target - Σ⌊ρ_j⌋] units (fewer than J') go one at a time
+   to the recipe whose unit costs the fewest extra machines at the
+   loads so far, ties to the largest fractional part not yet rounded
+   up, then to the lowest index. The point is kept only when it is
+   strictly cheaper than the incumbent, which before the first point
+   is the solve's cutoff. A node whose ρ has no such pair is not
+   rounded. *)
 let rounder instance ~target =
   let j_count = Instance.num_recipes instance in
   let q_count = Instance.num_types instance in
@@ -124,21 +123,9 @@ let rounder instance ~target =
   fun ~incumbent point ->
     Array.fill loads 0 q_count 0;
     Array.fill rho 0 j_count 0;
-    let small = ref true in
-    (match point with
-     | Lp.Simplex.Pairs p ->
-       for j = 0 to j_count - 1 do
-         take j p.(2 * j) p.((2 * j) + 1)
-       done
-     | Rats values ->
-       for j = 0 to j_count - 1 do
-         match Numeric.Rat.to_small values.(j) with
-         | Some (n, d) -> take j n d
-         | None -> small := false
-       done);
-    let missing = ref (target - Array.fold_left ( + ) 0 rho) in
-    if not !small then None
+    if not (Lp.Simplex.fractions point j_count take) then None
     else begin
+      let missing = ref (target - Array.fold_left ( + ) 0 rho) in
       while !missing > 0 do
         let best = ref 0 and best_cost = ref (marginal 0) in
         for j = 1 to j_count - 1 do

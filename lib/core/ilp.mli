@@ -32,11 +32,12 @@
     reaches its root therefore has an incumbent whenever the root's
     rounding fits the cap.
 
-    {b Numerics.} Every LP relaxation runs through {!Lp.Simplex.solve}:
+    {b Numerics.} Every LP relaxation runs through {!Lp.Simplex}:
     native-int pivots first, an exact {!Numeric.Rat} rerun of that one
-    relaxation on overflow. Both give bit-identical results; the
-    [numeric.fast_solves] / [numeric.fallbacks] telemetry counters and
-    the [lp.kernel] span attribute record which one answered. *)
+    relaxation (or a cold solve of a warm child) on overflow. Both give
+    bit-identical results; the [numeric.fast_solves] /
+    [numeric.fallbacks] telemetry counters and the [lp.kernel] span
+    attribute record which one answered. *)
 
 type outcome = {
   allocation : Allocation.t option;  (** best integer solution found *)

@@ -25,8 +25,8 @@ type constr = { terms : (var * int) list; cmp : cmp; rhs : int }
 val create : unit -> t
 
 (** [copy t] is a deep-enough copy: adding variables or constraints to
-    the copy never affects the original. The branch and bound adds a
-    cold node's path bounds as rows to a copy. *)
+    the copy never affects the original. {!Simplex} adds a cold
+    child's path bounds as rows to a copy. *)
 val copy : t -> t
 
 (** [add_var t] introduces a fresh variable [x >= 0]. *)

@@ -9,11 +9,14 @@
 
    [solve] runs the fraction-free native-int engine ({!Fraction_free})
    and reruns that one relaxation on the exact Rat engine ({!Exact})
-   when the native range overflows. Every entering/leaving decision of
-   both engines depends only on exact signs and comparisons, so they
-   walk the same pivot sequence and return bit-identical results: which
-   engine answered shows only in the [numeric.*] counters and the
-   [lp.kernel] span attribute.
+   when the native range overflows. Both run one two-phase driver
+   ({!Two_phase}) and bring only their arithmetic to it. Every
+   entering/leaving decision of both engines depends only on exact
+   signs and comparisons, so they walk the same pivot sequence and
+   return bit-identical results: which engine answered shows only in
+   the [numeric.*] counters and the [lp.kernel] span attribute. The
+   overflow never leaves this module: a child is solved {!cold} when
+   its warm solve overflows or the exact engine answered its root.
 
    A model minimizes over [>=]/[<=] rows with non-negative
    right-hand sides and native-int data ({!Model}), so a cold
@@ -33,6 +36,7 @@ module B = Numeric.Bigint
 
 let fast_solves_counter = Telemetry.counter Telemetry.numeric_fast_solves
 let fallbacks_counter = Telemetry.counter Telemetry.numeric_fallbacks
+let warm_nodes_counter = Telemetry.counter Telemetry.milp_warm_nodes
 let exact_objectives_counter = Telemetry.counter Telemetry.lp_exact_objectives
 
 let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
@@ -175,6 +179,94 @@ let values = function
     Array.init (Array.length p / 2) (fun v -> R.of_ints p.(2 * v) p.((2 * v) + 1))
   | Rats values -> Array.copy values
 
+let point_of_pairs p = Pairs (Array.copy p)
+let point_of_values values = Rats (Array.copy values)
+
+(* Floor division, for a positive divisor. *)
+let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
+
+(* An exact engine's integer as an int, raising rather than
+   wrapping. *)
+let to_int b =
+  match B.to_int b with
+  | Some n -> n
+  | None -> invalid_arg "Simplex: a relaxation's value is past the int range"
+
+(* Most fractional: the variable of [group] whose value is closest to
+   one half, the first such on ties. For [x = n/d] with fractional
+   part [f/d], that distance is [|2f - d| / 2d], so two of them
+   compare as [|2f - d|·d'] against [|2f' - d'|·d]: both under 2^60
+   because [0 <= f < d < 2^30]. Exact values compare the same
+   distances in Rat. *)
+let choose_in_group point group =
+  match point with
+  | Pairs p ->
+    let best = ref (-1) and best_dist = ref 0 and best_den = ref 1 in
+    List.iter
+      (fun v ->
+        let n = p.(2 * v) and d = p.((2 * v) + 1) in
+        let f = n - (d * fdiv n d) in
+        if f <> 0 then begin
+          let dist = abs ((2 * f) - d) in
+          if !best < 0 || dist * !best_den < !best_dist * d then begin
+            best := v;
+            best_dist := dist;
+            best_den := d
+          end
+        end)
+      group;
+    if !best < 0 then None else Some !best
+  | Rats values ->
+    let best = ref None in
+    List.iter
+      (fun v ->
+        let x = values.(v) in
+        if not (R.is_integer x) then begin
+          let f = R.frac x in
+          let dist = R.abs (R.sub (R.add f f) R.one) in
+          match !best with
+          | Some (_, s) when R.compare s dist <= 0 -> ()
+          | _ -> best := Some (v, dist)
+        end)
+      group;
+    Option.map fst !best
+
+(* Within the earliest group that still has a fractional variable. *)
+let most_fractional point groups =
+  List.fold_left
+    (fun acc group ->
+      match acc with Some _ -> acc | None -> choose_in_group point group)
+    None groups
+
+let floor point v =
+  match point with
+  | Pairs p -> fdiv p.(2 * v) p.((2 * v) + 1)
+  | Rats values -> to_int (R.floor values.(v))
+
+let int_values = function
+  | Pairs p ->
+    Array.init (Array.length p / 2) (fun v -> p.(2 * v) / p.((2 * v) + 1))
+  | Rats values -> Array.map (fun x -> to_int (R.num x)) values
+
+let fractions point n f =
+  match point with
+  | Pairs p ->
+    for v = 0 to n - 1 do
+      f v p.(2 * v) p.((2 * v) + 1)
+    done;
+    true
+  | Rats values ->
+    let rec from v =
+      v = n
+      ||
+      match R.to_small values.(v) with
+      | Some (num, den) ->
+        f v num den;
+        from (v + 1)
+      | None -> false
+    in
+    from 0
+
 type relaxation = { objective : objective; point : point }
 
 (* Declared after {!relaxation}, so that an untyped [x.objective] is a
@@ -191,41 +283,194 @@ type result = solution outcome
 let solution_of (r : relaxation) =
   { objective = exact_objective r.objective; values = values r.point }
 
-let relaxation_of (sol : solution) =
-  { objective = exact_objective_of sol.objective; point = Rats sol.values }
-
 let map_outcome f = function
   | Optimal x -> Optimal (f x)
   | Infeasible -> Infeasible
   | Unbounded -> Unbounded
-
-type phase_result = Phase_optimal | Phase_unbounded
 
 type direction = Upper | Lower
 
 let fast_kernel = "ff64"
 let exact_kernel = "rat"
 
-(* The number of artificial columns: one per [Ge] row. Every row has
-   a slack column. *)
-let count_art rows =
-  List.fold_left
-    (fun na { Model.cmp; _ } -> match cmp with Model.Le -> na | Ge -> na + 1)
-    0 rows
+type 'e tableau = {
+  tab : 'e array array;  (* m rows of (ncols + 1) entries *)
+  basis : int array;     (* m entries *)
+  ncols : int;
+  art_start : int;       (* artificial columns: art_start .. ncols-1 *)
+}
+
+(* An engine's arithmetic for {!Two_phase}: its entries, a phase's
+   pricing, and the entering choice and elimination of a pivot. *)
+module type ENGINE = sig
+  type e
+  type pricing
+
+  val of_int : int -> e  (* a model's int as an entry or a cost *)
+  val sign : e -> int
+  val mul : e -> e -> e
+  val compare : e -> e -> int
+
+  (* The pricing of a phase that minimizes [costs] (one per column)
+     from the tableau's current basis. *)
+  val pricing : e tableau -> e array -> pricing
+
+  (* The smallest column with a negative reduced cost, columns [j]
+     with [banned j] excluded; -1 when there is none. *)
+  val entering : e tableau -> pricing -> banned:(int -> bool) -> int
+
+  val pivot : e tableau -> pricing -> int -> int -> unit
+end
+
+(* The two-phase method on any engine. A model minimizes over [>=]/[<=]
+   rows with non-negative right-hand sides, so every row goes in as it
+   stands: column layout structurals, then one slack per row, then one
+   artificial per [Ge] row, which starts basic; a [Le] row starts basic
+   in its slack. Returns the optimal phase-2 tableau with its
+   pricing. *)
+module Two_phase (E : ENGINE) = struct
+  (* Ratio test: the least rhs_i / tab_ic over tab_ic > 0, compared by
+     cross multiplication (a fraction-free row's scale cancels within
+     the row), ties to the smallest basic column (Bland); -1 when no
+     entry is positive. *)
+  let leaving t c =
+    let best = ref (-1) in
+    for i = 0 to Array.length t.tab - 1 do
+      let a = t.tab.(i).(c) in
+      if E.sign a > 0 then begin
+        let b = !best in
+        if
+          b < 0
+          ||
+          let cmp =
+            E.compare
+              (E.mul t.tab.(i).(t.ncols) t.tab.(b).(c))
+              (E.mul t.tab.(b).(t.ncols) a)
+          in
+          cmp < 0 || (cmp = 0 && t.basis.(i) < t.basis.(b))
+        then best := i
+      end
+    done;
+    !best
+
+  (* Minimize with Bland's rule, columns [j] with [banned j] never
+     entering: true at an optimum, false when unbounded. *)
+  let rec run_phase t p ~banned =
+    let c = E.entering t p ~banned in
+    if c < 0 then true
+    else begin
+      let r = leaving t c in
+      if r < 0 then false
+      else begin
+        E.pivot t p r c;
+        run_phase t p ~banned
+      end
+    end
+
+  let solve model =
+    let nstruct = Model.num_vars model in
+    let rows = Model.constraints model in
+    let m = List.length rows in
+    let nart =
+      List.fold_left (fun na { Model.cmp; _ } -> if cmp = Model.Ge then na + 1 else na) 0 rows
+    in
+    let art_start = nstruct + m in
+    let ncols = art_start + nart in
+    let tab = Array.init m (fun _ -> Array.make (ncols + 1) (E.of_int 0)) in
+    let basis = Array.make m (-1) in
+    let art_idx = ref art_start in
+    List.iteri
+      (fun i { Model.terms; cmp; rhs } ->
+        let row = tab.(i) and slack = nstruct + i in
+        List.iter (fun (v, c) -> row.(v) <- E.of_int c) terms;
+        row.(ncols) <- E.of_int rhs;
+        match cmp with
+        | Model.Le ->
+          row.(slack) <- E.of_int 1;
+          basis.(i) <- slack
+        | Ge ->
+          row.(slack) <- E.of_int (-1);
+          row.(!art_idx) <- E.of_int 1;
+          basis.(i) <- !art_idx;
+          incr art_idx)
+      rows;
+    let t = { tab; basis; ncols; art_start } in
+    (* Phase 1: minimize the sum of artificial variables (unit cost on
+       each artificial column). *)
+    let feasible =
+      if nart = 0 then true
+      else begin
+        let costs = Array.make ncols (E.of_int 0) in
+        for j = art_start to ncols - 1 do
+          costs.(j) <- E.of_int 1
+        done;
+        let p = E.pricing t costs in
+        (* Phase-1 objective is bounded below by zero; unbounded is
+           impossible with exact arithmetic. *)
+        let bounded = run_phase t p ~banned:(fun _ -> false) in
+        assert bounded;
+        (* The phase-1 minimum is the sum of the artificial basic
+           values; right-hand sides are non-negative throughout, so it
+           is positive — infeasible — iff some artificial is basic at a
+           nonzero value. *)
+        let residual = ref false in
+        Array.iteri
+          (fun i bv ->
+            if bv >= art_start && E.sign tab.(i).(ncols) <> 0 then
+              residual := true)
+          basis;
+        if !residual then false
+        else begin
+          (* Drive any residual artificial out of the basis with a
+             degenerate pivot when the row has a usable column; rows
+             that are all-zero outside artificials are redundant and can
+             keep their zero-valued artificial (artificials are banned
+             from re-entering in phase 2). *)
+          Array.iteri
+            (fun i bv ->
+              if bv >= art_start then begin
+                let found = ref (-1) in
+                (try
+                   for j = 0 to art_start - 1 do
+                     if E.sign tab.(i).(j) <> 0 then begin
+                       found := j;
+                       raise Exit
+                     end
+                   done
+                 with Exit -> ());
+                if !found >= 0 then E.pivot t p i !found
+              end)
+            basis;
+          true
+        end
+      end
+    in
+    if not feasible then Infeasible
+    else begin
+      (* Phase 2: the real objective. *)
+      let costs = Array.make ncols (E.of_int 0) in
+      List.iter (fun (v, c) -> costs.(v) <- E.of_int c) (Model.objective model);
+      let p = E.pricing t costs in
+      if run_phase t p ~banned:(fun j -> j >= art_start) then Optimal (t, p)
+      else Unbounded
+    end
+end
 
 (* The exact engine: plain Gaussian elimination on Rat, the model's
-   ints converted once as the tableau is built. The cost row [z] holds
-   reduced costs, with [z.(ncols)] equal to minus the current objective
-   value. Never overflows; {!solve} falls back to it. *)
+   ints converted once as the tableau is built. The pricing is the
+   cost row [z] of reduced costs, with [z.(ncols)] equal to minus the
+   current objective value. Never overflows; {!solve} falls back to
+   it. *)
 module Exact = struct
   let span_attrs = [ ("lp.kernel", exact_kernel) ]
 
-  type tableau = {
-    tab : R.t array array;  (* m rows of (ncols + 1) entries *)
-    basis : int array;      (* m entries *)
-    ncols : int;
-    art_start : int;        (* artificial columns: art_start .. ncols-1 *)
-  }
+  type e = R.t
+  type pricing = R.t array
+
+  let of_int = R.of_int
+  let sign = R.sign
+  let mul = R.mul
+  let compare = R.compare
 
   (* Eliminate column [c] from every row but [r] after normalizing row
      [r]. *)
@@ -251,9 +496,9 @@ module Exact = struct
     eliminate z;
     t.basis.(r) <- c
 
-  (* Initialize the reduced-cost row for the given column costs and the
-     current basis. *)
-  let init_cost_row t costs =
+  (* The reduced-cost row for the given column costs and the current
+     basis. *)
+  let pricing t costs =
     let z = Array.make (t.ncols + 1) R.zero in
     Array.blit costs 0 z 0 t.ncols;
     Array.iteri
@@ -266,136 +511,29 @@ module Exact = struct
       t.tab;
     z
 
-  (* Minimize with Bland's rule; columns [j] with [banned j] never
-     enter. *)
-  let run_phase t z ~banned =
-    let m = Array.length t.tab in
-    let rec loop () =
-      (* Entering: smallest index with negative reduced cost. *)
-      let entering = ref (-1) in
-      (try
-         for j = 0 to t.ncols - 1 do
-           if (not (banned j)) && R.sign z.(j) < 0 then begin
-             entering := j;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      if !entering < 0 then Phase_optimal
-      else begin
-        let c = !entering in
-        (* Ratio test: min rhs_i / tab_ic over tab_ic > 0; ties by
-           smallest basic variable index (Bland). *)
-        let best_row = ref (-1) in
-        let best_ratio = ref R.zero in
-        for i = 0 to m - 1 do
-          let a = t.tab.(i).(c) in
-          if R.sign a > 0 then begin
-            let ratio = R.div t.tab.(i).(t.ncols) a in
-            if
-              !best_row < 0
-              || R.compare ratio !best_ratio < 0
-              || (R.equal ratio !best_ratio && t.basis.(i) < t.basis.(!best_row))
-            then begin
-              best_row := i;
-              best_ratio := ratio
-            end
-          end
-        done;
-        if !best_row < 0 then Phase_unbounded
-        else begin
-          pivot t z !best_row c;
-          loop ()
-        end
-      end
-    in
-    loop ()
+  let entering t z ~banned =
+    let entering = ref (-1) in
+    (try
+       for j = 0 to t.ncols - 1 do
+         if (not (banned j)) && R.sign z.(j) < 0 then begin
+           entering := j;
+           raise Exit
+         end
+       done
+     with Exit -> ());
+    !entering
 
-  let solve model =
-    let nstruct = Model.num_vars model in
-    let rows = Model.constraints model in
-    let m = List.length rows in
-    (* Column layout: structurals, then one slack/surplus per row, then
-       one artificial per Ge row. *)
-    let nart = count_art rows in
-    let art_start = nstruct + m in
-    let ncols = art_start + nart in
-    let tab = Array.init m (fun _ -> Array.make (ncols + 1) R.zero) in
-    let basis = Array.make m (-1) in
-    let art_idx = ref art_start in
-    List.iteri
-      (fun i { Model.terms; cmp; rhs } ->
-        let row = tab.(i) and slack = nstruct + i in
-        List.iter (fun (v, c) -> row.(v) <- R.of_int c) terms;
-        row.(ncols) <- R.of_int rhs;
-        match cmp with
-        | Model.Le ->
-          row.(slack) <- R.one;
-          basis.(i) <- slack
-        | Ge ->
-          row.(slack) <- R.minus_one;
-          row.(!art_idx) <- R.one;
-          basis.(i) <- !art_idx;
-          incr art_idx)
-      rows;
-    let t = { tab; basis; ncols; art_start } in
-    (* Phase 1: minimize the sum of artificial variables. *)
-    let feasible =
-      if nart = 0 then true
-      else begin
-        let costs = Array.make ncols R.zero in
-        for j = art_start to ncols - 1 do
-          costs.(j) <- R.one
-        done;
-        let z = init_cost_row t costs in
-        (match run_phase t z ~banned:(fun _ -> false) with
-         | Phase_unbounded ->
-           (* Phase-1 objective is bounded below by zero; unbounded is
-              impossible with exact arithmetic. *)
-           assert false
-         | Phase_optimal -> ());
-        if R.sign (R.neg z.(ncols)) > 0 then false
-        else begin
-          (* Drive any residual artificial out of the basis with a
-             degenerate pivot when the row has a usable column; rows that
-             are all-zero outside artificials are redundant and can keep
-             their zero-valued artificial (artificials are banned from
-             re-entering in phase 2). *)
-          Array.iteri
-            (fun i bv ->
-              if bv >= art_start then begin
-                let found = ref (-1) in
-                (try
-                   for j = 0 to art_start - 1 do
-                     if not (R.is_zero tab.(i).(j)) then begin
-                       found := j;
-                       raise Exit
-                     end
-                   done
-                 with Exit -> ());
-                if !found >= 0 then pivot t z i !found
-              end)
-            basis;
-          true
-        end
-      end
-    in
-    if not feasible then Infeasible
-    else begin
-      (* Phase 2: the real objective. *)
-      let costs = Array.make ncols R.zero in
-      List.iter (fun (v, c) -> costs.(v) <- R.of_int c) (Model.objective model);
-      let z = init_cost_row t costs in
-      match run_phase t z ~banned:(fun j -> j >= t.art_start) with
-      | Phase_unbounded -> Unbounded
-      | Phase_optimal ->
-        let values = Array.make nstruct R.zero in
-        Array.iteri
-          (fun i bv -> if bv < nstruct then values.(bv) <- tab.(i).(ncols))
-          basis;
-        Optimal { objective = R.neg z.(ncols); values }
-    end
+  (* The optimum of a phase-2 tableau: basic structurals at their
+     right-hand sides, the others at zero. *)
+  let optimum t z ~nstruct =
+    let values = Array.make nstruct R.zero in
+    Array.iteri
+      (fun i bv -> if bv < nstruct then values.(bv) <- t.tab.(i).(t.ncols))
+      t.basis;
+    { objective = R.neg z.(t.ncols); values }
 end
+
+module Exact_phases = Two_phase (Exact)
 
 (* The fast engine: fraction-free two-phase simplex on native-int
    tableaus.
@@ -439,15 +577,8 @@ module Fraction_free = struct
   (* A model's int [v] as a tableau entry or cost. *)
   let entry v = if mag v >= range then overflow () else v
 
-  type tableau = {
-    tab : int array array;  (* m rows of (ncols + 1) entries *)
-    basis : int array;
-    ncols : int;
-    art_start : int;
-  }
-
   (* A row's scale is its entry under its own basic column (> 0). *)
-  let scale t i = t.tab.(i).(t.basis.(i))
+  let scale (t : int tableau) i = t.tab.(i).(t.basis.(i))
 
   (* Cold path: divide a row that outgrew the range by its content gcd,
      raising when that is not enough. [extra] is the separately-stored
@@ -590,79 +721,66 @@ module Fraction_free = struct
     p.est.(0) <- !est;
     p.est.(1) <- error_bound c !asum p.k
 
-  (* Minimize with Bland's rule; columns [j] with [banned j] never
-     enter, and [p.costs] covers every column. Confirmed signs equal
-     the exact engine's z-row signs, so the entering choice — and hence
-     the whole pivot walk — is identical. *)
-  let run_phase t p ~banned =
+  (* A phase's pricing for {!Two_phase}, with scratch marks of the
+     basic columns. *)
+  type phase = { priced : priced; inbasis : bool array }
+
+  (* Bland's entering column; [p.costs] covers every column. Confirmed
+     signs equal the exact engine's z-row signs, so the entering choice
+     — and hence the whole pivot walk — is identical. *)
+  let entering t { priced = p; inbasis } ~banned =
     let m = Array.length t.tab in
     let tab = t.tab and costs = p.costs and rows = p.rows and fcb = p.fcb in
-    let inbasis = Array.make (t.ncols + 1) false in
-    let rec loop () =
-      refresh p t;
-      let k = p.k in
-      for i = 0 to m - 1 do
-        inbasis.(t.basis.(i)) <- true
-      done;
-      (* Entering: smallest index with exactly-negative reduced cost.
-         Basic columns have d_j = 0 by construction and are skipped.
-         The scan is the hot loop, so the estimate is inlined. *)
-      let entering = ref (-1) in
-      (try
-         for j = 0 to t.ncols - 1 do
-           if (not (banned j)) && not inbasis.(j) then begin
-             let c = float_of_int costs.(j) in
-             let est = ref c and asum = ref 0.0 in
-             for q = 0 to k - 1 do
-               let a = tab.(rows.(q)).(j) in
-               if a <> 0 then begin
-                 let u = fcb.(q) *. float_of_int a in
-                 est := !est -. u;
-                 asum := !asum +. Float.abs u
-               end
-             done;
-             let err = (Float.abs c +. !asum) *. float_of_int (k + 2) *. 4e-15 in
-             if !est <= err && R.sign (reduced_cost p t j) < 0 then begin
-               entering := j;
-               raise Exit
+    refresh p t;
+    let k = p.k in
+    for i = 0 to m - 1 do
+      inbasis.(t.basis.(i)) <- true
+    done;
+    (* Entering: smallest index with exactly-negative reduced cost.
+       Basic columns have d_j = 0 by construction and are skipped.
+       The scan is the hot loop, so the estimate is inlined. *)
+    let entering = ref (-1) in
+    (try
+       for j = 0 to t.ncols - 1 do
+         if (not (banned j)) && not inbasis.(j) then begin
+           let c = float_of_int costs.(j) in
+           let est = ref c and asum = ref 0.0 in
+           for q = 0 to k - 1 do
+             let a = tab.(rows.(q)).(j) in
+             if a <> 0 then begin
+               let u = fcb.(q) *. float_of_int a in
+               est := !est -. u;
+               asum := !asum +. Float.abs u
              end
+           done;
+           let err = (Float.abs c +. !asum) *. float_of_int (k + 2) *. 4e-15 in
+           if !est <= err && R.sign (reduced_cost p t j) < 0 then begin
+             entering := j;
+             raise Exit
            end
-         done
-       with Exit -> ());
-      for i = 0 to m - 1 do
-        inbasis.(t.basis.(i)) <- false
-      done;
-      if !entering < 0 then Phase_optimal
-      else begin
-        let c = !entering in
-        (* Ratio test: scales cancel within a row, so the exact ratio
-           rhs_i / tab_ic is compared across rows by cross
-           multiplication; ties by smallest basic variable (Bland). *)
-        let best_row = ref (-1) in
-        let best_rhs = ref 0 and best_a = ref 1 in
-        for i = 0 to m - 1 do
-          let a = t.tab.(i).(c) in
-          if a > 0 then begin
-            let rhs = t.tab.(i).(t.ncols) in
-            let cmp = compare (rhs * !best_a) (!best_rhs * a) in
-            if
-              !best_row < 0 || cmp < 0
-              || (cmp = 0 && t.basis.(i) < t.basis.(!best_row))
-            then begin
-              best_row := i;
-              best_rhs := rhs;
-              best_a := a
-            end
-          end
-        done;
-        if !best_row < 0 then Phase_unbounded
-        else begin
-          pivot t !best_row c;
-          loop ()
-        end
-      end
-    in
-    loop ()
+         end
+       done
+     with Exit -> ());
+    for i = 0 to m - 1 do
+      inbasis.(t.basis.(i)) <- false
+    done;
+    !entering
+
+  module Phases = Two_phase (struct
+    type e = int
+    type pricing = phase
+
+    let of_int = entry
+    let sign v = Int.compare v 0
+    let mul = ( * )
+    let compare = Int.compare
+
+    let pricing t costs =
+      { priced = priced t ~costs; inbasis = Array.make (t.ncols + 1) false }
+
+    let entering = entering
+    let pivot t _ r c = pivot t r c
+  end)
 
   (* A structural column's bounds [0 <= lo <= x <= up < 2^30]
      ([up = no_up]: no upper bound) and, while the column is nonbasic,
@@ -850,14 +968,20 @@ module Fraction_free = struct
      a snapshot is a tableau with no artificial columns. A warm
      result's tableau is one already and becomes its snapshot as it
      stands; a cold result is compacted once (see {!compact}). [cols]
-     holds the structural columns' branch bounds; the objective is
-     [costs] (see {!optimum}). *)
-  type snapshot = {
-    t : tableau;
-    nstruct : int;
-    costs : int array;
-    cols : col array;
-  }
+     holds the structural columns' branch bounds, one per structural;
+     the objective is [costs] (see {!optimum}). [model] is the model the
+     root solved, and [path] every bound folded into the tableau, as a
+     row or on a column. A root that the exact engine answered has no
+     tableau ([Cold]): its children are solved cold. *)
+  type snapshot =
+    | Tableau of {
+        t : int tableau;
+        costs : int array;
+        cols : col array;
+        model : Model.t;
+        path : (Model.var * direction * int) list;
+      }
+    | Cold of Model.t
 
   (* A cold tableau without its banned artificial columns and without
      the rows where a redundant artificial stayed basic after phase 1
@@ -886,108 +1010,37 @@ module Fraction_free = struct
     end
 
   (* Heap words of the retained rows, basis and column bounds,
-     headers included; the shared {!free} record is not charged. *)
-  let words s =
-    let rows =
+     headers included; the shared {!free} record, the model and the
+     path, which the caller holds too, are not charged. *)
+  let words = function
+    | Cold _ -> 0
+    | Tableau { t; cols; _ } ->
+      let rows =
+        Array.fold_left
+          (fun acc row -> acc + Array.length row + 1)
+          (Array.length t.tab + 1 + Array.length t.basis + 1)
+          t.tab
+      in
       Array.fold_left
-        (fun acc row -> acc + Array.length row + 1)
-        (Array.length s.t.tab + 1 + Array.length s.t.basis + 1)
-        s.t.tab
-    in
-    Array.fold_left
-      (fun acc c -> if c == free then acc else acc + 4)
-      (rows + Array.length s.cols + 1)
-      s.cols
+        (fun acc c -> if c == free then acc else acc + 4)
+        (rows + Array.length cols + 1)
+        cols
 
-  (* [keep] asks for the snapshot of an optimal result. *)
-  let solve ~keep model =
-    let nstruct = Model.num_vars model in
-    let rows = Model.constraints model in
-    let m = List.length rows in
-    let nart = count_art rows in
-    let art_start = nstruct + m in
-    let ncols = art_start + nart in
-    let tab = Array.init m (fun _ -> Array.make (ncols + 1) 0) in
-    let basis = Array.make m (-1) in
-    let art_idx = ref art_start in
-    (* Each row as it stands: the slack/artificial entry, the initial
-       scale, is 1. *)
-    List.iteri
-      (fun i { Model.terms; cmp; rhs } ->
-        let row = tab.(i) and slack = nstruct + i in
-        List.iter (fun (v, c) -> row.(v) <- entry c) terms;
-        row.(ncols) <- entry rhs;
-        match cmp with
-        | Model.Le ->
-          row.(slack) <- 1;
-          basis.(i) <- slack
-        | Ge ->
-          row.(slack) <- -1;
-          row.(!art_idx) <- 1;
-          basis.(i) <- !art_idx;
-          incr art_idx)
-      rows;
-    let t = { tab; basis; ncols; art_start } in
-    (* Phase 1: minimize the sum of artificial variables (unit cost on
-       each artificial column). *)
-    let feasible =
-      if nart = 0 then true
-      else begin
-        let costs = Array.make ncols 0 in
-        for j = art_start to ncols - 1 do
-          costs.(j) <- 1
-        done;
-        (match run_phase t (priced t ~costs) ~banned:(fun _ -> false) with
-         | Phase_unbounded ->
-           (* Phase-1 objective is bounded below by zero; unbounded is
-              impossible with exact arithmetic. *)
-           assert false
-         | Phase_optimal -> ());
-        (* The phase-1 minimum is the sum of the artificial basic
-           values; right-hand sides are non-negative throughout, so it
-           is positive — infeasible — iff some artificial is basic at a
-           nonzero value. *)
-        let residual = ref false in
-        Array.iteri
-          (fun i bv -> if bv >= art_start && tab.(i).(ncols) <> 0 then residual := true)
-          basis;
-        if !residual then false
-        else begin
-          (* Drive residual artificials out of the basis, as in
-             {!Exact}: same column choice, hence the same pivots. *)
-          Array.iteri
-            (fun i bv ->
-              if bv >= art_start then begin
-                let found = ref (-1) in
-                (try
-                   for j = 0 to art_start - 1 do
-                     if tab.(i).(j) <> 0 then begin
-                       found := j;
-                       raise Exit
-                     end
-                   done
-                 with Exit -> ());
-                if !found >= 0 then pivot t i !found
-              end)
-            basis;
-          true
-        end
-      end
-    in
-    if not feasible then (Infeasible, None)
-    else begin
-      (* Phase 2: the real objective. *)
-      let costs = Array.make ncols 0 in
-      List.iter (fun (v, c) -> costs.(v) <- entry c) (Model.objective model);
-      let p = priced t ~costs in
-      match run_phase t p ~banned:(fun j -> j >= t.art_start) with
-      | Phase_unbounded -> (Unbounded, None)
-      | Phase_optimal ->
-        ( Optimal (optimum t p [||] ~nstruct),
-          if keep then
-            Some { t = compact t; nstruct; costs; cols = Array.make nstruct free }
-          else None )
-    end
+  (* [keep] is the root's model and the path of an optimal result's
+     snapshot, when one is wanted. *)
+  let solve ?keep model =
+    match Phases.solve model with
+    | Infeasible -> (Infeasible, None)
+    | Unbounded -> (Unbounded, None)
+    | Optimal (t, { priced = p; _ }) ->
+      let nstruct = Model.num_vars model in
+      ( Optimal (optimum t p [||] ~nstruct),
+        Option.map
+          (fun (model, path) ->
+            Tableau
+              { t = compact t; costs = p.costs;
+                cols = Array.make nstruct free; model; path })
+          keep )
 
   let copy t =
     { t with tab = Array.map Array.copy t.tab; basis = Array.copy t.basis }
@@ -1023,72 +1076,118 @@ module Fraction_free = struct
       true
     end
 
-  (* The LP of [s] once [tighten] has folded its bounds into [t] and
-     [cols]: the tableau keeps its rows and columns. Reduced costs do
-     not change, so the basis stays dual feasible and one bounded dual
-     simplex finishes the job, however many bounds were folded. The
+  (* A child of the tableau [t] with column bounds [cols]: [bounds]
+     (in any order) folded into them, and the tableau keeps its rows
+     and columns. Reduced costs do not change, so the basis stays dual
+     feasible and one bounded dual simplex finishes the job, however
+     many bounds were folded. With [own] the caller gives [t] and
+     [cols] up and the child pivots in them, otherwise in copies; the
      result's tableau is never copied: it becomes the child's
      snapshot. *)
-  let resolve s t cols =
-    let p = priced t ~costs:s.costs in
-    if not (run_dual t p cols) then (Infeasible, None)
-    else
-      (Optimal (optimum t p cols ~nstruct:s.nstruct), Some { s with t; cols })
-
-  (* A child from its parent's tableau [s]. With [own] the caller gives
-     up [s] and the child pivots in [s]'s own rows; otherwise in a
-     copy. *)
-  let reoptimize ~own s ~var ~dir ~bound =
-    let t = if own then s.t else copy s.t in
-    let cols = if own then s.cols else Array.copy s.cols in
-    if tighten t cols var dir bound then resolve s t cols else (Infeasible, None)
-
-  (* A node's whole path of bounds on a copy of [s]. *)
-  let replay s bounds =
-    let t = copy s.t and cols = Array.copy s.cols in
-    if List.for_all (fun (var, dir, bound) -> tighten t cols var dir bound) bounds
-    then resolve s t cols
-    else (Infeasible, None)
+  let child ~own ~costs ~model ~path t cols bounds =
+    let t = if own then t else copy t in
+    let cols = if own then cols else Array.copy cols in
+    if not (List.for_all (fun (var, dir, bound) -> tighten t cols var dir bound) bounds)
+    then (Infeasible, None)
+    else begin
+      let p = priced t ~costs in
+      if not (run_dual t p cols) then (Infeasible, None)
+      else
+        ( Optimal (optimum t p cols ~nstruct:(Array.length cols)),
+          Some (Tableau { t; costs; cols; model; path = bounds @ path }) )
+    end
 end
 
 type snapshot = Fraction_free.snapshot
 
 let snapshot_words = Fraction_free.words
-let snapshot_rows (s : snapshot) = (s.t.tab, s.t.basis)
+
+let snapshot_rows = function
+  | Fraction_free.Tableau { t; _ } -> (t.tab, t.basis)
+  | Cold _ -> ([||], [||])
 
 let solve_exact model =
   Telemetry.Span.with_span ~attrs:Exact.span_attrs "lp.simplex" (fun () ->
-      Exact.solve model)
+      map_outcome
+        (fun (t, z) -> Exact.optimum t z ~nstruct:(Model.num_vars model))
+        (Exact_phases.solve model))
 
-let solve_fast_keeping ~keep model =
+let solve_fast_keeping ?keep model =
   Telemetry.Span.with_span ~attrs:Fraction_free.span_attrs "lp.simplex"
-    (fun () -> Fraction_free.solve ~keep model)
+    (fun () -> Fraction_free.solve ?keep model)
 
-let solve_fast model =
-  map_outcome solution_of (fst (solve_fast_keeping ~keep:false model))
+let solve_fast model = map_outcome solution_of (fst (solve_fast_keeping model))
 
-let solve_keeping ~keep model =
-  match solve_fast_keeping ~keep model with
+(* One relaxation, rerun on Rat when the native range overflows. With
+   [keep], an optimal answer comes with its snapshot, from [keep]. *)
+let solve_keeping ?keep model =
+  match solve_fast_keeping ?keep model with
   | answer ->
     Telemetry.bump fast_solves_counter;
     answer
-  | exception Numeric.Kernel.Overflow ->
+  | exception Numeric.Kernel.Overflow -> (
     Telemetry.bump fallbacks_counter;
-    (map_outcome relaxation_of (solve_exact model), None)
+    match solve_exact model with
+    | Optimal sol ->
+      ( Optimal
+          { objective = exact_objective_of sol.objective; point = Rats sol.values },
+        Option.map (fun (model, _) -> Fraction_free.Cold model) keep )
+    | Infeasible -> (Infeasible, None)
+    | Unbounded -> (Unbounded, None))
 
-let solve_with_snapshot = solve_keeping ~keep:true
-let solve model = map_outcome solution_of (fst (solve_keeping ~keep:false model))
+let solve_with_snapshot model = solve_keeping ~keep:(model, []) model
+let solve model = map_outcome solution_of (fst (solve_keeping model))
 
-(* A warm solve: one bounded dual simplex from a snapshot. *)
-let warm attrs solve =
-  let answer = Telemetry.Span.with_span ~attrs "lp.simplex" solve in
-  Telemetry.bump fast_solves_counter;
-  answer
+(* The model of a child solved cold: [model] with the tightest of
+   [bounds] as rows after its own, for each variable in ascending
+   order its lower bound (none when it is 0) and then its upper bound
+   (below 0 as the row [-x >= -b], since a right-hand side is
+   non-negative). *)
+let with_bound_rows model bounds =
+  let n = Model.num_vars model in
+  let lo = Array.make n 0 and up = Array.make n None in
+  List.iter
+    (fun (v, dir, b) ->
+      match dir with
+      | Lower -> lo.(v) <- Int.max lo.(v) b
+      | Upper -> up.(v) <- Some (Option.fold ~none:b ~some:(Int.min b) up.(v)))
+    bounds;
+  let m = Model.copy model in
+  for v = 0 to n - 1 do
+    if lo.(v) > 0 then Model.add_constraint m [ (v, 1) ] Model.Ge lo.(v);
+    match up.(v) with
+    | Some b when b < 0 -> Model.add_constraint m [ (v, -1) ] Model.Ge (-b)
+    | Some b -> Model.add_constraint m [ (v, 1) ] Model.Le b
+    | None -> ()
+  done;
+  m
+
+(* A child solved cold: the root's [model] with the child's whole
+   [path] of bounds as rows. A child that the exact engine answered
+   keeps no snapshot: one without a tableau would solve its children
+   cold, while a caller that holds a tableau can replay them on it. *)
+let cold model path =
+  match solve_keeping ~keep:(model, path) (with_bound_rows model path) with
+  | answer, Some (Fraction_free.Cold _) -> (answer, None)
+  | answer -> answer
+
+(* A child of [snapshot]: warm, by one bounded dual simplex from its
+   tableau, or cold when it has none or the warm solve overflows. *)
+let child ~own ~attrs snapshot bounds =
+  match snapshot with
+  | Fraction_free.Cold model -> cold model bounds
+  | Tableau { t; costs; cols; model; path } -> (
+    match
+      Telemetry.Span.with_span ~attrs "lp.simplex" (fun () ->
+          Fraction_free.child ~own ~costs ~model ~path t cols bounds)
+    with
+    | answer ->
+      Telemetry.bump fast_solves_counter;
+      Telemetry.bump warm_nodes_counter;
+      answer
+    | exception Numeric.Kernel.Overflow -> cold model (bounds @ path))
 
 let reoptimize ?(own = false) snapshot ~var ~dir ~bound =
-  warm Fraction_free.warm_span_attrs (fun () ->
-      Fraction_free.reoptimize ~own snapshot ~var ~dir ~bound)
+  child ~own ~attrs:Fraction_free.warm_span_attrs snapshot [ (var, dir, bound) ]
 
-let replay snapshot bounds =
-  warm Fraction_free.replay_span_attrs (fun () ->
-      Fraction_free.replay snapshot bounds)
+let replay = child ~own:false ~attrs:Fraction_free.replay_span_attrs

@@ -22,11 +22,12 @@
     fraction-free engine whose rows are the model's own rows, and when
     a row outgrows the native range (or a coefficient starts out
     past it) reruns that one model on exact {!Numeric.Rat}. Both
-    engines make the same pivot decisions (exact signs and exact ratio
-    comparisons), so the result is bit-identical whichever engine
-    answered. An LP optimum is rational, so a {!solution} is
-    {!Numeric.Rat}; the branch and bound reads a {!relaxation}
-    instead, whose objective is made exact only on demand.
+    engines run one two-phase driver and make the same pivot decisions
+    (exact signs and exact ratio comparisons), so the result is
+    bit-identical whichever engine answered. An LP optimum is
+    rational, so a {!solution} is {!Numeric.Rat}; the branch and bound
+    reads a {!relaxation} instead, whose objective is made exact only
+    on demand.
 
     {!reoptimize} is the branch-and-bound warm start: it takes the
     fraction-free engine's final tableau ({!snapshot}) and adds one
@@ -37,7 +38,10 @@
     optimality. The optimal objective is the one a cold {!solve} of
     the same LP, with each bound as a row, returns; when the LP has
     several optimal vertices the point may be a different one of
-    them. *)
+    them. A snapshot remembers the model it came from and the bounds
+    folded into it, so a child that leaves the native range is solved
+    cold instead: no function here but {!solve_fast} raises
+    [Numeric.Kernel.Overflow]. *)
 
 (** {1 Relaxations}
 
@@ -91,16 +95,40 @@ val int_objective : objective -> int
 val objective_of_terms : (int * int) list -> objective
 
 (** A relaxation's optimal point, one value per model variable. A
-    native-int answer gives variable [v] as [pairs.(2v) / pairs.(2v+1)]:
-    its row's own right-hand side and scale (or a nonbasic variable's
-    bound over 1), unreduced, the denominator positive and both under
-    [2^30] in magnitude. An answer of the exact engine gives canonical
-    values. *)
-type point = Pairs of int array | Rats of Numeric.Rat.t array
+    native-int answer holds variable [v] as its row's own right-hand
+    side and scale (or a nonbasic variable's bound over 1), unreduced,
+    both under [2^30] in magnitude; the exact engine's holds canonical
+    values. Every read below answers the same for either. *)
+type point
 
 (** [values point] is every variable's value as a canonical rational,
     in a fresh array. *)
 val values : point -> Numeric.Rat.t array
+
+(** [most_fractional point groups] is, within the earliest group with
+    a fractional value, the variable whose value is closest to an
+    integer plus one half, the first such on ties; [None] when all
+    are integral. *)
+val most_fractional : point -> Model.var list list -> Model.var option
+
+(** [floor point v] is [⌊x_v⌋], and [int_values point] an integral
+    point as ints.
+    @raise Invalid_argument when a value is not an int. *)
+val floor : point -> Model.var -> int
+
+val int_values : point -> int array
+
+(** [fractions point n f] calls [f v num den], [x_v = num / den] with
+    [den > 0] and both under [2^30] in magnitude, for [v = 0 .. n-1],
+    and is [true]; it stops, [false], at the first [x_v] with no such
+    pair. *)
+val fractions : point -> int -> (Model.var -> int -> int -> unit) -> bool
+
+(** A native-int point, [x_v = p.(2v) / p.(2v+1)], and an exact one,
+    for tests. *)
+val point_of_pairs : int array -> point
+
+val point_of_values : Numeric.Rat.t array -> point
 
 type relaxation = { objective : objective; point : point }
 
@@ -147,10 +175,9 @@ type snapshot
 type direction = Upper | Lower
 
 (** [solve_with_snapshot model] is {!solve} as a {!relaxation} plus,
-    when the fraction-free engine answered [Optimal], its final
-    tableau. Same counters and spans as {!solve}; the point is [Rats]
-    exactly when the exact engine answered, which bumps
-    [numeric.fallbacks]. *)
+    when [Optimal], a snapshot: the fraction-free engine's final
+    tableau, or none when the exact engine answered, whose children
+    are then all solved cold. Same counters and spans as {!solve}. *)
 val solve_with_snapshot : Model.t -> relaxation outcome * snapshot option
 
 (** [reoptimize s ~var ~dir ~bound] solves the LP of [s] with the
@@ -158,18 +185,23 @@ val solve_with_snapshot : Model.t -> relaxation outcome * snapshot option
     from [s]'s basis by bounded dual simplex. The bound tightens
     [var]'s column bounds (a looser one than the column's own changes
     nothing) and adds no row or column: the child's tableau has [s]'s
-    shape. The snapshot is [Some] exactly when the result is
-    [Optimal]; it is the child's final tableau itself, not a copy.
-    Never [Unbounded]. On success bumps [numeric.fast_solves] and
-    records an [lp.simplex] span with [lp.kernel] {!fast_kernel} and
-    [lp.start] ["warm"].
+    shape. A warm answer is never [Unbounded]; it bumps
+    [numeric.fast_solves] and [milp.warm_nodes] and records an
+    [lp.simplex] span with [lp.kernel] {!fast_kernel} and [lp.start]
+    ["warm"], and its snapshot is the child's final tableau itself.
+
+    When [s] has no tableau or the warm solve leaves the native range
+    (a bound of [2^30] or more in magnitude included), the child is
+    solved cold, as {!solve_with_snapshot} solves the root's model with
+    the tightest of the child's path bounds as rows: for each variable
+    in ascending order its lower bound (none at 0) and then its upper
+    bound. Either way exactly one of [numeric.fast_solves] /
+    [numeric.fallbacks] moves. The snapshot is [Some] exactly when the
+    result is [Optimal] and the fraction-free engine answered.
     @param own [true] when the caller will never read [s] again (also
       not after an exception): the child then pivots in [s]'s own rows
       instead of a copy of them, and the result shares them. Default
       [false]: [s] is left as it was.
-    @raise Numeric.Kernel.Overflow when the native range is exceeded
-      (a bound of [2^30] or more in magnitude included); no counter is
-      bumped then, and the caller solves the child cold.
     @raise Invalid_argument when [var] is not a variable of the model. *)
 val reoptimize :
   ?own:bool -> snapshot -> var:Model.var -> dir:direction ->
@@ -179,19 +211,21 @@ val reoptimize :
     (in any order; several may name one variable) folded into a copy of
     [s] before one bounded dual simplex runs. [s] is never changed. The
     branch and bound replays a node's whole path on the root's tableau
-    when no parent tableau was kept for it. Same counters, results and
-    exceptions as {!reoptimize}; its [lp.simplex] span has [lp.start]
-    ["replay"]. *)
+    when no parent tableau was kept for it. Same counters, results,
+    cold solves and exceptions as {!reoptimize}; its warm [lp.simplex]
+    span has [lp.start] ["replay"]. *)
 val replay :
   snapshot -> (Model.var * direction * int) list ->
   relaxation outcome * snapshot option
 
 (** Heap words a retained snapshot holds, for memory budgets: its
-    rows, basis and column bounds, block headers included. *)
+    rows, basis and column bounds, block headers included; 0 without
+    a tableau. *)
 val snapshot_words : snapshot -> int
 
-(** The snapshot's int rows and basis, for tests that check
-    {!snapshot_words} against the heap. Not to be mutated. *)
+(** The snapshot's int rows and basis (none without a tableau), for
+    tests that check {!snapshot_words} against the heap. Not to be
+    mutated. *)
 val snapshot_rows : snapshot -> int array array * int array
 
 (** {1 The two engines}

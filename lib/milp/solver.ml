@@ -16,24 +16,22 @@
    key, which is equal to itself); the strengthened key is the
    ceiling of both interval ends and goes exact only when they
    differ; an integral node makes its objective exact before it
-   becomes the incumbent. Branching reads the native pairs (a point
-   of the Rat engine, after an overflow, branches in Rat and converts
-   its floor and ceiling to ints). Incumbents, the strengthened keys,
-   the cutoff and branch bounds are ints.
-   The root goes through [Lp.Simplex.solve_with_snapshot], which
-   pivots on native ints and reruns a relaxation on Rat only when that
-   one overflows. Every other node is warm: [Lp.Simplex.reoptimize]
-   sets its branching bound on a column of the parent's final
-   fraction-free tableau, which keeps its rows, and runs a few bounded
-   dual pivots. Both children of a node share its tableau: the first
-   one popped works on a copy of its rows, and the last one takes the
-   rows themselves. The root's tableau is kept for the whole solve.
-   The tableaus retained by open nodes are a cache capped at
-   [snapshot_budget] words: a child created past the cap carries none,
-   and [Lp.Simplex.replay] folds its whole path of bounds into the
-   root's tableau instead. A node solves cold, with its path bounds as
-   rows, only when its warm solve overflows or the root fell back to
-   Rat and left no tableau.
+   becomes the incumbent. Branching reads the point through
+   [Lp.Simplex.most_fractional] and [Lp.Simplex.floor], whichever
+   engine made it. Incumbents, the strengthened keys, the cutoff and
+   branch bounds are ints.
+   The root goes through [Lp.Simplex.solve_with_snapshot], and every
+   other node through [Lp.Simplex.reoptimize], which sets its branching
+   bound on a column of the parent's final tableau, which keeps its
+   rows, and runs a few bounded dual pivots. Both children of a node
+   share its tableau: the first one popped works on a copy of its
+   rows, and the last one takes the rows themselves. The root's
+   snapshot is kept for the whole solve. The tableaus retained by open
+   nodes are a cache capped at [snapshot_budget] words: a child
+   created past the cap carries none, and [Lp.Simplex.replay] folds its
+   whole path of bounds into the root's tableau instead. Which engine
+   answered, and whether a child overflowed and was solved cold, stays
+   inside [Lp.Simplex].
    At every fractional node that still beats the incumbent, the
    caller's primal heuristic ([?round]) may offer a cheaper integer
    point; it is checked exactly before it becomes the incumbent, and
@@ -43,12 +41,9 @@
    one without. Every decision is exact and deterministic, so the tree
    is a function of the input alone. *)
 
-module R = Numeric.Rat
-
 type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
 
 let incumbents_counter = Telemetry.counter Telemetry.milp_incumbents
-let warm_nodes_counter = Telemetry.counter Telemetry.milp_warm_nodes
 
 let solve_nodes_hist =
   Telemetry.histogram Telemetry.milp_solve_nodes
@@ -122,104 +117,6 @@ module Best_queue = Pqueue.Make (struct
       | c -> c)
     | c -> c
 end)
-
-(* Floor division, for a positive divisor. *)
-let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
-
-(* Most fractional: the variable whose value is closest to one half,
-   the first such on ties. For [x = n/d] with fractional part [f/d],
-   that distance is [|2f - d| / 2d], so two of them compare as
-   [|2f - d|·d'] against [|2f' - d'|·d]: both under 2^60 because
-   [0 <= f < d < 2^30]. A [Rats] point (the exact engine's answer)
-   compares the same distances in Rat. *)
-let choose_in_group point group =
-  match point with
-  | Lp.Simplex.Pairs p ->
-    let best = ref (-1) and best_dist = ref 0 and best_den = ref 1 in
-    List.iter
-      (fun v ->
-        let n = p.(2 * v) and d = p.((2 * v) + 1) in
-        let f = n - (d * fdiv n d) in
-        if f <> 0 then begin
-          let dist = abs ((2 * f) - d) in
-          if !best < 0 || dist * !best_den < !best_dist * d then begin
-            best := v;
-            best_dist := dist;
-            best_den := d
-          end
-        end)
-      group;
-    if !best < 0 then None else Some !best
-  | Rats values ->
-    let best = ref None in
-    List.iter
-      (fun v ->
-        let x = values.(v) in
-        if not (R.is_integer x) then begin
-          let f = R.frac x in
-          let dist = R.abs (R.sub (R.add f f) R.one) in
-          match !best with
-          | Some (_, s) when R.compare s dist <= 0 -> ()
-          | _ -> best := Some (v, dist)
-        end)
-      group;
-    Option.map fst !best
-
-(* Branch within the earliest priority group that still has a
-   fractional variable. *)
-let branch_var point groups =
-  List.fold_left
-    (fun acc group ->
-      match acc with Some _ -> acc | None -> choose_in_group point group)
-    None groups
-
-(* An exact Rat engine's integer as an int, raising rather than
-   wrapping. *)
-let rat_int b =
-  match Numeric.Bigint.to_int b with
-  | Some n -> n
-  | None ->
-    invalid_arg "Milp.Solver.solve: a relaxation's value is past the int range"
-
-(* The branch bounds [x_v >= ceil x] and [x_v <= floor x] of a
-   fractional [x_v]. *)
-let branch_bounds point v =
-  match point with
-  | Lp.Simplex.Pairs p ->
-    let fl = fdiv p.(2 * v) p.((2 * v) + 1) in
-    (fl + 1, fl)
-  | Rats values ->
-    let x = values.(v) in
-    (rat_int (R.ceil x), rat_int (R.floor x))
-
-(* An integral point's values as ints. *)
-let int_values = function
-  | Lp.Simplex.Pairs p ->
-    Array.init (Array.length p / 2) (fun v -> p.(2 * v) / p.((2 * v) + 1))
-  | Rats values -> Array.map (fun x -> rat_int (R.num x)) values
-
-(* The model of a node solved cold: [model] with the node's tightest
-   path bounds as rows after its own, for each variable in ascending
-   order its lower bound (none when it is 0) and then its upper
-   bound. *)
-let with_bound_rows model extra =
-  let m = Lp.Model.copy model in
-  let tightest v dir pick =
-    List.fold_left
-      (fun acc (v', d, b) ->
-        if v' = v && d = dir then Some (Option.fold ~none:b ~some:(pick b) acc)
-        else acc)
-      None extra
-  in
-  List.iter
-    (fun v ->
-      let row cmp b = Lp.Model.add_constraint m [ (v, 1) ] cmp b in
-      (match tightest v Lp.Simplex.Lower Int.max with
-       | Some lo when lo > 0 -> row Lp.Model.Ge lo
-       | _ -> ());
-      Option.iter (row Lp.Model.Le) (tightest v Lp.Simplex.Upper Int.min))
-    (List.sort_uniq compare (List.map (fun (v, _, _) -> v) extra));
-  m
 
 let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
   let t0 = Unix.gettimeofday () in
@@ -314,31 +211,18 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
   in
   (* The root's tableau, for the nodes created past the budget. *)
   let root = ref None in
-  (* The node's relaxation and its final tableau: warm from the
-     parent's tableau when there is one, else replayed on the root's,
-     cold when that overflows or there is no root tableau. Either way
-     exactly one of numeric.fast_solves / numeric.fallbacks moves. The
-     last holder of the parent's tableau owns it: [release] follows
-     and nothing reads it again. *)
-  let cold node =
-    Lp.Simplex.solve_with_snapshot (with_bound_rows model node.extra)
-  in
+  (* The node's relaxation and its final tableau: from the parent's
+     tableau when there is one, else the path replayed on the root's.
+     Either way exactly one of numeric.fast_solves / numeric.fallbacks
+     moves. The last holder of the parent's tableau owns it: [release]
+     follows and nothing reads it again. *)
   let relax node =
     match (node.parent, node.extra, !root) with
-    | Some sh, (var, dir, bound) :: _, _ -> (
+    | Some sh, (var, dir, bound) :: _, _ ->
       let own = consume && sh.holders = 1 in
-      match Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound with
-      | answer ->
-        Telemetry.bump warm_nodes_counter;
-        answer
-      | exception Numeric.Kernel.Overflow -> cold node)
-    | None, _ :: _, Some root -> (
-      match Lp.Simplex.replay root.snapshot node.extra with
-      | answer ->
-        Telemetry.bump warm_nodes_counter;
-        answer
-      | exception Numeric.Kernel.Overflow -> cold node)
-    | _ -> cold node
+      Lp.Simplex.reoptimize ~own sh.snapshot ~var ~dir ~bound
+    | None, _ :: _, Some root -> Lp.Simplex.replay root.snapshot node.extra
+    | _ -> Lp.Simplex.solve_with_snapshot model
   in
   Best_queue.push queue
     { key = Lp.Simplex.objective_of_terms []; skey = 0; depth = 0;
@@ -397,19 +281,20 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
                (* The root relaxation is a global dual bound. *)
                if is_root then emit_bound bound;
                if better_than_incumbent bound then begin
-                 match branch_var point groups with
+                 match Lp.Simplex.most_fractional point groups with
                  | None ->
                    (* Integral relaxation: new incumbent, made exact. *)
                    let o = Lp.Simplex.int_objective lp_obj in
                    Telemetry.bump incumbents_counter;
                    Telemetry.Progress.emit ~incumbent:(float_of_int o)
                      ~source:"milp" ();
-                   incumbent := Some (o, int_values point)
+                   incumbent := Some (o, Lp.Simplex.int_values point)
                  | Some v ->
                    try_round point;
                    (* A rounded point may have closed this node's gap. *)
                    if better_than_incumbent bound then begin
-                     let up, down = branch_bounds point v in
+                     let down = Lp.Simplex.floor point v in
+                     let up = Numeric.Kernel.add_exn down 1 in
                      let parent = share ~is_root snapshot in
                      if is_root then root := parent;
                      let mk dir b =

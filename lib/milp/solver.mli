@@ -14,9 +14,10 @@
 
     A node reads its relaxation as {!Lp.Simplex.relaxation}: a float
     interval that provably holds the objective, and the point as
-    native pairs. Node order, pruning and the strengthening of each LP
-    bound to its ceiling decide on the interval when it settles the
-    question and make the objective exact otherwise
+    {!Lp.Simplex.most_fractional} and {!Lp.Simplex.floor} read it. Node
+    order, pruning and the strengthening of each LP bound to its
+    ceiling decide on the interval when it settles the question and
+    make the objective exact otherwise
     ({!Lp.Simplex.compare_objectives}, {!Lp.Simplex.ceil_objective}),
     as does every new incumbent, so the tree is the one exact
     arithmetic throughout would build. The [lp.exact_objectives]
@@ -65,8 +66,7 @@ type outcome = {
     @param round a primal heuristic, called at every node whose LP
       optimum is fractional and still beats the incumbent, with the
       incumbent's objective (the cutoff or [None] before the first
-      incumbent) and the node's LP point (read-only; [Pairs] from the
-      native-int engine, [Rats] after an overflow). It returns an integer point meant to be strictly
+      incumbent) and the node's LP point. It returns an integer point meant to be strictly
       better than the incumbent. The solver checks it exactly, raising
       [Invalid_argument] when it is infeasible, installs it only when
       it is strictly better, and emits a [milp.round] progress event
@@ -102,13 +102,6 @@ val snapshot_budget : int
     check that consuming tableaus leaves the tree unchanged; it only
     affects solves on the calling domain. *)
 val always_copying : (unit -> 'a) -> 'a
-
-(** [branch_var point groups] is the variable a node with LP point
-    [point] branches on: within the earliest group that has a
-    fractional variable, the one whose fractional part is closest to
-    one half, the first such on ties; [None] when every variable of
-    every group is integral. Exposed for tests. *)
-val branch_var : Lp.Simplex.point -> Lp.Model.var list list -> Lp.Model.var option
 
 (** [gap outcome] is the relative optimality gap
     [(incumbent - bound) / max(1, |incumbent|)] when both are known. *)

@@ -3,9 +3,11 @@
 
     The LP engine's fraction-free fast path ([Lp.Simplex.solve_fast])
     works on native ints and never rounds: it either returns the exact
-    result or raises {!Overflow} when a value leaves its range.
-    [Lp.Simplex.solve] catches it and reruns the relaxation on exact
-    {!Rat} (see DESIGN.md, "Numeric kernels").
+    result or raises {!Overflow} when a value leaves its range. The
+    rest of [Lp.Simplex] catches it: a relaxation reruns on exact
+    {!Rat}, and a warm child is solved cold (see DESIGN.md, "Numeric
+    kernels"), so the branch and bound and its [?round] hook never see
+    it.
 
     The integer program's interface ([Lp.Model], [Milp.Solver]) is
     native ints; [Lp.Model] evaluates a row or the objective at an

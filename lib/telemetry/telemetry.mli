@@ -316,9 +316,12 @@ val milp_nodes : string
     integral relaxations. *)
 val milp_incumbents : string
 
-(** Branch-and-bound nodes {!Milp.Solver} solved warm, by dual simplex
-    from the parent's final tableau or, past the snapshot budget, from
-    the root's; the rest of [milp.nodes] solved cold. *)
+(** Branch-and-bound children {!Lp.Simplex.reoptimize} and
+    {!Lp.Simplex.replay} answered warm, by dual simplex from the
+    parent's final tableau or, past the snapshot budget, from the
+    root's; the rest of [milp.nodes] (the root, and the children that
+    overflowed or whose root the exact engine answered) solved
+    cold. *)
 val milp_warm_nodes : string
 
 (** Cost-oracle evaluations by {!Rentcost.Heuristics}. *)

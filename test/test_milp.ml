@@ -126,7 +126,7 @@ let test_round_hook () =
   (* The root's point (0, 3) becomes the incumbent; the equally cheap
      (3, 0) offered at every later node never replaces it. The hook
      sees the incumbent's objective and the node's LP point, the
-     root's (5/2, 0), as the native pairs of the fast engine. *)
+     root's (5/2, 0). *)
   let seen = ref [] and points = ref [] in
   let no_cheaper ~incumbent point =
     seen := incumbent :: !seen;
@@ -144,10 +144,10 @@ let test_round_hook () =
        (List.for_all (( = ) (Some 9)) later)
    | _ -> Alcotest.fail "hook: expected the root's call and a later one");
   (match List.rev !points with
-   | (Lp.Simplex.Pairs _ as point) :: _ ->
+   | point :: _ ->
      Alcotest.(check (list string)) "hook saw the root's LP point" [ "5/2"; "0" ]
        (Array.to_list (Array.map R.to_string (Lp.Simplex.values point)))
-   | _ -> Alcotest.fail "hook: expected a native-int root point");
+   | [] -> Alcotest.fail "hook: expected the root's point");
   (* A root that rounds to its own bound proves optimal at one node;
      without the hook the same solve branches. *)
   let proved = Solver.solve ~round:(rounded [| 3; 0 |]) m in
@@ -316,7 +316,7 @@ let build_cover_mip ((nv, nc), (coeffs, (costs, rhs))) =
 
 (* Most-fractional branching as it was decided in Rat before nodes kept
    their values as native pairs: the reference for
-   [Milp.Solver.branch_var]. *)
+   [Lp.Simplex.most_fractional]. *)
 let reference_branch_var values groups =
   let half = R.of_ints 1 2 in
   let choose_in_group group =
@@ -369,8 +369,19 @@ let props =
            let values = Array.of_list (List.map (fun (a, b) -> R.of_ints a b) pairs) in
            let groups = branch_groups n deal in
            let expected = reference_branch_var values groups in
-           Solver.branch_var (Lp.Simplex.Pairs flat) groups = expected
-           && Solver.branch_var (Lp.Simplex.Rats values) groups = expected));
+           let pairs = Lp.Simplex.point_of_pairs flat
+           and exact = Lp.Simplex.point_of_values values in
+           let floors point =
+             List.init n (fun v -> Lp.Simplex.floor point v)
+           in
+           let expected_floors =
+             Array.to_list
+               (Array.map (fun x -> Numeric.Bigint.to_int_exn (R.floor x)) values)
+           in
+           Lp.Simplex.most_fractional pairs groups = expected
+           && Lp.Simplex.most_fractional exact groups = expected
+           && floors pairs = expected_floors
+           && floors exact = expected_floors));
     prop "matches brute force on random covering MIPs" cover_mip_gen (fun input ->
         let m, costs, rows, rhs = build_cover_mip input in
         let outcome = solve m in

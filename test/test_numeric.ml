@@ -266,21 +266,22 @@ let huge_gen =
       (list_size (int_range 2 3) (list_size (int_range 1 3) (int_range 0 2)))
       (int_range 1 30))
 
+(* The problem of a [huge_gen] draw, without its target. *)
+let huge_problem (machines, recipes, _) =
+  let ntypes = List.length machines in
+  Rentcost.Problem.create
+    (Rentcost.Platform.of_list machines)
+    (Array.of_list
+       (List.map
+          (fun types ->
+            Rentcost.Task_graph.chain ~ntypes
+              ~types:(Array.of_list (List.map (fun q -> q mod ntypes) types)))
+          recipes))
+
 let huge_props =
   [ prop ~count:100 "ILP on Rat relaxations matches the oracle" huge_gen
-      (fun (machines, recipes, target) ->
-        let ntypes = List.length machines in
-        let problem =
-          Rentcost.Problem.create
-            (Rentcost.Platform.of_list machines)
-            (Array.of_list
-               (List.map
-                  (fun types ->
-                    Rentcost.Task_graph.chain ~ntypes
-                      ~types:(Array.of_list (List.map (fun q -> q mod ntypes) types)))
-                  recipes))
-        in
-        let instance = Rentcost.Instance.compile problem in
+      (fun ((_, _, target) as input) ->
+        let instance = Rentcost.Instance.compile (huge_problem input) in
         let o, _, fallbacks =
           count_relaxations (fun () -> Rentcost.Ilp.optimize instance ~target)
         in

@@ -63,6 +63,15 @@ let snapshot_of m =
 
 let row_count s = Array.length (fst (S.snapshot_rows s))
 
+let warm_nodes () = Telemetry.value Telemetry.milp_warm_nodes
+
+(* [f ()] and whether it answered warm: a child solved cold, after
+   an overflow, does not bump [milp.warm_nodes]. *)
+let answered_warm f =
+  let w0 = warm_nodes () in
+  let x = f () in
+  (x, warm_nodes () > w0)
+
 (* Warm-solve the child of [m] from [snap], check it against the cold
    solve and that an optimal child kept its parent's rows, and return
    the child model and the warm answer. *)
@@ -228,16 +237,14 @@ let warm_agrees_twice m =
           (fun (dir, b) ->
             let c = child m v dir b in
             match S.reoptimize snap ~var:v ~dir ~bound:b with
-            | exception Numeric.Kernel.Overflow -> true
             | (S.Optimal cr, Some csnap) as warm ->
               let csol = S.solution_of cr in
               let w = (v + 1) mod n in
               agrees c (fst warm)
               && List.for_all
                    (fun (dir, b) ->
-                     match S.reoptimize csnap ~var:w ~dir ~bound:b with
-                     | exception Numeric.Kernel.Overflow -> true
-                     | gwarm, _ -> agrees (child c w dir b) gwarm)
+                     let gwarm, _ = S.reoptimize csnap ~var:w ~dir ~bound:b in
+                     agrees (child c w dir b) gwarm)
                    (bounds_around csol.S.values.(w))
             | warm, _ -> agrees c warm)
           (bounds_around sol.S.values.(v)))
@@ -252,8 +259,10 @@ let warm_agrees_twice m =
    bounds that cut and looser ones, and variables that are basic or
    nonbasic at either bound (an Upper bound that a basic variable
    leaves at, named again). Every child must agree with a
-   cold solve of its model and keep the root's row count, and so must
-   the whole path so far replayed at once on the root's snapshot. *)
+   cold solve of its model and, when it answered warm, keep its
+   parent's row count, and so must the whole path so far replayed at
+   once on the root's snapshot. A child that overflowed was solved
+   cold, with its path's bounds as rows. *)
 let chain_gen =
   QCheck2.Gen.(
     pair Test_lp.bounded_gen
@@ -276,11 +285,10 @@ let warm_chain_agrees (input, steps) =
     let sol = S.solution_of r in
     let n = M.num_vars m and rows = row_count root in
     let replayed c path =
-      match S.replay root path with
-      | exception Numeric.Kernel.Overflow -> true
-      | (S.Optimal _ as replay), Some rsnap ->
-        agrees c replay && row_count rsnap = rows
-      | replay, _ -> agrees c replay
+      match answered_warm (fun () -> S.replay root path) with
+      | ((S.Optimal _ as replay), Some rsnap), warm ->
+        agrees c replay && ((not warm) || row_count rsnap = rows)
+      | (replay, _), _ -> agrees c replay
     in
     let rec go m snap (sol : S.solution) path last = function
       | [] -> true
@@ -290,12 +298,12 @@ let warm_chain_agrees (input, steps) =
         let c = child m v dir b and path = (v, dir, b) :: path in
         replayed c path
         &&
-        match S.reoptimize snap ~var:v ~dir ~bound:b with
-        | exception Numeric.Kernel.Overflow -> true
-        | (S.Optimal cr, Some csnap) as warm ->
-          agrees c (fst warm) && row_count csnap = rows
+        match answered_warm (fun () -> S.reoptimize snap ~var:v ~dir ~bound:b) with
+        | ((S.Optimal cr, Some csnap) as warm), is_warm ->
+          agrees c (fst warm)
+          && ((not is_warm) || row_count csnap = row_count snap)
           && go c csnap (S.solution_of cr) path v rest
-        | warm, _ -> agrees c warm)
+        | (warm, _), _ -> agrees c warm)
     in
     go m root sol [] 0 steps
   | _ -> true
@@ -310,6 +318,200 @@ let reoptimize_props =
       (QCheck2.Test.make ~count:300
          ~name:"warm chains of 3-6 bounds agree with cold solves" chain_gen
          warm_chain_agrees) ]
+
+(* --- qcheck: children that leave the native range --- *)
+
+(* The model a child is solved on cold: [m] with the tightest of the
+   path's bounds as rows after its own, for each variable in ascending
+   order its lower bound (none at 0 or below) and then its upper bound
+   (a negative one as the row [-x >= -b]). *)
+let with_path_rows m path =
+  let c = M.copy m in
+  for v = 0 to M.num_vars m - 1 do
+    let tightest dir pick =
+      List.fold_left
+        (fun acc (v', d, b) ->
+          if v' = v && d = dir then Some (Option.fold ~none:b ~some:(pick b) acc)
+          else acc)
+        None path
+    in
+    (match tightest S.Lower Int.max with
+     | Some lo when lo > 0 -> M.add_constraint c [ (v, 1) ] M.Ge lo
+     | _ -> ());
+    match tightest S.Upper Int.min with
+    | Some up when up < 0 -> M.add_constraint c [ (v, -1) ] M.Ge (-up)
+    | Some up -> M.add_constraint c [ (v, 1) ] M.Le up
+    | None -> ()
+  done;
+  c
+
+(* [f ()], whether it answered warm, and how many relaxations it
+   counted: numeric.fast_solves plus numeric.fallbacks. *)
+let child_counts f =
+  let fast0 = Telemetry.value Telemetry.numeric_fast_solves
+  and fb0 = Telemetry.value Telemetry.numeric_fallbacks in
+  let x, warm = answered_warm f in
+  ( x,
+    warm,
+    Telemetry.value Telemetry.numeric_fast_solves - fast0
+    + Telemetry.value Telemetry.numeric_fallbacks - fb0 )
+
+(* A child against [cold], the solve of its path's model [c]: exactly
+   one relaxation counted, and the same objective; a warm answer at a
+   point feasible for [c], a cold one at [cold]'s point. [cold_only]
+   requires a cold answer. *)
+let child_agrees ~cold_only c cold ((answer, _), warm, relaxations) =
+  relaxations = 1
+  && ((not cold_only) || not warm)
+  &&
+  match (answer, cold) with
+  | S.Optimal r, S.Optimal s ->
+    let w = S.solution_of r in
+    R.equal w.S.objective s.S.objective
+    &&
+    if warm then Test_lp.feasible c w.S.values
+    else Array.for_all2 R.equal w.S.values s.S.values
+  | S.Infeasible, S.Infeasible -> true
+  | _ -> false
+
+(* [chain_bound], and for kinds 6 and 7 an upper or lower bound past
+   the native range, which no tableau takes: the child is solved
+   cold. *)
+let step_bound kind x =
+  match kind with
+  | 6 -> (S.Upper, 1 lsl 30)
+  | 7 -> (S.Lower, (1 lsl 30) + 1)
+  | _ -> chain_bound kind x
+
+(* A chain of bounds below the root of [m], each chosen from the last
+   cold solve's point by [step_bound]: at each step the child of the
+   last child's snapshot (while one is kept) and the whole path
+   replayed on the root's snapshot, both checked against a cold solve
+   of [m] with the path's bounds as rows. [cold_from_tableau] counts
+   the children that a snapshot with a tableau answered cold. *)
+let overflow_chain_agrees ?(cold_from_tableau = ref 0) ~cold_only m steps =
+  match S.solve_with_snapshot m with
+  | S.Optimal r, Some root ->
+    let n = M.num_vars m in
+    let rec go snap (values : R.t array) path last = function
+      | [] -> true
+      | (offset, kind) :: rest -> (
+        let v = (last + offset) mod n in
+        let dir, b = step_bound kind values.(v) in
+        let path = (v, dir, b) :: path in
+        let c = with_path_rows m path in
+        let cold = S.solve c in
+        let warm =
+          Option.map
+            (fun s -> child_counts (fun () -> S.reoptimize s ~var:v ~dir ~bound:b))
+            snap
+        in
+        let replayed = child_counts (fun () -> S.replay root path) in
+        let count_cold s (_, warm, _) =
+          if S.snapshot_words s > 0 && not warm then incr cold_from_tableau
+        in
+        count_cold root replayed;
+        (match (snap, warm) with
+         | Some s, Some w -> count_cold s w
+         | _ -> ());
+        child_agrees ~cold_only c cold replayed
+        && Option.fold ~none:true ~some:(child_agrees ~cold_only c cold) warm
+        &&
+        match cold with
+        | S.Optimal s ->
+          go
+            (Option.bind warm (fun ((_, snap), _, _) -> snap))
+            s.S.values path v rest
+        | S.Infeasible | S.Unbounded -> true)
+    in
+    go (Some root) (S.solution_of r).S.values [] 0 steps
+  | _ -> false
+
+let steps_gen kinds =
+  QCheck2.Gen.(
+    list_size (int_range 3 6) (pair (int_range 0 3) (int_range 0 (kinds - 1))))
+
+(* Three covering rows [a·x >= b] with [a], [b] up to 1000, and
+   [x_i <= 50]: about a fifth of the roots leave the native range and
+   are answered by the exact engine. *)
+let wide_gen =
+  QCheck2.Gen.(
+    triple
+      (list_size (return 9) (int_range 1 1000))
+      (list_size (return 3) (int_range 1 1000))
+      (list_size (return 3) (int_range 1 9)))
+
+let build_wide (coeffs, rhs, costs) =
+  let m = M.create () in
+  let xs = Array.init 3 (fun _ -> M.add_var m) in
+  let coeffs = Array.of_list coeffs in
+  List.iteri
+    (fun row b ->
+      M.add_constraint m
+        (List.init 3 (fun i -> (xs.(i), coeffs.((3 * row) + i))))
+        M.Ge b)
+    rhs;
+  Array.iter (fun x -> M.add_constraint m [ (x, 1) ] M.Le 50) xs;
+  M.set_objective m (List.mapi (fun i c -> (xs.(i), c)) costs);
+  m
+
+(* The model of the numeric-kernel suite's warm overflow: its root
+   fits the native range, but the dual pivots of some children do not,
+   and a cold solve of those children fits again. Every chain of two
+   and three bounds must agree, and some child of a tableau must have
+   answered cold. *)
+let test_warm_overflow_chains () =
+  let m = M.create () in
+  let xs = Array.init 3 (fun _ -> M.add_var m) in
+  let row coeffs rhs =
+    M.add_constraint m (List.mapi (fun i c -> (xs.(i), c)) coeffs) M.Ge rhs
+  in
+  row [ 3797; 2147; 3 ] 2774;
+  row [ 1655; 3503; 338 ] 2006;
+  row [ 3584; 2; 3 ] 1817;
+  Array.iter (fun x -> M.add_constraint m [ (x, 1) ] M.Le 50) xs;
+  M.set_objective m [ (xs.(0), 6); (xs.(1), 5); (xs.(2), 7) ];
+  let steps = List.concat_map (fun o -> List.init 6 (fun k -> (o, k))) [ 0; 1; 2 ] in
+  let cold_from_tableau = ref 0 in
+  List.iter
+    (fun s1 ->
+      List.iter
+        (fun s2 ->
+          List.iter
+            (fun tail ->
+              let chain = s1 :: s2 :: tail in
+              Alcotest.(check bool)
+                (Printf.sprintf "chain of %d agrees" (List.length chain))
+                true
+                (overflow_chain_agrees ~cold_from_tableau ~cold_only:false m
+                   chain))
+            [ []; [ (1, 0) ]; [ (2, 1) ] ])
+        steps)
+    steps;
+  Alcotest.(check bool)
+    (Printf.sprintf "children of a tableau answered cold (%d)"
+       !cold_from_tableau)
+    true
+    (!cold_from_tableau > 0)
+
+let overflow_props =
+  [ QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:100
+         ~name:"children of a Rat root equal cold solves of their paths"
+         QCheck2.Gen.(pair Test_numeric.huge_gen (steps_gen 6))
+         (fun (((_, _, target) as input), steps) ->
+           let instance =
+             Rentcost.Instance.compile (Test_numeric.huge_problem input)
+           in
+           overflow_chain_agrees ~cold_only:true
+             (Rentcost.Ilp.model instance ~target)
+             steps));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~name:"children that overflow equal cold solves of their paths"
+         QCheck2.Gen.(pair wide_gen (steps_gen 8))
+         (fun (input, steps) ->
+           overflow_chain_agrees ~cold_only:false (build_wide input) steps)) ]
 
 (* --- objective intervals: node keys without the exact value --- *)
 
@@ -399,8 +601,6 @@ let interval_props =
          terms_pair_gen intervals_agree) ]
 
 (* --- the warm tree --- *)
-
-let warm_nodes () = Telemetry.value Telemetry.milp_warm_nodes
 
 (* Counter deltas of [f ()]: warm nodes, fast solves, fallbacks. *)
 let counting f =
@@ -673,6 +873,8 @@ let suite =
         test_snapshot_words_cover_heap;
       Alcotest.test_case "snapshot budget: warm and replayed children" `Quick
         test_snapshot_budget;
+      Alcotest.test_case "warm children that overflow solve cold" `Quick
+        test_warm_overflow_chains;
       Alcotest.test_case "separated intervals decide alone" `Quick
         test_intervals_decide_alone ]
-    @ interval_props @ reoptimize_props @ tree_props @ consume_props @ rounding_props )
+    @ interval_props @ reoptimize_props @ overflow_props @ tree_props @ consume_props @ rounding_props )
