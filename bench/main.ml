@@ -978,14 +978,26 @@ let numeric_gated paper fig8 stress =
     ("fallback", "stress_pivots", stress.fb_pivots);
     ("fallback", "stress_cost_sum", stress.fb_cost_sum) ]
 
-(* The committed file's seed and its JSON, read before this run
-   rewrites it. *)
+(* The committed file's seed and its JSON. The file is read from the
+   last commit, so a failing run, which has already rewritten it, is
+   not the baseline of the next run; outside a git checkout (or for a
+   file not committed yet) it is the working-tree file, read before
+   this run rewrites it. *)
 let committed path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error _ -> None
-  | text ->
-    Option.bind (Result.to_option (Svc.Json.of_string text)) (fun json ->
-        Option.map (fun seed -> (seed, json)) (Svc.Json.get_int "seed" json))
+  let ic =
+    Unix.open_process_in
+      (Printf.sprintf "git show HEAD:./%s 2>/dev/null" (Filename.quote path))
+  in
+  let head = In_channel.input_all ic in
+  let text =
+    if Unix.close_process_in ic = Unix.WEXITED 0 then Some head
+    else
+      try Some (In_channel.with_open_text path In_channel.input_all)
+      with Sys_error _ -> None
+  in
+  Option.bind text (fun text ->
+      Option.bind (Result.to_option (Svc.Json.of_string text)) (fun json ->
+          Option.map (fun seed -> (seed, json)) (Svc.Json.get_int "seed" json)))
 
 (* The committed file's seed and a reader of its [block.field] ints. *)
 let committed_paper_counts path =

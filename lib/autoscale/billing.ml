@@ -23,10 +23,7 @@ let create ~num_types ~ticks_per_hour =
     total_charged = 0;
   }
 
-let ticks_per_hour t = t.ticks_per_hour
 let total_charged t = t.total_charged
-let held t = Array.map List.length t.horizons
-
 let step t ~tick ~desired ~costs =
   let q = Array.length t.horizons in
   if Array.length desired <> q || Array.length costs <> q then
@@ -55,3 +52,7 @@ let step t ~tick ~desired ~costs =
   done;
   t.total_charged <- t.total_charged + !charged;
   { rented; renewed; released; charged = !charged }
+
+module For_testing = struct
+  let held t = Array.map List.length t.horizons
+end

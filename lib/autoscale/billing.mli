@@ -38,11 +38,11 @@ type event = {
     a negative entry. *)
 val step : t -> tick:int -> desired:int array -> costs:int array -> event
 
-(** Machines currently paid for (live horizons), per type. After
-    {!step}, [held t >= desired] pointwise. *)
-val held : t -> int array
-
 (** Total charged since {!create}. *)
 val total_charged : t -> int
 
-val ticks_per_hour : t -> int
+module For_testing : sig
+  (** Machines currently paid for (live horizons), per type. After
+      {!step}, [held t >= desired] pointwise. *)
+  val held : t -> int array
+end

@@ -166,5 +166,7 @@ let replans t = t.replans
 let holds t = t.holds
 let violations t = t.violations
 let total_charged t = Billing.total_charged t.billing
-let config t = t.config
-let allocation t = t.alloc
+
+module For_testing = struct
+  let allocation t = t.alloc
+end

@@ -87,7 +87,8 @@ val replans : t -> int
 val holds : t -> int
 val violations : t -> int
 val total_charged : t -> int
-val config : t -> config
 
-(** The current allocation, [None] before the first re-solve. *)
-val allocation : t -> Rentcost.Allocation.t option
+module For_testing : sig
+  (** The current allocation, [None] before the first re-solve. *)
+  val allocation : t -> Rentcost.Allocation.t option
+end

@@ -16,7 +16,6 @@ let demand t k =
   t.demand.(k)
 
 let peak t = Array.fold_left max 0 t.demand
-let total_demand t = Array.fold_left ( + ) 0 t.demand
 
 (* --- generators --- *)
 
@@ -130,32 +129,13 @@ let of_string s =
     | None, _ -> fail "trace: missing tick-seconds"
     | _, None -> fail "trace: missing demand")
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
-
 let load path =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> of_string (In_channel.input_all ic))
 
-(* --- streamsim interop --- *)
-
-let arrival t ~tick = Streamsim.Sim.Rate (float_of_int (demand t tick))
-
-let route t ~weights =
-  let assigner = Streamsim.Assign.create ~weights in
-  Array.iter
-    (fun d ->
-      for _ = 1 to d do
-        ignore (Streamsim.Assign.next assigner)
-      done)
-    t.demand;
-  Streamsim.Assign.counts assigner
-
-let pp ppf t =
-  Format.fprintf ppf "trace: %d ticks of %gs, peak %d, total %d"
-    (length t) t.tick_seconds (peak t) (total_demand t)
+module For_testing = struct
+  let create = create
+  let of_string = of_string
+end

@@ -17,11 +17,6 @@ type t = private {
   demand : int array;  (** per-tick throughput target, items/time unit *)
 }
 
-(** [create ~tick_seconds ~demand] validates a trace.
-    @raise Invalid_argument when [tick_seconds] is not positive and
-    finite or a demand entry is negative. *)
-val create : tick_seconds:float -> demand:int array -> t
-
 val length : t -> int
 
 (** [demand t k] is the target during tick [k].
@@ -30,9 +25,6 @@ val demand : t -> int -> int
 
 (** Highest per-tick demand (0 for an empty trace). *)
 val peak : t -> int
-
-(** [Σ_k demand_k] — total demanded item-ticks. *)
-val total_demand : t -> int
 
 (** {1 Synthetic generators}
 
@@ -97,38 +89,23 @@ val flash_crowd :
       demand 40 43 51 64 ...
     ]}
 
-    [tick-seconds] is printed with ["%.17g"], so {!of_string} recovers
-    the exact float and [of_string (to_string t) = t]. Lines starting
+    [tick-seconds] is printed with ["%.17g"], so reading a trace back
+    recovers the exact float and the same trace. Lines starting
     with [#] and blank lines are ignored. *)
 
 val to_string : t -> string
 
-(** @raise Failure with a descriptive message on malformed input or an
-    unknown version. *)
-val of_string : string -> t
-
-(** [save t path] / [load path] write and read the text format.
-    @raise Sys_error on I/O failure, [Failure] on malformed input. *)
-val save : t -> string -> unit
-
+(** [load path] reads the text format from a file.
+    @raise Sys_error on I/O failure, [Failure] with a descriptive
+    message on malformed input or an unknown version. *)
 val load : string -> t
 
-(** {1 Streamsim interop} *)
+module For_testing : sig
+  (** [create ~tick_seconds ~demand] validates a trace.
+      @raise Invalid_argument when [tick_seconds] is not positive and
+      finite or a demand entry is negative. *)
+  val create : tick_seconds:float -> demand:int array -> t
 
-(** [arrival t ~tick] is tick [k]'s demand as a {!Streamsim.Sim}
-    arrival process ([Rate demand_k]; [Saturated] would discard the
-    trace shape), for replaying one tick of the trace through the
-    discrete-event simulator. *)
-val arrival : t -> tick:int -> Streamsim.Sim.arrival
-
-(** [route t ~weights] replays the whole trace through one
-    largest-remainder weighted round-robin assigner
-    ({!Streamsim.Assign}), treating each tick's demand as that many
-    items, and returns how many items each recipe received. The counts
-    sum to {!total_demand} — conservation is what the trace tests
-    assert.
-    @raise Invalid_argument on invalid weights (see
-    {!Streamsim.Assign.create}). *)
-val route : t -> weights:int array -> int array
-
-val pp : Format.formatter -> t -> unit
+  (** The text format read from a string, as {!load} reads a file. *)
+  val of_string : string -> t
+end

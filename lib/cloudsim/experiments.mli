@@ -9,7 +9,7 @@ type preset = {
   description : string;
   graphs : Generator.graph_params;
   cloud : Generator.cloud_params;
-  targets : int list;
+  targets : int list;  (** the paper's sweep: 20, 30, …, 200 *)
   default_configs : int;  (** configurations the paper used (100 / 10) *)
   ilp_time_limit : float option;  (** Figure 8 uses 100 s *)
   ilp_node_limit : int option;
@@ -31,9 +31,6 @@ val all : preset list
 
 (** [find id] looks a preset up by id. *)
 val find : string -> preset option
-
-(** Targets of the paper's sweeps: 20, 30, …, 200. *)
-val sweep_targets : int list
 
 (** [title ?time_limit ~configs ~seed preset] is the header a preset's
     table is printed under: id, description, the ILP's wall-clock cap

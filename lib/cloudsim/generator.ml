@@ -96,3 +96,8 @@ let problem ~rng gp cp =
         random_dag ~rng ~ntypes:cp.num_types ~types)
   in
   PB.create pf recipes
+
+module For_testing = struct
+  let platform = platform
+  let random_dag = random_dag
+end

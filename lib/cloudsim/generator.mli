@@ -37,8 +37,6 @@ type cloud_params = {
   max_throughput : int;
 }
 
-(** [platform ~rng params] draws a random cloud. *)
-val platform : rng:Numeric.Prng.t -> cloud_params -> Rentcost.Platform.t
 
 (** [problem ~rng gp cp] draws a full instance.
     @raise Invalid_argument on inconsistent parameters (empty ranges,
@@ -46,9 +44,14 @@ val platform : rng:Numeric.Prng.t -> cloud_params -> Rentcost.Platform.t
 val problem :
   rng:Numeric.Prng.t -> graph_params -> cloud_params -> Rentcost.Problem.t
 
-(** [random_dag ~rng ~ntypes ~types] builds a connected random DAG
-    over the given task types (every non-root task has at least one
-    predecessor among earlier tasks). Exposed for direct use in tests
-    and examples. *)
-val random_dag :
-  rng:Numeric.Prng.t -> ntypes:int -> types:int array -> Rentcost.Task_graph.t
+module For_testing : sig
+  (** [platform ~rng params] is the random cloud {!problem} draws. *)
+  val platform : rng:Numeric.Prng.t -> cloud_params -> Rentcost.Platform.t
+
+  (** [random_dag ~rng ~ntypes ~types] is the recipe {!problem} builds
+      over the given task types: a connected random DAG (every
+      non-root task has at least one predecessor among earlier
+      tasks). *)
+  val random_dag :
+    rng:Numeric.Prng.t -> ntypes:int -> types:int array -> Rentcost.Task_graph.t
+end

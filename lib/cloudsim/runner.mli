@@ -23,14 +23,6 @@ type algorithm =
 val paper_algorithms :
   ?time_limit:float -> ?node_limit:int -> unit -> algorithm list
 
-val algorithm_name : algorithm -> string
-
-(** The {!Rentcost.Solver.spec} an entry runs under. *)
-val algorithm_spec : algorithm -> Rentcost.Solver.spec
-
-(** The {!Rentcost.Budget.t} an entry is capped with. *)
-val algorithm_budget : algorithm -> Rentcost.Budget.t
-
 (** One solve outcome. *)
 type measurement = {
   config : int;  (** configuration (instance) index *)
@@ -43,22 +35,13 @@ type measurement = {
           branch-and-bound nodes, cost-oracle evaluations *)
 }
 
-(** [run_instance ~rng ~config problem ~targets ~algorithms ~params]
-    solves one instance for every target and algorithm. Stochastic
-    heuristics receive a fresh split of [rng] per solve, so adding or
-    reordering algorithms does not perturb other algorithms' draws. *)
-val run_instance :
-  rng:Numeric.Prng.t ->
-  config:int ->
-  Rentcost.Problem.t ->
-  targets:int list ->
-  algorithms:algorithm list ->
-  params:Rentcost.Heuristics.params ->
-  measurement list
-
 (** [sweep ~seed ~configs gp cp ~targets ~algorithms ~params] generates
     [configs] random instances and runs the full grid, reproducing a
-    paper experiment. The instance stream is deterministic in [seed]. *)
+    paper experiment. The instance stream is deterministic in [seed].
+    Each instance is compiled once for its whole grid, and stochastic
+    heuristics receive a fresh split of the instance's [rng] per solve,
+    so adding or reordering algorithms does not perturb other
+    algorithms' draws. *)
 val sweep :
   ?progress:(int -> unit) ->
   seed:int ->

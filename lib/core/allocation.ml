@@ -66,15 +66,11 @@ let feasible problem ~target t =
     !ok
   end
 
-let single problem ~j ~target =
-  if j < 0 || j >= Problem.num_recipes problem then
-    invalid_arg "Allocation.single: recipe index out of range";
-  if target < 0 then invalid_arg "Allocation.single: negative target";
-  let rho = Array.make (Problem.num_recipes problem) 0 in
-  rho.(j) <- target;
-  of_rho problem ~rho
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>cost %d@,rho = [%s]@,machines = [%s]@]" t.cost
     (String.concat "; " (Array.to_list (Array.map string_of_int t.rho)))
     (String.concat "; " (Array.to_list (Array.map string_of_int t.machines)))
+
+module For_testing = struct
+  let loads = loads
+end

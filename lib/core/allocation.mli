@@ -13,10 +13,6 @@ type t = private {
   cost : int;  (** total hourly rental cost [Σ_q x_q·c_q] *)
 }
 
-(** [loads problem ~rho] is the per-type task load
-    [load_q = Σ_j n^j_q · ρ_j].
-    @raise Invalid_argument on a wrong-sized or negative [rho]. *)
-val loads : Problem.t -> rho:int array -> int array
 
 (** [of_rho problem ~rho] computes the minimal machine counts and cost
     supporting the split [rho]. *)
@@ -35,8 +31,11 @@ val total_rho : t -> int
     ([x_q·r_q >= load_q] for every [q]). *)
 val feasible : Problem.t -> target:int -> t -> bool
 
-(** [single problem ~j ~target] routes the whole target through recipe
-    [j] — the single-graph closed form of § IV-A. *)
-val single : Problem.t -> j:int -> target:int -> t
-
 val pp : Format.formatter -> t -> unit
+
+module For_testing : sig
+  (** [loads problem ~rho] is the per-type task load
+      [load_q = Σ_j n^j_q · ρ_j] that {!of_rho} provisions for.
+      @raise Invalid_argument on a wrong-sized or negative [rho]. *)
+  val loads : Problem.t -> rho:int array -> int array
+end

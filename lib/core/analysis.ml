@@ -12,8 +12,6 @@ let ilp_solver problem ~target =
 let h1_on instance ~target =
   (Heuristics.search Heuristics.H1 instance ~target).Heuristics.allocation
 
-let h1_solver problem ~target = h1_on (Instance.compile problem) ~target
-
 let cost_curve solver problem ~targets =
   List.map (fun target -> (target, solver problem ~target)) targets
 

@@ -13,9 +13,6 @@ type solver = Problem.t -> target:int -> Allocation.t
 (** The exact MILP solver, run to its proof (see {!Ilp.optimize}). *)
 val ilp_solver : solver
 
-(** The H1 best-single-recipe heuristic as a policy. *)
-val h1_solver : solver
-
 (** [cost_curve solver problem ~targets] evaluates the policy over a
     target sweep. The returned costs are non-decreasing in the target
     for any sensible policy (asserted for the provided solvers in the

@@ -5,8 +5,9 @@
     the axes they can observe and ignore the rest:
 
     - [deadline] — wall-clock seconds from the start of the solve.
-      Honoured by the ILP (as {!Milp.Solver}'s [time_limit]) and by
-      the heuristics (checked between moves). Timing makes capped runs
+      Honoured by the ILP (as {!Milp.Solver}'s [time_limit]), by the
+      disjoint-types DP (checked once per table row) and by the
+      heuristics (checked between moves). Timing makes capped runs
       machine-dependent; prefer the deterministic caps below for
       reproducible experiments.
     - [node_cap] — branch-and-bound nodes; ILP only. Deterministic
@@ -26,21 +27,7 @@ type t = {
 (** No caps on any axis. *)
 val unlimited : t
 
-(** [deadline s] caps wall-clock time only.
-    @raise Invalid_argument when [s] is negative. *)
-val deadline : float -> t
-
-(** [nodes n] caps branch-and-bound nodes only.
-    @raise Invalid_argument when [n] is negative. *)
-val nodes : int -> t
-
-(** [evals n] caps cost-oracle evaluations only.
-    @raise Invalid_argument when [n] is negative. *)
-val evals : int -> t
-
 (** [remaining t ~elapsed] is [t] with the deadline reduced by the
     [elapsed] seconds already spent (clamped at zero) — the budget left
     for a follow-up stage of the same solve. *)
 val remaining : t -> elapsed:float -> t
-
-val pp : Format.formatter -> t -> unit

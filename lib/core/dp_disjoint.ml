@@ -1,8 +1,17 @@
-let run instance ~target =
+exception Out_of_time
+
+let run ?time_limit instance ~target =
   if not (Instance.is_disjoint instance) then
     invalid_arg "Dp_disjoint.run: recipes share task types (general case, \
                  use Ilp or Heuristics)";
   if target < 0 then invalid_arg "Dp_disjoint.run: negative target";
+  let expired =
+    match time_limit with
+    | None -> fun () -> false
+    | Some s ->
+      let stop = Unix.gettimeofday () +. s in
+      fun () -> Unix.gettimeofday () > stop
+  in
   let j_count = Instance.num_recipes instance in
   (* Tabulate cost_j(t) for every surviving recipe and every
      sub-target, each entry the sparse § IV-A closed form over the
@@ -21,6 +30,7 @@ let run instance ~target =
   done;
   for j = 1 to j_count - 1 do
     for t = 0 to target do
+      if expired () then raise Out_of_time;
       let best = ref max_int and best_tj = ref 0 in
       for tj = 0 to t do
         let c = dp.(j - 1).(t - tj) + cost_table.(j).(tj) in

@@ -17,11 +17,16 @@
     and the worked example, [cost_j] here sums over distinct types
     (see DESIGN.md § 1). *)
 
-(** [run instance ~target] returns an optimal allocation (with the
-    optimal throughput split). The disjointness check and the DP both
-    run on the dominance-pruned compiled instance; the per-recipe cost
-    table is filled with the sparse {!Instance.single_cost} closed
-    form.
+(** The [time_limit] of {!run} passed before its table was complete. *)
+exception Out_of_time
+
+(** [run ?time_limit instance ~target] returns an optimal allocation
+    (with the optimal throughput split). The disjointness check and
+    the DP both run on the dominance-pruned compiled instance; the
+    per-recipe cost table is filled with the sparse
+    {!Instance.single_cost} closed form. [time_limit] is in wall-clock
+    seconds, checked once per row [(j, t)] of the DP.
+    @raise Out_of_time when [time_limit] passes first.
     @raise Invalid_argument when surviving recipes share task types
       (use {!Instance.is_disjoint} to test) or [target < 0]. *)
-val run : Instance.t -> target:int -> Allocation.t
+val run : ?time_limit:float -> Instance.t -> target:int -> Allocation.t

@@ -29,13 +29,3 @@ let run instance ~target =
   go 0 target;
   Allocation.of_rho (Instance.problem instance)
     ~rho:(Instance.expand_rho instance !best_rho)
-
-let count_compositions ~parts ~total =
-  (* C(total + parts - 1, parts - 1) computed multiplicatively. *)
-  if parts <= 0 then invalid_arg "Exhaustive.count_compositions: parts <= 0";
-  let k = parts - 1 and n = total + parts - 1 in
-  let acc = ref 1 in
-  for i = 1 to k do
-    acc := !acc * (n - k + i) / i
-  done;
-  !acc

@@ -14,8 +14,3 @@
     (see {!Instance}).
     @raise Invalid_argument when [target < 0]. *)
 val run : Instance.t -> target:int -> Allocation.t
-
-(** [count_compositions ~parts ~total] is the number of splits
-    enumerated by {!run} (binomial [total+parts-1 choose parts-1]);
-    useful to guard test sizes. *)
-val count_compositions : parts:int -> total:int -> int

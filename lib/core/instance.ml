@@ -150,7 +150,6 @@ let compile ?prune ?scenario problem =
 let problem t = t.problem
 let source_problem t = t.source_problem
 let objective_kind t = t.objective_kind
-let pricebook t = t.pricebook
 
 let num_recipes t = Array.length t.original
 let num_types t = Array.length t.costs
@@ -372,9 +371,12 @@ module Oracle = struct
   let cost o = o.cost
   let rho_at o j = o.rho.(j)
   let rho o = Array.copy o.rho
-  let loads o = Array.copy o.loads
-  let machines o = Array.copy o.machines
 
   let allocation o =
     Allocation.of_rho o.inst.problem ~rho:(expand_rho o.inst o.rho)
+end
+
+module For_testing = struct
+  let oracle_loads (o : Oracle.t) = Array.copy o.loads
+  let oracle_machines (o : Oracle.t) = Array.copy o.machines
 end

@@ -68,9 +68,6 @@ val source_problem : t -> Problem.t
     the canonical encoding). [`Min_cost] without a scenario. *)
 val objective_kind : t -> Objective.kind
 
-(** The price book baked in at compile time, if any. *)
-val pricebook : t -> Pricebook.t option
-
 (** Number of surviving recipes [J'] (compact index space; [<= J]). *)
 val num_recipes : t -> int
 
@@ -208,11 +205,6 @@ module Oracle : sig
   (** Copy of the current compact split. *)
   val rho : t -> int array
 
-  (** Copy of the current per-type loads. *)
-  val loads : t -> int array
-
-  (** Copy of the current minimal machine counts. *)
-  val machines : t -> int array
 
   (** [apply o ~j ~drho] adds [drho] to [ρ_j] and re-prices exactly
       [supp(j)]: [O(|supp(j)|)]. [apply ~drho:(-drho)] undoes it.
@@ -232,4 +224,12 @@ module Oracle : sig
       numbering (recomputed through {!Allocation.of_rho}, which also
       revalidates the state at the boundary). *)
   val allocation : t -> Allocation.t
+end
+
+module For_testing : sig
+  (** Copies of an oracle's current per-type loads and minimal
+      machine counts. *)
+  val oracle_loads : Oracle.t -> int array
+
+  val oracle_machines : Oracle.t -> int array
 end

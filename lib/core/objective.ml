@@ -29,8 +29,3 @@ let kind_of_string s =
   | "min-cost" | "mincost" | "cost" -> Some `Min_cost
   | "max-throughput" | "maxthroughput" | "throughput" -> Some `Max_throughput
   | _ -> None
-
-let pp fmt = function
-  | Min_cost { target } -> Format.fprintf fmt "min-cost(target %d)" target
-  | Max_throughput { budget } ->
-    Format.fprintf fmt "max-throughput(budget %d)" budget

@@ -44,5 +44,3 @@ val scalar : t -> int
 val kind_to_string : kind -> string
 
 val kind_of_string : string -> kind option
-
-val pp : Format.formatter -> t -> unit

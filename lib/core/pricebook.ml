@@ -58,21 +58,7 @@ let create books =
     books;
   Array.map (fun b -> { b with prices = Array.copy b.prices }) books
 
-let of_platform ?(name = "on-demand") platform =
-  create
-    [
-      {
-        book_name = name;
-        region = None;
-        prices =
-          Array.init (Platform.num_types platform) (Platform.cost platform);
-        tiers = [];
-      };
-    ]
-
-let num_books t = Array.length t
 let num_types t = Array.length t.(0).prices
-let books t = Array.to_list t
 
 (* A tier price never drops below 1: Platform costs are strictly
    positive, so a 99%-off spot tier still rents at a unit price. *)
@@ -105,8 +91,6 @@ let sourcing t q =
     t;
   Option.get !best
 
-let effective_cost t q = (sourcing t q).src_cost
-
 let apply t platform =
   if num_types t <> Platform.num_types platform then
     invalid_arg
@@ -117,7 +101,7 @@ let apply t platform =
   Platform.create
     (Array.init (num_types t) (fun q ->
          {
-           Platform.cost = effective_cost t q;
+           Platform.cost = (sourcing t q).src_cost;
            throughput = Platform.throughput platform q;
          }))
 
@@ -242,27 +226,3 @@ let load path =
   let text = really_input_string ic n in
   close_in ic;
   of_string text
-
-let save path t =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun b ->
-      Format.fprintf fmt "book %s%s: prices [%s]%s@," b.book_name
-        (match b.region with Some r -> " (" ^ r ^ ")" | None -> "")
-        (String.concat ";"
-           (Array.to_list (Array.map string_of_int b.prices)))
-        (match b.tiers with
-         | [] -> ""
-         | ts ->
-           " tiers "
-           ^ String.concat ","
-               (List.map
-                  (fun t -> Printf.sprintf "%s@%d%%" t.tier_name t.percent)
-                  ts)))
-    t;
-  Format.fprintf fmt "@]"

@@ -17,10 +17,10 @@
     the effective costs, which is how {!Instance.compile} bakes a
     price book into [c_q]: every engine, the incremental
     {!Instance.Oracle} and the canonical fingerprint then price with
-    multi-cloud costs for free. A single book with no tiers
-    degenerates to exactly today's platform vector ({!of_platform}),
-    and books that all share one price vector compile bit-identically
-    to the single-cloud instance. *)
+    multi-cloud costs for free. A single book with no tiers that
+    quotes the platform's own costs degenerates to exactly today's
+    platform vector, and books that all share one price vector compile
+    bit-identically to the single-cloud instance. *)
 
 (** A discount tier: rent at [percent]% of the book's list price. *)
 type tier = {
@@ -50,26 +50,9 @@ type t
     @raise Invalid_argument otherwise. *)
 val create : book list -> t
 
-(** [of_platform platform] is the degenerate single-book pricebook
-    quoting exactly the platform's cost vector (no region, no
-    discount tiers). [Instance.compile] with this book is
-    bit-identical to a compile without any pricebook. *)
-val of_platform : ?name:string -> Platform.t -> t
-
-val num_books : t -> int
-
-(** Number of machine types every book prices (= [Platform.num_types]
-    of any platform it can {!apply} to). *)
-val num_types : t -> int
-
-val books : t -> book list
-
-(** [effective_cost t q] is the cheapest rental cost for one machine
-    of type [q] across every book and tier. *)
-val effective_cost : t -> int -> int
-
-(** [sourcing t q] is the provenance of {!effective_cost}: which book,
-    region and tier the type is cheapest from. Ties resolve to the
+(** [sourcing t q] is the cheapest rental of one machine of type [q]
+    across every book and tier, [src_cost], and its provenance: which
+    book, region and tier the type is cheapest from. Ties resolve to the
     first book in declaration order, on-demand before discount tiers.
     @raise Invalid_argument on an out-of-range type. *)
 val sourcing : t -> int -> sourcing
@@ -109,7 +92,3 @@ val of_string : string -> t
 val to_string : t -> string
 
 val load : string -> t
-
-val save : string -> t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -24,20 +24,11 @@ let num_types t = Platform.num_types t.platform
 let type_count t j q = t.counts.(j).(q)
 let type_counts t j = Array.copy t.counts.(j)
 
-let has_shared_types t =
-  let q = num_types t in
-  let result = ref false in
-  for k = 0 to q - 1 do
-    let users = ref 0 in
-    Array.iter (fun c -> if c.(k) > 0 then incr users) t.counts;
-    if !users > 1 then result := true
-  done;
-  !result
-
-let is_disjoint t = not (has_shared_types t)
-
-let is_blackbox t =
-  is_disjoint t && Array.for_all (fun r -> Task_graph.num_tasks r = 1) t.recipes
+let is_disjoint t =
+  let users k =
+    Array.fold_left (fun n c -> if c.(k) > 0 then n + 1 else n) 0 t.counts
+  in
+  List.for_all (fun k -> users k <= 1) (List.init (num_types t) Fun.id)
 
 let illustrating =
   (* Paper types t1..t4 are 0..3 here. Recipes are two-task chains:
@@ -51,3 +42,8 @@ let pp fmt t =
     (num_recipes t);
   Array.iteri (fun j r -> Format.fprintf fmt "recipe %d: %a@," j Task_graph.pp r) t.recipes;
   Format.fprintf fmt "@]"
+
+module For_testing = struct
+  let is_blackbox t =
+    is_disjoint t && Array.for_all (fun r -> Task_graph.num_tasks r = 1) t.recipes
+end

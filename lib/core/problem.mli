@@ -29,15 +29,9 @@ val type_count : t -> int -> int -> int
 (** [type_counts t j] is the vector [n^j_·] for recipe [j]. *)
 val type_counts : t -> int -> int array
 
-(** Whether two distinct recipes use a common task type (§ V-C). *)
-val has_shared_types : t -> bool
-
-(** Whether recipes have pairwise-disjoint type sets (§ V-B). *)
+(** Whether recipes have pairwise-disjoint type sets (§ V-B); if not,
+    two distinct recipes use a common task type (§ V-C). *)
 val is_disjoint : t -> bool
-
-(** Whether every recipe is a single task and all those task types are
-    pairwise distinct (§ V-A, black-box applications). *)
-val is_blackbox : t -> bool
 
 (** The three-recipe illustrating instance of the paper's § VII
     (Figure 2 recipes over the Table II platform). Recipe types, in
@@ -45,3 +39,10 @@ val is_blackbox : t -> bool
 val illustrating : t
 
 val pp : Format.formatter -> t -> unit
+
+module For_testing : sig
+  (** Whether every recipe is a single task and all those task types
+      are pairwise distinct (§ V-A, black-box applications), before
+      the dominance pruning of {!Instance.compile}. *)
+  val is_blackbox : t -> bool
+end

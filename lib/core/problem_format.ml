@@ -204,8 +204,3 @@ let load path =
   let text = really_input_string ic n in
   close_in ic;
   of_string text
-
-let save path problem =
-  let oc = open_out path in
-  output_string oc (to_string problem);
-  close_out oc

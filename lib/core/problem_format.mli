@@ -35,6 +35,3 @@ val of_string : string -> Problem.t
 
 (** [load path] reads and parses a file. *)
 val load : string -> Problem.t
-
-(** [save path problem] writes a file. *)
-val save : string -> Problem.t -> unit

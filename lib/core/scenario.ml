@@ -13,10 +13,3 @@ let max_throughput ?pricebook ~budget () =
 
 let objective t = t.objective
 let pricebook t = t.pricebook
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%a" Objective.pp t.objective;
-  (match t.pricebook with
-   | Some pb -> Format.fprintf fmt "@,%a" Pricebook.pp pb
-   | None -> ());
-  Format.fprintf fmt "@]"

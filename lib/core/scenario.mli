@@ -28,5 +28,3 @@ val max_throughput : ?pricebook:Pricebook.t -> budget:int -> unit -> t
 val objective : t -> Objective.t
 
 val pricebook : t -> Pricebook.t option
-
-val pp : Format.formatter -> t -> unit

@@ -106,6 +106,12 @@ let normalize_warm_start instance ~target alloc =
     Some compact
   end
 
+(* An engine's answer when its budget runs out first: the heuristic
+   [name] under what is left of the budget. *)
+let fallback search name =
+  Telemetry.Span.with_span "solver.fallback" (fun () ->
+      (search name).Heuristics.allocation)
+
 (* The one engine dispatch: run [engine] once at [target], within what
    is left of [budget] for the solve started at [t0]. A caller's
    [warm_start] is normalized and read only where a search heuristic
@@ -133,7 +139,13 @@ let dispatch ~budget ~rng ~params ?warm_start ~t0 ?cap engine instance ~target =
     match engine with
     | Auto -> assert false (* resolved by [run] *)
     | Dp_blackbox -> (Optimal, Some (Dp_blackbox.run instance ~target))
-    | Dp_disjoint -> (Optimal, Some (Dp_disjoint.run instance ~target))
+    | Dp_disjoint -> (
+      let time_limit = (left ()).Budget.deadline in
+      match Dp_disjoint.run ?time_limit instance ~target with
+      | a -> (Optimal, Some a)
+      | exception Dp_disjoint.Out_of_time ->
+        (* The H1 closed form, which always completes. *)
+        (Budget_exhausted, Some (fallback search Heuristics.H1)))
     | Exhaustive -> (Optimal, Some (Exhaustive.run instance ~target))
     | Exact_ilp -> (
       let { Budget.deadline; node_cap; _ } = left () in
@@ -157,10 +169,7 @@ let dispatch ~budget ~rng ~params ?warm_start ~t0 ?cap engine instance ~target =
            remains. H32Jump under an expired budget collapses to the H1
            floor, which always completes, so this cannot come back
            empty. *)
-        ( Budget_exhausted,
-          Some
-            (Telemetry.Span.with_span "solver.fallback" (fun () ->
-                 (search Heuristics.H32_jump).Heuristics.allocation)) ))
+        (Budget_exhausted, Some (fallback search Heuristics.H32_jump)))
     | Heuristic name ->
       let r = search name in
       ( (if r.Heuristics.exhausted then Budget_exhausted else Feasible),

@@ -15,9 +15,12 @@
     incumbent under [Budget_exhausted]; if the ILP runs out before
     finding any integer point, the solver degrades to the best
     heuristic incumbent reachable within whatever budget remains
-    (at worst the H1 closed form, which always completes). The two
-    DPs and the exhaustive oracle are not interruptible and ignore
-    budgets — they either finish or should not have been chosen.
+    (at worst the H1 closed form, which always completes). The
+    disjoint-types DP checks the deadline once per table row and,
+    when it passes, returns the H1 closed form under
+    [Budget_exhausted]. The black-box DP and the exhaustive oracle are
+    not interruptible and ignore budgets — they either finish or
+    should not have been chosen.
 
     Telemetry is measured as deltas of the calling domain's
     {!Telemetry.Effort} tally around the solve, so nested measurement

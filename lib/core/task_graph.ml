@@ -14,7 +14,6 @@ let type_of t i = t.types.(i)
 let edges t = t.edges
 let succs t i = t.succs.(i)
 let preds t i = t.preds.(i)
-let topo_order t = t.topo
 let type_counts t = t.type_counts
 
 (* Kahn's algorithm; detects cycles by counting emitted tasks. *)
@@ -80,13 +79,6 @@ let sources t =
   done;
   !acc
 
-let sinks t =
-  let acc = ref [] in
-  for i = num_tasks t - 1 downto 0 do
-    if Array.length t.succs.(i) = 0 then acc := i :: !acc
-  done;
-  !acc
-
 (* Longest path in tasks, for latency-style statistics. *)
 let critical_path_length t =
   let n = num_tasks t in
@@ -104,3 +96,7 @@ let pp fmt t =
   Array.iteri (fun i q -> Format.fprintf fmt "  task %d : type %d@," i q) t.types;
   List.iter (fun (a, b) -> Format.fprintf fmt "  %d -> %d@," a b) t.edges;
   Format.fprintf fmt "@]"
+
+module For_testing = struct
+  let topo_order t = t.topo
+end

@@ -35,9 +35,6 @@ val succs : t -> int -> int array
 (** Direct predecessors of a task, in edge insertion order. *)
 val preds : t -> int -> int array
 
-(** A topological order of the tasks. *)
-val topo_order : t -> int array
-
 (** [type_counts t] has length [ntypes]; entry [q] is [n^j_q], the
     number of tasks of type [q] in this recipe. *)
 val type_counts : t -> int array
@@ -48,10 +45,12 @@ val types_used : t -> int list
 (** Tasks without predecessors, ascending. *)
 val sources : t -> int list
 
-(** Tasks without successors, ascending. *)
-val sinks : t -> int list
-
 (** Number of tasks on a longest precedence path. *)
 val critical_path_length : t -> int
 
 val pp : Format.formatter -> t -> unit
+
+module For_testing : sig
+  (** The topological order {!critical_path_length} walks. *)
+  val topo_order : t -> int array
+end

@@ -1,13 +1,11 @@
-(** Pseudo-polynomial dynamic programs for knapsack-style problems.
+(** Pseudo-polynomial dynamic program for the covering problem of the
+    paper's § V-A.
 
-    Section V-A of the paper reduces cost minimization for black-box
-    recipes to an unbounded knapsack with negated weights and values;
-    equivalently, to the covering problem solved by {!min_cost_cover}.
-    Both formulations are provided, plus the direct translation
-    between them used in the tests. *)
-
-(** An item for the classic maximization form. *)
-type item = { value : int; weight : int }
+    Section V-A reduces cost minimization for black-box recipes to an
+    unbounded knapsack with negated weights and values; equivalently,
+    to the covering problem solved by {!min_cost_cover}. The test
+    suite keeps the knapsack form as a reference and checks that the
+    two agree. *)
 
 (** A machine type for the covering form: renting one unit costs
     [cost] and contributes [yield] to the covered demand. *)
@@ -17,15 +15,6 @@ type cover_item = { cost : int; yield : int }
     achieve it. *)
 type 'a dp_solution = { best : 'a; counts : int array }
 
-(** [unbounded_max ~items ~capacity] maximizes [Σ xᵢ·valueᵢ] subject to
-    [Σ xᵢ·weightᵢ <= capacity], [xᵢ ∈ ℕ] — the unbounded knapsack of
-    Definition 2 in the paper. Items with non-positive weight must not
-    have positive value (otherwise the problem is unbounded).
-    Runs in [O(n·capacity)] time.
-    @raise Invalid_argument on negative capacity or on an unbounded
-    instance. *)
-val unbounded_max : items:item array -> capacity:int -> int dp_solution
-
 (** [min_cost_cover ~items ~demand] minimizes [Σ xᵢ·costᵢ] subject to
     [Σ xᵢ·yieldᵢ >= demand], [xᵢ ∈ ℕ]. This is the paper's § V-A
     problem (machines of type [q] cost [c_q] and provide throughput
@@ -33,9 +22,3 @@ val unbounded_max : items:item array -> capacity:int -> int dp_solution
     when the demand is positive and no item has positive yield.
     Runs in [O(n·demand)] time. *)
 val min_cost_cover : items:cover_item array -> demand:int -> int dp_solution option
-
-(** [cover_of_knapsack ~items ~demand] solves {!min_cost_cover} through
-    the paper's knapsack encoding (value [-cost], weight [-yield],
-    capacity [-demand]); used to validate the equivalence claimed in
-    § V-A. Same contract as {!min_cost_cover}. *)
-val cover_of_knapsack : items:cover_item array -> demand:int -> int dp_solution option

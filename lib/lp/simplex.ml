@@ -126,8 +126,6 @@ let objective_of_terms l =
 let exact_objective_of v =
   { lo = neg_infinity; hi = infinity; terms = [||]; exact = Some v }
 
-let objective_interval o = (o.lo, o.hi)
-
 let exact_objective o =
   match o.exact with
   | Some v -> v
@@ -178,9 +176,6 @@ let values = function
   | Pairs p ->
     Array.init (Array.length p / 2) (fun v -> R.of_ints p.(2 * v) p.((2 * v) + 1))
   | Rats values -> Array.copy values
-
-let point_of_pairs p = Pairs (Array.copy p)
-let point_of_values values = Rats (Array.copy values)
 
 (* Floor division, for a positive divisor. *)
 let fdiv n d = if n >= 0 then n / d else -((d - 1 - n) / d)
@@ -1102,10 +1097,6 @@ type snapshot = Fraction_free.snapshot
 
 let snapshot_words = Fraction_free.words
 
-let snapshot_rows = function
-  | Fraction_free.Tableau { t; _ } -> (t.tab, t.basis)
-  | Cold _ -> ([||], [||])
-
 let solve_exact model =
   Telemetry.Span.with_span ~attrs:Exact.span_attrs "lp.simplex" (fun () ->
       map_outcome
@@ -1191,3 +1182,17 @@ let reoptimize ?(own = false) snapshot ~var ~dir ~bound =
   child ~own ~attrs:Fraction_free.warm_span_attrs snapshot [ (var, dir, bound) ]
 
 let replay = child ~own:false ~attrs:Fraction_free.replay_span_attrs
+
+module For_testing = struct
+  let solve = solve
+  let objective_interval o = (o.lo, o.hi)
+  let exact_objective = exact_objective
+  let solution_of = solution_of
+  let values = values
+  let point_of_pairs p = Pairs (Array.copy p)
+  let point_of_values values = Rats (Array.copy values)
+
+  let snapshot_rows = function
+    | Fraction_free.Tableau { t; _ } -> (t.tab, t.basis)
+    | Cold _ -> ([||], [||])
+end

@@ -18,7 +18,8 @@
     the starting basis is feasible as it stands.
     [Rentcost.Ilp.model]'s root tableau has the paper's [1 + Q] rows.
 
-    A model's data are native ints ({!Model}). {!solve} runs a
+    A model's data are native ints ({!Model}). {!solve_with_snapshot}
+    runs a
     fraction-free engine whose rows are the model's own rows, and when
     a row outgrows the native range (or a coefficient starts out
     past it) reruns that one model on exact {!Numeric.Rat}. Both
@@ -35,7 +36,7 @@
     branch bound is an int bound on the variable's column, not a row: a
     child's tableau has exactly its parent's rows and columns. A
     bounded dual simplex under the dual Bland rule then restores
-    optimality. The optimal objective is the one a cold {!solve} of
+    optimality. The optimal objective is the one a cold solve of
     the same LP, with each bound as a row, returns; when the LP has
     several optimal vertices the point may be a different one of
     them. A snapshot remembers the model it came from and the bounds
@@ -58,16 +59,6 @@
     value and the interval [(-∞, ∞)]. *)
 type objective
 
-(** [objective_interval o] is [(lo, hi)] with [lo ≤ o ≤ hi]. Its width
-    is a few units in the last place of the terms' magnitudes. *)
-val objective_interval : objective -> float * float
-
-(** [exact_objective o] is [o] exactly. The first call on a native-int
-    objective sums its terms (a Bigint sum when they leave the small
-    range) and bumps [lp.exact_objectives]; later calls return the
-    kept value. *)
-val exact_objective : objective -> Numeric.Rat.t
-
 (** [compare_objectives a b] is [Numeric.Rat.compare] of their exact
     values. Disjoint intervals decide without them, and an objective
     is equal to itself; only overlapping intervals of two objectives
@@ -81,9 +72,11 @@ val compare_objectives : objective -> objective -> int
     @raise Invalid_argument when [⌈o⌉] is below [min_int]. *)
 val ceil_objective : objective -> int option
 
-(** [int_objective o] is {!exact_objective}[ o], which bumps
-    [lp.exact_objectives] as it does, as an int: the objective of an
-    integral point of an integer model.
+(** [int_objective o] is [o] as an int: the objective of an integral
+    point of an integer model. The first exact read of a native-int
+    objective sums its terms (a Bigint sum when they leave the small
+    range) and bumps [lp.exact_objectives]; later reads use the kept
+    value.
     @raise Invalid_argument when [o] is not an integer or not an
       int. *)
 val int_objective : objective -> int
@@ -100,10 +93,6 @@ val objective_of_terms : (int * int) list -> objective
     both under [2^30] in magnitude; the exact engine's holds canonical
     values. Every read below answers the same for either. *)
 type point
-
-(** [values point] is every variable's value as a canonical rational,
-    in a fresh array. *)
-val values : point -> Numeric.Rat.t array
 
 (** [most_fractional point groups] is, within the earliest group with
     a fractional value, the variable whose value is closest to an
@@ -124,12 +113,6 @@ val int_values : point -> int array
     pair. *)
 val fractions : point -> int -> (Model.var -> int -> int -> unit) -> bool
 
-(** A native-int point, [x_v = p.(2v) / p.(2v+1)], and an exact one,
-    for tests. *)
-val point_of_pairs : int array -> point
-
-val point_of_values : Numeric.Rat.t array -> point
-
 type relaxation = { objective : objective; point : point }
 
 (** An optimal point: [objective] is the minimum; [values] has one
@@ -142,19 +125,6 @@ type 'a outcome =
   | Unbounded  (** the objective can be improved without limit *)
 
 type result = solution outcome
-
-(** [solution_of r] is [r] with its objective made exact and its values
-    canonical: what {!solve} returns for the same model. *)
-val solution_of : relaxation -> solution
-
-(** [solve model] minimizes the model exactly. Never raises
-    [Numeric.Kernel.Overflow]: a model that leaves the native range is
-    solved again on {!Numeric.Rat}. Each call bumps exactly one of the
-    [numeric.fast_solves] / [numeric.fallbacks] counters and records
-    [lp.simplex] spans whose [lp.kernel] attribute is {!fast_kernel}
-    or {!exact_kernel}; a native-int answer's objective is made exact
-    ({!solution_of}), which bumps [lp.exact_objectives]. *)
-val solve : Model.t -> result
 
 (** The [lp.kernel] span attribute of the native-int engine (["ff64"])
     and of the exact engine (["rat"]). *)
@@ -174,10 +144,15 @@ type snapshot
     [Lower] is [x ≥ b]. *)
 type direction = Upper | Lower
 
-(** [solve_with_snapshot model] is {!solve} as a {!relaxation} plus,
-    when [Optimal], a snapshot: the fraction-free engine's final
-    tableau, or none when the exact engine answered, whose children
-    are then all solved cold. Same counters and spans as {!solve}. *)
+(** [solve_with_snapshot model] minimizes the model exactly, as a
+    {!relaxation}, plus, when [Optimal], a snapshot: the fraction-free
+    engine's final tableau, or none when the exact engine answered,
+    whose children are then all solved cold. Never raises
+    [Numeric.Kernel.Overflow]: a model that leaves the native range is
+    solved again on {!Numeric.Rat}. Each call bumps exactly one of the
+    [numeric.fast_solves] / [numeric.fallbacks] counters and records
+    [lp.simplex] spans whose [lp.kernel] attribute is {!fast_kernel}
+    or {!exact_kernel}. *)
 val solve_with_snapshot : Model.t -> relaxation outcome * snapshot option
 
 (** [reoptimize s ~var ~dir ~bound] solves the LP of [s] with the
@@ -223,15 +198,10 @@ val replay :
     a tableau. *)
 val snapshot_words : snapshot -> int
 
-(** The snapshot's int rows and basis (none without a tableau), for
-    tests that check {!snapshot_words} against the heap. Not to be
-    mutated. *)
-val snapshot_rows : snapshot -> int array array * int array
-
 (** {1 The two engines}
 
     Exposed for differential tests and the numeric bench; production
-    code calls {!solve}. *)
+    code calls {!solve_with_snapshot}. *)
 
 (** The fraction-free engine alone. Each tableau row is a native-int
     vector carrying an implicit positive scale (its entry under its own
@@ -246,3 +216,38 @@ val solve_fast : Model.t -> result
 (** The exact {!Numeric.Rat} engine alone. Never raises
     [Numeric.Kernel.Overflow]. *)
 val solve_exact : Model.t -> result
+
+module For_testing : sig
+  (** [solve model] is {!solve_with_snapshot}'s answer as a
+      {!solution}: its objective made exact, which bumps
+      [lp.exact_objectives] for a native-int answer, and its values
+      canonical. *)
+  val solve : Model.t -> result
+
+  (** [objective_interval o] is [(lo, hi)] with [lo ≤ o ≤ hi]. Its
+      width is a few units in the last place of the terms'
+      magnitudes. *)
+  val objective_interval : objective -> float * float
+
+  (** [exact_objective o] is [o] exactly, summed (and counted) on the
+      first read as {!int_objective} does. *)
+  val exact_objective : objective -> Numeric.Rat.t
+
+  (** [solution_of r] is [r] with its objective made exact and its
+      values canonical: what [solve] returns for the same model. *)
+  val solution_of : relaxation -> solution
+
+  (** [values point] is every variable's value as a canonical
+      rational, in a fresh array. *)
+  val values : point -> Numeric.Rat.t array
+
+  (** A native-int point, [x_v = p.(2v) / p.(2v+1)], and an exact
+      one. *)
+  val point_of_pairs : int array -> point
+
+  val point_of_values : Numeric.Rat.t array -> point
+
+  (** The snapshot's int rows and basis (none without a tableau), to
+      check {!snapshot_words} against the heap. Not to be mutated. *)
+  val snapshot_rows : snapshot -> int array array * int array
+end

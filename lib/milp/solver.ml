@@ -80,14 +80,9 @@ let snapshot_budget = 1 lsl 21
 type shared = { snapshot : Lp.Simplex.snapshot; mutable holders : int }
 
 (* Whether last holders consume their parent's tableau; off only under
-   {!always_copying}. Domain-local, so a test that turns it off leaves
+   [For_testing.always_copying]. Domain-local, so a test that turns it off leaves
    solves on other domains alone. *)
 let consume_key = Domain.DLS.new_key (fun () -> true)
-
-let always_copying f =
-  let saved = Domain.DLS.get consume_key in
-  Domain.DLS.set consume_key false;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set consume_key saved) f
 
 type node = {
   key : Lp.Simplex.objective;
@@ -360,9 +355,9 @@ let solve ?time_limit ?node_limit ?cutoff ?round ?priority model =
       outcome status solution best_bound
     end
 
-let gap outcome =
-  match (outcome.solution, outcome.best_bound) with
-  | Some { objective; _ }, Some bound ->
-    let inc = float_of_int objective and b = float_of_int bound in
-    Some (Float.abs (inc -. b) /. Float.max 1.0 (Float.abs inc))
-  | _ -> None
+module For_testing = struct
+  let always_copying f =
+    let saved = Domain.DLS.get consume_key in
+    Domain.DLS.set consume_key false;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set consume_key saved) f
+end

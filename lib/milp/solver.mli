@@ -95,14 +95,11 @@ val solve :
     more pivots than a warm start from its parent. *)
 val snapshot_budget : int
 
-(** [always_copying f] runs [f] with every warm-started child working
-    on a copy of its parent's tableau, including the last child, which
-    otherwise (the root's excepted) takes the parent's rows without a
-    copy. For tests that
-    check that consuming tableaus leaves the tree unchanged; it only
-    affects solves on the calling domain. *)
-val always_copying : (unit -> 'a) -> 'a
-
-(** [gap outcome] is the relative optimality gap
-    [(incumbent - bound) / max(1, |incumbent|)] when both are known. *)
-val gap : outcome -> float option
+module For_testing : sig
+  (** [always_copying f] runs [f] with every warm-started child
+      working on a copy of its parent's tableau, including the last
+      child, which otherwise (the root's excepted) takes the parent's
+      rows without a copy: consuming tableaus must leave the tree
+      unchanged. It only affects solves on the calling domain. *)
+  val always_copying : (unit -> 'a) -> 'a
+end

@@ -68,8 +68,6 @@ let compare a b =
   else cmp_mag b.mag a.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 (* Magnitude addition: |a| + |b|. *)
 let add_mag a b =
@@ -123,8 +121,6 @@ let add a b =
 let sub a b = add a (neg b)
 
 let one = of_int 1
-let two = of_int 2
-let minus_one = of_int (-1)
 
 let is_one t = equal t one
 let succ t = add t one
@@ -312,17 +308,6 @@ let pow b e =
   in
   go one b e
 
-let shift_left t k =
-  if k < 0 then invalid_arg "Bigint.shift_left: negative shift";
-  if t.sign = 0 || k = 0 then t
-  else begin
-    let limb_shift = k / base_bits and bit_shift = k mod base_bits in
-    let shifted = shl_mag t.mag bit_shift 1 in
-    let res = Array.make (Array.length shifted + limb_shift) 0 in
-    Array.blit shifted 0 res limb_shift (Array.length shifted);
-    make t.sign res
-  end
-
 let to_int t =
   (* A native int holds at most 62 bits of magnitude (plus min_int). *)
   let bits = num_bits t in
@@ -402,8 +387,6 @@ let of_string s =
   done;
   if sign < 0 then neg !acc else !acc
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let ( + ) = add
 let ( - ) = sub
 let ( * ) = mul
@@ -414,3 +397,7 @@ let ( < ) a b = compare a b < 0
 let ( <= ) a b = compare a b <= 0
 let ( > ) a b = compare a b > 0
 let ( >= ) a b = compare a b >= 0
+
+module For_testing = struct
+  let num_bits = num_bits
+end

@@ -14,8 +14,6 @@ type t
 
 val zero : t
 val one : t
-val two : t
-val minus_one : t
 
 (** {1 Conversions} *)
 
@@ -48,36 +46,24 @@ val is_zero : t -> bool
 val is_one : t -> bool
 val is_negative : t -> bool
 
-(** [num_bits t] is the position of the highest set bit of [|t|]
-    ([0] for zero). *)
-val num_bits : t -> int
-
 (** {1 Comparison} *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 
 val neg : t -> t
 val abs : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val succ : t -> t
-val pred : t -> t
 
-(** [divmod a b] is [(q, r)] with [a = q*b + r], [0 <= |r| < |b|] and
-    [r] carrying the sign of [a] (truncated division, like [Stdlib.( / )]).
+(** [div a b] and [rem a b] are [q] and [r] with [a = q*b + r],
+    [0 <= |r| < |b|] and [r] carrying the sign of [a] (truncated
+    division, like [Stdlib.( / )] and [Stdlib.( mod )]).
     @raise Division_by_zero when [b] is zero. *)
-val divmod : t -> t -> t * t
-
-(** Truncated quotient. @raise Division_by_zero when divisor is zero. *)
 val div : t -> t -> t
 
-(** Truncated remainder. @raise Division_by_zero when divisor is zero. *)
 val rem : t -> t -> t
 
 (** [fdiv a b] is the floor division [⌊a / b⌋]. *)
@@ -94,9 +80,6 @@ val gcd : t -> t -> t
     @raise Invalid_argument when [e < 0]. *)
 val pow : t -> int -> t
 
-(** [shift_left t k] multiplies by [2^k] ([k >= 0]). *)
-val shift_left : t -> int -> t
-
 (** {1 Infix operators} *)
 
 val ( + ) : t -> t -> t
@@ -110,6 +93,8 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-(** {1 Printing} *)
-
-val pp : Format.formatter -> t -> unit
+module For_testing : sig
+  (** [num_bits t] is the position of the highest set bit of [|t|]
+      ([0] for zero). *)
+  val num_bits : t -> int
+end

@@ -20,8 +20,6 @@ let of_state s =
   t
 
 let create seed = of_state (mix (Int64.of_int seed))
-let copy = Bytes.copy
-
 let[@inline] next t =
   let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
   Bytes.set_int64_ne t 0 s;
@@ -50,8 +48,6 @@ let float t =
   let r = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int r *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -60,6 +56,6 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
-  arr.(int t (Array.length arr))
+module For_testing = struct
+  let copy = Bytes.copy
+end

@@ -10,9 +10,6 @@ type t
 (** [create seed] is a fresh generator; equal seeds give equal streams. *)
 val create : int -> t
 
-(** [copy t] is an independent generator with the same current state. *)
-val copy : t -> t
-
 (** [split t] derives a new, statistically independent generator while
     advancing [t]. Useful to give sub-experiments their own streams. *)
 val split : t -> t
@@ -28,15 +25,14 @@ val int_in_range : t -> lo:int -> hi:int -> int
 (** [float t] is uniform in [\[0, 1)]. *)
 val float : t -> float
 
-(** [bool t] is a fair coin. *)
-val bool : t -> bool
-
 (** [bits64 t] is the next raw 64-bit output. *)
 val bits64 : t -> int64
 
 (** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
 
-(** [choose t arr] picks a uniform element. @raise Invalid_argument on
-    an empty array. *)
-val choose : t -> 'a array -> 'a
+module For_testing : sig
+  (** [copy t] is an independent generator with the same current
+      state. *)
+  val copy : t -> t
+end

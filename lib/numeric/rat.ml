@@ -49,7 +49,6 @@ let make n d = make_big n d
 
 let zero = S (0, 1)
 let one = S (1, 1)
-let minus_one = S (-1, 1)
 
 let of_int n =
   if abs n < small_max then S (n, 1) else B (Bi.of_int n, Bi.one)
@@ -174,7 +173,6 @@ let ceil = function
 
 let frac t = sub t (of_bigint (floor t))
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let ( + ) = add
 let ( - ) = sub
@@ -186,3 +184,9 @@ let ( < ) a b = compare a b < 0
 let ( <= ) a b = compare a b <= 0
 let ( > ) a b = compare a b > 0
 let ( >= ) a b = compare a b >= 0
+
+module For_testing = struct
+  let of_string = of_string
+  let to_string = to_string
+  let to_float = to_float
+end

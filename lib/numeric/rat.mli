@@ -13,7 +13,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
 
 (** {1 Construction} *)
 
@@ -21,17 +20,11 @@ val minus_one : t
     @raise Division_by_zero when [den] is zero. *)
 val make : Bigint.t -> Bigint.t -> t
 
-(** [of_bigint n] is [n/1]. *)
-val of_bigint : Bigint.t -> t
-
 (** [of_int n] is [n/1]. *)
 val of_int : int -> t
 
 (** [of_ints num den] is [num/den]. @raise Division_by_zero when [den = 0]. *)
 val of_ints : int -> int -> t
-
-(** [of_string s] parses ["n"], ["n/d"] or a decimal ["i.f"] literal. *)
-val of_string : string -> t
 
 (** {1 Access} *)
 
@@ -47,9 +40,6 @@ val den : t -> Bigint.t
     native-int fast path uses it to read input coefficients without a
     Bigint round trip. *)
 val to_small : t -> (int * int) option
-
-val to_float : t -> float
-val to_string : t -> string
 
 (** {1 Queries} *)
 
@@ -102,6 +92,13 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 
-(** {1 Printing} *)
+module For_testing : sig
+  (** [of_string s] parses ["n"], ["n/d"] or a decimal ["i.f"]
+      literal. *)
+  val of_string : string -> t
 
-val pp : Format.formatter -> t -> unit
+  (** ["n"] or ["n/d"], canonical. *)
+  val to_string : t -> string
+
+  val to_float : t -> float
+end

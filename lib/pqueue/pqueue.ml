@@ -13,7 +13,6 @@ struct
 
   let create () = { data = [||]; len = 0 }
   let is_empty h = h.len = 0
-  let size h = h.len
 
   let grow h x =
     let cap = Array.length h.data in
@@ -65,17 +64,15 @@ struct
       Some top
     end
 
-  let peek h = if h.len = 0 then None else Some h.data.(0)
-  let clear h = h.len <- 0
-
-  let to_list h =
-    let rec go i acc = if i < 0 then acc else go (i - 1) (h.data.(i) :: acc) in
-    go (h.len - 1) []
-
   let fold f acc h =
     let acc = ref acc in
     for i = 0 to h.len - 1 do
       acc := f !acc h.data.(i)
     done;
     !acc
+
+  module For_testing = struct
+    let peek h = if h.len = 0 then None else Some h.data.(0)
+    let clear h = h.len <- 0
+  end
 end

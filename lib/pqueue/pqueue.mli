@@ -19,25 +19,20 @@ end) : sig
 
   val is_empty : t -> bool
 
-  (** Number of queued elements. *)
-  val size : t -> int
-
   (** [push h x] inserts [x]; duplicates are allowed. *)
   val push : t -> elt -> unit
 
   (** [pop h] removes and returns a least element, or [None]. *)
   val pop : t -> elt option
 
-  (** [peek h] returns a least element without removing it. *)
-  val peek : t -> elt option
-
-  (** [clear h] removes every element. *)
-  val clear : t -> unit
-
-  (** [to_list h] is the contents in unspecified order (the heap is
-      unchanged). *)
-  val to_list : t -> elt list
-
   (** [fold f acc h] folds over elements in unspecified order. *)
   val fold : ('a -> elt -> 'a) -> 'a -> t -> 'a
+
+  module For_testing : sig
+    (** [peek h] returns a least element without removing it. *)
+    val peek : t -> elt option
+
+    (** [clear h] removes every element. *)
+    val clear : t -> unit
+  end
 end

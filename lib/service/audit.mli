@@ -94,4 +94,3 @@ val close : t -> unit
 
 val record_to_json : record -> Json.t
 val record_of_json : Json.t -> (record, string) result
-val summary_to_json : convergence_summary -> Json.t

@@ -88,5 +88,7 @@ let find_nearest t ~digest ~encoding ~target =
 let insert t ~digest ~encoding entry =
   locked t (fun () -> Table.replace t.table (key_of ~digest entry) (encoding, entry))
 
-let mem t ~digest ~target ~spec =
-  locked t (fun () -> Table.mem t.table { digest; ktarget = target; kspec = spec })
+module For_testing = struct
+  let mem t ~digest ~target ~spec =
+    locked t (fun () -> Table.mem t.table { digest; ktarget = target; kspec = spec })
+end

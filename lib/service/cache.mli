@@ -90,6 +90,8 @@ val find_nearest :
     least-recently-used entry when full. *)
 val insert : t -> digest:string -> encoding:string -> entry -> unit
 
-(** [mem t ~digest ~target ~spec] — exact-key presence without
-    touching recency (tests observe eviction order through this). *)
-val mem : t -> digest:string -> target:int -> spec:string -> bool
+module For_testing : sig
+  (** [mem t ~digest ~target ~spec] — exact-key presence without
+      touching recency, to observe eviction order. *)
+  val mem : t -> digest:string -> target:int -> spec:string -> bool
+end

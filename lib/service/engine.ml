@@ -202,10 +202,6 @@ let create ?(config = default_config) () =
     started_at;
   }
 
-let cache t = t.solutions
-
-let config t = t.config
-
 let audit t = t.audit
 
 (* Assigned trace ids: unique within the engine (the atomic sequence),
@@ -944,3 +940,11 @@ let handle ?now t request =
   | _ ->
     let backlog = drain ?now t in
     backlog @ submit ?now t request
+
+module For_testing = struct
+  let cache t = t.solutions
+  let default_config = default_config
+  let drain = drain
+  let queue_length = queue_length
+  let inflight = inflight
+end

@@ -170,15 +170,12 @@ type config = {
           {!Rentcost.Budget.unlimited}) *)
 }
 
-val default_config : config
-
 type t
 
-(** @raise Invalid_argument when [config.cache_capacity <= 0] or
+(** [config] defaults to the field defaults listed above.
+    @raise Invalid_argument when [config.cache_capacity <= 0] or
     [config.queue_capacity <= 0]. *)
 val create : ?config:config -> unit -> t
-
-val config : t -> config
 
 (** The engine's audit journal — one record per completed solve. The
     daemon calls {!Audit.open_file} on it to mirror records to a JSONL
@@ -194,18 +191,13 @@ val register : t -> name:string -> Rentcost.Problem.t -> Fingerprint.t
 (** [submit t request] runs [Register]/[Track]/[Tick]/[Untrack]/
     [Stats]/[Metrics]/[Audit]/[Shutdown] immediately (their single
     response) and enqueues [Solve] requests — [[]] when admitted or
-    attached to an open flight (answers come from {!drain} /
-    {!drain_next}), otherwise the [Overloaded] responses now owed: one
+    attached to an open flight (answers come from {!drain_next}),
+    otherwise the [Overloaded] responses now owed: one
     per expired-or-evicted previously admitted job, plus the
     arrival's own when it was the one shed. [~now] is the admission
     clock (defaults to the wall clock); deadlines of queued requests
     are measured against it. *)
 val submit : ?now:float -> t -> Protocol.request -> Protocol.response list
-
-(** [drain t] runs every queued solve whose deadline has not expired
-    in queue (expired ones answer [Overloaded]) and returns the
-    responses in arrival order. *)
-val drain : ?now:float -> t -> Protocol.response list
 
 (** [drain_next t] takes and runs {e one job}: the oldest live queued
     solve, as the leader of its flight (see the module doc). Returns
@@ -226,8 +218,9 @@ val wait_for_work : t -> stop:(unit -> bool) -> bool
     changes; admissions signal by themselves). *)
 val wake_all : t -> unit
 
-(** [handle t request] = backlog first, then this request: {!drain}
-    composed with {!submit} so callers with one request in flight —
+(** [handle t request] = backlog first, then this request: every
+    queued solve run ({!drain_next} until the queue is empty), then
+    {!submit}, so callers with one request in flight —
     the daemon, the tests — get exactly its responses, in order. *)
 val handle : ?now:float -> t -> Protocol.request -> Protocol.response list
 
@@ -240,12 +233,22 @@ val handle : ?now:float -> t -> Protocol.request -> Protocol.response list
     inline texts ([inline_texts]), and the tracked-session count. *)
 val stats : t -> (string * Json.t) list
 
-(** The engine's solution cache (tests observe occupancy and eviction
-    counts). *)
-val cache : t -> Cache.t
+module For_testing : sig
+  (** The engine's solution cache, to observe occupancy and eviction
+      counts. *)
+  val cache : t -> Cache.t
 
-(** Queued solve requests not yet drained. *)
-val queue_length : t -> int
+  (** The configuration {!create} defaults to. *)
+  val default_config : config
 
-(** Open single-flight leaders: solves running now. *)
-val inflight : t -> int
+  (** [drain t] runs every queued solve whose deadline has not expired
+      in queue (expired ones answer [Overloaded]) and returns the
+      responses in arrival order. *)
+  val drain : ?now:float -> t -> Protocol.response list
+
+  (** Queued solve requests not yet drained. *)
+  val queue_length : t -> int
+
+  (** Open single-flight leaders: solves running now. *)
+  val inflight : t -> int
+end

@@ -9,7 +9,6 @@ let of_instance inst =
     encoding = Rentcost.Instance.canonical_encoding inst;
   }
 
-let of_problem p = of_instance (Rentcost.Instance.compile p)
 
 let digest t = t.digest
 
@@ -20,4 +19,3 @@ let equal a b = String.equal a.encoding b.encoding
 let short t =
   if String.length t.digest <= 12 then t.digest else String.sub t.digest 0 12
 
-let pp fmt t = Format.pp_print_string fmt (short t)

@@ -16,11 +16,6 @@ type t
 
 val of_instance : Rentcost.Instance.t -> t
 
-(** [of_problem p] compiles [p] (with dominance pruning) and
-    fingerprints the instance. When an instance is also needed for
-    solving, compile it once and use {!of_instance}. *)
-val of_problem : Rentcost.Problem.t -> t
-
 (** Hex digest of the canonical encoding — the hash-table key. *)
 val digest : t -> string
 
@@ -33,5 +28,3 @@ val equal : t -> t -> bool
 
 (** Leading 12 hex characters of the digest, for logs and replies. *)
 val short : t -> string
-
-val pp : Format.formatter -> t -> unit

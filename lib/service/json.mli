@@ -24,16 +24,12 @@ type t =
     to the same float. *)
 val to_string : t -> string
 
-(** The deepest nesting of arrays and objects {!of_string} accepts.
+(** [of_string s] parses one JSON value spanning the whole input
+    (trailing whitespace allowed). A value nested more than 64 arrays
+    or objects deep is an [Error "nesting deeper than 64 at offset
+    <k>"], [k] being the offset of the first bracket past the limit.
     The protocol nests at most 3 deep; the bound keeps the recursive
     descent's stack, and the time spent on a hostile line, small. *)
-val max_depth : int
-
-(** [of_string s] parses one JSON value spanning the whole input
-    (trailing whitespace allowed). A value nested more than
-    {!max_depth} arrays or objects deep is an
-    [Error "nesting deeper than <max_depth> at offset <k>"], [k] being
-    the offset of the first bracket past the limit. *)
 val of_string : string -> (t, string) result
 
 (** {1 Accessors} *)

@@ -4,8 +4,6 @@
    the engine passes its own stats snapshot in, so this module sits
    below it in the dependency order. *)
 
-let ( let* ) = Result.bind
-
 (* --- spans --- *)
 
 let span_to_json (s : Telemetry.Span.t) =
@@ -25,34 +23,6 @@ let span_to_json (s : Telemetry.Span.t) =
        ("duration", Json.Float s.Telemetry.Span.duration);
      ]
     @ attrs)
-
-let span_of_json j =
-  let field name coerce =
-    Option.to_result
-      ~none:(Printf.sprintf "span: missing or bad %S" name)
-      (Option.bind (Json.member name j) coerce)
-  in
-  let* id = field "id" Json.to_int in
-  let* parent = field "parent" Json.to_int in
-  let* depth = field "depth" Json.to_int in
-  let* name = field "name" Json.to_str in
-  let* start = field "start" Json.to_float in
-  let* duration = field "duration" Json.to_float in
-  let* attrs =
-    match Json.member "attrs" j with
-    | None -> Ok []
-    | Some (Json.Obj kvs) ->
-      List.fold_left
-        (fun acc (k, v) ->
-          let* acc = acc in
-          match Json.to_str v with
-          | Some s -> Ok ((k, s) :: acc)
-          | None -> Result.Error (Printf.sprintf "span: non-string attr %S" k))
-        (Ok []) kvs
-      |> Result.map List.rev
-    | Some _ -> Result.Error "span: \"attrs\" is not an object"
-  in
-  Ok { Telemetry.Span.id; parent; depth; name; attrs; start; duration }
 
 (* --- aggregate exposition --- *)
 

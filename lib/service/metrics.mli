@@ -22,21 +22,17 @@ val json : ?stats:(string * Json.t) list -> unit -> Json.t
     ({!Telemetry.text_exposition}). *)
 val text : unit -> string
 
-(** {1 Span codec}
-
-    One span per JSON object — the line format of [--trace] files. *)
-
-val span_to_json : Telemetry.Span.t -> Json.t
-
-val span_of_json : Json.t -> (Telemetry.Span.t, string) result
-
+(** One histogram as a member of the ["histograms"] list of {!json}. *)
 val histogram_to_json : Telemetry.histogram_snapshot -> Json.t
 
 (** {1 Trace files}
 
     [install_trace ~path] opens [path] for append and registers a
     {!Telemetry.Span.set_sink} that writes every completed span as one
-    JSON line, flushed per line. Replaces any previously installed
+    JSON line, flushed per line: an object with the span's [id],
+    [parent], [depth], [name], [start] and [duration], and its
+    [attrs] as an object of strings when it has any, as in the
+    ["spans"] list of {!json}. Replaces any previously installed
     trace. [close_trace] uninstalls the sink and closes the file; both
     are idempotent. *)
 

@@ -93,8 +93,6 @@ type reuse =
 
 val reuse_to_string : reuse -> string
 
-val reuse_of_string : string -> reuse option
-
 (** What a solve or track runs on: a name registered earlier, or a
     problem shipped inline as its {!Rentcost.Problem_format} text.
     Inline text is carried as sent and is not parsed at decode: the
@@ -158,8 +156,6 @@ type served =
   | Coalesced
 
 val served_to_string : served -> string
-
-val served_of_string : string -> served option
 
 type response =
   | Solved of {

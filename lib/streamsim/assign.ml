@@ -35,4 +35,3 @@ let next t =
   j
 
 let counts t = Array.copy t.counts
-let total t = t.total

@@ -19,6 +19,3 @@ val next : t -> int
 
 (** [counts t] is how many items each recipe has received so far. *)
 val counts : t -> int array
-
-(** [total t] is the number of items assigned so far. *)
-val total : t -> int

@@ -270,11 +270,3 @@ let run problem allocation config =
     recipe_counts = Assign.counts assigner;
     failures = !failure_count;
     reexecutions = !reexecution_count }
-
-let sustains problem allocation ~target =
-  if target = 0 then true
-  else begin
-    let config = { default_config with items = max 500 (4 * target) } in
-    let report = run problem allocation config in
-    report.throughput >= 0.98 *. float_of_int target
-  end

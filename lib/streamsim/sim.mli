@@ -66,9 +66,3 @@ type report = {
     positive weight needs a machine type with zero rented machines
     (the stream would deadlock). *)
 val run : Rentcost.Problem.t -> Rentcost.Allocation.t -> config -> report
-
-(** [sustains problem allocation ~target] is a convenience check: runs
-    a saturated simulation and reports whether the measured steady
-    throughput reaches [target] (within a 2 % tolerance accounting for
-    finite-horizon edge effects). *)
-val sustains : Rentcost.Problem.t -> Rentcost.Allocation.t -> target:int -> bool

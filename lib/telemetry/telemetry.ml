@@ -4,7 +4,7 @@
    interface does not promise.
 
    Thread-safety: every instrument is safe under parallel writers
-   since the multicore PR. Counters are [Atomic.t]s (bump/add are
+   since the multicore PR. Counters are [Atomic.t]s ([bump] is
    wait-free and exact). Histograms carry one mutex each protecting
    the bucket array, sum and count together, so a snapshot always
    satisfies sum-of-buckets = count. The span ring indexes slots with
@@ -25,8 +25,6 @@ let set_enabled b = enabled_flag := b
 (* The clock used for spans. Wall clock by default; swappable so tests
    can drive deterministic timings. *)
 let clock = ref Unix.gettimeofday
-
-let set_clock f = clock := f
 
 let now () = !clock ()
 
@@ -121,7 +119,6 @@ let counter ?help name =
 
 let bump c = if !enabled_flag then Atomic.incr c
 
-let add c n = if !enabled_flag then ignore (Atomic.fetch_and_add c n)
 
 let read c = Atomic.get c
 
@@ -386,11 +383,6 @@ module Span = struct
 
   let capacity () = Array.length !ring
 
-  let set_capacity n =
-    if n <= 0 then invalid_arg "Telemetry.Span.set_capacity";
-    ring := Array.make n dummy;
-    Atomic.set total 0
-
   let clear () =
     Array.fill !ring 0 (Array.length !ring) dummy;
     Atomic.set total 0;
@@ -472,8 +464,6 @@ module Progress = struct
      solve does not feed another's collector. *)
   let collectors : (float * event list ref) list Domain.DLS.key =
     Domain.DLS.new_key (fun () -> [])
-
-  let collecting () = Domain.DLS.get collectors <> []
 
   let emit ?incumbent ?bound ~source () =
     if !enabled_flag then begin
@@ -713,3 +703,19 @@ let () =
       (solver_wall_seconds, "End-to-end solver wall time, seconds.");
       ( autoscale_resolve_seconds,
         "Wall time of each elastic-controller re-solve, seconds." ) ]
+
+module For_testing = struct
+  let set_clock f = clock := f
+  let gauge = gauge
+
+  let span_capacity = Span.capacity
+  let clear_spans = Span.clear
+  let trace_id = Span.trace_id
+
+  let set_span_capacity n =
+    if n <= 0 then invalid_arg "Telemetry.For_testing.set_span_capacity";
+    Span.ring := Array.make n Span.dummy;
+    Atomic.set Span.total 0
+
+  let collecting () = Domain.DLS.get Progress.collectors <> []
+end

@@ -43,12 +43,10 @@ val enabled : unit -> bool
     accumulated values. *)
 val set_enabled : bool -> unit
 
-(** The clock spans are timed on, in seconds. Defaults to
-    [Unix.gettimeofday]; {!set_clock} swaps it (tests use a
-    deterministic counter). *)
+(** The clock spans are timed on, in seconds: [Unix.gettimeofday]
+    (tests swap in a deterministic counter through
+    {!For_testing.set_clock}). *)
 val now : unit -> float
-
-val set_clock : (unit -> float) -> unit
 
 (** {1 Counters} *)
 
@@ -62,9 +60,6 @@ val counter : ?help:string -> string -> counter
 
 (** [bump c] adds 1 to [c] (no-op when recording is disabled). *)
 val bump : counter -> unit
-
-(** [add c n] adds [n] to [c] (no-op when recording is disabled). *)
-val add : counter -> int -> unit
 
 (** Current value of a counter (monotone since program start). *)
 val read : counter -> int
@@ -83,7 +78,7 @@ val all : unit -> (string * int) list
     A counter family is one metric name carrying many series, one per
     label-value vector — [service.requests{tenant="a",rung="cold"}].
     Cells are found-or-created under the registry mutex and are
-    ordinary {!counter}s afterwards: {!bump}/{!add} stay wait-free and
+    ordinary {!counter}s afterwards: {!bump} stays wait-free and
     honour the kill switch. Hot paths should resolve the cell once and
     cache it (or guard the lookup with {!enabled}) — {!counter_with}
     itself takes the registry mutex. *)
@@ -141,14 +136,10 @@ val histograms : unit -> histogram_snapshot list
 
     Gauges are read-at-scrape callbacks, not recorded state: the
     registered function is evaluated whenever {!gauges} or
-    {!text_exposition} runs, so the kill switch does not apply.
-    Callbacks must be cheap and must not register instruments. *)
-
-(** [gauge name f] registers (or replaces) the gauge [name]. The
+    {!text_exposition} runs, so the kill switch does not apply. The
     process gauges [process.uptime_seconds], [process.heap_words] and
     [process.major_collections] (from [Gc.quick_stat]) are registered
     at module initialisation. *)
-val gauge : ?help:string -> string -> (unit -> float) -> unit
 
 (** Current value of every registered gauge, sorted by name. *)
 val gauges : unit -> (string * float) list
@@ -188,22 +179,16 @@ module Span : sig
     unit ->
     unit
 
-  (** Retained spans, oldest first, at most {!capacity} of them.
+  (** Retained spans, oldest first, at most the ring's capacity
+      (256 by default) of them.
       Parents complete after their children, so a parent appears after
       the spans it contains. *)
   val recent : unit -> t list
 
-  (** Total spans recorded since start (or the last {!set_capacity} /
-      {!clear}) — exceeds [capacity ()] once the ring has wrapped. *)
+  (** Total spans recorded since start, or since the ring was last
+      cleared or resized — exceeds its capacity once it has
+      wrapped. *)
   val recorded : unit -> int
-
-  val capacity : unit -> int
-
-  (** Resize the ring (discards retained spans). Default 256. *)
-  val set_capacity : int -> unit
-
-  (** Drop all retained spans (ids keep increasing). *)
-  val clear : unit -> unit
 
   (** A sink sees every completed span as it is recorded — the JSONL
       trace writer in [Rentcost_service.Metrics] installs itself
@@ -221,8 +206,6 @@ module Span : sig
   (** [with_trace_id id f] runs [f] with the trace id set, restoring
       the previous value on exit (exceptions included). *)
   val with_trace_id : string -> (unit -> 'a) -> 'a
-
-  val trace_id : unit -> string option
 end
 
 (** {1 Convergence progress}
@@ -244,9 +227,6 @@ module Progress : sig
     bound : float option;  (** proved lower bound (minimisation) *)
     source : string;  (** emitting engine, e.g. ["milp"], ["h32jump"] *)
   }
-
-  (** Whether a collector is active on this domain. *)
-  val collecting : unit -> bool
 
   (** [emit ~incumbent ~bound ~source ()] appends one event to every
       active collector of this domain (each stamps its own [elapsed])
@@ -275,16 +255,6 @@ end
     strings are escaped per the Prometheus exposition format. *)
 val text_exposition : unit -> string
 
-(** [sanitize name] is the exposition spelling of a metric name. *)
-val sanitize : string -> string
-
-(** Prometheus label-value escaping: backslash, double quote and
-    newline. *)
-val escape_label_value : string -> string
-
-(** Prometheus HELP-text escaping: backslash and newline. *)
-val escape_help : string -> string
-
 (** {1 Well-known counter names}
 
     The names used by this project's instrumented layers, collected
@@ -296,14 +266,14 @@ val lp_pivots : string
 (** Relaxation objectives of the native-int engine of {!Lp.Simplex}
     made exact from their terms: a fraction-free relaxation reports
     its objective as a float interval, and the exact value is computed
-    only when a caller needs it (see {!Lp.Simplex.exact_objective}). *)
+    only when a caller needs it (see {!Lp.Simplex.int_objective}). *)
 val lp_exact_objectives : string
 
-(** LP relaxations {!Lp.Simplex.solve} completed on its native-int
-    fast path. *)
+(** LP relaxations {!Lp.Simplex} completed on its native-int fast
+    path. *)
 val numeric_fast_solves : string
 
-(** LP relaxations {!Lp.Simplex.solve} reran on exact {!Numeric.Rat}
+(** LP relaxations {!Lp.Simplex} reran on exact {!Numeric.Rat}
     after the fast path raised [Numeric.Kernel.Overflow]. Zero on the
     paper's figure presets; a growing value means instances exceed the
     fast path's range. *)
@@ -431,3 +401,26 @@ val milp_solve_nodes : string
 
 (** Wall time of each elastic-controller re-solve, seconds. *)
 val autoscale_resolve_seconds : string
+
+module For_testing : sig
+  (** Swap the clock {!now} reads. *)
+  val set_clock : (unit -> float) -> unit
+
+  (** [gauge name f] registers (or replaces) the gauge [name]. *)
+  val gauge : ?help:string -> string -> (unit -> float) -> unit
+
+  (** The span ring's capacity, and a resize (which discards retained
+      spans). Default 256. *)
+  val span_capacity : unit -> int
+
+  val set_span_capacity : int -> unit
+
+  (** Drop all retained spans (ids keep increasing). *)
+  val clear_spans : unit -> unit
+
+  (** The ambient trace id {!Span.with_trace_id} set, if any. *)
+  val trace_id : unit -> string option
+
+  (** Whether a {!Progress.collect} is active on this domain. *)
+  val collecting : unit -> bool
+end

@@ -44,8 +44,6 @@ let float t =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int r *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do
     let j = int t (i + 1) in
@@ -53,7 +51,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
-  arr.(int t (Array.length arr))

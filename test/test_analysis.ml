@@ -21,7 +21,8 @@ let test_cost_curve_monotone () =
     Alcotest.(check bool) (name ^ " monotone") true (monotone costs)
   in
   check_curve "ILP" A.ilp_solver;
-  check_curve "H1" A.h1_solver
+  check_curve "H1" (fun problem ~target ->
+      (H.search H.H1 (Rentcost.Instance.compile problem) ~target).H.allocation)
 
 let test_cost_curve_values () =
   let curve = A.cost_curve A.ilp_solver p ~targets:[ 10; 70; 200 ] in

@@ -51,17 +51,17 @@ let trace_gen =
   QCheck2.Gen.(
     map
       (fun (demand, ts_tenths) ->
-        T.create ~tick_seconds:(float_of_int ts_tenths /. 10.) ~demand)
+        T.For_testing.create ~tick_seconds:(float_of_int ts_tenths /. 10.) ~demand)
       (pair demand_gen (int_range 1 6000)))
 
 let prop_text_roundtrip =
   prop "of_string (to_string t) = t" trace_gen (fun t ->
-      let t' = T.of_string (T.to_string t) in
+      let t' = T.For_testing.of_string (T.to_string t) in
       t'.T.tick_seconds = t.T.tick_seconds && t'.T.demand = t.T.demand)
 
 let test_text_rejects_malformed () =
   let rejects s =
-    match T.of_string s with
+    match T.For_testing.of_string s with
     | exception Failure _ -> true
     | _ -> false
   in
@@ -79,7 +79,7 @@ let test_text_rejects_malformed () =
 
 let test_text_comments_ignored () =
   let t =
-    T.of_string
+    T.For_testing.of_string
       "# a comment\ntrace version 1\n\ntick-seconds 60\n# more\ndemand 3 1 4\n"
   in
   Alcotest.(check (array int)) "demand parsed" [| 3; 1; 4 |] t.T.demand
@@ -99,11 +99,25 @@ let weights_gen =
       (list_size (int_range 1 6) (int_range 0 9))
       (int_range 0 5))
 
+(* Replays the whole trace through one largest-remainder weighted
+   round-robin assigner, each tick's demand as that many items, and
+   counts the items each recipe received. *)
+let route t ~weights =
+  let assigner = Streamsim.Assign.create ~weights in
+  Array.iter
+    (fun d ->
+      for _ = 1 to d do
+        ignore (Streamsim.Assign.next assigner)
+      done)
+    t.T.demand;
+  Streamsim.Assign.counts assigner
+
 let prop_route_conserves_items =
   prop "routed counts sum to the trace's total demand"
     QCheck2.Gen.(pair trace_gen weights_gen)
     (fun (t, weights) ->
-      Array.fold_left ( + ) 0 (T.route t ~weights) = T.total_demand t)
+      Array.fold_left ( + ) 0 (route t ~weights)
+      = Array.fold_left ( + ) 0 t.T.demand)
 
 (* --- billing: the hourly ledger --- *)
 
@@ -114,7 +128,7 @@ let test_billing_hourly_cycle () =
   let e0 = Bl.step b ~tick:0 ~desired:[| 2; 1 |] ~costs in
   Alcotest.(check (array int)) "fresh rentals" [| 2; 1 |] e0.Bl.rented;
   Alcotest.(check int) "charged the hourly rates" 18 e0.Bl.charged;
-  Alcotest.(check (array int)) "held = desired" [| 2; 1 |] (Bl.held b);
+  Alcotest.(check (array int)) "held = desired" [| 2; 1 |] (Bl.For_testing.held b);
   (* Mid-hour downscale: paid machines idle for free, nothing released
      before its horizon, nothing charged. *)
   let e1 = Bl.step b ~tick:1 ~desired:[| 1; 0 |] ~costs in
@@ -122,7 +136,7 @@ let test_billing_hourly_cycle () =
   Alcotest.(check (array int)) "nothing released mid-hour" [| 0; 0 |]
     e1.Bl.released;
   Alcotest.(check (array int)) "still held through the hour" [| 2; 1 |]
-    (Bl.held b);
+    (Bl.For_testing.held b);
   (* At the boundary every expired machine still wanted is renewed —
      charged again, never released-and-re-rented. *)
   let e4 = Bl.step b ~tick:4 ~desired:[| 2; 1 |] ~costs in
@@ -135,7 +149,7 @@ let test_billing_hourly_cycle () =
   let e8 = Bl.step b ~tick:8 ~desired:[| 0; 0 |] ~costs in
   Alcotest.(check (array int)) "released at expiry" [| 2; 1 |] e8.Bl.released;
   Alcotest.(check int) "release is free" 0 e8.Bl.charged;
-  Alcotest.(check (array int)) "ledger empty" [| 0; 0 |] (Bl.held b);
+  Alcotest.(check (array int)) "ledger empty" [| 0; 0 |] (Bl.For_testing.held b);
   Alcotest.(check int) "total = two paid hours" 36 (Bl.total_charged b)
 
 let test_billing_validates () =
@@ -151,7 +165,7 @@ let controller_config =
   { Ct.default_config with Ct.ticks_per_hour = 4; deadband = 0.25 }
 
 let check_covers c ~demand (p : Ct.plan) =
-  (match Ct.allocation c with
+  (match Ct.For_testing.allocation c with
    | Some a ->
      Alcotest.(check bool)
        (Printf.sprintf "fleet covers demand %d after tick %d" demand p.Ct.tick)

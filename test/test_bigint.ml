@@ -7,6 +7,11 @@
 module B = Numeric.Bigint
 
 let b = B.of_int
+let two = b 2
+let pred x = B.(x - one)
+
+(* The quotient and remainder of one truncated division. *)
+let divmod a d = (B.div a d, B.rem a d)
 let check_b msg expected actual = Alcotest.(check string) msg expected (B.to_string actual)
 
 (* ----- targeted unit tests ----- *)
@@ -48,7 +53,7 @@ let test_string_roundtrip_big () =
 let test_add_sub_big () =
   let a = B.of_string "99999999999999999999999999999999" in
   check_b "a+1" "100000000000000000000000000000000" (B.add a B.one);
-  check_b "a-a" "0" (B.sub a a);
+  check_b "a-a" "0" B.(a - a);
   check_b "a + -a" "0" (B.add a (B.neg a));
   check_b "carry chain" "1073741824" (B.add (b ((1 lsl 30) - 1)) B.one)
 
@@ -61,7 +66,7 @@ let test_mul_big () =
 let test_divmod_exact () =
   let a = B.of_string "15241578780673678515622620750190521" in
   let d = B.of_string "123456789123456789" in
-  let q, r = B.divmod a d in
+  let q, r = divmod a d in
   check_b "exact quotient" "123456789123456789" q;
   check_b "exact remainder" "0" r
 
@@ -70,14 +75,16 @@ let test_divmod_truncation_signs () =
   let cases = [ (7, 2); (-7, 2); (7, -2); (-7, -2); (6, 3); (-6, 3) ] in
   List.iter
     (fun (x, y) ->
-      let q, r = B.divmod (b x) (b y) in
+      let q, r = divmod (b x) (b y) in
       Alcotest.(check int) (Printf.sprintf "q %d/%d" x y) (x / y) (B.to_int_exn q);
       Alcotest.(check int) (Printf.sprintf "r %d/%d" x y) (x mod y) (B.to_int_exn r))
     cases
 
 let test_div_by_zero () =
-  Alcotest.check_raises "divmod 0" Division_by_zero (fun () ->
-      ignore (B.divmod B.one B.zero))
+  Alcotest.check_raises "div 0" Division_by_zero (fun () ->
+      ignore (B.div B.one B.zero));
+  Alcotest.check_raises "rem 0" Division_by_zero (fun () ->
+      ignore (B.rem B.one B.zero))
 
 let test_fdiv_cdiv () =
   let check name f x y expected =
@@ -106,63 +113,56 @@ let test_gcd () =
   check "gcd coprime" 17 31 1
 
 let test_pow () =
-  check_b "2^100" "1267650600228229401496703205376" (B.pow B.two 100);
+  check_b "2^100" "1267650600228229401496703205376" (B.pow two 100);
   check_b "x^0" "1" (B.pow (b 123) 0);
   check_b "0^0" "1" (B.pow B.zero 0);
   check_b "(-2)^3" "-8" (B.pow (b (-2)) 3);
   Alcotest.check_raises "neg exponent"
     (Invalid_argument "Bigint.pow: negative exponent") (fun () ->
-      ignore (B.pow B.two (-1)))
-
-let test_shift_left () =
-  check_b "1 << 100" (B.to_string (B.pow B.two 100)) (B.shift_left B.one 100);
-  check_b "5 << 0" "5" (B.shift_left (b 5) 0);
-  check_b "-3 << 4" "-48" (B.shift_left (b (-3)) 4)
+      ignore (B.pow two (-1)))
 
 let test_num_bits () =
-  Alcotest.(check int) "bits 0" 0 (B.num_bits B.zero);
-  Alcotest.(check int) "bits 1" 1 (B.num_bits B.one);
-  Alcotest.(check int) "bits 2" 2 (B.num_bits B.two);
-  Alcotest.(check int) "bits 2^30" 31 (B.num_bits (b (1 lsl 30)));
-  Alcotest.(check int) "bits 2^100" 101 (B.num_bits (B.pow B.two 100))
+  Alcotest.(check int) "bits 0" 0 (B.For_testing.num_bits B.zero);
+  Alcotest.(check int) "bits 1" 1 (B.For_testing.num_bits B.one);
+  Alcotest.(check int) "bits 2" 2 (B.For_testing.num_bits two);
+  Alcotest.(check int) "bits 2^30" 31 (B.For_testing.num_bits (b (1 lsl 30)));
+  Alcotest.(check int) "bits 2^100" 101 (B.For_testing.num_bits (B.pow two 100))
 
 let test_compare () =
   Alcotest.(check bool) "1 < 2" true B.(one < two);
-  Alcotest.(check bool) "-1 < 1" true B.(minus_one < one);
-  Alcotest.(check bool) "-2 < -1" true B.(b (-2) < minus_one);
+  Alcotest.(check bool) "-1 < 1" true B.(b (-1) < one);
+  Alcotest.(check bool) "-2 < -1" true B.(b (-2) < b (-1));
   Alcotest.(check bool) "multi-limb" true
     B.(of_string "99999999999999999999" < of_string "100000000000000000000");
   Alcotest.(check bool) "neg multi-limb" true
-    B.(of_string "-100000000000000000000" < of_string "-99999999999999999999");
-  Alcotest.(check int) "min" 1 (B.to_int_exn (B.min (b 3) (b 1)));
-  Alcotest.(check int) "max" 3 (B.to_int_exn (B.max (b 3) (b 1)))
+    B.(of_string "-100000000000000000000" < of_string "-99999999999999999999")
 
 let test_to_float () =
   Alcotest.(check (float 1e-6)) "42" 42.0 (B.to_float (b 42));
-  Alcotest.(check (float 1e15)) "2^100" (2. ** 100.) (B.to_float (B.pow B.two 100));
+  Alcotest.(check (float 1e15)) "2^100" (2. ** 100.) (B.to_float (B.pow two 100));
   Alcotest.(check (float 1e-6)) "neg" (-7.0) (B.to_float (b (-7)))
 
 let test_to_int_overflow () =
-  Alcotest.(check (option int)) "2^100 no fit" None (B.to_int (B.pow B.two 100));
+  Alcotest.(check (option int)) "2^100 no fit" None (B.to_int (B.pow two 100));
   Alcotest.(check (option int)) "max_int+1 no fit" None
-    (B.to_int (B.succ (b max_int)));
+    (B.to_int B.(b max_int + one));
   Alcotest.(check (option int)) "min_int fits" (Some min_int) (B.to_int (b min_int));
-  Alcotest.(check (option int)) "min_int-1 no fit" None (B.to_int (B.pred (b min_int)))
+  Alcotest.(check (option int)) "min_int-1 no fit" None (B.to_int (pred (b min_int)))
 
 (* Knuth division stress: exercises qhat correction and add-back paths. *)
 let test_division_stress () =
   (* Dividends/divisors crafted near limb boundaries. *)
-  let near = B.pred (B.pow B.two 60) in
+  let near = pred (B.pow two 60) in
   let pairs =
-    [ (B.pow B.two 120, B.pred (B.pow B.two 60));
-      (B.pred (B.pow B.two 90), B.succ (B.pow B.two 30));
+    [ (B.pow two 120, pred (B.pow two 60));
+      (pred (B.pow two 90), B.(pow two 30 + one));
       (B.mul near near, near);
       (B.of_string "340282366920938463463374607431768211455", B.of_string "18446744073709551616");
       (B.pow (b 10) 50, B.pow (b 10) 25) ]
   in
   List.iter
     (fun (a, d) ->
-      let q, r = B.divmod a d in
+      let q, r = divmod a d in
       Alcotest.(check bool) "recompose" true B.(equal a (add (mul q d) r));
       Alcotest.(check bool) "rem range" true
         (Stdlib.( < ) (B.compare (B.abs r) (B.abs d)) 0
@@ -196,7 +196,7 @@ let props =
     prop "divmod matches int oracle"
       QCheck2.Gen.(pair small_int (oneof [ int_range 1 10000; int_range (-10000) (-1) ]))
       (fun (x, y) ->
-        let q, r = B.divmod (b x) (b y) in
+        let q, r = divmod (b x) (b y) in
         B.to_int_exn q = x / y && B.to_int_exn r = x mod y);
     prop "string roundtrip" big_gen (fun x -> B.equal x (B.of_string (B.to_string x)));
     prop "add commutative" QCheck2.Gen.(pair big_gen big_gen) (fun (x, y) ->
@@ -211,11 +211,11 @@ let props =
       (fun (x, y, z) ->
         B.equal (B.mul x (B.add y z)) (B.add (B.mul x y) (B.mul x z)));
     prop "sub inverse of add" QCheck2.Gen.(pair big_gen big_gen) (fun (x, y) ->
-        B.equal (B.sub (B.add x y) y) x);
+        B.equal B.(add x y - y) x);
     prop "divmod invariant" QCheck2.Gen.(pair big_gen big_gen) (fun (x, y) ->
         if B.is_zero y then true
         else begin
-          let q, r = B.divmod x y in
+          let q, r = divmod x y in
           B.equal x (B.add (B.mul q y) r)
           && B.compare (B.abs r) (B.abs y) < 0
           && (B.is_zero r || B.sign r = B.sign x)
@@ -231,10 +231,10 @@ let props =
     prop "neg involutive" big_gen (fun x -> B.equal x (B.neg (B.neg x)));
     prop "abs non-negative" big_gen (fun x -> B.sign (B.abs x) >= 0);
     prop "num_bits bound" big_gen (fun x ->
-        if B.is_zero x then B.num_bits x = 0
+        if B.is_zero x then B.For_testing.num_bits x = 0
         else begin
-          let bits = B.num_bits x in
-          let lo = B.pow B.two (bits - 1) and hi = B.pow B.two bits in
+          let bits = B.For_testing.num_bits x in
+          let lo = B.pow two (bits - 1) and hi = B.pow two bits in
           B.compare (B.abs x) lo >= 0 && B.compare (B.abs x) hi < 0
         end) ]
 
@@ -252,7 +252,6 @@ let suite =
       Alcotest.test_case "fdiv/cdiv" `Quick test_fdiv_cdiv;
       Alcotest.test_case "gcd" `Quick test_gcd;
       Alcotest.test_case "pow" `Quick test_pow;
-      Alcotest.test_case "shift_left" `Quick test_shift_left;
       Alcotest.test_case "num_bits" `Quick test_num_bits;
       Alcotest.test_case "compare" `Quick test_compare;
       Alcotest.test_case "to_float" `Quick test_to_float;

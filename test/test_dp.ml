@@ -11,6 +11,8 @@ module DPD = Rentcost.Dp_disjoint
 module EX = Rentcost.Exhaustive
 module ILP = Rentcost.Ilp
 module I = Rentcost.Instance
+module S = Rentcost.Solver
+module H = Rentcost.Heuristics
 
 let single_task_problem =
   (* Three black-box recipes: types (10c/10r), (18c/20r), (25c/30r). *)
@@ -82,7 +84,7 @@ let test_disjoint_single_recipe_equals_closed_form () =
   for target = 0 to 20 do
     Alcotest.(check int)
       (Printf.sprintf "target %d" target)
-      (Rentcost.Costing.single_graph p ~j:0 ~target)
+      (Test_costing.single_graph p ~j:0 ~target)
       (DPD.run i ~target).AL.cost
   done
 
@@ -99,10 +101,37 @@ let test_exhaustive_matches_ilp_on_illustrating () =
       | None -> Alcotest.fail "ILP found no solution")
     [ 0; 1; 7; 10; 23; 50 ]
 
-let test_count_compositions () =
-  Alcotest.(check int) "C(12,2)" 66 (EX.count_compositions ~parts:3 ~total:10);
-  Alcotest.(check int) "1 part" 1 (EX.count_compositions ~parts:1 ~total:100);
-  Alcotest.(check int) "total 0" 1 (EX.count_compositions ~parts:4 ~total:0)
+(* A deadline bounds the O(J·ρ²) table of the disjoint DP: at
+   ρ = 50,000 the whole table takes seconds, and a 20 ms deadline ends
+   the solve with the H1 closed form under [Budget_exhausted]. *)
+let test_disjoint_deadline () =
+  let p =
+    PB.create
+      (PF.of_list [ (3, 7); (5, 11); (4, 9); (6, 13) ])
+      [| TG.chain ~ntypes:4 ~types:[| 0; 1 |]; TG.chain ~ntypes:4 ~types:[| 2; 3 |] |]
+  in
+  let i = I.compile p in
+  Alcotest.(check int) "both recipes survive pruning" 2 (I.num_recipes i);
+  let target = 50_000 in
+  let t0 = Unix.gettimeofday () in
+  let o =
+    S.run
+      ~budget:{ Rentcost.Budget.unlimited with deadline = Some 0.02 }
+      ~spec:S.Dp_disjoint i
+      ~objective:(Rentcost.Objective.min_cost ~target)
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check string) "status" "budget-exhausted"
+    (S.status_to_string o.S.status);
+  Alcotest.(check bool)
+    (Printf.sprintf "answered within 0.5 s of the deadline (%.3f s)" elapsed)
+    true (elapsed < 0.52);
+  let h1 = (H.search H.H1 i ~target).H.allocation in
+  match o.S.allocation with
+  | Some a ->
+    Alcotest.(check int) "the H1 cost" h1.AL.cost a.AL.cost;
+    Alcotest.(check bool) "feasible" true (AL.feasible p ~target a)
+  | None -> Alcotest.fail "an expired DP still answers"
 
 (* --- random cross-checks --- *)
 
@@ -175,5 +204,5 @@ let suite =
         test_disjoint_single_recipe_equals_closed_form;
       Alcotest.test_case "exhaustive matches ILP" `Quick
         test_exhaustive_matches_ilp_on_illustrating;
-      Alcotest.test_case "count compositions" `Quick test_count_compositions ]
+      Alcotest.test_case "disjoint honours the deadline" `Quick test_disjoint_deadline ]
     @ props )

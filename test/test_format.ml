@@ -102,7 +102,8 @@ let test_error_line_numbers () =
 
 let test_file_io () =
   let path = Filename.temp_file "rentcost" ".problem" in
-  PF.save path PB.illustrating;
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (PF.to_string PB.illustrating));
   let p = PF.load path in
   Sys.remove path;
   Alcotest.(check bool) "load . save = id" true (same_problem p PB.illustrating)

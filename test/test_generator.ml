@@ -17,7 +17,7 @@ let cp =
 let test_platform_ranges () =
   let rng = P.create 1 in
   for _ = 1 to 50 do
-    let pf = G.platform ~rng cp in
+    let pf = G.For_testing.platform ~rng cp in
     Alcotest.(check int) "Q" 5 (PF.num_types pf);
     for q = 0 to 4 do
       let c = PF.cost pf q and r = PF.throughput pf q in
@@ -91,11 +91,11 @@ let test_random_dag_wellformed () =
   for _ = 1 to 50 do
     let n = P.int_in_range rng ~lo:1 ~hi:30 in
     let types = Array.init n (fun _ -> P.int rng 4) in
-    let g = G.random_dag ~rng ~ntypes:4 ~types in
+    let g = G.For_testing.random_dag ~rng ~ntypes:4 ~types in
     (* Connected: only task 0 has no predecessor. *)
     Alcotest.(check (list int)) "single source" [ 0 ] (TG.sources g);
     (* Acyclicity is enforced by Task_graph.create; topo covers all. *)
-    Alcotest.(check int) "topo complete" n (Array.length (TG.topo_order g))
+    Alcotest.(check int) "topo complete" n (Array.length (TG.For_testing.topo_order g))
   done
 
 let test_validation () =
@@ -107,7 +107,7 @@ let test_validation () =
     (Invalid_argument "Generator: bad task count range") (fun () ->
       ignore (G.problem ~rng { gp with G.min_tasks = 9; max_tasks = 8 } cp));
   Alcotest.check_raises "bad cost" (Invalid_argument "Generator: bad cost range")
-    (fun () -> ignore (G.platform ~rng { cp with G.min_cost = 0 }));
+    (fun () -> ignore (G.For_testing.platform ~rng { cp with G.min_cost = 0 }));
   Alcotest.check_raises "no graphs"
     (Invalid_argument "Generator: num_graphs must be positive") (fun () ->
       ignore (G.problem ~rng { gp with G.num_graphs = 0 } cp))

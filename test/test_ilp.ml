@@ -59,7 +59,7 @@ let test_build_structure () =
      one slack per row, then the right-hand side: no bound rows. *)
   (match Lp.Simplex.solve_with_snapshot model with
    | _, Some snap ->
-     let rows, _ = Lp.Simplex.snapshot_rows snap in
+     let rows, _ = Lp.Simplex.For_testing.snapshot_rows snap in
      Alcotest.(check int) "root tableau rows" 5 (Array.length rows);
      Array.iter
        (fun row ->
@@ -90,15 +90,16 @@ let test_huge_target_model () =
   let i = I.compile p in
   Alcotest.(check int) "both recipes survive" 2 (I.num_recipes i);
   let lp target =
-    match Lp.Simplex.solve (ILP.model i ~target) with
+    match Lp.Simplex.For_testing.solve (ILP.model i ~target) with
     | Lp.Simplex.Optimal { objective; _ } -> objective
     | _ -> Alcotest.fail "relaxation should be optimal"
   in
   let target = max_int / 2 in
   Alcotest.(check bool) "3 * target wraps" true (3 * target < 0);
   Alcotest.(check string) "LP scales with the target"
-    (Numeric.Rat.to_string (Numeric.Rat.mul (Numeric.Rat.of_int target) (lp 1)))
-    (Numeric.Rat.to_string (lp target))
+    (Numeric.Rat.For_testing.to_string
+       (Numeric.Rat.mul (Numeric.Rat.of_int target) (lp 1)))
+    (Numeric.Rat.For_testing.to_string (lp target))
 
 let test_zero_target () =
   match (ILP.optimize illustrating ~target:0).ILP.allocation with
@@ -112,7 +113,7 @@ let test_negative_target () =
 (* The plain LP-relaxation bound [⌈LP⌉] of the ILP's model (no
    branching). *)
 let lp_lower_bound problem ~target =
-  match Lp.Simplex.solve (ILP.model (I.compile problem) ~target) with
+  match Lp.Simplex.For_testing.solve (ILP.model (I.compile problem) ~target) with
   | Lp.Simplex.Optimal { objective; _ } ->
     Numeric.Bigint.to_int_exn (Numeric.Rat.ceil objective)
   | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded ->

@@ -60,7 +60,7 @@ let test_single_cost_closed_form () =
       for j = 0 to I.num_recipes inst - 1 do
         Alcotest.(check int)
           (Printf.sprintf "single_cost j=%d rho=%d" j target)
-          (Rentcost.Costing.single_graph PB.illustrating
+          (Test_costing.single_graph PB.illustrating
              ~j:(I.original_index inst j) ~target)
           (I.single_cost inst ~j ~target)
       done)
@@ -209,7 +209,7 @@ let test_pruning_unlocks_blackbox_routing () =
     PB.create platform3
       [| chain [| 0 |]; chain [| 1 |]; chain [| 0 |]; chain [| 0; 1 |] |]
   in
-  Alcotest.(check bool) "raw problem is not blackbox" false (PB.is_blackbox p);
+  Alcotest.(check bool) "raw problem is not blackbox" false (PB.For_testing.is_blackbox p);
   let inst = I.compile p in
   Alcotest.(check bool) "pruned instance is blackbox" true (I.is_blackbox inst);
   Alcotest.(check bool) "auto routes to knapsack DP" true
@@ -240,11 +240,13 @@ let scratch_state inst o =
   let rho = I.expand_rho inst (O.rho o) in
   let problem = I.problem inst in
   let a = AL.of_rho problem ~rho in
-  (a.AL.cost, AL.loads problem ~rho, a.AL.machines)
+  (a.AL.cost, AL.For_testing.loads problem ~rho, a.AL.machines)
 
 let oracle_matches_scratch inst o =
   let cost, loads, machines = scratch_state inst o in
-  O.cost o = cost && O.loads o = loads && O.machines o = machines
+  O.cost o = cost
+  && I.For_testing.oracle_loads o = loads
+  && I.For_testing.oracle_machines o = machines
 
 let prop_oracle_matches_scratch =
   prop ~count:100 "oracle matches scratch repricing under random moves"
@@ -299,9 +301,13 @@ let prop_oracle_price_is_apply =
         (fun (jraw, d) ->
           let j = jraw mod j_count in
           let drho = max d (-O.rho_at o j) in
-          let before = (O.rho o, O.loads o, O.machines o, O.cost o) in
+          let state () =
+            (O.rho o, I.For_testing.oracle_loads o, I.For_testing.oracle_machines o,
+             O.cost o)
+          in
+          let before = state () in
           let priced = O.price o ~j ~drho in
-          let untouched = (O.rho o, O.loads o, O.machines o, O.cost o) = before in
+          let untouched = state () = before in
           O.apply o ~j ~drho;
           (* Each probe also moves the state, so later probes price
              from varied points. *)

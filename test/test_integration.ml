@@ -45,7 +45,7 @@ let test_full_stack_agreement () =
       Alcotest.(check bool)
         (Printf.sprintf "simulation sustains seed %d" seed)
         true
-        (Streamsim.Sim.sustains p ilp ~target))
+        (Test_streamsim.sustains p ilp ~target))
     [ 1; 2; 3; 4; 5 ]
 
 let test_dp_vs_ilp_on_disjoint_generated () =
@@ -53,7 +53,7 @@ let test_dp_vs_ilp_on_disjoint_generated () =
   let rng = P.create 9 in
   for _ = 1 to 5 do
     let platform =
-      G.platform ~rng
+      G.For_testing.platform ~rng
         { G.num_types = 4; min_cost = 2; max_cost = 30; min_throughput = 5;
           max_throughput = 25 }
     in
@@ -63,8 +63,8 @@ let test_dp_vs_ilp_on_disjoint_generated () =
     in
     let p =
       PB.create platform
-        [| G.random_dag ~rng ~ntypes:4 ~types:types1;
-           G.random_dag ~rng ~ntypes:4 ~types:types2 |]
+        [| G.For_testing.random_dag ~rng ~ntypes:4 ~types:types1;
+           G.For_testing.random_dag ~rng ~ntypes:4 ~types:types2 |]
     in
     let inst = Rentcost.Instance.compile p in
     let target = 20 in

@@ -3,8 +3,9 @@
    reduction. *)
 
 module K = Knapsack
+module Ref = Reference_knapsack
 
-let item value weight = { K.value; weight }
+let item value weight = { Ref.value; weight }
 let citem cost yield = { K.cost; yield }
 
 (* --- unbounded_max --- *)
@@ -14,36 +15,36 @@ let test_unbounded_classic () =
      best = 50 + 40 + ... weights 3+4=7, +3 no; 50+50? two of (50,3):
      weight 6 value 100, plus one more (50,3) -> 9, value 150. *)
   let items = [| item 10 5; item 40 4; item 30 6; item 50 3 |] in
-  let { K.best; counts } = K.unbounded_max ~items ~capacity:10 in
+  let { K.best; counts } = Ref.unbounded_max ~items ~capacity:10 in
   Alcotest.(check int) "best" 150 best;
   Alcotest.(check int) "three copies of item 3" 3 counts.(3)
 
 let test_unbounded_zero_capacity () =
   let items = [| item 5 2 |] in
-  let { K.best; counts } = K.unbounded_max ~items ~capacity:0 in
+  let { K.best; counts } = Ref.unbounded_max ~items ~capacity:0 in
   Alcotest.(check int) "best 0" 0 best;
   Alcotest.(check int) "no items" 0 counts.(0)
 
 let test_unbounded_no_items () =
-  let { K.best; _ } = K.unbounded_max ~items:[||] ~capacity:10 in
+  let { K.best; _ } = Ref.unbounded_max ~items:[||] ~capacity:10 in
   Alcotest.(check int) "best 0" 0 best
 
 let test_unbounded_rejects_unbounded_instance () =
   Alcotest.check_raises "zero-weight positive value"
-    (Invalid_argument "Knapsack.unbounded_max: unbounded instance") (fun () ->
-      ignore (K.unbounded_max ~items:[| item 1 0 |] ~capacity:3));
+    (Invalid_argument "Reference_knapsack.unbounded_max: unbounded instance") (fun () ->
+      ignore (Ref.unbounded_max ~items:[| item 1 0 |] ~capacity:3));
   Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Knapsack.unbounded_max: negative capacity") (fun () ->
-      ignore (K.unbounded_max ~items:[| item 1 1 |] ~capacity:(-1)))
+    (Invalid_argument "Reference_knapsack.unbounded_max: negative capacity") (fun () ->
+      ignore (Ref.unbounded_max ~items:[| item 1 1 |] ~capacity:(-1)))
 
 let test_unbounded_counts_consistent () =
   let items = [| item 7 3; item 9 4; item 2 1 |] in
-  let { K.best; counts } = K.unbounded_max ~items ~capacity:17 in
+  let { K.best; counts } = Ref.unbounded_max ~items ~capacity:17 in
   let value = ref 0 and weight = ref 0 in
   Array.iteri
     (fun i n ->
-      value := !value + (n * items.(i).K.value);
-      weight := !weight + (n * items.(i).K.weight))
+      value := !value + (n * items.(i).Ref.value);
+      weight := !weight + (n * items.(i).Ref.weight))
     counts;
   Alcotest.(check int) "counts reach best" best !value;
   Alcotest.(check bool) "within capacity" true (!weight <= 17)
@@ -80,7 +81,7 @@ let test_cover_negative_cost_rejected () =
       ignore (K.min_cost_cover ~items:[| citem (-1) 2 |] ~demand:3))
 
 let test_cover_free_item () =
-  match K.cover_of_knapsack ~items:[| citem 3 2; citem 0 5 |] ~demand:11 with
+  match Ref.cover_of_knapsack ~items:[| citem 3 2; citem 0 5 |] ~demand:11 with
   | Some { K.best; counts } ->
     Alcotest.(check int) "free coverage" 0 best;
     Alcotest.(check int) "uses the free type" 3 counts.(1)
@@ -147,7 +148,7 @@ let props =
       cover_gen
       (fun (items, demand) ->
         let items = Array.of_list (List.map (fun (c, y) -> citem c y) items) in
-        match (K.min_cost_cover ~items ~demand, K.cover_of_knapsack ~items ~demand) with
+        match (K.min_cost_cover ~items ~demand, Ref.cover_of_knapsack ~items ~demand) with
         | Some a, Some b -> a.K.best = b.K.best
         | None, None -> true
         | _ -> false);
@@ -158,12 +159,12 @@ let props =
           (int_range 0 30))
       (fun (items, capacity) ->
         let items = Array.of_list (List.map (fun (v, w) -> item v w) items) in
-        let { K.best; counts } = K.unbounded_max ~items ~capacity in
+        let { K.best; counts } = Ref.unbounded_max ~items ~capacity in
         let value = ref 0 and weight = ref 0 in
         Array.iteri
           (fun i n ->
-            value := !value + (n * items.(i).K.value);
-            weight := !weight + (n * items.(i).K.weight))
+            value := !value + (n * items.(i).Ref.value);
+            weight := !weight + (n * items.(i).Ref.weight))
           counts;
         !value = best && !weight <= capacity) ]
 

@@ -18,7 +18,8 @@ let equal m terms b =
   M.add_constraint m terms M.Le b
 
 let check_rat msg expected actual =
-  Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
+  Alcotest.(check string) msg (R.For_testing.to_string expected)
+    (R.For_testing.to_string actual)
 
 (* [Σ c·x] at a rational point. *)
 let value terms values =
@@ -35,7 +36,7 @@ let feasible m values =
        (M.constraints m)
 
 let solve_opt m =
-  match S.solve m with
+  match S.For_testing.solve m with
   | S.Optimal sol -> sol
   | S.Infeasible -> Alcotest.fail "unexpected: infeasible"
   | S.Unbounded -> Alcotest.fail "unexpected: unbounded"
@@ -119,7 +120,7 @@ let test_lp_infeasible () =
   M.add_constraint m [ (x, 1) ] M.Le 1;
   M.add_constraint m [ (x, 1) ] M.Ge 2;
   M.set_objective m [ (x, 1) ];
-  (match S.solve m with
+  (match S.For_testing.solve m with
    | S.Infeasible -> ()
    | _ -> Alcotest.fail "expected infeasible");
   let m2 = M.create () in
@@ -127,7 +128,7 @@ let test_lp_infeasible () =
   equal m2 [ (x, 1); (y, 1) ] 1;
   equal m2 [ (x, 1); (y, 1) ] 2;
   M.set_objective m2 [ (x, 1) ];
-  match S.solve m2 with
+  match S.For_testing.solve m2 with
   | S.Infeasible -> ()
   | _ -> Alcotest.fail "expected infeasible (equalities)"
 
@@ -136,13 +137,13 @@ let test_lp_unbounded () =
   let x = M.add_var m and y = M.add_var m in
   M.add_constraint m [ (x, 1); (y, -1) ] M.Le 1;
   M.set_objective m [ (x, -1) ];
-  (match S.solve m with
+  (match S.For_testing.solve m with
    | S.Unbounded -> ()
    | _ -> Alcotest.fail "expected unbounded");
   let m2 = M.create () in
   let x = M.add_var m2 in
   M.set_objective m2 [ (x, -1) ];
-  match S.solve m2 with
+  match S.For_testing.solve m2 with
   | S.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded (no constraints)"
 
@@ -204,10 +205,10 @@ let test_model_copy_isolated () =
   M.set_objective m [ (x, 1) ];
   let m2 = M.copy m in
   bound m2 x M.Le 0;
-  (match S.solve m2 with
+  (match S.For_testing.solve m2 with
    | S.Infeasible -> ()
    | _ -> Alcotest.fail "copy: expected infeasible");
-  match S.solve m with
+  match S.For_testing.solve m with
   | S.Optimal sol -> check_rat "original intact" R.one sol.objective
   | _ -> Alcotest.fail "original model broken by copy"
 
@@ -387,13 +388,13 @@ let build_covering ((nv, nc), (coeffs, rhs)) =
 let props =
   [ prop "covering LPs solve to a feasible optimum" covering_gen (fun input ->
         let m = build_covering input in
-        match S.solve m with
+        match S.For_testing.solve m with
         | S.Optimal sol -> feasible m sol.values && R.sign sol.objective >= 0
         | S.Infeasible | S.Unbounded -> false);
     prop "optimal no worse than a generous feasible point" covering_gen
       (fun input ->
         let m = build_covering input in
-        match S.solve m with
+        match S.For_testing.solve m with
         | S.Optimal sol ->
           let point = Array.make (M.num_vars m) 9 in
           (not (M.check_feasible m point))
@@ -406,7 +407,7 @@ let props =
         List.iter
           (fun { M.terms; cmp; rhs } -> M.add_constraint m2 terms cmp rhs)
           (M.constraints m1);
-        match (S.solve m1, S.solve m2) with
+        match (S.For_testing.solve m1, S.For_testing.solve m2) with
         | S.Optimal a, S.Optimal b -> R.equal a.objective b.objective
         | _ -> false) ]
 
@@ -471,7 +472,7 @@ let bounded_props =
         result_equal (S.solve_fast m) (S.solve_exact m));
     prop "solutions are feasible including bounds" bounded_gen (fun input ->
         let m = build_bounded input in
-        match S.solve m with
+        match S.For_testing.solve m with
         | S.Optimal sol -> feasible m sol.values
         | S.Infeasible | S.Unbounded -> true) ]
 

@@ -146,7 +146,8 @@ let test_round_hook () =
   (match List.rev !points with
    | point :: _ ->
      Alcotest.(check (list string)) "hook saw the root's LP point" [ "5/2"; "0" ]
-       (Array.to_list (Array.map R.to_string (Lp.Simplex.values point)))
+       (Array.to_list
+          (Array.map (R.For_testing.to_string) (Lp.Simplex.For_testing.values point)))
    | [] -> Alcotest.fail "hook: expected the root's point");
   (* A root that rounds to its own bound proves optimal at one node;
      without the hook the same solve branches. *)
@@ -239,9 +240,9 @@ let test_gap () =
   M.add_constraint m [ (x, 1) ] M.Ge 2;
   M.set_objective m [ (x, 1) ];
   let outcome = solve m in
-  match Solver.gap outcome with
-  | Some g -> Alcotest.(check (float 1e-9)) "zero gap at optimality" 0.0 g
-  | None -> Alcotest.fail "gap should be known"
+  (* Zero gap at optimality: the proven bound is the incumbent. *)
+  Alcotest.(check (option int)) "bound = incumbent"
+    (Some (get_solution outcome).Solver.objective) outcome.Solver.best_bound
 
 (* --- brute force oracle --- *)
 
@@ -369,8 +370,8 @@ let props =
            let values = Array.of_list (List.map (fun (a, b) -> R.of_ints a b) pairs) in
            let groups = branch_groups n deal in
            let expected = reference_branch_var values groups in
-           let pairs = Lp.Simplex.point_of_pairs flat
-           and exact = Lp.Simplex.point_of_values values in
+           let pairs = Lp.Simplex.For_testing.point_of_pairs flat
+           and exact = Lp.Simplex.For_testing.point_of_values values in
            let floors point =
              List.init n (fun v -> Lp.Simplex.floor point v)
            in

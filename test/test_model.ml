@@ -6,6 +6,10 @@ module PF = Rentcost.Platform
 module PB = Rentcost.Problem
 module AL = Rentcost.Allocation
 
+(* Tasks without successors, ascending. *)
+let sinks g =
+  List.filter (fun i -> TG.succs g i = [||]) (List.init (TG.num_tasks g) Fun.id)
+
 (* --- Task_graph --- *)
 
 let test_graph_basic () =
@@ -16,12 +20,12 @@ let test_graph_basic () =
   Alcotest.(check (array int)) "type counts" [| 1; 2; 1 |] (TG.type_counts g);
   Alcotest.(check (list int)) "types used" [ 0; 1; 2 ] (TG.types_used g);
   Alcotest.(check (list int)) "sources" [ 0 ] (TG.sources g);
-  Alcotest.(check (list int)) "sinks" [ 3 ] (TG.sinks g);
+  Alcotest.(check (list int)) "sinks" [ 3 ] (sinks g);
   Alcotest.(check int) "critical path" 3 (TG.critical_path_length g)
 
 let test_graph_topo () =
   let g = TG.create ~ntypes:2 ~types:[| 0; 1; 0 |] ~edges:[ (2, 1); (1, 0) ] in
-  Alcotest.(check (array int)) "topo order" [| 2; 1; 0 |] (TG.topo_order g)
+  Alcotest.(check (array int)) "topo order" [| 2; 1; 0 |] (TG.For_testing.topo_order g)
 
 let test_graph_validation () =
   let inv msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
@@ -44,7 +48,7 @@ let test_graph_chain () =
   Alcotest.(check int) "edges" 2 (List.length (TG.edges g));
   Alcotest.(check int) "critical path = tasks" 3 (TG.critical_path_length g);
   Alcotest.(check (list int)) "single source" [ 0 ] (TG.sources g);
-  Alcotest.(check (list int)) "single sink" [ 2 ] (TG.sinks g)
+  Alcotest.(check (list int)) "single sink" [ 2 ] (sinks g)
 
 let test_graph_diamond_pp () =
   let g = TG.create ~ntypes:2 ~types:[| 0; 1; 1; 0 |] ~edges:[ (0, 1); (0, 2); (1, 3); (2, 3) ] in
@@ -86,27 +90,28 @@ let test_problem_illustrating () =
   Alcotest.(check (array int)) "recipe 0 counts" [| 0; 1; 0; 1 |] (PB.type_counts p 0);
   Alcotest.(check (array int)) "recipe 1 counts" [| 0; 0; 1; 1 |] (PB.type_counts p 1);
   Alcotest.(check (array int)) "recipe 2 counts" [| 1; 1; 0; 0 |] (PB.type_counts p 2);
-  Alcotest.(check bool) "shares types" true (PB.has_shared_types p);
+  Alcotest.(check bool) "shares types" false (PB.is_disjoint p);
   Alcotest.(check bool) "not disjoint" false (PB.is_disjoint p);
-  Alcotest.(check bool) "not blackbox" false (PB.is_blackbox p)
+  Alcotest.(check bool) "not blackbox" false (PB.For_testing.is_blackbox p)
 
 let test_problem_classification () =
   let platform = PF.of_list [ (1, 1); (1, 1); (1, 1) ] in
   let single q = TG.create ~ntypes:3 ~types:[| q |] ~edges:[] in
   let blackbox = PB.create platform [| single 0; single 1; single 2 |] in
-  Alcotest.(check bool) "blackbox" true (PB.is_blackbox blackbox);
+  Alcotest.(check bool) "blackbox" true (PB.For_testing.is_blackbox blackbox);
   Alcotest.(check bool) "blackbox disjoint" true (PB.is_disjoint blackbox);
   let disjoint =
     PB.create platform
       [| TG.chain ~ntypes:3 ~types:[| 0; 0 |]; TG.chain ~ntypes:3 ~types:[| 1; 2 |] |]
   in
   Alcotest.(check bool) "disjoint" true (PB.is_disjoint disjoint);
-  Alcotest.(check bool) "disjoint not blackbox" false (PB.is_blackbox disjoint);
+  Alcotest.(check bool) "disjoint not blackbox" false
+    (PB.For_testing.is_blackbox disjoint);
   let shared =
     PB.create platform
       [| TG.chain ~ntypes:3 ~types:[| 0; 1 |]; TG.chain ~ntypes:3 ~types:[| 1; 2 |] |]
   in
-  Alcotest.(check bool) "shared" true (PB.has_shared_types shared)
+  Alcotest.(check bool) "shared" false (PB.is_disjoint shared)
 
 let test_problem_validation () =
   Alcotest.check_raises "no recipes" (Invalid_argument "Problem.create: no recipes")
@@ -121,7 +126,7 @@ let test_problem_validation () =
 let test_loads () =
   let p = PB.illustrating in
   (* rho = (10, 30, 30): loads per type from the paper's § VII walk-through *)
-  let loads = AL.loads p ~rho:[| 10; 30; 30 |] in
+  let loads = AL.For_testing.loads p ~rho:[| 10; 30; 30 |] in
   Alcotest.(check (array int)) "loads" [| 30; 40; 30; 40 |] loads
 
 let test_of_rho_paper_example () =
@@ -143,7 +148,7 @@ let test_single () =
   let p = PB.illustrating in
   (* Recipe 2 (types t1, t2) at ρ=10: one P1 (10) + one P2 (18) = 28,
      the H1 row of Table III. *)
-  let a = AL.single p ~j:2 ~target:10 in
+  let a = AL.of_rho p ~rho:[| 0; 0; 10 |] in
   Alcotest.(check int) "cost 28" 28 a.AL.cost
 
 let test_make_validation () =
@@ -171,7 +176,7 @@ let props =
   [ prop "of_rho machines are minimal" rho_gen (fun rho ->
         let p = PB.illustrating in
         let a = AL.of_rho p ~rho in
-        let loads = AL.loads p ~rho in
+        let loads = AL.For_testing.loads p ~rho in
         let platform = PB.platform p in
         Array.for_all Fun.id
           (Array.mapi

@@ -3,15 +3,16 @@
    completes, and must raise [Kernel.Overflow] rather than return a
    wrong value where it cannot. Directed tests probe the overflow
    boundary (on input, mid-pivot, on a row scaled by its lcm), the
-   per-relaxation exact fallback of [Lp.Simplex.solve] as the [Rentcost.Ilp] driver
-   sees it, and that the paper's figure presets never need it. *)
+   per-relaxation exact fallback of [Lp.Simplex] as the [Rentcost.Ilp]
+   driver sees it, and that the paper's figure presets never need it. *)
 
 module R = Numeric.Rat
 module K = Numeric.Kernel
 module M = Lp.Model
 module S = Lp.Simplex
 
-let check_rat msg a b = Alcotest.(check string) msg (R.to_string a) (R.to_string b)
+let check_rat msg a b =
+  Alcotest.(check string) msg (R.For_testing.to_string a) (R.For_testing.to_string b)
 
 (* The fast engine's exclusive bound on tableau entries and scales. *)
 let bound = 1 lsl 30
@@ -73,10 +74,10 @@ let count_relaxations f =
     Telemetry.value Telemetry.numeric_fast_solves - fast0,
     Telemetry.value Telemetry.numeric_fallbacks - fb0 )
 
-(* [S.solve] on a model the fast engine cannot take: one fallback, no
-   fast solve, and the exact engine's answer. *)
+(* A cold solve of a model the fast engine cannot take: one fallback,
+   no fast solve, and the exact engine's answer. *)
 let check_falls_back m =
-  let result, fast, fallbacks = count_relaxations (fun () -> S.solve m) in
+  let result, fast, fallbacks = count_relaxations (fun () -> S.For_testing.solve m) in
   Alcotest.(check int) "one fallback" 1 fallbacks;
   Alcotest.(check int) "no fast solve" 0 fast;
   Alcotest.(check bool) "answer is the exact engine's" true

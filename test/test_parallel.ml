@@ -75,7 +75,9 @@ let solve_req ?id ?(reuse = Pr.Monotone) target =
 
 let fresh_engine ?(queue_capacity = 64) ?(cache_capacity = 128) () =
   let e =
-    E.create ~config:{ E.default_config with E.queue_capacity; cache_capacity } ()
+    E.create
+      ~config:{ E.For_testing.default_config with E.queue_capacity; cache_capacity }
+      ()
   in
   ignore (E.register e ~name:"app" illustrating);
   e
@@ -102,7 +104,7 @@ let test_engine_drain_next_and_wait () =
   in
   go ();
   Alcotest.(check int) "drain_next answers each queued job once" 3 !drained;
-  Alcotest.(check int) "queue empty after draining" 0 (E.queue_length e);
+  Alcotest.(check int) "queue empty after draining" 0 (E.For_testing.queue_length e);
   Alcotest.(check bool) "empty queue + stop returns no work" false
     (E.wait_for_work e ~stop:(fun () -> true))
 
@@ -123,14 +125,14 @@ let test_engine_submit_race () =
            | [ Pr.Overloaded _ ] -> Atomic.incr shed
            | _ -> Alcotest.fail "unexpected immediate response"
          done));
-  let queued = E.queue_length e in
+  let queued = E.For_testing.queue_length e in
   Alcotest.(check int) "queued + shed = offered"
     (writers * per_writer)
     (queued + Atomic.get shed);
   Alcotest.(check bool) "queue bound respected" true
     (queued <= queue_capacity);
   Alcotest.(check int) "drain answers exactly the queued jobs" queued
-    (List.length (E.drain e))
+    (List.length (E.For_testing.drain e))
 
 let test_engine_parallel_workers_drain () =
   (* The daemon's worker loop, inlined: N domains block in
@@ -162,7 +164,7 @@ let test_engine_parallel_workers_drain () =
   done;
   (* Busy-wait for the workers to drain, then release them. *)
   let rec settle budget =
-    if E.queue_length e > 0 && budget > 0 then begin
+    if E.For_testing.queue_length e > 0 && budget > 0 then begin
       Domain.cpu_relax ();
       settle (budget - 1)
     end
@@ -460,7 +462,7 @@ let test_daemon_cache_holds_its_capacity () =
   Alcotest.(check (list (pair int string))) "every replay an exact hit"
     (List.mapi (fun id _ -> (id, "exact-hit")) targets)
     replays;
-  Alcotest.(check int) "no evictions" 0 (Svc.Cache.evictions (E.cache engine))
+  Alcotest.(check int) "no evictions" 0 (Svc.Cache.evictions (E.For_testing.cache engine))
 
 (* Serve [lines] and then a shutdown through a daemon with [workers]
    workers; every reply, in the order written. *)

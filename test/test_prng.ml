@@ -20,7 +20,7 @@ let test_seed_sensitivity () =
 let test_copy_independent () =
   let a = P.create 7 in
   ignore (P.bits64 a);
-  let b = P.copy a in
+  let b = P.For_testing.copy a in
   let va = P.bits64 a in
   let vb = P.bits64 b in
   Alcotest.(check int64) "copy continues identically" va vb;
@@ -83,16 +83,6 @@ let test_shuffle_permutation () =
   Alcotest.(check (array int)) "is a permutation" orig sorted;
   Alcotest.(check bool) "actually moved something" true (arr <> orig)
 
-let test_choose () =
-  let rng = P.create 9 in
-  let arr = [| 10; 20; 30 |] in
-  for _ = 1 to 100 do
-    let v = P.choose rng arr in
-    Alcotest.(check bool) "member" true (Array.exists (( = ) v) arr)
-  done;
-  Alcotest.check_raises "empty" (Invalid_argument "Prng.choose: empty array")
-    (fun () -> ignore (P.choose rng [||]))
-
 let test_split_diverges () =
   let a = P.create 11 in
   let c = P.split a in
@@ -113,11 +103,9 @@ type op =
   | Int of int
   | Range of int * int
   | Float
-  | Bool
   | Split
   | Copy
   | Shuffle of int
-  | Choose of int
 
 let gen_op =
   QCheck2.Gen.(
@@ -125,9 +113,8 @@ let gen_op =
       [ return Bits;
         map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int ]);
         map2 (fun lo w -> Range (lo, lo + w)) (int_range (-1000) 1000) (int_range 0 1000);
-        return Float; return Bool; return Split; return Copy;
-        map (fun n -> Shuffle n) (int_range 0 20);
-        map (fun n -> Choose n) (int_range 1 20) ])
+        return Float; return Split; return Copy;
+        map (fun n -> Shuffle n) (int_range 0 20) ])
 
 let prop_matches_reference =
   QCheck_alcotest.to_alcotest
@@ -144,17 +131,13 @@ let prop_matches_reference =
              | Int n -> P.int a n = Ref.int b n
              | Range (lo, hi) -> P.int_in_range a ~lo ~hi = Ref.int_in_range b ~lo ~hi
              | Float -> Int64.bits_of_float (P.float a) = Int64.bits_of_float (Ref.float b)
-             | Bool -> P.bool a = Ref.bool b
              | Split -> add (P.split a, Ref.split b); true
-             | Copy -> add (P.copy a, Ref.copy b); true
+             | Copy -> add (P.For_testing.copy a, Ref.copy b); true
              | Shuffle n ->
                let x = Array.init n Fun.id and y = Array.init n Fun.id in
                P.shuffle a x;
                Ref.shuffle b y;
-               x = y
-             | Choose n ->
-               let arr = Array.init n Fun.id in
-               P.choose a arr = Ref.choose b arr)
+               x = y)
            ops))
 
 let suite =
@@ -167,6 +150,5 @@ let suite =
       Alcotest.test_case "rough uniformity" `Quick test_uniformity_rough;
       Alcotest.test_case "float range" `Quick test_float_range;
       Alcotest.test_case "shuffle is permutation" `Quick test_shuffle_permutation;
-      Alcotest.test_case "choose" `Quick test_choose;
       Alcotest.test_case "split diverges" `Quick test_split_diverges;
       prop_matches_reference ] )

@@ -144,7 +144,9 @@ let test_presets_complete () =
   let fig8 = Option.get (E.find "fig8") in
   Alcotest.(check int) "fig8 types" 50 fig8.E.cloud.G.num_types;
   Alcotest.(check (option (float 1e-9))) "fig8 cap" (Some 100.0) fig8.E.ilp_time_limit;
-  Alcotest.(check int) "sweep targets" 19 (List.length E.sweep_targets)
+  Alcotest.(check (list int)) "sweep targets: 20, 30, ..., 200"
+    (List.init 19 (fun i -> 20 + (10 * i)))
+    fig8.E.targets
 
 (* The title names the ILP cap the run used: [--time-limit 20] prints
    "20 s", the preset's own cap is the default, and a preset without a

@@ -97,7 +97,7 @@ let test_pricebook_effective_costs () =
     let expected = max 1 (((list_price * 60) + 99) / 100) in
     Alcotest.(check int)
       (Printf.sprintf "type %d priced from the spot tier" q)
-      expected (Pb.effective_cost clouds q);
+      expected (Pb.sourcing clouds q).Pb.src_cost;
     let s = Pb.sourcing clouds q in
     Alcotest.(check string) "spot book wins" "ap-spot" s.Pb.src_book;
     Alcotest.(check string) "spot tier wins" "spot" s.Pb.src_tier;
@@ -107,13 +107,13 @@ let test_pricebook_effective_costs () =
 
 let test_pricebook_roundtrip () =
   let back = Pb.of_string (Pb.to_string clouds) in
-  Alcotest.(check int) "books survive" (Pb.num_books clouds)
-    (Pb.num_books back);
-  for q = 0 to Pb.num_types clouds - 1 do
+  Alcotest.(check string) "books survive" (Pb.to_string clouds)
+    (Pb.to_string back);
+  for q = 0 to PF.num_types platform - 1 do
     Alcotest.(check int)
       (Printf.sprintf "effective cost %d survives" q)
-      (Pb.effective_cost clouds q)
-      (Pb.effective_cost back q);
+      (Pb.sourcing clouds q).Pb.src_cost
+      (Pb.sourcing back q).Pb.src_cost;
     let a = Pb.sourcing clouds q and b = Pb.sourcing back q in
     Alcotest.(check string) "sourcing book survives" a.Pb.src_book
       b.Pb.src_book;
@@ -131,7 +131,7 @@ let test_pricebook_version_rejected () =
    | _ -> Alcotest.fail "version 2 must be rejected");
   (* version 1, spelled out, still parses *)
   let pb = Pb.of_string "pricebook version 1\nbook a\n  price 0 5\n" in
-  Alcotest.(check int) "explicit version 1 parses" 5 (Pb.effective_cost pb 0)
+  Alcotest.(check int) "explicit version 1 parses" 5 (Pb.sourcing pb 0).Pb.src_cost
 
 (* --- scenario compilation: fingerprints and bit-identity --- *)
 
@@ -173,14 +173,18 @@ let test_identical_books_bit_identical () =
   let solve inst = S.run inst ~objective:(Ob.min_cost ~target:70) in
   Alcotest.(check bool) "allocations identical" true
     (alloc_sig (solve plain) = alloc_sig (solve same_prices));
-  (* the degenerate single-book constructor too *)
+  (* the degenerate book: one, untiered, at the platform's own prices *)
+  let own_prices =
+    Pb.create
+      [ { Pb.book_name = "on-demand"; region = None; tiers = [];
+          prices = Array.init (PF.num_types platform) (PF.cost platform) } ]
+  in
   let degenerate =
     I.compile
-      ~scenario:
-        (Sc.min_cost ~pricebook:(Pb.of_platform platform) ~target:70 ())
+      ~scenario:(Sc.min_cost ~pricebook:own_prices ~target:70 ())
       illustrating
   in
-  Alcotest.(check string) "of_platform compiles bit-identically"
+  Alcotest.(check string) "own-price book compiles bit-identically"
     (I.canonical_encoding plain)
     (I.canonical_encoding degenerate)
 
@@ -278,17 +282,21 @@ let test_dual_budgeted_probes () =
       (S.status_to_string o.S.status, o.S.throughput, cost_of o);
     Alcotest.(check int) (label ^ ": fallbacks") expected_fallbacks fallbacks
   in
-  let ilp = dual ~budget:(Rentcost.Budget.nodes 1) S.Exact_ilp in
+  let ilp =
+    dual ~budget:{ Rentcost.Budget.unlimited with node_cap = Some 1 } S.Exact_ilp
+  in
   check "ilp, 1 node, money 120" (ilp 120) (S.Budget_exhausted, 60, 116, 2);
   check "ilp, 1 node, money 300" (ilp 300) (S.Budget_exhausted, 170, 285, 5);
   check "ilp, 0 nodes, money 120"
-    (dual ~budget:(Rentcost.Budget.nodes 0) S.Exact_ilp 120)
+    (dual
+       ~budget:{ Rentcost.Budget.unlimited with node_cap = Some 0 }
+       S.Exact_ilp 120)
     (S.Budget_exhausted, 60, 114, 6);
   let h32 = dual (S.Heuristic Rentcost.Heuristics.H32) in
   check "h32, money 120" (h32 120) (S.Feasible, 60, 114, 0);
   check "h32, money 300" (h32 300) (S.Feasible, 160, 276, 0);
   check "h32jump, 5 evals, money 300"
-    (dual ~budget:(Rentcost.Budget.evals 5)
+    (dual ~budget:{ Rentcost.Budget.unlimited with eval_cap = Some 5 }
        (S.Heuristic Rentcost.Heuristics.H32_jump) 300)
     (S.Budget_exhausted, 160, 276, 0)
 
@@ -354,8 +362,8 @@ let test_protocol_objective_roundtrip () =
    | Pr.Solve
        { objective = Ob.Max_throughput { budget }; pricebook = Some pb; _ } ->
      Alcotest.(check int) "budget survives" 120 budget;
-     Alcotest.(check int) "pricebook survives" (Pb.effective_cost clouds 0)
-       (Pb.effective_cost pb 0)
+     Alcotest.(check int) "pricebook survives" (Pb.sourcing clouds 0).Pb.src_cost
+       (Pb.sourcing pb 0).Pb.src_cost
    | _ -> Alcotest.fail "max-throughput solve must round-trip");
   (* the historical min-cost shape stays byte-compatible: no
      "objective" key on the wire *)

@@ -18,6 +18,9 @@ module F = Svc.Fingerprint
 module J = Svc.Json
 module Pr = Svc.Protocol
 
+let mem = C.For_testing.mem
+let default_config = E.For_testing.default_config
+
 (* A shared-types problem (routes to the ILP) with no dominated
    recipe: type-count vectors (1,1,0), (0,1,1), (1,0,1). *)
 let recipes types_lists =
@@ -123,7 +126,8 @@ let prop_json_float_roundtrip =
 (* --- Fingerprint --- *)
 
 let test_fingerprint_permutation_invariant () =
-  let fa = F.of_problem base and fb = F.of_problem permuted in
+  let fingerprint p = F.of_instance (Rentcost.Instance.compile p) in
+  let fa = fingerprint base and fb = fingerprint permuted in
   Alcotest.(check bool) "equal encodings" true (F.equal fa fb);
   Alcotest.(check string) "equal digests" (F.digest fa) (F.digest fb)
 
@@ -133,7 +137,9 @@ let test_fingerprint_distinguishes () =
       (recipes [ [ 0; 1 ]; [ 1; 2 ]; [ 0; 2 ] ])
   in
   Alcotest.(check bool) "different cost, different fingerprint" false
-    (F.equal (F.of_problem base) (F.of_problem other))
+    (F.equal
+       (F.of_instance (Rentcost.Instance.compile base))
+       (F.of_instance (Rentcost.Instance.compile other)))
 
 (* --- Cache --- *)
 
@@ -149,9 +155,9 @@ let test_cache_lru_eviction () =
   Alcotest.(check bool) "a hit" true
     (C.find_exact c ~digest:"a" ~encoding:"ea" ~target:10 ~spec:"ilp" <> None);
   C.insert c ~digest:"c" ~encoding:"ec" (entry 30);
-  Alcotest.(check bool) "a survives" true (C.mem c ~digest:"a" ~target:10 ~spec:"ilp");
-  Alcotest.(check bool) "b evicted" false (C.mem c ~digest:"b" ~target:20 ~spec:"ilp");
-  Alcotest.(check bool) "c present" true (C.mem c ~digest:"c" ~target:30 ~spec:"ilp");
+  Alcotest.(check bool) "a survives" true (mem c ~digest:"a" ~target:10 ~spec:"ilp");
+  Alcotest.(check bool) "b evicted" false (mem c ~digest:"b" ~target:20 ~spec:"ilp");
+  Alcotest.(check bool) "c present" true (mem c ~digest:"c" ~target:30 ~spec:"ilp");
   Alcotest.(check int) "one eviction" 1 (C.evictions c);
   Alcotest.(check int) "at capacity" 2 (C.length c)
 
@@ -232,7 +238,10 @@ let test_warm_start_reuse () =
         r.s_cost)
     [ (S.Exhaustive, Pr.Monotone); (S.Exact_ilp, Pr.Warm) ];
   let e = engine_with base in
-  let capped = solved1 e (solve_req ~spec:S.Exact_ilp ~budget:(B.nodes 0) 100) in
+  let capped =
+    solved1 e
+      (solve_req ~spec:S.Exact_ilp ~budget:{ B.unlimited with node_cap = Some 0 } 100)
+  in
   Alcotest.(check string) "node-capped entry is unproved" "budget-exhausted"
     (S.status_to_string capped.s_status);
   let warm =
@@ -392,7 +401,7 @@ let test_inline_text_memo () =
    that fell out solves again as a fresh engine solves it. *)
 let test_inline_text_table_bound () =
   let capacity = 3 in
-  let e = E.create ~config:{ E.default_config with E.cache_capacity = capacity } () in
+  let e = E.create ~config:{ default_config with E.cache_capacity = capacity } () in
   let problem i =
     P.create
       (PF.of_list [ (5 + i, 10); (8, 20); (11, 30) ])
@@ -421,7 +430,7 @@ let test_inline_text_table_bound () =
    on an evicted name answers the unknown-ref error. *)
 let test_registry_bound () =
   let capacity = 3 in
-  let e = E.create ~config:{ E.default_config with E.cache_capacity = capacity } () in
+  let e = E.create ~config:{ default_config with E.cache_capacity = capacity } () in
   let problem i =
     P.create
       (PF.of_list [ (5 + i, 10); (8, 20); (11, 30) ])
@@ -477,7 +486,7 @@ let test_unknown_ref_errors () =
 
 let test_admission_door_shed () =
   let e =
-    engine_with ~config:{ E.default_config with E.queue_capacity = 2 } base
+    engine_with ~config:{ default_config with E.queue_capacity = 2 } base
   in
   Alcotest.(check bool) "first admitted" true
     (E.submit ~now:0.0 e (solve_req ~id:1 50) = []);
@@ -487,8 +496,8 @@ let test_admission_door_shed () =
    | [ Pr.Overloaded { id = Some 3; retry_after_ms = Some ms; _ } ] ->
      Alcotest.(check bool) "retry hint is positive" true (ms > 0)
    | _ -> Alcotest.fail "expected the third request shed at the door");
-  Alcotest.(check int) "two queued" 2 (E.queue_length e);
-  let responses = E.drain ~now:0.0 e in
+  Alcotest.(check int) "two queued" 2 (E.For_testing.queue_length e);
+  let responses = E.For_testing.drain ~now:0.0 e in
   Alcotest.(check int) "both drained" 2 (List.length responses);
   Alcotest.(check bool) "drained in arrival order" true
     (match responses with
@@ -499,9 +508,9 @@ let test_admission_deadline_shed () =
   let e = engine_with base in
   Alcotest.(check bool) "admitted" true
     (E.submit ~now:0.0 e
-       (solve_req ~id:9 ~budget:(B.deadline 0.5) 50)
+       (solve_req ~id:9 ~budget:{ B.unlimited with deadline = Some 0.5 } 50)
      = []);
-  match E.drain ~now:10.0 e with
+  match E.For_testing.drain ~now:10.0 e with
   | [ Pr.Overloaded { id = Some 9; _ } ] -> ()
   | _ -> Alcotest.fail "expected the expired request shed at dispatch"
 
@@ -513,9 +522,10 @@ let test_deadline_slack_degrades () =
   let e = engine_with base in
   Alcotest.(check bool) "admitted" true
     (E.submit ~now:0.0 e
-       (solve_req ~id:4 ~reuse:Pr.No_reuse ~budget:(B.deadline 10.0) 110)
+       (solve_req ~id:4 ~reuse:Pr.No_reuse
+          ~budget:{ B.unlimited with deadline = Some 10.0 } 110)
      = []);
-  match E.drain ~now:9.999999 e with
+  match E.For_testing.drain ~now:9.999999 e with
   | [ Pr.Solved { id = Some 4; status; cost; rho; machines; _ } ] ->
     Alcotest.(check string) "budget exhausted, not missed" "budget-exhausted"
       (S.status_to_string status);
@@ -991,7 +1001,7 @@ let test_trace_id_roundtrip () =
   | _ -> Alcotest.fail "expected an audit reply"
 
 let test_trace_id_on_spans () =
-  Telemetry.Span.clear ();
+  Telemetry.For_testing.clear_spans ();
   let e = engine_with base in
   ignore (solve_traced ~trace_id:"req-spans" e 110);
   let spans = Telemetry.Span.recent () in
@@ -1167,7 +1177,7 @@ let distinct_trace_ids responses =
    cold leader and its completing flight adopts the 31 still queued —
    1 cold solve, 31 coalesced, deterministically. *)
 let test_herd_single_thread () =
-  Telemetry.Span.clear ();
+  Telemetry.For_testing.clear_spans ();
   let e = engine_with base in
   let before = coalesced_total () in
   let misses_before = Telemetry.value Telemetry.service_cache_misses in
@@ -1175,7 +1185,7 @@ let test_herd_single_thread () =
     Alcotest.(check bool) "admitted" true
       (E.submit ~now:0.0 e (solve_req ~id:i 110) = [])
   done;
-  let responses = E.drain ~now:0.0 e in
+  let responses = E.For_testing.drain ~now:0.0 e in
   Alcotest.(check int) "herd fully answered" 32 (List.length responses);
   let cold, rest =
     List.partition
@@ -1261,7 +1271,7 @@ let run_worker_herd ?(domains = test_domains) ~engine ~jobs () =
   List.rev !responses
 
 let test_herd_across_workers () =
-  Telemetry.Span.clear ();
+  Telemetry.For_testing.clear_spans ();
   let e = engine_with base in
   for i = 1 to 32 do
     Alcotest.(check bool) "admitted" true
@@ -1305,7 +1315,7 @@ let test_leader_failure_single_thread () =
     Alcotest.(check bool) "admitted" true
       (E.submit ~now:0.0 e (solve_req ~id:i ~spec:S.Dp_blackbox 110) = [])
   done;
-  let responses = E.drain ~now:0.0 e in
+  let responses = E.For_testing.drain ~now:0.0 e in
   Alcotest.(check int) "herd fully answered" 8 (List.length responses);
   List.iter
     (function
@@ -1329,7 +1339,11 @@ let test_leader_failure_single_thread () =
    | _ -> Alcotest.fail "expected an audit reply");
   (* A raise while resolving — a price book that does not cover the
      platform — is answered and audited the same way. *)
-  let short_book = Rentcost.Pricebook.of_platform (PF.of_list [ (5, 10) ]) in
+  let short_book =
+    Rentcost.Pricebook.create
+      [ { Rentcost.Pricebook.book_name = "short"; region = None; prices = [| 5 |];
+          tiers = [] } ]
+  in
   (match E.handle e (solve_req ~id:98 ~pricebook:short_book 110) with
    | [ Pr.Error _ ] -> ()
    | _ -> Alcotest.fail "expected an error response");
@@ -1365,7 +1379,7 @@ let test_leader_failure_across_workers () =
 let slow_engine () = engine_with (preset_problem ~seed:4 "fig8")
 
 let slow_req id =
-  solve_req ~id ~spec:S.Exact_ilp ~budget:(B.deadline 0.5) 200
+  solve_req ~id ~spec:S.Exact_ilp ~budget:{ B.unlimited with deadline = Some 0.5 } 200
 
 let response_id = function
   | Pr.Solved { id; _ } | Pr.Error { id; _ } | Pr.Overloaded { id; _ } -> id
@@ -1402,12 +1416,12 @@ let test_door_attaches_follower () =
   let e = slow_engine () in
   Alcotest.(check bool) "admitted" true (E.submit e (slow_req 1) = []);
   let worker = Domain.spawn (fun () -> E.drain_next e) in
-  while E.inflight e = 0 && E.queue_length e > 0 do
+  while E.For_testing.inflight e = 0 && E.For_testing.queue_length e > 0 do
     Domain.cpu_relax ()
   done;
-  Alcotest.(check int) "leader in flight" 1 (E.inflight e);
+  Alcotest.(check int) "leader in flight" 1 (E.For_testing.inflight e);
   Alcotest.(check bool) "duplicate attached" true (E.submit e (slow_req 2) = []);
-  Alcotest.(check int) "no queue slot taken" 0 (E.queue_length e);
+  Alcotest.(check int) "no queue slot taken" 0 (E.For_testing.queue_length e);
   match Domain.join worker with
   | [ Pr.Solved { id = Some 1; cost; rho; _ };
       Pr.Solved { id = Some 2; served = Pr.Coalesced; cost = c; rho = r; _ } ] ->
@@ -1418,7 +1432,7 @@ let test_door_attaches_follower () =
 (* --- shed policies at the engine level --- *)
 
 let config_with ?(capacity = 2) policy =
-  { E.default_config with E.queue_capacity = capacity; queue_policy = policy }
+  { default_config with E.queue_capacity = capacity; queue_policy = policy }
 
 let test_drop_oldest_policy () =
   let e = engine_with ~config:(config_with Svc.Admission.Drop_oldest) base in
@@ -1432,7 +1446,7 @@ let test_drop_oldest_policy () =
    | [ Pr.Overloaded { id = Some 1; retry_after_ms = Some ms; _ } ] ->
      Alcotest.(check bool) "retry hint positive" true (ms > 0)
    | _ -> Alcotest.fail "expected the oldest request evicted");
-  (match E.drain ~now:0.0 e with
+  (match E.For_testing.drain ~now:0.0 e with
    | [ Pr.Solved { id = Some 2; _ }; Pr.Solved { id = Some 3; _ } ] -> ()
    | _ -> Alcotest.fail "expected the survivors drained in order");
   (* Conservation on a replayed overload: 24 distinct solves into a
@@ -1448,7 +1462,7 @@ let test_drop_oldest_policy () =
       (fun i -> E.submit ~now:0.0 e (solve_req ~id:i (10 + i)))
       (List.init 24 Fun.id)
   in
-  let drained = E.drain ~now:0.0 e in
+  let drained = E.For_testing.drain ~now:0.0 e in
   Alcotest.(check int) "20 evictions" 20 (List.length evicted);
   List.iter
     (function
@@ -1491,7 +1505,7 @@ let test_tenant_fair_policy () =
   (match E.submit ~now:0.0 e (solve_req ~id:5 ~tenant:"d" 90) with
    | [ Pr.Overloaded { id = Some 5; _ } ] -> ()
    | _ -> Alcotest.fail "expected the arrival rejected");
-  match E.drain ~now:0.0 e with
+  match E.For_testing.drain ~now:0.0 e with
   | [ Pr.Solved { id = Some 1; _ }; Pr.Solved { id = Some 3; _ };
       Pr.Solved { id = Some 4; _ } ] -> ()
   | _ -> Alcotest.fail "expected the three survivors drained in order"
@@ -1501,18 +1515,20 @@ let test_tenant_fair_policy () =
    corpse is shed eagerly at enqueue, the arrival admitted. *)
 let test_expired_entry_frees_slot () =
   let e =
-    engine_with ~config:{ E.default_config with E.queue_capacity = 2 } base
+    engine_with ~config:{ default_config with E.queue_capacity = 2 } base
   in
   Alcotest.(check bool) "doomed request admitted" true
-    (E.submit ~now:0.0 e (solve_req ~id:1 ~budget:(B.deadline 0.5) 50) = []);
+    (E.submit ~now:0.0 e
+       (solve_req ~id:1 ~budget:{ B.unlimited with deadline = Some 0.5 } 50)
+     = []);
   Alcotest.(check bool) "live request admitted" true
     (E.submit ~now:0.0 e (solve_req ~id:2 60) = []);
   (match E.submit ~now:10.0 e (solve_req ~id:3 70) with
    | [ Pr.Overloaded { id = Some 1; _ } ] -> ()
    | _ ->
      Alcotest.fail "expected the expired entry shed and the arrival admitted");
-  Alcotest.(check int) "arrival holds the freed slot" 2 (E.queue_length e);
-  match E.drain ~now:10.0 e with
+  Alcotest.(check int) "arrival holds the freed slot" 2 (E.For_testing.queue_length e);
+  match E.For_testing.drain ~now:10.0 e with
   | [ Pr.Solved { id = Some 2; _ }; Pr.Solved { id = Some 3; _ } ] -> ()
   | _ -> Alcotest.fail "expected both live requests solved"
 

@@ -141,7 +141,7 @@ let props =
   [ prop "simplex optimum equals best feasible vertex" lp_gen (fun input ->
         let (nvars, rows, objective) as lp = build input in
         let m = to_model lp in
-        match S.solve m with
+        match S.For_testing.solve m with
         | S.Optimal sol ->
           (match best_vertex ~nvars ~rows ~objective with
            | Some best -> R.equal sol.objective best
@@ -159,7 +159,7 @@ let props =
       (fun input ->
         let lp = build input in
         let m = to_model lp in
-        match S.solve m with
+        match S.For_testing.solve m with
         | S.Optimal sol ->
           Test_lp.feasible m sol.values
           && R.equal sol.objective (Test_lp.value (M.objective m) sol.values)

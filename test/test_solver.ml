@@ -125,7 +125,8 @@ let test_zero_deadline_degrades () =
      budget-exhausted, not raise or return nothing. *)
   let target = 70 in
   let o =
-    solve ~budget:(B.deadline 0.0) ~spec:S.Auto shared_problem ~target
+    solve ~budget:{ B.unlimited with deadline = Some 0.0 } ~spec:S.Auto shared_problem
+      ~target
   in
   Alcotest.(check bool) "status" true (o.S.status = S.Budget_exhausted);
   (match o.S.allocation with
@@ -142,7 +143,8 @@ let test_node_budget_degrades () =
      budget-exhausted. *)
   let target = 70 in
   let o =
-    solve ~budget:(B.nodes 0) ~spec:S.Exact_ilp shared_problem ~target
+    solve ~budget:{ B.unlimited with node_cap = Some 0 } ~spec:S.Exact_ilp
+      shared_problem ~target
   in
   Alcotest.(check bool) "status" true (o.S.status = S.Budget_exhausted);
   (match o.S.allocation with
@@ -161,7 +163,7 @@ let test_eval_budget_on_heuristic () =
   in
   let capped =
     solve
-      ~budget:(B.evals 10)
+      ~budget:{ B.unlimited with eval_cap = Some 10 }
       ~rng:(Numeric.Prng.create 3)
       ~spec:(S.Heuristic H.H32_jump) shared_problem ~target
   in
@@ -224,7 +226,7 @@ let test_warm_start_seeds_heuristics_only () =
       Alcotest.(check bool) name expected
         (run ?budget ~warm_start:seed spec).S.telemetry.S.warm_started)
     [ ("ilp", None, S.Exact_ilp, false);
-      ("ilp fallback", Some (B.nodes 0), S.Exact_ilp, true);
+      ("ilp fallback", Some { B.unlimited with node_cap = Some 0 }, S.Exact_ilp, true);
       ("exhaustive", None, S.Exhaustive, false);
       ("h0", None, S.Heuristic H.H0, false);
       ("h1", None, S.Heuristic H.H1, false);

@@ -16,15 +16,15 @@ module J = Rentcost_service.Json
    timings). *)
 let install_tick_clock () =
   let t = ref 0.0 in
-  T.set_clock (fun () ->
+  T.For_testing.set_clock (fun () ->
       t := !t +. 1.0;
       !t)
 
 let restore () =
-  T.set_clock Unix.gettimeofday;
+  T.For_testing.set_clock Unix.gettimeofday;
   T.set_enabled true;
   T.Span.set_sink None;
-  T.Span.clear ()
+  T.For_testing.clear_spans ()
 
 let with_clean f () = Fun.protect ~finally:restore f
 
@@ -33,7 +33,7 @@ let with_clean f () = Fun.protect ~finally:restore f
 let test_span_nesting =
   with_clean (fun () ->
       install_tick_clock ();
-      T.Span.clear ();
+      T.For_testing.clear_spans ();
       let v =
         T.Span.with_span "outer" (fun () ->
             T.Span.with_span "inner_a" (fun () -> ());
@@ -68,7 +68,7 @@ let test_span_nesting =
 
 let test_span_exception =
   with_clean (fun () ->
-      T.Span.clear ();
+      T.For_testing.clear_spans ();
       (try
          T.Span.with_span "boom" (fun () -> failwith "expected")
        with Failure _ -> ());
@@ -83,11 +83,11 @@ let test_span_exception =
 
 let test_ring_wraparound =
   with_clean (fun () ->
-      let saved = T.Span.capacity () in
+      let saved = T.For_testing.span_capacity () in
       Fun.protect
-        ~finally:(fun () -> T.Span.set_capacity saved)
+        ~finally:(fun () -> T.For_testing.set_span_capacity saved)
         (fun () ->
-          T.Span.set_capacity 4;
+          T.For_testing.set_span_capacity 4;
           for i = 1 to 6 do
             T.Span.record
               ~name:(Printf.sprintf "s%d" i)
@@ -140,7 +140,8 @@ let test_labelled_counters () =
   let vec = T.counter_vec "test.vec_basics" ~labels:[ "tenant"; "rung" ] in
   let a = T.counter_with vec [ "acme"; "cold" ] in
   T.bump a;
-  T.add a 2;
+  T.bump a;
+  T.bump a;
   (* Equal label values find the same cell, so increments accumulate. *)
   T.bump (T.counter_with vec [ "acme"; "cold" ]);
   T.bump (T.counter_with vec [ "acme"; "exact" ]);
@@ -208,7 +209,7 @@ let test_labelled_concurrent () =
 let test_gauges =
   with_clean (fun () ->
       let v = ref 1.5 in
-      T.gauge "test.gauge" (fun () -> !v);
+      T.For_testing.gauge "test.gauge" (fun () -> !v);
       Alcotest.(check (option (float 1e-9))) "read at scrape" (Some 1.5)
         (List.assoc_opt "test.gauge" (T.gauges ()));
       v := 4.0;
@@ -219,7 +220,7 @@ let test_gauges =
         (List.assoc_opt "test.gauge" (T.gauges ()));
       T.set_enabled true;
       (* Re-registering replaces the callback. *)
-      T.gauge "test.gauge" (fun () -> 9.0);
+      T.For_testing.gauge "test.gauge" (fun () -> 9.0);
       Alcotest.(check (option (float 1e-9))) "replaced" (Some 9.0)
         (List.assoc_opt "test.gauge" (T.gauges ()));
       let names = List.map fst (T.gauges ()) in
@@ -241,11 +242,13 @@ let test_gauges =
 
 let test_exposition_golden () =
   let c = T.counter ~help:"Requests served.\nBy anyone." "test.golden_req" in
-  T.add c 3;
+  List.iter (fun _ -> T.bump c) [ 1; 2; 3 ];
   let vec = T.counter_vec "test.golden_req" ~labels:[ "tenant"; "rung" ] in
-  T.add (T.counter_with vec [ "a\"cme\\x"; "cold\nstart" ]) 2;
+  let escaped = T.counter_with vec [ "a\"cme\\x"; "cold\nstart" ] in
+  T.bump escaped;
+  T.bump escaped;
   T.bump (T.counter_with vec [ "zeta"; "warm" ]);
-  T.gauge ~help:"A level." "test.golden_level" (fun () -> 2.5);
+  T.For_testing.gauge ~help:"A level." "test.golden_level" (fun () -> 2.5);
   let h =
     T.histogram ~help:"Sizes." "test.golden_size" ~bounds:[| 1.0; 10.0 |]
   in
@@ -354,11 +357,11 @@ let bucket_prop (raw_bounds, values) =
 
 let test_trace_id =
   with_clean (fun () ->
-      T.Span.clear ();
-      Alcotest.(check (option string)) "no ambient id" None (T.Span.trace_id ());
+      T.For_testing.clear_spans ();
+      Alcotest.(check (option string)) "no ambient id" None (T.For_testing.trace_id ());
       T.Span.with_trace_id "req-outer" (fun () ->
           Alcotest.(check (option string)) "id set" (Some "req-outer")
-            (T.Span.trace_id ());
+            (T.For_testing.trace_id ());
           T.Span.with_span "a" (fun () -> ());
           T.Span.with_trace_id "req-inner" (fun () ->
               T.Span.with_span "b" (fun () -> ()));
@@ -387,15 +390,15 @@ let test_trace_id =
 let test_progress_collect =
   with_clean (fun () ->
       install_tick_clock ();
-      T.Span.clear ();
+      T.For_testing.clear_spans ();
       Alcotest.(check bool) "no collector at rest" false
-        (T.Progress.collecting ());
+        (T.For_testing.collecting ());
       (* Emitting without a collector is a silent no-op. *)
       T.Progress.emit ~incumbent:1.0 ~source:"nobody" ();
       let (), outer =
         T.Progress.collect (fun () ->
             Alcotest.(check bool) "collector active" true
-              (T.Progress.collecting ());
+              (T.For_testing.collecting ());
             T.Progress.emit ~incumbent:250.0 ~source:"h32jump" ();
             let (), inner =
               T.Progress.collect (fun () ->
@@ -437,6 +440,38 @@ let test_progress_collect =
 
 (* --- the span JSONL codec --- *)
 
+let ( let* ) = Result.bind
+
+(* A span line of a [--trace] file or of the metrics ["spans"] list,
+   read back. *)
+let span_of_json j =
+  let field name coerce =
+    Option.to_result
+      ~none:(Printf.sprintf "span: missing or bad %S" name)
+      (Option.bind (J.member name j) coerce)
+  in
+  let* id = field "id" J.to_int in
+  let* parent = field "parent" J.to_int in
+  let* depth = field "depth" J.to_int in
+  let* name = field "name" J.to_str in
+  let* start = field "start" J.to_float in
+  let* duration = field "duration" J.to_float in
+  let* attrs =
+    match J.member "attrs" j with
+    | None -> Ok []
+    | Some (J.Obj kvs) ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let* acc = acc in
+          match J.to_str v with
+          | Some s -> Ok ((k, s) :: acc)
+          | None -> Error (Printf.sprintf "span: non-string attr %S" k))
+        (Ok []) kvs
+      |> Result.map List.rev
+    | Some _ -> Error "span: \"attrs\" is not an object"
+  in
+  Ok { T.Span.id; parent; depth; name; attrs; start; duration }
+
 let span_eq : T.Span.t Alcotest.testable =
   Alcotest.testable
     (fun fmt s -> Format.fprintf fmt "%s#%d" s.T.Span.name s.T.Span.id)
@@ -445,29 +480,36 @@ let span_eq : T.Span.t Alcotest.testable =
 let test_span_json_roundtrip =
   with_clean (fun () ->
       install_tick_clock ();
-      T.Span.clear ();
+      T.For_testing.clear_spans ();
       T.Span.with_span "outer" (fun () ->
           T.Span.with_span ~attrs:[ ("engine", "ilp"); ("target", "70") ]
             "inner" (fun () -> ()));
       let spans = T.Span.recent () in
-      List.iter
-        (fun s ->
+      let encoded =
+        match J.member "spans" (M.json ()) with
+        | Some (J.List l) -> l
+        | _ -> Alcotest.fail "metrics carry a spans list"
+      in
+      Alcotest.(check int) "one entry per span" (List.length spans)
+        (List.length encoded);
+      List.iter2
+        (fun s j ->
           (* Through the JSON value and through the printed line, as a
              trace file reader would see it. *)
-          (match M.span_of_json (M.span_to_json s) with
+          (match span_of_json j with
            | Ok s' -> Alcotest.check span_eq "value round-trip" s s'
            | Error e -> Alcotest.fail e);
-          match J.of_string (J.to_string (M.span_to_json s)) with
+          match J.of_string (J.to_string j) with
           | Error e -> Alcotest.fail ("reparse: " ^ e)
           | Ok j -> (
-            match M.span_of_json j with
+            match span_of_json j with
             | Ok s' -> Alcotest.check span_eq "line round-trip" s s'
             | Error e -> Alcotest.fail e))
-        spans)
+        spans encoded)
 
 let test_trace_sink =
   with_clean (fun () ->
-      T.Span.clear ();
+      T.For_testing.clear_spans ();
       let path = Filename.temp_file "rentcost_trace" ".jsonl" in
       Fun.protect
         ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
@@ -489,7 +531,7 @@ let test_trace_sink =
                 match J.of_string line with
                 | Error e -> Alcotest.fail ("trace line: " ^ e)
                 | Ok j -> (
-                  match M.span_of_json j with
+                  match span_of_json j with
                   | Error e -> Alcotest.fail ("trace span: " ^ e)
                   | Ok s -> s))
               !lines

@@ -1,7 +1,8 @@
 (* The branch-and-bound warm start. [Lp.Simplex.reoptimize] and
-   [Lp.Simplex.replay] must agree with a cold [Lp.Simplex.solve] of the
-   same child LP, its bounds as rows: the same result, the same exact
-   objective, and a point feasible for the child. Then the warm tree of
+   [Lp.Simplex.replay] must agree with a cold solve
+   ([Lp.Simplex.For_testing.solve]) of the same child LP, its bounds as
+   rows: the same result, the same exact objective, and a point
+   feasible for the child. Then the warm tree of
    [Milp.Solver], end to end: against the exhaustive oracle, and past
    the snapshot word budget, where children replay their paths on the
    root's tableau. *)
@@ -12,7 +13,8 @@ module S = Lp.Simplex
 
 let ri = R.of_int
 let check_rat msg expected actual =
-  Alcotest.(check string) msg (R.to_string expected) (R.to_string actual)
+  Alcotest.(check string) msg (R.For_testing.to_string expected)
+    (R.For_testing.to_string actual)
 
 (* The row [x_v <= b] ([Upper]) or [x_v >= b] ([Lower]); a negative
    [b] as the oriented row [-x_v >= -b] or [-x_v <= -b]. *)
@@ -32,14 +34,16 @@ let child m v dir b =
 let rat_of_float f =
   let m, e = Float.frexp f in
   let n = R.of_int (int_of_float (Float.ldexp m 53)) in
-  let p = R.of_bigint (Numeric.Bigint.pow Numeric.Bigint.two (abs (e - 53))) in
+  let p = R.make
+      (Numeric.Bigint.pow (Numeric.Bigint.of_int 2) (abs (e - 53)))
+      Numeric.Bigint.one in
   if e >= 53 then R.mul n p else R.div n p
 
 (* The relaxation's float interval holds its exact objective (an
    infinite end holds anything). *)
 let interval_holds (r : S.relaxation) =
-  let lo, hi = S.objective_interval r.S.objective in
-  let x = S.exact_objective r.S.objective in
+  let lo, hi = S.For_testing.objective_interval r.S.objective in
+  let x = S.For_testing.exact_objective r.S.objective in
   (lo = neg_infinity || R.compare (rat_of_float lo) x <= 0)
   && (hi = infinity || R.compare x (rat_of_float hi) <= 0)
 
@@ -47,9 +51,9 @@ let interval_holds (r : S.relaxation) =
    objective interval holds its exact objective. [m]'s bounds are
    rows, so [Test_lp.feasible] checks them. *)
 let agrees m warm =
-  match (warm, S.solve m) with
+  match (warm, S.For_testing.solve m) with
   | S.Optimal r, S.Optimal c ->
-    let w = S.solution_of r in
+    let w = S.For_testing.solution_of r in
     interval_holds r
     && R.equal w.S.objective c.S.objective
     && Test_lp.feasible m w.S.values
@@ -58,10 +62,10 @@ let agrees m warm =
 
 let snapshot_of m =
   match S.solve_with_snapshot m with
-  | S.Optimal r, Some snap -> (S.solution_of r, snap)
+  | S.Optimal r, Some snap -> (S.For_testing.solution_of r, snap)
   | _ -> Alcotest.fail "parent must solve optimally on the fast engine"
 
-let row_count s = Array.length (fst (S.snapshot_rows s))
+let row_count s = Array.length (fst (S.For_testing.snapshot_rows s))
 
 let warm_nodes () = Telemetry.value Telemetry.milp_warm_nodes
 
@@ -88,7 +92,7 @@ let check_child label m snap v dir b =
   (c, warm)
 
 let objective_of label = function
-  | S.Optimal (r : S.relaxation), Some _ -> S.exact_objective r.S.objective
+  | S.Optimal (r : S.relaxation), Some _ -> S.For_testing.exact_objective r.S.objective
   | S.Optimal _, None -> Alcotest.fail (label ^ ": optimal without a snapshot")
   | _ -> Alcotest.fail (label ^ ": expected an optimum")
 
@@ -161,7 +165,7 @@ let test_non_owning_leaves_snapshot () =
   bound_row m x S.Upper 2;
   bound_row m x S.Lower 1;
   let _, snap = snapshot_of m in
-  let rows s = fst (S.snapshot_rows s) in
+  let rows s = fst (S.For_testing.snapshot_rows s) in
   let copied label (_, warm) =
     match warm with
     | S.Optimal _, Some c ->
@@ -208,10 +212,10 @@ let test_bound_chain () =
     (List.fold_left
        (fun (m, (sol : S.solution), snap) (label, v, dir, b, basic, value) ->
          Alcotest.(check bool) (label ^ ": basic in the parent") basic
-           (Array.mem v (snd (S.snapshot_rows snap)));
+           (Array.mem v (snd (S.For_testing.snapshot_rows snap)));
          check_rat (label ^ ": value in the parent") value sol.S.values.(v);
          match check_child label m snap v dir b with
-         | c, (S.Optimal r, Some snap) -> (c, S.solution_of r, snap)
+         | c, (S.Optimal r, Some snap) -> (c, S.For_testing.solution_of r, snap)
          | _ -> Alcotest.fail (label ^ ": expected an optimum"))
        (m, sol, snap) steps)
 
@@ -229,7 +233,7 @@ let bounds_around x =
 let warm_agrees_twice m =
   match S.solve_with_snapshot m with
   | S.Optimal r, Some snap ->
-    let sol = S.solution_of r in
+    let sol = S.For_testing.solution_of r in
     let n = M.num_vars m in
     List.for_all
       (fun v ->
@@ -238,7 +242,7 @@ let warm_agrees_twice m =
             let c = child m v dir b in
             match S.reoptimize snap ~var:v ~dir ~bound:b with
             | (S.Optimal cr, Some csnap) as warm ->
-              let csol = S.solution_of cr in
+              let csol = S.For_testing.solution_of cr in
               let w = (v + 1) mod n in
               agrees c (fst warm)
               && List.for_all
@@ -282,7 +286,7 @@ let warm_chain_agrees (input, steps) =
   let m = Test_lp.build_bounded input in
   match S.solve_with_snapshot m with
   | S.Optimal r, Some root ->
-    let sol = S.solution_of r in
+    let sol = S.For_testing.solution_of r in
     let n = M.num_vars m and rows = row_count root in
     let replayed c path =
       match answered_warm (fun () -> S.replay root path) with
@@ -302,7 +306,7 @@ let warm_chain_agrees (input, steps) =
         | ((S.Optimal cr, Some csnap) as warm), is_warm ->
           agrees c (fst warm)
           && ((not is_warm) || row_count csnap = row_count snap)
-          && go c csnap (S.solution_of cr) path v rest
+          && go c csnap (S.For_testing.solution_of cr) path v rest
         | (warm, _), _ -> agrees c warm)
     in
     go m root sol [] 0 steps
@@ -366,7 +370,7 @@ let child_agrees ~cold_only c cold ((answer, _), warm, relaxations) =
   &&
   match (answer, cold) with
   | S.Optimal r, S.Optimal s ->
-    let w = S.solution_of r in
+    let w = S.For_testing.solution_of r in
     R.equal w.S.objective s.S.objective
     &&
     if warm then Test_lp.feasible c w.S.values
@@ -400,7 +404,7 @@ let overflow_chain_agrees ?(cold_from_tableau = ref 0) ~cold_only m steps =
         let dir, b = step_bound kind values.(v) in
         let path = (v, dir, b) :: path in
         let c = with_path_rows m path in
-        let cold = S.solve c in
+        let cold = S.For_testing.solve c in
         let warm =
           Option.map
             (fun s -> child_counts (fun () -> S.reoptimize s ~var:v ~dir ~bound:b))
@@ -424,7 +428,7 @@ let overflow_chain_agrees ?(cold_from_tableau = ref 0) ~cold_only m steps =
             s.S.values path v rest
         | S.Infeasible | S.Unbounded -> true)
     in
-    go (Some root) (S.solution_of r).S.values [] 0 steps
+    go (Some root) (S.For_testing.solution_of r).S.values [] 0 steps
   | _ -> false
 
 let steps_gen kinds =
@@ -568,15 +572,15 @@ let intervals_agree (t1, t2) =
   let o1 = S.objective_of_terms t1 and o2 = S.objective_of_terms t2 in
   let x1 = exact_sum t1 and x2 = exact_sum t2 in
   let holds o x =
-    let lo, hi = S.objective_interval o in
+    let lo, hi = S.For_testing.objective_interval o in
     R.compare (rat_of_float lo) x <= 0 && R.compare x (rat_of_float hi) <= 0
   in
   holds o1 x1 && holds o2 x2
   && Int.compare (S.compare_objectives o1 o2) 0 = Int.compare (R.compare x1 x2) 0
   && S.compare_objectives o1 o1 = 0
   && ceil_agrees o1 x1 && ceil_agrees o2 x2
-  && R.equal (S.exact_objective o1) x1
-  && R.equal (S.exact_objective o2) x2
+  && R.equal (S.For_testing.exact_objective o1) x1
+  && R.equal (S.For_testing.exact_objective o2) x2
 
 (* Separated intervals decide without the exact sums: comparing 1/3
    with 2/3, and ceiling 5/2, count no exact objective. *)
@@ -666,7 +670,7 @@ let consume_props =
            let instance = Rentcost.Instance.compile problem in
            let solve () = Rentcost.Ilp.optimize instance ~target in
            let consumed = solve () in
-           let copied = Milp.Solver.always_copying solve in
+           let copied = Milp.Solver.For_testing.always_copying solve in
            let cost o =
              Option.map
                (fun a -> a.Rentcost.Allocation.cost)
@@ -724,7 +728,7 @@ let rounding_props =
    had artificials, and on every warm child of it that ends optimal. *)
 let test_snapshot_words_cover_heap () =
   let covers label s =
-    let tab, basis = S.snapshot_rows s in
+    let tab, basis = S.For_testing.snapshot_rows s in
     let heap =
       Obj.reachable_words (Obj.repr tab) + Obj.reachable_words (Obj.repr basis)
     in
